@@ -18,12 +18,10 @@ from .qseries import (
     elliptic_gamma,
     elliptic_gamma_recip,
     gamma_pm,
-    gamma_pm2,
     product_tail_bound,
     qpoch_inf,
     theta,
     theta_pm,
-    theta_pm2,
 )
 from .invariants import (
     BalancingMode,

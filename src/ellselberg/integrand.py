@@ -12,10 +12,13 @@ z_i = z_j^{+-1} that product grids necessarily contain.
 
 All kernels accept z as a TorusPoint, a length-n sequence of complex values,
 or a length-n sequence of equal-shape complex arrays (elementwise grids).
+Each kernel is one factor list (see :mod:`.kernel`): a quadrature node list
+(a Lattice) is evaluated by per-factor tables, any other input pointwise.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -24,12 +27,12 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .invariants import BalancingMode, ParameterSet
+from .kernel import GAMMA, RECIP, Factor, Lattice, evaluate, pm
 from .qseries import (
     Nomes,
     TruncationPolicy,
     elliptic_gamma,
     elliptic_gamma_recip,
-    gamma_pm,
     qpoch_inf,
     theta,
     theta_pm,
@@ -54,7 +57,9 @@ class TorusPoint:
 
 
 def _z_list(z, n: int) -> list:
-    """Normalize z to a list of n scalars or equal-shape arrays."""
+    """Normalize z to a list of n scalars or equal-shape arrays (a Lattice as is)."""
+    if isinstance(z, Lattice) and len(z) == n:
+        return z
     if isinstance(z, TorusPoint):
         vals = list(z.values)
     else:
@@ -73,22 +78,6 @@ def _z_list(z, n: int) -> list:
                 raise DomainError("torus coordinates must be nonzero")
         out.append(v)
     return out
-
-
-def _gamma_pm_recip(a, z, nomes, policy):
-    return elliptic_gamma_recip(a * z, nomes, policy) * elliptic_gamma_recip(
-        a / z, nomes, policy
-    )
-
-
-def _gamma_pm2(a, zj, zk, nomes, policy):
-    return gamma_pm(a * zj, zk, nomes, policy) * gamma_pm(a / zj, zk, nomes, policy)
-
-
-def _gamma_pm2_recip(a, zj, zk, nomes, policy):
-    return _gamma_pm_recip(a * zj, zk, nomes, policy) * _gamma_pm_recip(
-        a / zj, zk, nomes, policy
-    )
 
 
 def _dual_of_zero(a, t, n, nomes):
@@ -113,26 +102,35 @@ def _dual_of_zero(a, t, n, nomes):
     return zeros[0], dual
 
 
-def _psi_with_params(z, a, t, n, nomes, policy, drop_zero=False):
-    zs = _z_list(z, n)
-    zero = None if drop_zero else _dual_of_zero(a, t, n, nomes)
-    out = 1.0 + 0.0j
-    for zi in zs:
-        for m, am in enumerate(a):
-            if am == 0:
-                if zero is not None:
-                    dual = zero[1]
-                    out = out * elliptic_gamma_recip(dual * zi, nomes, policy)
-                    out = out * elliptic_gamma_recip(dual / zi, nomes, policy)
-                continue
-            out = out * gamma_pm(am, zi, nomes, policy)
-        out = out * elliptic_gamma_recip(zi**2, nomes, policy)
-        out = out * elliptic_gamma_recip(zi**-2, nomes, policy)
-    for j in range(n):
-        for k in range(j + 1, n):
-            out = out * _gamma_pm2(t, zs[j], zs[k], nomes, policy)
-            out = out * _gamma_pm2_recip(1.0, zs[j], zs[k], nomes, policy)
+# Gamma(z^{+-2}) in the denominator of every BC_n kernel.
+_WEYL = [Factor(RECIP, 1.0, ((0, 2),)), Factor(RECIP, 1.0, ((0, -2),))]
+
+
+def _bc_kernel(per_variable, t, coords):
+    """prod_{i in coords} [per_variable at z_i] / Gamma(z_i^{+-2})
+    * prod_{j<k} Gamma(t z_j^{+-1} z_k^{+-1}) / Gamma(z_j^{+-1} z_k^{+-1});
+    per_variable is written in coordinate 0, t=None drops the Gamma(t ..) factors.
+    """
+    out = [f._replace(alpha=((i, f.alpha[0][1]),)) for i in coords for f in per_variable + _WEYL]
+    pairs = [(RECIP, 1.0)] if t is None else [(GAMMA, t), (RECIP, 1.0)]
+    for j, k in itertools.combinations(coords, 2):
+        out += [Factor(kind, c, ((j, 1), (k, s)), True) for kind, c in pairs for s in (1, -1)]
     return out
+
+
+def _psi_kernel(params, nomes, tilde=False, coords=None):
+    """Psi, or Psi~ (a_6 -> p a_6) when ``tilde`` is set, on coords (all n by default)."""
+    a = list(params.a)
+    if tilde:
+        a[5] = nomes.p * a[5]
+    zero = None if tilde else _dual_of_zero(a, params.t, params.n, nomes)
+    per = []
+    for am in a:
+        if am != 0:
+            per.append(pm(GAMMA, am))
+        elif zero is not None:
+            per += [Factor(RECIP, zero[1], ((0, 1),)), Factor(RECIP, zero[1], ((0, -1),))]
+    return _bc_kernel(per, params.t, range(params.n) if coords is None else coords)
 
 
 def psi(z, params: ParameterSet, nomes: Nomes, policy: TruncationPolicy | None = None):
@@ -143,7 +141,7 @@ def psi(z, params: ParameterSet, nomes: Nomes, policy: TruncationPolicy | None =
     factors become single Pochhammer factors in the dual parameter
     t^(2n-2) prod of the remaining entries.
     """
-    return _psi_with_params(z, params.a, params.t, params.n, nomes, policy)
+    return evaluate(_psi_kernel(params, nomes), _z_list(z, params.n), nomes, policy)
 
 
 def psi_tilde(z, params: ParameterSet, nomes: Nomes, policy: TruncationPolicy | None = None):
@@ -152,9 +150,7 @@ def psi_tilde(z, params: ParameterSet, nomes: Nomes, policy: TruncationPolicy | 
     At p = 0 the sixth factor is Gamma(0 * z^{+-1}) = 1 and simply drops;
     unlike :func:`psi` no dual-parameter limit is implied.
     """
-    a = list(params.a)
-    a[5] = nomes.p * a[5]
-    return _psi_with_params(z, a, params.t, params.n, nomes, policy, drop_zero=True)
+    return evaluate(_psi_kernel(params, nomes, tilde=True), _z_list(z, params.n), nomes, policy)
 
 
 def psi_tilde_alt(z, params: ParameterSet, nomes: Nomes,
@@ -167,20 +163,9 @@ def psi_tilde_alt(z, params: ParameterSet, nomes: Nomes,
     """
     if nomes.p == 0:
         raise DomainError("the reflected kernel form needs p != 0")
-    zs = _z_list(z, params.n)
-    a, t, q = params.a, params.t, nomes.q
-    out = 1.0 + 0.0j
-    for zi in zs:
-        for am in a[:5]:
-            out = out * gamma_pm(am, zi, nomes, policy)
-        out = out * _gamma_pm_recip(q / a[5], zi, nomes, policy)
-        out = out * elliptic_gamma_recip(zi**2, nomes, policy)
-        out = out * elliptic_gamma_recip(zi**-2, nomes, policy)
-    for j in range(params.n):
-        for k in range(j + 1, params.n):
-            out = out * _gamma_pm2(t, zs[j], zs[k], nomes, policy)
-            out = out * _gamma_pm2_recip(1.0, zs[j], zs[k], nomes, policy)
-    return out
+    per = [pm(GAMMA, am) for am in params.a[:5]] + [pm(RECIP, nomes.q / params.a[5])]
+    kernel = _bc_kernel(per, params.t, range(params.n))
+    return evaluate(kernel, _z_list(z, params.n), nomes, policy)
 
 
 def qshift_ratio_z(

@@ -30,6 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateParameterError, DomainError
+from .kernel import Lattice, on_axis
 from .qseries import Nomes, TruncationPolicy, theta, theta_pm
 
 # Below this magnitude a denominator theta counts as degenerate.
@@ -202,10 +203,12 @@ def fundamental_invariant(
     """E_r(a, b; z): the r-th fundamental invariant in n = len(z) variables.
 
     ``z`` is a sequence of n values (or n arrays of equal shape for
-    elementwise evaluation).  The sum runs over the binomial(n, r)
-    complementary index pairs.
+    elementwise evaluation; a Lattice is evaluated by per-coordinate theta
+    tables).  The sum runs over the binomial(n, r) complementary index pairs.
     """
-    zs = [np.asarray(w, dtype=complex) if not np.isscalar(w) else complex(w) for w in z]
+    zs = z if isinstance(z, Lattice) else [
+        np.asarray(w, dtype=complex) if not np.isscalar(w) else complex(w) for w in z
+    ]
     n = len(zs)
     total = None
     for idx_i, idx_j in complementary_index_pairs(n, r):
@@ -213,11 +216,11 @@ def fundamental_invariant(
         for k, ik in enumerate(idx_i, start=1):
             c = b * t ** (ik - k)
             den = _theta_pm_checked(c, a * t ** (k - 1), p, policy, f"b t^{ik - k} (a t^{k - 1})^(+-1)")
-            term = term * theta_pm(c, zs[ik - 1], p, policy) / den
+            term = term * on_axis(zs, ik - 1, lambda w: theta_pm(c, w, p, policy)) / den
         for l, jl in enumerate(idx_j, start=1):
             c = a * t ** (jl - l)
             den = _theta_pm_checked(c, b * t ** (l - 1), p, policy, f"a t^{jl - l} (b t^{l - 1})^(+-1)")
-            term = term * theta_pm(c, zs[jl - 1], p, policy) / den
+            term = term * on_axis(zs, jl - 1, lambda w: theta_pm(c, w, p, policy)) / den
         total = term if total is None else total + term
     return total
 

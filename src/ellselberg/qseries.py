@@ -155,6 +155,7 @@ def _tail_bound(rows, p_abs: float, q_abs: float, u_max: float) -> float:
     return tail
 
 
+# Kept beside _prod_array: a 104-factor product takes 24 us here and 340-370 us as a 0-d array.
 def _prod_scalar(u: complex, p: complex, q: complex, rows) -> complex:
     acc = 1.0 + 0.0j
     pm = 1.0 + 0.0j
@@ -318,13 +319,3 @@ def theta_pm(a: complex, z, p: complex, policy: TruncationPolicy | None = None):
 def gamma_pm(a: complex, z, nomes: Nomes, policy: TruncationPolicy | None = None):
     """Double-sign gamma product Gamma(a z^{+-1}) = Gamma(az) Gamma(a/z)."""
     return elliptic_gamma(a * z, nomes, policy) * elliptic_gamma(a / z, nomes, policy)
-
-
-def theta_pm2(a: complex, zj, zk, p: complex, policy: TruncationPolicy | None = None):
-    """Four-sign theta product theta(a zj^{+-1} zk^{+-1}; p)."""
-    return theta_pm(a * zj, zk, p, policy) * theta_pm(a / zj, zk, p, policy)
-
-
-def gamma_pm2(a: complex, zj, zk, nomes: Nomes, policy: TruncationPolicy | None = None):
-    """Four-sign gamma product Gamma(a zj^{+-1} zk^{+-1}; p, q)."""
-    return gamma_pm(a * zj, zk, nomes, policy) * gamma_pm(a / zj, zk, nomes, policy)

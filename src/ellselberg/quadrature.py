@@ -18,15 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError
-from .integrand import (
-    _gamma_pm2,
-    _gamma_pm2_recip,
-    _gamma_pm_recip,
-    _z_list,
-    psi_tilde,
-)
+from .integrand import _psi_kernel, _z_list, psi_tilde
 from .invariants import ParameterSet, fundamental_invariant
-from .qseries import Nomes, TruncationPolicy, elliptic_gamma, elliptic_gamma_recip, gamma_pm
+from .kernel import GAMMA, MONO, RECIP, Factor, Lattice, evaluate
+from .qseries import Nomes, TruncationPolicy
 
 MIN_POINTS = 16
 
@@ -52,11 +47,10 @@ class QuadratureGrid:
         if not 0 <= self.offset < 1:
             raise DomainError("offset must lie in [0, 1)")
 
-    def nodes(self) -> list[np.ndarray]:
-        """The flattened product grid as n arrays of length N^n."""
-        idx = np.indices((self.N,) * self.n).reshape(self.n, -1)
-        arr = np.exp(2j * np.pi * (idx + self.offset) / self.N)
-        return [arr[i] for i in range(self.n)]
+    def nodes(self) -> Lattice:
+        """The flattened product grid as n arrays of length N^n, as a Lattice."""
+        w = np.exp(2j * np.pi * (np.arange(self.N) + self.offset) / self.N)
+        return Lattice(w, np.indices((self.N,) * self.n).reshape(self.n, -1), self.offset)
 
 
 @dataclass(frozen=True)
@@ -145,56 +139,27 @@ def expectation(
     return torus_integrate(f, params.n, tol, budget, offset)
 
 
-def _s_factor(w, params, nomes, policy):
-    """Single-variable Psi~ factor: Gamma(p a6 w^+-1) prod Gamma(a_m w^+-1) / Gamma(w^+-2)."""
-    out = gamma_pm(nomes.p * params.a[5], w, nomes, policy)
-    for am in params.a[:5]:
-        out = out * gamma_pm(am, w, nomes, policy)
-    out = out * elliptic_gamma_recip(w**2, nomes, policy)
-    out = out * elliptic_gamma_recip(w**-2, nomes, policy)
-    return out
+def _nabla_term(i, rest, params, nomes):
+    """Factors of phi_{r,i} Psi~ that involve z_i (= w), in fused form.
 
-
-def _x_factor(u, v, t, nomes, policy):
-    """Coupling Gamma(t u^+-1 v^+-1) / Gamma(u^+-1 v^+-1)."""
-    return _gamma_pm2(t, u, v, nomes, policy) * _gamma_pm2_recip(1.0, u, v, nomes, policy)
-
-
-def _s_phi(w, params, nomes, policy):
-    """Fused single-variable factor of phi_{r,i} Psi~ in the shifted coordinate.
-
-    Combines F_i^-(w) with the w-factor of Psi~ through
+    Combines F_i^-(w) with the w-factors of Psi~ through
     theta(u; p) Gamma(u; p, q) = Gamma(q u; p, q), leaving only Gamma
     evaluations that stay clear of torus collision points:
 
       w^2 (-a_6/w) Gamma(p a_6 w) Gamma(p q a_6 / w)
         * prod_{m<=5} Gamma(a_m w) Gamma(q a_m / w) / [Gamma(w^2) Gamma(q/w^2)]
+        * prod_{v in rest} Gamma(t w v^+-1) Gamma(q t v^+-1 / w)
+                           / [Gamma(w v^+-1) Gamma(q v^+-1 / w)]
     """
-    p, q = nomes.p, nomes.q
-    a6 = params.a[5]
-    out = (
-        w**2
-        * (-a6 / w)
-        * elliptic_gamma(p * a6 * w, nomes, policy)
-        * elliptic_gamma(p * q * a6 / w, nomes, policy)
-    )
+    p, q, t, a6 = nomes.p, nomes.q, params.t, params.a[5]
+    single = [(MONO, 1, 2), (MONO, -a6, -1), (GAMMA, p * a6, 1), (GAMMA, p * q * a6, -1)]
     for am in params.a[:5]:
-        out = out * elliptic_gamma(am * w, nomes, policy)
-        out = out * elliptic_gamma(q * am / w, nomes, policy)
-    out = out * elliptic_gamma_recip(w**2, nomes, policy)
-    out = out * elliptic_gamma_recip(q / w**2, nomes, policy)
-    return out
-
-
-def _x_phi(u, v, t, nomes, policy):
-    """Fused coupling of phi_{r,i} Psi~ between the shifted u and a spectator v:
-
-    Gamma(t u v^+-1) Gamma(q t v^+-1 / u) / [Gamma(u v^+-1) Gamma(q v^+-1 / u)].
-    """
-    q = nomes.q
-    out = gamma_pm(t * u, v, nomes, policy) * gamma_pm(q * t / u, v, nomes, policy)
-    out = out * _gamma_pm_recip(u, v, nomes, policy)
-    out = out * _gamma_pm_recip(q / u, v, nomes, policy)
+        single += [(GAMMA, am, 1), (GAMMA, q * am, -1)]
+    single += [(RECIP, 1, 2), (RECIP, q, -2)]
+    out = [Factor(kind, c, ((i, e),)) for kind, c, e in single]
+    pair = [(GAMMA, t, 1), (GAMMA, q * t, -1), (RECIP, 1.0, 1), (RECIP, q, -1)]
+    for v in rest:
+        out += [Factor(kind, c, ((i, e), (v, s))) for s in (1, -1) for kind, c, e in pair]
     return out
 
 
@@ -203,26 +168,18 @@ def _nabla_pointwise(r, i, z, params, nomes, policy, want_reference=False):
 
     Returns (G, |H|) when want_reference is set, else (G, None).
     """
-    n = params.n
-    zs = _z_list(z, n)
-    a1, a6, t = params.a[0], params.a[5], params.t
-    rest = [zs[j] for j in range(n) if j != i - 1]
-    common = fundamental_invariant(r - 1, a1, a6, rest, t, nomes.p, policy)
-    for w in rest:
-        common = common * _s_factor(w, params, nomes, policy)
-    for j in range(len(rest)):
-        for k in range(j + 1, len(rest)):
-            common = common * _x_factor(rest[j], rest[k], t, nomes, policy)
-
-    def term(w):
-        out = _s_phi(w, params, nomes, policy)
-        for v in rest:
-            out = out * _x_phi(w, v, t, nomes, policy)
-        return out
-
-    zi = zs[i - 1]
-    t_plain = term(zi)
-    g = common * (t_plain - term(nomes.q * zi))
+    zs = _z_list(z, params.n)
+    rest = [j for j in range(params.n) if j != i - 1]
+    if isinstance(zs, Lattice):
+        z_rest, z_shift = zs.take(rest), zs.scaled(i - 1, nomes.q)
+    else:
+        z_rest = [zs[j] for j in rest]
+        z_shift = [nomes.q * w if j == i - 1 else w for j, w in enumerate(zs)]
+    common = fundamental_invariant(r - 1, params.a[0], params.a[5], z_rest, params.t, nomes.p, policy)
+    common = common * evaluate(_psi_kernel(params, nomes, True, rest), zs, nomes, policy)
+    term = _nabla_term(i - 1, rest, params, nomes)
+    t_plain = evaluate(term, zs, nomes, policy)
+    g = common * (t_plain - evaluate(term, z_shift, nomes, policy))
     if want_reference:
         return g, np.abs(common * t_plain)
     return g, None
@@ -241,8 +198,8 @@ def nabla_quad(
     """Quadrature of the nabla image of phi_{r,i} plus a magnitude reference.
 
     tol is relative to the reference scale <|phi Psi~|>, estimated on a
-    coarse grid first; the returned reference is recomputed on the final
-    grid.  The value is expected to vanish up to quadrature error.
+    coarse grid first; the returned reference is the mean on the ladder's
+    final grid.  The value is expected to vanish up to quadrature error.
     """
     n = params.n
     if not 1 <= r <= n:
@@ -260,14 +217,15 @@ def nabla_quad(
     if scale == 0.0:
         scale = 1.0
 
+    last = {}
+
     def f(z):
-        g, _ = _nabla_pointwise(r, i, z, params, nomes, policy)
+        g, href = _nabla_pointwise(r, i, z, params, nomes, policy, want_reference=True)
+        last["reference"] = float(np.mean(href))
         return g
 
     res = torus_integrate(f, n, tol * scale, budget, offset)
-    final = QuadratureGrid(n, res.N_used, offset).nodes()
-    _, href = _nabla_pointwise(r, i, final, params, nomes, policy, want_reference=True)
-    return res, float(np.mean(href))
+    return res, last["reference"]
 
 
 def nabla_expectation(

@@ -22,7 +22,7 @@ from .errors import (
     NonConvergenceError,
     SampleRejectionError,
 )
-from .integrand import c_constant, j_closed, psi
+from .integrand import _bc_kernel, _z_list, c_constant, j_closed, psi
 from .invariants import (
     BalancingMode,
     ParameterSet,
@@ -30,12 +30,12 @@ from .invariants import (
     coefficient_c,
     fundamental_invariant,
 )
+from .kernel import GAMMA, evaluate, pm
 from .qseries import (
     DEFAULT_POLICY,
     Nomes,
     TruncationPolicy,
     elliptic_gamma,
-    elliptic_gamma_recip,
     gamma_pm,
     qpoch_inf,
     theta,
@@ -294,8 +294,6 @@ def scenario_qde(
 
 def _expect_invariant(r, params, nomes, tol, budget, policy):
     """<E_r> refined against its own coarse magnitude."""
-    from .integrand import _z_list
-
     a1, a6, t, n = params.a[0], params.a[5], params.t, params.n
 
     def phi(z):
@@ -406,24 +404,6 @@ def scenario_nabla(
         return _failed("nabla", echo, tol, policy, started, exc)
 
 
-def _da_kernel(z, a, n, nomes, policy):
-    """Coupling-free kernel: prod_i prod_m Gamma(a_m z_i^{+-1}) / Gamma(z_i^{+-2}),
-    divided by prod_{j<k} Gamma(z_j^{+-1} z_k^{+-1})."""
-    from .integrand import _gamma_pm2_recip, _z_list
-
-    zs = _z_list(z, n)
-    out = 1.0 + 0.0j
-    for zi in zs:
-        for am in a:
-            out = out * gamma_pm(am, zi, nomes, policy)
-        out = out * elliptic_gamma_recip(zi**2, nomes, policy)
-        out = out * elliptic_gamma_recip(zi**-2, nomes, policy)
-    for j in range(n):
-        for k in range(j + 1, n):
-            out = out * _gamma_pm2_recip(1.0, zs[j], zs[k], nomes, policy)
-    return out
-
-
 def _da_closed(a, n, nomes, policy):
     pp = qpoch_inf(nomes.p, nomes.p, policy)
     qq = qpoch_inf(nomes.q, nomes.q, policy)
@@ -476,8 +456,9 @@ def scenario_dixon_anderson(
             )
         rhs = _da_closed(a, n, nomes, policy)
         scale = max(abs(rhs), 1.0)
+        kernel = _bc_kernel([pm(GAMMA, am) for am in a], None, range(n))
         quad = _integrate_scaled(
-            lambda z: _da_kernel(z, a, n, nomes, policy), n, tol, scale, budget
+            lambda z: evaluate(kernel, _z_list(z, n), nomes, policy), n, tol, scale, budget
         )
         return _report(
             "dixon_anderson", echo, quad.value, rhs, tol, quad.N_used, policy, started

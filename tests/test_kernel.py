@@ -1,0 +1,129 @@
+"""Kernel descriptions: lattice tables against the pointwise reference."""
+
+import numpy as np
+import pytest
+
+from ellselberg import (
+    BalancingMode,
+    Nomes,
+    ParameterSet,
+    PoleProximityError,
+    QuadratureGrid,
+    fundamental_invariant,
+    psi,
+    psi_tilde,
+    qseries,
+)
+from ellselberg.integrand import _bc_kernel, psi_tilde_alt
+from ellselberg.kernel import GAMMA, Lattice, evaluate, pm
+from ellselberg.quadrature import _nabla_pointwise
+
+NM = Nomes(0.05, 0.12)
+NM_ONE = Nomes(0.02, 0.12)
+A5 = [0.63, 0.58 * np.exp(0.7j), -0.61, 0.64 * np.exp(-1.1j), 0.55]
+A5_ONE = [0.66, 0.63 * np.exp(0.9j), -0.645, 0.67 * np.exp(-0.5j), 0.62]
+
+
+def pq_set(n, nomes=NM):
+    return ParameterSet.solved(n, 0.45, A5, nomes, BalancingMode.PQ)
+
+
+def one_set(n):
+    return ParameterSet.solved(n, 0.5, A5_ONE, NM_ONE, BalancingMode.ONE)
+
+
+def da_kernel(z, n):
+    # the scenario's coupling-free kernel on 2n+4 parameters
+    a = [(0.4 + 0.03 * m) * np.exp(1j * (1.1 * m + 0.2)) for m in range(2 * n + 4)]
+    return evaluate(_bc_kernel([pm(GAMMA, am) for am in a], None, range(n)), z, NM)
+
+
+def e_r_psi_tilde(z, n):
+    ps = one_set(n)
+    e_r = fundamental_invariant(1, ps.a[0], ps.a[5], z, ps.t, NM_ONE.p)
+    return e_r * psi_tilde(z, ps, NM_ONE)
+
+
+def nabla(z, n):
+    g, _ = _nabla_pointwise(n, 1, z, one_set(n), NM_ONE, None)
+    return g
+
+
+KERNELS = {
+    "psi": lambda z, n: psi(z, pq_set(n), NM),
+    "psi_tilde": lambda z, n: psi_tilde(z, pq_set(n), NM),
+    "psi_tilde_alt": lambda z, n: psi_tilde_alt(z, pq_set(n), NM),
+    "psi_p0_dual": lambda z, n: psi(z, pq_set(n, Nomes(0.0, 0.12)), Nomes(0.0, 0.12)),
+    "dixon_anderson": da_kernel,
+    "e_r_psi_tilde": e_r_psi_tilde,
+    "nabla": nabla,
+}
+
+CASES = [(n, N) for n in (1, 2, 3) for N in (16, 32)]
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.37])
+@pytest.mark.parametrize("n,N", CASES)
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_lattice_matches_pointwise(name, n, N, offset):
+    grid = QuadratureGrid(n, N, offset).nodes()
+    assert isinstance(grid, Lattice)
+    kernel = KERNELS[name]
+    lattice = kernel(grid, n)
+    pointwise = kernel(list(grid), n)
+    assert np.all(np.isfinite(lattice))
+    scale = np.max(np.abs(pointwise))
+    assert scale > 0
+    assert np.max(np.abs(lattice - pointwise)) <= 1e-13 * scale
+    if n == 1:
+        assert np.array_equal(lattice, pointwise)
+    if offset == 0.0:
+        # z_1 = 1 (z_2 = 1 for nabla, whose coordinate 1 is shifted) is a
+        # zero of 1/Gamma(z^2) on both paths
+        axis = 1 if name == "nabla" else 0
+        if axis < n:
+            hit = grid.k[axis] == 0
+            assert np.all(lattice[hit] == 0) and np.all(pointwise[hit] == 0)
+
+
+@pytest.mark.parametrize("name", ["psi", "psi_tilde_alt", "dixon_anderson", "e_r_psi_tilde"])
+def test_lattice_pair_collisions_are_exact_zeros(name):
+    # on the lattice z_j = z_k^{+-1} gives the argument exp(0) = 1 exactly
+    grid = QuadratureGrid(2, 16, 0.0).nodes()
+    values = KERNELS[name](grid, 2)
+    k1, k2 = grid.k
+    assert np.all(values[(k1 - k2) % 16 == 0] == 0)
+    assert np.all(values[(k1 + k2) % 16 == 0] == 0)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.37])
+@pytest.mark.parametrize("n", [1, 2])
+def test_parameter_on_grid_phase_raises_on_both_paths(n, offset):
+    N = 16
+    node = np.exp(2j * np.pi * (3 + offset) / N)
+    ps = pq_set(n).with_entry(2, 1.0 / node)
+    grid = QuadratureGrid(n, N, offset).nodes()
+    with pytest.raises(PoleProximityError):
+        psi(grid, ps, NM)
+    with pytest.raises(PoleProximityError):
+        psi(list(grid), ps, NM)
+
+
+def test_rank2_lattice_work_grows_linearly(monkeypatch):
+    # a silent fallback to the pointwise path would pass every numeric test
+    # above; here it shows as O(N^2) product work
+    counted = []
+    prod_array = qseries._prod_array
+
+    def counting(u, p, q, rows):
+        counted[-1] += u.size
+        return prod_array(u, p, q, rows)
+
+    monkeypatch.setattr(qseries, "_prod_array", counting)
+    ps = pq_set(2)
+    for N in (64, 128):
+        grid = QuadratureGrid(2, N, 0.0).nodes()
+        counted.append(0)
+        psi(grid, ps, NM)
+    assert counted[0] > 0
+    assert counted[1] / counted[0] <= 2.1

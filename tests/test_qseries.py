@@ -197,6 +197,21 @@ def test_array_matches_scalar():
         assert rel(arr_t[i], theta(complex(u), nm.p)) < 1e-13
 
 
+def test_scalar_input_returns_python_complex():
+    # scalars stay on the scalar product path instead of becoming 0-d arrays
+    nm = Nomes(0.07 + 0.02j, 0.11)
+    u = 0.37 - 0.21j
+    values = (
+        qpoch_inf(u, nm.q),
+        double_poch_inf(u, nm),
+        elliptic_gamma(u, nm),
+        elliptic_gamma_recip(u, nm),
+        theta(u, nm.p),
+    )
+    for value in values:
+        assert type(value) is complex
+
+
 def test_theta_pm_pair():
     a, z, p = 0.6 + 0.1j, 0.92 + 0.39j, 0.05
     assert rel(theta_pm(a, z, p), theta(a * z, p) * theta(a / z, p)) < 1e-15
