@@ -18,7 +18,6 @@ from .qseries import (
     elliptic_gamma,
     elliptic_gamma_recip,
     gamma_pm,
-    product_tail_bound,
     qpoch_inf,
     theta,
     theta_pm,
@@ -52,7 +51,6 @@ from .quadrature import (
     QuadResult,
     default_budget,
     expectation,
-    nabla_expectation,
     nabla_quad,
     torus_integrate,
 )

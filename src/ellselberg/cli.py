@@ -12,14 +12,15 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from dataclasses import fields, replace
 
 from .config import Config, load_config
-from .errors import EllSelbergError
+from .errors import ConfigurationError, EllSelbergError
 from .integrand import c_constant, j_closed, psi
 from .invariants import BalancingMode, ParameterSet, coefficient_c, fundamental_invariant
 from .qseries import Nomes, elliptic_gamma, theta
 from .report import write_report
-from .sampling import sample_da_parameters, sample_parameters
+from .sampling import DEFAULT_BOX, SafeBox
 from . import scenarios as scn
 
 _FLOAT = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
@@ -158,11 +159,7 @@ def _build_config(args) -> Config:
             overrides[key] = val
     if getattr(args, "timing", None) is not None:
         overrides["timing"] = args.timing == "on"
-    if overrides:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **overrides)
-    return cfg
+    return replace(cfg, **overrides)
 
 
 def _parameter_set(args, nomes: Nomes, mode: BalancingMode) -> ParameterSet:
@@ -180,148 +177,56 @@ def _parameter_set(args, nomes: Nomes, mode: BalancingMode) -> ParameterSet:
     )
 
 
-def _default_tol(name: str, n: int) -> float:
-    table = scn._SUITE_TOL
-    return table.get((name, min(n, 2)), table.get((name, 1), 1e-6))
+def _da_parameters(args, nomes: Nomes) -> tuple:
+    """The 2n+4 Dixon-Anderson parameters; the last is solved when 2n+3 are given."""
+    a = list(args.a) + ([args.a6] if args.a6 is not None else [])
+    if len(a) == 2 * args.n + 3:
+        prod = 1.0 + 0.0j
+        for v in a:
+            prod *= v
+        a.append(nomes.pq / prod)
+    return tuple(a)
 
 
 def _explicit_reports(args, cfg: Config) -> list:
-    """One explicit parameter set; sweep the scenario's natural indices."""
-    name = args.scenario
-    nomes = Nomes(args.p, args.q)
-    policy = cfg.policy()
-    kw = dict(budget=cfg.grid, policy=policy, timing=cfg.timing)
-    tol = cfg.tol if cfg.tol is not None else _default_tol(name, args.n or 1)
+    """One explicit parameter set through the scenario's index sweep."""
+    name, nomes = args.scenario, Nomes(args.p, args.q)
     if name == "dixon_anderson":
-        a = list(args.a) + ([args.a6] if args.a6 is not None else [])
-        n = args.n
-        if len(a) == 2 * n + 3:
-            prod = 1.0 + 0.0j
-            for v in a:
-                prod *= v
-            a.append(nomes.pq / prod)
-        return [scn.scenario_dixon_anderson(n, tuple(a), nomes, tol, **kw)]
-    mode = _MODES[args.balancing] if args.balancing else {
-        "eval_formula": BalancingMode.PQ,
-        "qde": BalancingMode.PQ,
-        "recurrence": BalancingMode.ONE,
-        "recurrence_telescope": BalancingMode.ONE,
-        "nabla": BalancingMode.ONE,
-        "pinch": BalancingMode.PQ,
-    }[name]
-    ps = _parameter_set(args, nomes, mode)
-    n = ps.n
-    if name == "eval_formula":
-        return [scn.scenario_eval_formula(n, ps, nomes, tol, **kw)]
-    if name == "qde":
-        return [scn.scenario_qde(n, k, ps, nomes, tol, **kw) for k in range(1, 6)]
-    if name == "recurrence":
-        return [
-            scn.scenario_recurrence(n, r, ps, nomes, tol, **kw)
-            for r in range(1, n + 1)
-        ]
-    if name == "recurrence_telescope":
-        return [scn.scenario_recurrence_telescope(n, ps, nomes, tol, **kw)]
-    if name == "nabla":
-        return [
-            scn.scenario_nabla(n, r, i, ps, nomes, tol, **kw)
-            for r in range(1, n + 1)
-            for i in range(1, n + 1)
-        ]
-    if name == "pinch":
-        pinched = scn.make_pinched(ps, nomes)
-        reports = [scn.scenario_pinch(pinched, nomes, tol, check="limit", **kw)]
-        if n == 1:
-            reports.append(
-                scn.scenario_pinch(pinched, nomes, tol, check="integral", **kw)
-            )
-            reports.append(
-                scn.scenario_pinch(
-                    scn.make_continued(ps, nomes), nomes, tol, check="continued", **kw
-                )
-            )
-        return reports
-    raise EllSelbergError(f"unknown scenario {name!r}")
+        ps = _da_parameters(args, nomes)
+    else:
+        mode = _MODES[args.balancing] if args.balancing else scn.DEFAULT_MODE[name]
+        ps = _parameter_set(args, nomes, mode)
+    tol = cfg.tol if cfg.tol is not None else scn.default_tol(name, args.n)
+    return scn.cases(
+        name, args.n, ps, nomes, tol, budget=cfg.grid, policy=cfg.policy, timing=cfg.timing
+    )
 
 
 def _sampled_reports(args, cfg: Config) -> list:
-    """Sample at user-supplied nomes, then sweep like the default suite."""
-    name = args.scenario
-    nomes = Nomes(args.p, args.q)
-    n = args.n if args.n is not None else 1
-    policy = cfg.policy()
-    count = cfg.count if cfg.count is not None else 1
-    kw = dict(budget=cfg.grid, policy=policy, timing=cfg.timing)
-    tol = cfg.tol if cfg.tol is not None else _default_tol(name, n)
-    box = cfg.box()
-    reports = []
-    if name == "dixon_anderson":
-        for idx, a in enumerate(
-            sample_da_parameters(n, nomes, cfg.seed, count, box=box)
-        ):
-            reports.append(
-                scn.scenario_dixon_anderson(n, a, nomes, tol, seed_index=idx, **kw)
-            )
-        return reports
-    mode = _MODES[args.balancing] if args.balancing else None
-    if name in ("recurrence", "recurrence_telescope", "nabla"):
-        mode = mode or BalancingMode.ONE
-    else:
-        mode = mode or BalancingMode.PQ
-    predicate = scn._qde_predicate(nomes) if (name, mode) == ("qde", BalancingMode.PQ) else None
-    t = args.t
-    sets = sample_parameters(
-        mode, n, nomes, cfg.seed, count, t=t, box=box, predicate=predicate
+    """Sample at user-supplied nomes in the configured box, one row's sweep."""
+    row = scn.Row(
+        args.scenario,
+        args.n if args.n is not None else 1,
+        Nomes(args.p, args.q),
+        mode=_MODES[args.balancing] if args.balancing else None,
+        box=cfg.box,
+        t=args.t,
     )
-    for idx, ps in enumerate(sets):
-        if name == "eval_formula":
-            reports.append(
-                scn.scenario_eval_formula(n, ps, nomes, tol, seed_index=idx, **kw)
-            )
-        elif name == "qde":
-            for k in range(1, 6):
-                reports.append(
-                    scn.scenario_qde(n, k, ps, nomes, tol, seed_index=idx, **kw)
-                )
-        elif name == "recurrence":
-            for r in range(1, n + 1):
-                reports.append(
-                    scn.scenario_recurrence(n, r, ps, nomes, tol, seed_index=idx, **kw)
-                )
-        elif name == "recurrence_telescope":
-            reports.append(
-                scn.scenario_recurrence_telescope(
-                    n, ps, nomes, tol, seed_index=idx, **kw
-                )
-            )
-        elif name == "nabla":
-            for r in range(1, n + 1):
-                for i in range(1, n + 1):
-                    reports.append(
-                        scn.scenario_nabla(
-                            n, r, i, ps, nomes, tol, seed_index=idx, **kw
-                        )
-                    )
-        elif name == "pinch":
-            pinched = scn.make_pinched(ps, nomes)
-            reports.append(
-                scn.scenario_pinch(
-                    pinched, nomes, tol, check="limit", seed_index=idx, **kw
-                )
-            )
-            if n == 1:
-                reports.append(
-                    scn.scenario_pinch(
-                        pinched, nomes, tol, check="integral", seed_index=idx, **kw
-                    )
-                )
-                reports.append(
-                    scn.scenario_pinch(
-                        scn.make_continued(ps, nomes), nomes, tol,
-                        check="continued", seed_index=idx, **kw
-                    )
-                )
-    return reports
+    return scn.run_row(
+        row, cfg.seed, cfg.count, cfg.tol, budget=cfg.grid, policy=cfg.policy, timing=cfg.timing
+    )
+
+
+def _check_box_unused(cfg: Config) -> None:
+    """Only sampled --p/--q runs read the box: a box key set elsewhere is an error."""
+    keys = [
+        f.name for f in fields(SafeBox) if getattr(cfg.box, f.name) != getattr(DEFAULT_BOX, f.name)
+    ]
+    if keys:
+        raise ConfigurationError(
+            f"config key(s) {', '.join(keys)} set the sampling box, "
+            "which only sampled runs (--p/--q without --a) use"
+        )
 
 
 def _print_reports(reports) -> None:
@@ -356,6 +261,7 @@ def _cmd_verify(args) -> int:
         if args.t is None and args.scenario != "dixon_anderson":
             print("explicit runs require --t", file=sys.stderr)
             return 2
+        _check_box_unused(cfg)
         reports = _explicit_reports(args, cfg)
     elif args.p is not None or args.q is not None:
         if args.scenario is None or args.p is None or args.q is None:
@@ -363,6 +269,7 @@ def _cmd_verify(args) -> int:
             return 2
         reports = _sampled_reports(args, cfg)
     else:
+        _check_box_unused(cfg)
         reports = scn.run_suite(
             seed=cfg.seed,
             scenario=args.scenario,
@@ -370,7 +277,7 @@ def _cmd_verify(args) -> int:
             tol=cfg.tol,
             grid=cfg.grid,
             timing=cfg.timing,
-            policy=cfg.policy(),
+            policy=cfg.policy,
         )
     _print_reports(reports)
     if args.report:

@@ -10,55 +10,39 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigurationError
-from .qseries import TruncationPolicy
-from .sampling import SafeBox
+from .qseries import DEFAULT_POLICY, TruncationPolicy
+from .sampling import DEFAULT_BOX, SafeBox
 
 
 @dataclass(frozen=True)
 class Config:
-    """Suite-level knobs; None means "use the per-scenario default"."""
+    """Suite-level knobs; None means "use the per-scenario default".
+
+    ``policy`` holds the truncation keys and ``box`` the sampling safe-box
+    keys; the file names their fields directly (``tail_tol``, ``a_min``, ...).
+    """
 
     seed: int = 42
     count: int | None = None
     tol: float | None = None
     grid: int | None = None
     timing: bool = False
-    tail_tol: float = 1e-13
-    max_terms: int = 512
-    nome_max: float = 0.2
-    t_min: float = 0.3
-    t_max: float = 0.5
-    a_min: float = 0.15
-    a_max: float = 0.7
-    pole_clearance: float = 0.1
-    solved_clearance: float = 0.25
-    theta_floor: float = 1e-10
-    max_rejections: int = 20000
-
-    def policy(self) -> TruncationPolicy:
-        return TruncationPolicy(tail_tol=self.tail_tol, max_terms=self.max_terms)
-
-    def box(self) -> SafeBox:
-        return SafeBox(
-            nome_max=self.nome_max,
-            t_min=self.t_min,
-            t_max=self.t_max,
-            a_min=self.a_min,
-            a_max=self.a_max,
-            pole_clearance=self.pole_clearance,
-            solved_clearance=self.solved_clearance,
-            theta_floor=self.theta_floor,
-            max_rejections=self.max_rejections,
-        )
+    policy: TruncationPolicy = DEFAULT_POLICY
+    box: SafeBox = DEFAULT_BOX
 
 
+# The record each file key belongs to: None for Config's own fields.
+_SECTION = {
+    **{f.name: None for f in fields(Config) if f.name not in ("policy", "box")},
+    **{f.name: "policy" for f in fields(TruncationPolicy)},
+    **{f.name: "box" for f in fields(SafeBox)},
+}
 _OPTIONAL_INT = ("count", "grid")
 _OPTIONAL_FLOAT = ("tol",)
 
 
 def _parse_value(key: str, raw: str):
-    field_types = {f.name: f.type for f in fields(Config)}
-    if key not in field_types:
+    if key not in _SECTION:
         raise ConfigurationError(f"unknown config key {key!r}")
     if raw.lower() in ("none", "default") and key in _OPTIONAL_INT + _OPTIONAL_FLOAT:
         return None
@@ -82,7 +66,7 @@ def _parse_value(key: str, raw: str):
 def parse_config(text: str, base: Config | None = None) -> Config:
     """Apply ``key = value`` lines from ``text`` on top of ``base``."""
     cfg = base if base is not None else Config()
-    updates = {}
+    updates = {None: {}, "policy": {}, "box": {}}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -92,8 +76,14 @@ def parse_config(text: str, base: Config | None = None) -> Config:
                 f"line {lineno}: expected 'key = value', got {line.rstrip()!r}"
             )
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        updates[key] = _parse_value(key, raw)
-    return replace(cfg, **updates)
+        value = _parse_value(key, raw)
+        updates[_SECTION[key]][key] = value
+    return replace(
+        cfg,
+        policy=replace(cfg.policy, **updates["policy"]),
+        box=replace(cfg.box, **updates["box"]),
+        **updates[None],
+    )
 
 
 def load_config(path: str, base: Config | None = None) -> Config:

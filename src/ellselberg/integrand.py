@@ -6,9 +6,14 @@ The central object is the n-variable kernel
            * prod_{j<k} Gamma(t z_j^{+-1} z_k^{+-1}) / Gamma(z_j^{+-1} z_k^{+-1})
 
 and its companion Psi~ obtained by replacing a_6 with p a_6.  Every
-denominator Gamma is evaluated through the reciprocal path, so the kernel is
-exactly 0 (instead of 0/0) on the measure-zero sets z_i = +-1 and
-z_i = z_j^{+-1} that product grids necessarily contain.
+denominator Gamma is evaluated through the reciprocal path, so the kernel
+stays finite (instead of 0/0) on the measure-zero sets z_i = +-1 and
+z_i = z_j^{+-1} that product grids necessarily contain.  It is exactly 0
+there only where the denominator's argument rounds to exactly 1: at z_i = 1
+on every path, and at z_i = z_j^{+-1} on a Lattice (the pair table's
+argument is exp(0) = 1).  Pointwise, z_i = z_j^{-1} gives an exact zero only
+where z_i z_j rounds to 1 (2 of 16 such nodes on a rank-2, N = 16 grid), and
+z_i = exp(i pi) leaves |Psi| near 1e-30 on both paths.
 
 All kernels accept z as a TorusPoint, a length-n sequence of complex values,
 or a length-n sequence of equal-shape complex arrays (elementwise grids).

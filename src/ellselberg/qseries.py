@@ -11,9 +11,10 @@ All evaluators accept a complex scalar or a numpy array of complex values for
 ``u`` (elementwise semantics) and share one truncation rule: a factor
 (1 - p^mu q^nu u) is included iff |p^mu q^nu u| >= tau with
 tau = tail_tol / (expected retained term count), and the analytic bound on
-sum |p^mu q^nu u| over the excluded indices is available via
-:func:`product_tail_bound`.  Products are evaluated in a fixed (mu outer,
-nu inner) order, so results are deterministic.
+sum |p^mu q^nu u| over the excluded indices is certified below tail_tol
+before a product is formed (TruncationError otherwise).  Products are
+evaluated in a fixed (mu outer, nu inner) order, so results are
+deterministic.
 """
 
 from __future__ import annotations
@@ -207,15 +208,6 @@ def double_poch_inf(u, nomes: Nomes, policy: TruncationPolicy | None = None):
     if scalar:
         return _prod_scalar(complex(arr), nomes.p, nomes.q, rows)
     return _prod_array(arr, nomes.p, nomes.q, rows)
-
-
-def product_tail_bound(u, nomes: Nomes, policy: TruncationPolicy | None = None) -> float:
-    """Certified analytic bound on the tail neglected by double_poch_inf at u."""
-    policy = policy or DEFAULT_POLICY
-    arr, _ = _coerce(u)
-    u_max = float(np.max(np.abs(arr))) if arr.size else 0.0
-    _, tail = _plan(abs(nomes.p), abs(nomes.q), u_max, policy)
-    return tail
 
 
 def theta(u, p: complex, policy: TruncationPolicy | None = None):

@@ -94,6 +94,21 @@ def _ladder(f, n, tol, budget, offset):
     )
 
 
+def _per_grid(f):
+    """f with its values kept per grid: ladders run again on one integrand
+    (a magnitude probe, the refinement, a looser retry) share their rungs.
+    The values are held until the returned function is dropped."""
+    seen = {}
+
+    def g(z):
+        key = (len(z.w), z.offset)
+        if key not in seen:
+            seen[key] = f(z)
+        return seen[key]
+
+    return g
+
+
 def torus_integrate(
     f,
     n: int,
@@ -131,12 +146,22 @@ def expectation(
     policy: TruncationPolicy | None = None,
 ) -> QuadResult:
     """<phi> = integral of phi(z) Psi~(z) over the torus; phi=None means 1."""
+    return torus_integrate(_weighted(phi, params, nomes, policy), params.n, tol, budget, offset)
+
+
+def _weighted(phi, params, nomes, policy):
+    """The integrand z -> phi(z) Psi~(z) of <phi>; phi=None means 1.
+
+    Callers that integrate <phi> by their own ladders use this integrand, so
+    that their values match :func:`expectation` bit for bit: numpy's complex
+    array product is not bitwise commutative.
+    """
 
     def f(z):
         w = psi_tilde(z, params, nomes, policy)
         return w if phi is None else phi(z) * w
 
-    return torus_integrate(f, params.n, tol, budget, offset)
+    return f
 
 
 def _nabla_term(i, rest, params, nomes):
@@ -197,8 +222,8 @@ def nabla_quad(
 ) -> tuple[QuadResult, float]:
     """Quadrature of the nabla image of phi_{r,i} plus a magnitude reference.
 
-    tol is relative to the reference scale <|phi Psi~|>, estimated on a
-    coarse grid first; the returned reference is the mean on the ladder's
+    tol is relative to the reference scale <|phi Psi~|>, estimated on the
+    ladder's first grid; the returned reference is the mean on the ladder's
     final grid.  The value is expected to vanish up to quadrature error.
     """
     n = params.n
@@ -211,31 +236,13 @@ def nabla_quad(
     if budget is None:
         budget = default_budget(n)
 
-    coarse = QuadratureGrid(n, MIN_POINTS, offset).nodes()
-    _, href = _nabla_pointwise(r, i, coarse, params, nomes, policy, want_reference=True)
+    pointwise = _per_grid(
+        lambda z: _nabla_pointwise(r, i, z, params, nomes, policy, want_reference=True)
+    )
+    _, href = pointwise(QuadratureGrid(n, MIN_POINTS, offset).nodes())
     scale = float(np.mean(href))
     if scale == 0.0:
         scale = 1.0
-
-    last = {}
-
-    def f(z):
-        g, href = _nabla_pointwise(r, i, z, params, nomes, policy, want_reference=True)
-        last["reference"] = float(np.mean(href))
-        return g
-
-    res = torus_integrate(f, n, tol * scale, budget, offset)
-    return res, last["reference"]
-
-
-def nabla_expectation(
-    r: int,
-    i: int,
-    params: ParameterSet,
-    nomes: Nomes,
-    tol: float,
-    budget: int | None = None,
-) -> complex:
-    """<nabla_{q,z_i} phi_{r,i}>; vanishes for parameters in the safe box."""
-    res, _ = nabla_quad(r, i, params, nomes, tol, budget)
-    return res.value
+    res = torus_integrate(lambda z: pointwise(z)[0], n, tol * scale, budget, offset)
+    _, href = pointwise(QuadratureGrid(n, res.N_used, offset).nodes())
+    return res, float(np.mean(href))

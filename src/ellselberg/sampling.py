@@ -29,7 +29,6 @@ class SafeBox:
     a_max: float = 0.7
     pole_clearance: float = 0.1
     solved_clearance: float = 0.25
-    theta_floor: float = 1e-10
     max_rejections: int = 20000
 
 

@@ -1,4 +1,4 @@
-"""Scenario runners: each wires quadrature against a closed form and verdicts.
+"""Scenario runners and the scenario row table.
 
 Every runner returns a ScenarioReport; numerical trouble (non-convergence,
 pole proximity, rejected configurations) is recorded as a failed report
@@ -9,12 +9,18 @@ Quadrature stopping tolerances are scaled by a coarse magnitude estimate of
 the closed side; since the refinement error estimate lags the true error by
 one doubling, a stalled ladder is retried once with a 50x looser stop before
 being declared non-convergent (the verdict always uses the measured error).
+
+One row table drives every sweep: :data:`SUITE_ROWS` is the default suite,
+:func:`run_row` samples one row and :func:`cases` expands one parameter set
+into its index sweep.  Sampled and explicit command-line runs go through
+the same two functions.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from dataclasses import dataclass
 
 from .errors import (
     ConfigurationError,
@@ -40,52 +46,39 @@ from .qseries import (
     qpoch_inf,
     theta,
 )
-from .quadrature import default_budget, expectation, nabla_quad, torus_integrate
+from .quadrature import _per_grid, _weighted, default_budget, nabla_quad, torus_integrate
 from .report import ScenarioReport, relative_error
 from .residues import continued_integral_n1, lim_pinch_J, richardson_limit
-from .sampling import SafeBox, sample_da_parameters, sample_parameters
+from .sampling import DEFAULT_BOX, SafeBox, sample_da_parameters, sample_parameters
 
 ROUGH_TOL = 1e30  # accepts the first refinement step: a magnitude probe
 
 
-def _policy_echo(policy: TruncationPolicy | None) -> TruncationPolicy:
-    return policy if policy is not None else DEFAULT_POLICY
-
-
-def _elapsed_ms(started: float | None) -> int | None:
-    if started is None:
-        return None
-    return int(round((time.monotonic() - started) * 1000))
-
-
 def _report(
     scenario: str,
-    params_echo: dict,
-    lhs: complex,
-    rhs: complex,
+    echo: dict,
     tol: float,
-    grid_N: int,
     policy: TruncationPolicy | None,
     started: float | None,
+    lhs: complex = 0j,
+    rhs: complex = 0j,
+    grid_N: int = 0,
     scale: float | None = None,
     detail: str = "",
+    error: Exception | None = None,
 ) -> ScenarioReport:
-    abs_err, rel_err = relative_error(lhs, rhs)
-    if scale is not None:
-        rel_err = abs_err / scale if scale > 0 else abs_err
-    pol = _policy_echo(policy)
+    """One case's report; with ``error`` a failed one that gives the reason."""
+    if error is None:
+        abs_err, rel_err = relative_error(lhs, rhs)
+        if scale is not None:
+            rel_err = abs_err / scale if scale > 0 else abs_err
+    else:
+        abs_err = rel_err = math.inf
+        detail = f"{type(error).__name__}: {error}"
+    pol = policy if policy is not None else DEFAULT_POLICY
     return ScenarioReport(
         scenario=scenario,
-        seed_index=params_echo.get("seed_index", 0),
-        n=params_echo["n"],
-        p=params_echo["p"],
-        q=params_echo["q"],
-        t=params_echo.get("t"),
-        a=tuple(params_echo["a"]),
-        balancing=params_echo.get("balancing"),
-        k=params_echo.get("k"),
-        r=params_echo.get("r"),
-        i=params_echo.get("i"),
+        **{"k": None, "r": None, "i": None, **echo},
         grid_N=grid_N,
         lhs=complex(lhs),
         rhs=complex(rhs),
@@ -93,70 +86,62 @@ def _report(
         rel_err=float(rel_err),
         tol=float(tol),
         passed=bool(rel_err <= tol),
-        runtime_ms=_elapsed_ms(started),
+        runtime_ms=None if started is None else int(round((time.monotonic() - started) * 1000)),
         tail_tol=pol.tail_tol,
         max_terms=pol.max_terms,
-        constraint_exponent=params_echo.get("constraint_exponent"),
         detail=detail,
     )
 
 
-def _failed(
-    scenario: str,
-    params_echo: dict,
-    tol: float,
-    policy: TruncationPolicy | None,
-    started: float | None,
-    exc: Exception,
-) -> ScenarioReport:
-    pol = _policy_echo(policy)
-    return ScenarioReport(
-        scenario=scenario,
-        seed_index=params_echo.get("seed_index", 0),
-        n=params_echo["n"],
-        p=params_echo["p"],
-        q=params_echo["q"],
-        t=params_echo.get("t"),
-        a=tuple(params_echo["a"]),
-        balancing=params_echo.get("balancing"),
-        k=params_echo.get("k"),
-        r=params_echo.get("r"),
-        i=params_echo.get("i"),
-        grid_N=0,
-        lhs=0j,
-        rhs=0j,
-        abs_err=math.inf,
-        rel_err=math.inf,
-        tol=float(tol),
-        passed=False,
-        runtime_ms=_elapsed_ms(started),
-        tail_tol=pol.tail_tol,
-        max_terms=pol.max_terms,
-        constraint_exponent=params_echo.get("constraint_exponent"),
-        detail=f"{type(exc).__name__}: {exc}",
+def _run(scenario: str, echo: dict, tol: float, policy, timing: bool, compute) -> ScenarioReport:
+    """Report compute()'s (lhs, rhs, grid_N[, scale[, detail]]) against tol.
+
+    An EllSelbergError raised by compute becomes a failed report.
+    """
+    started = time.monotonic() if timing else None
+    try:
+        outcome = compute()
+    except EllSelbergError as exc:
+        return _report(scenario, echo, tol, policy, started, error=exc)
+    return _report(scenario, echo, tol, policy, started, *outcome)
+
+
+def _echo(params: ParameterSet, nomes: Nomes, seed_index: int, **indices) -> dict:
+    """The report fields that identify a case: its parameters and indices."""
+    mode = params.balancing_mode
+    return dict(
+        seed_index=seed_index,
+        n=params.n,
+        p=nomes.p,
+        q=nomes.q,
+        t=params.t,
+        a=tuple(params.a),
+        balancing=mode.value if mode is not None else None,
+        **indices,
     )
 
 
-def _echo(params: ParameterSet, nomes: Nomes, **extra) -> dict:
-    mode = params.balancing_mode
-    echo = {
-        "n": params.n,
-        "p": nomes.p,
-        "q": nomes.q,
-        "t": params.t,
-        "a": params.a,
-        "balancing": mode.value if mode is not None else None,
-    }
-    echo.update(extra)
-    return echo
-
-
-def _integrate_scaled(f, n, tol_rel, scale, budget, offset=0.0):
-    """Refine to a stop threshold of tol_rel*scale/10, retrying 50x looser."""
+def _with_retry(integrate, tol, scale):
+    """integrate(stop) at stop = tol*scale/10, once more 50x looser if it stalls."""
     try:
-        return torus_integrate(f, n, 0.1 * tol_rel * scale, budget, offset)
+        return integrate(0.1 * tol * scale)
     except NonConvergenceError:
-        return torus_integrate(f, n, 5.0 * tol_rel * scale, budget, offset)
+        return integrate(5.0 * tol * scale)
+
+
+def _integrate_scaled(f, n, tol, scale, budget):
+    """Torus integral of f refined to tol relative to scale (see _with_retry)."""
+    return _with_retry(lambda stop: torus_integrate(f, n, stop, budget), tol, scale)
+
+
+def _probed(f, n, budget, floor):
+    """f evaluated once per rung, and max(|I_32|, floor) to scale its ladder by.
+
+    The magnitude is the N = 32 mean of a ladder that accepts its first
+    doubling; the refinement after it reuses the N = 16 and 32 rungs.
+    """
+    f = _per_grid(f)
+    return f, max(abs(torus_integrate(f, n, ROUGH_TOL, budget).value), floor)
 
 
 def scenario_eval_formula(
@@ -176,9 +161,8 @@ def scenario_eval_formula(
     residue pair).  At n >= 2 such parameters are rejected: no
     continuation is implemented there.
     """
-    started = time.monotonic() if timing else None
-    echo = _echo(params, nomes, seed_index=seed_index)
-    try:
+
+    def compute():
         rhs = c_constant(n, nomes, params.t, policy) * j_closed(params, nomes, policy)
         scale = max(abs(rhs), 1.0)
         outside = any(abs(v) > 1 for v in params.a)
@@ -187,27 +171,19 @@ def scenario_eval_formula(
                 "n >= 2 needs every parameter inside the unit circle"
             )
         if outside:
-            try:
-                lhs = continued_integral_n1(
-                    params, nomes, 0.1 * tol * scale, budget, policy=policy
-                )
-            except NonConvergenceError:
-                lhs = continued_integral_n1(
-                    params, nomes, 5.0 * tol * scale, budget, policy=policy
-                )
-            return _report(
-                "eval_formula", echo, lhs, rhs, tol,
-                budget if budget is not None else default_budget(1),
-                policy, started, detail="continued contour (one parameter outside)",
+            lhs = _with_retry(
+                lambda stop: continued_integral_n1(params, nomes, stop, budget, policy=policy),
+                tol, scale,
             )
+            grid_N = budget if budget is not None else default_budget(1)
+            return lhs, rhs, grid_N, None, "continued contour (one parameter outside)"
         quad = _integrate_scaled(
             lambda z: psi(z, params, nomes, policy), n, tol, scale, budget
         )
-        return _report(
-            "eval_formula", echo, quad.value, rhs, tol, quad.N_used, policy, started
-        )
-    except EllSelbergError as exc:
-        return _failed("eval_formula", echo, tol, policy, started, exc)
+        return quad.value, rhs, quad.N_used
+
+    echo = _echo(params, nomes, seed_index=seed_index)
+    return _run("eval_formula", echo, tol, policy, timing, compute)
 
 
 def _qde_theta_ratio(params, nomes, k, shift_a6, policy):
@@ -244,9 +220,8 @@ def scenario_qde(
       I(a_1..a_5, q a_6) = I(.., q a_k, .., a_6) * prod theta(a_m a_6 t^(i-1))
                                                         / theta(a_m a_k t^(i-1)).
     """
-    started = time.monotonic() if timing else None
-    echo = _echo(params, nomes, seed_index=seed_index, k=k)
-    try:
+
+    def compute():
         if not 1 <= k <= 5:
             raise SampleRejectionError(f"shift index k={k} outside 1..5")
         mode = params.balancing_mode
@@ -268,44 +243,26 @@ def scenario_qde(
             raise SampleRejectionError(
                 "q-difference scenarios need the PQ or P balancing"
             )
-        rough = torus_integrate(
-            lambda z: psi(z, left, nomes, policy), n, ROUGH_TOL, budget
-        )
-        scale = max(abs(rough.value), 1.0)
-        lhs_quad = _integrate_scaled(
-            lambda z: psi(z, left, nomes, policy), n, tol, scale, budget
-        )
+        f_left, scale = _probed(lambda z: psi(z, left, nomes, policy), n, budget, 1.0)
+        lhs_quad = _integrate_scaled(f_left, n, tol, scale, budget)
         rhs_quad = _integrate_scaled(
             lambda z: psi(z, right, nomes, policy), n, tol, scale / max(abs(ratio), 1e-6), budget
         )
-        return _report(
-            "qde",
-            echo,
-            lhs_quad.value,
-            rhs_quad.value * ratio,
-            tol,
-            max(lhs_quad.N_used, rhs_quad.N_used),
-            policy,
-            started,
-        )
-    except EllSelbergError as exc:
-        return _failed("qde", echo, tol, policy, started, exc)
+        return lhs_quad.value, rhs_quad.value * ratio, max(lhs_quad.N_used, rhs_quad.N_used)
+
+    echo = _echo(params, nomes, seed_index=seed_index, k=k)
+    return _run("qde", echo, tol, policy, timing, compute)
 
 
 def _expect_invariant(r, params, nomes, tol, budget, policy):
-    """<E_r> refined against its own coarse magnitude."""
+    """<E_r> = integral of E_r Psi~, refined against its own coarse magnitude."""
     a1, a6, t, n = params.a[0], params.a[5], params.t, params.n
 
     def phi(z):
         return fundamental_invariant(r, a1, a6, _z_list(z, n), t, nomes.p, policy)
 
-    rough = expectation(phi, params, nomes, ROUGH_TOL, budget, policy=policy)
-    scale = max(abs(rough.value), 1e-12)
-    try:
-        res = expectation(phi, params, nomes, 0.1 * tol * scale, budget, policy=policy)
-    except NonConvergenceError:
-        res = expectation(phi, params, nomes, 5.0 * tol * scale, budget, policy=policy)
-    return res
+    f, scale = _probed(_weighted(phi, params, nomes, policy), n, budget, 1e-12)
+    return _integrate_scaled(f, n, tol, scale, budget)
 
 
 def scenario_recurrence(
@@ -320,24 +277,15 @@ def scenario_recurrence(
     seed_index: int = 0,
 ) -> ScenarioReport:
     """<E_r> against C_r <E_(r-1)> under the ONE balancing."""
-    started = time.monotonic() if timing else None
-    echo = _echo(params, nomes, seed_index=seed_index, r=r)
-    try:
+
+    def compute():
         c_r = coefficient_c(r, params, nomes, policy)
         lhs = _expect_invariant(r, params, nomes, tol, budget, policy)
         prev = _expect_invariant(r - 1, params, nomes, tol, budget, policy)
-        return _report(
-            "recurrence",
-            echo,
-            lhs.value,
-            c_r * prev.value,
-            tol,
-            max(lhs.N_used, prev.N_used),
-            policy,
-            started,
-        )
-    except EllSelbergError as exc:
-        return _failed("recurrence", echo, tol, policy, started, exc)
+        return lhs.value, c_r * prev.value, max(lhs.N_used, prev.N_used)
+
+    echo = _echo(params, nomes, seed_index=seed_index, r=r)
+    return _run("recurrence", echo, tol, policy, timing, compute)
 
 
 def scenario_recurrence_telescope(
@@ -351,24 +299,15 @@ def scenario_recurrence_telescope(
     seed_index: int = 0,
 ) -> ScenarioReport:
     """<E_n>/<E_0> against the closed boundary ratio (the telescoped system)."""
-    started = time.monotonic() if timing else None
-    echo = _echo(params, nomes, seed_index=seed_index)
-    try:
+
+    def compute():
         rhs = boundary_expectation_ratio(params, nomes, policy)
         top = _expect_invariant(n, params, nomes, tol, budget, policy)
         bot = _expect_invariant(0, params, nomes, tol, budget, policy)
-        return _report(
-            "recurrence_telescope",
-            echo,
-            top.value / bot.value,
-            rhs,
-            tol,
-            max(top.N_used, bot.N_used),
-            policy,
-            started,
-        )
-    except EllSelbergError as exc:
-        return _failed("recurrence_telescope", echo, tol, policy, started, exc)
+        return top.value / bot.value, rhs, max(top.N_used, bot.N_used)
+
+    echo = _echo(params, nomes, seed_index=seed_index)
+    return _run("recurrence_telescope", echo, tol, policy, timing, compute)
 
 
 def scenario_nabla(
@@ -384,24 +323,13 @@ def scenario_nabla(
     seed_index: int = 0,
 ) -> ScenarioReport:
     """|<nabla phi_(r,i)>| against 0, scaled by the magnitude <|phi Psi~|>."""
-    started = time.monotonic() if timing else None
-    echo = _echo(params, nomes, seed_index=seed_index, r=r, i=i)
-    try:
+
+    def compute():
         res, reference = nabla_quad(r, i, params, nomes, 0.01 * tol, budget, policy=policy)
-        return _report(
-            "nabla",
-            echo,
-            res.value,
-            0j,
-            tol,
-            res.N_used,
-            policy,
-            started,
-            scale=reference,
-            detail=f"reference={reference!r}",
-        )
-    except EllSelbergError as exc:
-        return _failed("nabla", echo, tol, policy, started, exc)
+        return res.value, 0j, res.N_used, reference, f"reference={reference!r}"
+
+    echo = _echo(params, nomes, seed_index=seed_index, r=r, i=i)
+    return _run("nabla", echo, tol, policy, timing, compute)
 
 
 def _da_closed(a, n, nomes, policy):
@@ -431,19 +359,9 @@ def scenario_dixon_anderson(
     assumed; exponent 1 is the value that makes the identity hold (verified
     for n <= 2, and forced at n = 1 by the t-free case of the main formula).
     """
-    started = time.monotonic() if timing else None
     a = tuple(complex(v) for v in a)
-    echo = {
-        "n": n,
-        "p": nomes.p,
-        "q": nomes.q,
-        "t": None,
-        "a": a,
-        "balancing": None,
-        "seed_index": seed_index,
-        "constraint_exponent": constraint_exponent,
-    }
-    try:
+
+    def compute():
         if len(a) != 2 * n + 4:
             raise SampleRejectionError(f"need 2n+4={2 * n + 4} parameters, got {len(a)}")
         prod = 1.0 + 0.0j
@@ -460,11 +378,19 @@ def scenario_dixon_anderson(
         quad = _integrate_scaled(
             lambda z: evaluate(kernel, _z_list(z, n), nomes, policy), n, tol, scale, budget
         )
-        return _report(
-            "dixon_anderson", echo, quad.value, rhs, tol, quad.N_used, policy, started
-        )
-    except EllSelbergError as exc:
-        return _failed("dixon_anderson", echo, tol, policy, started, exc)
+        return quad.value, rhs, quad.N_used
+
+    echo = dict(
+        seed_index=seed_index,
+        n=n,
+        p=nomes.p,
+        q=nomes.q,
+        t=None,
+        a=a,
+        balancing=None,
+        constraint_exponent=constraint_exponent,
+    )
+    return _run("dixon_anderson", echo, tol, policy, timing, compute)
 
 
 def make_pinched(params: ParameterSet, nomes: Nomes) -> ParameterSet:
@@ -501,10 +427,8 @@ def scenario_pinch(
     sampled draws, whose curvature C_2 is not hand-picked.
     """
     eps_pair = {"eps_coarse": 3e-4, "eps_fine": 3e-5}
-    started = time.monotonic() if timing else None
-    name = f"pinch_{check}"
-    echo = _echo(params, nomes, seed_index=seed_index)
-    try:
+
+    def compute():
         if check == "limit":
             rhs = lim_pinch_J(params, nomes, policy)
 
@@ -512,8 +436,7 @@ def scenario_pinch(
                 ps_eps = params.with_entry(2, (1 - eps) / params.a[0])
                 return (1 - ps_eps.a[0] * ps_eps.a[1]) * j_closed(ps_eps, nomes, policy)
 
-            lhs = richardson_limit(f, **eps_pair)
-            return _report(name, echo, lhs, rhs, tol, 0, policy, started)
+            return richardson_limit(f, **eps_pair), rhs, 0
         if check == "integral":
             if params.n != 1:
                 raise SampleRejectionError("integral pinch check is n = 1 only")
@@ -529,10 +452,7 @@ def scenario_pinch(
                     ps_eps, nomes, 1e-9 / eps, budget, policy=policy
                 )
 
-            lhs = richardson_limit(g, **eps_pair)
-            return _report(
-                name, echo, lhs, rhs, tol, budget or default_budget(1), policy, started
-            )
+            return richardson_limit(g, **eps_pair), rhs, budget or default_budget(1)
         if check == "continued":
             if params.n != 1:
                 raise SampleRejectionError("continued check is n = 1 only")
@@ -540,12 +460,11 @@ def scenario_pinch(
             lhs = continued_integral_n1(
                 params, nomes, 5e-5 * max(abs(rhs), 1.0), budget, policy=policy
             )
-            return _report(
-                name, echo, lhs, rhs, tol, budget or default_budget(1), policy, started
-            )
+            return lhs, rhs, budget or default_budget(1)
         raise SampleRejectionError(f"unknown pinch check {check!r}")
-    except EllSelbergError as exc:
-        return _failed(name, echo, tol, policy, started, exc)
+
+    echo = _echo(params, nomes, seed_index=seed_index)
+    return _run(f"pinch_{check}", echo, tol, policy, timing, compute)
 
 
 def make_continued(
@@ -558,17 +477,21 @@ def make_continued(
     return ParameterSet.solved(params.n, params.t, a, nomes, BalancingMode.PQ)
 
 
-# Default suite rows.  Nomes and boxes are chosen so the solved entry lands
-# inside the safe disk at a workable rate: the PQ-balanced |a_6| shrinks with
-# the free product, the ONE-balanced |a_6| grows with it, and the q-shift
-# window |a_6| < |q| needs both nomes small and the free moduli large.
-_EVAL_NOMES = Nomes(0.05, 0.12)
-_EVAL_P0_NOMES = Nomes(0.0, 0.12)
-_QDE_NOMES = {1: Nomes(0.05, 0.12), 2: Nomes(0.01, 0.12)}
-_ONE_NOMES = Nomes(0.015, 0.12)
-_QDE_BOX = SafeBox(a_min=0.5, a_max=0.7)
-_ONE_BOX = SafeBox(a_min=0.55, a_max=0.7)
-_DA_BOX = SafeBox(a_min=0.4, a_max=0.6)
+# The balancing each scenario samples under unless a row says otherwise
+# (dixon_anderson is coupling-free and has none); its keys are the names.
+DEFAULT_MODE = {
+    "eval_formula": BalancingMode.PQ,
+    "qde": BalancingMode.PQ,
+    "recurrence": BalancingMode.ONE,
+    "recurrence_telescope": BalancingMode.ONE,
+    "nabla": BalancingMode.ONE,
+    "dixon_anderson": None,
+    "pinch": BalancingMode.PQ,
+}
+
+SCENARIO_NAMES = tuple(DEFAULT_MODE)
+
+QDE_SHIFTS = (1, 2, 3, 4, 5)  # every shift index k of the q-difference system
 
 _SUITE_TOL = {
     ("eval_formula", 1): 1e-8,
@@ -586,29 +509,134 @@ _SUITE_TOL = {
     ("pinch", 1): 1e-6,
 }
 
-_SUITE_COUNT = {("eval_formula", 1): 3, ("eval_formula", 2): 2}
 
-SCENARIO_NAMES = (
-    "eval_formula",
-    "qde",
-    "recurrence",
-    "recurrence_telescope",
-    "nabla",
-    "dixon_anderson",
-    "pinch",
+def default_tol(name: str, n: int) -> float:
+    """The suite tolerance of a scenario at rank n (rank 2's above, rank 1's if absent)."""
+    return _SUITE_TOL.get((name, min(n, 2)), _SUITE_TOL[(name, 1)])
+
+
+@dataclass(frozen=True)
+class Row:
+    """One row of the scenario table: what to sample and which sweep to run.
+
+    Draws are sampled at seed + ``seed_offset``; ``mode`` None means the
+    scenario's default balancing; the draws' reports are numbered from
+    ``seed_index``; ``ks`` are the qde shift indices.
+    """
+
+    scenario: str
+    n: int
+    nomes: Nomes
+    seed_offset: int = 0
+    mode: BalancingMode | None = None
+    box: SafeBox = DEFAULT_BOX
+    t: complex | None = None
+    count: int = 1
+    seed_index: int = 0
+    ks: tuple = QDE_SHIFTS
+
+
+# Default suite rows.  Nomes and boxes are chosen so the solved entry lands
+# inside the safe disk at a workable rate: the PQ-balanced |a_6| shrinks with
+# the free product, the ONE-balanced |a_6| grows with it, and the q-shift
+# window |a_6| < |q| needs both nomes small and the free moduli large.
+_EVAL_NOMES = Nomes(0.05, 0.12)
+_ONE_NOMES = Nomes(0.015, 0.12)
+_QDE_BOX = SafeBox(a_min=0.5, a_max=0.7)
+_ONE_BOX = SafeBox(a_min=0.55, a_max=0.7)
+_DA_BOX = SafeBox(a_min=0.4, a_max=0.6)
+
+SUITE_ROWS = (
+    Row("eval_formula", 1, _EVAL_NOMES, 11, count=3),
+    Row("eval_formula", 2, _EVAL_NOMES, 22, count=2),
+    # trigonometric limit: p = 0 with the solved entry at its limit 0
+    Row("eval_formula", 1, Nomes(0.0, 0.12), 13, seed_index=100),
+    Row("qde", 1, _EVAL_NOMES, 21, box=_QDE_BOX),
+    Row("qde", 2, Nomes(0.01, 0.12), 42, box=_QDE_BOX, ks=(1, 3)),
+    # the shifted-balancing variant
+    Row("qde", 1, _EVAL_NOMES, 23, BalancingMode.P, _QDE_BOX, seed_index=100, ks=(2,)),
+    Row("recurrence", 1, _ONE_NOMES, 31, box=_ONE_BOX, t=0.5),
+    Row("recurrence", 2, _ONE_NOMES, 62, box=_ONE_BOX, t=0.5),
+    Row("recurrence_telescope", 1, _ONE_NOMES, 31, box=_ONE_BOX, t=0.5),
+    Row("recurrence_telescope", 2, _ONE_NOMES, 62, box=_ONE_BOX, t=0.5),
+    Row("nabla", 1, _ONE_NOMES, 31, box=_ONE_BOX, t=0.5),
+    Row("nabla", 2, _ONE_NOMES, 62, box=_ONE_BOX, t=0.5),
+    Row("dixon_anderson", 1, _EVAL_NOMES, 41, box=_DA_BOX),
+    Row("dixon_anderson", 2, _EVAL_NOMES, 82, box=_DA_BOX),
+    Row("pinch", 1, _EVAL_NOMES, 51, box=_QDE_BOX),
+    # rank 2: the closed-form pinch limit only (no quadrature involved)
+    Row("pinch", 2, _EVAL_NOMES, 52, box=_QDE_BOX, seed_index=100),
 )
 
 
-def _suite_tol(name: str, n: int, override: float | None) -> float:
-    return override if override is not None else _SUITE_TOL[(name, n)]
+def cases(
+    name: str, n: int, ps, nomes: Nomes, tol: float, ks=QDE_SHIFTS, **kw
+) -> list[ScenarioReport]:
+    """Every report of one parameter set: the scenario's index sweep.
+
+    qde runs each shift index in ``ks``, recurrence each r <= n, nabla each
+    (r, i), pinch the limit and at n = 1 also the integral and continued
+    checks; the other scenarios run once.  ``ps`` is a ParameterSet, or the
+    2n+4 tuple for dixon_anderson; ``kw`` goes to every runner.
+    """
+    if name == "eval_formula":
+        return [scenario_eval_formula(n, ps, nomes, tol, **kw)]
+    if name == "qde":
+        return [scenario_qde(n, k, ps, nomes, tol, **kw) for k in ks]
+    if name == "recurrence":
+        return [scenario_recurrence(n, r, ps, nomes, tol, **kw) for r in range(1, n + 1)]
+    if name == "recurrence_telescope":
+        return [scenario_recurrence_telescope(n, ps, nomes, tol, **kw)]
+    if name == "nabla":
+        return [
+            scenario_nabla(n, r, i, ps, nomes, tol, **kw)
+            for r in range(1, n + 1)
+            for i in range(1, n + 1)
+        ]
+    if name == "dixon_anderson":
+        return [scenario_dixon_anderson(n, ps, nomes, tol, **kw)]
+    if name == "pinch":
+        pinched = make_pinched(ps, nomes)
+        reports = [scenario_pinch(pinched, nomes, tol, check="limit", **kw)]
+        if n == 1:
+            reports.append(scenario_pinch(pinched, nomes, tol, check="integral", **kw))
+            continued = make_continued(ps, nomes)
+            reports.append(scenario_pinch(continued, nomes, tol, check="continued", **kw))
+        return reports
+    raise ConfigurationError(
+        f"unknown scenario {name!r}; expected one of {', '.join(SCENARIO_NAMES)}"
+    )
 
 
-def _suite_count(name: str, n: int, override: int | None) -> int:
-    return override if override is not None else _SUITE_COUNT.get((name, n), 1)
+def run_row(
+    row: Row, seed: int, count: int | None = None, tol: float | None = None, **kw
+) -> list[ScenarioReport]:
+    """Sample ``row``'s draws at ``seed`` and run every case of each.
 
-
-def _qde_predicate(nomes):
-    return lambda ps: abs(ps.a[5]) < 0.95 * abs(nomes.q)
+    ``count`` and ``tol`` override the row's draw count and the suite
+    tolerance; ``kw`` (budget, policy, timing) goes to every runner.
+    """
+    count = row.count if count is None else count
+    tol = default_tol(row.scenario, row.n) if tol is None else tol
+    seed = seed + row.seed_offset
+    mode = DEFAULT_MODE[row.scenario] if row.mode is None else row.mode
+    if row.scenario == "dixon_anderson":
+        draws = sample_da_parameters(row.n, row.nomes, seed, count, box=row.box)
+    else:
+        predicate = None
+        if (row.scenario, mode) == ("qde", BalancingMode.PQ):
+            # the q-shift moves a_6 to a_6 / q, which must stay inside the disk
+            predicate = lambda ps: abs(ps.a[5]) < 0.95 * abs(row.nomes.q)
+        draws = sample_parameters(
+            mode, row.n, row.nomes, seed, count, t=row.t, box=row.box, predicate=predicate
+        )
+    return [
+        rep
+        for idx, ps in enumerate(draws)
+        for rep in cases(
+            row.scenario, row.n, ps, row.nomes, tol, row.ks, seed_index=row.seed_index + idx, **kw
+        )
+    ]
 
 
 def run_suite(
@@ -620,7 +648,7 @@ def run_suite(
     timing: bool = False,
     policy: TruncationPolicy | None = None,
 ) -> list[ScenarioReport]:
-    """Run the default verification suite (all scenarios, n <= 2).
+    """Run the default verification suite: every row of SUITE_ROWS.
 
     ``scenario`` restricts to one scenario name; ``count``/``tol``/``grid``
     override the per-row defaults.  Reports are sorted by
@@ -630,141 +658,12 @@ def run_suite(
         raise ConfigurationError(
             f"unknown scenario {scenario!r}; expected one of {', '.join(SCENARIO_NAMES)}"
         )
-    want = lambda name: scenario is None or scenario == name
-    common = dict(budget=grid, policy=policy, timing=timing)
-    reports: list[ScenarioReport] = []
-
-    if want("eval_formula"):
-        for n in (1, 2):
-            c = _suite_count("eval_formula", n, count)
-            t = _suite_tol("eval_formula", n, tol)
-            sets = sample_parameters(
-                BalancingMode.PQ, n, _EVAL_NOMES, seed + 11 * n, c
-            )
-            for idx, ps in enumerate(sets):
-                reports.append(
-                    scenario_eval_formula(
-                        n, ps, _EVAL_NOMES, t, seed_index=idx, **common
-                    )
-                )
-        # trigonometric limit: p = 0 with the solved entry at its limit 0
-        t = _suite_tol("eval_formula", 1, tol)
-        for idx, ps in enumerate(
-            sample_parameters(BalancingMode.PQ, 1, _EVAL_P0_NOMES, seed + 13, 1)
-        ):
-            reports.append(
-                scenario_eval_formula(
-                    1, ps, _EVAL_P0_NOMES, t, seed_index=100 + idx, **common
-                )
-            )
-
-    if want("qde"):
-        for n, ks in ((1, (1, 2, 3, 4, 5)), (2, (1, 3))):
-            nm = _QDE_NOMES[n]
-            t = _suite_tol("qde", n, tol)
-            sets = sample_parameters(
-                BalancingMode.PQ, n, nm, seed + 21 * n,
-                _suite_count("qde", n, count),
-                box=_QDE_BOX, predicate=_qde_predicate(nm),
-            )
-            for idx, ps in enumerate(sets):
-                for k in ks:
-                    reports.append(
-                        scenario_qde(n, k, ps, nm, t, seed_index=idx, **common)
-                    )
-        # the shifted-balancing variant, n = 1
-        t = _suite_tol("qde", 1, tol)
-        sets = sample_parameters(
-            BalancingMode.P, 1, _QDE_NOMES[1], seed + 23,
-            _suite_count("qde", 1, count), box=_QDE_BOX,
-        )
-        for idx, ps in enumerate(sets):
-            reports.append(
-                scenario_qde(1, 2, ps, _QDE_NOMES[1], t, seed_index=100 + idx, **common)
-            )
-
-    needs_one = want("recurrence") or want("recurrence_telescope") or want("nabla")
-    if needs_one:
-        for n in (1, 2):
-            sets = sample_parameters(
-                BalancingMode.ONE, n, _ONE_NOMES, seed + 31 * n,
-                _suite_count("recurrence", n, count), t=0.5, box=_ONE_BOX,
-            )
-            for idx, ps in enumerate(sets):
-                if want("recurrence"):
-                    t = _suite_tol("recurrence", n, tol)
-                    for r in range(1, n + 1):
-                        reports.append(
-                            scenario_recurrence(
-                                n, r, ps, _ONE_NOMES, t, seed_index=idx, **common
-                            )
-                        )
-                if want("recurrence_telescope"):
-                    t = _suite_tol("recurrence_telescope", n, tol)
-                    reports.append(
-                        scenario_recurrence_telescope(
-                            n, ps, _ONE_NOMES, t, seed_index=idx, **common
-                        )
-                    )
-                if want("nabla"):
-                    t = _suite_tol("nabla", n, tol)
-                    for r in range(1, n + 1):
-                        for i in range(1, n + 1):
-                            reports.append(
-                                scenario_nabla(
-                                    n, r, i, ps, _ONE_NOMES, t, seed_index=idx, **common
-                                )
-                            )
-
-    if want("dixon_anderson"):
-        for n in (1, 2):
-            t = _suite_tol("dixon_anderson", n, tol)
-            tuples = sample_da_parameters(
-                n, _EVAL_NOMES, seed + 41 * n,
-                _suite_count("dixon_anderson", n, count), box=_DA_BOX,
-            )
-            for idx, a in enumerate(tuples):
-                reports.append(
-                    scenario_dixon_anderson(
-                        n, a, _EVAL_NOMES, t, seed_index=idx, **common
-                    )
-                )
-
-    if want("pinch"):
-        t = _suite_tol("pinch", 1, tol)
-        base = sample_parameters(
-            BalancingMode.PQ, 1, _EVAL_NOMES, seed + 51,
-            _suite_count("pinch", 1, count), box=_QDE_BOX,
-        )
-        for idx, ps in enumerate(base):
-            pinched = make_pinched(ps, _EVAL_NOMES)
-            reports.append(
-                scenario_pinch(
-                    pinched, _EVAL_NOMES, t, check="limit", seed_index=idx, **common
-                )
-            )
-            reports.append(
-                scenario_pinch(
-                    pinched, _EVAL_NOMES, t, check="integral", seed_index=idx, **common
-                )
-            )
-            reports.append(
-                scenario_pinch(
-                    make_continued(ps, _EVAL_NOMES), _EVAL_NOMES, t,
-                    check="continued", seed_index=idx, **common
-                )
-            )
-        # rank 2 closed-form pinch (no quadrature involved)
-        base2 = sample_parameters(
-            BalancingMode.PQ, 2, _EVAL_NOMES, seed + 52, 1, box=_QDE_BOX
-        )
-        for idx, ps in enumerate(base2):
-            reports.append(
-                scenario_pinch(
-                    make_pinched(ps, _EVAL_NOMES), _EVAL_NOMES, t,
-                    check="limit", seed_index=100 + idx, **common
-                )
-            )
+    reports = [
+        rep
+        for row in SUITE_ROWS
+        if scenario in (None, row.scenario)
+        for rep in run_row(row, seed, count, tol, budget=grid, policy=policy, timing=timing)
+    ]
 
     def sort_key(rep: ScenarioReport):
         return (

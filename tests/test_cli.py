@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ellselberg import Nomes, elliptic_gamma, theta
 from ellselberg.cli import format_complex, main, parse_complex
+from ellselberg.scenarios import SUITE_ROWS, run_row
 
 
 class TestComplexGrammar:
@@ -218,3 +219,63 @@ class TestVerifySampled:
         assert code == 0
         assert "dixon_anderson" in out
         assert "PASS" in out
+
+
+class TestScenarioTable:
+    @pytest.mark.parametrize("name", ["recurrence", "dixon_anderson"])
+    def test_explicit_run_repeats_a_suite_draw(self, capsys, tmp_path, name):
+        row = next(r for r in SUITE_ROWS if r.scenario == name and r.n == 1)
+        sampled = run_row(row, 42)
+        first = sampled[0]
+        path = tmp_path / "explicit.json"
+        argv = [
+            "verify", "--scenario", name, "--n", "1",
+            f"--p={format_complex(first.p)}", f"--q={format_complex(first.q)}",
+            "--a=" + ",".join(format_complex(v) for v in first.a),
+            "--report", str(path),
+        ]
+        if first.t is not None:
+            argv.append(f"--t={format_complex(first.t)}")
+        assert main(argv) == 0
+        explicit = [
+            (rep["k"], rep["r"], rep["i"], complex(*rep["lhs"]), complex(*rep["rhs"]))
+            for rep in json.loads(path.read_text())
+        ]
+        assert explicit == [(rep.k, rep.r, rep.i, rep.lhs, rep.rhs) for rep in sampled]
+
+    def test_count_applies_to_every_pinch_row(self, capsys, tmp_path):
+        path = tmp_path / "pinch.json"
+        assert main(["verify", "--scenario", "pinch", "--count", "2", "--report", str(path)]) == 0
+        reports = json.loads(path.read_text())
+        assert len(reports) == 8
+        rank2 = sorted((rep["scenario"], rep["seed_index"]) for rep in reports if rep["n"] == 2)
+        assert rank2 == [("pinch_limit", 100), ("pinch_limit", 101)]
+
+    def test_box_keys_reach_sampled_runs(self, capsys, tmp_path):
+        cfg = tmp_path / "box.cfg"
+        cfg.write_text("a_min = 0.45\na_max = 0.5\n")
+        path = tmp_path / "out.json"
+        code = main([
+            "verify", "--scenario", "dixon_anderson", "--p", "0.05", "--q", "0.12",
+            "--count", "1", "--seed", "3", "--config", str(cfg), "--report", str(path),
+        ])
+        assert code == 0
+        (rep,) = json.loads(path.read_text())
+        assert all(0.45 <= abs(complex(*a)) <= 0.5 for a in rep["a"][:5])
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            [],
+            ["--scenario", "eval_formula", "--n", "1", "--p", "0.05", "--q", "0.07",
+             "--t", "0.45", "--a", "0.3,0.4,0.5,-0.2,0.25"],
+        ],
+        ids=["suite", "explicit"],
+    )
+    def test_box_key_outside_sampled_runs_is_an_error(self, capsys, tmp_path, extra):
+        cfg = tmp_path / "box.cfg"
+        cfg.write_text("seed = 3\na_min = 0.45\n")
+        code = main(["verify", "--config", str(cfg)] + extra)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "a_min" in err and "seed" not in err

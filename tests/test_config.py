@@ -2,7 +2,7 @@
 
 import pytest
 
-from ellselberg import Config, ConfigurationError, load_config, parse_config
+from ellselberg import Config, ConfigurationError, SafeBox, load_config, parse_config
 
 
 class TestDefaults:
@@ -13,12 +13,12 @@ class TestDefaults:
         assert cfg.timing is False
 
     def test_policy_projection(self):
-        pol = Config().policy()
+        pol = Config().policy
         assert pol.tail_tol == 1e-13
         assert pol.max_terms == 512
 
     def test_box_projection(self):
-        box = Config(a_min=0.4, a_max=0.6).box()
+        box = Config(box=SafeBox(a_min=0.4, a_max=0.6)).box
         assert box.a_min == 0.4
         assert box.a_max == 0.6
         assert box.pole_clearance == 0.1
@@ -45,6 +45,9 @@ class TestParse:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown"):
             parse_config("budget = 3", Config())
+        # the safe box no longer has a theta floor (coefficient_c has its own)
+        with pytest.raises(ConfigurationError, match="unknown"):
+            parse_config("theta_floor = 1e-10", Config())
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -73,9 +76,10 @@ class TestParse:
             parse_config("seed = 1.5", Config())
 
     def test_float_keys(self):
-        cfg = parse_config("a_min = 0.45\nnome_max = 0.15", Config())
-        assert cfg.a_min == 0.45
-        assert cfg.nome_max == 0.15
+        cfg = parse_config("a_min = 0.45\nnome_max = 0.15\ntail_tol = 1e-12", Config())
+        assert cfg.box.a_min == 0.45
+        assert cfg.box.nome_max == 0.15
+        assert cfg.policy.tail_tol == 1e-12
 
     def test_base_is_untouched(self):
         base = Config()

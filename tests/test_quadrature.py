@@ -14,7 +14,6 @@ from ellselberg import (
     default_budget,
     expectation,
     j_closed,
-    nabla_expectation,
     nabla_quad,
     phi_test_function,
     psi,
@@ -158,7 +157,7 @@ class TestNabla:
 
     def test_expectation_wrapper(self):
         ps, nm = one_set(1)
-        val = nabla_expectation(1, 1, ps, nm, 1e-9)
+        val = nabla_quad(1, 1, ps, nm, 1e-9)[0].value
         assert isinstance(val, complex)
 
     def test_index_validation(self):

@@ -1,6 +1,7 @@
 """Scenario runners: verdicts on happy paths, failed reports on bad input."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from ellselberg import (
     coefficient_c,
     make_continued,
     make_pinched,
+    psi,
+    quadrature,
     run_suite,
     sample_da_parameters,
     scenario_dixon_anderson,
@@ -23,8 +26,10 @@ from ellselberg import (
     scenario_qde,
     scenario_recurrence,
     scenario_recurrence_telescope,
+    scenarios,
 )
 from ellselberg.report import to_json
+from ellselberg.scenarios import SUITE_ROWS, run_row
 
 NM = Nomes(0.05, 0.12)
 A5 = [0.63, 0.58 * np.exp(0.7j), -0.61, 0.64 * np.exp(-1.1j), 0.55]
@@ -205,3 +210,35 @@ class TestRunSuite:
     def test_scenario_names_cover_suite(self):
         reports = run_suite(scenario="recurrence", count=1)
         assert {r.scenario for r in reports} <= set(SCENARIO_NAMES)
+
+
+class TestRungs:
+    """A magnitude probe and the ladder after it share their rungs."""
+
+    def test_qde_evaluates_each_grid_once_per_integrand(self, monkeypatch):
+        sizes = []
+
+        def recording_psi(z, *args, **kwargs):
+            sizes.append(len(z[0]))
+            return psi(z, *args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "psi", recording_psi)
+        row = next(r for r in SUITE_ROWS if r.scenario == "qde" and r.n == 1)
+        (rep,) = run_row(replace(row, ks=(1,)), 42)
+        assert rep.passed
+        # left side: probe (16, 32) then the ladder from 64; right side: a plain ladder
+        assert sizes == [16, 32, 64, 128, 16, 32, 64, 128]
+
+    def test_nabla_evaluates_each_grid_once(self, monkeypatch):
+        sizes = []
+        pointwise = quadrature._nabla_pointwise
+
+        def recording(r, i, z, *args, **kwargs):
+            sizes.append(len(z[0]))
+            return pointwise(r, i, z, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "_nabla_pointwise", recording)
+        row = next(r for r in SUITE_ROWS if r.scenario == "nabla" and r.n == 1)
+        (rep,) = run_row(row, 42)
+        assert rep.passed
+        assert sizes == [16, 32, 64, 128]
