@@ -44,8 +44,9 @@ def continued_integral_n1(
     budget: int | None = None,
     offset: float = 0.0,
     policy: TruncationPolicy | None = None,
-) -> complex:
-    """Holomorphic continuation of the n=1 torus integral of Psi.
+) -> tuple[complex, int]:
+    """Holomorphic continuation of the n=1 torus integral of Psi, and the
+    grid N its quadrature ladder stopped at.
 
     With every parameter inside the unit disk this is the plain integral.
     When exactly one parameter a sits in 1 < |a| < |q|^(-1/2), the contour
@@ -66,9 +67,8 @@ def continued_integral_n1(
             )
     if budget is None:
         budget = default_budget(1)
-    value = torus_integrate(
-        lambda z: psi(z, params, nomes, policy), 1, tol, budget, offset
-    ).value
+    quad = torus_integrate(lambda z: psi(z, params, nomes, policy), 1, tol, budget, offset)
+    value = quad.value
     if outside:
         a = params.a[outside[0]]
         if abs(a) >= abs(nomes.q) ** -0.5:
@@ -82,7 +82,7 @@ def continued_integral_n1(
                 corr *= gamma_pm(v, a, nomes, policy)
         corr /= _euler_pair(nomes, policy) * elliptic_gamma(a**-2, nomes, policy)
         value += corr
-    return value
+    return value, quad.N_used
 
 
 def lim_pinch_J(

@@ -46,7 +46,7 @@ from .qseries import (
     qpoch_inf,
     theta,
 )
-from .quadrature import _per_grid, _weighted, default_budget, nabla_quad, torus_integrate
+from .quadrature import _per_grid, _weighted, nabla_quad, torus_integrate
 from .report import ScenarioReport, relative_error
 from .residues import continued_integral_n1, lim_pinch_J, richardson_limit
 from .sampling import DEFAULT_BOX, SafeBox, sample_da_parameters, sample_parameters
@@ -171,11 +171,10 @@ def scenario_eval_formula(
                 "n >= 2 needs every parameter inside the unit circle"
             )
         if outside:
-            lhs = _with_retry(
+            lhs, grid_N = _with_retry(
                 lambda stop: continued_integral_n1(params, nomes, stop, budget, policy=policy),
                 tol, scale,
             )
-            grid_N = budget if budget is not None else default_budget(1)
             return lhs, rhs, grid_N, None, "continued contour (one parameter outside)"
         quad = _integrate_scaled(
             lambda z: psi(z, params, nomes, policy), n, tol, scale, budget
@@ -446,21 +445,25 @@ def scenario_pinch(
             for m in range(2, 6):
                 rhs *= gamma_pm(params.a[m], params.a[0], nomes, policy)
 
+            grids = []
+
             def g(eps):
                 ps_eps = params.with_entry(2, (1 - eps) / params.a[0])
-                return (1 - ps_eps.a[0] * ps_eps.a[1]) * continued_integral_n1(
+                value, grid_N = continued_integral_n1(
                     ps_eps, nomes, 1e-9 / eps, budget, policy=policy
                 )
+                grids.append(grid_N)
+                return (1 - ps_eps.a[0] * ps_eps.a[1]) * value
 
-            return richardson_limit(g, **eps_pair), rhs, budget or default_budget(1)
+            return richardson_limit(g, **eps_pair), rhs, max(grids)
         if check == "continued":
             if params.n != 1:
                 raise SampleRejectionError("continued check is n = 1 only")
             rhs = c_constant(1, nomes, params.t, policy) * j_closed(params, nomes, policy)
-            lhs = continued_integral_n1(
+            lhs, grid_N = continued_integral_n1(
                 params, nomes, 5e-5 * max(abs(rhs), 1.0), budget, policy=policy
             )
-            return lhs, rhs, budget or default_budget(1)
+            return lhs, rhs, grid_N
         raise SampleRejectionError(f"unknown pinch check {check!r}")
 
     echo = _echo(params, nomes, seed_index=seed_index)
@@ -627,6 +630,10 @@ def run_row(
         if (row.scenario, mode) == ("qde", BalancingMode.PQ):
             # the q-shift moves a_6 to a_6 / q, which must stay inside the disk
             predicate = lambda ps: abs(ps.a[5]) < 0.95 * abs(row.nomes.q)
+        elif (row.scenario, row.n) == ("pinch", 1):
+            # the pinched a_2 = 1/a_1 must stay inside the continuation
+            # window |a_2| < |q|^(-1/2) of the integral check
+            predicate = lambda ps: abs(ps.a[0]) > abs(row.nomes.q) ** 0.5
         draws = sample_parameters(
             mode, row.n, row.nomes, seed, count, t=row.t, box=row.box, predicate=predicate
         )

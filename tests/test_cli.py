@@ -251,6 +251,20 @@ class TestScenarioTable:
         rank2 = sorted((rep["scenario"], rep["seed_index"]) for rep in reports if rep["n"] == 2)
         assert rank2 == [("pinch_limit", 100), ("pinch_limit", 101)]
 
+    def test_sampled_pinch_draws_stay_in_the_continuation_window(self, capsys, tmp_path):
+        # in the default box a_1 may be small enough that the pinched
+        # a_2 = 1/a_1 leaves |a_2| < |q|^(-1/2); such draws are redrawn
+        path = tmp_path / "pinch.json"
+        main([
+            "verify", "--scenario", "pinch", "--p", "0.05", "--q", "0.12",
+            "--count", "2", "--seed", "11", "--report", str(path),
+        ])
+        reports = json.loads(path.read_text())
+        assert len(reports) == 6
+        assert not [rep["detail"] for rep in reports if "DomainError" in rep["detail"]]
+        pinched = [rep for rep in reports if rep["scenario"] != "pinch_continued"]
+        assert all(abs(complex(*rep["a"][0])) > 0.12**0.5 for rep in pinched)
+
     def test_box_keys_reach_sampled_runs(self, capsys, tmp_path):
         cfg = tmp_path / "box.cfg"
         cfg.write_text("a_min = 0.45\na_max = 0.5\n")

@@ -10,6 +10,7 @@ from ellselberg import (
     DomainError,
     Nomes,
     PoleProximityError,
+    TruncationError,
     TruncationPolicy,
     double_poch_inf,
     elliptic_gamma,
@@ -18,6 +19,7 @@ from ellselberg import (
     theta,
     theta_pm,
 )
+from ellselberg import qseries
 
 import oracles
 
@@ -230,3 +232,87 @@ def test_tighter_policy_refines(u, nomes):
     loose = elliptic_gamma(u, nomes, TruncationPolicy(tail_tol=1e-6, max_terms=64))
     tight = elliptic_gamma(u, nomes, TruncationPolicy(tail_tol=1e-14, max_terms=512))
     assert rel(loose, tight) < 1e-5
+
+
+def prod_loop(u, p, q, rows):
+    """The factor-by-factor array product: the reference _prod_array must
+    reproduce bit for bit."""
+    acc = np.ones(u.shape, dtype=complex)
+    pm = 1.0 + 0.0j
+    for k in rows:
+        c = pm
+        for _ in range(k):
+            acc *= 1.0 - c * u
+            c *= q
+        pm *= p
+    return acc
+
+
+PROD_ROWS = (40, 30, 20, 10, 4)  # 104 factors
+PROD_WIDTH = qseries._BLOCK // sum(PROD_ROWS)  # columns of one block
+PROD_NOMES = (0.05 + 0.02j, 0.12 - 0.03j)
+
+
+def random_points(shape, seed):
+    rng = np.random.default_rng(seed)
+    size = int(np.prod(shape))
+    u = rng.uniform(0.05, 1.5, size) * np.exp(2j * np.pi * rng.uniform(size=size))
+    return u.reshape(shape)
+
+
+@pytest.mark.parametrize(
+    "M",
+    [1, 2, 3, 17, PROD_WIDTH - 1, PROD_WIDTH, PROD_WIDTH + 1, 2 * PROD_WIDTH + 1, 4096, 32768],
+)
+def test_prod_array_is_the_factor_loop_bitwise(M):
+    u = random_points((M,), M)
+    got = qseries._prod_array(u, *PROD_NOMES, PROD_ROWS)
+    assert got.tobytes() == prod_loop(u, *PROD_NOMES, PROD_ROWS).tobytes()
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["c_order", "transposed"])
+def test_prod_array_keeps_the_shape_of_2d_input(transpose):
+    u = random_points((48, 64), 7)
+    if transpose:
+        u = u.T
+    got = qseries._prod_array(u, *PROD_NOMES, PROD_ROWS)
+    assert got.shape == u.shape
+    assert got.tobytes() == prod_loop(u, *PROD_NOMES, PROD_ROWS).tobytes()
+
+
+def test_prod_array_single_row_and_empty_input():
+    u = random_points((5, 3), 11)
+    got = qseries._prod_array(u, 0.0, 0.3 + 0.1j, (25,))
+    assert got.tobytes() == prod_loop(u, 0.0, 0.3 + 0.1j, (25,)).tobytes()
+    empty = qseries._prod_array(u, *PROD_NOMES, ())
+    assert empty.shape == u.shape
+    assert np.all(empty == 1.0)
+    assert qseries._prod_array(u[:0], *PROD_NOMES, PROD_ROWS).shape == (0, 3)
+
+
+def test_plan_cold_and_warm_cache_agree():
+    args = (0.05, 0.12, 0.731, TruncationPolicy())
+    qseries._plan.cache_clear()
+    cold = qseries._plan(*args)
+    warm = qseries._plan(*args)
+    assert qseries._plan.cache_info().hits == 1
+    assert cold == warm == qseries._plan.__wrapped__(*args)
+    assert type(cold[0]) is tuple
+
+
+def test_plan_raises_truncation_error_on_every_call():
+    # exceptions are not cached: a repeated plan that cannot certify its
+    # tail raises again instead of returning a stale value
+    policy = TruncationPolicy(tail_tol=1e-14, max_terms=4)
+    for _ in range(3):
+        with pytest.raises(TruncationError):
+            qseries._plan(0.5, 0.5, 1.0, policy)
+
+
+def test_pole_error_names_the_pole_on_both_paths():
+    nm = Nomes(0.05, 0.12)
+    u = (1.0 + 1e-14) / (nm.p * nm.q**2)
+    for arg in (u, np.array([0.3 + 0.2j, u])):
+        with pytest.raises(PoleProximityError) as info:
+            elliptic_gamma(arg, nm)
+        assert (info.value.mu, info.value.nu) == (1, 2)

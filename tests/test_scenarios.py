@@ -17,6 +17,7 @@ from ellselberg import (
     make_pinched,
     psi,
     quadrature,
+    residues,
     run_suite,
     sample_da_parameters,
     scenario_dixon_anderson,
@@ -176,6 +177,43 @@ class TestPinch:
         rep = scenario_pinch(ps, NM, 1e-6, check="integral")
         assert not rep.passed
         assert "n = 1 only" in rep.detail
+
+
+class TestReportedGrid:
+    """grid_N is the N the continued contour's ladder stopped at, not the budget."""
+
+    @pytest.fixture
+    def ladder_sizes(self, monkeypatch):
+        sizes = []
+        integrate = residues.torus_integrate
+
+        def recording(*args, **kwargs):
+            res = integrate(*args, **kwargs)
+            sizes.append(res.N_used)
+            return res
+
+        monkeypatch.setattr(residues, "torus_integrate", recording)
+        return sizes
+
+    def test_eval_formula_continued(self, ladder_sizes):
+        nm = Nomes(0.05, 0.07)
+        ps = ParameterSet.solved(
+            1, 0.45, [0.3, 0.4, 0.5, -0.2, 0.25], nm, BalancingMode.PQ
+        )
+        rep = scenario_eval_formula(1, ps, nm, 1e-8)
+        assert "continued contour" in rep.detail
+        assert rep.grid_N == ladder_sizes[-1] <= quadrature.default_budget(1)
+
+    @pytest.mark.parametrize(
+        "check,make,ladders",
+        [("integral", make_pinched, 2), ("continued", make_continued, 1)],
+    )
+    def test_pinch(self, ladder_sizes, check, make, ladders):
+        rep = scenario_pinch(make(pq_set(), NM), NM, 1e-6, check=check)
+        assert rep.passed
+        assert len(ladder_sizes) == ladders
+        # the integral check reports the larger of its two evaluations
+        assert rep.grid_N == max(ladder_sizes) <= quadrature.default_budget(1)
 
 
 class TestRunSuite:
