@@ -36,9 +36,9 @@ from .kernel import GAMMA, RECIP, Factor, Lattice, evaluate, pm
 from .qseries import (
     Nomes,
     TruncationPolicy,
+    _euler_pair,
+    _gamma_product,
     elliptic_gamma,
-    elliptic_gamma_recip,
-    qpoch_inf,
     theta,
     theta_pm,
 )
@@ -251,16 +251,19 @@ def j_closed(params: ParameterSet, nomes: Nomes,
     the dual parameter.
     """
     zero = _dual_of_zero(params.a, params.t, params.n, nomes)
-    out = 1.0 + 0.0j
+    pairs, duals = [], []
     for i in range(1, params.n + 1):
         ti = params.t ** (i - 1)
         for j in range(6):
             for k in range(j + 1, 6):
                 if zero is not None and zero[0] in (j, k):
                     other = params.a[k if zero[0] == j else j]
-                    out *= elliptic_gamma_recip(zero[1] / (other * ti), nomes, policy)
+                    duals.append(zero[1] / (other * ti))
                 else:
-                    out *= elliptic_gamma(params.a[j] * params.a[k] * ti, nomes, policy)
+                    pairs.append(params.a[j] * params.a[k] * ti)
+    out = _gamma_product(pairs, nomes, policy)
+    if duals:
+        out *= _gamma_product(duals, nomes, policy, recip=True)
     return out
 
 
@@ -269,9 +272,7 @@ def c_constant(n: int, nomes: Nomes, t: complex,
     """c_n = 2^n n! / ((p;p)_inf (q;q)_inf)^n * prod_{i=1}^n Gamma(t^i)/Gamma(t)."""
     if n < 0:
         raise DomainError("n must be nonnegative")
-    pp = qpoch_inf(nomes.p, nomes.p, policy)
-    qq = qpoch_inf(nomes.q, nomes.q, policy)
-    out = 2.0**n * math.factorial(n) / (pp * qq) ** n
+    out = 2.0**n * math.factorial(n) / _euler_pair(nomes, policy) ** n
     gt = elliptic_gamma(t, nomes, policy)
     for i in range(1, n + 1):
         out *= elliptic_gamma(t**i, nomes, policy) / gt

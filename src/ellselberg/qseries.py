@@ -18,6 +18,13 @@ deterministic.  An array product builds its retained coefficients
 p^mu q^nu once and multiplies the factors of each block of columns in one
 reduction over the factor axis; the reduction keeps the fixed (mu, nu)
 order, so every element gets the same bits as a factor-by-factor loop.
+
+Closed forms multiply many Gamma factors; :func:`_gamma_product` evaluates
+them as one array call under the plan of the largest argument, which keeps
+every factor's tail below tail_tol.  The pole scan visits only factors
+that can reach 1: none when max|u| < 1 - 1e-9, and within the retained
+(mu, nu) range it stops a row, and then the scan, at the first factor
+whose |p^mu q^nu| max|u| falls below that.
 """
 
 from __future__ import annotations
@@ -86,14 +93,31 @@ def _coerce(u):
     return arr, arr.ndim == 0
 
 
-def _row_len(base: float, q_abs: float, tau: float, max_terms: int) -> int:
-    """Number of retained nu indices for one mu row: |base| * q_abs^nu >= tau."""
-    if base < tau:
-        return 0
-    if q_abs == 0.0:
-        return 1
-    n = int(math.floor(math.log(tau / base) / math.log(q_abs))) + 1
-    return min(max(n, 1), max_terms + 1)
+def _abs_max(arr: np.ndarray) -> float:
+    """max|arr|, 0 for an empty array; a 0-d array skips the reduction
+    (same np.abs, same bits)."""
+    if arr.ndim == 0:
+        return float(np.abs(arr))
+    return float(np.max(np.abs(arr))) if arr.size else 0.0
+
+
+def _rows(u_max: float, p_abs: float, log_q: float | None, tau: float, cap: int) -> list:
+    """Retained nu counts of the mu rows with u_max |p|^mu >= tau, at most cap + 1 rows.
+
+    Row mu keeps the nu with u_max |p|^mu |q|^nu >= tau (log_q = log|q|, None at
+    q = 0), at most cap + 1 of them.  A kept row has base >= tau, so the
+    quotient of the two logarithms is >= 0 and the count is >= 1.
+    """
+    rows = []
+    base = u_max
+    top = cap + 1
+    while base >= tau and len(rows) < top:
+        k = 1 if log_q is None else math.floor(math.log(tau / base) / log_q) + 1
+        rows.append(k if k < top else top)
+        if p_abs == 0.0:
+            break
+        base *= p_abs
+    return rows
 
 
 @functools.lru_cache(maxsize=256)
@@ -108,36 +132,21 @@ def _plan(p_abs: float, q_abs: float, u_max: float, policy: TruncationPolicy):
     """
     if u_max == 0.0:
         return (), 0.0
+    cap = policy.max_terms
+    log_q = math.log(q_abs) if q_abs != 0.0 else None
     tau = policy.tail_tol
     for _ in range(6):
         # Estimated retained count at this tau, then the final tau per the
         # tail_tol / count rule.
-        est = 0
-        mu = 0
-        base = u_max
-        while base >= tau and mu <= policy.max_terms:
-            est += _row_len(base, q_abs, tau, policy.max_terms)
-            if p_abs == 0.0:
-                break
-            base *= p_abs
-            mu += 1
-        tau_eff = policy.tail_tol / max(est, 1)
-
-        rows = []
-        base = u_max
-        while base >= tau_eff:
-            rows.append(_row_len(base, q_abs, tau_eff, policy.max_terms))
-            if p_abs == 0.0:
-                break
-            base *= p_abs
-        over = len(rows) > policy.max_terms or (rows and rows[0] > policy.max_terms)
+        tau_eff = policy.tail_tol / max(sum(_rows(u_max, p_abs, log_q, tau, cap)), 1)
+        rows = _rows(u_max, p_abs, log_q, tau_eff, cap)
+        over = len(rows) > cap or (rows and rows[0] > cap)
         if over:
-            rows = rows[: policy.max_terms]
-            rows = [min(k, policy.max_terms) for k in rows]
+            rows = [min(k, cap) for k in rows[:cap]]
         tail = _tail_bound(rows, p_abs, q_abs, u_max)
         if over:
             raise TruncationError(
-                f"cannot certify tail < {policy.tail_tol} within max_terms={policy.max_terms}",
+                f"cannot certify tail < {policy.tail_tol} within max_terms={cap}",
                 achieved_bound=tail,
             )
         if tail < policy.tail_tol:
@@ -220,7 +229,7 @@ def qpoch_inf(u, q: complex, policy: TruncationPolicy | None = None):
     if abs(q) >= 1:
         raise DomainError(f"qpoch_inf requires |q| < 1, got {abs(q)}")
     arr, scalar = _coerce(u)
-    u_max = float(np.max(np.abs(arr))) if arr.size else 0.0
+    u_max = _abs_max(arr)
     rows, _ = _plan(0.0, abs(q), u_max, policy)
     k = rows[0] if rows else 0
     if scalar:
@@ -232,7 +241,7 @@ def double_poch_inf(u, nomes: Nomes, policy: TruncationPolicy | None = None):
     """Double infinite product (u; p, q)_inf = prod_{mu,nu>=0} (1 - p^mu q^nu u)."""
     policy = policy or DEFAULT_POLICY
     arr, scalar = _coerce(u)
-    u_max = float(np.max(np.abs(arr))) if arr.size else 0.0
+    u_max = _abs_max(arr)
     rows, _ = _plan(abs(nomes.p), abs(nomes.q), u_max, policy)
     if scalar:
         return _prod_scalar(complex(arr), nomes.p, nomes.q, rows)
@@ -252,19 +261,27 @@ def theta(u, p: complex, policy: TruncationPolicy | None = None):
     return complex(val) if scalar else val
 
 
-def _pole_scan(arr: np.ndarray, p: complex, q: complex, rows, what: str):
-    """Raise PoleProximityError if any element of arr has p^mu q^nu * arr near 1."""
-    if not arr.size:
+def _pole_scan(arr: np.ndarray, hi: float, p: complex, q: complex, rows, what: str):
+    """Raise PoleProximityError if any element of arr has p^mu q^nu * arr near 1.
+
+    hi is max|arr|.  |p^mu q^nu| falls along a row and down the rows, so a
+    row ends at its first factor with |p^mu q^nu| hi < 1 - 1e-9 and the scan
+    at the first row whose nu = 0 factor does; below hi = 1 - 1e-9 no factor
+    can reach a pole.
+    """
+    if not arr.size or hi < 1.0 - 1e-9:
         return
-    mags = np.abs(arr)
-    lo = float(np.min(mags))
-    hi = float(np.max(mags))
+    lo = float(np.min(np.abs(arr)))
     pm = 1.0 + 0.0j
     for mu, k in enumerate(rows):
+        if abs(pm) * hi < 1.0 - 1e-9:
+            return
         c = pm
         for nu in range(k):
             ca = abs(c)
-            if ca * hi >= 1.0 - 1e-9 and (lo == 0.0 or ca * lo <= 1.0 + 1e-9):
+            if ca * hi < 1.0 - 1e-9:
+                break
+            if lo == 0.0 or ca * lo <= 1.0 + 1e-9:
                 d = np.abs(1.0 - c * arr)
                 j = int(np.argmin(d))
                 if d.flat[j] < POLE_TOL:
@@ -299,9 +316,9 @@ def elliptic_gamma(u, nomes: Nomes, policy: TruncationPolicy | None = None):
         num_arg[nz] = pq / arr[nz]
     else:
         num_arg = pq / arr
-    u_max = float(np.max(np.abs(arr))) if arr.size else 0.0
+    u_max = _abs_max(arr)
     rows, _ = _plan(abs(nomes.p), abs(nomes.q), u_max, policy)
-    _pole_scan(np.atleast_1d(arr), nomes.p, nomes.q, rows, "elliptic_gamma")
+    _pole_scan(np.atleast_1d(arr), u_max, nomes.p, nomes.q, rows, "elliptic_gamma")
     if scalar:
         den = _prod_scalar(complex(arr), nomes.p, nomes.q, rows)
     else:
@@ -321,9 +338,9 @@ def elliptic_gamma_recip(u, nomes: Nomes, policy: TruncationPolicy | None = None
     if np.any(arr == 0):
         raise DomainError("elliptic_gamma_recip requires u != 0")
     num_arg = nomes.pq / arr
-    n_max = float(np.max(np.abs(num_arg))) if num_arg.size else 0.0
+    n_max = _abs_max(num_arg)
     rows_n, _ = _plan(abs(nomes.p), abs(nomes.q), n_max, policy)
-    _pole_scan(np.atleast_1d(num_arg), nomes.p, nomes.q, rows_n, "elliptic_gamma_recip")
+    _pole_scan(np.atleast_1d(num_arg), n_max, nomes.p, nomes.q, rows_n, "elliptic_gamma_recip")
     if scalar:
         num = _prod_scalar(complex(num_arg), nomes.p, nomes.q, rows_n)
     else:
@@ -340,3 +357,24 @@ def theta_pm(a: complex, z, p: complex, policy: TruncationPolicy | None = None):
 def gamma_pm(a: complex, z, nomes: Nomes, policy: TruncationPolicy | None = None):
     """Double-sign gamma product Gamma(a z^{+-1}) = Gamma(az) Gamma(a/z)."""
     return elliptic_gamma(a * z, nomes, policy) * elliptic_gamma(a / z, nomes, policy)
+
+
+def _gamma_product(args, nomes: Nomes, policy: TruncationPolicy | None = None,
+                   recip: bool = False) -> complex:
+    """prod Gamma(u) over the list args (1/Gamma(u) with ``recip``).
+
+    One array call with one truncation plan (that of max|u|, so every
+    factor's tail stays below tail_tol), multiplied in list order.
+    """
+    values = (elliptic_gamma_recip if recip else elliptic_gamma)(
+        np.array(args, dtype=complex), nomes, policy
+    )
+    out = 1.0 + 0.0j
+    for v in values.tolist():
+        out *= v
+    return out
+
+
+def _euler_pair(nomes: Nomes, policy: TruncationPolicy | None = None) -> complex:
+    """(p; p)_inf (q; q)_inf."""
+    return qpoch_inf(nomes.p, nomes.p, policy) * qpoch_inf(nomes.q, nomes.q, policy)

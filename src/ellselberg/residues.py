@@ -15,18 +15,14 @@ from .invariants import ParameterSet
 from .qseries import (
     Nomes,
     TruncationPolicy,
+    _euler_pair,
+    _gamma_product,
     elliptic_gamma,
-    gamma_pm,
-    qpoch_inf,
 )
 from .quadrature import default_budget, torus_integrate
 
 # |a| closer to the unit circle than this leaves the quadrature no room.
 TORUS_CLEARANCE = 1e-3
-
-
-def _euler_pair(nomes: Nomes, policy) -> complex:
-    return qpoch_inf(nomes.p, nomes.p, policy) * qpoch_inf(nomes.q, nomes.q, policy)
 
 
 def residue_gamma_pm(a, nomes: Nomes, policy: TruncationPolicy | None = None) -> complex:
@@ -76,10 +72,8 @@ def continued_integral_n1(
                 f"|a|={abs(a):.4f} outside the continuation window "
                 f"(1, |q|^-1/2 = {abs(nomes.q) ** -0.5:.4f})"
             )
-        corr = 2.0 + 0.0j
-        for m, v in enumerate(params.a):
-            if m != outside[0]:
-                corr *= gamma_pm(v, a, nomes, policy)
+        others = [v for m, v in enumerate(params.a) if m != outside[0]]
+        corr = 2.0 * _gamma_product([x for v in others for x in (v * a, v / a)], nomes, policy)
         corr /= _euler_pair(nomes, policy) * elliptic_gamma(a**-2, nomes, policy)
         value += corr
     return value, quad.N_used
@@ -104,19 +98,17 @@ def lim_pinch_J(
     residual = a[2] * a[3] * a[4] * a[5] * t ** (2 * n - 2)
     if abs(residual - nomes.pq) > 1e-12 * max(abs(nomes.pq), 1.0):
         raise DomainError("pinch limit needs a_3 a_4 a_5 a_6 t^(2n-2) = p q")
-    out = 1.0 / _euler_pair(nomes, policy)
-    for i in range(1, n):
-        out *= elliptic_gamma(t**i, nomes, policy)
+    args = [t**i for i in range(1, n)]
     for i in range(1, n + 1):
         ti = t ** (i - 1)
         for m in range(2, 6):
-            out *= gamma_pm(a[m] * ti, a[0], nomes, policy)
+            args += [a[m] * ti * a[0], a[m] * ti / a[0]]
     for i in range(1, n):
         ti = t ** (i - 1)
         for j in range(2, 6):
             for k in range(j + 1, 6):
-                out *= elliptic_gamma(a[j] * a[k] * ti, nomes, policy)
-    return out
+                args.append(a[j] * a[k] * ti)
+    return 1.0 / _euler_pair(nomes, policy) * _gamma_product(args, nomes, policy)
 
 
 def richardson_limit(f, eps_coarse: float = 1e-3, eps_fine: float = 1e-4) -> complex:

@@ -8,7 +8,8 @@ produce one report per requested case.
 Quadrature stopping tolerances are scaled by a coarse magnitude estimate of
 the closed side; since the refinement error estimate lags the true error by
 one doubling, a stalled ladder is retried once with a 50x looser stop before
-being declared non-convergent (the verdict always uses the measured error).
+being declared non-convergent (the verdict always uses the measured error);
+a report whose value took that retry says so in ``detail``.
 
 One row table drives every sweep: :data:`SUITE_ROWS` is the default suite,
 :func:`run_row` samples one row and :func:`cases` expands one parameter set
@@ -18,6 +19,7 @@ the same two functions.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import time
 from dataclasses import dataclass
@@ -41,9 +43,8 @@ from .qseries import (
     DEFAULT_POLICY,
     Nomes,
     TruncationPolicy,
-    elliptic_gamma,
-    gamma_pm,
-    qpoch_inf,
+    _euler_pair,
+    _gamma_product,
     theta,
 )
 from .quadrature import _per_grid, _weighted, nabla_quad, torus_integrate
@@ -52,6 +53,12 @@ from .residues import continued_integral_n1, lim_pinch_J, richardson_limit
 from .sampling import DEFAULT_BOX, SafeBox, sample_da_parameters, sample_parameters
 
 ROUGH_TOL = 1e30  # accepts the first refinement step: a magnitude probe
+
+RETRY_NOTE = "retried at 50x looser stop"
+
+# Notes of the case _run is computing (RETRY_NOTE when a ladder took the
+# looser stop); _run adds them to the report's detail.
+_NOTES: contextvars.ContextVar[list] = contextvars.ContextVar("notes")
 
 
 def _report(
@@ -66,8 +73,10 @@ def _report(
     scale: float | None = None,
     detail: str = "",
     error: Exception | None = None,
+    notes=(),
 ) -> ScenarioReport:
-    """One case's report; with ``error`` a failed one that gives the reason."""
+    """One case's report; with ``error`` a failed one that gives the reason.
+    ``notes`` follow the detail."""
     if error is None:
         abs_err, rel_err = relative_error(lhs, rhs)
         if scale is not None:
@@ -75,6 +84,7 @@ def _report(
     else:
         abs_err = rel_err = math.inf
         detail = f"{type(error).__name__}: {error}"
+    detail = "; ".join(filter(None, [detail, *notes]))
     pol = policy if policy is not None else DEFAULT_POLICY
     return ScenarioReport(
         scenario=scenario,
@@ -96,14 +106,19 @@ def _report(
 def _run(scenario: str, echo: dict, tol: float, policy, timing: bool, compute) -> ScenarioReport:
     """Report compute()'s (lhs, rhs, grid_N[, scale[, detail]]) against tol.
 
-    An EllSelbergError raised by compute becomes a failed report.
+    An EllSelbergError raised by compute becomes a failed report.  Notes
+    made while computing (a looser retry) follow the detail.
     """
     started = time.monotonic() if timing else None
+    notes = []
+    token = _NOTES.set(notes)
     try:
-        outcome = compute()
+        outcome, error = compute(), None
     except EllSelbergError as exc:
-        return _report(scenario, echo, tol, policy, started, error=exc)
-    return _report(scenario, echo, tol, policy, started, *outcome)
+        outcome, error = (), exc
+    finally:
+        _NOTES.reset(token)
+    return _report(scenario, echo, tol, policy, started, *outcome, error=error, notes=notes)
 
 
 def _echo(params: ParameterSet, nomes: Nomes, seed_index: int, **indices) -> dict:
@@ -126,6 +141,7 @@ def _with_retry(integrate, tol, scale):
     try:
         return integrate(0.1 * tol * scale)
     except NonConvergenceError:
+        _NOTES.get([]).append(RETRY_NOTE)
         return integrate(5.0 * tol * scale)
 
 
@@ -332,13 +348,10 @@ def scenario_nabla(
 
 
 def _da_closed(a, n, nomes, policy):
-    pp = qpoch_inf(nomes.p, nomes.p, policy)
-    qq = qpoch_inf(nomes.q, nomes.q, policy)
-    out = 2.0**n * math.factorial(n) / (pp * qq) ** n
-    for j in range(len(a)):
-        for k in range(j + 1, len(a)):
-            out *= elliptic_gamma(a[j] * a[k], nomes, policy)
-    return out
+    """2^n n! / ((p;p)(q;q))^n * prod_{j<k} Gamma(a_j a_k)."""
+    pairs = [a[j] * a[k] for j in range(len(a)) for k in range(j + 1, len(a))]
+    out = 2.0**n * math.factorial(n) / _euler_pair(nomes, policy) ** n
+    return out * _gamma_product(pairs, nomes, policy)
 
 
 def scenario_dixon_anderson(
@@ -439,11 +452,10 @@ def scenario_pinch(
         if check == "integral":
             if params.n != 1:
                 raise SampleRejectionError("integral pinch check is n = 1 only")
-            pp = qpoch_inf(nomes.p, nomes.p, policy)
-            qq = qpoch_inf(nomes.q, nomes.q, policy)
-            rhs = 2.0 / (pp * qq) ** 2
-            for m in range(2, 6):
-                rhs *= gamma_pm(params.a[m], params.a[0], nomes, policy)
+            a = params.a
+            rhs = 2.0 / _euler_pair(nomes, policy) ** 2 * _gamma_product(
+                [x for m in range(2, 6) for x in (a[m] * a[0], a[m] / a[0])], nomes, policy
+            )
 
             grids = []
 

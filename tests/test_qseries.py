@@ -1,25 +1,35 @@
 """Scalar q-series building blocks against brute-force references and
 their functional equations."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ellselberg import (
+    BalancingMode,
     DomainError,
     Nomes,
+    ParameterSet,
     PoleProximityError,
     TruncationError,
     TruncationPolicy,
     double_poch_inf,
     elliptic_gamma,
     elliptic_gamma_recip,
+    j_closed,
+    lim_pinch_J,
+    make_pinched,
     qpoch_inf,
+    sample_da_parameters,
     theta,
     theta_pm,
 )
 from ellselberg import qseries
+from ellselberg.integrand import _dual_of_zero
+from ellselberg.scenarios import _da_closed
 
 import oracles
 
@@ -316,3 +326,263 @@ def test_pole_error_names_the_pole_on_both_paths():
         with pytest.raises(PoleProximityError) as info:
             elliptic_gamma(arg, nm)
         assert (info.value.mu, info.value.nu) == (1, 2)
+
+
+# Reference truncation plan (one row-length call per row) and pole scan (every
+# retained factor visited): _plan and _pole_scan, which stop early, must match
+# them exactly.
+
+
+def ref_row_len(base, q_abs, tau, max_terms):
+    if base < tau:
+        return 0
+    if q_abs == 0.0:
+        return 1
+    n = int(np.floor(np.log(tau / base) / np.log(q_abs))) + 1
+    return min(max(n, 1), max_terms + 1)
+
+
+def ref_plan(p_abs, q_abs, u_max, policy):
+    if u_max == 0.0:
+        return (), 0.0
+    tau = policy.tail_tol
+    for _ in range(6):
+        est = 0
+        mu = 0
+        base = u_max
+        while base >= tau and mu <= policy.max_terms:
+            est += ref_row_len(base, q_abs, tau, policy.max_terms)
+            if p_abs == 0.0:
+                break
+            base *= p_abs
+            mu += 1
+        tau_eff = policy.tail_tol / max(est, 1)
+        rows = []
+        base = u_max
+        while base >= tau_eff:
+            rows.append(ref_row_len(base, q_abs, tau_eff, policy.max_terms))
+            if p_abs == 0.0:
+                break
+            base *= p_abs
+        over = len(rows) > policy.max_terms or (rows and rows[0] > policy.max_terms)
+        if over:
+            rows = [min(k, policy.max_terms) for k in rows[: policy.max_terms]]
+        tail = qseries._tail_bound(rows, p_abs, q_abs, u_max)
+        if over:
+            raise TruncationError("over max_terms", achieved_bound=tail)
+        if tail < policy.tail_tol:
+            return tuple(rows), tail
+        tau = tau_eff / 16.0
+    raise TruncationError("no convergence", achieved_bound=tail)
+
+
+def ref_pole_scan(arr, p, q, rows, what):
+    if not arr.size:
+        return
+    mags = np.abs(arr)
+    lo = float(np.min(mags))
+    hi = float(np.max(mags))
+    pm = 1.0 + 0.0j
+    for mu, k in enumerate(rows):
+        c = pm
+        for nu in range(k):
+            ca = abs(c)
+            if ca * hi >= 1.0 - 1e-9 and (lo == 0.0 or ca * lo <= 1.0 + 1e-9):
+                d = np.abs(1.0 - c * arr)
+                j = int(np.argmin(d))
+                if d.flat[j] < qseries.POLE_TOL:
+                    bad = complex(arr.flat[j])
+                    raise PoleProximityError(what, u=bad, mu=mu, nu=nu)
+            c *= q
+        pm *= p
+
+
+def plan_outcome(plan, *args):
+    try:
+        return plan(*args)
+    except TruncationError as exc:
+        return ("TruncationError", exc.achieved_bound)
+
+
+PLAN_POLICIES = (
+    TruncationPolicy(),
+    TruncationPolicy(tail_tol=1e-6),
+    TruncationPolicy(tail_tol=1e-15, max_terms=8),
+)
+
+
+@pytest.mark.parametrize("policy", PLAN_POLICIES, ids=["default", "loose", "tight_cap"])
+def test_plan_matches_the_reference_plan(policy):
+    raised = 0
+    for p_abs in (0.0, 1e-3, 0.05, 0.3, 0.7, 0.95):
+        for q_abs in (0.0, 1e-3, 0.12, 0.5, 0.9):
+            for u_max in (0.0, 1e-20, 1e-3, 0.6, 1.0, 3.7, 250.0):
+                args = (p_abs, q_abs, u_max, policy)
+                got = plan_outcome(qseries._plan.__wrapped__, *args)
+                assert got == plan_outcome(ref_plan, *args), args
+                raised += got[0] == "TruncationError"
+    if policy.max_terms == 8:
+        assert raised  # the sweep reaches the TruncationError cases
+
+
+def pole_outcome(scan, *args):
+    try:
+        scan(*args)
+    except PoleProximityError as exc:
+        return (exc.u, exc.mu, exc.nu)
+    return None
+
+
+def scan_both(arr, p, q):
+    hi = float(np.max(np.abs(arr)))
+    rows, _ = qseries._plan(abs(p), abs(q), hi, TruncationPolicy())
+    got = pole_outcome(qseries._pole_scan, arr, hi, p, q, rows, "scan")
+    assert got == pole_outcome(ref_pole_scan, arr, p, q, rows, "scan")
+    return got
+
+
+SCAN_NOMES = (0.05 + 0.02j, 0.12 - 0.03j)
+
+
+@pytest.mark.parametrize("mu", [0, 1, 2])
+@pytest.mark.parametrize("nu", [0, 1, 3])
+def test_pole_scan_names_the_same_pole_as_the_reference(mu, nu):
+    p, q = SCAN_NOMES
+    pole = (1.0 + 1e-14) / (p**mu * q**nu)
+    for arr in (
+        np.array([pole]),
+        np.array([0.3 + 0.2j, pole, 2.0 - 1.0j]),
+        np.array([0.0, pole]),  # lo = 0
+        np.array([pole, 1e4 + 0j]),
+    ):
+        assert scan_both(arr, p, q) == (pole, mu, nu)
+
+
+def test_pole_scan_is_silent_below_the_unit_circle():
+    p, q = SCAN_NOMES
+    rng = np.random.default_rng(5)
+    for top in (0.5, 0.9, 1.0 - 2e-9):
+        arr = top * rng.uniform(0, 1, 64) * np.exp(2j * np.pi * rng.uniform(size=64))
+        arr[0] = top
+        assert scan_both(arr, p, q) is None
+        assert scan_both(np.append(arr, 0.0), p, q) is None
+
+
+def test_pole_scan_matches_the_reference_on_random_arrays():
+    p, q = SCAN_NOMES
+    rng = np.random.default_rng(9)
+    poles = [1.0 / (p**mu * q**nu) for mu in range(3) for nu in range(5)]
+    for trial in range(200):
+        size = int(rng.integers(1, 6))
+        arr = rng.uniform(0.0, 80.0, size) * np.exp(2j * np.pi * rng.uniform(size=size))
+        if trial % 2:
+            arr[int(rng.integers(size))] = poles[trial % len(poles)] * (1 + 1e-14)
+        if trial % 7 == 0:
+            arr[0] = 0.0
+        scan_both(arr, p, q)
+
+
+# Closed forms evaluate their Gamma products as one array call; these are the
+# products they replaced, one scalar Gamma per factor.  They are evaluated with
+# a 1e-20 tail: at the default tail each scalar factor carries its own
+# truncation error, and the product of 38 of them (lim_pinch_J at n = 3)
+# strays 1.7e-13 from the converged value while the batched product, planned
+# for the largest argument, strays 5.8e-14.
+TIGHT = TruncationPolicy(tail_tol=1e-20)
+
+
+def scalar_j(params, nomes, policy=TIGHT):
+    zero = _dual_of_zero(params.a, params.t, params.n, nomes)
+    out = 1.0 + 0.0j
+    for i in range(1, params.n + 1):
+        ti = params.t ** (i - 1)
+        for j in range(6):
+            for k in range(j + 1, 6):
+                if zero is not None and zero[0] in (j, k):
+                    other = params.a[k if zero[0] == j else j]
+                    out *= elliptic_gamma_recip(zero[1] / (other * ti), nomes, policy)
+                else:
+                    out *= elliptic_gamma(params.a[j] * params.a[k] * ti, nomes, policy)
+    return out
+
+
+def scalar_pinch_j(params, nomes, policy=TIGHT):
+    a, t, n = params.a, params.t, params.n
+    out = 1.0 / (qpoch_inf(nomes.p, nomes.p, policy) * qpoch_inf(nomes.q, nomes.q, policy))
+    for i in range(1, n):
+        out *= elliptic_gamma(t**i, nomes, policy)
+    for i in range(1, n + 1):
+        ti = t ** (i - 1)
+        for m in range(2, 6):
+            out *= elliptic_gamma(a[m] * ti * a[0], nomes, policy)
+            out *= elliptic_gamma(a[m] * ti / a[0], nomes, policy)
+    for i in range(1, n):
+        ti = t ** (i - 1)
+        for j in range(2, 6):
+            for k in range(j + 1, 6):
+                out *= elliptic_gamma(a[j] * a[k] * ti, nomes, policy)
+    return out
+
+
+def scalar_da(a, n, nomes, policy=TIGHT):
+    euler = qpoch_inf(nomes.p, nomes.p, policy) * qpoch_inf(nomes.q, nomes.q, policy)
+    out = 2.0**n * math.factorial(n) / euler**n
+    for j in range(len(a)):
+        for k in range(j + 1, len(a)):
+            out *= elliptic_gamma(a[j] * a[k], nomes, policy)
+    return out
+
+
+def rel(a, b):
+    return abs(complex(a) - complex(b)) / abs(complex(b))
+
+
+CLOSED_NOMES = Nomes(0.05, 0.12)
+CLOSED_A5 = [0.63, 0.58 * np.exp(0.7j), -0.61, 0.64 * np.exp(-1.1j), 0.55]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_j_closed_is_the_scalar_product(n):
+    t = 0.7 if n == 3 else 0.45
+    ps = ParameterSet.solved(n, t, CLOSED_A5, CLOSED_NOMES, BalancingMode.PQ)
+    assert rel(j_closed(ps, CLOSED_NOMES), scalar_j(ps, CLOSED_NOMES)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_j_closed_dual_case_is_the_scalar_product(n):
+    # p q = 0 forces a_6 = 0: its pairs become 1/Gamma factors of the dual
+    nm = Nomes(0.0, 0.12)
+    ps = ParameterSet.solved(n, 0.45, CLOSED_A5, nm, BalancingMode.PQ)
+    assert ps.a[5] == 0
+    assert rel(j_closed(ps, nm), scalar_j(ps, nm)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lim_pinch_j_is_the_scalar_product(n):
+    t = 0.7 if n == 3 else 0.45
+    ps = ParameterSet.solved(n, t, CLOSED_A5, CLOSED_NOMES, BalancingMode.PQ)
+    pinched = make_pinched(ps, CLOSED_NOMES)
+    got = lim_pinch_J(pinched, CLOSED_NOMES)
+    assert rel(got, scalar_pinch_j(pinched, CLOSED_NOMES)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_da_closed_is_the_scalar_product(n):
+    for a in sample_da_parameters(n, CLOSED_NOMES, 3, 4):
+        a = tuple(complex(v) for v in a)
+        got = _da_closed(a, n, CLOSED_NOMES, None)
+        assert rel(got, scalar_da(a, n, CLOSED_NOMES)) <= 1e-13
+
+
+@pytest.mark.parametrize("recip", [False, True], ids=["gamma", "recip"])
+def test_gamma_product_names_the_argument_on_a_pole(recip):
+    nm = Nomes(0.05, 0.12)
+    # a pole of Gamma at p^-1 q^-2, or of 1/Gamma at p^2 q^3 (a zero of Gamma)
+    bad = (1.0 + 1e-14) / (nm.p * nm.q**2) if not recip else nm.p**2 * nm.q**3 * (1.0 + 1e-14)
+    args = [0.3 + 0.2j, bad, 0.5 - 0.1j]
+    with pytest.raises(PoleProximityError) as info:
+        qseries._gamma_product(args, nm, recip=recip)
+    # 1/Gamma(u) scans its numerator argument p q / u
+    named = nm.pq / bad if recip else bad
+    assert info.value.u == pytest.approx(named, rel=1e-15)
+    assert (info.value.mu, info.value.nu) == (1, 2)

@@ -10,6 +10,7 @@ from ellselberg import (
     BalancingMode,
     ConfigurationError,
     Nomes,
+    NonConvergenceError,
     ParameterSet,
     SCENARIO_NAMES,
     coefficient_c,
@@ -214,6 +215,38 @@ class TestReportedGrid:
         assert len(ladder_sizes) == ladders
         # the integral check reports the larger of its two evaluations
         assert rep.grid_N == max(ladder_sizes) <= quadrature.default_budget(1)
+
+
+class TestRetryNote:
+    """A ladder that took the 50x looser stop says so in the report's detail."""
+
+    def test_stalled_ladder_reports_the_retry(self):
+        # budget 32 leaves the ladder one doubling: both stops stall
+        rep = scenario_eval_formula(1, pq_set(), NM, 1e-8, budget=32)
+        assert not rep.passed
+        assert rep.detail.startswith("NonConvergenceError")
+        assert rep.detail.endswith(scenarios.RETRY_NOTE)
+
+    def test_successful_retry_is_visible(self, monkeypatch):
+        stops = []
+        integrate = scenarios.torus_integrate
+
+        def stall_once(f, n, tol, *args):
+            stops.append(tol)
+            if len(stops) == 1:
+                raise NonConvergenceError("forced stall", estimates=(1.0, 1.0))
+            return integrate(f, n, tol, *args)
+
+        monkeypatch.setattr(scenarios, "torus_integrate", stall_once)
+        rep = scenario_eval_formula(1, pq_set(), NM, 1e-8)
+        assert rep.passed
+        assert rep.detail == scenarios.RETRY_NOTE
+        assert stops[1] == pytest.approx(50 * stops[0])
+
+    def test_no_retry_no_note(self):
+        rep = scenario_eval_formula(1, pq_set(), NM, 1e-8)
+        assert rep.passed
+        assert rep.detail == ""
 
 
 class TestRunSuite:
