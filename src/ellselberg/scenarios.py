@@ -141,7 +141,9 @@ def _with_retry(integrate, tol, scale):
     try:
         return integrate(0.1 * tol * scale)
     except NonConvergenceError:
-        _NOTES.get([]).append(RETRY_NOTE)
+        notes = _NOTES.get([])
+        if RETRY_NOTE not in notes:
+            notes.append(RETRY_NOTE)
         return integrate(5.0 * tol * scale)
 
 

@@ -243,6 +243,24 @@ class TestRetryNote:
         assert rep.detail == scenarios.RETRY_NOTE
         assert stops[1] == pytest.approx(50 * stops[0])
 
+    def test_two_retried_ladders_one_note(self, monkeypatch):
+        # qde refines two ladders; stall the first stop of each
+        integrate = scenarios.torus_integrate
+        stops = []
+
+        def stall_first_stop(f, n, tol, *args):
+            if tol != scenarios.ROUGH_TOL:
+                stops.append(tol)
+                if len(stops) % 2:
+                    raise NonConvergenceError("forced stall", estimates=(1.0, 1.0))
+            return integrate(f, n, tol, *args)
+
+        monkeypatch.setattr(scenarios, "torus_integrate", stall_first_stop)
+        rep = scenario_qde(1, 1, pq_set(), NM, 1e-7)
+        assert rep.passed
+        assert len(stops) == 4
+        assert rep.detail == scenarios.RETRY_NOTE
+
     def test_no_retry_no_note(self):
         rep = scenario_eval_formula(1, pq_set(), NM, 1e-8)
         assert rep.passed
