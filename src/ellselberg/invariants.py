@@ -83,13 +83,7 @@ class ParameterSet:
         return prod * self.t ** (2 * self.n - 2)
 
     def target(self, nomes: Nomes) -> complex:
-        if self.balancing_mode is BalancingMode.PQ:
-            return nomes.pq
-        if self.balancing_mode is BalancingMode.P:
-            return nomes.p
-        if self.balancing_mode is BalancingMode.ONE:
-            return 1.0 + 0.0j
-        raise DomainError("parameter set carries no balancing mode")
+        return _target(self.balancing_mode, nomes)
 
     def balancing_residual(self, nomes: Nomes) -> float:
         """|product - target|, relative to |target| when the target is nonzero."""
@@ -98,11 +92,7 @@ class ParameterSet:
         return diff / abs(tgt) if tgt != 0 else diff
 
     def validate(self, nomes: Nomes) -> "ParameterSet":
-        zero_ok = (
-            self.balancing_mode is BalancingMode.PQ
-            and nomes.pq == 0
-            and self.solved_index is not None
-        )
+        zero_ok = self.balancing_mode is BalancingMode.PQ and nomes.pq == 0
         for m, v in enumerate(self.a, start=1):
             if v == 0 and not (zero_ok and m == self.solved_index):
                 raise DomainError(f"a_{m} must be nonzero")
@@ -129,12 +119,7 @@ class ParameterSet:
         a_free = [complex(v) for v in a_free]
         if len(a_free) != 5:
             raise DomainError("five free parameters are required")
-        if mode is BalancingMode.PQ:
-            tgt = nomes.pq
-        elif mode is BalancingMode.P:
-            tgt = nomes.p
-        else:
-            tgt = 1.0 + 0.0j
+        tgt = _target(mode, nomes)
         denom = complex(t) ** (2 * n - 2)
         for v in a_free:
             denom *= v
@@ -171,6 +156,17 @@ class ParameterSet:
         return ParameterSet.solved(self.n, self.t, free, nomes, mode, self.solved_index)
 
 
+def _target(mode: BalancingMode | None, nomes: Nomes) -> complex:
+    """The value of a_1 ... a_6 t^(2n-2) under mode; DomainError for None."""
+    if mode is BalancingMode.PQ:
+        return nomes.pq
+    if mode is BalancingMode.P:
+        return nomes.p
+    if mode is BalancingMode.ONE:
+        return 1.0 + 0.0j
+    raise DomainError("parameter set carries no balancing mode")
+
+
 def complementary_index_pairs(n: int, r: int):
     """All pairs (I, J) of increasing index tuples with I ∪ J = {1..n}, |I| = r."""
     if not 0 <= r <= n:
@@ -184,10 +180,12 @@ def complementary_index_pairs(n: int, r: int):
     return out
 
 
-def _theta_pm_checked(c: complex, w: complex, p: complex, policy, label: str) -> complex:
-    val = theta_pm(c, w, p, policy)
+def _theta_den(val: complex, label: str, where: str | None = None) -> complex:
+    """val, a denominator theta(label); DegenerateParameterError (saying
+    where, else |val|) when |val| < THETA_FLOOR."""
     if abs(val) < THETA_FLOOR:
-        raise DegenerateParameterError(f"theta({label}) vanishes (|value| = {abs(val):.3e})")
+        where = where or f"(|value| = {abs(val):.3e})"
+        raise DegenerateParameterError(f"theta({label}) vanishes {where}")
     return val
 
 
@@ -215,11 +213,11 @@ def fundamental_invariant(
         term = 1.0 + 0.0j
         for k, ik in enumerate(idx_i, start=1):
             c = b * t ** (ik - k)
-            den = _theta_pm_checked(c, a * t ** (k - 1), p, policy, f"b t^{ik - k} (a t^{k - 1})^(+-1)")
+            den = _theta_den(theta_pm(c, a * t ** (k - 1), p, policy), f"b t^{ik - k} (a t^{k - 1})^(+-1)")
             term = term * on_axis(zs, ik - 1, lambda w: theta_pm(c, w, p, policy)) / den
         for l, jl in enumerate(idx_j, start=1):
             c = a * t ** (jl - l)
-            den = _theta_pm_checked(c, b * t ** (l - 1), p, policy, f"a t^{jl - l} (b t^{l - 1})^(+-1)")
+            den = _theta_den(theta_pm(c, b * t ** (l - 1), p, policy), f"a t^{jl - l} (b t^{l - 1})^(+-1)")
             term = term * on_axis(zs, jl - 1, lambda w: theta_pm(c, w, p, policy)) / den
         total = term if total is None else total + term
     return total
@@ -230,7 +228,7 @@ def e0_closed(a: complex, b: complex, z, t: complex, p: complex,
     """Closed form E_0(a, b; z) = prod_i theta(a z_i^{+-1}) / theta(a (b t^(i-1))^{+-1})."""
     out = 1.0 + 0.0j
     for i, w in enumerate(z, start=1):
-        den = _theta_pm_checked(a, b * t ** (i - 1), p, policy, f"a (b t^{i - 1})^(+-1)")
+        den = _theta_den(theta_pm(a, b * t ** (i - 1), p, policy), f"a (b t^{i - 1})^(+-1)")
         out = out * theta_pm(a, w if np.isscalar(w) else np.asarray(w, dtype=complex), p, policy) / den
     return out
 
@@ -258,21 +256,15 @@ def coefficient_c(
     n, t, p = params.n, params.t, nomes.p
     a1, a6 = params.a[0], params.a[5]
 
-    def th(u, _label):
-        return theta(u, p, policy)
-
     def th_den(u, label):
-        val = theta(u, p, policy)
-        if abs(val) < THETA_FLOOR:
-            raise DegenerateParameterError(f"theta({label}) vanishes in C_{r}")
-        return val
+        return _theta_den(theta(u, p, policy), label, f"in C_{r}")
 
     num = (
         a1**2
         * t ** (2 * r - 2)
-        * th(t ** (n - r + 1), "t^(n-r+1)")
-        * th(a6 / a1 * t ** (n - r + 1), "a6/a1 t^(n-r+1)")
-        * th(a1 / a6 * t ** (2 * r - n), "a1/a6 t^(2r-n)")
+        * theta(t ** (n - r + 1), p, policy)
+        * theta(a6 / a1 * t ** (n - r + 1), p, policy)
+        * theta(a1 / a6 * t ** (2 * r - n), p, policy)
     )
     den = (
         a6**2
@@ -284,7 +276,7 @@ def coefficient_c(
     out = -num / den
     for m in range(2, 6):
         am = params.a[m - 1]
-        out *= th(am * a6 * t ** (n - r), f"a_{m} a6 t^(n-r)") / th_den(
+        out *= theta(am * a6 * t ** (n - r), p, policy) / th_den(
             am * a1 * t ** (r - 1), f"a_{m} a1 t^(r-1)"
         )
     return out
@@ -358,10 +350,7 @@ def boundary_expectation_ratio(
     a1, a6 = a[0], a[5]
 
     def th_den(u, label):
-        val = theta(u, p, policy)
-        if abs(val) < THETA_FLOOR:
-            raise DegenerateParameterError(f"theta({label}) vanishes in boundary ratio")
-        return val
+        return _theta_den(theta(u, p, policy), label, "in boundary ratio")
 
     out = 1.0 + 0.0j
     for i in range(1, params.n + 1):

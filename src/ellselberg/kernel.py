@@ -4,20 +4,18 @@ A kernel is a list of factors f(c z^alpha): f is Gamma, 1/Gamma or the
 identity (a monomial prefactor), alpha a sparse exponent vector ((i, e), ...)
 with one or two entries; a ``pm`` factor also multiplies in f(c z^-alpha).
 
-On a :class:`Lattice` (z_i = s_i w[k_i], w_m = exp(2 pi i (m + offset)/N))
-every group of factors that shares a gather index becomes one length-N table
-built by the ordinary q-series calls: one-coordinate factors on the circle
-s_i w with the pointwise arithmetic (so rank 1 is unchanged), gathered at
-k_i; pair factors, alpha = sigma alpha' with alpha' starting positive, at
-c s^alpha exp(2 pi i sigma (m + offset sum(alpha'))/N), gathered at
-(alpha' . k) mod N.  Any other z is evaluated pointwise.
+On a :class:`Lattice` (z_i = s_i w[k_i], w_m = exp(2 pi i m/N)) every group
+of factors that shares a gather index becomes one length-N table built by
+the ordinary q-series calls: one-coordinate factors on the circle s_i w with
+the pointwise arithmetic (so rank 1 is unchanged), gathered at k_i; pair
+factors, alpha = sigma alpha' with alpha' starting positive, at
+c s^alpha w^sigma, gathered at (alpha' . k) mod N.  Any other z is
+evaluated pointwise.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
-
-import numpy as np
 
 from .qseries import elliptic_gamma, elliptic_gamma_recip
 
@@ -37,21 +35,25 @@ def pm(kind: str, c) -> Factor:
 
 
 class Lattice(list):
-    """Node list of a product grid: entry i is scale[i] * w[k[i]]."""
+    """Node list of a product grid: entry i is scale[i] * w[k[i]].
 
-    def __init__(self, w, k, offset, scale=None):
-        self.w, self.k, self.offset = w, tuple(k), offset
+    w holds the N-th roots of unity exp(2 pi i m/N) in order, so that pair
+    tables may gather w[a] w[b] at w[(a + b) mod N].
+    """
+
+    def __init__(self, w, k, scale=None):
+        self.w, self.k = w, tuple(k)
         self.scale = tuple(scale or (1,) * len(self.k))
         super().__init__(w[ki] if s == 1 else s * w[ki] for ki, s in zip(self.k, self.scale))
 
     def take(self, idx) -> Lattice:
-        return Lattice(self.w, [self.k[j] for j in idx], self.offset, [self.scale[j] for j in idx])
+        return Lattice(self.w, [self.k[j] for j in idx], [self.scale[j] for j in idx])
 
     def scaled(self, i: int, factor) -> Lattice:
         """The lattice with coordinate i multiplied by factor."""
         scale = list(self.scale)
         scale[i] = scale[i] * factor
-        return Lattice(self.w, self.k, self.offset, scale)
+        return Lattice(self.w, self.k, scale)
 
 
 def on_axis(z, i: int, fn):
@@ -98,24 +100,23 @@ def evaluate(factors, z, nomes, policy=None):
     """Product of the factors at z: one value, or one per grid point."""
     if not isinstance(z, Lattice):
         return _fold(factors, z, nomes, policy)
-    # gather index alpha' -> [circle (scale, shift), factors written on that circle]
+    # gather index alpha' -> [circle scale, factors written on that circle]
     groups = {}
     for f in factors:
         if len(f.alpha) == 1:
             ((i, e),) = f.alpha
-            groups.setdefault(((i, 1),), [(z.scale[i], 1)]).append(f._replace(alpha=((0, e),)))
+            groups.setdefault(((i, 1),), [z.scale[i]]).append(f._replace(alpha=((0, e),)))
             continue
         for (j, ej), (k, ek) in map(sorted, (f.alpha, _mirror(f.alpha))[: 1 + f.pm]):
             s = 1 if ej > 0 else -1
             c = f.c * z.scale[j] ** ej * z.scale[k] ** ek
-            group = groups.setdefault(((j, s * ej), (k, s * ek)), [(1, s * (ej + ek))])
+            group = groups.setdefault(((j, s * ej), (k, s * ek)), [1])
             group.append(Factor(f.kind, c, ((0, s),)))
     N, tables, out = len(z.w), {}, 1.0 + 0.0j
     for key, sig in groups.items():
         sig = tuple(sig)
         if sig not in tables:
-            (scale, shift), *fs = sig
-            u = np.exp(2j * np.pi * (np.arange(N) + z.offset * shift) / N)
-            tables[sig] = _fold(fs, [u if scale == 1 else scale * u], nomes, policy)
+            scale, *fs = sig
+            tables[sig] = _fold(fs, [z.w if scale == 1 else scale * z.w], nomes, policy)
         out = out * tables[sig][sum(e * z.k[i] for i, e in key) % N]
     return out

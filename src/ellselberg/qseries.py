@@ -8,16 +8,19 @@ Conventions (0 <= |p|, |q| < 1 throughout):
     Gamma(u; p, q)    = (p q / u; p, q)_inf / (u; p, q)_inf
 
 All evaluators accept a complex scalar or a numpy array of complex values for
-``u`` (elementwise semantics) and share one truncation rule: a factor
-(1 - p^mu q^nu u) is included iff |p^mu q^nu u| >= tau with
-tau = tail_tol / (expected retained term count), and the analytic bound on
-sum |p^mu q^nu u| over the excluded indices is certified below tail_tol
-before a product is formed (TruncationError otherwise).  Products are
-evaluated in a fixed (mu outer, nu inner) order, so results are
-deterministic.  An array product builds its retained coefficients
-p^mu q^nu once and multiplies the factors of each block of columns in one
-reduction over the factor axis; the reduction keeps the fixed (mu, nu)
-order, so every element gets the same bits as a factor-by-factor loop.
+``u`` (elementwise semantics) and form every product through one entry
+point, :func:`_poch`: the plan of max|u|, the pole scan when the caller
+divides by the product, then the scalar or the array product.  They share
+one truncation rule: a factor (1 - p^mu q^nu u) is included iff
+|p^mu q^nu u| >= tau with tau = tail_tol / (expected retained term count),
+and the analytic bound on sum |p^mu q^nu u| over the excluded indices is
+certified below tail_tol before a product is formed (TruncationError
+otherwise).  Products are evaluated in a fixed (mu outer, nu inner) order,
+so results are deterministic.  An array product builds its retained
+coefficients p^mu q^nu once and multiplies the factors of each block of
+columns in one reduction over the factor axis; the reduction keeps the
+fixed (mu, nu) order, so every element gets the same bits as a
+factor-by-factor loop.
 
 Closed forms multiply many Gamma factors; :func:`_gamma_product` evaluates
 them as one array call under the plan of the largest argument, which keeps
@@ -85,12 +88,6 @@ class TruncationPolicy:
 
 
 DEFAULT_POLICY = TruncationPolicy()
-
-
-def _coerce(u):
-    """Return (array view of u, was_scalar flag)."""
-    arr = np.asarray(u, dtype=complex)
-    return arr, arr.ndim == 0
 
 
 def _abs_max(arr: np.ndarray) -> float:
@@ -223,33 +220,37 @@ def _prod_array(u: np.ndarray, p: complex, q: complex, rows) -> np.ndarray:
     return acc.reshape(u.shape)
 
 
+def _poch(u, p: complex, q: complex, policy: TruncationPolicy | None, what: str | None = None):
+    """(u; p, q)_inf under the plan of max|u|, the one path of every q-product.
+
+    A scalar u gives a Python complex, an array an array of its shape.  With
+    ``what`` (the caller's name, for the message) an argument within
+    POLE_TOL of a zero of the product raises PoleProximityError first.
+    """
+    arr = np.asarray(u, dtype=complex)
+    u_max = _abs_max(arr)
+    rows, _ = _plan(abs(p), abs(q), u_max, policy or DEFAULT_POLICY)
+    if what is not None:
+        _pole_scan(np.atleast_1d(arr), u_max, p, q, rows, what)
+    if arr.ndim == 0:
+        return _prod_scalar(complex(arr), p, q, rows)
+    return _prod_array(arr, p, q, rows)
+
+
 def qpoch_inf(u, q: complex, policy: TruncationPolicy | None = None):
     """Single infinite q-Pochhammer product (u; q)_inf.
 
     Truncated so the certified bound on the neglected tail sum_{k>K} |q^k u|
     stays below the policy's tail_tol.
     """
-    policy = policy or DEFAULT_POLICY
     if abs(q) >= 1:
         raise DomainError(f"qpoch_inf requires |q| < 1, got {abs(q)}")
-    arr, scalar = _coerce(u)
-    u_max = _abs_max(arr)
-    rows, _ = _plan(0.0, abs(q), u_max, policy)
-    k = rows[0] if rows else 0
-    if scalar:
-        return _prod_scalar(complex(arr), 0.0, q, [k] if k else [])
-    return _prod_array(arr, 0.0, q, [k] if k else [])
+    return _poch(u, 0.0, q, policy)
 
 
 def double_poch_inf(u, nomes: Nomes, policy: TruncationPolicy | None = None):
     """Double infinite product (u; p, q)_inf = prod_{mu,nu>=0} (1 - p^mu q^nu u)."""
-    policy = policy or DEFAULT_POLICY
-    arr, scalar = _coerce(u)
-    u_max = _abs_max(arr)
-    rows, _ = _plan(abs(nomes.p), abs(nomes.q), u_max, policy)
-    if scalar:
-        return _prod_scalar(complex(arr), nomes.p, nomes.q, rows)
-    return _prod_array(arr, nomes.p, nomes.q, rows)
+    return _poch(u, nomes.p, nomes.q, policy)
 
 
 def theta(u, p: complex, policy: TruncationPolicy | None = None):
@@ -257,12 +258,10 @@ def theta(u, p: complex, policy: TruncationPolicy | None = None):
 
     Degenerates to 1 - u at p = 0.  Requires u != 0.
     """
-    policy = policy or DEFAULT_POLICY
-    arr, scalar = _coerce(u)
+    arr = np.asarray(u, dtype=complex)
     if np.any(arr == 0):
         raise DomainError("theta(u; p) requires u != 0")
-    val = qpoch_inf(arr, p, policy) * qpoch_inf(p / arr, p, policy)
-    return complex(val) if scalar else val
+    return qpoch_inf(arr, p, policy) * qpoch_inf(p / arr, p, policy)
 
 
 def _pole_scan(arr: np.ndarray, hi: float, p: complex, q: complex, rows, what: str):
@@ -308,8 +307,7 @@ def elliptic_gamma(u, nomes: Nomes, policy: TruncationPolicy | None = None):
     (relative) of a pole raise PoleProximityError.  At p = 0 this degenerates
     to 1 / (u; q)_inf.
     """
-    policy = policy or DEFAULT_POLICY
-    arr, scalar = _coerce(u)
+    arr = np.asarray(u, dtype=complex)
     pq = nomes.pq
     if np.any(arr == 0):
         if pq != 0:
@@ -320,15 +318,8 @@ def elliptic_gamma(u, nomes: Nomes, policy: TruncationPolicy | None = None):
         num_arg[nz] = pq / arr[nz]
     else:
         num_arg = pq / arr
-    u_max = _abs_max(arr)
-    rows, _ = _plan(abs(nomes.p), abs(nomes.q), u_max, policy)
-    _pole_scan(np.atleast_1d(arr), u_max, nomes.p, nomes.q, rows, "elliptic_gamma")
-    if scalar:
-        den = _prod_scalar(complex(arr), nomes.p, nomes.q, rows)
-    else:
-        den = _prod_array(arr, nomes.p, nomes.q, rows)
-    num = double_poch_inf(num_arg, nomes, policy)
-    return num / den
+    den = _poch(arr, nomes.p, nomes.q, policy, "elliptic_gamma")
+    return _poch(num_arg, nomes.p, nomes.q, policy) / den
 
 
 def elliptic_gamma_recip(u, nomes: Nomes, policy: TruncationPolicy | None = None):
@@ -337,20 +328,11 @@ def elliptic_gamma_recip(u, nomes: Nomes, policy: TruncationPolicy | None = None
     Raises PoleProximityError only near the zeros of Gamma, i.e. near
     u = p^(mu+1) q^(nu+1), which are the poles of the reciprocal.
     """
-    policy = policy or DEFAULT_POLICY
-    arr, scalar = _coerce(u)
+    arr = np.asarray(u, dtype=complex)
     if np.any(arr == 0):
         raise DomainError("elliptic_gamma_recip requires u != 0")
-    num_arg = nomes.pq / arr
-    n_max = _abs_max(num_arg)
-    rows_n, _ = _plan(abs(nomes.p), abs(nomes.q), n_max, policy)
-    _pole_scan(np.atleast_1d(num_arg), n_max, nomes.p, nomes.q, rows_n, "elliptic_gamma_recip")
-    if scalar:
-        num = _prod_scalar(complex(num_arg), nomes.p, nomes.q, rows_n)
-    else:
-        num = _prod_array(num_arg, nomes.p, nomes.q, rows_n)
-    den = double_poch_inf(arr, nomes, policy)
-    return den / num
+    num = _poch(nomes.pq / arr, nomes.p, nomes.q, policy, "elliptic_gamma_recip")
+    return _poch(arr, nomes.p, nomes.q, policy) / num
 
 
 def theta_pm(a: complex, z, p: complex, policy: TruncationPolicy | None = None):

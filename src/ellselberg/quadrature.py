@@ -1,14 +1,13 @@
 """Torus quadrature: product trapezoid rule, expectations, and nabla images.
 
 The rule is the equal-weight mean over the product grid
-z_i = exp(2 pi i (k_i + offset)/N), which integrates periodic analytic
-functions against the measure (2 pi i)^-n dz_1...dz_n/(z_1...z_n) with
-spectral accuracy.  N doubles from 16 until |I_N - I_{N/2}| meets the
+z_i = exp(2 pi i k_i/N), which integrates periodic analytic functions
+against the measure (2 pi i)^-n dz_1...dz_n/(z_1...z_n) with spectral
+accuracy.  N doubles from 16 until |I_N - I_{N/2}| meets the
 tolerance or the per-circle budget is exhausted.
 
 Means are taken with numpy's fixed pairwise reduction over a fixed node
-ordering, so a given (N, offset, parameters) always reproduces the same
-bytes.
+ordering, so a given (N, parameters) always reproduces the same bytes.
 """
 
 from __future__ import annotations
@@ -37,20 +36,17 @@ class QuadratureGrid:
 
     n: int
     N: int
-    offset: float = 0.0
 
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("grid dimension must be >= 1")
         if self.N < 4:
             raise DomainError("need at least 4 points per circle")
-        if not 0 <= self.offset < 1:
-            raise DomainError("offset must lie in [0, 1)")
 
     def nodes(self) -> Lattice:
         """The flattened product grid as n arrays of length N^n, as a Lattice."""
-        w = np.exp(2j * np.pi * (np.arange(self.N) + self.offset) / self.N)
-        return Lattice(w, np.indices((self.N,) * self.n).reshape(self.n, -1), self.offset)
+        w = np.exp(2j * np.pi * np.arange(self.N) / self.N)
+        return Lattice(w, np.indices((self.N,) * self.n).reshape(self.n, -1))
 
 
 @dataclass(frozen=True)
@@ -68,14 +64,14 @@ class QuadResult:
     history: tuple = ()
 
 
-def _ladder(f, n, tol, budget, offset):
+def _ladder(f, n, tol, budget):
     prev = None
     history = []
     value = None
     err = np.inf
     N = MIN_POINTS
     while N <= budget:
-        grid = QuadratureGrid(n, N, offset)
+        grid = QuadratureGrid(n, N)
         vals = np.asarray(f(grid.nodes()))
         value = complex(np.mean(vals))
         if prev is not None:
@@ -101,10 +97,10 @@ def _per_grid(f):
     seen = {}
 
     def g(z):
-        key = (len(z.w), z.offset)
-        if key not in seen:
-            seen[key] = f(z)
-        return seen[key]
+        N = len(z.w)
+        if N not in seen:
+            seen[N] = f(z)
+        return seen[N]
 
     return g
 
@@ -114,7 +110,6 @@ def torus_integrate(
     n: int,
     tol: float,
     budget: int | None = None,
-    offset: float = 0.0,
 ) -> QuadResult:
     """Integrate f over the n-torus against the normalized measure.
 
@@ -126,7 +121,7 @@ def torus_integrate(
         budget = default_budget(n)
     if budget < MIN_POINTS:
         raise DomainError(f"budget {budget} below the minimum grid {MIN_POINTS}")
-    res = _ladder(f, n, tol, budget, offset)
+    res = _ladder(f, n, tol, budget)
     if not res.converged:
         coarse = res.history[-2][1] if len(res.history) >= 2 else np.inf
         raise NonConvergenceError(
@@ -142,11 +137,10 @@ def expectation(
     nomes: Nomes,
     tol: float,
     budget: int | None = None,
-    offset: float = 0.0,
     policy: TruncationPolicy | None = None,
 ) -> QuadResult:
     """<phi> = integral of phi(z) Psi~(z) over the torus; phi=None means 1."""
-    return torus_integrate(_weighted(phi, params, nomes, policy), params.n, tol, budget, offset)
+    return torus_integrate(_weighted(phi, params, nomes, policy), params.n, tol, budget)
 
 
 def _weighted(phi, params, nomes, policy):
@@ -188,11 +182,8 @@ def _nabla_term(i, rest, params, nomes):
     return out
 
 
-def _nabla_pointwise(r, i, z, params, nomes, policy, want_reference=False):
-    """G(z) = H(z) - H(z | z_i -> q z_i) for H = phi_{r,i} Psi~, fused form.
-
-    Returns (G, |H|) when want_reference is set, else (G, None).
-    """
+def _nabla_pointwise(r, i, z, params, nomes, policy):
+    """(G, |H|) for H = phi_{r,i} Psi~ and G(z) = H(z) - H(z | z_i -> q z_i), fused form."""
     zs = _z_list(z, params.n)
     rest = [j for j in range(params.n) if j != i - 1]
     if isinstance(zs, Lattice):
@@ -205,9 +196,7 @@ def _nabla_pointwise(r, i, z, params, nomes, policy, want_reference=False):
     term = _nabla_term(i - 1, rest, params, nomes)
     t_plain = evaluate(term, zs, nomes, policy)
     g = common * (t_plain - evaluate(term, z_shift, nomes, policy))
-    if want_reference:
-        return g, np.abs(common * t_plain)
-    return g, None
+    return g, np.abs(common * t_plain)
 
 
 def nabla_quad(
@@ -217,7 +206,6 @@ def nabla_quad(
     nomes: Nomes,
     tol: float,
     budget: int | None = None,
-    offset: float = 0.0,
     policy: TruncationPolicy | None = None,
 ) -> tuple[QuadResult, float]:
     """Quadrature of the nabla image of phi_{r,i} plus a magnitude reference.
@@ -233,16 +221,12 @@ def nabla_quad(
         raise DomainError(f"need 1 <= i <= n, got i={i}")
     if nomes.p == 0:
         raise DomainError("the fused nabla image needs p != 0")
-    if budget is None:
-        budget = default_budget(n)
 
-    pointwise = _per_grid(
-        lambda z: _nabla_pointwise(r, i, z, params, nomes, policy, want_reference=True)
-    )
-    _, href = pointwise(QuadratureGrid(n, MIN_POINTS, offset).nodes())
+    pointwise = _per_grid(lambda z: _nabla_pointwise(r, i, z, params, nomes, policy))
+    _, href = pointwise(QuadratureGrid(n, MIN_POINTS).nodes())
     scale = float(np.mean(href))
     if scale == 0.0:
         scale = 1.0
-    res = torus_integrate(lambda z: pointwise(z)[0], n, tol * scale, budget, offset)
-    _, href = pointwise(QuadratureGrid(n, res.N_used, offset).nodes())
+    res = torus_integrate(lambda z: pointwise(z)[0], n, tol * scale, budget)
+    _, href = pointwise(QuadratureGrid(n, res.N_used).nodes())
     return res, float(np.mean(href))

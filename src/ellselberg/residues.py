@@ -19,7 +19,7 @@ from .qseries import (
     _gamma_product,
     elliptic_gamma,
 )
-from .quadrature import default_budget, torus_integrate
+from .quadrature import torus_integrate
 
 # |a| closer to the unit circle than this leaves the quadrature no room.
 TORUS_CLEARANCE = 1e-3
@@ -38,7 +38,6 @@ def continued_integral_n1(
     nomes: Nomes,
     tol: float,
     budget: int | None = None,
-    offset: float = 0.0,
     policy: TruncationPolicy | None = None,
 ) -> tuple[complex, int]:
     """Holomorphic continuation of the n=1 torus integral of Psi, and the
@@ -61,9 +60,7 @@ def continued_integral_n1(
             raise DomainError(
                 f"parameter {v} within {TORUS_CLEARANCE} of the unit circle"
             )
-    if budget is None:
-        budget = default_budget(1)
-    quad = torus_integrate(lambda z: psi(z, params, nomes, policy), 1, tol, budget, offset)
+    quad = torus_integrate(lambda z: psi(z, params, nomes, policy), 1, tol, budget)
     value = quad.value
     if outside:
         a = params.a[outside[0]]

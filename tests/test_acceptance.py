@@ -197,7 +197,7 @@ def test_quadrature_exponential_convergence(eval_sets_n1):
     for ps in eval_sets_n1:
         values = {}
         for N in (32, 64, 128, 256, 512):
-            grid = QuadratureGrid(1, N, 0.0).nodes()
+            grid = QuadratureGrid(1, N).nodes()
             values[N] = complex(np.mean(psi(grid, ps, EVAL_NOMES)))
         floor = 1e-13 * abs(values[512])
         for N in (32, 64, 128):

@@ -79,6 +79,10 @@ class TestParameterSet:
         with pytest.raises(DomainError):
             ParameterSet(1, 1.0, (*A5, 0.5))
 
+    def test_solved_requires_a_mode(self):
+        with pytest.raises(DomainError):
+            ParameterSet.solved(1, 0.45, A5, NM, None)
+
     def test_resolved_switches_mode(self):
         ps = ParameterSet.solved(2, 0.45, A5, NM, BalancingMode.PQ)
         one = ps.resolved(NM, BalancingMode.ONE)

@@ -62,11 +62,20 @@ KERNELS = {
 CASES = [(n, N) for n in (1, 2, 3) for N in (16, 32)]
 
 
-@pytest.mark.parametrize("offset", [0.0, 0.37])
+def turned(n, N, phase):
+    """The QuadratureGrid(n, N) lattice with every circle turned by
+    exp(2 pi i phase / N), through the lattice's per-coordinate scale."""
+    grid = QuadratureGrid(n, N).nodes()
+    for i in range(n) if phase else ():
+        grid = grid.scaled(i, np.exp(2j * np.pi * phase / N))
+    return grid
+
+
+@pytest.mark.parametrize("phase", [0.0, 0.37])
 @pytest.mark.parametrize("n,N", CASES)
 @pytest.mark.parametrize("name", sorted(KERNELS))
-def test_lattice_matches_pointwise(name, n, N, offset):
-    grid = QuadratureGrid(n, N, offset).nodes()
+def test_lattice_matches_pointwise(name, n, N, phase):
+    grid = turned(n, N, phase)
     assert isinstance(grid, Lattice)
     kernel = KERNELS[name]
     lattice = kernel(grid, n)
@@ -75,9 +84,11 @@ def test_lattice_matches_pointwise(name, n, N, offset):
     scale = np.max(np.abs(pointwise))
     assert scale > 0
     assert np.max(np.abs(lattice - pointwise)) <= 1e-13 * scale
-    if n == 1:
+    if n == 1 and not (phase and name == "nabla"):
+        # nabla's q-shift of a turned circle multiplies (s q) w on the
+        # lattice but q (s w) pointwise, which may differ in the last bit
         assert np.array_equal(lattice, pointwise)
-    if offset == 0.0:
+    if phase == 0.0:
         # z_1 = 1 (z_2 = 1 for nabla, whose coordinate 1 is shifted) is a
         # zero of 1/Gamma(z^2) on both paths
         axis = 1 if name == "nabla" else 0
@@ -89,20 +100,20 @@ def test_lattice_matches_pointwise(name, n, N, offset):
 @pytest.mark.parametrize("name", ["psi", "psi_tilde_alt", "dixon_anderson", "e_r_psi_tilde"])
 def test_lattice_pair_collisions_are_exact_zeros(name):
     # on the lattice z_j = z_k^{+-1} gives the argument exp(0) = 1 exactly
-    grid = QuadratureGrid(2, 16, 0.0).nodes()
+    grid = QuadratureGrid(2, 16).nodes()
     values = KERNELS[name](grid, 2)
     k1, k2 = grid.k
     assert np.all(values[(k1 - k2) % 16 == 0] == 0)
     assert np.all(values[(k1 + k2) % 16 == 0] == 0)
 
 
-@pytest.mark.parametrize("offset", [0.0, 0.37])
+@pytest.mark.parametrize("phase", [0.0, 0.37])
 @pytest.mark.parametrize("n", [1, 2])
-def test_parameter_on_grid_phase_raises_on_both_paths(n, offset):
+def test_parameter_on_grid_phase_raises_on_both_paths(n, phase):
     N = 16
-    node = np.exp(2j * np.pi * (3 + offset) / N)
+    node = np.exp(2j * np.pi * (3 + phase) / N)
     ps = pq_set(n).with_entry(2, 1.0 / node)
-    grid = QuadratureGrid(n, N, offset).nodes()
+    grid = turned(n, N, phase)
     with pytest.raises(PoleProximityError):
         psi(grid, ps, NM)
     with pytest.raises(PoleProximityError):
@@ -122,7 +133,7 @@ def test_rank2_lattice_work_grows_linearly(monkeypatch):
     monkeypatch.setattr(qseries, "_prod_array", counting)
     ps = pq_set(2)
     for N in (64, 128):
-        grid = QuadratureGrid(2, N, 0.0).nodes()
+        grid = QuadratureGrid(2, N).nodes()
         counted.append(0)
         psi(grid, ps, NM)
     assert counted[0] > 0

@@ -201,12 +201,17 @@ def test_gamma_trigonometric_limit():
 def test_array_matches_scalar():
     us = np.array([0.37 - 0.21j, 0.8j, -0.55])
     nm = Nomes(0.07 + 0.02j, 0.11)
-    arr = elliptic_gamma(us, nm)
-    for i, u in enumerate(us):
-        assert rel(arr[i], elliptic_gamma(complex(u), nm)) < 1e-13
-    arr_t = theta(us, nm.p)
-    for i, u in enumerate(us):
-        assert rel(arr_t[i], theta(complex(u), nm.p)) < 1e-13
+    evaluators = (
+        lambda u: qpoch_inf(u, nm.q),
+        lambda u: double_poch_inf(u, nm),
+        lambda u: elliptic_gamma(u, nm),
+        lambda u: elliptic_gamma_recip(u, nm),
+        lambda u: theta(u, nm.p),
+    )
+    for f in evaluators:
+        arr = f(us)
+        for i, u in enumerate(us):
+            assert rel(arr[i], f(complex(u))) < 1e-13
 
 
 def test_scalar_input_returns_python_complex():
@@ -321,11 +326,17 @@ def test_plan_raises_truncation_error_on_every_call():
 
 def test_pole_error_names_the_pole_on_both_paths():
     nm = Nomes(0.05, 0.12)
-    u = (1.0 + 1e-14) / (nm.p * nm.q**2)
-    for arg in (u, np.array([0.3 + 0.2j, u])):
-        with pytest.raises(PoleProximityError) as info:
-            elliptic_gamma(arg, nm)
-        assert (info.value.mu, info.value.nu) == (1, 2)
+    # Gamma's pole at p^-1 q^-2 and its reciprocal's at p^2 q^3 share (mu, nu)
+    cases = (
+        (elliptic_gamma, (1.0 + 1e-14) / (nm.p * nm.q**2)),
+        (elliptic_gamma_recip, nm.p**2 * nm.q**3 * (1.0 + 1e-14)),
+    )
+    for f, u in cases:
+        for arg in (u, np.array([0.3 + 0.2j, u])):
+            with pytest.raises(PoleProximityError) as info:
+                f(arg, nm)
+            assert (info.value.mu, info.value.nu) == (1, 2)
+            assert str(info.value).startswith(f.__name__)
 
 
 # Reference truncation plan (one row-length call per row) and pole scan (every

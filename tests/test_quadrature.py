@@ -35,7 +35,7 @@ def rel(a, b):
 
 class TestGrid:
     def test_nodes_on_unit_circle(self):
-        grid = QuadratureGrid(2, 8, 0.25).nodes()
+        grid = QuadratureGrid(2, 8).nodes()
         assert len(grid) == 2
         for axis in grid:
             assert axis.shape == (64,)
@@ -43,7 +43,7 @@ class TestGrid:
 
     def test_minimum_size(self):
         with pytest.raises(DomainError):
-            QuadratureGrid(1, 2, 0.0)
+            QuadratureGrid(1, 2)
 
     def test_default_budget_decreases_with_rank(self):
         assert default_budget(1) >= default_budget(2) >= default_budget(3)
@@ -89,10 +89,9 @@ class TestTorusIntegrate:
         res = torus_integrate(lambda z: 1.0 / (1 - 0.5 * z[0]), 1, 1e-13)
         assert res.err_est <= 1e-13
 
-    @pytest.mark.parametrize("offset", [0.0, 0.37])
-    def test_offset_independence(self, offset):
+    def test_integral_matches_c1_j(self):
         ps = ParameterSet.solved(1, T, A5, NM, BalancingMode.PQ)
-        res = torus_integrate(lambda z: psi(z, ps, NM), 1, 1e-10, offset=offset)
+        res = torus_integrate(lambda z: psi(z, ps, NM), 1, 1e-10)
         rhs = c_constant(1, NM, T) * j_closed(ps, NM)
         assert rel(res.value, rhs) < 1e-10
 
@@ -101,7 +100,7 @@ class TestTorusIntegrate:
         ps = ParameterSet.solved(1, T, A5, NM, BalancingMode.PQ)
         values = {}
         for N in (32, 64, 128, 256):
-            grid = QuadratureGrid(1, N, 0.0).nodes()
+            grid = QuadratureGrid(1, N).nodes()
             values[N] = complex(np.mean(psi(grid, ps, NM)))
         e32 = abs(values[32] - values[64])
         e64 = abs(values[64] - values[128])
@@ -131,7 +130,7 @@ class TestNabla:
     def test_fused_matches_literal_n1(self):
         ps, nm = one_set(1)
         z = [complex(np.exp(0.91j))]
-        g, href = _nabla_pointwise(1, 1, z, ps, nm, None, want_reference=True)
+        g, href = _nabla_pointwise(1, 1, z, ps, nm, None)
         h = phi_test_function(1, 1, ps, nm, z) * psi_tilde(z, ps, nm)
         zq = [nm.q * z[0]]
         hq = phi_test_function(1, 1, ps, nm, zq) * psi_tilde(zq, ps, nm)
@@ -143,7 +142,7 @@ class TestNabla:
         ps, nm = one_set(2)
         rng = np.random.default_rng(3)
         z = [complex(np.exp(2j * np.pi * rng.random())) for _ in range(2)]
-        g, _ = _nabla_pointwise(r, i, z, ps, nm, None, want_reference=True)
+        g, _ = _nabla_pointwise(r, i, z, ps, nm, None)
         h = phi_test_function(r, i, ps, nm, z) * psi_tilde(z, ps, nm)
         zq = list(z)
         zq[i - 1] = nm.q * zq[i - 1]
@@ -174,10 +173,10 @@ class TestNabla:
             nabla_quad(1, 1, ps, nm0, 1e-8)
 
     def test_collision_grid_is_finite(self):
-        # offset 0 puts z = 1 (and z_i = z_j) on the grid; the kernels carry
+        # the grid holds z = 1 (and z_i = z_j); the kernels carry
         # exact zeros there instead of infinities
         ps, nm = one_set(2)
-        grid = QuadratureGrid(2, 16, 0.0).nodes()
+        grid = QuadratureGrid(2, 16).nodes()
         assert np.all(np.isfinite(psi_tilde(grid, ps, nm)))
         g, _ = _nabla_pointwise(1, 1, grid, ps, nm, None)
         assert np.all(np.isfinite(g))
