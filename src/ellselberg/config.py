@@ -30,6 +30,10 @@ class Config:
     policy: TruncationPolicy = DEFAULT_POLICY
     box: SafeBox = DEFAULT_BOX
 
+    def __post_init__(self):
+        if self.count is not None and self.count < 1:
+            raise ConfigurationError(f"count must be at least 1, got {self.count}")
+
 
 # The record each file key belongs to: None for Config's own fields.
 _SECTION = {

@@ -11,15 +11,33 @@ the pointwise arithmetic (so rank 1 is unchanged), gathered at k_i; pair
 factors, alpha = sigma alpha' with alpha' starting positive, at
 c s^alpha w^sigma, gathered at (alpha' . k) mod N.  Any other z is
 evaluated pointwise.
+
+A group's table is the product, in _fold's order, of its factors' values on
+the circle s w.  Those values come from a process-wide LRU of read-only
+arrays keyed on the factor, N, s, the nomes and the policy, every number by
+its exact bits (0.0 == -0.0), so the kernels of one family (the shifts of
+qde, Psi~ under several invariants, the Weyl factor of every kernel) and
+the rungs of later ladders and reports share them without changing a bit.
+It holds at most _TABLE_BYTES; a factor that raises stores nothing.
 """
 
 from __future__ import annotations
 
+import functools
+import struct
+from collections import OrderedDict
 from typing import NamedTuple
 
-from .qseries import elliptic_gamma, elliptic_gamma_recip
+import numpy as np
+
+from .qseries import DEFAULT_POLICY, elliptic_gamma, elliptic_gamma_recip
 
 GAMMA, RECIP, MONO = "gamma", "recip", "mono"
+
+# Bytes of circle values the cache may hold.  Kept small: a benchmark that
+# re-imports the package keeps every old module copy, cache included, until
+# the cyclic collector runs (N = 512 tables are 8 KiB each).
+_TABLE_BYTES = 64 * 1024
 
 
 class Factor(NamedTuple):
@@ -34,32 +52,47 @@ def pm(kind: str, c) -> Factor:
     return Factor(kind, c, ((0, 1),), True)
 
 
+@functools.lru_cache(maxsize=16)
+def _roots(N: int) -> np.ndarray:
+    """The N-th roots of unity exp(2 pi i m/N), m = 0..N-1, read-only."""
+    w = np.exp(2j * np.pi * np.arange(N) / N)
+    w.flags.writeable = False
+    return w
+
+
 class Lattice(list):
     """Node list of a product grid: entry i is scale[i] * w[k[i]].
 
-    w holds the N-th roots of unity exp(2 pi i m/N) in order, so that pair
-    tables may gather w[a] w[b] at w[(a + b) mod N].
+    It carries N, and w = _roots(N) holds the N-th roots of unity in order,
+    so (N, scale[i]) names circle i and pair tables may gather w[a] w[b] at
+    w[(a + b) mod N].
     """
 
-    def __init__(self, w, k, scale=None):
-        self.w, self.k = w, tuple(k)
+    def __init__(self, N: int, k, scale=None):
+        self.N, self.k = N, tuple(k)
         self.scale = tuple(scale or (1,) * len(self.k))
+        w = _roots(N)
         super().__init__(w[ki] if s == 1 else s * w[ki] for ki, s in zip(self.k, self.scale))
 
     def take(self, idx) -> Lattice:
-        return Lattice(self.w, [self.k[j] for j in idx], [self.scale[j] for j in idx])
+        return Lattice(self.N, [self.k[j] for j in idx], [self.scale[j] for j in idx])
 
     def scaled(self, i: int, factor) -> Lattice:
         """The lattice with coordinate i multiplied by factor."""
         scale = list(self.scale)
         scale[i] = scale[i] * factor
-        return Lattice(self.w, self.k, scale)
+        return Lattice(self.N, self.k, scale)
+
+
+def _circle(N: int, s):
+    w = _roots(N)
+    return w if s == 1 else s * w
 
 
 def on_axis(z, i: int, fn):
     """fn(z[i]) for fn acting elementwise; once per circle node on a Lattice."""
     if isinstance(z, Lattice):
-        return fn(z.w if z.scale[i] == 1 else z.scale[i] * z.w)[z.k[i]]
+        return fn(_circle(z.N, z.scale[i]))[z.k[i]]
     return fn(z[i])
 
 
@@ -86,20 +119,76 @@ def _mirror(alpha):
     return tuple((i, -e) for i, e in alpha)
 
 
-def _fold(factors, zs, nomes, policy):
+def _value(f, zs, nomes, policy):
+    v = _apply(f.kind, _arg(f.c, f.alpha, zs), nomes, policy)
+    if f.pm:
+        v = v * _apply(f.kind, _arg(f.c, _mirror(f.alpha), zs), nomes, policy)
+    return v
+
+
+def _fold(values):
     out = 1.0 + 0.0j
-    for f in factors:
-        v = _apply(f.kind, _arg(f.c, f.alpha, zs), nomes, policy)
-        if f.pm:
-            v = v * _apply(f.kind, _arg(f.c, _mirror(f.alpha), zs), nomes, policy)
+    for v in values:
         out = out * v
     return out
+
+
+def _bits(x) -> bytes:
+    """x by its exact bits: == and hash take 0.0 and -0.0 as one number."""
+    return struct.pack("dd", x.real, x.imag)
+
+
+class _Tables:
+    """Circle values by key, least recently used first, at most _TABLE_BYTES.
+
+    Not locked: the package evaluates on one thread.
+    """
+
+    def __init__(self):
+        self.entries, self.nbytes = OrderedDict(), 0
+
+    def get(self, key):
+        v = self.entries.get(key)
+        if v is not None:
+            self.entries.move_to_end(key)
+        return v
+
+    def put(self, key, v):
+        if v.nbytes > _TABLE_BYTES:
+            return
+        self.entries[key] = v
+        self.nbytes += v.nbytes
+        while self.nbytes > _TABLE_BYTES:
+            self.nbytes -= self.entries.popitem(last=False)[1].nbytes
+
+    def clear(self):
+        self.entries.clear()
+        self.nbytes = 0
+
+
+_tables = _Tables()
+
+
+def _on_circle(f, N, s, nomes, policy):
+    """f on the circle s * exp(2 pi i m/N), read-only, from _tables when held."""
+    # c and s meet the circle only in numpy, which casts them to complex128;
+    # p and q also enter Python arithmetic, where a float and a complex of
+    # equal value can give a zero of another sign, so their types count too.
+    p, q = nomes.p, nomes.q
+    key = (f.kind, _bits(f.c), f.alpha, f.pm, N, _bits(s),
+           type(p), _bits(p), type(q), _bits(q), policy or DEFAULT_POLICY)
+    v = _tables.get(key)
+    if v is None:
+        v = _value(f, [_circle(N, s)], nomes, policy)
+        v.flags.writeable = False
+        _tables.put(key, v)
+    return v
 
 
 def evaluate(factors, z, nomes, policy=None):
     """Product of the factors at z: one value, or one per grid point."""
     if not isinstance(z, Lattice):
-        return _fold(factors, z, nomes, policy)
+        return _fold(_value(f, z, nomes, policy) for f in factors)
     # gather index alpha' -> [circle scale, factors written on that circle]
     groups = {}
     for f in factors:
@@ -112,11 +201,11 @@ def evaluate(factors, z, nomes, policy=None):
             c = f.c * z.scale[j] ** ej * z.scale[k] ** ek
             group = groups.setdefault(((j, s * ej), (k, s * ek)), [1])
             group.append(Factor(f.kind, c, ((0, s),)))
-    N, tables, out = len(z.w), {}, 1.0 + 0.0j
+    N, tables, out = z.N, {}, 1.0 + 0.0j
     for key, sig in groups.items():
         sig = tuple(sig)
         if sig not in tables:
             scale, *fs = sig
-            tables[sig] = _fold(fs, [z.w if scale == 1 else scale * z.w], nomes, policy)
+            tables[sig] = _fold(_on_circle(f, N, scale, nomes, policy) for f in fs)
         out = out * tables[sig][sum(e * z.k[i] for i, e in key) % N]
     return out

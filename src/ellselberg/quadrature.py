@@ -45,8 +45,7 @@ class QuadratureGrid:
 
     def nodes(self) -> Lattice:
         """The flattened product grid as n arrays of length N^n, as a Lattice."""
-        w = np.exp(2j * np.pi * np.arange(self.N) / self.N)
-        return Lattice(w, np.indices((self.N,) * self.n).reshape(self.n, -1))
+        return Lattice(self.N, np.indices((self.N,) * self.n).reshape(self.n, -1))
 
 
 @dataclass(frozen=True)
@@ -97,10 +96,9 @@ def _per_grid(f):
     seen = {}
 
     def g(z):
-        N = len(z.w)
-        if N not in seen:
-            seen[N] = f(z)
-        return seen[N]
+        if z.N not in seen:
+            seen[z.N] = f(z)
+        return seen[z.N]
 
     return g
 

@@ -106,41 +106,49 @@ def to_json(reports: list[ScenarioReport]) -> str:
     return json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n"
 
 
-def _flat_pairs(name, value, a_width):
+def _columns(name, a_width):
+    if name == "a":
+        return [f"a{idx}_{part}" for idx in range(1, a_width + 1) for part in ("re", "im")]
+    if name in COMPLEX_FIELDS:
+        return [f"{name}_re", f"{name}_im"]
+    return [name]
+
+
+def _cells(name, value, a_width):
     if name == "a":
         vals = list(value)
         for idx in range(a_width):
             v = vals[idx] if idx < len(vals) else None
-            yield f"a{idx + 1}_re", "" if v is None else repr(complex(v).real)
-            yield f"a{idx + 1}_im", "" if v is None else repr(complex(v).imag)
+            yield "" if v is None else repr(complex(v).real)
+            yield "" if v is None else repr(complex(v).imag)
     elif name in COMPLEX_FIELDS:
         v = None if value is None else complex(value)
-        yield f"{name}_re", "" if v is None else repr(v.real)
-        yield f"{name}_im", "" if v is None else repr(v.imag)
+        yield "" if v is None else repr(v.real)
+        yield "" if v is None else repr(v.imag)
     elif value is None:
-        yield name, ""
+        yield ""
     elif isinstance(value, bool):
-        yield name, "true" if value else "false"
+        yield "true" if value else "false"
     elif isinstance(value, float):
-        yield name, repr(value)
+        yield repr(value)
     else:
-        yield name, str(value)
+        yield str(value)
 
 
 def to_csv(reports: list[ScenarioReport]) -> str:
-    """The same fields flattened; complex columns split into _re/_im."""
+    """The same fields flattened; complex columns split into _re/_im.
+
+    The header row is always written; the ``a`` columns cover the widest
+    parameter tuple, 6 entries for an empty list.
+    """
     a_width = max((len(r.a) for r in reports), default=6)
     buf = io.StringIO()
-    writer = None
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([col for name in FIELD_ORDER for col in _columns(name, a_width)])
     for rep in reports:
-        row = {}
-        for name in FIELD_ORDER:
-            for col, cell in _flat_pairs(name, getattr(rep, name), a_width):
-                row[col] = cell
-        if writer is None:
-            writer = csv.DictWriter(buf, fieldnames=list(row.keys()), lineterminator="\n")
-            writer.writeheader()
-        writer.writerow(row)
+        writer.writerow(
+            [cell for name in FIELD_ORDER for cell in _cells(name, getattr(rep, name), a_width)]
+        )
     return buf.getvalue()
 
 

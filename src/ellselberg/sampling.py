@@ -2,9 +2,10 @@
 
 Samples are drawn with the stdlib Mersenne generator seeded explicitly, so a
 given (seed, mode, box, predicate) always reproduces the same parameter
-lists.  The box keeps every integrand pole at least ``pole_clearance`` away
-from the torus and every solved entry within its mode's modulus constraint;
-candidates violating a constraint are rejected and counted.
+lists.  The box keeps every solved entry within its mode's modulus
+constraint; candidates violating a constraint are rejected and counted.
+``SafeBox.pole_clearance`` is parsed but nothing reads it yet: no draw is
+checked for integrand poles near the torus (ROADMAP item 2).
 """
 
 from __future__ import annotations

@@ -131,6 +131,14 @@ class TestVerifyExplicit:
         assert code == 1
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_count_below_one_is_a_usage_error(self, capsys, count):
+        # not "0 reports, 0 passed, 0 failed" and exit 0
+        code = main(["verify", "--count", count])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "count" in captured.err and "reports" not in captured.out
+
     def test_explicit_needs_scenario(self, capsys):
         code = main([
             "verify", "--n", "1", "--p", "0.05", "--q", "0.07",

@@ -94,6 +94,14 @@ class TestLoad:
         cfg = load_config(str(path), Config())
         assert cfg.seed == 5 and cfg.tol == 1e-7
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_count_below_one_rejected(self, tmp_path, count):
+        # a run of zero reports would pass having checked nothing
+        path = tmp_path / "verify.cfg"
+        path.write_text(f"count = {count}\n")
+        with pytest.raises(ConfigurationError, match="count"):
+            load_config(str(path), Config())
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
             load_config(str(tmp_path / "absent.cfg"), Config())

@@ -13,10 +13,13 @@ from ellselberg import (
     psi,
     psi_tilde,
     qseries,
+    run_suite,
 )
+from ellselberg import kernel
 from ellselberg.integrand import _bc_kernel, psi_tilde_alt
-from ellselberg.kernel import GAMMA, Lattice, evaluate, pm
+from ellselberg.kernel import GAMMA, Factor, Lattice, evaluate, pm
 from ellselberg.quadrature import _nabla_pointwise
+from ellselberg.report import to_json
 
 NM = Nomes(0.05, 0.12)
 NM_ONE = Nomes(0.02, 0.12)
@@ -120,9 +123,11 @@ def test_parameter_on_grid_phase_raises_on_both_paths(n, phase):
         psi(list(grid), ps, NM)
 
 
-def test_rank2_lattice_work_grows_linearly(monkeypatch):
-    # a silent fallback to the pointwise path would pass every numeric test
-    # above; here it shows as O(N^2) product work
+@pytest.fixture
+def counted(monkeypatch):
+    """Points multiplied by the array product, one total per entry; the
+    circle cache starts empty."""
+    kernel._tables.clear()
     counted = []
     prod_array = qseries._prod_array
 
@@ -131,6 +136,12 @@ def test_rank2_lattice_work_grows_linearly(monkeypatch):
         return prod_array(u, p, q, rows)
 
     monkeypatch.setattr(qseries, "_prod_array", counting)
+    return counted
+
+
+def test_rank2_lattice_work_grows_linearly(counted):
+    # a silent fallback to the pointwise path would pass every numeric test
+    # above; here it shows as O(N^2) product work
     ps = pq_set(2)
     for N in (64, 128):
         grid = QuadratureGrid(2, N).nodes()
@@ -138,3 +149,50 @@ def test_rank2_lattice_work_grows_linearly(monkeypatch):
         psi(grid, ps, NM)
     assert counted[0] > 0
     assert counted[1] / counted[0] <= 2.1
+
+
+def test_suite_report_is_the_same_on_a_cold_and_a_warm_cache():
+    kernel._tables.clear()
+    cold = to_json(run_suite())
+    assert kernel._tables.entries
+    assert to_json(run_suite()) == cold
+
+
+def test_cached_tables_are_read_only_and_reused(counted):
+    grid = QuadratureGrid(2, 32).nodes()
+    counted.append(0)
+    first = psi_tilde(grid, pq_set(2), NM)
+    assert counted[0] > 0 and kernel._tables.entries
+    for table in kernel._tables.entries.values():
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0
+    counted.append(0)
+    again = psi_tilde(grid, pq_set(2), NM)
+    assert counted[1] == 0
+    assert np.array_equal(first, again)
+
+
+def test_cache_bytes_stay_within_the_bound():
+    kernel._tables.clear()
+    for m in range(40):
+        for N in (64, 512):
+            factors = [pm(GAMMA, 0.5 * np.exp(0.1j * m)), Factor(GAMMA, 0.3 + 0.01 * m, ((0, 2),))]
+            evaluate(factors, QuadratureGrid(1, N).nodes(), NM)
+            held = sum(t.nbytes for t in kernel._tables.entries.values())
+            assert held == kernel._tables.nbytes <= kernel._TABLE_BYTES
+    assert len(kernel._tables.entries) > 1
+
+
+def test_pole_error_is_raised_again_and_stores_nothing():
+    kernel._tables.clear()
+    node = np.exp(2j * np.pi * 3 / 16)
+    factors = [Factor(GAMMA, 1.0 / node, ((0, 1),))]
+    grid = QuadratureGrid(1, 16).nodes()
+    messages = []
+    for _ in range(2):
+        with pytest.raises(PoleProximityError) as err:
+            evaluate(factors, grid, NM)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert not kernel._tables.entries

@@ -87,6 +87,13 @@ class TestCsv:
         assert "a1_re" in header and "a6_im" in header
         assert header[-1] == "detail"
 
+    def test_empty_list_writes_the_header(self):
+        lines = to_csv([]).splitlines()
+        assert lines == [to_csv([make_report()]).splitlines()[0]]
+        header = lines[0].split(",")
+        assert header[:5] == ["scenario", "seed_index", "n", "p_re", "p_im"]
+        assert "a6_im" in header and "a7_re" not in header
+
     def test_none_t_gives_empty_cells(self):
         lines = to_csv([make_report(t=None)]).splitlines()
         header = lines[0].split(",")
