@@ -19,25 +19,44 @@ its exact bits (0.0 == -0.0), so the kernels of one family (the shifts of
 qde, Psi~ under several invariants, the Weyl factor of every kernel) and
 the rungs of later ladders and reports share them without changing a bit.
 It holds at most _TABLE_BYTES; a factor that raises stores nothing.
+
+A factor's table at even N whose N/2 table is held is built from that
+half: node 2m of the N circle is node m of the N/2 circle, bit for bit, so
+the even entries are copied and f is evaluated on the odd nodes only.  Each
+q-product value depends only on its own argument and on the rows of its
+plan, and the direct table's plan is that of max|u| over the whole circle,
+i.e. the plan of one of the two halves.  So when every q-product took the
+same rows on both halves (the held table keeps the rows it was made with)
+the assembled table is the direct one; otherwise, or if the odd nodes
+raise, the full circle is evaluated.  A trapezoid ladder doubling N from 16
+to 512 thus evaluates each factor whose halves stay held on 512 nodes
+instead of 1008.
 """
 
 from __future__ import annotations
 
 import functools
-import struct
-from collections import OrderedDict
 from typing import NamedTuple
 
 import numpy as np
 
-from .qseries import DEFAULT_POLICY, elliptic_gamma, elliptic_gamma_recip
+from .errors import EllSelbergError
+from .qseries import (
+    DEFAULT_POLICY,
+    ByteLRU,
+    _bits,
+    _recorded,
+    elliptic_gamma,
+    elliptic_gamma_recip,
+)
 
 GAMMA, RECIP, MONO = "gamma", "recip", "mono"
 
-# Bytes of circle values the cache may hold.  Kept small: a benchmark that
-# re-imports the package keeps every old module copy, cache included, until
-# the cyclic collector runs (N = 512 tables are 8 KiB each).
-_TABLE_BYTES = 64 * 1024
+# Bytes of circle values the cache may hold: the eight 8 KiB tables of a
+# rank-1 Psi~ rung at N = 512 beside the N = 256 tables they are built from.
+# Kept small otherwise: a benchmark that re-imports the package keeps every
+# old module copy, cache included, until the cyclic collector runs.
+_TABLE_BYTES = 96 * 1024
 
 
 class Factor(NamedTuple):
@@ -84,8 +103,9 @@ class Lattice(list):
         return Lattice(self.N, self.k, scale)
 
 
-def _circle(N: int, s):
-    w = _roots(N)
+def _circle(N: int, s, odd=False):
+    """The circle s * exp(2 pi i m/N), m = 0..N-1, or only its odd m."""
+    w = _roots(N)[1::2] if odd else _roots(N)
     return w if s == 1 else s * w
 
 
@@ -133,40 +153,19 @@ def _fold(values):
     return out
 
 
-def _bits(x) -> bytes:
-    """x by its exact bits: == and hash take 0.0 and -0.0 as one number."""
-    return struct.pack("dd", x.real, x.imag)
+class _Table(NamedTuple):
+    """A factor's values on one circle and the rows of each q-product that
+    formed them, in call order."""
+
+    values: np.ndarray
+    plans: tuple
+
+    @property
+    def nbytes(self) -> int:
+        return self.values.nbytes
 
 
-class _Tables:
-    """Circle values by key, least recently used first, at most _TABLE_BYTES.
-
-    Not locked: the package evaluates on one thread.
-    """
-
-    def __init__(self):
-        self.entries, self.nbytes = OrderedDict(), 0
-
-    def get(self, key):
-        v = self.entries.get(key)
-        if v is not None:
-            self.entries.move_to_end(key)
-        return v
-
-    def put(self, key, v):
-        if v.nbytes > _TABLE_BYTES:
-            return
-        self.entries[key] = v
-        self.nbytes += v.nbytes
-        while self.nbytes > _TABLE_BYTES:
-            self.nbytes -= self.entries.popitem(last=False)[1].nbytes
-
-    def clear(self):
-        self.entries.clear()
-        self.nbytes = 0
-
-
-_tables = _Tables()
+_tables = ByteLRU(_TABLE_BYTES)
 
 
 def _on_circle(f, N, s, nomes, policy):
@@ -175,14 +174,32 @@ def _on_circle(f, N, s, nomes, policy):
     # p and q also enter Python arithmetic, where a float and a complex of
     # equal value can give a zero of another sign, so their types count too.
     p, q = nomes.p, nomes.q
-    key = (f.kind, _bits(f.c), f.alpha, f.pm, N, _bits(s),
+    key = (f.kind, _bits(f.c), f.alpha, f.pm, _bits(s),
            type(p), _bits(p), type(q), _bits(q), policy or DEFAULT_POLICY)
-    v = _tables.get(key)
-    if v is None:
-        v = _value(f, [_circle(N, s)], nomes, policy)
-        v.flags.writeable = False
-        _tables.put(key, v)
-    return v
+    table = _tables.get((N, *key))
+    if table is None:
+        half = _tables.get((N // 2, *key)) if N % 2 == 0 else None
+        table = _from_half(f, N, s, nomes, policy, half) if half else None
+        if table is None:
+            table = _Table(*_recorded(_value, f, [_circle(N, s)], nomes, policy))
+        table.values.flags.writeable = False
+        _tables.put((N, *key), table)
+    return table.values
+
+
+def _from_half(f, N, s, nomes, policy, half):
+    """f's table at N from its N/2 table and f on the odd nodes; None unless
+    every q-product took the rows of the half's."""
+    try:
+        odd, plans = _recorded(_value, f, [_circle(N, s, odd=True)], nomes, policy)
+    except EllSelbergError:
+        return None
+    if plans != half.plans:
+        return None
+    v = np.empty(N, dtype=complex)
+    v[0::2] = half.values
+    v[1::2] = odd
+    return _Table(v, plans)
 
 
 def evaluate(factors, z, nomes, policy=None):

@@ -16,11 +16,15 @@ one truncation rule: a factor (1 - p^mu q^nu u) is included iff
 and the analytic bound on sum |p^mu q^nu u| over the excluded indices is
 certified below tail_tol before a product is formed (TruncationError
 otherwise).  Products are evaluated in a fixed (mu outer, nu inner) order,
-so results are deterministic.  An array product builds its retained
-coefficients p^mu q^nu once and multiplies the factors of each block of
-columns in one reduction over the factor axis; the reduction keeps the
-fixed (mu, nu) order, so every element gets the same bits as a
-factor-by-factor loop.
+so results are deterministic.  An array product takes its retained
+coefficients p^mu q^nu as one read-only column from a memo keyed on p and q
+(by type and exact bits) and the rows, bounded at _COEFF_BYTES, and
+multiplies the factors of each block of columns in one reduction over the
+factor axis; the reduction keeps the fixed (mu, nu) order, so every element
+gets the same bits as a factor-by-factor loop.  Each element's value depends
+only on that element and the rows, which is what lets a kernel build a
+circle table from two halves (see ``kernel``); :func:`_recorded` tells it
+which rows formed a value.
 
 Closed forms multiply many Gamma factors; :func:`_gamma_product` evaluates
 them as one array call under the plan of the largest argument, which keeps
@@ -34,6 +38,8 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +52,13 @@ POLE_TOL = 1e-12
 # Column blocks of an array product are sized so that their (factors x
 # columns) temporary holds about 8192 complex values (128 KiB).
 _BLOCK = 8192
+
+# Bytes of coefficient columns the memo may hold.  One sweep_n1 pass forms
+# 10 932 array products from 59 distinct columns, 75 KB in all, and builds
+# 307 of them at this bound (the default suite: 4564 products, 77 builds).
+# A column under a large max_terms can take MBs and is then built on every
+# call.
+_COEFF_BYTES = 32 * 1024
 
 
 @dataclass(frozen=True)
@@ -121,15 +134,16 @@ def _rows(u_max: float, p_abs: float, log_q: float | None, tau: float, cap: int)
     return rows
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=64)
 def _plan(p_abs: float, q_abs: float, u_max: float, policy: TruncationPolicy):
     """Retained index ranges for the double product, plus the tail bound.
 
     Returns (rows, tail) where rows[mu] is the retained nu count for that mu
     (a tuple) and tail bounds sum |p^mu q^nu| * u_max over all excluded
     indices.  Raises TruncationError when the policy's max_terms cannot
-    certify tail < tail_tol.  Memoised on the exact arguments: a lattice
-    table repeats its u_max on every rung of a ladder.
+    certify tail < tail_tol.  Memoised on the exact arguments, 64 of them:
+    with circle tables cached, that keeps 97 % of the hits of 256 entries on
+    a sweep_n1 pass and 87 % on the default suite, in a quarter of the memory.
     """
     if u_max == 0.0:
         return (), 0.0
@@ -176,6 +190,42 @@ def _tail_bound(rows, p_abs: float, q_abs: float, u_max: float) -> float:
     return tail
 
 
+def _bits(x) -> bytes:
+    """x by its exact bits: == and hash take 0.0 and -0.0 as one number."""
+    return struct.pack("dd", x.real, x.imag)
+
+
+class ByteLRU:
+    """Values by key, least recently used first, at most ``limit`` bytes in all.
+
+    A value is a read-only array, or anything else with ``nbytes``; one
+    larger than the limit is not stored.  Not locked: the package evaluates
+    on one thread.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.entries, self.nbytes = OrderedDict(), 0
+
+    def get(self, key):
+        v = self.entries.get(key)
+        if v is not None:
+            self.entries.move_to_end(key)
+        return v
+
+    def put(self, key, v):
+        if v.nbytes > self.limit:
+            return
+        self.entries[key] = v
+        self.nbytes += v.nbytes
+        while self.nbytes > self.limit:
+            self.nbytes -= self.entries.popitem(last=False)[1].nbytes
+
+    def clear(self):
+        self.entries.clear()
+        self.nbytes = 0
+
+
 # Kept beside _prod_array: a 104-factor product takes 21 us here and 25 us as a 0-d array
 # (2-core Xeon, numpy 2.4), and returns a Python complex.
 def _prod_scalar(u: complex, p: complex, q: complex, rows) -> complex:
@@ -203,8 +253,25 @@ def _coefficients(p: complex, q: complex, rows) -> np.ndarray:
     return np.array(out, dtype=complex)
 
 
+_columns = ByteLRU(_COEFF_BYTES)
+
+
+def _coefficient_column(p: complex, q: complex, rows) -> np.ndarray:
+    """_coefficients(p, q, rows) as a read-only column, from the memo when held."""
+    # As in kernel: p and q enter Python arithmetic, where a float and a
+    # complex of equal value can give a zero of another sign, so types count.
+    key = (type(p), _bits(p), type(q), _bits(q), rows)
+    c = _columns.get(key)
+    if c is None:
+        c = _coefficients(p, q, rows)
+        c.flags.writeable = False
+        c = c[:, None]
+        _columns.put(key, c)
+    return c
+
+
 def _prod_array(u: np.ndarray, p: complex, q: complex, rows) -> np.ndarray:
-    c = _coefficients(p, q, rows)[:, None]
+    c = _coefficient_column(p, q, rows)
     if not len(c):
         return np.ones(u.shape, dtype=complex)
     flat = u.reshape(-1)
@@ -220,6 +287,21 @@ def _prod_array(u: np.ndarray, p: complex, q: complex, rows) -> np.ndarray:
     return acc.reshape(u.shape)
 
 
+# While _recorded runs, the rows of every plan _poch takes, in call order
+# (module state, like the memos: the package evaluates on one thread).
+_plan_log = None
+
+
+def _recorded(fn, *args):
+    """fn(*args) and the rows of each q-product it formed, as a tuple in call order."""
+    global _plan_log
+    _plan_log = plans = []
+    try:
+        return fn(*args), tuple(plans)
+    finally:
+        _plan_log = None
+
+
 def _poch(u, p: complex, q: complex, policy: TruncationPolicy | None, what: str | None = None):
     """(u; p, q)_inf under the plan of max|u|, the one path of every q-product.
 
@@ -230,6 +312,8 @@ def _poch(u, p: complex, q: complex, policy: TruncationPolicy | None, what: str 
     arr = np.asarray(u, dtype=complex)
     u_max = _abs_max(arr)
     rows, _ = _plan(abs(p), abs(q), u_max, policy or DEFAULT_POLICY)
+    if _plan_log is not None:
+        _plan_log.append(rows)
     if what is not None:
         _pole_scan(np.atleast_1d(arr), u_max, p, q, rows, what)
     if arr.ndim == 0:

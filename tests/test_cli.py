@@ -139,6 +139,21 @@ class TestVerifyExplicit:
         assert code == 2
         assert "count" in captured.err and "reports" not in captured.out
 
+    @pytest.mark.parametrize("via_file", [False, True], ids=["option", "config_file"])
+    def test_grid_below_the_minimum_is_a_usage_error(self, capsys, tmp_path, via_file):
+        # not "6 reports, 0 passed, 6 failed", each on a budget below N = 16
+        args = ["verify", "--scenario", "eval_formula"]
+        if via_file:
+            cfg = tmp_path / "verify.cfg"
+            cfg.write_text("grid = 8\n")
+            args += ["--config", str(cfg)]
+        else:
+            args += ["--grid", "8"]
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "grid" in captured.err and "reports" not in captured.out
+
     def test_explicit_needs_scenario(self, capsys):
         code = main([
             "verify", "--n", "1", "--p", "0.05", "--q", "0.07",

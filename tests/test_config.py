@@ -102,6 +102,17 @@ class TestLoad:
         with pytest.raises(ConfigurationError, match="count"):
             load_config(str(path), Config())
 
+    @pytest.mark.parametrize("grid", ["8", "15", "0"])
+    def test_grid_below_the_minimum_rejected(self, tmp_path, grid):
+        # every quadrature report of the run would fail on its budget
+        path = tmp_path / "verify.cfg"
+        path.write_text(f"grid = {grid}\n")
+        with pytest.raises(ConfigurationError, match="grid must be at least 16"):
+            load_config(str(path), Config())
+
+    def test_grid_at_the_minimum_accepted(self):
+        assert parse_config("grid = 16", Config()).grid == 16
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
             load_config(str(tmp_path / "absent.cfg"), Config())

@@ -17,7 +17,7 @@ from ellselberg import (
 )
 from ellselberg import kernel
 from ellselberg.integrand import _bc_kernel, psi_tilde_alt
-from ellselberg.kernel import GAMMA, Factor, Lattice, evaluate, pm
+from ellselberg.kernel import GAMMA, MONO, RECIP, Factor, Lattice, evaluate, pm
 from ellselberg.quadrature import _nabla_pointwise
 from ellselberg.report import to_json
 
@@ -164,9 +164,9 @@ def test_cached_tables_are_read_only_and_reused(counted):
     first = psi_tilde(grid, pq_set(2), NM)
     assert counted[0] > 0 and kernel._tables.entries
     for table in kernel._tables.entries.values():
-        assert not table.flags.writeable
+        assert not table.values.flags.writeable
         with pytest.raises(ValueError):
-            table[0] = 0
+            table.values[0] = 0
     counted.append(0)
     again = psi_tilde(grid, pq_set(2), NM)
     assert counted[1] == 0
@@ -196,3 +196,101 @@ def test_pole_error_is_raised_again_and_stores_nothing():
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     assert not kernel._tables.entries
+
+
+# One factor of each kind; "pair" is a rank-2 group, written on the circle
+# w with c = 0.45 s^{+-1}.
+HALF_FACTORS = {
+    "gamma": (1, [Factor(GAMMA, 0.61 * np.exp(0.4j), ((0, 1),))]),
+    "recip": (1, [Factor(RECIP, 0.3 + 0.1j, ((0, -2),))]),
+    "mono": (1, [Factor(MONO, 0.8 - 0.2j, ((0, -1),))]),
+    "pm": (1, [pm(GAMMA, 0.55 * np.exp(-0.9j))]),
+    "pair": (2, [Factor(GAMMA, 0.45, ((0, 1), (1, -1)), True)]),
+}
+HALF_SCALES = {"1": 1, "q": NM.q, "turned": 0.7 * np.exp(0.3j)}
+
+
+@pytest.fixture
+def assembled(monkeypatch):
+    """Tables built from their held halves, one count per call of the fixture."""
+    built = []
+    from_half = kernel._from_half
+
+    def counting(*args):
+        table = from_half(*args)
+        built[-1] += table is not None
+        return table
+
+    monkeypatch.setattr(kernel, "_from_half", counting)
+    return built
+
+
+@pytest.mark.parametrize("scale", sorted(HALF_SCALES))
+@pytest.mark.parametrize("name", sorted(HALF_FACTORS))
+def test_table_from_its_half_is_the_direct_table_bitwise(assembled, name, scale):
+    n, factors = HALF_FACTORS[name]
+    s = HALF_SCALES[scale]
+    for N in (32, 64, 128, 256, 512):
+        grid = QuadratureGrid(n, N).nodes().scaled(0, s)
+        half = QuadratureGrid(n, N // 2).nodes().scaled(0, s)
+        kernel._tables.clear()
+        direct = evaluate(factors, grid, NM)
+        kernel._tables.clear()
+        evaluate(factors, half, NM)
+        assembled.append(0)
+        got = evaluate(factors, grid, NM)
+        # a pm pair factor is two groups, each with its own table
+        at_N = sum(key[0] == N for key in kernel._tables.entries)
+        assert assembled[-1] == at_N >= len(factors)
+        assert got.tobytes() == direct.tobytes()
+
+
+def test_plan_disagreement_falls_back_to_the_full_circle(monkeypatch):
+    f, N = pm(GAMMA, 0.55 * np.exp(-0.9j)), 64
+    kernel._tables.clear()
+    direct = kernel._on_circle(f, N, 1, NM, None)
+    kernel._tables.clear()
+    kernel._on_circle(f, N // 2, 1, NM, None)
+    sizes, recorded = [], kernel._recorded
+
+    def disagreeing(fn, f, zs, nomes, policy):
+        # the odd nodes' last q-product keeps one factor more than the half's
+        value, plans = recorded(fn, f, zs, nomes, policy)
+        sizes.append(zs[0].size)
+        return value, plans[:-1] + ((plans[-1][0] + 1,) + plans[-1][1:],)
+
+    monkeypatch.setattr(kernel, "_recorded", disagreeing)
+    table = kernel._on_circle(f, N, 1, NM, None)
+    assert sizes == [N // 2, N]  # the odd nodes, then the full circle
+    assert table.tobytes() == direct.tobytes()
+
+
+def test_pole_on_an_odd_node_raises_and_stores_nothing():
+    N = 32
+    factors = [Factor(GAMMA, 1.0 / np.exp(2j * np.pi * 3 / N), ((0, 1),))]
+    kernel._tables.clear()
+    with pytest.raises(PoleProximityError) as direct:
+        evaluate(factors, QuadratureGrid(1, N).nodes(), NM)
+    kernel._tables.clear()
+    evaluate(factors, QuadratureGrid(1, N // 2).nodes(), NM)  # no pole on the even nodes
+    held = list(kernel._tables.entries)
+    with pytest.raises(PoleProximityError) as err:
+        evaluate(factors, QuadratureGrid(1, N).nodes(), NM)
+    assert str(err.value) == str(direct.value)
+    assert list(kernel._tables.entries) == held
+
+
+def test_rank1_ladder_evaluates_each_factor_on_the_new_nodes_only(counted):
+    # 16 + 16 + 32 + ... + 256 = 512 nodes per factor up to N = 512, where
+    # a ladder that evaluates every rung in full takes 16 + ... + 512 = 1008
+    ps = pq_set(1)
+    rungs = [QuadratureGrid(1, N).nodes() for N in (16, 32, 64, 128, 256, 512)]
+    counted.append(0)
+    for grid in rungs:
+        kernel._tables.clear()
+        psi_tilde(grid, ps, NM)
+    counted.append(0)
+    kernel._tables.clear()
+    for grid in rungs:
+        psi_tilde(grid, ps, NM)
+    assert counted[1] <= 0.55 * counted[0]

@@ -305,6 +305,76 @@ def test_prod_array_single_row_and_empty_input():
     assert qseries._prod_array(u[:0], *PROD_NOMES, PROD_ROWS).shape == (0, 3)
 
 
+MEMO_KEYS = [
+    (0.05 + 0.02j, 0.12 - 0.03j, PROD_ROWS),
+    (0.05, 0.12, (30, 20, 8)),
+    (0.0, 0.3 + 0.1j, (25,)),
+    (-0.0, 0.12, (9, 3)),
+]
+
+
+@pytest.mark.parametrize("p,q,rows", MEMO_KEYS)
+def test_coefficient_memo_is_coefficients_bitwise(p, q, rows):
+    qseries._columns.clear()
+    cold = qseries._coefficient_column(p, q, rows)
+    warm = qseries._coefficient_column(p, q, rows)
+    assert warm is cold and cold.shape == (sum(rows), 1)
+    assert cold.tobytes() == qseries._coefficients(p, q, rows).tobytes()
+
+
+def test_coefficient_memo_is_read_only():
+    qseries._columns.clear()
+    column = qseries._coefficient_column(*PROD_NOMES, PROD_ROWS)
+    (held,) = qseries._columns.entries.values()
+    assert held is column and not column.flags.writeable
+    with pytest.raises(ValueError):
+        column[0, 0] = 0
+    with pytest.raises(ValueError):
+        column.base[0] = 0
+
+
+def test_coefficient_memo_holds_at_most_its_byte_bound():
+    qseries._columns.clear()
+    for m in range(1, 200):
+        qseries._coefficient_column(0.05, 0.12, (m, 3))
+        held = sum(c.nbytes for c in qseries._columns.entries.values())
+        assert held == qseries._columns.nbytes <= qseries._COEFF_BYTES
+    assert len(qseries._columns.entries) > 1
+    # a column over the bound is formed, not held
+    rows = (qseries._COEFF_BYTES // 16 + 1,)
+    qseries._columns.clear()
+    big = qseries._coefficient_column(0.0, 0.5, rows)
+    assert big.tobytes() == qseries._coefficients(0.0, 0.5, rows).tobytes()
+    assert not qseries._columns.entries
+
+
+def test_coefficient_memo_keeps_types_and_signed_zeros_apart():
+    # 0.0 == -0.0 == 0j, but the recurrence's products differ in the sign
+    # of their zeros, so each nome gets its own column
+    qseries._columns.clear()
+    rows = (4, 3)
+    nomes = [(0.0, 0.12), (-0.0, 0.12), (0j, 0.12), (0.0, 0.12 + 0j), (0.0, -0.0 + 0.12j)]
+    columns = [qseries._coefficient_column(p, q, rows) for p, q in nomes]
+    assert len(qseries._columns.entries) == len(nomes)
+    for (p, q), column in zip(nomes, columns):
+        assert column.tobytes() == qseries._coefficients(p, q, rows).tobytes()
+    assert columns[0].tobytes() != columns[1].tobytes()
+
+
+def test_recorded_logs_the_rows_of_each_product_in_call_order():
+    nomes = Nomes(0.05, 0.12)
+    u = random_points((64,), 3)
+    value, plans = qseries._recorded(elliptic_gamma, u, nomes)
+    assert value.tobytes() == elliptic_gamma(u, nomes).tobytes()
+    # the denominator (u; p, q) first, then the numerator (pq/u; p, q)
+    expected = tuple(
+        qseries._plan(0.05, 0.12, float(np.max(np.abs(v))), TruncationPolicy())[0]
+        for v in (u, nomes.pq / u)
+    )
+    assert plans == expected
+    assert qseries._plan_log is None
+
+
 def test_plan_cold_and_warm_cache_agree():
     args = (0.05, 0.12, 0.731, TruncationPolicy())
     qseries._plan.cache_clear()
