@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigurationError
 from .qseries import DEFAULT_POLICY, TruncationPolicy
-from .quadrature import MIN_POINTS
+from .quadrature import MIN_BUDGET
 from .sampling import DEFAULT_BOX, SafeBox
 
 
@@ -34,8 +34,8 @@ class Config:
     def __post_init__(self):
         if self.count is not None and self.count < 1:
             raise ConfigurationError(f"count must be at least 1, got {self.count}")
-        if self.grid is not None and self.grid < MIN_POINTS:
-            raise ConfigurationError(f"grid must be at least {MIN_POINTS}, got {self.grid}")
+        if self.grid is not None and self.grid < MIN_BUDGET:
+            raise ConfigurationError(f"grid must be at least {MIN_BUDGET}, got {self.grid}")
 
 
 # The record each file key belongs to: None for Config's own fields.

@@ -23,6 +23,8 @@ from .kernel import GAMMA, MONO, RECIP, Factor, Lattice, evaluate
 from .qseries import Nomes, TruncationPolicy
 
 MIN_POINTS = 16
+# The smallest usable budget: a ladder needs two rungs to take a difference.
+MIN_BUDGET = 2 * MIN_POINTS
 
 
 def default_budget(n: int) -> int:
@@ -117,8 +119,8 @@ def torus_integrate(
     """
     if budget is None:
         budget = default_budget(n)
-    if budget < MIN_POINTS:
-        raise DomainError(f"budget {budget} below the minimum grid {MIN_POINTS}")
+    if budget < MIN_BUDGET:
+        raise DomainError(f"budget {budget} below the minimum {MIN_BUDGET}: a ladder needs two rungs")
     res = _ladder(f, n, tol, budget)
     if not res.converged:
         coarse = res.history[-2][1] if len(res.history) >= 2 else np.inf

@@ -154,6 +154,13 @@ class TestVerifyExplicit:
         assert code == 2
         assert "grid" in captured.err and "reports" not in captured.out
 
+    def test_grid_of_one_rung_is_a_usage_error(self, capsys):
+        # not "6 reports, 0 passed, 6 failed", each stalled at N = 16
+        code = main(["verify", "--scenario", "eval_formula", "--grid", "16"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "grid must be at least 32" in captured.err and "reports" not in captured.out
+
     def test_explicit_needs_scenario(self, capsys):
         code = main([
             "verify", "--n", "1", "--p", "0.05", "--q", "0.07",

@@ -102,16 +102,17 @@ class TestLoad:
         with pytest.raises(ConfigurationError, match="count"):
             load_config(str(path), Config())
 
-    @pytest.mark.parametrize("grid", ["8", "15", "0"])
+    @pytest.mark.parametrize("grid", ["8", "15", "0", "16", "31"])
     def test_grid_below_the_minimum_rejected(self, tmp_path, grid):
-        # every quadrature report of the run would fail on its budget
+        # every quadrature report of the run would fail: below 16 on its
+        # budget, below 32 on a ladder of one rung
         path = tmp_path / "verify.cfg"
         path.write_text(f"grid = {grid}\n")
-        with pytest.raises(ConfigurationError, match="grid must be at least 16"):
+        with pytest.raises(ConfigurationError, match="grid must be at least 32"):
             load_config(str(path), Config())
 
     def test_grid_at_the_minimum_accepted(self):
-        assert parse_config("grid = 16", Config()).grid == 16
+        assert parse_config("grid = 32", Config()).grid == 32
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):

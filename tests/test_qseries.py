@@ -29,6 +29,7 @@ from ellselberg import (
 )
 from ellselberg import qseries
 from ellselberg.integrand import _dual_of_zero
+from ellselberg.residues import cn_recurrence_check
 from ellselberg.scenarios import _da_closed
 
 import oracles
@@ -373,6 +374,127 @@ def test_recorded_logs_the_rows_of_each_product_in_call_order():
     )
     assert plans == expected
     assert qseries._plan_log is None
+
+
+@pytest.fixture
+def scalar_memo():
+    """The scalar product memo, emptied."""
+    qseries._scalars.clear()
+    return qseries._scalars
+
+
+@pytest.fixture
+def scalar_products(monkeypatch):
+    """The arguments (u, p, q, rows) of every _prod_scalar call, in call order."""
+    seen = []
+    prod_scalar = qseries._prod_scalar
+
+    def counting(u, p, q, rows):
+        seen.append((qseries._bits(u), type(p), qseries._bits(p), type(q), qseries._bits(q), rows))
+        return prod_scalar(u, p, q, rows)
+
+    monkeypatch.setattr(qseries, "_prod_scalar", counting)
+    return seen
+
+
+def direct(u, p, q, policy=None, what=None):
+    """The scalar product without the memo."""
+    return qseries._direct(np.asarray(u, dtype=complex), p, q, policy or TruncationPolicy(), what)[0]
+
+
+SCALAR_NOMES = Nomes(0.07 + 0.02j, 0.11)
+
+
+def test_scalar_memo_hit_is_the_cold_value_bitwise(scalar_memo, scalar_products):
+    u = 0.37 - 0.21j
+    evaluators = (
+        lambda: qpoch_inf(u, SCALAR_NOMES.q),
+        lambda: double_poch_inf(u, SCALAR_NOMES),
+        lambda: elliptic_gamma(u, SCALAR_NOMES),
+        lambda: elliptic_gamma_recip(u, SCALAR_NOMES),
+        lambda: theta(u, SCALAR_NOMES.p),
+    )
+    for f in evaluators:
+        cold = f()
+        formed = len(scalar_products)
+        warm = f()
+        assert len(scalar_products) == formed  # every product came from the memo
+        assert type(warm) is type(cold) is complex
+        assert np.array(warm).tobytes() == np.array(cold).tobytes()
+    # each held value and its rows are those of the direct path
+    for (key, type_p, type_q, policy, what), (value, rows) in scalar_memo.items():
+        u_re, u_im, p_re, p_im, q_re, q_im = np.frombuffer(key, dtype=float).tolist()
+        p = complex(p_re, p_im) if type_p is complex else type_p(p_re)
+        q = complex(q_re, q_im) if type_q is complex else type_q(q_re)
+        z = complex(u_re, u_im)
+        assert np.array(value).tobytes() == np.array(direct(z, p, q, policy, what)).tobytes()
+        assert rows == qseries._plan(abs(p), abs(q), float(np.abs(z)), policy)[0]
+
+
+def test_scalar_memo_keeps_types_and_signed_zeros_apart(scalar_memo):
+    # 0.0 == -0.0 == 0j, but a nome enters Python arithmetic by its type
+    # and sign, so each gets its own entry and its own direct value
+    u = 0.45 + 0.2j
+    nomes = [(0.0, 0.12), (-0.0, 0.12), (0j, 0.12), (0.0, 0.12 + 0j), (0.0, -0.0 + 0.12j)]
+    for p, q in nomes:
+        value = double_poch_inf(u, Nomes(p, q))
+        assert np.array(value).tobytes() == np.array(direct(u, p, q)).tobytes()
+    assert len(scalar_memo) == len(nomes)
+    # the argument by its bits as well: -0.0 is not 0.0
+    qpoch_inf(0.0, 0.3)
+    qpoch_inf(-0.0, 0.3)
+    assert len(scalar_memo) == len(nomes) + 2
+
+
+def test_scalar_memo_stores_no_error(scalar_memo):
+    nm = Nomes(0.05, 0.12)
+    pole = (1.0 + 1e-14) / (nm.p * nm.q**2)
+    # the product itself has a value there: held without the pole scan ...
+    double_poch_inf(pole, nm)
+    held = dict(scalar_memo)
+    for _ in range(3):
+        # ... which does not stand in for the product that scans
+        with pytest.raises(PoleProximityError) as info:
+            elliptic_gamma(pole, nm)
+        assert (info.value.mu, info.value.nu) == (1, 2)
+        assert dict(scalar_memo) == held
+    tight = TruncationPolicy(tail_tol=1e-14, max_terms=4)
+    for _ in range(3):
+        with pytest.raises(TruncationError):
+            double_poch_inf(0.9, Nomes(0.5, 0.5), tight)
+        assert dict(scalar_memo) == held
+
+
+def test_scalar_memo_holds_at_most_its_bound(scalar_memo, scalar_products):
+    us = [0.3 + 0.001 * k for k in range(3 * qseries._SCALAR_ENTRIES)]
+    for u in us:
+        qpoch_inf(u, 0.2)
+        assert len(scalar_memo) <= qseries._SCALAR_ENTRIES
+    assert len(scalar_memo) == qseries._SCALAR_ENTRIES
+    # the most recent products are held, the oldest formed again
+    formed = len(scalar_products)
+    qpoch_inf(us[-1], 0.2)
+    assert len(scalar_products) == formed
+    qpoch_inf(us[0], 0.2)
+    assert len(scalar_products) == formed + 1
+
+
+def test_scalar_memo_hit_logs_the_rows_of_a_miss(scalar_memo):
+    nm = Nomes(0.05, 0.12)
+    cold = qseries._recorded(elliptic_gamma, 0.6 + 0.3j, nm)
+    warm = qseries._recorded(elliptic_gamma, 0.6 + 0.3j, nm)
+    assert len(cold[1]) == 2
+    assert warm == cold
+    assert qseries._plan_log is None
+
+
+def test_cn_recurrence_forms_each_scalar_product_once(scalar_memo, scalar_products):
+    # a memo that is bypassed would pass every numeric test; here it shows
+    # as repeated products (c_n and c_(n-1) share all but one Gamma factor)
+    for n in range(1, 6):
+        cn_recurrence_check(n, 0.42 + 0.05j, Nomes(0.05, 0.12))
+    assert scalar_products
+    assert len(scalar_products) == len(set(scalar_products))
 
 
 def test_plan_cold_and_warm_cache_agree():
