@@ -27,30 +27,20 @@ from .invariants import (
     ParameterSet,
     boundary_expectation_ratio,
     coefficient_c,
-    e0_closed,
-    en_closed,
     fundamental_invariant,
-    phi_test_function,
 )
 from .integrand import (
-    DomainClass,
     PoleSets,
-    TorusPoint,
     c_constant,
-    domain_classify,
     j_closed,
     pole_sets,
     psi,
     psi_tilde,
-    qshift_ratio_a,
-    qshift_ratio_z,
-    w0_window,
 )
 from .quadrature import (
     QuadratureGrid,
     QuadResult,
     default_budget,
-    expectation,
     nabla_quad,
     torus_integrate,
 )
@@ -58,7 +48,6 @@ from .residues import (
     cn_recurrence_check,
     continued_integral_n1,
     lim_pinch_J,
-    residue_gamma_pm,
     richardson_limit,
 )
 from .sampling import SafeBox, SampleStats, sample_da_parameters, sample_parameters

@@ -36,6 +36,9 @@ class Config:
             raise ConfigurationError(f"count must be at least 1, got {self.count}")
         if self.grid is not None and self.grid < MIN_BUDGET:
             raise ConfigurationError(f"grid must be at least {MIN_BUDGET}, got {self.grid}")
+        # inf passes every report; 0, a negative or nan fails every one
+        if self.tol is not None and not 0 < self.tol < float("inf"):
+            raise ConfigurationError(f"tol must be finite and positive, got {self.tol}")
 
 
 # The record each file key belongs to: None for Config's own fields.

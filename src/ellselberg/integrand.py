@@ -1,4 +1,4 @@
-"""Torus integrand kernels, their q-shift ratios, and domain bookkeeping.
+"""Torus integrand kernels, the closed-form products c_n and J, and pole sets.
 
 The central object is the n-variable kernel
 
@@ -15,8 +15,8 @@ argument is exp(0) = 1).  Pointwise, z_i = z_j^{-1} gives an exact zero only
 where z_i z_j rounds to 1 (2 of 16 such nodes on a rank-2, N = 16 grid), and
 z_i = exp(i pi) leaves |Psi| near 1e-30 on both paths.
 
-All kernels accept z as a TorusPoint, a length-n sequence of complex values,
-or a length-n sequence of equal-shape complex arrays (elementwise grids).
+All kernels accept z as a length-n sequence of nonzero complex values or of
+equal-shape complex arrays (elementwise grids).
 Each kernel is one factor list (see :mod:`.kernel`): a quadrature node list
 (a Lattice) is evaluated by per-factor tables, any other input pointwise.
 """
@@ -26,49 +26,20 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
-from .invariants import BalancingMode, ParameterSet
+from .errors import DomainError
+from .invariants import ParameterSet
 from .kernel import GAMMA, RECIP, Factor, Lattice, evaluate, pm
-from .qseries import (
-    Nomes,
-    TruncationPolicy,
-    _euler_pair,
-    _gamma_product,
-    elliptic_gamma,
-    theta,
-    theta_pm,
-)
-
-
-@dataclass(frozen=True)
-class TorusPoint:
-    """A point of (C^*)^n, stored as a tuple of nonzero complex coordinates."""
-
-    values: tuple[complex, ...]
-
-    def __post_init__(self):
-        vals = tuple(complex(v) for v in self.values)
-        if any(v == 0 for v in vals):
-            raise DomainError("torus point coordinates must be nonzero")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
+from .qseries import Nomes, TruncationPolicy, _euler_pair, _gamma_product, elliptic_gamma
 
 
 def _z_list(z, n: int) -> list:
     """Normalize z to a list of n scalars or equal-shape arrays (a Lattice as is)."""
     if isinstance(z, Lattice) and len(z) == n:
         return z
-    if isinstance(z, TorusPoint):
-        vals = list(z.values)
-    else:
-        vals = list(z)
+    vals = list(z)
     if len(vals) != n:
         raise DomainError(f"expected {n} torus coordinates, got {len(vals)}")
     out = []
@@ -156,89 +127,6 @@ def psi_tilde(z, params: ParameterSet, nomes: Nomes, policy: TruncationPolicy | 
     unlike :func:`psi` no dual-parameter limit is implied.
     """
     return evaluate(_psi_kernel(params, nomes, tilde=True), _z_list(z, params.n), nomes, policy)
-
-
-def psi_tilde_alt(z, params: ParameterSet, nomes: Nomes,
-                  policy: TruncationPolicy | None = None):
-    """Psi~ written with Gamma(q a_6^-1 z_i^{+-1}) in the denominator.
-
-    Equal to :func:`psi_tilde` by the reflection Gamma(u) Gamma(pq/u) = 1;
-    kept as an independent evaluation path for validation.  The reflection
-    degenerates at p = 0, where only :func:`psi_tilde` is defined.
-    """
-    if nomes.p == 0:
-        raise DomainError("the reflected kernel form needs p != 0")
-    per = [pm(GAMMA, am) for am in params.a[:5]] + [pm(RECIP, nomes.q / params.a[5])]
-    kernel = _bc_kernel(per, params.t, range(params.n))
-    return evaluate(kernel, _z_list(z, params.n), nomes, policy)
-
-
-def qshift_ratio_z(
-    i: int,
-    z,
-    params: ParameterSet,
-    nomes: Nomes,
-    policy: TruncationPolicy | None = None,
-):
-    """Closed theta form of T_{q,z_i} Psi~ / Psi~ (z_i multiplied by q).
-
-    Equals
-
-      -(q z_i)^-2 theta(q^-2 z_i^-2; p) / (z_i^2 theta(z_i^2; p))
-      * prod_{m=1}^6 theta(a_m z_i; p) / theta(q^-1 a_m z_i^-1; p)
-      * prod_{k != i} theta(t z_i z_k^{+-1}; p) theta(q^-1 z_i^-1 z_k^{+-1}; p)
-                     / [theta(q^-1 t z_i^-1 z_k^{+-1}; p) theta(z_i z_k^{+-1}; p)]
-
-    with the plain a_6 (the p of Psi~'s sixth entry is absorbed by the
-    prefactor).  Matches the direct quotient psi_tilde(.., q z_i, ..)/psi_tilde(z).
-    """
-    if not 1 <= i <= params.n:
-        raise DomainError(f"need 1 <= i <= n, got i={i}")
-    zs = _z_list(z, params.n)
-    p, q, t = nomes.p, nomes.q, params.t
-    zi = zs[i - 1]
-    out = -((q * zi) ** -2) * theta(q**-2 * zi**-2, p, policy) / (
-        zi**2 * theta(zi**2, p, policy)
-    )
-    for am in params.a:
-        out = out * theta(am * zi, p, policy) / theta(am / (q * zi), p, policy)
-    for k in range(1, params.n + 1):
-        if k == i:
-            continue
-        zk = zs[k - 1]
-        out = (
-            out
-            * theta_pm(t * zi, zk, p, policy)
-            * theta_pm(1.0 / (q * zi), zk, p, policy)
-            / theta_pm(t / (q * zi), zk, p, policy)
-            / theta_pm(zi, zk, p, policy)
-        )
-    return out
-
-
-def qshift_ratio_a(
-    m: int,
-    z,
-    params: ParameterSet,
-    nomes: Nomes,
-    policy: TruncationPolicy | None = None,
-):
-    """Closed theta form of T_{q,a_m} Psi~ / Psi~ (a_m multiplied by q).
-
-    For m <= 5 this is prod_i theta(a_m z_i^{+-1}; p); for m = 6 it is
-    a_6^(-2n) prod_i theta(a_6 z_i^{+-1}; p).
-    """
-    if not 1 <= m <= 6:
-        raise DomainError(f"need 1 <= m <= 6, got m={m}")
-    zs = _z_list(z, params.n)
-    p = nomes.p
-    am = params.a[m - 1]
-    out = 1.0 + 0.0j
-    for zi in zs:
-        out = out * theta_pm(am, zi, p, policy)
-    if m == 6:
-        out = out * am ** (-2 * params.n)
-    return out
 
 
 def j_closed(params: ParameterSet, nomes: Nomes,
@@ -345,69 +233,3 @@ def pole_sets(params: ParameterSet, nomes: Nomes, r: float) -> PoleSets:
             pm_val /= p
             mu += 1
     return PoleSets(s0=tuple(s0), s_inf=tuple(s_inf), window=(r, r_hi))
-
-
-class DomainClass(Enum):
-    """Nested parameter domains, deepest applicable class reported."""
-
-    OUTSIDE = "outside"
-    U = "U"
-    U0 = "U0"
-    V0 = "V0"
-    W0 = "W0"
-
-
-def domain_classify(
-    params: ParameterSet,
-    nomes: Nomes,
-    r: float | None = None,
-    s: float | None = None,
-) -> DomainClass:
-    """Classify the parameter set by strict membership.
-
-    U: all |a_m| < 1.  U0: additionally |a_1...a_5| > |p q| / |t|^(2n-2).
-    V0: |a_1...a_5| > |p| / |t|^(2n-2).  W0 (only checked when the window
-    (r, s) is supplied): additionally s r < |a_m| < r for m <= 5.
-    """
-    if any(abs(v) >= 1 for v in params.a):
-        return DomainClass.OUTSIDE
-    t_pow = abs(params.t) ** (2 * params.n - 2)
-    prod5 = 1.0
-    for v in params.a[:5]:
-        prod5 *= abs(v)
-    if not prod5 > abs(nomes.pq) / t_pow:
-        return DomainClass.U
-    if not prod5 > abs(nomes.p) / t_pow:
-        return DomainClass.U0
-    if r is not None and s is not None:
-        if all(s * r < abs(v) < r for v in params.a[:5]):
-            return DomainClass.W0
-    return DomainClass.V0
-
-
-def w0_window(nomes: Nomes, t: complex, n: int) -> tuple[float, float]:
-    """Solve the W0 window inequalities for (r, s).
-
-    Requires 0 < r < |q|^(1/4), r^4 |t|^(n-1) <= s < |q| and
-    |p| <= s^5 r^5 |t|^(2n-2); feasible whenever |p| < |q|^(25/4) |t|^(2n-2).
-    Returns the (r, s) with the widest relative s margin.
-    """
-    q_abs, p_abs, t_abs = abs(nomes.q), abs(nomes.p), abs(t)
-    if q_abs == 0:
-        raise ConfigurationError("W0 window needs q != 0")
-    best = None
-    for frac in np.linspace(0.30, 0.995, 60):
-        r = q_abs**0.25 * float(frac)
-        s_lo = r**4 * t_abs ** (n - 1)
-        if p_abs > 0:
-            s_lo = max(s_lo, (p_abs / (r**5 * t_abs ** (2 * n - 2))) ** 0.2)
-        s_hi = q_abs
-        if s_lo < s_hi:
-            margin = s_hi / s_lo
-            if best is None or margin > best[0]:
-                best = (margin, r, math.sqrt(s_lo * s_hi))
-    if best is None:
-        raise ConfigurationError(
-            f"W0 window infeasible for |p|={p_abs}, |q|={q_abs}, |t|={t_abs}, n={n}"
-        )
-    return best[1], best[2]

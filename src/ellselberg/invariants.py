@@ -16,8 +16,7 @@ The invariant family E_r(a, b; z), 0 <= r <= n, is the theta-function sum
       prod_k theta(b t^(i_k-k) z_(i_k)^{+-1}) / theta(b t^(i_k-k) (a t^(k-1))^{+-1})
     * prod_l theta(a t^(j_l-l) z_(j_l)^{+-1}) / theta(a t^(j_l-l) (b t^(l-1))^{+-1})
 
-with all thetas at nome p.  E_0 and E_n collapse to single products, closed
-forms of which are exposed separately.
+with all thetas at nome p.
 """
 
 from __future__ import annotations
@@ -147,14 +146,6 @@ class ParameterSet:
         a[m - 1] = complex(value)
         return replace(self, a=tuple(a), balancing_mode=None)
 
-    def resolved(self, nomes: Nomes, mode: BalancingMode | None = None) -> "ParameterSet":
-        """Re-solve the solved entry for the (possibly new) mode's target."""
-        mode = mode or self.balancing_mode
-        if mode is None:
-            raise DomainError("cannot re-solve without a balancing mode")
-        free = [v for m, v in enumerate(self.a, start=1) if m != self.solved_index]
-        return ParameterSet.solved(self.n, self.t, free, nomes, mode, self.solved_index)
-
 
 def _target(mode: BalancingMode | None, nomes: Nomes) -> complex:
     """The value of a_1 ... a_6 t^(2n-2) under mode; DomainError for None."""
@@ -223,22 +214,6 @@ def fundamental_invariant(
     return total
 
 
-def e0_closed(a: complex, b: complex, z, t: complex, p: complex,
-              policy: TruncationPolicy | None = None):
-    """Closed form E_0(a, b; z) = prod_i theta(a z_i^{+-1}) / theta(a (b t^(i-1))^{+-1})."""
-    out = 1.0 + 0.0j
-    for i, w in enumerate(z, start=1):
-        den = _theta_den(theta_pm(a, b * t ** (i - 1), p, policy), f"a (b t^{i - 1})^(+-1)")
-        out = out * theta_pm(a, w if np.isscalar(w) else np.asarray(w, dtype=complex), p, policy) / den
-    return out
-
-
-def en_closed(a: complex, b: complex, z, t: complex, p: complex,
-              policy: TruncationPolicy | None = None):
-    """Closed form E_n(a, b; z) = prod_i theta(b z_i^{+-1}) / theta(b (a t^(i-1))^{+-1})."""
-    return e0_closed(b, a, z, t, p, policy)
-
-
 def coefficient_c(
     r: int,
     params: ParameterSet,
@@ -278,57 +253,6 @@ def coefficient_c(
         am = params.a[m - 1]
         out *= theta(am * a6 * t ** (n - r), p, policy) / th_den(
             am * a1 * t ** (r - 1), f"a_{m} a1 t^(r-1)"
-        )
-    return out
-
-
-def _f_minus(i: int, params: ParameterSet, nomes: Nomes, z, policy=None):
-    """F_i^-(z): the single-sign theta kernel used by the phi test functions.
-
-    F_i^-(z) = [prod_m theta(a_m z_i^-1; p)] / (z_i^-2 theta(z_i^-2; p))
-               * prod_{j != i} theta(t z_i^-1 z_j^{+-1}; p) / theta(z_i^-1 z_j^{+-1}; p)
-
-    Not defined at z_i^2 = 1 or z_i = z_j^{+-1} (simple poles; the companion
-    kernel's zeros cancel them only in fused evaluation).
-    """
-    p, t = nomes.p, params.t
-    zi = z[i - 1]
-    zi = complex(zi) if np.isscalar(zi) else np.asarray(zi, dtype=complex)
-    inv = 1.0 / zi
-    out = 1.0 + 0.0j
-    for am in params.a:
-        out = out * theta(am * inv, p, policy)
-    out = out / (inv**2 * theta(inv**2, p, policy))
-    for j in range(1, params.n + 1):
-        if j == i:
-            continue
-        zj = z[j - 1]
-        zj = complex(zj) if np.isscalar(zj) else np.asarray(zj, dtype=complex)
-        out = out * theta_pm(t * inv, zj, p, policy) / theta_pm(inv, zj, p, policy)
-    return out
-
-
-def phi_test_function(
-    r: int,
-    i: int,
-    params: ParameterSet,
-    nomes: Nomes,
-    z,
-    policy: TruncationPolicy | None = None,
-):
-    """phi_(r,i)(z) = F_i^-(z) * E_(r-1)^(n-1)(a_1, a_6; z with z_i omitted).
-
-    For n = 1 the invariant factor is empty and phi = F_1^-.
-    """
-    if not 1 <= r <= params.n:
-        raise DomainError(f"need 1 <= r <= n, got r={r}")
-    if not 1 <= i <= params.n:
-        raise DomainError(f"need 1 <= i <= n, got i={i}")
-    out = _f_minus(i, params, nomes, z, policy)
-    if params.n > 1:
-        rest = [z[j] for j in range(params.n) if j != i - 1]
-        out = out * fundamental_invariant(
-            r - 1, params.a[0], params.a[5], rest, params.t, nomes.p, policy
         )
     return out
 

@@ -108,8 +108,9 @@ class TruncationPolicy:
     max_terms: int = 512
 
     def __post_init__(self):
-        if self.tail_tol <= 0:
-            raise DomainError("tail_tol must be positive")
+        # a tail bound of 1 or more certifies nothing (at inf every product reads 1)
+        if not 0 < self.tail_tol < 1:
+            raise DomainError(f"tail_tol must lie in (0, 1), got {self.tail_tol}")
         if self.max_terms < 1:
             raise DomainError("max_terms must be at least 1")
 

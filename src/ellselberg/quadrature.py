@@ -131,29 +131,17 @@ def torus_integrate(
     return res
 
 
-def expectation(
-    phi,
-    params: ParameterSet,
-    nomes: Nomes,
-    tol: float,
-    budget: int | None = None,
-    policy: TruncationPolicy | None = None,
-) -> QuadResult:
-    """<phi> = integral of phi(z) Psi~(z) over the torus; phi=None means 1."""
-    return torus_integrate(_weighted(phi, params, nomes, policy), params.n, tol, budget)
-
-
 def _weighted(phi, params, nomes, policy):
-    """The integrand z -> phi(z) Psi~(z) of <phi>; phi=None means 1.
+    """The integrand z -> phi(z) Psi~(z) of <phi> = integral of phi Psi~
+    over the torus, for :func:`torus_integrate`.
 
-    Callers that integrate <phi> by their own ladders use this integrand, so
-    that their values match :func:`expectation` bit for bit: numpy's complex
-    array product is not bitwise commutative.
+    The product is formed as phi(z) * Psi~(z): numpy's complex array product
+    is not bitwise commutative, and report bytes rest on this order.
     """
 
     def f(z):
         w = psi_tilde(z, params, nomes, policy)
-        return w if phi is None else phi(z) * w
+        return phi(z) * w
 
     return f
 

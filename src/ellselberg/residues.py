@@ -25,14 +25,6 @@ from .quadrature import torus_integrate
 TORUS_CLEARANCE = 1e-3
 
 
-def residue_gamma_pm(a, nomes: Nomes, policy: TruncationPolicy | None = None) -> complex:
-    """Residue of Gamma(a z^{+-1}) dz/z at z = a: Gamma(a^2)/((p;p)(q;q)).
-
-    The companion residue at z = a^{-1} is the negation of this value.
-    """
-    return elliptic_gamma(a * a, nomes, policy) / _euler_pair(nomes, policy)
-
-
 def continued_integral_n1(
     params: ParameterSet,
     nomes: Nomes,

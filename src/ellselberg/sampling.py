@@ -5,7 +5,7 @@ given (seed, mode, box, predicate) always reproduces the same parameter
 lists.  The box keeps every solved entry within its mode's modulus
 constraint; candidates violating a constraint are rejected and counted.
 ``SafeBox.pole_clearance`` is parsed but nothing reads it yet: no draw is
-checked for integrand poles near the torus (ROADMAP item 2).
+checked for integrand poles near the torus (ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -47,11 +47,6 @@ class SampleStats:
     def reject(self, reason: str):
         self.rejected += 1
         self.reasons[reason] = self.reasons.get(reason, 0) + 1
-
-    @property
-    def rejection_rate(self) -> float:
-        total = self.accepted + self.rejected
-        return self.rejected / total if total else 0.0
 
 
 def _check_box(nomes: Nomes, box: SafeBox):

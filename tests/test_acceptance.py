@@ -21,7 +21,6 @@ from ellselberg import (
     make_continued,
     make_pinched,
     psi,
-    residue_gamma_pm,
     run_suite,
     sample_parameters,
     scenario_eval_formula,
@@ -34,6 +33,7 @@ from ellselberg import (
 )
 from ellselberg.quadrature import QuadratureGrid
 from ellselberg.report import to_json, write_report
+from references import residue_gamma_pm
 
 EVAL_NOMES = Nomes(0.05, 0.12)
 

@@ -131,13 +131,28 @@ class TestVerifyExplicit:
         assert code == 1
         assert "FAIL" in out
 
-    @pytest.mark.parametrize("count", ["0", "-2"])
-    def test_count_below_one_is_a_usage_error(self, capsys, count):
-        # not "0 reports, 0 passed, 0 failed" and exit 0
-        code = main(["verify", "--count", count])
+    @pytest.mark.parametrize(
+        "argv,config,key",
+        [pytest.param(["verify", "--count", c], "", "count", id=c) for c in ("0", "-2")]
+        + [pytest.param(["verify", "--tol", v], "", "tol", id=f"tol={v}")
+           for v in ("inf", "nan", "0", "-1")]
+        + [
+            pytest.param(["verify"], "tail_tol = nan\n", "tail_tol", id="config-tail_tol=nan"),
+            pytest.param(["eval", "gamma", "--u", "0.4+0.2i", "--p", "0.05", "--q", "0.07",
+                          "--tail-tol", "inf"], "", "tail_tol", id="eval-tail-tol=inf"),
+        ],
+    )
+    def test_count_below_one_is_a_usage_error(self, capsys, tmp_path, argv, config, key):
+        # not "0 reports, 0 passed, 0 failed" and exit 0; nor 30 of 30 PASS
+        # at tol = inf; nor Gamma(u) = 1.0 with every factor dropped
+        if config:
+            path = tmp_path / "verify.cfg"
+            path.write_text(config)
+            argv = argv + ["--config", str(path)]
+        code = main(argv)
         captured = capsys.readouterr()
         assert code == 2
-        assert "count" in captured.err and "reports" not in captured.out
+        assert f"error: {key} must" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("via_file", [False, True], ids=["option", "config_file"])
     def test_grid_below_the_minimum_is_a_usage_error(self, capsys, tmp_path, via_file):

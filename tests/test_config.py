@@ -94,12 +94,17 @@ class TestLoad:
         cfg = load_config(str(path), Config())
         assert cfg.seed == 5 and cfg.tol == 1e-7
 
-    @pytest.mark.parametrize("count", ["0", "-2"])
-    def test_count_below_one_rejected(self, tmp_path, count):
-        # a run of zero reports would pass having checked nothing
+    @pytest.mark.parametrize(
+        "key,value",
+        [pytest.param("count", c, id=c) for c in ("0", "-2")]
+        + [pytest.param("tol", v, id=f"tol={v}") for v in ("inf", "nan", "0", "-1")],
+    )
+    def test_count_below_one_rejected(self, tmp_path, key, value):
+        # a run of zero reports would pass having checked nothing, and so
+        # would one at tol = inf; tol = 0, -1 or nan fails every report
         path = tmp_path / "verify.cfg"
-        path.write_text(f"count = {count}\n")
-        with pytest.raises(ConfigurationError, match="count"):
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(ConfigurationError, match=f"^{key} must"):
             load_config(str(path), Config())
 
     @pytest.mark.parametrize("grid", ["8", "15", "0", "16", "31"])

@@ -1,29 +1,22 @@
-"""Integrand kernels, closed-form products, and domain machinery."""
+"""Integrand kernels, closed-form products, and pole sets."""
 
 import numpy as np
 import pytest
 
 from ellselberg import (
     BalancingMode,
-    ConfigurationError,
-    DomainClass,
     DomainError,
     Nomes,
     ParameterSet,
-    TorusPoint,
     c_constant,
-    domain_classify,
     j_closed,
     pole_sets,
     psi,
     psi_tilde,
     qpoch_inf,
-    qshift_ratio_a,
-    qshift_ratio_z,
     theta,
-    w0_window,
 )
-from ellselberg.integrand import psi_tilde_alt
+from references import psi_tilde_alt, qshift_ratio_a, qshift_ratio_z
 
 NM = Nomes(0.05, 0.12)
 T = 0.45
@@ -43,21 +36,6 @@ def pq_set(n):
 def torus_z(n, seed):
     rng = np.random.default_rng(seed)
     return [complex(np.exp(2j * np.pi * rng.random())) for _ in range(n)]
-
-
-class TestTorusPoint:
-    def test_accepts_unit_values(self):
-        pt = TorusPoint((1.0, np.exp(0.7j)))
-        assert pt.n == 2
-
-    def test_rejects_zero(self):
-        with pytest.raises(DomainError):
-            TorusPoint((0.0,))
-
-    def test_psi_accepts_torus_point(self):
-        ps = pq_set(2)
-        z = torus_z(2, 3)
-        assert rel(psi(TorusPoint(tuple(z)), ps, NM), psi(z, ps, NM)) == 0.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -141,6 +119,10 @@ class TestVectorization:
         z = 0.5 + 0.1j
         assert psi([z, 1.0 / z], ps, NM) == 0.0
 
+    def test_zero_coordinate_rejected(self):
+        with pytest.raises(DomainError):
+            psi([0.0], pq_set(1), NM)
+
 
 class TestPoleSets:
     def test_window_and_base_layer(self):
@@ -151,28 +133,6 @@ class TestPoleSets:
         base = [v for v, m, mu, nu in sets.s0 if mu == 0 and nu == 0]
         assert len(base) == sum(1 for v in ps.a if abs(v) >= 0.2)
         assert sets.min_separation() > 0
-
-
-class TestDomainLadder:
-    def test_classification_levels(self):
-        ps = ParameterSet.solved(1, T, [0.63, 0.58, -0.61, 0.64, 0.55], NM, BalancingMode.PQ)
-        assert domain_classify(ps, NM) in (DomainClass.V0, DomainClass.W0)
-        assert domain_classify(ps.with_entry(1, 1.2), NM) is DomainClass.OUTSIDE
-        tiny = ParameterSet(1, T, (0.1, 0.1, 0.1, 0.1, 0.1, 0.9))
-        assert domain_classify(tiny, NM) in (DomainClass.U, DomainClass.U0, DomainClass.V0)
-
-    def test_w0_window_feasible_at_tiny_p(self):
-        nm = Nomes(1e-7, 0.12)
-        r, s = w0_window(nm, T, 1)
-        assert 0 < r < abs(nm.q) ** 0.25
-        assert r**4 <= s < abs(nm.q)
-        assert abs(nm.p) <= (s * r) ** 5
-        ps = ParameterSet(1, T, tuple([0.9 * r] * 5 + [0.2]))
-        assert domain_classify(ps, nm, r=r, s=s) is DomainClass.W0
-
-    def test_w0_window_infeasible_at_moderate_p(self):
-        with pytest.raises(ConfigurationError):
-            w0_window(NM, T, 1)
 
 
 class TestTrigonometricLimit:

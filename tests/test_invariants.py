@@ -13,11 +13,9 @@ from ellselberg import (
     ParameterSet,
     boundary_expectation_ratio,
     coefficient_c,
-    e0_closed,
-    en_closed,
     fundamental_invariant,
-    phi_test_function,
 )
+from references import e0_closed, en_closed, phi_test_function
 
 NM = Nomes(0.05, 0.12)
 A5 = (0.63, 0.58 * np.exp(0.7j), -0.61, 0.64 * np.exp(-1.1j), 0.55)
@@ -82,12 +80,6 @@ class TestParameterSet:
     def test_solved_requires_a_mode(self):
         with pytest.raises(DomainError):
             ParameterSet.solved(1, 0.45, A5, NM, None)
-
-    def test_resolved_switches_mode(self):
-        ps = ParameterSet.solved(2, 0.45, A5, NM, BalancingMode.PQ)
-        one = ps.resolved(NM, BalancingMode.ONE)
-        assert one.balancing_mode is BalancingMode.ONE
-        assert one.balancing_residual(NM) < 1e-14
 
 
 def _one_set(n):

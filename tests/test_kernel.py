@@ -16,10 +16,11 @@ from ellselberg import (
     run_suite,
 )
 from ellselberg import kernel
-from ellselberg.integrand import _bc_kernel, psi_tilde_alt
+from ellselberg.integrand import _bc_kernel
 from ellselberg.kernel import GAMMA, MONO, RECIP, Factor, Lattice, evaluate, pm
 from ellselberg.quadrature import _nabla_pointwise
 from ellselberg.report import to_json
+from references import psi_tilde_alt
 
 NM = Nomes(0.05, 0.12)
 NM_ONE = Nomes(0.02, 0.12)

@@ -238,6 +238,10 @@ def test_theta_pm_pair():
 def test_truncation_policy_guardrails():
     with pytest.raises(DomainError):
         TruncationPolicy(tail_tol=0.0)
+    # a tail bound of 1 or more certifies nothing: at inf Gamma(u) read 1.0
+    for tail_tol in (1.0, 2.0, float("inf"), float("nan"), -float("inf")):
+        with pytest.raises(DomainError, match="tail_tol"):
+            TruncationPolicy(tail_tol=tail_tol)
     with pytest.raises(DomainError):
         TruncationPolicy(max_terms=0)
 

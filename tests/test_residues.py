@@ -16,10 +16,10 @@ from ellselberg import (
     lim_pinch_J,
     psi,
     qpoch_inf,
-    residue_gamma_pm,
     richardson_limit,
     torus_integrate,
 )
+from references import residue_gamma_pm
 
 NM = Nomes(0.05, 0.12)
 T = 0.4
