@@ -13,6 +13,12 @@ from .errors import ConfigurationError
 from .qseries import DEFAULT_POLICY, TruncationPolicy
 from .quadrature import MIN_BUDGET
 from .sampling import DEFAULT_BOX, SafeBox
+from .scenarios import _SUITE_TOL
+
+# A run's truncation must be tighter than every verdict it can give: at
+# tail_tol = 0.9 (every factor dropped), 1e-7 and 1e-8 the default suite
+# passes 20, 25 and 29 of its 30 reports.
+_TAIL_TOL_BELOW = min(_SUITE_TOL.values())
 
 
 @dataclass(frozen=True)
@@ -39,6 +45,11 @@ class Config:
         # inf passes every report; 0, a negative or nan fails every one
         if self.tol is not None and not 0 < self.tol < float("inf"):
             raise ConfigurationError(f"tol must be finite and positive, got {self.tol}")
+        if not self.policy.tail_tol < _TAIL_TOL_BELOW:
+            raise ConfigurationError(
+                f"tail_tol must lie below {_TAIL_TOL_BELOW}, the tightest suite "
+                f"tolerance, got {self.policy.tail_tol}"
+            )
 
 
 # The record each file key belongs to: None for Config's own fields.

@@ -7,8 +7,8 @@ supports three balancing conventions for the product a_1 ... a_6 t^(2n-2):
     P   -> p        (shifted-kernel normalization)
     ONE -> 1        (recurrence normalization)
 
-One designated entry (``solved_index``, by default the sixth) is solved from
-the others so the product meets the target.
+The sixth entry is the solved one: it is solved from the others so the
+product meets the target.
 
 The invariant family E_r(a, b; z), 0 <= r <= n, is the theta-function sum
 
@@ -61,7 +61,6 @@ class ParameterSet:
     t: complex
     a: tuple[complex, complex, complex, complex, complex, complex]
     balancing_mode: BalancingMode | None = None
-    solved_index: int = 6
 
     def __post_init__(self):
         if self.n < 1:
@@ -70,8 +69,6 @@ class ParameterSet:
             raise DomainError(f"|t| must lie in (0, 1), got {abs(self.t)}")
         if len(self.a) != 6:
             raise DomainError("exactly six parameters a_1..a_6 are required")
-        if not 1 <= self.solved_index <= 6:
-            raise DomainError("solved_index must be in 1..6")
         object.__setattr__(self, "a", tuple(complex(v) for v in self.a))
         object.__setattr__(self, "t", complex(self.t))
 
@@ -93,7 +90,7 @@ class ParameterSet:
     def validate(self, nomes: Nomes) -> "ParameterSet":
         zero_ok = self.balancing_mode is BalancingMode.PQ and nomes.pq == 0
         for m, v in enumerate(self.a, start=1):
-            if v == 0 and not (zero_ok and m == self.solved_index):
+            if v == 0 and not (zero_ok and m == 6):
                 raise DomainError(f"a_{m} must be nonzero")
         if self.balancing_mode is not None:
             res = self.balancing_residual(nomes)
@@ -106,15 +103,9 @@ class ParameterSet:
 
     @classmethod
     def solved(
-        cls,
-        n: int,
-        t: complex,
-        a_free,
-        nomes: Nomes,
-        mode: BalancingMode,
-        solved_index: int = 6,
+        cls, n: int, t: complex, a_free, nomes: Nomes, mode: BalancingMode
     ) -> "ParameterSet":
-        """Build a balanced set by solving the ``solved_index`` entry."""
+        """Build a balanced set from a_1..a_5 by solving a_6."""
         a_free = [complex(v) for v in a_free]
         if len(a_free) != 5:
             raise DomainError("five free parameters are required")
@@ -124,20 +115,15 @@ class ParameterSet:
             denom *= v
         if denom == 0:
             raise DomainError("free parameters must be nonzero")
-        solved_val = tgt / denom
-        a = list(a_free)
-        a.insert(solved_index - 1, solved_val)
-        return cls(n=n, t=t, a=tuple(a), balancing_mode=mode, solved_index=solved_index).validate(
-            nomes
-        )
+        return cls(n=n, t=t, a=(*a_free, tgt / denom), balancing_mode=mode).validate(nomes)
 
     def shifted_pair(self, k: int, factor: complex) -> "ParameterSet":
-        """Multiply a_k by factor and the solved entry by 1/factor (stays on-shell)."""
-        if k == self.solved_index:
-            raise DomainError("k must differ from solved_index")
+        """Multiply a_k by factor and the solved a_6 by 1/factor (stays on-shell)."""
+        if k == 6:
+            raise DomainError("k must differ from 6, the solved entry")
         a = list(self.a)
         a[k - 1] *= factor
-        a[self.solved_index - 1] /= factor
+        a[5] /= factor
         return replace(self, a=tuple(a))
 
     def with_entry(self, m: int, value: complex) -> "ParameterSet":

@@ -13,24 +13,21 @@ c s^alpha w^sigma, gathered at (alpha' . k) mod N.  Any other z is
 evaluated pointwise.
 
 A group's table is the product, in _fold's order, of its factors' values on
-the circle s w.  Those values come from a process-wide LRU of read-only
-arrays keyed on the factor, N, s, the nomes and the policy, every number by
-its exact bits (0.0 == -0.0), so the kernels of one family (the shifts of
-qde, Psi~ under several invariants, the Weyl factor of every kernel) and
-the rungs of later ladders and reports share them without changing a bit.
-It holds at most _TABLE_BYTES; a factor that raises stores nothing.
+the circle s w.  A factor's values at N <= MIN_POINTS, the first rung of
+every trapezoid ladder, or at odd N are evaluated on the whole circle; at
+any other N they are its values at N/2 (node 2m of the N circle is node m
+of the N/2 circle, bit for bit) with f evaluated on the odd nodes placed
+between them.  A ladder doubling N from 16 to 512 thus evaluates each
+factor on 512 nodes instead of 1008 when its halves stay held.
 
-A factor's table at even N whose N/2 table is held is built from that
-half: node 2m of the N circle is node m of the N/2 circle, bit for bit, so
-the even entries are copied and f is evaluated on the odd nodes only.  Each
-q-product value depends only on its own argument and on the rows of its
-plan, and the direct table's plan is that of max|u| over the whole circle,
-i.e. the plan of one of the two halves.  So when every q-product took the
-same rows on both halves (the held table keeps the rows it was made with)
-the assembled table is the direct one; otherwise, or if the odd nodes
-raise, the full circle is evaluated.  A trapezoid ladder doubling N from 16
-to 512 thus evaluates each factor whose halves stay held on 512 nodes
-instead of 1008.
+Those values come from a process-wide LRU of read-only arrays keyed on the
+factor, N, s, the nomes and the policy, every number by its exact bits
+(0.0 == -0.0), so the kernels of one family (the shifts of qde, Psi~ under
+several invariants, the Weyl factor of every kernel) and the rungs of later
+ladders and reports share them.  A table is a fixed function of its key,
+so what the cache holds changes the time a run takes, never a bit of its
+output.  It holds at most _TABLE_BYTES; a factor that raises stores
+nothing at the N it raised on.
 """
 
 from __future__ import annotations
@@ -40,23 +37,25 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EllSelbergError
-from .qseries import (
-    DEFAULT_POLICY,
-    ByteLRU,
-    _bits,
-    _recorded,
-    elliptic_gamma,
-    elliptic_gamma_recip,
-)
+from .qseries import DEFAULT_POLICY, ByteLRU, _bits, elliptic_gamma, elliptic_gamma_recip
 
 GAMMA, RECIP, MONO = "gamma", "recip", "mono"
 
-# Bytes of circle values the cache may hold: the eight 8 KiB tables of a
-# rank-1 Psi~ rung at N = 512 beside the N = 256 tables they are built from.
-# Kept small otherwise: a benchmark that re-imports the package keeps every
-# old module copy, cache included, until the cyclic collector runs.
-_TABLE_BYTES = 96 * 1024
+# Points per circle of the first rung of every trapezoid ladder, and of the
+# largest circle whose tables are evaluated whole.
+MIN_POINTS = 16
+
+# Bytes of circle values the cache may hold.  A table is built from its N/2
+# table, so a half that was evicted is evaluated again: the default suite
+# evaluates 78 288 circle points at 96 KiB, 65 952 at 160 KiB and 49 952 at
+# 192 KiB (32 704 when nothing is evicted).  192 KiB is the smallest of 96,
+# 128, 160, 192 and 256 KiB at which the `suite` benchmark ran faster than
+# tables evaluated whole at 96 KiB unless their half was held: wall_s
+# 0.49-0.51 s against 0.56-0.58 s (160 KiB: 0.54-0.57 s) and peak RSS
+# +1.5 % (6 s runs, seeds 1-3, 2-core Xeon, numpy 2.4).  Kept small
+# otherwise: a benchmark that re-imports the package keeps every old module
+# copy, cache included, until the cyclic collector runs.
+_TABLE_BYTES = 192 * 1024
 
 
 class Factor(NamedTuple):
@@ -153,18 +152,6 @@ def _fold(values):
     return out
 
 
-class _Table(NamedTuple):
-    """A factor's values on one circle and the rows of each q-product that
-    formed them, in call order."""
-
-    values: np.ndarray
-    plans: tuple
-
-    @property
-    def nbytes(self) -> int:
-        return self.values.nbytes
-
-
 _tables = ByteLRU(_TABLE_BYTES)
 
 
@@ -174,32 +161,19 @@ def _on_circle(f, N, s, nomes, policy):
     # p and q also enter Python arithmetic, where a float and a complex of
     # equal value can give a zero of another sign, so their types count too.
     p, q = nomes.p, nomes.q
-    key = (f.kind, _bits(f.c), f.alpha, f.pm, _bits(s),
+    key = (N, f.kind, _bits(f.c), f.alpha, f.pm, _bits(s),
            type(p), _bits(p), type(q), _bits(q), policy or DEFAULT_POLICY)
-    table = _tables.get((N, *key))
+    table = _tables.get(key)
     if table is None:
-        half = _tables.get((N // 2, *key)) if N % 2 == 0 else None
-        table = _from_half(f, N, s, nomes, policy, half) if half else None
-        if table is None:
-            table = _Table(*_recorded(_value, f, [_circle(N, s)], nomes, policy))
-        table.values.flags.writeable = False
-        _tables.put((N, *key), table)
-    return table.values
-
-
-def _from_half(f, N, s, nomes, policy, half):
-    """f's table at N from its N/2 table and f on the odd nodes; None unless
-    every q-product took the rows of the half's."""
-    try:
-        odd, plans = _recorded(_value, f, [_circle(N, s, odd=True)], nomes, policy)
-    except EllSelbergError:
-        return None
-    if plans != half.plans:
-        return None
-    v = np.empty(N, dtype=complex)
-    v[0::2] = half.values
-    v[1::2] = odd
-    return _Table(v, plans)
+        if N % 2 or N <= MIN_POINTS:
+            table = _value(f, [_circle(N, s)], nomes, policy)
+        else:
+            table = np.empty(N, dtype=complex)
+            table[0::2] = _on_circle(f, N // 2, s, nomes, policy)
+            table[1::2] = _value(f, [_circle(N, s, odd=True)], nomes, policy)
+        table.flags.writeable = False
+        _tables.put(key, table)
+    return table
 
 
 def evaluate(factors, z, nomes, policy=None):

@@ -21,15 +21,12 @@ coefficients p^mu q^nu as one read-only column from a memo keyed on p and q
 (by type and exact bits) and the rows, bounded at _COEFF_BYTES, and
 multiplies the factors of each block of columns in one reduction over the
 factor axis; the reduction keeps the fixed (mu, nu) order, so every element
-gets the same bits as a factor-by-factor loop.  Each element's value depends
-only on that element and the rows, which is what lets a kernel build a
-circle table from two halves (see ``kernel``); :func:`_recorded` tells it
-which rows formed a value.
+gets the same bits as a factor-by-factor loop.
 
 A scalar product is held in a memo of at most _SCALAR_ENTRIES entries,
 keyed on the exact bits of u, p and q, the types of p and q, the policy and
-whether the pole scan runs.  A hit returns the value and logs the rows that
-the direct path gave, so it has the same bits; an error stores nothing.
+whether the pole scan runs.  A hit returns the value the direct path gave,
+so it has the same bits; an error stores nothing.
 Closed sides repeat their products (c_n and c_(n-1) share all but one Gamma
 factor, C_r and the boundary ratio share their theta values), and the
 memo serves those repeats.  Scalar zero checks compare the Python complex
@@ -213,9 +210,8 @@ def _bits(x) -> bytes:
 class ByteLRU:
     """Values by key, least recently used first, at most ``limit`` bytes in all.
 
-    A value is a read-only array, or anything else with ``nbytes``; one
-    larger than the limit is not stored.  Not locked: the package evaluates
-    on one thread.
+    A value is a read-only array; one larger than the limit is not stored.
+    Not locked: the package evaluates on one thread.
     """
 
     def __init__(self, limit: int):
@@ -304,35 +300,20 @@ def _prod_array(u: np.ndarray, p: complex, q: complex, rows) -> np.ndarray:
     return acc.reshape(u.shape)
 
 
-# While _recorded runs, the rows of every plan _poch takes, in call order
-# (module state, like the memos: the package evaluates on one thread).
-_plan_log = None
-
-
-def _recorded(fn, *args):
-    """fn(*args) and the rows of each q-product it formed, as a tuple in call order."""
-    global _plan_log
-    _plan_log = plans = []
-    try:
-        return fn(*args), tuple(plans)
-    finally:
-        _plan_log = None
-
-
 def _direct(arr: np.ndarray, p: complex, q: complex, policy: TruncationPolicy,
             what: str | None):
-    """The product of _poch without the memo, and the rows of its plan."""
+    """The product of _poch without the memo."""
     u_max = _abs_max(arr)
     rows, _ = _plan(abs(p), abs(q), u_max, policy)
     if what is not None:
         _pole_scan(np.atleast_1d(arr), u_max, p, q, rows, what)
     if arr.ndim == 0:
-        return _prod_scalar(complex(arr), p, q, rows), rows
-    return _prod_array(arr, p, q, rows), rows
+        return _prod_scalar(complex(arr), p, q, rows)
+    return _prod_array(arr, p, q, rows)
 
 
-# Scalar products, with the rows of their plans, by exact argument; most
-# recently used last, at most _SCALAR_ENTRIES of them.
+# Scalar products by exact argument; most recently used last, at most
+# _SCALAR_ENTRIES of them.
 _scalars = OrderedDict()
 
 
@@ -369,12 +350,8 @@ def _poch(u, p: complex, q: complex, policy: TruncationPolicy | None, what: str 
     """
     arr = np.asarray(u, dtype=complex)
     if arr.ndim == 0:
-        value, rows = _memo_scalar(arr, p, q, policy or DEFAULT_POLICY, what)
-    else:
-        value, rows = _direct(arr, p, q, policy or DEFAULT_POLICY, what)
-    if _plan_log is not None:
-        _plan_log.append(rows)
-    return value
+        return _memo_scalar(arr, p, q, policy or DEFAULT_POLICY, what)
+    return _direct(arr, p, q, policy or DEFAULT_POLICY, what)
 
 
 def qpoch_inf(u, q: complex, policy: TruncationPolicy | None = None):

@@ -56,32 +56,62 @@ def _check_box(nomes: Nomes, box: SafeBox):
         )
 
 
-def _mode_ok(ps: ParameterSet, nomes: Nomes, box: SafeBox, stats: SampleStats) -> bool:
-    """Constraints on the solved entry, depending on how the kernel sees it."""
-    a6 = ps.a[5]
-    mode = ps.balancing_mode
-    if mode is BalancingMode.PQ:
-        # a_6 enters Psi directly; it may legitimately vanish when p q = 0.
-        if abs(a6) > 1 - box.solved_clearance:
-            stats.reject("solved entry too close to the torus")
-            return False
-    elif mode is BalancingMode.P:
-        # both a_6 and q a_6 must stay inside the disk with clearance
-        if abs(a6) > 1 - box.solved_clearance:
-            stats.reject("solved entry too close to the torus")
-            return False
-    elif mode is BalancingMode.ONE:
-        # only p a_6 enters Psi~; a_6 itself is large
-        if abs(nomes.p * a6) > 1 - box.solved_clearance:
-            stats.reject("p times solved entry too close to the torus")
-            return False
-        try:
-            for r in range(1, ps.n + 1):
-                coefficient_c(r, ps, nomes)
-        except DegenerateParameterError:
-            stats.reject("degenerate theta in recurrence coefficient")
-            return False
-    return True
+def _clearance(a_last: complex, box: SafeBox) -> str | None:
+    """Why a solved entry is rejected, or None: it must keep its clearance
+    inside the unit disk."""
+    if abs(a_last) > 1 - box.solved_clearance:
+        return "solved entry too close to the torus"
+    return None
+
+
+def _mode_reason(ps: ParameterSet, nomes: Nomes, box: SafeBox) -> str | None:
+    """Why ps is rejected, or None: the constraints on the solved entry,
+    depending on how the kernel sees it."""
+    if ps.balancing_mode is not BalancingMode.ONE:
+        # PQ: a_6 enters Psi directly (it may vanish when p q = 0); P: both
+        # a_6 and q a_6 must stay inside the disk
+        return _clearance(ps.a[5], box)
+    # only p a_6 enters Psi~; a_6 itself is large
+    if abs(nomes.p * ps.a[5]) > 1 - box.solved_clearance:
+        return "p times solved entry too close to the torus"
+    try:
+        for r in range(1, ps.n + 1):
+            coefficient_c(r, ps, nomes)
+    except DegenerateParameterError:
+        return "degenerate theta in recurrence coefficient"
+    return None
+
+
+def _free(rng: random.Random, box: SafeBox, size: int) -> list:
+    """size free entries: moduli uniform in [a_min, a_max], phases uniform."""
+    return [
+        rng.uniform(box.a_min, box.a_max) * cmath.exp(2j * cmath.pi * rng.random())
+        for _ in range(size)
+    ]
+
+
+def _sample(seed, count, box, stats, what, draw) -> list:
+    """``count`` accepted draws: draw(rng) gives a candidate, or the reason
+    (a string) it was rejected.  Raises ConfigurationError once more than
+    box.max_rejections draws were rejected."""
+    if stats is None:
+        stats = SampleStats()
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        if stats.rejected > box.max_rejections:
+            top = sorted(stats.reasons.items(), key=lambda kv: -kv[1])[:3]
+            raise ConfigurationError(
+                f"sampler exceeded {box.max_rejections} rejections ({what}); "
+                f"dominant reasons: {top}"
+            )
+        got = draw(rng)
+        if isinstance(got, str):
+            stats.reject(got)
+        else:
+            stats.accepted += 1
+            out.append(got)
+    return out
 
 
 def sample_parameters(
@@ -103,42 +133,22 @@ def sample_parameters(
     accept filter evaluated last.  Raises ConfigurationError when the box
     cannot produce ``count`` samples within the rejection budget.
     """
-    if box is None:
-        box = DEFAULT_BOX
-    if stats is None:
-        stats = SampleStats()
+    box = box or DEFAULT_BOX
     _check_box(nomes, box)
-    rng = random.Random(seed)
-    out: list[ParameterSet] = []
-    while len(out) < count:
-        if stats.rejected > box.max_rejections:
-            top = sorted(stats.reasons.items(), key=lambda kv: -kv[1])[:3]
-            raise ConfigurationError(
-                f"sampler exceeded {box.max_rejections} rejections "
-                f"(mode={mode.value}, n={n}, nomes=({nomes.p}, {nomes.q})); "
-                f"dominant reasons: {top}"
-            )
-        tt = t
-        if tt is None:
-            tt = rng.uniform(box.t_min, box.t_max)
-        a_free = [
-            rng.uniform(box.a_min, box.a_max)
-            * cmath.exp(2j * cmath.pi * rng.random())
-            for _ in range(5)
-        ]
+
+    def draw(rng):
+        tt = rng.uniform(box.t_min, box.t_max) if t is None else t
         try:
-            ps = ParameterSet.solved(n, tt, a_free, nomes, mode)
+            ps = ParameterSet.solved(n, tt, _free(rng, box, 5), nomes, mode)
         except DegenerateParameterError:
-            stats.reject("degenerate free product")
-            continue
-        if not _mode_ok(ps, nomes, box, stats):
-            continue
-        if predicate is not None and not predicate(ps):
-            stats.reject("scenario predicate")
-            continue
-        stats.accepted += 1
-        out.append(ps)
-    return out
+            return "degenerate free product"
+        reason = _mode_reason(ps, nomes, box)
+        if reason is None and predicate is not None and not predicate(ps):
+            reason = "scenario predicate"
+        return reason or ps
+
+    what = f"mode={mode.value}, n={n}, nomes=({nomes.p}, {nomes.q})"
+    return _sample(seed, count, box, stats, what, draw)
 
 
 def sample_da_parameters(
@@ -156,35 +166,18 @@ def sample_da_parameters(
     sample_parameters; the last is solved from the constraint.  Returns
     plain tuples (the coupling-free kernel has no t).
     """
-    if box is None:
-        box = DEFAULT_BOX
-    if stats is None:
-        stats = SampleStats()
+    box = box or DEFAULT_BOX
     _check_box(nomes, box)
     target = nomes.pq**exponent
-    rng = random.Random(seed)
-    out: list[tuple] = []
-    while len(out) < count:
-        if stats.rejected > box.max_rejections:
-            raise ConfigurationError(
-                f"sampler exceeded {box.max_rejections} rejections "
-                f"(dixon-anderson, n={n}, exponent={exponent})"
-            )
-        free = [
-            rng.uniform(box.a_min, box.a_max)
-            * cmath.exp(2j * cmath.pi * rng.random())
-            for _ in range(2 * n + 3)
-        ]
+
+    def draw(rng):
+        free = _free(rng, box, 2 * n + 3)
         prod = 1.0 + 0.0j
         for v in free:
             prod *= v
         if prod == 0:
-            stats.reject("degenerate free product")
-            continue
+            return "degenerate free product"
         last = target / prod
-        if abs(last) > 1 - box.solved_clearance:
-            stats.reject("solved entry too close to the torus")
-            continue
-        stats.accepted += 1
-        out.append(tuple(free) + (last,))
-    return out
+        return _clearance(last, box) or (*free, last)
+
+    return _sample(seed, count, box, stats, f"dixon-anderson, n={n}, exponent={exponent}", draw)

@@ -136,8 +136,11 @@ class TestVerifyExplicit:
         [pytest.param(["verify", "--count", c], "", "count", id=c) for c in ("0", "-2")]
         + [pytest.param(["verify", "--tol", v], "", "tol", id=f"tol={v}")
            for v in ("inf", "nan", "0", "-1")]
+        # nan, and truncation as loose as a suite verdict (20, 25 and 29 of 30
+        # PASS at the default tolerances), whatever --tol says
+        + [pytest.param(["verify", "--tol", "1e-3"], f"tail_tol = {v}\n", "tail_tol",
+                        id=f"config-tail_tol={v}") for v in ("nan", "0.9", "1e-7", "1e-8")]
         + [
-            pytest.param(["verify"], "tail_tol = nan\n", "tail_tol", id="config-tail_tol=nan"),
             pytest.param(["eval", "gamma", "--u", "0.4+0.2i", "--p", "0.05", "--q", "0.07",
                           "--tail-tol", "inf"], "", "tail_tol", id="eval-tail-tol=inf"),
         ],

@@ -35,9 +35,9 @@ class TestParameterSet:
             assert ps.balancing_mode is mode
 
     def test_solved_index_placement(self):
-        ps = ParameterSet.solved(1, 0.45, A5, NM, BalancingMode.PQ, solved_index=3)
-        assert ps.a[0] == complex(A5[0])
-        assert ps.a[3] == complex(A5[2])
+        # the free entries keep their order and the solved one is a_6
+        ps = ParameterSet.solved(1, 0.45, A5, NM, BalancingMode.PQ)
+        assert ps.a[:5] == tuple(complex(v) for v in A5)
         assert ps.balancing_residual(NM) < 1e-14
 
     def test_shifted_pair_stays_on_shell(self):

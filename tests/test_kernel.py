@@ -152,11 +152,15 @@ def test_rank2_lattice_work_grows_linearly(counted):
     assert counted[1] / counted[0] <= 2.1
 
 
-def test_suite_report_is_the_same_on_a_cold_and_a_warm_cache():
+def test_suite_report_is_the_same_on_a_cold_and_a_warm_cache(monkeypatch):
+    # what the cache holds may change a run's time, never its reports
     kernel._tables.clear()
     cold = to_json(run_suite())
     assert kernel._tables.entries
     assert to_json(run_suite()) == cold
+    monkeypatch.setattr(kernel, "_tables", qseries.ByteLRU(0))
+    assert to_json(run_suite()) == cold
+    assert not kernel._tables.entries
 
 
 def test_cached_tables_are_read_only_and_reused(counted):
@@ -165,9 +169,9 @@ def test_cached_tables_are_read_only_and_reused(counted):
     first = psi_tilde(grid, pq_set(2), NM)
     assert counted[0] > 0 and kernel._tables.entries
     for table in kernel._tables.entries.values():
-        assert not table.values.flags.writeable
+        assert not table.flags.writeable
         with pytest.raises(ValueError):
-            table.values[0] = 0
+            table[0] = 0
     counted.append(0)
     again = psi_tilde(grid, pq_set(2), NM)
     assert counted[1] == 0
@@ -212,58 +216,39 @@ HALF_SCALES = {"1": 1, "q": NM.q, "turned": 0.7 * np.exp(0.3j)}
 
 
 @pytest.fixture
-def assembled(monkeypatch):
-    """Tables built from their held halves, one count per call of the fixture."""
-    built = []
-    from_half = kernel._from_half
+def tables(monkeypatch):
+    """(f, N, s, table) of every circle table evaluate asks for, the N/2
+    tables a table is built from included."""
+    asked = []
+    on_circle = kernel._on_circle
 
-    def counting(*args):
-        table = from_half(*args)
-        built[-1] += table is not None
+    def recording(f, N, s, nomes, policy):
+        table = on_circle(f, N, s, nomes, policy)
+        asked.append((f, N, s, table))
         return table
 
-    monkeypatch.setattr(kernel, "_from_half", counting)
-    return built
+    monkeypatch.setattr(kernel, "_on_circle", recording)
+    return asked
 
 
 @pytest.mark.parametrize("scale", sorted(HALF_SCALES))
 @pytest.mark.parametrize("name", sorted(HALF_FACTORS))
-def test_table_from_its_half_is_the_direct_table_bitwise(assembled, name, scale):
+def test_table_from_its_half_is_the_direct_table_bitwise(tables, name, scale):
     n, factors = HALF_FACTORS[name]
     s = HALF_SCALES[scale]
     for N in (32, 64, 128, 256, 512):
         grid = QuadratureGrid(n, N).nodes().scaled(0, s)
         half = QuadratureGrid(n, N // 2).nodes().scaled(0, s)
         kernel._tables.clear()
-        direct = evaluate(factors, grid, NM)
+        evaluate(factors, grid, NM)  # cold: every rung from 16 up is built
         kernel._tables.clear()
         evaluate(factors, half, NM)
-        assembled.append(0)
-        got = evaluate(factors, grid, NM)
-        # a pm pair factor is two groups, each with its own table
-        at_N = sum(key[0] == N for key in kernel._tables.entries)
-        assert assembled[-1] == at_N >= len(factors)
-        assert got.tobytes() == direct.tobytes()
-
-
-def test_plan_disagreement_falls_back_to_the_full_circle(monkeypatch):
-    f, N = pm(GAMMA, 0.55 * np.exp(-0.9j)), 64
-    kernel._tables.clear()
-    direct = kernel._on_circle(f, N, 1, NM, None)
-    kernel._tables.clear()
-    kernel._on_circle(f, N // 2, 1, NM, None)
-    sizes, recorded = [], kernel._recorded
-
-    def disagreeing(fn, f, zs, nomes, policy):
-        # the odd nodes' last q-product keeps one factor more than the half's
-        value, plans = recorded(fn, f, zs, nomes, policy)
-        sizes.append(zs[0].size)
-        return value, plans[:-1] + ((plans[-1][0] + 1,) + plans[-1][1:],)
-
-    monkeypatch.setattr(kernel, "_recorded", disagreeing)
-    table = kernel._on_circle(f, N, 1, NM, None)
-    assert sizes == [N // 2, N]  # the odd nodes, then the full circle
-    assert table.tobytes() == direct.tobytes()
+        evaluate(factors, grid, NM)  # the N/2 tables held
+        assert sum(at == N for _, at, _, _ in tables) >= 2 * len(factors)
+        for f, at, s_at, table in tables:
+            direct = kernel._value(f, [kernel._circle(at, s_at)], NM, None)
+            assert table.tobytes() == direct.tobytes()
+        tables.clear()
 
 
 def test_pole_on_an_odd_node_raises_and_stores_nothing():

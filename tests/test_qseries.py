@@ -366,20 +366,6 @@ def test_coefficient_memo_keeps_types_and_signed_zeros_apart():
     assert columns[0].tobytes() != columns[1].tobytes()
 
 
-def test_recorded_logs_the_rows_of_each_product_in_call_order():
-    nomes = Nomes(0.05, 0.12)
-    u = random_points((64,), 3)
-    value, plans = qseries._recorded(elliptic_gamma, u, nomes)
-    assert value.tobytes() == elliptic_gamma(u, nomes).tobytes()
-    # the denominator (u; p, q) first, then the numerator (pq/u; p, q)
-    expected = tuple(
-        qseries._plan(0.05, 0.12, float(np.max(np.abs(v))), TruncationPolicy())[0]
-        for v in (u, nomes.pq / u)
-    )
-    assert plans == expected
-    assert qseries._plan_log is None
-
-
 @pytest.fixture
 def scalar_memo():
     """The scalar product memo, emptied."""
@@ -403,7 +389,7 @@ def scalar_products(monkeypatch):
 
 def direct(u, p, q, policy=None, what=None):
     """The scalar product without the memo."""
-    return qseries._direct(np.asarray(u, dtype=complex), p, q, policy or TruncationPolicy(), what)[0]
+    return qseries._direct(np.asarray(u, dtype=complex), p, q, policy or TruncationPolicy(), what)
 
 
 SCALAR_NOMES = Nomes(0.07 + 0.02j, 0.11)
@@ -425,14 +411,13 @@ def test_scalar_memo_hit_is_the_cold_value_bitwise(scalar_memo, scalar_products)
         assert len(scalar_products) == formed  # every product came from the memo
         assert type(warm) is type(cold) is complex
         assert np.array(warm).tobytes() == np.array(cold).tobytes()
-    # each held value and its rows are those of the direct path
-    for (key, type_p, type_q, policy, what), (value, rows) in scalar_memo.items():
+    # each held value is that of the direct path
+    for (key, type_p, type_q, policy, what), value in scalar_memo.items():
         u_re, u_im, p_re, p_im, q_re, q_im = np.frombuffer(key, dtype=float).tolist()
         p = complex(p_re, p_im) if type_p is complex else type_p(p_re)
         q = complex(q_re, q_im) if type_q is complex else type_q(q_re)
         z = complex(u_re, u_im)
         assert np.array(value).tobytes() == np.array(direct(z, p, q, policy, what)).tobytes()
-        assert rows == qseries._plan(abs(p), abs(q), float(np.abs(z)), policy)[0]
 
 
 def test_scalar_memo_keeps_types_and_signed_zeros_apart(scalar_memo):
@@ -481,15 +466,6 @@ def test_scalar_memo_holds_at_most_its_bound(scalar_memo, scalar_products):
     assert len(scalar_products) == formed
     qpoch_inf(us[0], 0.2)
     assert len(scalar_products) == formed + 1
-
-
-def test_scalar_memo_hit_logs_the_rows_of_a_miss(scalar_memo):
-    nm = Nomes(0.05, 0.12)
-    cold = qseries._recorded(elliptic_gamma, 0.6 + 0.3j, nm)
-    warm = qseries._recorded(elliptic_gamma, 0.6 + 0.3j, nm)
-    assert len(cold[1]) == 2
-    assert warm == cold
-    assert qseries._plan_log is None
 
 
 def test_cn_recurrence_forms_each_scalar_product_once(scalar_memo, scalar_products):
