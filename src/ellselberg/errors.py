@@ -49,12 +49,14 @@ class DegenerateParameterError(EllSelbergError):
 class NonConvergenceError(EllSelbergError):
     """Quadrature budget exhausted before the error estimate met tolerance.
 
-    ``estimates`` holds the last two grid values (coarse, fine).
+    ``estimates`` holds the last two refinement differences (coarse, fine);
+    ``rungs`` the (N, mean) pairs the ladder read.
     """
 
-    def __init__(self, message: str, estimates: tuple[complex, complex]):
+    def __init__(self, message: str, estimates: tuple[float, float], rungs: tuple):
         super().__init__(message)
         self.estimates = estimates
+        self.rungs = rungs
 
 
 class SampleRejectionError(EllSelbergError):

@@ -237,10 +237,13 @@ class ByteLRU:
         self.nbytes = 0
 
 
-# Kept beside _prod_array: a 104-factor product takes 21 us here and 25 us as a 0-d array
-# (2-core Xeon, numpy 2.4), and returns a Python complex.  It is reached only on
-# a miss of the scalar memo (_memo_scalar): one closed_forms pass calls it 9854
-# times for 23 640 scalar products.
+# Kept beside _prod_array though slower with a warm column memo (a 104-factor product:
+# 27 us here, 13.6 us there; 2-core Xeon, numpy 2.4).  With 0-d input sent to _prod_array,
+# closed_forms (random nomes that miss the 32 KiB column memo) took wall_s 0.671/0.673 s
+# for 0.578/0.615 and setup_s 0.210/0.216 s for 0.163/0.179 (seeds 2/1, 6 s runs), and 425
+# of 3000 random products moved in the last bit.  It is reached only on a miss of the
+# scalar memo (_memo_scalar): one closed_forms pass calls it 9854 times for 23 640 scalar
+# products.
 def _prod_scalar(u: complex, p: complex, q: complex, rows) -> complex:
     acc = 1.0 + 0.0j
     pm = 1.0 + 0.0j

@@ -3,8 +3,10 @@
 The rule is the equal-weight mean over the product grid
 z_i = exp(2 pi i k_i/N), which integrates periodic analytic functions
 against the measure (2 pi i)^-n dz_1...dz_n/(z_1...z_n) with spectral
-accuracy.  N doubles from 16 until |I_N - I_{N/2}| meets the
-tolerance or the per-circle budget is exhausted.
+accuracy.  N doubles from 16, each grid evaluated once when its rung is
+read, until |I_N - I_{N/2}| meets the tolerance or the per-circle budget is
+exhausted.  A stall carries the rungs it read: a looser stop is read off
+them, so no grid is evaluated twice within one integral.
 
 Means are taken with numpy's fixed pairwise reduction over a fixed node
 ordering, so a given (N, parameters) always reproduces the same bytes.
@@ -13,6 +15,7 @@ ordering, so a given (N, parameters) always reproduces the same bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -51,57 +54,48 @@ class QuadratureGrid:
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Outcome of a refinement ladder.
+    """Outcome of a converged refinement ladder.
 
-    ``history`` records (N, |I_N - I_{N/2}|) for every completed doubling;
-    ``converged`` implies the final entry met the requested tolerance.
+    ``history`` records (N, |I_N - I_{N/2}|) for every completed doubling.
     """
 
     value: complex
     err_est: float
     N_used: int
-    converged: bool
     history: tuple = ()
 
 
-def _ladder(f, n, tol, budget):
-    prev = None
-    history = []
-    value = None
-    err = np.inf
-    N = MIN_POINTS
-    while N <= budget:
-        grid = QuadratureGrid(n, N)
-        vals = np.asarray(f(grid.nodes()))
-        value = complex(np.mean(vals))
-        if prev is not None:
-            err = abs(value - prev)
+def _rungs(f, n: int, budget: int | None = None):
+    """(N, mean of f on the N-grid) for N = 16, 32, ... up to the budget,
+    each grid evaluated when its rung is asked for; the budget is checked first."""
+    if budget is None:
+        budget = default_budget(n)
+    if budget < MIN_BUDGET:
+        raise DomainError(f"budget {budget} below the minimum {MIN_BUDGET}: a ladder needs two rungs")
+    sizes = (MIN_POINTS << k for k in range((budget // MIN_POINTS).bit_length()))
+    return ((N, complex(np.mean(np.asarray(f(QuadratureGrid(n, N).nodes()))))) for N in sizes)
+
+
+def _stop(rungs, tol: float) -> QuadResult:
+    """The first rung whose mean moved by at most tol since the rung before.
+
+    Raises NonConvergenceError when no rung does; the error carries the
+    (N, mean) pairs read, and _stop on those pairs at another tol gives
+    what a fresh ladder at that tol would, without evaluating anything.
+    """
+    read, history = [], []
+    for N, value in rungs:
+        if read:
+            err = abs(value - read[-1][1])
             history.append((N, err))
             if err <= tol:
-                return QuadResult(value, err, N, True, tuple(history))
-        prev = value
-        N *= 2
-    return QuadResult(
-        value if value is not None else 0j,
-        float(err),
-        N // 2,
-        False,
-        tuple(history),
+                return QuadResult(value, err, N, tuple(history))
+        read.append((N, value))
+    coarse = history[-2][1] if len(history) >= 2 else np.inf
+    raise NonConvergenceError(
+        f"quadrature stalled at N={N}: err_est={err:.3e} > tol={tol:.3e}",
+        estimates=(float(coarse), float(err)), rungs=tuple(read),
     )
-
-
-def _per_grid(f):
-    """f with its values kept per grid: ladders run again on one integrand
-    (a magnitude probe, the refinement, a looser retry) share their rungs.
-    The values are held until the returned function is dropped."""
-    seen = {}
-
-    def g(z):
-        if z.N not in seen:
-            seen[z.N] = f(z)
-        return seen[z.N]
-
-    return g
 
 
 def torus_integrate(
@@ -116,23 +110,12 @@ def torus_integrate(
     must return the elementwise values.  Raises NonConvergenceError when
     the budget is exhausted with err_est still above tol.
     """
-    if budget is None:
-        budget = default_budget(n)
-    if budget < MIN_BUDGET:
-        raise DomainError(f"budget {budget} below the minimum {MIN_BUDGET}: a ladder needs two rungs")
-    res = _ladder(f, n, tol, budget)
-    if not res.converged:
-        coarse = res.history[-2][1] if len(res.history) >= 2 else np.inf
-        raise NonConvergenceError(
-            f"quadrature stalled at N={res.N_used}: err_est={res.err_est:.3e} > tol={tol:.3e}",
-            estimates=(float(coarse), float(res.err_est)),
-        )
-    return res
+    return _stop(_rungs(f, n, budget), tol)
 
 
 def _weighted(phi, params, nomes, policy):
     """The integrand z -> phi(z) Psi~(z) of <phi> = integral of phi Psi~
-    over the torus, for :func:`torus_integrate`.
+    over the torus, for a quadrature ladder.
 
     The product is formed as phi(z) * Psi~(z): numpy's complex array product
     is not bitwise commutative, and report bytes rest on this order.
@@ -209,11 +192,14 @@ def nabla_quad(
     if nomes.p == 0:
         raise DomainError("the fused nabla image needs p != 0")
 
-    pointwise = _per_grid(lambda z: _nabla_pointwise(r, i, z, params, nomes, policy))
-    _, href = pointwise(QuadratureGrid(n, MIN_POINTS).nodes())
-    scale = float(np.mean(href))
-    if scale == 0.0:
-        scale = 1.0
-    res = torus_integrate(lambda z: pointwise(z)[0], n, tol * scale, budget)
-    _, href = pointwise(QuadratureGrid(n, res.N_used).nodes())
-    return res, float(np.mean(href))
+    href = {}  # N -> mean of |phi Psi~| on the N-grid
+
+    def g(z):
+        values, h = _nabla_pointwise(r, i, z, params, nomes, policy)
+        href[z.N] = float(np.mean(h))
+        return values
+
+    ladder = _rungs(g, n, budget)
+    first = next(ladder)
+    res = _stop(chain([first], ladder), tol * (href[MIN_POINTS] or 1.0))
+    return res, href[res.N_used]

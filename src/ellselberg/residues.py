@@ -42,6 +42,11 @@ def continued_integral_n1(
 
         2 prod_{m != a} Gamma(a_m a^{+-1}) / ((p;p)(q;q) Gamma(a^-2)).
     """
+    return _continued(params, nomes, policy, lambda f: torus_integrate(f, 1, tol, budget))
+
+
+def _continued(params, nomes, policy, integrate) -> tuple[complex, int]:
+    """continued_integral_n1 with integrate(f) -> QuadResult as its ladder."""
     if params.n != 1:
         raise DomainError("the continued integral is implemented for n = 1")
     outside = [m for m, v in enumerate(params.a) if abs(v) > 1]
@@ -52,7 +57,7 @@ def continued_integral_n1(
             raise DomainError(
                 f"parameter {v} within {TORUS_CLEARANCE} of the unit circle"
             )
-    quad = torus_integrate(lambda z: psi(z, params, nomes, policy), 1, tol, budget)
+    quad = integrate(lambda z: psi(z, params, nomes, policy))
     value = quad.value
     if outside:
         a = params.a[outside[0]]

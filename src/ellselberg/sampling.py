@@ -32,6 +32,13 @@ class SafeBox:
     solved_clearance: float = 0.25
     max_rejections: int = 20000
 
+    def __post_init__(self):
+        # the free moduli are drawn from [a_min, a_max] and must not vanish
+        if not self.a_min > 0:
+            raise ConfigurationError(f"a_min must be positive, got {self.a_min}")
+        if self.a_min > self.a_max:
+            raise ConfigurationError(f"a_min = {self.a_min} exceeds a_max = {self.a_max}")
+
 
 DEFAULT_BOX = SafeBox()
 
@@ -138,10 +145,7 @@ def sample_parameters(
 
     def draw(rng):
         tt = rng.uniform(box.t_min, box.t_max) if t is None else t
-        try:
-            ps = ParameterSet.solved(n, tt, _free(rng, box, 5), nomes, mode)
-        except DegenerateParameterError:
-            return "degenerate free product"
+        ps = ParameterSet.solved(n, tt, _free(rng, box, 5), nomes, mode)
         reason = _mode_reason(ps, nomes, box)
         if reason is None and predicate is not None and not predicate(ps):
             reason = "scenario predicate"

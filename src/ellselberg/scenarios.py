@@ -6,10 +6,12 @@ with the reason in ``detail`` instead of propagating, so batch runs always
 produce one report per requested case.
 
 Quadrature stopping tolerances are scaled by a coarse magnitude estimate of
-the closed side; since the refinement error estimate lags the true error by
-one doubling, a stalled ladder is retried once with a 50x looser stop before
-being declared non-convergent (the verdict always uses the measured error);
-a report whose value took that retry says so in ``detail``.
+the closed side.  Since the refinement error estimate lags the true error by
+one doubling, a stalled ladder gets a 50x looser stop before being declared
+non-convergent (the verdict always uses the measured error).  That stop is
+read off the rungs the stall already evaluated, not a second ladder, so no
+grid is evaluated twice within one integral; a report whose value took the
+looser stop says so in ``detail``.
 
 One row table drives every sweep: :data:`SUITE_ROWS` is the default suite,
 :func:`run_row` samples one row and :func:`cases` expands one parameter set
@@ -23,6 +25,7 @@ import contextvars
 import math
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import (
     ConfigurationError,
@@ -47,12 +50,10 @@ from .qseries import (
     _gamma_product,
     theta,
 )
-from .quadrature import _per_grid, _weighted, nabla_quad, torus_integrate
+from .quadrature import _rungs, _stop, _weighted, nabla_quad
 from .report import ScenarioReport, relative_error
-from .residues import continued_integral_n1, lim_pinch_J, richardson_limit
+from .residues import _continued, continued_integral_n1, lim_pinch_J, richardson_limit
 from .sampling import DEFAULT_BOX, SafeBox, sample_da_parameters, sample_parameters
-
-ROUGH_TOL = 1e30  # accepts the first refinement step: a magnitude probe
 
 RETRY_NOTE = "retried at 50x looser stop"
 
@@ -136,30 +137,24 @@ def _echo(params: ParameterSet, nomes: Nomes, seed_index: int, **indices) -> dic
     )
 
 
-def _with_retry(integrate, tol, scale):
-    """integrate(stop) at stop = tol*scale/10, once more 50x looser if it stalls."""
+def _refined(rungs, tol, scale):
+    """The stop rule on ``rungs`` at tol*scale/10; if that stalls, at a 50x
+    looser stop read off the rungs the stall carries, with RETRY_NOTE."""
     try:
-        return integrate(0.1 * tol * scale)
-    except NonConvergenceError:
+        return _stop(rungs, 0.1 * tol * scale)
+    except NonConvergenceError as exc:
         notes = _NOTES.get([])
         if RETRY_NOTE not in notes:
             notes.append(RETRY_NOTE)
-        return integrate(5.0 * tol * scale)
-
-
-def _integrate_scaled(f, n, tol, scale, budget):
-    """Torus integral of f refined to tol relative to scale (see _with_retry)."""
-    return _with_retry(lambda stop: torus_integrate(f, n, stop, budget), tol, scale)
+        return _stop(exc.rungs, 5.0 * tol * scale)
 
 
 def _probed(f, n, budget, floor):
-    """f evaluated once per rung, and max(|I_32|, floor) to scale its ladder by.
-
-    The magnitude is the N = 32 mean of a ladder that accepts its first
-    doubling; the refinement after it reuses the N = 16 and 32 rungs.
-    """
-    f = _per_grid(f)
-    return f, max(abs(torus_integrate(f, n, ROUGH_TOL, budget).value), floor)
+    """f's rungs, and max(|I_32|, floor) to scale their refinement by; the
+    rungs yield the two the magnitude read before evaluating further grids."""
+    ladder = _rungs(f, n, budget)
+    head = [next(ladder), next(ladder)]
+    return chain(head, ladder), max(abs(head[1][1]), floor)
 
 
 def scenario_eval_formula(
@@ -188,15 +183,11 @@ def scenario_eval_formula(
             raise SampleRejectionError(
                 "n >= 2 needs every parameter inside the unit circle"
             )
+        integrate = lambda f: _refined(_rungs(f, n, budget), tol, scale)
         if outside:
-            lhs, grid_N = _with_retry(
-                lambda stop: continued_integral_n1(params, nomes, stop, budget, policy=policy),
-                tol, scale,
-            )
+            lhs, grid_N = _continued(params, nomes, policy, integrate)
             return lhs, rhs, grid_N, None, "continued contour (one parameter outside)"
-        quad = _integrate_scaled(
-            lambda z: psi(z, params, nomes, policy), n, tol, scale, budget
-        )
+        quad = integrate(lambda z: psi(z, params, nomes, policy))
         return quad.value, rhs, quad.N_used
 
     echo = _echo(params, nomes, seed_index=seed_index)
@@ -260,10 +251,11 @@ def scenario_qde(
             raise SampleRejectionError(
                 "q-difference scenarios need the PQ or P balancing"
             )
-        f_left, scale = _probed(lambda z: psi(z, left, nomes, policy), n, budget, 1.0)
-        lhs_quad = _integrate_scaled(f_left, n, tol, scale, budget)
-        rhs_quad = _integrate_scaled(
-            lambda z: psi(z, right, nomes, policy), n, tol, scale / max(abs(ratio), 1e-6), budget
+        left_rungs, scale = _probed(lambda z: psi(z, left, nomes, policy), n, budget, 1.0)
+        lhs_quad = _refined(left_rungs, tol, scale)
+        rhs_quad = _refined(
+            _rungs(lambda z: psi(z, right, nomes, policy), n, budget),
+            tol, scale / max(abs(ratio), 1e-6),
         )
         return lhs_quad.value, rhs_quad.value * ratio, max(lhs_quad.N_used, rhs_quad.N_used)
 
@@ -278,8 +270,8 @@ def _expect_invariant(r, params, nomes, tol, budget, policy):
     def phi(z):
         return fundamental_invariant(r, a1, a6, _z_list(z, n), t, nomes.p, policy)
 
-    f, scale = _probed(_weighted(phi, params, nomes, policy), n, budget, 1e-12)
-    return _integrate_scaled(f, n, tol, scale, budget)
+    rungs, scale = _probed(_weighted(phi, params, nomes, policy), n, budget, 1e-12)
+    return _refined(rungs, tol, scale)
 
 
 def scenario_recurrence(
@@ -389,8 +381,8 @@ def scenario_dixon_anderson(
         rhs = _da_closed(a, n, nomes, policy)
         scale = max(abs(rhs), 1.0)
         kernel = _bc_kernel([pm(GAMMA, am) for am in a], None, range(n))
-        quad = _integrate_scaled(
-            lambda z: evaluate(kernel, _z_list(z, n), nomes, policy), n, tol, scale, budget
+        quad = _refined(
+            _rungs(lambda z: evaluate(kernel, _z_list(z, n), nomes, policy), n, budget), tol, scale
         )
         return quad.value, rhs, quad.N_used
 

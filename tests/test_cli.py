@@ -325,6 +325,18 @@ class TestScenarioTable:
         (rep,) = json.loads(path.read_text())
         assert all(0.45 <= abs(complex(*a)) <= 0.5 for a in rep["a"][:5])
 
+    def test_box_without_free_moduli_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "box.cfg"
+        cfg.write_text("a_min = 0\n")
+        path = tmp_path / "out.json"
+        code = main([
+            "verify", "--scenario", "dixon_anderson", "--p", "0.05", "--q", "0.12",
+            "--config", str(cfg), "--report", str(path),
+        ])
+        assert code == 2
+        assert "a_min" in capsys.readouterr().err
+        assert not path.exists()
+
     @pytest.mark.parametrize(
         "extra",
         [

@@ -91,6 +91,24 @@ class TestSampleParameters:
             sample_parameters(BalancingMode.PQ, 1, Nomes(0.3, 0.12), seed=1, count=1)
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [dict(a_min=0.0, a_max=0.0), dict(a_min=-0.1, a_max=0.5), dict(a_min=0.6, a_max=0.5)],
+)
+@pytest.mark.parametrize(
+    "sample",
+    [
+        lambda box: sample_parameters(BalancingMode.PQ, 1, NM, seed=1, count=1, box=box),
+        lambda box: sample_da_parameters(1, NM, seed=1, count=1, box=box),
+    ],
+    ids=["balanced", "dixon_anderson"],
+)
+def test_both_samplers_refuse_a_box_without_free_moduli(sample, bounds):
+    # the box is refused before any draw, so both samplers give the same error
+    with pytest.raises(ConfigurationError, match="a_min"):
+        sample(SafeBox(**bounds))
+
+
 class TestSampleDaParameters:
     @pytest.mark.parametrize("n", [1, 2])
     def test_constraint_product(self, n):

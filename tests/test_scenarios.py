@@ -185,15 +185,20 @@ class TestReportedGrid:
 
     @pytest.fixture
     def ladder_sizes(self, monkeypatch):
+        # the N every ladder stopped at: the pinch checks integrate through
+        # residues, eval_formula refines through the scenarios' stop rule
         sizes = []
-        integrate = residues.torus_integrate
 
-        def recording(*args, **kwargs):
-            res = integrate(*args, **kwargs)
-            sizes.append(res.N_used)
-            return res
+        def recording(stop):
+            def wrapped(*args, **kwargs):
+                res = stop(*args, **kwargs)
+                sizes.append(res.N_used)
+                return res
 
-        monkeypatch.setattr(residues, "torus_integrate", recording)
+            return wrapped
+
+        monkeypatch.setattr(residues, "torus_integrate", recording(residues.torus_integrate))
+        monkeypatch.setattr(scenarios, "_stop", recording(scenarios._stop))
         return sizes
 
     def test_eval_formula_continued(self, ladder_sizes):
@@ -203,7 +208,8 @@ class TestReportedGrid:
         )
         rep = scenario_eval_formula(1, ps, nm, 1e-8)
         assert "continued contour" in rep.detail
-        assert rep.grid_N == ladder_sizes[-1] <= quadrature.default_budget(1)
+        assert len(ladder_sizes) == 1
+        assert rep.grid_N == ladder_sizes[0] <= quadrature.default_budget(1)
 
     @pytest.mark.parametrize(
         "check,make,ladders",
@@ -227,39 +233,61 @@ class TestRetryNote:
         assert rep.detail.startswith("NonConvergenceError")
         assert rep.detail.endswith(scenarios.RETRY_NOTE)
 
+    @staticmethod
+    def stalling(monkeypatch, stops, stalls):
+        """Record every stop the scenarios ask for; stalls(count) forces a
+        stall that has read every rung, as one at the budget would."""
+        stop = scenarios._stop
+
+        def forced(rungs, tol):
+            stops.append(tol)
+            if stalls(len(stops)):
+                rungs = tuple(rungs)
+                raise NonConvergenceError("forced stall", estimates=(1.0, 1.0), rungs=rungs)
+            return stop(rungs, tol)
+
+        monkeypatch.setattr(scenarios, "_stop", forced)
+
     def test_successful_retry_is_visible(self, monkeypatch):
         stops = []
-        integrate = scenarios.torus_integrate
-
-        def stall_once(f, n, tol, *args):
-            stops.append(tol)
-            if len(stops) == 1:
-                raise NonConvergenceError("forced stall", estimates=(1.0, 1.0))
-            return integrate(f, n, tol, *args)
-
-        monkeypatch.setattr(scenarios, "torus_integrate", stall_once)
+        self.stalling(monkeypatch, stops, lambda count: count == 1)
         rep = scenario_eval_formula(1, pq_set(), NM, 1e-8)
         assert rep.passed
         assert rep.detail == scenarios.RETRY_NOTE
+        assert len(stops) == 2
         assert stops[1] == pytest.approx(50 * stops[0])
 
     def test_two_retried_ladders_one_note(self, monkeypatch):
         # qde refines two ladders; stall the first stop of each
-        integrate = scenarios.torus_integrate
         stops = []
-
-        def stall_first_stop(f, n, tol, *args):
-            if tol != scenarios.ROUGH_TOL:
-                stops.append(tol)
-                if len(stops) % 2:
-                    raise NonConvergenceError("forced stall", estimates=(1.0, 1.0))
-            return integrate(f, n, tol, *args)
-
-        monkeypatch.setattr(scenarios, "torus_integrate", stall_first_stop)
+        self.stalling(monkeypatch, stops, lambda count: count % 2)
         rep = scenario_qde(1, 1, pq_set(), NM, 1e-7)
         assert rep.passed
         assert len(stops) == 4
         assert rep.detail == scenarios.RETRY_NOTE
+
+    @pytest.mark.parametrize("scenario", ["plain", "continued", "dixon_anderson"])
+    def test_retry_evaluates_no_grid_twice(self, monkeypatch, scenario):
+        # budget 32 leaves one doubling: the first stop stalls and the
+        # looser stop reads the same two rungs
+        sizes = []
+        nodes = quadrature.QuadratureGrid.nodes
+
+        def recording(grid):
+            sizes.append(grid.N)
+            return nodes(grid)
+
+        monkeypatch.setattr(quadrature.QuadratureGrid, "nodes", recording)
+        if scenario == "dixon_anderson":
+            (a,) = sample_da_parameters(1, NM, seed=4, count=1)
+            rep = scenario_dixon_anderson(1, a, NM, 1e-8, budget=32)
+        else:
+            ps = pq_set() if scenario == "plain" else make_continued(pq_set(), NM)
+            # one parameter outside the unit disk takes the continued contour
+            assert any(abs(v) > 1 for v in ps.a) == (scenario == "continued")
+            rep = scenario_eval_formula(1, ps, NM, 1e-8, budget=32)
+        assert rep.detail.endswith(scenarios.RETRY_NOTE)
+        assert sizes == [16, 32]
 
     def test_no_retry_no_note(self):
         rep = scenario_eval_formula(1, pq_set(), NM, 1e-8)
