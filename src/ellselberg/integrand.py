@@ -10,15 +10,16 @@ denominator Gamma is evaluated through the reciprocal path, so the kernel
 stays finite (instead of 0/0) on the measure-zero sets z_i = +-1 and
 z_i = z_j^{+-1} that product grids necessarily contain.  It is exactly 0
 there only where the denominator's argument rounds to exactly 1: at z_i = 1
-on every path, and at z_i = z_j^{+-1} on a Lattice (the pair table's
-argument is exp(0) = 1).  Pointwise, z_i = z_j^{-1} gives an exact zero only
-where z_i z_j rounds to 1 (2 of 16 such nodes on a rank-2, N = 16 grid), and
-z_i = exp(i pi) leaves |Psi| near 1e-30 on both paths.
+on every path, and at z_i = -1 and z_i = z_j^{+-1} on a Lattice (the table
+1/Gamma(w) is read at w = 1, index 2 (N/2) = 0 and (k_i -+ k_j) = 0 mod N).
+Pointwise, z_i = z_j^{-1} gives an exact zero only where z_i z_j rounds to
+1 (2 of 16 such nodes on a rank-2, N = 16 grid), and z_i = exp(i pi), which
+rounds to -1 + 1.2e-16i, leaves |Psi| near 1e-32 to 1e-30.
 
 All kernels accept z as a length-n sequence of nonzero complex values or of
 equal-shape complex arrays (elementwise grids).
 Each kernel is one factor list (see :mod:`.kernel`): a quadrature node list
-(a Lattice) is evaluated by per-factor tables, any other input pointwise.
+(a Lattice) is read from circle tables of f(c w), any other input pointwise.
 """
 
 from __future__ import annotations

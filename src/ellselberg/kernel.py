@@ -4,24 +4,24 @@ A kernel is a list of factors f(c z^alpha): f is Gamma, 1/Gamma or the
 identity (a monomial prefactor), alpha a sparse exponent vector ((i, e), ...)
 with one or two entries; a ``pm`` factor also multiplies in f(c z^-alpha).
 
-On a :class:`Lattice` (z_i = s_i w[k_i], w_m = exp(2 pi i m/N)) every group
-of factors that shares a gather index becomes one length-N table built by
-the ordinary q-series calls: one-coordinate factors on the circle s_i w with
-the pointwise arithmetic (so rank 1 is unchanged), gathered at k_i; pair
-factors, alpha = sigma alpha' with alpha' starting positive, at
-c s^alpha w^sigma, gathered at (alpha' . k) mod N.  Any other z is
-evaluated pointwise.
+On a :class:`Lattice` (z_i = s_i w[k_i], w = _roots(N)) z^alpha is
+s^alpha w[(alpha . k) mod N], so every factor f(c z^alpha) reads the table
+T = f(c s^alpha w) at (alpha . k) mod N, and its mirror f(c z^-alpha) the
+table of c s^-alpha at -(alpha . k) mod N: the same T when s^alpha = 1, as
+on every ladder's grid (rank-1 Psi reads its 14 functions of z from 7
+tables).  With alpha = d alpha', d = +-gcd of its entries and alpha'
+starting positive, the reads T[(d m) mod N] of the factors that share
+alpha' fold, in _fold's order, into one length-N table gathered at
+(alpha' . k) mod N per point.  Any other z is evaluated pointwise.
 
-A group's table is the product, in _fold's order, of its factors' values on
-the circle s w.  A factor's values at N <= MIN_POINTS, the first rung of
-every trapezoid ladder, or at odd N are evaluated on the whole circle; at
-any other N they are its values at N/2 (node 2m of the N circle is node m
-of the N/2 circle, bit for bit) with f evaluated on the odd nodes placed
-between them.  A ladder doubling N from 16 to 512 thus evaluates each
-factor on 512 nodes instead of 1008 when its halves stay held.
+A table's values at N <= MIN_POINTS, the first rung of every trapezoid
+ladder, or at odd N are evaluated on the whole circle; at any other N they
+are its values at N/2 (node 2m of the N circle is node m of the N/2 circle,
+bit for bit) with f evaluated on the odd nodes placed between them, so a
+ladder from 16 to 512 evaluates each table on 512 nodes, not 1008.
 
-Those values come from a process-wide LRU of read-only arrays keyed on the
-factor, N, s, the nomes and the policy, every number by its exact bits
+Those values come from a process-wide LRU of read-only arrays keyed on f,
+c s^alpha, N, the nomes and the policy, every number by its exact bits
 (0.0 == -0.0), so the kernels of one family (the shifts of qde, Psi~ under
 several invariants, the Weyl factor of every kernel) and the rungs of later
 ladders and reports share them.  A table is a fixed function of its key,
@@ -33,6 +33,7 @@ nothing at the N it raised on.
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -47,14 +48,15 @@ MIN_POINTS = 16
 
 # Bytes of circle values the cache may hold.  A table is built from its N/2
 # table, so a half that was evicted is evaluated again: the default suite
-# evaluates 78 288 circle points at 96 KiB, 65 952 at 160 KiB and 49 952 at
-# 192 KiB (32 704 when nothing is evicted).  192 KiB is the smallest of 96,
-# 128, 160, 192 and 256 KiB at which the `suite` benchmark ran faster than
-# tables evaluated whole at 96 KiB unless their half was held: wall_s
-# 0.49-0.51 s against 0.56-0.58 s (160 KiB: 0.54-0.57 s) and peak RSS
-# +1.5 % (6 s runs, seeds 1-3, 2-core Xeon, numpy 2.4).  Kept small
-# otherwise: a benchmark that re-imports the package keeps every old module
-# copy, cache included, until the cyclic collector runs.
+# evaluates 38 768 circle points at 96 KiB, 27 392 at 160 KiB and 22 848 at
+# 192 KiB (22 720 when nothing is evicted).  192 KiB was chosen when a
+# table held a factor and its mirror, as the smallest of 96, 128, 160, 192
+# and 256 KiB at which the `suite` benchmark ran faster than tables
+# evaluated whole at 96 KiB unless their half was held: wall_s 0.49-0.51 s
+# against 0.56-0.58 s (160 KiB: 0.54-0.57 s) and peak RSS +1.5 % (6 s runs,
+# seeds 1-3, 2-core Xeon, numpy 2.4).  Kept small otherwise: a benchmark
+# that re-imports the package keeps every old module copy, cache included,
+# until the cyclic collector runs.
 _TABLE_BYTES = 192 * 1024
 
 
@@ -82,8 +84,7 @@ class Lattice(list):
     """Node list of a product grid: entry i is scale[i] * w[k[i]].
 
     It carries N, and w = _roots(N) holds the N-th roots of unity in order,
-    so (N, scale[i]) names circle i and pair tables may gather w[a] w[b] at
-    w[(a + b) mod N].
+    so z^alpha is scale^alpha w[(alpha . k) mod N].
     """
 
     def __init__(self, N: int, k, scale=None):
@@ -155,22 +156,21 @@ def _fold(values):
 _tables = ByteLRU(_TABLE_BYTES)
 
 
-def _on_circle(f, N, s, nomes, policy):
-    """f on the circle s * exp(2 pi i m/N), read-only, from _tables when held."""
-    # c and s meet the circle only in numpy, which casts them to complex128;
-    # p and q also enter Python arithmetic, where a float and a complex of
-    # equal value can give a zero of another sign, so their types count too.
+def _on_circle(kind, c, N, nomes, policy):
+    """f(c w) on w = _roots(N), read-only, from _tables when held."""
+    # c meets the circle only in numpy, which casts it to complex128; p and
+    # q also enter Python arithmetic, where a float and a complex of equal
+    # value can give a zero of another sign, so their types count too.
     p, q = nomes.p, nomes.q
-    key = (N, f.kind, _bits(f.c), f.alpha, f.pm, _bits(s),
-           type(p), _bits(p), type(q), _bits(q), policy or DEFAULT_POLICY)
+    key = (N, kind, _bits(c), type(p), _bits(p), type(q), _bits(q), policy or DEFAULT_POLICY)
     table = _tables.get(key)
     if table is None:
         if N % 2 or N <= MIN_POINTS:
-            table = _value(f, [_circle(N, s)], nomes, policy)
+            table = _apply(kind, _circle(N, c), nomes, policy)
         else:
             table = np.empty(N, dtype=complex)
-            table[0::2] = _on_circle(f, N // 2, s, nomes, policy)
-            table[1::2] = _value(f, [_circle(N, s, odd=True)], nomes, policy)
+            table[0::2] = _on_circle(kind, c, N // 2, nomes, policy)
+            table[1::2] = _apply(kind, _circle(N, c, odd=True), nomes, policy)
         table.flags.writeable = False
         _tables.put(key, table)
     return table
@@ -180,23 +180,23 @@ def evaluate(factors, z, nomes, policy=None):
     """Product of the factors at z: one value, or one per grid point."""
     if not isinstance(z, Lattice):
         return _fold(_value(f, z, nomes, policy) for f in factors)
-    # gather index alpha' -> [circle scale, factors written on that circle]
-    groups = {}
+    # alpha' -> reads (f, c s^alpha, d) of f(c s^alpha w) at (d m) mod N
+    N, groups, at = z.N, {}, {1: slice(None)}
     for f in factors:
-        if len(f.alpha) == 1:
-            ((i, e),) = f.alpha
-            groups.setdefault(((i, 1),), [z.scale[i]]).append(f._replace(alpha=((0, e),)))
-            continue
-        for (j, ej), (k, ek) in map(sorted, (f.alpha, _mirror(f.alpha))[: 1 + f.pm]):
-            s = 1 if ej > 0 else -1
-            c = f.c * z.scale[j] ** ej * z.scale[k] ** ek
-            group = groups.setdefault(((j, s * ej), (k, s * ek)), [1])
-            group.append(Factor(f.kind, c, ((0, s),)))
-    N, tables, out = z.N, {}, 1.0 + 0.0j
-    for key, sig in groups.items():
-        sig = tuple(sig)
-        if sig not in tables:
-            scale, *fs = sig
-            tables[sig] = _fold(_on_circle(f, N, scale, nomes, policy) for f in fs)
-        out = out * tables[sig][sum(e * z.k[i] for i, e in key) % N]
+        alpha = sorted(f.alpha)
+        g = math.gcd(*(e for _, e in alpha)) * (1 if alpha[0][1] > 0 else -1)
+        reads = groups.setdefault(tuple((i, e // g) for i, e in alpha), [])
+        for sign in (1, -1)[: 1 + f.pm]:
+            c = f.c
+            for i, e in alpha:
+                c = c if z.scale[i] == 1 else c * z.scale[i] ** (sign * e)
+            reads.append((f.kind, c, sign * g))
+            if sign * g not in at:
+                at[sign * g] = sign * g * np.arange(N) % N
+    tables, out = {}, 1.0 + 0.0j
+    for key, reads in groups.items():
+        reads = tuple(reads)
+        if reads not in tables:
+            tables[reads] = _fold(_on_circle(f, c, N, nomes, policy)[at[d]] for f, c, d in reads)
+        out = out * tables[reads][sum(e * z.k[i] for i, e in key) % N]
     return out

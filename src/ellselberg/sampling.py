@@ -97,6 +97,12 @@ def _free(rng: random.Random, box: SafeBox, size: int) -> list:
     ]
 
 
+def _product(values, out=1.0 + 0.0j) -> complex:
+    for v in values:
+        out *= v
+    return out
+
+
 def _sample(seed, count, box, stats, what, draw) -> list:
     """``count`` accepted draws: draw(rng) gives a candidate, or the reason
     (a string) it was rejected.  Raises ConfigurationError once more than
@@ -145,7 +151,11 @@ def sample_parameters(
 
     def draw(rng):
         tt = rng.uniform(box.t_min, box.t_max) if t is None else t
-        ps = ParameterSet.solved(n, tt, _free(rng, box, 5), nomes, mode)
+        free = _free(rng, box, 5)
+        # ParameterSet.solved divides by this product and refuses a zero one
+        if _product(free, complex(tt) ** (2 * n - 2)) == 0:
+            return "degenerate free product"
+        ps = ParameterSet.solved(n, tt, free, nomes, mode)
         reason = _mode_reason(ps, nomes, box)
         if reason is None and predicate is not None and not predicate(ps):
             reason = "scenario predicate"
@@ -176,9 +186,7 @@ def sample_da_parameters(
 
     def draw(rng):
         free = _free(rng, box, 2 * n + 3)
-        prod = 1.0 + 0.0j
-        for v in free:
-            prod *= v
+        prod = _product(free)
         if prod == 0:
             return "degenerate free product"
         last = target / prod

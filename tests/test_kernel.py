@@ -88,10 +88,6 @@ def test_lattice_matches_pointwise(name, n, N, phase):
     scale = np.max(np.abs(pointwise))
     assert scale > 0
     assert np.max(np.abs(lattice - pointwise)) <= 1e-13 * scale
-    if n == 1 and not (phase and name == "nabla"):
-        # nabla's q-shift of a turned circle multiplies (s q) w on the
-        # lattice but q (s w) pointwise, which may differ in the last bit
-        assert np.array_equal(lattice, pointwise)
     if phase == 0.0:
         # z_1 = 1 (z_2 = 1 for nabla, whose coordinate 1 is shifted) is a
         # zero of 1/Gamma(z^2) on both paths
@@ -99,6 +95,19 @@ def test_lattice_matches_pointwise(name, n, N, phase):
         if axis < n:
             hit = grid.k[axis] == 0
             assert np.all(lattice[hit] == 0) and np.all(pointwise[hit] == 0)
+
+
+@pytest.mark.parametrize("N", [16, 32])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", ["psi", "psi_tilde", "dixon_anderson"])
+def test_lattice_minus_one_is_an_exact_zero(name, n, N):
+    # 1/Gamma(z_i^{+-2}) reads its table 1/Gamma(w) at 2 (N/2) mod N = 0,
+    # where w = 1; pointwise, (-1)**2 leaves |Psi| near 1e-32
+    grid = QuadratureGrid(n, N).nodes()
+    values = KERNELS[name](grid, n)
+    for i in range(n):
+        hit = np.asarray(grid.k[i]) == N // 2
+        assert hit.any() and np.all(values[hit] == 0)
 
 
 @pytest.mark.parametrize("name", ["psi", "psi_tilde_alt", "dixon_anderson", "e_r_psi_tilde"])
@@ -217,14 +226,14 @@ HALF_SCALES = {"1": 1, "q": NM.q, "turned": 0.7 * np.exp(0.3j)}
 
 @pytest.fixture
 def tables(monkeypatch):
-    """(f, N, s, table) of every circle table evaluate asks for, the N/2
+    """(kind, c, N, table) of every circle table evaluate asks for, the N/2
     tables a table is built from included."""
     asked = []
     on_circle = kernel._on_circle
 
-    def recording(f, N, s, nomes, policy):
-        table = on_circle(f, N, s, nomes, policy)
-        asked.append((f, N, s, table))
+    def recording(kind, c, N, nomes, policy):
+        table = on_circle(kind, c, N, nomes, policy)
+        asked.append((kind, c, N, table))
         return table
 
     monkeypatch.setattr(kernel, "_on_circle", recording)
@@ -244,11 +253,33 @@ def test_table_from_its_half_is_the_direct_table_bitwise(tables, name, scale):
         kernel._tables.clear()
         evaluate(factors, half, NM)
         evaluate(factors, grid, NM)  # the N/2 tables held
-        assert sum(at == N for _, at, _, _ in tables) >= 2 * len(factors)
-        for f, at, s_at, table in tables:
-            direct = kernel._value(f, [kernel._circle(at, s_at)], NM, None)
+        assert sum(at == N for _, _, at, _ in tables) >= 2 * len(factors)
+        for kind, c, at, table in tables:
+            direct = kernel._apply(kind, kernel._circle(at, c), NM, None)
             assert table.tobytes() == direct.tobytes()
         tables.clear()
+
+
+LONE_KINDS = {GAMMA: 0.61 * np.exp(0.4j), RECIP: 0.3 + 0.1j, MONO: 0.8 - 0.2j}
+
+
+@pytest.mark.parametrize("scale", sorted(HALF_SCALES))
+@pytest.mark.parametrize("e", [1, -1, 2, -2])
+@pytest.mark.parametrize("kind", sorted(LONE_KINDS))
+def test_lone_factor_reads_its_circle_table_bitwise(kind, e, scale):
+    # f(c z^e) on the circle s w is f(c s^e w) read at (e k) mod N; its
+    # mirror f(c z^-e) reads the table of c s^-e, the same one when s = 1
+    c, s = LONE_KINDS[kind], HALF_SCALES[scale]
+    for N in (16, 32, 64, 128, 256, 512):
+        grid = QuadratureGrid(1, N).nodes().scaled(0, s)
+        k = np.asarray(grid.k[0])
+        table = kernel._on_circle(kind, c * s**e, N, NM, None)
+        mirror = kernel._on_circle(kind, c * s**-e, N, NM, None)
+        assert (mirror is table) == (s == 1)
+        plain = evaluate([Factor(kind, c, ((0, e),))], grid, NM)
+        assert np.array_equal(plain, table[e * k % N])
+        both = evaluate([Factor(kind, c, ((0, e),), True)], grid, NM)
+        assert np.array_equal(both, table[e * k % N] * mirror[-e * k % N])
 
 
 def test_pole_on_an_odd_node_raises_and_stores_nothing():
@@ -279,4 +310,18 @@ def test_rank1_ladder_evaluates_each_factor_on_the_new_nodes_only(counted):
     kernel._tables.clear()
     for grid in rungs:
         psi_tilde(grid, ps, NM)
+    assert counted[1] <= 0.55 * counted[0]
+
+
+def test_rank1_ladder_reads_each_mirror_from_its_factors_table(counted):
+    # the pointwise product at N = 512 evaluates Psi's 14 functions of z on
+    # every node, as much as a ladder to 512 with one table per function
+    # did; Gamma(a_m / z) and 1/Gamma(z^-2) read the tables of Gamma(a_m w)
+    # and 1/Gamma(w), so the ladder evaluates 7 tables
+    ps = pq_set(1)
+    counted.append(0)
+    psi(list(QuadratureGrid(1, 512).nodes()), ps, NM)
+    counted.append(0)
+    for N in (16, 32, 64, 128, 256, 512):
+        psi(QuadratureGrid(1, N).nodes(), ps, NM)
     assert counted[1] <= 0.55 * counted[0]

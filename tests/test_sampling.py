@@ -91,11 +91,8 @@ class TestSampleParameters:
             sample_parameters(BalancingMode.PQ, 1, Nomes(0.3, 0.12), seed=1, count=1)
 
 
-@pytest.mark.parametrize(
-    "bounds",
-    [dict(a_min=0.0, a_max=0.0), dict(a_min=-0.1, a_max=0.5), dict(a_min=0.6, a_max=0.5)],
-)
-@pytest.mark.parametrize(
+# one draw from each sampler in a given box
+BOTH_SAMPLERS = pytest.mark.parametrize(
     "sample",
     [
         lambda box: sample_parameters(BalancingMode.PQ, 1, NM, seed=1, count=1, box=box),
@@ -103,10 +100,24 @@ class TestSampleParameters:
     ],
     ids=["balanced", "dixon_anderson"],
 )
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [dict(a_min=0.0, a_max=0.0), dict(a_min=-0.1, a_max=0.5), dict(a_min=0.6, a_max=0.5)],
+)
+@BOTH_SAMPLERS
 def test_both_samplers_refuse_a_box_without_free_moduli(sample, bounds):
     # the box is refused before any draw, so both samplers give the same error
     with pytest.raises(ConfigurationError, match="a_min"):
         sample(SafeBox(**bounds))
+
+
+@BOTH_SAMPLERS
+def test_both_samplers_reject_an_underflowing_free_product(sample):
+    # 1e-70 is a valid a_min, but five such moduli multiply to 0.0
+    with pytest.raises(ConfigurationError, match=r"\('degenerate free product', 51\)"):
+        sample(SafeBox(a_min=1e-70, a_max=1e-70, max_rejections=50))
 
 
 class TestSampleDaParameters:
