@@ -16,7 +16,9 @@ The invariant family E_r(a, b; z), 0 <= r <= n, is the theta-function sum
       prod_k theta(b t^(i_k-k) z_(i_k)^{+-1}) / theta(b t^(i_k-k) (a t^(k-1))^{+-1})
     * prod_l theta(a t^(j_l-l) z_(j_l)^{+-1}) / theta(a t^(j_l-l) (b t^(l-1))^{+-1})
 
-with all thetas at nome p.
+with all thetas at nome p.  Each term is one kernel description (see
+:mod:`.kernel`) of n factors theta(c z_i^{+-1}; p), divided by the product
+of its constant denominators.
 """
 
 from __future__ import annotations
@@ -26,10 +28,8 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-import numpy as np
-
 from .errors import DegenerateParameterError, DomainError
-from .kernel import Lattice, on_axis
+from .kernel import THETA, Factor, evaluate
 from .qseries import Nomes, TruncationPolicy, theta, theta_pm
 
 # Below this magnitude a denominator theta counts as degenerate.
@@ -174,28 +174,30 @@ def fundamental_invariant(
     t: complex,
     p: complex,
     policy: TruncationPolicy | None = None,
+    coords=None,
 ):
-    """E_r(a, b; z): the r-th fundamental invariant in n = len(z) variables.
+    """E_r(a, b; z): the r-th fundamental invariant in the coordinates
+    ``coords`` of z (all of them by default), n = len(coords) variables.
 
-    ``z`` is a sequence of n values (or n arrays of equal shape for
-    elementwise evaluation; a Lattice is evaluated by per-coordinate theta
-    tables).  The sum runs over the binomial(n, r) complementary index pairs.
+    ``z`` is a sequence of values, of equal-shape arrays (elementwise
+    evaluation) or a Lattice, on which each term reads circle tables of
+    theta(c w; p) like any kernel.  The sum runs over the binomial(n, r)
+    complementary index pairs.
     """
-    zs = z if isinstance(z, Lattice) else [
-        np.asarray(w, dtype=complex) if not np.isscalar(w) else complex(w) for w in z
-    ]
-    n = len(zs)
+    coords = range(len(z)) if coords is None else coords
+    nomes = Nomes(p, 0.0)
     total = None
-    for idx_i, idx_j in complementary_index_pairs(n, r):
-        term = 1.0 + 0.0j
+    for idx_i, idx_j in complementary_index_pairs(len(coords), r):
+        factors, den = [], 1.0 + 0.0j
         for k, ik in enumerate(idx_i, start=1):
             c = b * t ** (ik - k)
-            den = _theta_den(theta_pm(c, a * t ** (k - 1), p, policy), f"b t^{ik - k} (a t^{k - 1})^(+-1)")
-            term = term * on_axis(zs, ik - 1, lambda w: theta_pm(c, w, p, policy)) / den
+            den = den * _theta_den(theta_pm(c, a * t ** (k - 1), p, policy), f"b t^{ik - k} (a t^{k - 1})^(+-1)")
+            factors.append(Factor(THETA, c, ((coords[ik - 1], 1),), True))
         for l, jl in enumerate(idx_j, start=1):
             c = a * t ** (jl - l)
-            den = _theta_den(theta_pm(c, b * t ** (l - 1), p, policy), f"a t^{jl - l} (b t^{l - 1})^(+-1)")
-            term = term * on_axis(zs, jl - 1, lambda w: theta_pm(c, w, p, policy)) / den
+            den = den * _theta_den(theta_pm(c, b * t ** (l - 1), p, policy), f"a t^{jl - l} (b t^{l - 1})^(+-1)")
+            factors.append(Factor(THETA, c, ((coords[jl - 1], 1),), True))
+        term = evaluate(factors, z, nomes, policy) / den
         total = term if total is None else total + term
     return total
 

@@ -1,14 +1,14 @@
 """Torus kernels as data, evaluated pointwise or by lattice tables.
 
-A kernel is a list of factors f(c z^alpha): f is Gamma, 1/Gamma or the
-identity (a monomial prefactor), alpha a sparse exponent vector ((i, e), ...)
-with one or two entries; a ``pm`` factor also multiplies in f(c z^-alpha).
+A kernel is a list of factors f(c z^alpha): f is Gamma, 1/Gamma, theta(.; p)
+or the identity (a monomial prefactor), alpha a sparse exponent vector
+((i, e), ...) with one or two entries; a ``pm`` factor also multiplies in
+f(c z^-alpha).
 
-On a :class:`Lattice` (z_i = s_i w[k_i], w = _roots(N)) z^alpha is
-s^alpha w[(alpha . k) mod N], so every factor f(c z^alpha) reads the table
-T = f(c s^alpha w) at (alpha . k) mod N, and its mirror f(c z^-alpha) the
-table of c s^-alpha at -(alpha . k) mod N: the same T when s^alpha = 1, as
-on every ladder's grid (rank-1 Psi reads its 14 functions of z from 7
+On a :class:`Lattice` (z_i = w[k_i], w = _roots(N)) z^alpha is
+w[(alpha . k) mod N], so every factor f(c z^alpha) reads the table
+T = f(c w) at (alpha . k) mod N, and its mirror f(c z^-alpha) reads the
+same T at -(alpha . k) mod N (rank-1 Psi reads its 14 functions of z from 7
 tables).  With alpha = d alpha', d = +-gcd of its entries and alpha'
 starting positive, the reads T[(d m) mod N] of the factors that share
 alpha' fold, in _fold's order, into one length-N table gathered at
@@ -21,10 +21,10 @@ bit for bit) with f evaluated on the odd nodes placed between them, so a
 ladder from 16 to 512 evaluates each table on 512 nodes, not 1008.
 
 Those values come from a process-wide LRU of read-only arrays keyed on f,
-c s^alpha, N, the nomes and the policy, every number by its exact bits
-(0.0 == -0.0), so the kernels of one family (the shifts of qde, Psi~ under
-several invariants, the Weyl factor of every kernel) and the rungs of later
-ladders and reports share them.  A table is a fixed function of its key,
+c, N, the nomes and the policy, every number by its exact bits
+(0.0 == -0.0), so the kernels of one family (the shifts of qde, Psi~ and
+the E_r terms of one recurrence, the Weyl factor of every kernel) and the
+rungs of later ladders and reports share them.  A table is a fixed function of its key,
 so what the cache holds changes the time a run takes, never a bit of its
 output.  It holds at most _TABLE_BYTES; a factor that raises stores
 nothing at the N it raised on.
@@ -38,9 +38,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qseries import DEFAULT_POLICY, ByteLRU, _bits, elliptic_gamma, elliptic_gamma_recip
+from .qseries import DEFAULT_POLICY, ByteLRU, _bits, elliptic_gamma, elliptic_gamma_recip, theta
 
-GAMMA, RECIP, MONO = "gamma", "recip", "mono"
+GAMMA, RECIP, THETA, MONO = "gamma", "recip", "theta", "mono"
 
 # Points per circle of the first rung of every trapezoid ladder, and of the
 # largest circle whose tables are evaluated whole.
@@ -48,13 +48,14 @@ MIN_POINTS = 16
 
 # Bytes of circle values the cache may hold.  A table is built from its N/2
 # table, so a half that was evicted is evaluated again: the default suite
-# evaluates 38 768 circle points at 96 KiB, 27 392 at 160 KiB and 22 848 at
-# 192 KiB (22 720 when nothing is evicted).  192 KiB was chosen when a
-# table held a factor and its mirror, as the smallest of 96, 128, 160, 192
-# and 256 KiB at which the `suite` benchmark ran faster than tables
-# evaluated whole at 96 KiB unless their half was held: wall_s 0.49-0.51 s
-# against 0.56-0.58 s (160 KiB: 0.54-0.57 s) and peak RSS +1.5 % (6 s runs,
-# seeds 1-3, 2-core Xeon, numpy 2.4).  Kept small otherwise: a benchmark
+# evaluates 40 944 circle points at 96 KiB, 28 928 at 160 KiB and 23 744 at
+# 192 KiB (23 616 when nothing is evicted), E_r's theta tables included.
+# 192 KiB was chosen when a table held a factor and its mirror, as the
+# smallest of 96, 128, 160, 192 and 256 KiB at which the `suite` benchmark
+# ran faster than tables evaluated whole at 96 KiB unless their half was
+# held: wall_s 0.49-0.51 s against 0.56-0.58 s (160 KiB: 0.54-0.57 s) and
+# peak RSS +1.5 % (6 s runs, seeds 1-3, 2-core Xeon, numpy 2.4).  Kept
+# small otherwise: a benchmark
 # that re-imports the package keeps every old module copy, cache included,
 # until the cyclic collector runs.
 _TABLE_BYTES = 192 * 1024
@@ -81,39 +82,22 @@ def _roots(N: int) -> np.ndarray:
 
 
 class Lattice(list):
-    """Node list of a product grid: entry i is scale[i] * w[k[i]].
+    """Node list of a product grid: entry i is w[k[i]].
 
     It carries N, and w = _roots(N) holds the N-th roots of unity in order,
-    so z^alpha is scale^alpha w[(alpha . k) mod N].
+    so z^alpha is w[(alpha . k) mod N].
     """
 
-    def __init__(self, N: int, k, scale=None):
+    def __init__(self, N: int, k):
         self.N, self.k = N, tuple(k)
-        self.scale = tuple(scale or (1,) * len(self.k))
         w = _roots(N)
-        super().__init__(w[ki] if s == 1 else s * w[ki] for ki, s in zip(self.k, self.scale))
-
-    def take(self, idx) -> Lattice:
-        return Lattice(self.N, [self.k[j] for j in idx], [self.scale[j] for j in idx])
-
-    def scaled(self, i: int, factor) -> Lattice:
-        """The lattice with coordinate i multiplied by factor."""
-        scale = list(self.scale)
-        scale[i] = scale[i] * factor
-        return Lattice(self.N, self.k, scale)
+        super().__init__(w[ki] for ki in self.k)
 
 
-def _circle(N: int, s, odd=False):
-    """The circle s * exp(2 pi i m/N), m = 0..N-1, or only its odd m."""
+def _circle(N: int, c, odd=False):
+    """The circle c * exp(2 pi i m/N), m = 0..N-1, or only its odd m."""
     w = _roots(N)[1::2] if odd else _roots(N)
-    return w if s == 1 else s * w
-
-
-def on_axis(z, i: int, fn):
-    """fn(z[i]) for fn acting elementwise; once per circle node on a Lattice."""
-    if isinstance(z, Lattice):
-        return fn(_circle(z.N, z.scale[i]))[z.k[i]]
-    return fn(z[i])
+    return w if c == 1 else c * w
 
 
 def _arg(c, alpha, zs):
@@ -132,6 +116,8 @@ def _apply(kind, u, nomes, policy):
         return elliptic_gamma(u, nomes, policy)
     if kind == RECIP:
         return elliptic_gamma_recip(u, nomes, policy)
+    if kind == THETA:
+        return theta(u, nomes.p, policy)
     return u
 
 
@@ -180,23 +166,28 @@ def evaluate(factors, z, nomes, policy=None):
     """Product of the factors at z: one value, or one per grid point."""
     if not isinstance(z, Lattice):
         return _fold(_value(f, z, nomes, policy) for f in factors)
-    # alpha' -> reads (f, c s^alpha, d) of f(c s^alpha w) at (d m) mod N
+    # alpha' -> reads (kind, c, d, pm) of f(c w) at (d m) mod N, and of a pm
+    # factor's mirror at (-d m) mod N
     N, groups, at = z.N, {}, {1: slice(None)}
     for f in factors:
         alpha = sorted(f.alpha)
         g = math.gcd(*(e for _, e in alpha)) * (1 if alpha[0][1] > 0 else -1)
-        reads = groups.setdefault(tuple((i, e // g) for i, e in alpha), [])
-        for sign in (1, -1)[: 1 + f.pm]:
-            c = f.c
-            for i, e in alpha:
-                c = c if z.scale[i] == 1 else c * z.scale[i] ** (sign * e)
-            reads.append((f.kind, c, sign * g))
-            if sign * g not in at:
-                at[sign * g] = sign * g * np.arange(N) % N
+        groups.setdefault(tuple((i, e // g) for i, e in alpha), []).append((f.kind, f.c, g, f.pm))
+        for d in (g, -g)[: 1 + f.pm]:
+            if d not in at:
+                at[d] = d * np.arange(N) % N
     tables, out = {}, 1.0 + 0.0j
     for key, reads in groups.items():
         reads = tuple(reads)
         if reads not in tables:
-            tables[reads] = _fold(_on_circle(f, c, N, nomes, policy)[at[d]] for f, c, d in reads)
+            tables[reads] = _fold(_gathered(reads, N, at, nomes, policy))
         out = out * tables[reads][sum(e * z.k[i] for i, e in key) % N]
     return out
+
+
+def _gathered(reads, N, at, nomes, policy):
+    """Each read's table, looked up once, at at[d] and for a pm read then at at[-d]."""
+    for kind, c, d, both in reads:
+        table = _on_circle(kind, c, N, nomes, policy)
+        for sign in (1, -1)[: 1 + both]:
+            yield table[at[sign * d]]

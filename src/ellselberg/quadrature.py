@@ -128,7 +128,7 @@ def _weighted(phi, params, nomes, policy):
     return f
 
 
-def _nabla_term(i, rest, params, nomes):
+def _nabla_term(i, rest, params, nomes, shifted=False):
     """Factors of phi_{r,i} Psi~ that involve z_i (= w), in fused form.
 
     Combines F_i^-(w) with the w-factors of Psi~ through
@@ -139,6 +139,10 @@ def _nabla_term(i, rest, params, nomes):
         * prod_{m<=5} Gamma(a_m w) Gamma(q a_m / w) / [Gamma(w^2) Gamma(q/w^2)]
         * prod_{v in rest} Gamma(t w v^+-1) Gamma(q t v^+-1 / w)
                            / [Gamma(w v^+-1) Gamma(q v^+-1 / w)]
+
+    ``shifted`` gives the same factors at w -> q w, written into their
+    constants: w is each factor's first coordinate, and c (q w)^e is
+    (c q^e) w^e.
     """
     p, q, t, a6 = nomes.p, nomes.q, params.t, params.a[5]
     single = [(MONO, 1, 2), (MONO, -a6, -1), (GAMMA, p * a6, 1), (GAMMA, p * q * a6, -1)]
@@ -149,6 +153,8 @@ def _nabla_term(i, rest, params, nomes):
     pair = [(GAMMA, t, 1), (GAMMA, q * t, -1), (RECIP, 1.0, 1), (RECIP, q, -1)]
     for v in rest:
         out += [Factor(kind, c, ((i, e), (v, s))) for s in (1, -1) for kind, c, e in pair]
+    if shifted:
+        out = [f._replace(c=f.c * q ** f.alpha[0][1]) for f in out]
     return out
 
 
@@ -156,17 +162,11 @@ def _nabla_pointwise(r, i, z, params, nomes, policy):
     """(G, |H|) for H = phi_{r,i} Psi~ and G(z) = H(z) - H(z | z_i -> q z_i), fused form."""
     zs = _z_list(z, params.n)
     rest = [j for j in range(params.n) if j != i - 1]
-    if isinstance(zs, Lattice):
-        z_rest, z_shift = zs.take(rest), zs.scaled(i - 1, nomes.q)
-    else:
-        z_rest = [zs[j] for j in rest]
-        z_shift = [nomes.q * w if j == i - 1 else w for j, w in enumerate(zs)]
-    common = fundamental_invariant(r - 1, params.a[0], params.a[5], z_rest, params.t, nomes.p, policy)
+    common = fundamental_invariant(r - 1, params.a[0], params.a[5], zs, params.t, nomes.p, policy, rest)
     common = common * evaluate(_psi_kernel(params, nomes, True, rest), zs, nomes, policy)
-    term = _nabla_term(i - 1, rest, params, nomes)
-    t_plain = evaluate(term, zs, nomes, policy)
-    g = common * (t_plain - evaluate(term, z_shift, nomes, policy))
-    return g, np.abs(common * t_plain)
+    t_plain = evaluate(_nabla_term(i - 1, rest, params, nomes), zs, nomes, policy)
+    t_shift = evaluate(_nabla_term(i - 1, rest, params, nomes, shifted=True), zs, nomes, policy)
+    return common * (t_plain - t_shift), np.abs(common * t_plain)
 
 
 def nabla_quad(

@@ -10,37 +10,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 ABS_FALLBACK = 1e-12
-
-# The documented field order for both JSON objects and CSV columns.
-FIELD_ORDER = (
-    "scenario",
-    "seed_index",
-    "n",
-    "p",
-    "q",
-    "t",
-    "a",
-    "balancing",
-    "k",
-    "r",
-    "i",
-    "grid_N",
-    "lhs",
-    "rhs",
-    "abs_err",
-    "rel_err",
-    "tol",
-    "passed",
-    "runtime_ms",
-    "tail_tol",
-    "max_terms",
-    "constraint_exponent",
-    "detail",
-)
-
 
 @dataclass(frozen=True)
 class ScenarioReport:
@@ -76,6 +48,10 @@ class ScenarioReport:
     max_terms: int
     constraint_exponent: int | None = None
     detail: str = ""
+
+
+# The documented field order for both JSON objects and CSV columns.
+FIELD_ORDER = tuple(f.name for f in fields(ScenarioReport))
 
 
 def relative_error(lhs: complex, rhs: complex) -> tuple[float, float]:

@@ -17,8 +17,8 @@ from ellselberg import (
 )
 from ellselberg import kernel
 from ellselberg.integrand import _bc_kernel
-from ellselberg.kernel import GAMMA, MONO, RECIP, Factor, Lattice, evaluate, pm
-from ellselberg.quadrature import _nabla_pointwise
+from ellselberg.kernel import GAMMA, MONO, RECIP, THETA, Factor, Lattice, evaluate, pm
+from ellselberg.quadrature import _nabla_pointwise, _nabla_term
 from ellselberg.report import to_json
 from references import psi_tilde_alt
 
@@ -66,20 +66,12 @@ KERNELS = {
 CASES = [(n, N) for n in (1, 2, 3) for N in (16, 32)]
 
 
-def turned(n, N, phase):
-    """The QuadratureGrid(n, N) lattice with every circle turned by
-    exp(2 pi i phase / N), through the lattice's per-coordinate scale."""
-    grid = QuadratureGrid(n, N).nodes()
-    for i in range(n) if phase else ():
-        grid = grid.scaled(i, np.exp(2j * np.pi * phase / N))
-    return grid
-
-
-@pytest.mark.parametrize("phase", [0.0, 0.37])
+# z_i = w[k_i]: every lattice circle is the plain circle of N-th roots of unity
+@pytest.mark.parametrize("phase", [0.0])
 @pytest.mark.parametrize("n,N", CASES)
 @pytest.mark.parametrize("name", sorted(KERNELS))
 def test_lattice_matches_pointwise(name, n, N, phase):
-    grid = turned(n, N, phase)
+    grid = QuadratureGrid(n, N).nodes()
     assert isinstance(grid, Lattice)
     kernel = KERNELS[name]
     lattice = kernel(grid, n)
@@ -88,13 +80,28 @@ def test_lattice_matches_pointwise(name, n, N, phase):
     scale = np.max(np.abs(pointwise))
     assert scale > 0
     assert np.max(np.abs(lattice - pointwise)) <= 1e-13 * scale
-    if phase == 0.0:
-        # z_1 = 1 (z_2 = 1 for nabla, whose coordinate 1 is shifted) is a
-        # zero of 1/Gamma(z^2) on both paths
-        axis = 1 if name == "nabla" else 0
-        if axis < n:
-            hit = grid.k[axis] == 0
-            assert np.all(lattice[hit] == 0) and np.all(pointwise[hit] == 0)
+    # z_1 = 1 (z_2 = 1 for nabla, whose coordinate 1 is shifted) is a zero
+    # of 1/Gamma(z^2) on both paths
+    axis = 1 if name == "nabla" else 0
+    if axis < n:
+        hit = grid.k[axis] == 0
+        assert np.all(lattice[hit] == 0) and np.all(pointwise[hit] == 0)
+
+
+@pytest.mark.parametrize("n,N", CASES)
+def test_shifted_nabla_term_is_the_term_at_q_z(n, N):
+    # the lattice reads z_i -> q z_i as constants c q^e; pointwise, the
+    # unshifted factors are evaluated at the moved nodes
+    ps, grid = one_set(n), QuadratureGrid(n, N).nodes()
+    for i in range(n):
+        rest = [j for j in range(n) if j != i]
+        shifted = evaluate(_nabla_term(i, rest, ps, NM_ONE, shifted=True), grid, NM_ONE)
+        moved = [NM_ONE.q * w if j == i else w for j, w in enumerate(grid)]
+        pointwise = evaluate(_nabla_term(i, rest, ps, NM_ONE), moved, NM_ONE)
+        assert np.all(np.isfinite(shifted))
+        scale = np.max(np.abs(pointwise))
+        assert scale > 0
+        assert np.max(np.abs(shifted - pointwise)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("N", [16, 32])
@@ -120,13 +127,13 @@ def test_lattice_pair_collisions_are_exact_zeros(name):
     assert np.all(values[(k1 + k2) % 16 == 0] == 0)
 
 
-@pytest.mark.parametrize("phase", [0.0, 0.37])
+@pytest.mark.parametrize("phase", [0.0])
 @pytest.mark.parametrize("n", [1, 2])
 def test_parameter_on_grid_phase_raises_on_both_paths(n, phase):
     N = 16
     node = np.exp(2j * np.pi * (3 + phase) / N)
     ps = pq_set(n).with_entry(2, 1.0 / node)
-    grid = turned(n, N, phase)
+    grid = QuadratureGrid(n, N).nodes()
     with pytest.raises(PoleProximityError):
         psi(grid, ps, NM)
     with pytest.raises(PoleProximityError):
@@ -187,6 +194,17 @@ def test_cached_tables_are_read_only_and_reused(counted):
     assert np.array_equal(first, again)
 
 
+def test_invariant_tables_are_cached(counted):
+    # E_r's theta(c w; p) tables are held like every kernel table
+    ps, grid = one_set(2), QuadratureGrid(2, 32).nodes()
+    counted.append(0)
+    first = fundamental_invariant(1, ps.a[0], ps.a[5], grid, ps.t, NM_ONE.p)
+    counted.append(0)
+    again = fundamental_invariant(1, ps.a[0], ps.a[5], grid, ps.t, NM_ONE.p)
+    assert counted[0] > 0 and counted[1] == 0
+    assert np.array_equal(first, again)
+
+
 def test_cache_bytes_stay_within_the_bound():
     kernel._tables.clear()
     for m in range(40):
@@ -212,11 +230,12 @@ def test_pole_error_is_raised_again_and_stores_nothing():
     assert not kernel._tables.entries
 
 
-# One factor of each kind; "pair" is a rank-2 group, written on the circle
-# w with c = 0.45 s^{+-1}.
+# One factor of each kind; "pair" is a rank-2 group.  Each case runs with
+# its constants c multiplied by each of HALF_SCALES.
 HALF_FACTORS = {
     "gamma": (1, [Factor(GAMMA, 0.61 * np.exp(0.4j), ((0, 1),))]),
     "recip": (1, [Factor(RECIP, 0.3 + 0.1j, ((0, -2),))]),
+    "theta": (1, [pm(THETA, 0.7 * np.exp(0.5j))]),
     "mono": (1, [Factor(MONO, 0.8 - 0.2j, ((0, -1),))]),
     "pm": (1, [pm(GAMMA, 0.55 * np.exp(-0.9j))]),
     "pair": (2, [Factor(GAMMA, 0.45, ((0, 1), (1, -1)), True)]),
@@ -244,10 +263,10 @@ def tables(monkeypatch):
 @pytest.mark.parametrize("name", sorted(HALF_FACTORS))
 def test_table_from_its_half_is_the_direct_table_bitwise(tables, name, scale):
     n, factors = HALF_FACTORS[name]
-    s = HALF_SCALES[scale]
+    factors = [f._replace(c=f.c * HALF_SCALES[scale]) for f in factors]
     for N in (32, 64, 128, 256, 512):
-        grid = QuadratureGrid(n, N).nodes().scaled(0, s)
-        half = QuadratureGrid(n, N // 2).nodes().scaled(0, s)
+        grid = QuadratureGrid(n, N).nodes()
+        half = QuadratureGrid(n, N // 2).nodes()
         kernel._tables.clear()
         evaluate(factors, grid, NM)  # cold: every rung from 16 up is built
         kernel._tables.clear()
@@ -260,26 +279,27 @@ def test_table_from_its_half_is_the_direct_table_bitwise(tables, name, scale):
         tables.clear()
 
 
-LONE_KINDS = {GAMMA: 0.61 * np.exp(0.4j), RECIP: 0.3 + 0.1j, MONO: 0.8 - 0.2j}
+LONE_KINDS = {GAMMA: 0.61 * np.exp(0.4j), RECIP: 0.3 + 0.1j, THETA: 0.7 * np.exp(0.5j), MONO: 0.8 - 0.2j}
 
 
 @pytest.mark.parametrize("scale", sorted(HALF_SCALES))
 @pytest.mark.parametrize("e", [1, -1, 2, -2])
 @pytest.mark.parametrize("kind", sorted(LONE_KINDS))
-def test_lone_factor_reads_its_circle_table_bitwise(kind, e, scale):
-    # f(c z^e) on the circle s w is f(c s^e w) read at (e k) mod N; its
-    # mirror f(c z^-e) reads the table of c s^-e, the same one when s = 1
-    c, s = LONE_KINDS[kind], HALF_SCALES[scale]
+def test_lone_factor_reads_its_circle_table_bitwise(tables, kind, e, scale):
+    # f(c z^e) on the lattice is f(c w) read at (e k) mod N; its mirror
+    # f(c z^-e) reads the same table, looked up once, at (-e k) mod N
+    c = LONE_KINDS[kind] * HALF_SCALES[scale]
     for N in (16, 32, 64, 128, 256, 512):
-        grid = QuadratureGrid(1, N).nodes().scaled(0, s)
+        grid = QuadratureGrid(1, N).nodes()
         k = np.asarray(grid.k[0])
-        table = kernel._on_circle(kind, c * s**e, N, NM, None)
-        mirror = kernel._on_circle(kind, c * s**-e, N, NM, None)
-        assert (mirror is table) == (s == 1)
+        table = kernel._on_circle(kind, c, N, NM, None)
         plain = evaluate([Factor(kind, c, ((0, e),))], grid, NM)
         assert np.array_equal(plain, table[e * k % N])
+        tables.clear()
         both = evaluate([Factor(kind, c, ((0, e),), True)], grid, NM)
-        assert np.array_equal(both, table[e * k % N] * mirror[-e * k % N])
+        ((_, _, _, mirror),) = tables
+        assert mirror is table
+        assert np.array_equal(both, table[e * k % N] * table[-e * k % N])
 
 
 def test_pole_on_an_odd_node_raises_and_stores_nothing():

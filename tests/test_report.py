@@ -54,8 +54,14 @@ class TestRelativeError:
 
 class TestJson:
     def test_field_order_preserved(self):
+        # the order the README documents
+        documented = (
+            "scenario, seed_index, n, p, q, t, a, balancing, k, r, i, grid_N, lhs, rhs, "
+            "abs_err, rel_err, tol, passed, runtime_ms, tail_tol, max_terms, "
+            "constraint_exponent, detail"
+        ).split(", ")
         obj = json.loads(to_json([make_report()]))[0]
-        assert list(obj.keys()) == list(FIELD_ORDER)
+        assert list(obj.keys()) == documented == list(FIELD_ORDER)
 
     def test_complex_as_re_im_pairs(self):
         obj = json.loads(to_json([make_report()]))[0]

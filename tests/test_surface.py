@@ -19,7 +19,7 @@ WORKLOADS = ROOT / "bench" / "workloads.py"
 ALLOWED = {
     "double_poch_inf": "q-series primitive checked against the mpmath oracles",
     "gamma_pm": "q-series primitive checked against the mpmath oracles",
-    "pole_sets": "the sampler's torus clearance will call it (ROADMAP item 3)",
+    "pole_sets": "the sampler's torus clearance will call it (ROADMAP item 4)",
 }
 
 
