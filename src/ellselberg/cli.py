@@ -67,8 +67,28 @@ def _complex_list(text: str) -> tuple[complex, ...]:
 _MODES = {"pq": BalancingMode.PQ, "p": BalancingMode.P, "one": BalancingMode.ONE}
 
 
+class _StoreOnce(argparse.Action):
+    """Store an option's value, and refuse a second occurrence of the option:
+    a repeated --z would otherwise silently replace the first list."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = namespace.__dict__.setdefault("_given", set())
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose options, and its subcommands', store once."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _StoreOnce)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="ellselberg",
         description="Verify BC_n elliptic Selberg integral identities numerically.",
     )

@@ -49,14 +49,14 @@ class DegenerateParameterError(EllSelbergError):
 class NonConvergenceError(EllSelbergError):
     """Quadrature budget exhausted before the error estimate met tolerance.
 
-    ``estimates`` holds the last two refinement differences (coarse, fine);
-    ``rungs`` the (N, mean) pairs the ladder read.
+    A stalled ladder is read once more at a 50x looser stop; this is raised
+    when that stalls too.  ``estimates`` holds the last two refinement
+    differences (coarse, fine).
     """
 
-    def __init__(self, message: str, estimates: tuple[float, float], rungs: tuple):
+    def __init__(self, message: str, estimates: tuple[float, float]):
         super().__init__(message)
         self.estimates = estimates
-        self.rungs = rungs
 
 
 class SampleRejectionError(EllSelbergError):

@@ -42,13 +42,8 @@ def continued_integral_n1(
 
         2 prod_{m != a} Gamma(a_m a^{+-1}) / ((p;p)(q;q) Gamma(a^-2)).
     """
-    return _continued(params, nomes, policy, lambda f: torus_integrate(f, 1, tol, budget))
-
-
-def _continued(params, nomes, policy, integrate) -> tuple[complex, int]:
-    """continued_integral_n1 with integrate(f) -> QuadResult as its ladder."""
     if params.n != 1:
-        raise DomainError("the continued integral is implemented for n = 1")
+        raise DomainError("the continued integral is n = 1 only")
     outside = [m for m, v in enumerate(params.a) if abs(v) > 1]
     if len(outside) > 1:
         raise DomainError("at most one parameter may leave the unit disk")
@@ -57,7 +52,7 @@ def _continued(params, nomes, policy, integrate) -> tuple[complex, int]:
             raise DomainError(
                 f"parameter {v} within {TORUS_CLEARANCE} of the unit circle"
             )
-    quad = integrate(lambda z: psi(z, params, nomes, policy))
+    quad = torus_integrate(lambda z: psi(z, params, nomes, policy), 1, tol, budget)
     value = quad.value
     if outside:
         a = params.a[outside[0]]

@@ -170,11 +170,10 @@ def sample_da_parameters(
     nomes: Nomes,
     seed: int,
     count: int,
-    exponent: int = 1,
     box: SafeBox | None = None,
     stats: SampleStats | None = None,
 ) -> list[tuple]:
-    """Draw 2n+4 parameter tuples with prod a_m = (p q)^exponent.
+    """Draw 2n+4 parameter tuples with prod a_m = p q.
 
     The first 2n+3 entries are sampled like the free entries of
     sample_parameters; the last is solved from the constraint.  Returns
@@ -182,14 +181,13 @@ def sample_da_parameters(
     """
     box = box or DEFAULT_BOX
     _check_box(nomes, box)
-    target = nomes.pq**exponent
 
     def draw(rng):
         free = _free(rng, box, 2 * n + 3)
         prod = _product(free)
         if prod == 0:
             return "degenerate free product"
-        last = target / prod
+        last = nomes.pq / prod
         return _clearance(last, box) or (*free, last)
 
-    return _sample(seed, count, box, stats, f"dixon-anderson, n={n}, exponent={exponent}", draw)
+    return _sample(seed, count, box, stats, f"dixon-anderson, n={n}", draw)

@@ -6,12 +6,10 @@ with the reason in ``detail`` instead of propagating, so batch runs always
 produce one report per requested case.
 
 Quadrature stopping tolerances are scaled by a coarse magnitude estimate of
-the closed side.  Since the refinement error estimate lags the true error by
-one doubling, a stalled ladder gets a 50x looser stop before being declared
-non-convergent (the verdict always uses the measured error).  That stop is
-read off the rungs the stall already evaluated, not a second ladder, so no
-grid is evaluated twice within one integral; a report whose value took the
-looser stop says so in ``detail``.
+the closed side; each runner states its stop where it calls the ladder.
+A stalled ladder takes quadrature's 50x looser stop before being declared
+non-convergent (the verdict always uses the measured error), and a report
+whose ladder stalled says so in ``detail``.
 
 One row table drives every sweep: :data:`SUITE_ROWS` is the default suite,
 :func:`run_row` samples one row and :func:`cases` expands one parameter set
@@ -21,18 +19,12 @@ the same two functions.
 
 from __future__ import annotations
 
-import contextvars
 import math
 import time
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import (
-    ConfigurationError,
-    EllSelbergError,
-    NonConvergenceError,
-    SampleRejectionError,
-)
+from .errors import ConfigurationError, EllSelbergError, SampleRejectionError
 from .integrand import _bc_kernel, _z_list, c_constant, j_closed, psi
 from .invariants import (
     BalancingMode,
@@ -50,42 +42,35 @@ from .qseries import (
     _gamma_product,
     theta,
 )
-from .quadrature import _rungs, _stop, _weighted, nabla_quad
+from .quadrature import _NOTES, _rungs, _stop, _weighted, nabla_quad, torus_integrate
 from .report import ScenarioReport, relative_error
-from .residues import _continued, continued_integral_n1, lim_pinch_J, richardson_limit
+from .residues import continued_integral_n1, lim_pinch_J, richardson_limit
 from .sampling import DEFAULT_BOX, SafeBox, sample_da_parameters, sample_parameters
 
-RETRY_NOTE = "retried at 50x looser stop"
 
-# Notes of the case _run is computing (RETRY_NOTE when a ladder took the
-# looser stop); _run adds them to the report's detail.
-_NOTES: contextvars.ContextVar[list] = contextvars.ContextVar("notes")
+def _run(scenario: str, echo: dict, tol: float, policy, timing: bool, compute) -> ScenarioReport:
+    """Report compute()'s (lhs, rhs, grid_N[, scale[, detail]]) against tol.
 
-
-def _report(
-    scenario: str,
-    echo: dict,
-    tol: float,
-    policy: TruncationPolicy | None,
-    started: float | None,
-    lhs: complex = 0j,
-    rhs: complex = 0j,
-    grid_N: int = 0,
-    scale: float | None = None,
-    detail: str = "",
-    error: Exception | None = None,
-    notes=(),
-) -> ScenarioReport:
-    """One case's report; with ``error`` a failed one that gives the reason.
-    ``notes`` follow the detail."""
-    if error is None:
+    An EllSelbergError raised by compute becomes a failed report that gives
+    the reason.  Notes made while computing (a ladder's looser stop) follow
+    the detail.
+    """
+    started = time.monotonic() if timing else None
+    notes = []
+    token = _NOTES.set(notes)
+    try:
+        outcome = compute()
+    except EllSelbergError as exc:
+        lhs, rhs, grid_N = 0j, 0j, 0
+        abs_err = rel_err = math.inf
+        detail = f"{type(exc).__name__}: {exc}"
+    else:
+        lhs, rhs, grid_N, scale, detail = (*outcome, None, "")[:5]
         abs_err, rel_err = relative_error(lhs, rhs)
         if scale is not None:
             rel_err = abs_err / scale if scale > 0 else abs_err
-    else:
-        abs_err = rel_err = math.inf
-        detail = f"{type(error).__name__}: {error}"
-    detail = "; ".join(filter(None, [detail, *notes]))
+    finally:
+        _NOTES.reset(token)
     pol = policy if policy is not None else DEFAULT_POLICY
     return ScenarioReport(
         scenario=scenario,
@@ -100,26 +85,8 @@ def _report(
         runtime_ms=None if started is None else int(round((time.monotonic() - started) * 1000)),
         tail_tol=pol.tail_tol,
         max_terms=pol.max_terms,
-        detail=detail,
+        detail="; ".join(filter(None, [detail, *notes])),
     )
-
-
-def _run(scenario: str, echo: dict, tol: float, policy, timing: bool, compute) -> ScenarioReport:
-    """Report compute()'s (lhs, rhs, grid_N[, scale[, detail]]) against tol.
-
-    An EllSelbergError raised by compute becomes a failed report.  Notes
-    made while computing (a looser retry) follow the detail.
-    """
-    started = time.monotonic() if timing else None
-    notes = []
-    token = _NOTES.set(notes)
-    try:
-        outcome, error = compute(), None
-    except EllSelbergError as exc:
-        outcome, error = (), exc
-    finally:
-        _NOTES.reset(token)
-    return _report(scenario, echo, tol, policy, started, *outcome, error=error, notes=notes)
 
 
 def _echo(params: ParameterSet, nomes: Nomes, seed_index: int, **indices) -> dict:
@@ -135,18 +102,6 @@ def _echo(params: ParameterSet, nomes: Nomes, seed_index: int, **indices) -> dic
         balancing=mode.value if mode is not None else None,
         **indices,
     )
-
-
-def _refined(rungs, tol, scale):
-    """The stop rule on ``rungs`` at tol*scale/10; if that stalls, at a 50x
-    looser stop read off the rungs the stall carries, with RETRY_NOTE."""
-    try:
-        return _stop(rungs, 0.1 * tol * scale)
-    except NonConvergenceError as exc:
-        notes = _NOTES.get([])
-        if RETRY_NOTE not in notes:
-            notes.append(RETRY_NOTE)
-        return _stop(exc.rungs, 5.0 * tol * scale)
 
 
 def _probed(f, n, budget, floor):
@@ -183,11 +138,10 @@ def scenario_eval_formula(
             raise SampleRejectionError(
                 "n >= 2 needs every parameter inside the unit circle"
             )
-        integrate = lambda f: _refined(_rungs(f, n, budget), tol, scale)
         if outside:
-            lhs, grid_N = _continued(params, nomes, policy, integrate)
+            lhs, grid_N = continued_integral_n1(params, nomes, 0.1 * tol * scale, budget, policy)
             return lhs, rhs, grid_N, None, "continued contour (one parameter outside)"
-        quad = integrate(lambda z: psi(z, params, nomes, policy))
+        quad = torus_integrate(lambda z: psi(z, params, nomes, policy), n, 0.1 * tol * scale, budget)
         return quad.value, rhs, quad.N_used
 
     echo = _echo(params, nomes, seed_index=seed_index)
@@ -252,10 +206,10 @@ def scenario_qde(
                 "q-difference scenarios need the PQ or P balancing"
             )
         left_rungs, scale = _probed(lambda z: psi(z, left, nomes, policy), n, budget, 1.0)
-        lhs_quad = _refined(left_rungs, tol, scale)
-        rhs_quad = _refined(
-            _rungs(lambda z: psi(z, right, nomes, policy), n, budget),
-            tol, scale / max(abs(ratio), 1e-6),
+        lhs_quad = _stop(left_rungs, 0.1 * tol * scale)
+        rhs_quad = torus_integrate(
+            lambda z: psi(z, right, nomes, policy),
+            n, 0.1 * tol * (scale / max(abs(ratio), 1e-6)), budget,
         )
         return lhs_quad.value, rhs_quad.value * ratio, max(lhs_quad.N_used, rhs_quad.N_used)
 
@@ -271,7 +225,7 @@ def _expect_invariant(r, params, nomes, tol, budget, policy):
         return fundamental_invariant(r, a1, a6, _z_list(z, n), t, nomes.p, policy)
 
     rungs, scale = _probed(_weighted(phi, params, nomes, policy), n, budget, 1e-12)
-    return _refined(rungs, tol, scale)
+    return _stop(rungs, 0.1 * tol * scale)
 
 
 def scenario_recurrence(
@@ -357,13 +311,13 @@ def scenario_dixon_anderson(
     policy: TruncationPolicy | None = None,
     timing: bool = False,
     seed_index: int = 0,
-    constraint_exponent: int = 1,
 ) -> ScenarioReport:
     """The coupling-free 2n+4 parameter integral against its Gamma product.
 
-    The balancing prod a_m = (p q)^constraint_exponent is checked, not
-    assumed; exponent 1 is the value that makes the identity hold (verified
-    for n <= 2, and forced at n = 1 by the t-free case of the main formula).
+    The balancing prod a_m = p q is checked, not assumed; the report's
+    constraint_exponent is always 1, the power of p q that makes the
+    identity hold (verified for n <= 2, and forced at n = 1 by the t-free
+    case of the main formula).
     """
     a = tuple(complex(v) for v in a)
 
@@ -373,16 +327,14 @@ def scenario_dixon_anderson(
         prod = 1.0 + 0.0j
         for v in a:
             prod *= v
-        target = nomes.pq**constraint_exponent
+        target = nomes.pq
         if abs(prod - target) > 1e-10 * max(abs(target), 1.0):
-            raise SampleRejectionError(
-                f"prod a_m = {prod!r} violates (p q)^{constraint_exponent} = {target!r}"
-            )
+            raise SampleRejectionError(f"prod a_m = {prod!r} violates p q = {target!r}")
         rhs = _da_closed(a, n, nomes, policy)
         scale = max(abs(rhs), 1.0)
         kernel = _bc_kernel([pm(GAMMA, am) for am in a], None, range(n))
-        quad = _refined(
-            _rungs(lambda z: evaluate(kernel, _z_list(z, n), nomes, policy), n, budget), tol, scale
+        quad = torus_integrate(
+            lambda z: evaluate(kernel, _z_list(z, n), nomes, policy), n, 0.1 * tol * scale, budget
         )
         return quad.value, rhs, quad.N_used
 
@@ -394,7 +346,7 @@ def scenario_dixon_anderson(
         t=None,
         a=a,
         balancing=None,
-        constraint_exponent=constraint_exponent,
+        constraint_exponent=1,
     )
     return _run("dixon_anderson", echo, tol, policy, timing, compute)
 
@@ -444,8 +396,6 @@ def scenario_pinch(
 
             return richardson_limit(f, **eps_pair), rhs, 0
         if check == "integral":
-            if params.n != 1:
-                raise SampleRejectionError("integral pinch check is n = 1 only")
             a = params.a
             rhs = 2.0 / _euler_pair(nomes, policy) ** 2 * _gamma_product(
                 [x for m in range(2, 6) for x in (a[m] * a[0], a[m] / a[0])], nomes, policy
@@ -463,8 +413,6 @@ def scenario_pinch(
 
             return richardson_limit(g, **eps_pair), rhs, max(grids)
         if check == "continued":
-            if params.n != 1:
-                raise SampleRejectionError("continued check is n = 1 only")
             rhs = c_constant(1, nomes, params.t, policy) * j_closed(params, nomes, policy)
             lhs, grid_N = continued_integral_n1(
                 params, nomes, 5e-5 * max(abs(rhs), 1.0), budget, policy=policy

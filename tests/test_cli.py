@@ -109,6 +109,28 @@ class TestEvalTargets:
         with pytest.raises(SystemExit):
             main(["eval", "theta", "--u", "1+2j", "--p", "0.05"])
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            # not the one-variable E_1 at the last z
+            (["eval", "E", "--r", "1", "--a", "0.6", "--b", "0.7", "--z", "0.9+0.1i",
+              "--z", "0.3-0.8i", "--t", "0.4", "--p", "0.05"], "--z"),
+            # not Gamma(0.5)
+            (["eval", "gamma", "--u", "0.4", "--u", "0.5", "--p", "0.05", "--q", "0.07"], "--u"),
+            (["verify", "--scenario", "eval_formula", "--n", "1", "--p", "0.05", "--q", "0.07",
+              "--t", "0.45", "--a", "0.3,0.4,0.5,-0.2,0.25", "--a", "0.3,0.4,0.5,-0.2,0.3"],
+             "--a"),
+        ],
+        ids=["eval-E-z", "eval-gamma-u", "verify-a"],
+    )
+    def test_repeated_option_is_a_usage_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: given more than once" in captured.err
+        assert captured.out == ""
+
 
 class TestVerifyExplicit:
     def test_reference_evaluation(self, capsys):

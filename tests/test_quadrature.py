@@ -18,7 +18,8 @@ from ellselberg import (
     psi_tilde,
     torus_integrate,
 )
-from ellselberg.quadrature import MIN_POINTS, _nabla_pointwise, _stop, _weighted
+from ellselberg import quadrature
+from ellselberg.quadrature import MIN_POINTS, RETRY_NOTE, _nabla_pointwise, _stop, _weighted
 from references import phi_test_function
 
 NM = Nomes(0.05, 0.12)
@@ -80,26 +81,33 @@ class TestTorusIntegrate:
         assert fine > 0 and coarse > 0
 
     @pytest.mark.parametrize("loose", [0.2, 0.01, 1e-9])
-    def test_looser_stop_on_carried_rungs_is_a_fresh_ladder(self, loose):
-        # the differences are 0.16 at N = 32 and 4.4e-3 at N = 64: 0.2 stops
-        # at 32, 0.01 at 64 and 1e-9 stalls again
+    def test_looser_stop_on_carried_rungs_is_a_fresh_ladder(self, monkeypatch, loose):
+        # the differences are 0.16 at N = 32 and 4.4e-3 at N = 64, so a stop
+        # at loose / 50 stalls; the looser stop then reads 0.2 at 32, 0.01 at
+        # 64 and stalls again at 1e-9, from the rungs already read
         f = lambda z: 1.0 / ((1 - 0.8 * z[0]) * (1 - 0.8 / z[0]))
-        with pytest.raises(NonConvergenceError) as stall:
-            torus_integrate(f, 1, 1e-14, budget=64)
-        carried = stall.value.rungs
-        assert [N for N, _ in carried] == [16, 32, 64]
+        rungs = list(quadrature._rungs(f, 1, 64))
+        sizes = []
+        nodes = QuadratureGrid.nodes
+
+        def recording(grid):
+            sizes.append(grid.N)
+            return nodes(grid)
+
+        monkeypatch.setattr(QuadratureGrid, "nodes", recording)
         try:
-            fresh = torus_integrate(f, 1, loose, budget=64)
+            looser = torus_integrate(f, 1, loose / 50, budget=64)
         except NonConvergenceError as exc:
-            with pytest.raises(NonConvergenceError) as again:
-                _stop(carried, loose)
-            assert str(again.value) == str(exc)
-            assert again.value.estimates == exc.estimates
-            assert again.value.rungs == carried
+            assert loose == 1e-9
+            d32, d64 = abs(rungs[1][1] - rungs[0][1]), abs(rungs[2][1] - rungs[1][1])
+            assert str(exc) == f"quadrature stalled at N=64: err_est={d64:.3e} > tol={loose:.3e}"
+            assert exc.estimates == (d32, d64)
         else:
-            reread = _stop(carried, loose)
-            assert repr(reread) == repr(fresh)
-            assert reread == fresh
+            # a strict reading at loose: no rung of these stalls there
+            fresh = _stop(rungs, loose)
+            assert repr(looser) == repr(fresh)
+            assert looser == fresh
+        assert sizes == [16, 32, 64]
 
     def test_budget_floor(self):
         # below 32 a ladder has one rung and no difference to stop on
@@ -130,6 +138,50 @@ class TestTorusIntegrate:
         floor = 1e-13 * abs(values[256])
         assert e32 >= 10 * e64 or e64 <= floor
         assert e64 >= 10 * e128 or e128 <= floor
+
+
+@pytest.fixture
+def notes():
+    """The notes list of one report, as scenarios' runner sets it."""
+    out = []
+    token = quadrature._NOTES.set(out)
+    yield out
+    quadrature._NOTES.reset(token)
+
+
+class TestStop:
+    """The one stop rule on synthetic (N, mean) ladders."""
+
+    # differences 0.5, 4e-6 and 1e-6 (to rounding)
+    LADDER = [(16, 1.0), (32, 1.5), (64, 1.5 + 4e-6), (128, 1.5 + 5e-6)]
+
+    def test_rung_within_tol_takes_no_note(self, notes):
+        res = _stop(self.LADDER, 1e-5)
+        assert (res.N_used, res.value) == (64, 1.5 + 4e-6)
+        assert notes == []
+
+    def test_stall_takes_the_first_rung_within_50_tol(self, notes):
+        # nothing within 1e-7; within 5e-6 both 64 and 128, and 64 comes first
+        res = _stop(self.LADDER, 1e-7)
+        assert notes == [RETRY_NOTE]
+        strict = _stop(self.LADDER, 50 * 1e-7)
+        assert notes == [RETRY_NOTE]
+        assert res == strict
+        assert res.N_used == 64
+        assert res.history == ((32, 0.5), (64, abs(self.LADDER[2][1] - 1.5)))
+
+    def test_double_stall_names_the_looser_stop(self, notes):
+        with pytest.raises(NonConvergenceError, match=r"stalled at N=128: .* > tol=5\.000e-09") as exc:
+            _stop(self.LADDER, 1e-10)
+        fine = abs(self.LADDER[3][1] - self.LADDER[2][1])
+        assert exc.value.estimates == (abs(self.LADDER[2][1] - 1.5), fine)
+        assert notes == [RETRY_NOTE]
+
+    def test_two_stalls_leave_one_note(self, notes):
+        _stop(self.LADDER, 1e-7)
+        with pytest.raises(NonConvergenceError):
+            _stop(self.LADDER, 1e-10)
+        assert notes == [RETRY_NOTE]
 
 
 class TestExpectation:

@@ -130,13 +130,6 @@ class TestSampleDaParameters:
                 prod *= v
             assert abs(prod - NM.pq) <= 1e-13 * abs(NM.pq)
 
-    def test_exponent_two(self):
-        for a in sample_da_parameters(1, NM, seed=4, count=2, exponent=2):
-            prod = 1.0 + 0.0j
-            for v in a:
-                prod *= v
-            assert abs(prod - NM.pq**2) <= 1e-13 * abs(NM.pq) ** 2
-
     def test_deterministic(self):
         a = sample_da_parameters(2, NM, seed=6, count=2)
         b = sample_da_parameters(2, NM, seed=6, count=2)

@@ -10,7 +10,6 @@ from ellselberg import (
     BalancingMode,
     ConfigurationError,
     Nomes,
-    NonConvergenceError,
     ParameterSet,
     SCENARIO_NAMES,
     coefficient_c,
@@ -185,8 +184,8 @@ class TestReportedGrid:
 
     @pytest.fixture
     def ladder_sizes(self, monkeypatch):
-        # the N every ladder stopped at: the pinch checks integrate through
-        # residues, eval_formula refines through the scenarios' stop rule
+        # the N every ladder stopped at: the continued contour integrates
+        # through residues, the probed ladders stop in scenarios
         sizes = []
 
         def recording(stop):
@@ -231,45 +230,54 @@ class TestRetryNote:
         rep = scenario_eval_formula(1, pq_set(), NM, 1e-8, budget=32)
         assert not rep.passed
         assert rep.detail.startswith("NonConvergenceError")
-        assert rep.detail.endswith(scenarios.RETRY_NOTE)
+        assert rep.detail.endswith(quadrature.RETRY_NOTE)
 
     @staticmethod
-    def stalling(monkeypatch, stops, stalls):
-        """Record every stop the scenarios ask for; stalls(count) forces a
-        stall that has read every rung, as one at the budget would."""
-        stop = scenarios._stop
+    def stalling(monkeypatch, stalls):
+        """Record, for every ladder the scenarios stop, whether no rung met
+        its stop; budget 64 makes these ladders stall at 16, 32, 64."""
+        stop = quadrature._stop
 
-        def forced(rungs, tol):
-            stops.append(tol)
-            if stalls(len(stops)):
-                rungs = tuple(rungs)
-                raise NonConvergenceError("forced stall", estimates=(1.0, 1.0), rungs=rungs)
+        def recording(rungs, tol):
+            rungs = list(rungs)
+            stalls.append(all(abs(b - a) > tol for (_, a), (_, b) in zip(rungs, rungs[1:])))
             return stop(rungs, tol)
 
-        monkeypatch.setattr(scenarios, "_stop", forced)
+        monkeypatch.setattr(quadrature, "_stop", recording)
+        monkeypatch.setattr(scenarios, "_stop", recording)
 
     def test_successful_retry_is_visible(self, monkeypatch):
-        stops = []
-        self.stalling(monkeypatch, stops, lambda count: count == 1)
-        rep = scenario_eval_formula(1, pq_set(), NM, 1e-8)
+        stalls = []
+        self.stalling(monkeypatch, stalls)
+        rep = scenario_eval_formula(1, pq_set(), NM, 1e-6, budget=64)
+        assert stalls == [True]
         assert rep.passed
-        assert rep.detail == scenarios.RETRY_NOTE
-        assert len(stops) == 2
-        assert stops[1] == pytest.approx(50 * stops[0])
+        assert rep.detail == quadrature.RETRY_NOTE
+        # the value a ladder stopped at 50x the stop gives, which does not stall
+        scale = max(abs(rep.rhs), 1.0)
+        strict = quadrature.torus_integrate(
+            lambda z: psi(z, pq_set(), NM), 1, 50 * (0.1 * 1e-6 * scale), budget=64
+        )
+        assert stalls == [True, False]
+        assert (rep.lhs, rep.grid_N) == (strict.value, strict.N_used)
 
     def test_two_retried_ladders_one_note(self, monkeypatch):
-        # qde refines two ladders; stall the first stop of each
-        stops = []
-        self.stalling(monkeypatch, stops, lambda count: count % 2)
-        rep = scenario_qde(1, 1, pq_set(), NM, 1e-7)
+        # qde stops two ladders, and both stall at budget 64
+        stalls = []
+        self.stalling(monkeypatch, stalls)
+        rep = scenario_qde(1, 1, pq_set(), NM, 1e-6, budget=64)
+        assert stalls == [True, True]
         assert rep.passed
-        assert len(stops) == 4
-        assert rep.detail == scenarios.RETRY_NOTE
+        assert rep.detail == quadrature.RETRY_NOTE
 
-    @pytest.mark.parametrize("scenario", ["plain", "continued", "dixon_anderson"])
+    @pytest.mark.parametrize(
+        "scenario",
+        ["plain", "continued", "dixon_anderson", "nabla", "pinch_integral", "pinch_continued"],
+    )
     def test_retry_evaluates_no_grid_twice(self, monkeypatch, scenario):
         # budget 32 leaves one doubling: the first stop stalls and the
-        # looser stop reads the same two rungs
+        # looser stop reads the same two rungs (pinch_integral fails at the
+        # first of its two integrals)
         sizes = []
         nodes = quadrature.QuadratureGrid.nodes
 
@@ -281,13 +289,29 @@ class TestRetryNote:
         if scenario == "dixon_anderson":
             (a,) = sample_da_parameters(1, NM, seed=4, count=1)
             rep = scenario_dixon_anderson(1, a, NM, 1e-8, budget=32)
+        elif scenario == "nabla":
+            rep = scenario_nabla(1, 1, 1, one_set(), NM, 1e-7, budget=32)
+        elif scenario == "pinch_integral":
+            rep = scenario_pinch(make_pinched(pq_set(), NM), NM, 1e-6, "integral", budget=32)
+        elif scenario == "pinch_continued":
+            rep = scenario_pinch(make_continued(pq_set(), NM), NM, 1e-6, "continued", budget=32)
         else:
             ps = pq_set() if scenario == "plain" else make_continued(pq_set(), NM)
             # one parameter outside the unit disk takes the continued contour
             assert any(abs(v) > 1 for v in ps.a) == (scenario == "continued")
             rep = scenario_eval_formula(1, ps, NM, 1e-8, budget=32)
-        assert rep.detail.endswith(scenarios.RETRY_NOTE)
+        assert rep.detail.endswith(quadrature.RETRY_NOTE)
         assert sizes == [16, 32]
+
+    def test_pinch_integral_passes_at_the_looser_stop(self):
+        # the suite's rank-1 pinch draw at budget 64: both continued
+        # integrals stall at 1e-9/eps and stop at 64 within 50 times that
+        row = next(r for r in SUITE_ROWS if (r.scenario, r.n) == ("pinch", 1))
+        reports = run_row(row, 42, budget=64)
+        (rep,) = [r for r in reports if r.scenario == "pinch_integral"]
+        assert rep.passed
+        assert rep.grid_N == 64
+        assert rep.detail == quadrature.RETRY_NOTE
 
     def test_no_retry_no_note(self):
         rep = scenario_eval_formula(1, pq_set(), NM, 1e-8)
