@@ -48,7 +48,6 @@ from .residues import (
     cn_recurrence_check,
     continued_integral_n1,
     lim_pinch_J,
-    richardson_limit,
 )
 from .sampling import SafeBox, SampleStats, sample_da_parameters, sample_parameters
 from .report import ScenarioReport, relative_error, write_report

@@ -3,14 +3,22 @@
 The kernel's z_1-poles sit on the orbits p^mu q^nu a_m (inward) and their
 reciprocals (outward).  When one parameter crosses the unit circle, the
 contour picks up the residue pair at z = a and z = 1/a; when a_1 a_2 -> 1
-two orbits pinch the contour and the simple factor (1 - a_1 a_2) Gamma(a_1 a_2)
-tends to 1/((p;p)_inf (q;q)_inf), which reduces rank n to n-1.
+two orbits pinch the contour.  Only one factor is singular there, and
+
+    (1 - x) Gamma(x) = (pq/x; p, q)_inf / ((px; p, q)_inf (qx; q)_inf)
+
+equals 1/((p;p)_inf (q;q)_inf) at x = 1 exactly, so every pinch limit is a
+closed form (no numerical limit is taken) and reduces rank n to n-1.
+
+At p q = 0 the solved a_6 is 0 and Psi and J take the dual-parameter limit
+(see :mod:`.integrand`); the pinch limit and the residue pair do not, so
+they refuse p q = 0.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError
-from .integrand import psi
+from .integrand import c_constant, psi
 from .invariants import ParameterSet
 from .qseries import (
     Nomes,
@@ -52,8 +60,6 @@ def continued_integral_n1(
             raise DomainError(
                 f"parameter {v} within {TORUS_CLEARANCE} of the unit circle"
             )
-    quad = torus_integrate(lambda z: psi(z, params, nomes, policy), 1, tol, budget)
-    value = quad.value
     if outside:
         a = params.a[outside[0]]
         if abs(a) >= abs(nomes.q) ** -0.5:
@@ -61,6 +67,11 @@ def continued_integral_n1(
                 f"|a|={abs(a):.4f} outside the continuation window "
                 f"(1, |q|^-1/2 = {abs(nomes.q) ** -0.5:.4f})"
             )
+        if nomes.pq == 0:
+            raise DomainError("the residue pair is not implemented at p q = 0")
+    quad = torus_integrate(lambda z: psi(z, params, nomes, policy), 1, tol, budget)
+    value = quad.value
+    if outside:
         others = [v for m, v in enumerate(params.a) if m != outside[0]]
         corr = 2.0 * _gamma_product([x for v in others for x in (v * a, v / a)], nomes, policy)
         corr /= _euler_pair(nomes, policy) * elliptic_gamma(a**-2, nomes, policy)
@@ -82,6 +93,8 @@ def lim_pinch_J(
         * prod_{i=1}^{n-1} prod_{3<=j<k<=6} Gamma(a_j a_k t^(i-1)).
     """
     a, t, n = params.a, params.t, params.n
+    if nomes.pq == 0:
+        raise DomainError("the pinch limit is not implemented at p q = 0")
     if abs(a[0] * a[1] - 1.0) > 1e-12 * abs(a[0] * a[1]):
         raise DomainError("pinch limit needs a_2 = 1/a_1 exactly")
     residual = a[2] * a[3] * a[4] * a[5] * t ** (2 * n - 2)
@@ -100,24 +113,10 @@ def lim_pinch_J(
     return 1.0 / _euler_pair(nomes, policy) * _gamma_product(args, nomes, policy)
 
 
-def richardson_limit(f, eps_coarse: float = 1e-3, eps_fine: float = 1e-4) -> complex:
-    """Two-point Richardson extrapolation of f(eps) -> f(0) for simple poles.
-
-    The pinched quantities behave as L + C eps + O(eps^2), so the linear
-    elimination (eps_coarse f(eps_fine) - eps_fine f(eps_coarse)) /
-    (eps_coarse - eps_fine) recovers L to O(eps_coarse eps_fine).
-    """
-    f_coarse = complex(f(eps_coarse))
-    f_fine = complex(f(eps_fine))
-    return (eps_coarse * f_fine - eps_fine * f_coarse) / (eps_coarse - eps_fine)
-
-
 def cn_recurrence_check(
     n: int, t, nomes: Nomes, policy: TruncationPolicy | None = None
 ) -> float:
     """Relative defect of c_n = c_{n-1} 2n Gamma(t^n) / (Gamma(t) (p;p)(q;q))."""
-    from .integrand import c_constant
-
     if n < 1:
         raise DomainError("n must be >= 1")
     cn = c_constant(n, nomes, t, policy)

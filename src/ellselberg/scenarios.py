@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import ConfigurationError, EllSelbergError, SampleRejectionError
+from .errors import ConfigurationError, DomainError, EllSelbergError, SampleRejectionError
 from .integrand import _bc_kernel, _z_list, c_constant, j_closed, psi
 from .invariants import (
     BalancingMode,
@@ -44,7 +44,7 @@ from .qseries import (
 )
 from .quadrature import _NOTES, _rungs, _stop, _weighted, nabla_quad, torus_integrate
 from .report import ScenarioReport, relative_error
-from .residues import continued_integral_n1, lim_pinch_J, richardson_limit
+from .residues import continued_integral_n1, lim_pinch_J
 from .sampling import DEFAULT_BOX, SafeBox, sample_da_parameters, sample_parameters
 
 
@@ -373,47 +373,41 @@ def scenario_pinch(
 ) -> ScenarioReport:
     """Residue and pinch checks; ``check`` selects which statement.
 
-    "limit": closed lim (1-a_1 a_2) J_n against the Richardson-extrapolated
-      numeric limit (params must be pinched: a_2 = 1/a_1).
-    "integral": n=1 pinch of the continued integral against
-      2 prod_{m>=3} Gamma(a_m a_1^{+-1}) / ((p;p)^2 (q;q)^2).
+    The pinch checks take params pinched (a_2 = 1/a_1), where the one
+    singular factor (1 - a_1 a_2) Gamma(a_1 a_2) is its exact residue limit
+    1/((p;p)(q;q)); no numerical limit is taken.
+
+    "limit": J_n with the pair Gamma(a_1 a_2) replaced by that limit against
+      lim_pinch_J, which cancels the reflected pairs.
+    "integral": the n -> n-1 step at n = 1 (I_0 = 1): the pinched residue
+      pair 2 prod_{m>=3} Gamma(a_m a_1^{+-1}) / ((p;p)(q;q))^2 against
+      c_1 lim_pinch_J.
     "continued": n=1 continued integral with one parameter outside the unit
     circle against c_1 J_1.
-
-    The extrapolation runs at (3e-4, 3e-5) rather than the residue-module
-    defaults: the leftover error |C_2| eps_c eps_f must clear tol for
-    sampled draws, whose curvature C_2 is not hand-picked.
     """
-    eps_pair = {"eps_coarse": 3e-4, "eps_fine": 3e-5}
 
     def compute():
+        a, t, n = params.a, params.t, params.n
         if check == "limit":
             rhs = lim_pinch_J(params, nomes, policy)
-
-            def f(eps):
-                ps_eps = params.with_entry(2, (1 - eps) / params.a[0])
-                return (1 - ps_eps.a[0] * ps_eps.a[1]) * j_closed(ps_eps, nomes, policy)
-
-            return richardson_limit(f, **eps_pair), rhs, 0
+            pairs = [
+                a[j] * a[k] * t ** (i - 1)
+                for i in range(1, n + 1)
+                for j in range(6)
+                for k in range(j + 1, 6)
+                if (i, j, k) != (1, 0, 1)
+            ]
+            return _gamma_product(pairs, nomes, policy) / _euler_pair(nomes, policy), rhs, 0
         if check == "integral":
-            a = params.a
-            rhs = 2.0 / _euler_pair(nomes, policy) ** 2 * _gamma_product(
+            if n != 1:
+                raise DomainError("the pinched integral check is n = 1 only")
+            rhs = c_constant(1, nomes, t, policy) * lim_pinch_J(params, nomes, policy)
+            lhs = 2.0 / _euler_pair(nomes, policy) ** 2 * _gamma_product(
                 [x for m in range(2, 6) for x in (a[m] * a[0], a[m] / a[0])], nomes, policy
             )
-
-            grids = []
-
-            def g(eps):
-                ps_eps = params.with_entry(2, (1 - eps) / params.a[0])
-                value, grid_N = continued_integral_n1(
-                    ps_eps, nomes, 1e-9 / eps, budget, policy=policy
-                )
-                grids.append(grid_N)
-                return (1 - ps_eps.a[0] * ps_eps.a[1]) * value
-
-            return richardson_limit(g, **eps_pair), rhs, max(grids)
+            return lhs, rhs, 0
         if check == "continued":
-            rhs = c_constant(1, nomes, params.t, policy) * j_closed(params, nomes, policy)
+            rhs = c_constant(1, nomes, t, policy) * j_closed(params, nomes, policy)
             lhs, grid_N = continued_integral_n1(
                 params, nomes, 5e-5 * max(abs(rhs), 1.0), budget, policy=policy
             )
@@ -424,13 +418,16 @@ def scenario_pinch(
     return _run(f"pinch_{check}", echo, tol, policy, timing, compute)
 
 
-def make_continued(
-    params: ParameterSet, nomes: Nomes, modulus: float = 1.05
-) -> ParameterSet:
-    """PQ-balanced companion with |a_1| moved to ``modulus`` (phase kept),
-    a_6 re-solved; feeds the continued-integral check at n = 1."""
+# |a_1| of the continued-integral check's companion: just outside the unit
+# circle, well inside the continuation window |a_1| < |q|^(-1/2).
+CONTINUED_MODULUS = 1.05
+
+
+def make_continued(params: ParameterSet, nomes: Nomes) -> ParameterSet:
+    """PQ-balanced companion with |a_1| moved to CONTINUED_MODULUS (phase
+    kept), a_6 re-solved; feeds the continued-integral check at n = 1."""
     a = list(params.a[:5])
-    a[0] = modulus * a[0] / abs(a[0])
+    a[0] = CONTINUED_MODULUS * a[0] / abs(a[0])
     return ParameterSet.solved(params.n, params.t, a, nomes, BalancingMode.PQ)
 
 
@@ -584,10 +581,6 @@ def run_row(
         if (row.scenario, mode) == ("qde", BalancingMode.PQ):
             # the q-shift moves a_6 to a_6 / q, which must stay inside the disk
             predicate = lambda ps: abs(ps.a[5]) < 0.95 * abs(row.nomes.q)
-        elif (row.scenario, row.n) == ("pinch", 1):
-            # the pinched a_2 = 1/a_1 must stay inside the continuation
-            # window |a_2| < |q|^(-1/2) of the integral check
-            predicate = lambda ps: abs(ps.a[0]) > abs(row.nomes.q) ** 0.5
         draws = sample_parameters(
             mode, row.n, row.nomes, seed, count, t=row.t, box=row.box, predicate=predicate
         )

@@ -2,9 +2,10 @@
 
 Each formula here restates a quantity the package computes another way
 (the reflected kernel, the q-shift ratios in closed theta form, the closed
-E_0/E_n, the phi test functions of the nabla image, the Gamma residue), so
-the tests can check the package against it.  Unlike :mod:`oracles`, these
-are built from the package's own theta/Gamma evaluators at double precision.
+E_0/E_n, the phi test functions of the nabla image, the Gamma residue, the
+pinch limits as numerical limits), so the tests can check the package
+against it.  Unlike :mod:`oracles`, these are built from the package's own
+theta/Gamma evaluators at double precision.
 """
 
 import numpy as np
@@ -172,3 +173,10 @@ def residue_gamma_pm(a, nomes: Nomes, policy: TruncationPolicy | None = None) ->
     The companion residue at z = a^{-1} is the negation of this value.
     """
     return elliptic_gamma(a * a, nomes, policy) / _euler_pair(nomes, policy)
+
+
+def richardson_limit(f, eps_coarse: float = 1e-3, eps_fine: float = 1e-4) -> complex:
+    """f(0) from f(eps) = L + C eps + O(eps^2) by two-point Richardson
+    extrapolation; the leftover error is O(eps_coarse eps_fine)."""
+    f_coarse, f_fine = complex(f(eps_coarse)), complex(f(eps_fine))
+    return (eps_coarse * f_fine - eps_fine * f_coarse) / (eps_coarse - eps_fine)

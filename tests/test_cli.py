@@ -321,19 +321,38 @@ class TestScenarioTable:
         rank2 = sorted((rep["scenario"], rep["seed_index"]) for rep in reports if rep["n"] == 2)
         assert rank2 == [("pinch_limit", 100), ("pinch_limit", 101)]
 
-    def test_sampled_pinch_draws_stay_in_the_continuation_window(self, capsys, tmp_path):
-        # in the default box a_1 may be small enough that the pinched
-        # a_2 = 1/a_1 leaves |a_2| < |q|^(-1/2); such draws are redrawn
+    def test_sampled_pinch_draws_need_no_continuation_window(self, capsys, tmp_path):
+        # the pinch checks are closed forms, so a small a_1 (the pinched
+        # a_2 = 1/a_1 far outside |q|^(-1/2)) is kept, not redrawn
         path = tmp_path / "pinch.json"
-        main([
+        code = main([
             "verify", "--scenario", "pinch", "--p", "0.05", "--q", "0.12",
             "--count", "2", "--seed", "11", "--report", str(path),
         ])
+        assert code == 0
         reports = json.loads(path.read_text())
         assert len(reports) == 6
-        assert not [rep["detail"] for rep in reports if "DomainError" in rep["detail"]]
+        assert all(rep["passed"] for rep in reports)
         pinched = [rep for rep in reports if rep["scenario"] != "pinch_continued"]
-        assert all(abs(complex(*rep["a"][0])) > 0.12**0.5 for rep in pinched)
+        assert min(abs(complex(*rep["a"][0])) for rep in pinched) < 0.12**0.5
+
+    def test_pinch_at_pq_zero_fails_with_the_reason(self, capsys, tmp_path):
+        # at p = 0 the solved a_6 is 0; neither the pinch limit nor the
+        # residue pair takes that dual-parameter limit
+        path = tmp_path / "pinch.json"
+        code = main([
+            "verify", "--scenario", "pinch", "--p", "0", "--q", "0.12",
+            "--count", "1", "--seed", "1", "--report", str(path),
+        ])
+        assert code == 1
+        reports = json.loads(path.read_text())
+        assert sorted(rep["scenario"] for rep in reports) == [
+            "pinch_continued", "pinch_integral", "pinch_limit",
+        ]
+        for rep in reports:
+            assert not rep["passed"]
+            assert rep["detail"].startswith("DomainError")
+            assert "p q = 0" in rep["detail"]
 
     def test_box_keys_reach_sampled_runs(self, capsys, tmp_path):
         cfg = tmp_path / "box.cfg"

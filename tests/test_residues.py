@@ -16,10 +16,10 @@ from ellselberg import (
     lim_pinch_J,
     psi,
     qpoch_inf,
-    richardson_limit,
     torus_integrate,
 )
-from references import residue_gamma_pm
+from ellselberg.qseries import _euler_pair, elliptic_gamma
+from references import residue_gamma_pm, richardson_limit
 
 NM = Nomes(0.05, 0.12)
 T = 0.4
@@ -112,6 +112,20 @@ def pinched_set(n, nomes):
 
 
 class TestPinchLimit:
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6])
+    def test_gamma_residue_limit_is_exact(self, eps):
+        # (1 - x) Gamma(x) -> 1/((p;p)(q;q)) at x = 1 with an O(|1 - x|) defect;
+        # its slope is the same at both distances
+        limit = 1.0 / _euler_pair(NM)
+
+        def defect(d):
+            x = 1.0 - d * np.exp(0.7j)
+            return ((1.0 - x) * elliptic_gamma(x, NM) - limit) / d
+
+        slope = defect(1e-3)
+        assert abs(defect(eps) - slope) < 1e-3 * abs(slope)
+        assert 0.1 * abs(limit) < abs(slope) < 10 * abs(limit)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_closed_form_matches_extrapolation(self, n):
         ps = pinched_set(n, NM)
@@ -151,17 +165,6 @@ class TestPinchLimit:
         bad = ParameterSet(1, ps.t, ps.a[:5] + (ps.a[5] * 1.01,))
         with pytest.raises(DomainError):
             lim_pinch_J(bad, NM)
-
-
-class TestRichardson:
-    def test_exact_on_linear_function(self):
-        got = richardson_limit(lambda eps: 2.5 - 0.3j + (1.0 + 4.0j) * eps)
-        assert abs(got - (2.5 - 0.3j)) < 1e-12
-
-    def test_quadratic_term_cancels_to_first_order(self):
-        # f = 1 + eps + eps^2: leftover error is eps_c * eps_f
-        got = richardson_limit(lambda eps: 1.0 + eps + eps**2, 1e-3, 1e-4)
-        assert abs(got - 1.0) == pytest.approx(1e-7, rel=1e-6)
 
 
 class TestCnRecurrence:

@@ -12,6 +12,7 @@ from ellselberg import (
     Nomes,
     ParameterSet,
     SCENARIO_NAMES,
+    SafeBox,
     coefficient_c,
     make_continued,
     make_pinched,
@@ -20,6 +21,7 @@ from ellselberg import (
     residues,
     run_suite,
     sample_da_parameters,
+    sample_parameters,
     scenario_dixon_anderson,
     scenario_eval_formula,
     scenario_nabla,
@@ -172,6 +174,20 @@ class TestPinch:
         assert not rep.passed
         assert "unknown pinch check" in rep.detail
 
+    # draws on which a two-point extrapolated limit misses 1e-6: the n = 1
+    # draw #1 of `verify --scenario pinch --seed 3 --count 2`, and two draws
+    # of the rank-1 benchmark sweep
+    @pytest.mark.parametrize(
+        "seed,count,index", [(54, 2, 1), (332800429, 8, 2), (111354012, 8, 7)]
+    )
+    def test_former_failures_pass_with_headroom(self, seed, count, index):
+        ps = sample_parameters(
+            BalancingMode.PQ, 1, NM, seed, count, box=SafeBox(a_min=0.5, a_max=0.7)
+        )[index]
+        for check in ("limit", "integral"):
+            rep = scenario_pinch(make_pinched(ps, NM), NM, 1e-6, check=check)
+            assert rep.rel_err <= 1e-6 / 1e4, (check, rep.rel_err)
+
     def test_integral_check_rejected_at_n2(self):
         ps = make_pinched(pq_set(2, t=0.45), NM)
         rep = scenario_pinch(ps, NM, 1e-6, check="integral")
@@ -184,8 +200,7 @@ class TestReportedGrid:
 
     @pytest.fixture
     def ladder_sizes(self, monkeypatch):
-        # the N every ladder stopped at: the continued contour integrates
-        # through residues, the probed ladders stop in scenarios
+        # the N every continued-contour ladder stopped at
         sizes = []
 
         def recording(stop):
@@ -197,7 +212,6 @@ class TestReportedGrid:
             return wrapped
 
         monkeypatch.setattr(residues, "torus_integrate", recording(residues.torus_integrate))
-        monkeypatch.setattr(scenarios, "_stop", recording(scenarios._stop))
         return sizes
 
     def test_eval_formula_continued(self, ladder_sizes):
@@ -212,14 +226,14 @@ class TestReportedGrid:
 
     @pytest.mark.parametrize(
         "check,make,ladders",
-        [("integral", make_pinched, 2), ("continued", make_continued, 1)],
+        [("integral", make_pinched, 0), ("continued", make_continued, 1)],
     )
     def test_pinch(self, ladder_sizes, check, make, ladders):
         rep = scenario_pinch(make(pq_set(), NM), NM, 1e-6, check=check)
         assert rep.passed
         assert len(ladder_sizes) == ladders
-        # the integral check reports the larger of its two evaluations
-        assert rep.grid_N == max(ladder_sizes) <= quadrature.default_budget(1)
+        # the integral check is a closed form and reports grid 0
+        assert rep.grid_N == max(ladder_sizes, default=0) <= quadrature.default_budget(1)
 
 
 class TestRetryNote:
@@ -272,12 +286,11 @@ class TestRetryNote:
 
     @pytest.mark.parametrize(
         "scenario",
-        ["plain", "continued", "dixon_anderson", "nabla", "pinch_integral", "pinch_continued"],
+        ["plain", "continued", "dixon_anderson", "nabla", "pinch_continued"],
     )
     def test_retry_evaluates_no_grid_twice(self, monkeypatch, scenario):
         # budget 32 leaves one doubling: the first stop stalls and the
-        # looser stop reads the same two rungs (pinch_integral fails at the
-        # first of its two integrals)
+        # looser stop reads the same two rungs
         sizes = []
         nodes = quadrature.QuadratureGrid.nodes
 
@@ -291,8 +304,6 @@ class TestRetryNote:
             rep = scenario_dixon_anderson(1, a, NM, 1e-8, budget=32)
         elif scenario == "nabla":
             rep = scenario_nabla(1, 1, 1, one_set(), NM, 1e-7, budget=32)
-        elif scenario == "pinch_integral":
-            rep = scenario_pinch(make_pinched(pq_set(), NM), NM, 1e-6, "integral", budget=32)
         elif scenario == "pinch_continued":
             rep = scenario_pinch(make_continued(pq_set(), NM), NM, 1e-6, "continued", budget=32)
         else:
@@ -302,16 +313,6 @@ class TestRetryNote:
             rep = scenario_eval_formula(1, ps, NM, 1e-8, budget=32)
         assert rep.detail.endswith(quadrature.RETRY_NOTE)
         assert sizes == [16, 32]
-
-    def test_pinch_integral_passes_at_the_looser_stop(self):
-        # the suite's rank-1 pinch draw at budget 64: both continued
-        # integrals stall at 1e-9/eps and stop at 64 within 50 times that
-        row = next(r for r in SUITE_ROWS if (r.scenario, r.n) == ("pinch", 1))
-        reports = run_row(row, 42, budget=64)
-        (rep,) = [r for r in reports if r.scenario == "pinch_integral"]
-        assert rep.passed
-        assert rep.grid_N == 64
-        assert rep.detail == quadrature.RETRY_NOTE
 
     def test_no_retry_no_note(self):
         rep = scenario_eval_formula(1, pq_set(), NM, 1e-8)
