@@ -82,14 +82,15 @@ def _roots(N: int) -> np.ndarray:
 
 
 class Lattice(list):
-    """Node list of a product grid: entry i is w[k[i]].
+    """Node list of a quadrature grid: entry i is w[k[i]].
 
-    It carries N, and w = _roots(N) holds the N-th roots of unity in order,
-    so z^alpha is w[(alpha . k) mod N].
+    It carries N, the quadrature weight of each node and the index arrays
+    k, and w = _roots(N) holds the N-th roots of unity in order, so
+    z^alpha is w[(alpha . k) mod N].
     """
 
-    def __init__(self, N: int, k):
-        self.N, self.k = N, tuple(k)
+    def __init__(self, N: int, k, weights):
+        self.N, self.k, self.weights = N, tuple(k), weights
         w = _roots(N)
         super().__init__(w[ki] for ki in self.k)
 

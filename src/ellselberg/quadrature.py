@@ -1,22 +1,33 @@
 """Torus quadrature: product trapezoid rule, expectations, and nabla images.
 
-The rule is the equal-weight mean over the product grid
-z_i = exp(2 pi i k_i/N), which integrates periodic analytic functions
-against the measure (2 pi i)^-n dz_1...dz_n/(z_1...z_n) with spectral
-accuracy.  N doubles from 16, each grid evaluated once when its rung is
+The rule is the trapezoid mean over the product grid z_i = exp(2 pi i k_i/N),
+which integrates periodic analytic functions against the measure
+(2 pi i)^-n dz_1...dz_n/(z_1...z_n) with spectral accuracy.  The grid is
+invariant under W(BC): k_i -> N - k_i and permutations of the k_i.  So
+when f is invariant in some coordinates (``fold``), the mean is the orbit
+sum over the sorted representatives j_1 <= ... <= j_m of min(k_i, N - k_i)
+in those coordinates, each of weight
+
+    2^#{j_i not in (0, N/2)} * m! / prod(multiplicities)! / N^n,
+
+C(N/2 + m, m) nodes in place of N^m; the other coordinates run over the
+whole circle.  N doubles from 16, each grid evaluated once when its rung is
 read, until |I_N - I_{N/2}| meets the tolerance or the per-circle budget is
 exhausted.  Every ladder ends in one stop rule, :func:`_stop`: a stalled
 ladder takes a 50x looser stop read off the differences it already holds,
 so no grid is evaluated twice within one integral, and says so through
 :data:`_NOTES`.
 
-Means are taken with numpy's fixed pairwise reduction over a fixed node
-ordering, so a given (N, parameters) always reproduces the same bytes.
+A rung is sum(weights * values) with numpy's fixed pairwise reduction over
+a fixed node ordering (not BLAS dot, whose order depends on the build and
+thread count), so a given (N, parameters) always reproduces the same bytes.
 """
 
 from __future__ import annotations
 
 import contextvars
+import functools
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -39,26 +50,61 @@ _NOTES: contextvars.ContextVar[list] = contextvars.ContextVar("notes")
 
 
 def default_budget(n: int) -> int:
-    """Per-circle point cap: 512 for n=1, 256 for n=2, 64 beyond."""
-    return {1: 512, 2: 256}.get(n, 64)
+    """Per-circle point cap: 512 for n=1, 256 for n=2, 128 beyond."""
+    return {1: 512, 2: 256}.get(n, 128)
 
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Product grid on the n-torus with N points per circle."""
+    """Grid on the n-torus with N points per circle, folded to its W(BC)
+    orbit representatives in the coordinates ``fold`` (none by default)."""
 
     n: int
     N: int
+    fold: tuple = ()
 
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("grid dimension must be >= 1")
         if self.N < 4:
             raise DomainError("need at least 4 points per circle")
+        if list(self.fold) != sorted(set(self.fold) & set(range(self.n))):
+            raise DomainError(f"fold {self.fold} is not an increasing list of coordinates of {self.n}")
 
     def nodes(self) -> Lattice:
-        """The flattened product grid as n arrays of length N^n, as a Lattice."""
-        return Lattice(self.N, np.indices((self.N,) * self.n).reshape(self.n, -1))
+        """The grid's nodes as a Lattice with the weight of each node."""
+        reps, weights = _representatives(len(self.fold), self.N)
+        free = [i for i in range(self.n) if i not in self.fold]
+        if not free:
+            return Lattice(self.N, reps, weights)
+        idx = np.indices((reps.shape[1],) + (self.N,) * len(free)).reshape(1 + len(free), -1)
+        k = np.empty((self.n, idx.shape[1]), dtype=np.intp)
+        k[list(self.fold)] = reps[:, idx[0]]
+        k[free] = idx[1:]
+        return Lattice(self.N, k, weights[idx[0]] / float(self.N) ** len(free))
+
+
+@functools.lru_cache(maxsize=32)
+def _representatives(m: int, N: int):
+    """The W(BC_m) orbits of the N-grid in m coordinates, read-only: every
+    j_1 <= ... <= j_m in 0..N/2 as the columns of an (m, C(N/2 + m, m))
+    array in lexicographic order, and the trapezoid weight of each one's
+    orbit, 2^#{j_i not in (0, N/2)} * m! / prod(multiplicities)! / N^m."""
+    reps = np.zeros((0, 1), dtype=np.intp)
+    for _ in range(m):
+        low = reps[-1] if len(reps) else np.zeros(1, dtype=np.intp)
+        counts = N // 2 + 1 - low
+        col = np.repeat(np.arange(reps.shape[1]), counts)
+        start = np.cumsum(counts) - counts
+        reps = np.vstack([reps[:, col], low[col] + np.arange(col.size) - start[col]])
+    size = 2 ** np.count_nonzero((reps != 0) & (2 * reps != N), axis=0) * math.factorial(m)
+    run = np.ones(reps.shape[1], dtype=np.intp)
+    for i in range(1, m):
+        run = np.where(reps[i] == reps[i - 1], run + 1, 1)
+        size //= run
+    weights = size / float(N) ** m
+    reps.flags.writeable = weights.flags.writeable = False
+    return reps, weights
 
 
 @dataclass(frozen=True)
@@ -74,15 +120,18 @@ class QuadResult:
     history: tuple = ()
 
 
-def _rungs(f, n: int, budget: int | None = None):
-    """(N, mean of f on the N-grid) for N = 16, 32, ... up to the budget,
-    each grid evaluated when its rung is asked for; the budget is checked first."""
+def _rungs(f, n: int, budget: int | None = None, fold=()):
+    """(N, trapezoid mean of f on the N-grid) for N = 16, 32, ... up to the
+    budget, each grid evaluated when its rung is asked for; the budget is
+    checked first.  f must be W(BC)-invariant in the coordinates ``fold``,
+    which are summed over orbit representatives."""
     if budget is None:
         budget = default_budget(n)
     if budget < MIN_BUDGET:
         raise DomainError(f"budget {budget} below the minimum {MIN_BUDGET}: a ladder needs two rungs")
     sizes = (MIN_POINTS << k for k in range((budget // MIN_POINTS).bit_length()))
-    return ((N, complex(np.mean(np.asarray(f(QuadratureGrid(n, N).nodes()))))) for N in sizes)
+    grids = (QuadratureGrid(n, N, tuple(fold)).nodes() for N in sizes)
+    return ((z.N, complex(np.sum(z.weights * np.asarray(f(z))))) for z in grids)
 
 
 def _stop(rungs, tol: float) -> QuadResult:
@@ -120,15 +169,18 @@ def torus_integrate(
     n: int,
     tol: float,
     budget: int | None = None,
+    fold=(),
 ) -> QuadResult:
     """Integrate f over the n-torus against the normalized measure.
 
     f receives the grid as a list of n equal-length coordinate arrays and
-    must return the elementwise values.  A ladder whose err_est stays above
-    tol up to the budget stops at the first rung within 50 tol instead
-    (see _stop); NonConvergenceError is raised when none is.
+    must return the elementwise values.  ``fold`` names the coordinates in
+    which f is W(BC)-invariant (z_i -> 1/z_i and their permutations); the
+    grid is summed over orbit representatives there.  A ladder whose
+    err_est stays above tol up to the budget stops at the first rung within
+    50 tol instead (see _stop); NonConvergenceError is raised when none is.
     """
-    return _stop(_rungs(f, n, budget), tol)
+    return _stop(_rungs(f, n, budget, fold), tol)
 
 
 def _weighted(phi, params, nomes, policy):
@@ -214,10 +266,11 @@ def nabla_quad(
 
     def g(z):
         values, h = _nabla_pointwise(r, i, z, params, nomes, policy)
-        href[z.N] = float(np.mean(h))
+        href[z.N] = float(np.sum(z.weights * h))
         return values
 
-    ladder = _rungs(g, n, budget)
+    # G and |phi Psi~| are W(BC_{n-1})-invariant in the coordinates other than z_i
+    ladder = _rungs(g, n, budget, fold=[j for j in range(n) if j != i - 1])
     first = next(ladder)
     res = _stop(chain([first], ladder), tol * (href[MIN_POINTS] or 1.0))
     return res, href[res.N_used]

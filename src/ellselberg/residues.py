@@ -69,7 +69,7 @@ def continued_integral_n1(
             )
         if nomes.pq == 0:
             raise DomainError("the residue pair is not implemented at p q = 0")
-    quad = torus_integrate(lambda z: psi(z, params, nomes, policy), 1, tol, budget)
+    quad = torus_integrate(lambda z: psi(z, params, nomes, policy), 1, tol, budget, fold=(0,))
     value = quad.value
     if outside:
         others = [v for m, v in enumerate(params.a) if m != outside[0]]

@@ -106,8 +106,9 @@ def _echo(params: ParameterSet, nomes: Nomes, seed_index: int, **indices) -> dic
 
 def _probed(f, n, budget, floor):
     """f's rungs, and max(|I_32|, floor) to scale their refinement by; the
-    rungs yield the two the magnitude read before evaluating further grids."""
-    ladder = _rungs(f, n, budget)
+    rungs yield the two the magnitude read before evaluating further grids.
+    f must be W(BC_n)-invariant: its rungs are orbit sums."""
+    ladder = _rungs(f, n, budget, fold=range(n))
     head = [next(ladder), next(ladder)]
     return chain(head, ladder), max(abs(head[1][1]), floor)
 
@@ -141,7 +142,9 @@ def scenario_eval_formula(
         if outside:
             lhs, grid_N = continued_integral_n1(params, nomes, 0.1 * tol * scale, budget, policy)
             return lhs, rhs, grid_N, None, "continued contour (one parameter outside)"
-        quad = torus_integrate(lambda z: psi(z, params, nomes, policy), n, 0.1 * tol * scale, budget)
+        quad = torus_integrate(
+            lambda z: psi(z, params, nomes, policy), n, 0.1 * tol * scale, budget, fold=range(n)
+        )
         return quad.value, rhs, quad.N_used
 
     echo = _echo(params, nomes, seed_index=seed_index)
@@ -209,7 +212,7 @@ def scenario_qde(
         lhs_quad = _stop(left_rungs, 0.1 * tol * scale)
         rhs_quad = torus_integrate(
             lambda z: psi(z, right, nomes, policy),
-            n, 0.1 * tol * (scale / max(abs(ratio), 1e-6)), budget,
+            n, 0.1 * tol * (scale / max(abs(ratio), 1e-6)), budget, fold=range(n),
         )
         return lhs_quad.value, rhs_quad.value * ratio, max(lhs_quad.N_used, rhs_quad.N_used)
 
@@ -334,7 +337,8 @@ def scenario_dixon_anderson(
         scale = max(abs(rhs), 1.0)
         kernel = _bc_kernel([pm(GAMMA, am) for am in a], None, range(n))
         quad = torus_integrate(
-            lambda z: evaluate(kernel, _z_list(z, n), nomes, policy), n, 0.1 * tol * scale, budget
+            lambda z: evaluate(kernel, _z_list(z, n), nomes, policy),
+            n, 0.1 * tol * scale, budget, fold=range(n),
         )
         return quad.value, rhs, quad.N_used
 

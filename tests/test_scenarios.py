@@ -267,10 +267,10 @@ class TestRetryNote:
         assert stalls == [True]
         assert rep.passed
         assert rep.detail == quadrature.RETRY_NOTE
-        # the value a ladder stopped at 50x the stop gives, which does not stall
+        # the value a folded ladder stopped at 50x the stop gives, which does not stall
         scale = max(abs(rep.rhs), 1.0)
         strict = quadrature.torus_integrate(
-            lambda z: psi(z, pq_set(), NM), 1, 50 * (0.1 * 1e-6 * scale), budget=64
+            lambda z: psi(z, pq_set(), NM), 1, 50 * (0.1 * 1e-6 * scale), budget=64, fold=(0,)
         )
         assert stalls == [True, False]
         assert (rep.lhs, rep.grid_N) == (strict.value, strict.N_used)
@@ -290,13 +290,16 @@ class TestRetryNote:
     )
     def test_retry_evaluates_no_grid_twice(self, monkeypatch, scenario):
         # budget 32 leaves one doubling: the first stop stalls and the
-        # looser stop reads the same two rungs
+        # looser stop reads the same two rungs; the nodes are the 9 and 17
+        # orbit representatives of the folded rank-1 grids, and the whole
+        # 16 and 32 circles of the rank-1 nabla integrand (its z_1 is free)
         sizes = []
         nodes = quadrature.QuadratureGrid.nodes
 
         def recording(grid):
-            sizes.append(grid.N)
-            return nodes(grid)
+            out = nodes(grid)
+            sizes.append(len(out[0]))
+            return out
 
         monkeypatch.setattr(quadrature.QuadratureGrid, "nodes", recording)
         if scenario == "dixon_anderson":
@@ -312,7 +315,7 @@ class TestRetryNote:
             assert any(abs(v) > 1 for v in ps.a) == (scenario == "continued")
             rep = scenario_eval_formula(1, ps, NM, 1e-8, budget=32)
         assert rep.detail.endswith(quadrature.RETRY_NOTE)
-        assert sizes == [16, 32]
+        assert sizes == ([16, 32] if scenario == "nabla" else [9, 17])
 
     def test_no_retry_no_note(self):
         rep = scenario_eval_formula(1, pq_set(), NM, 1e-8)
@@ -368,8 +371,9 @@ class TestRungs:
         row = next(r for r in SUITE_ROWS if r.scenario == "qde" and r.n == 1)
         (rep,) = run_row(replace(row, ks=(1,)), 42)
         assert rep.passed
-        # left side: probe (16, 32) then the ladder from 64; right side: a plain ladder
-        assert sizes == [16, 32, 64, 128, 16, 32, 64, 128]
+        # left side: probe (16, 32) then the ladder from 64; right side: a plain
+        # ladder; each rung on the N/2 + 1 orbit representatives of its grid
+        assert sizes == [9, 17, 33, 65, 9, 17, 33, 65]
 
     def test_nabla_evaluates_each_grid_once(self, monkeypatch):
         sizes = []
