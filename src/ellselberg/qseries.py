@@ -9,19 +9,26 @@ Conventions (0 <= |p|, |q| < 1 throughout):
 
 All evaluators accept a complex scalar or a numpy array of complex values for
 ``u`` (elementwise semantics) and form every product through one entry
-point, :func:`_poch`: the plan of max|u|, the pole scan when the caller
-divides by the product, then the scalar or the array product.  They share
-one truncation rule: a factor (1 - p^mu q^nu u) is included iff
-|p^mu q^nu u| >= tau with tau = tail_tol / (expected retained term count),
-and the analytic bound on sum |p^mu q^nu u| over the excluded indices is
-certified below tail_tol before a product is formed (TruncationError
-otherwise).  Products are evaluated in a fixed (mu outer, nu inner) order,
-so results are deterministic.  An array product takes its retained
-coefficients p^mu q^nu as one read-only column from a memo keyed on p and q
-(by type and exact bits) and the rows, bounded at _COEFF_BYTES, and
-multiplies the factors of each block of columns in one reduction over the
-factor axis; the reduction keeps the fixed (mu, nu) order, so every element
-gets the same bits as a factor-by-factor loop.
+point, :func:`_poch`, or for an array Gamma and 1/Gamma :func:`_quotient`:
+the plan of the power of two at or above max|u|, the pole scan when the
+caller divides by the product, then the scalar or the array product.  They
+share one truncation rule: a factor (1 - p^mu q^nu u) is included iff
+|p^mu q^nu B| >= tau with B the smallest power of two >= max|u| and
+tau = tail_tol / (expected retained term count), and the analytic bound on
+sum |p^mu q^nu B| over the excluded indices, which bounds the tail at every
+|u| <= B, is certified below tail_tol before a product is formed.  Where
+max_terms cannot certify it at B, the plan is that of max|u| itself
+(TruncationError when that fails too).  So all products at one nome pair
+share a few plans, and their coefficient columns.  Products are evaluated
+in a fixed (mu outer, nu inner) order, so results are deterministic.  An
+array product takes its retained coefficients p^mu q^nu as one read-only
+column from a memo keyed on p and q (by type and exact bits) and the rows,
+bounded at _COEFF_BYTES, and multiplies the factors of each block of
+columns in one reduction over the factor axis; the reduction keeps the
+fixed (mu, nu) order, so every element gets the same bits as a
+factor-by-factor loop.  An array Gamma or 1/Gamma forms its two products,
+(pq/u; p, q)_inf and (u; p, q)_inf, as one array product over both
+arguments under the plan of the larger of their maxima.
 
 A scalar product is held in a memo of at most _SCALAR_ENTRIES entries,
 keyed on the exact bits of u, p and q, the types of p and q, the policy and
@@ -29,15 +36,16 @@ whether the pole scan runs.  A hit returns the value the direct path gave,
 so it has the same bits; an error stores nothing.
 Closed sides repeat their products (c_n and c_(n-1) share all but one Gamma
 factor, C_r and the boundary ratio share their theta values), and the
-memo serves those repeats.  Scalar zero checks compare the Python complex
-instead of reducing with np.any.
+memo serves those repeats.  Scalar input is taken as a Python complex:
+zero checks compare it and pq/u and p/u divide it, instead of reducing
+with np.any and dividing a 0-d array.
 
 Closed forms multiply many Gamma factors; :func:`_gamma_product` evaluates
-them as one array call under the plan of the largest argument, which keeps
-every factor's tail below tail_tol.  The pole scan visits only factors
-that can reach 1: none when max|u| < 1 - 1e-9, and within the retained
-(mu, nu) range it stops a row, and then the scan, at the first factor
-whose |p^mu q^nu| max|u| falls below that.
+them as one array call under one plan, which keeps every factor's tail
+below tail_tol.  The pole scan visits only factors that can reach 1: none
+when max|u| < 1 - 1e-9, and within the retained (mu, nu) range it stops a
+row, and then the scan, at the first factor whose |p^mu q^nu| max|u| (the
+true maximum, not its power of two) falls below that.
 """
 
 from __future__ import annotations
@@ -59,10 +67,11 @@ POLE_TOL = 1e-12
 # columns) temporary holds about 8192 complex values (128 KiB).
 _BLOCK = 8192
 
-# Bytes of coefficient columns the memo may hold.  One sweep_n1 pass forms
-# 4554 array products from 59 distinct columns, 75 KB in all, and builds
-# 308 of them at this bound (the default suite, one verify --scenario run
-# per scenario: 1186 products, 77 builds).
+# Bytes of coefficient columns the memo may hold.  With plans per power of
+# two, one sweep_n1 pass (seed 1) forms 2206 array products from 11
+# distinct columns, 12.5 KB in all, and builds each once at this bound (the
+# default suite, one verify --scenario run per scenario: 600 products from
+# 19 columns, 18.6 KB, each built once).
 # A column under a large max_terms can take MBs and is then built on every
 # call.
 _COEFF_BYTES = 32 * 1024
@@ -125,7 +134,7 @@ def _abs_max(arr: np.ndarray) -> float:
     """
     if arr.ndim == 0:
         return float(np.abs(arr))
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
+    return float(np.abs(arr).max()) if arr.size else 0.0
 
 
 def _rows(u_max: float, p_abs: float, log_q: float | None, tau: float, cap: int) -> list:
@@ -154,10 +163,11 @@ def _plan(p_abs: float, q_abs: float, u_max: float, policy: TruncationPolicy):
     Returns (rows, tail) where rows[mu] is the retained nu count for that mu
     (a tuple) and tail bounds sum |p^mu q^nu| * u_max over all excluded
     indices.  Raises TruncationError when the policy's max_terms cannot
-    certify tail < tail_tol.  Memoised on the exact arguments, 64 of them:
-    with circle tables cached, that keeps 2651 of the 2661 hits of 256
-    entries on a sweep_n1 pass (99.6 %) and 652 of 678 on the default suite
-    (96 %), in a quarter of the memory.
+    certify tail < tail_tol.  Memoised on the exact arguments, 64 of them.
+    Callers ask for powers of two (_scaled_plan), so one pass at seed 1
+    asks for 31 distinct plans on sweep_n1 (2803 hits of 2834 calls), 55 on
+    the default suite (746 of 801) and 3382 on closed_forms (6832 of
+    10 214): 64 entries keep every hit an unbounded cache gets.
     """
     if u_max == 0.0:
         return (), 0.0
@@ -185,6 +195,28 @@ def _plan(p_abs: float, q_abs: float, u_max: float, policy: TruncationPolicy):
         f"tail bound refinement did not converge (last bound {tail})",
         achieved_bound=tail,
     )
+
+
+def _scale(u_max: float) -> float:
+    """The smallest power of two >= u_max; u_max itself at 0, inf, nan or above 2^1023."""
+    m, e = math.frexp(u_max)
+    return math.ldexp(1.0, e) if 0.5 < m < 1.0 and e <= 1023 else u_max
+
+
+def _scaled_plan(p_abs: float, q_abs: float, u_max: float, policy: TruncationPolicy):
+    """_plan at _scale(u_max), or at u_max when max_terms cannot certify that one.
+
+    The tail bound grows linearly in its u_max, so rows certified at the
+    scale certify every |u| below it.  With the fallback, TruncationError
+    comes only where the plan of u_max fails too.
+    """
+    scale = _scale(u_max)
+    try:
+        return _plan(p_abs, q_abs, scale, policy)
+    except TruncationError:
+        if scale == u_max:
+            raise
+        return _plan(p_abs, q_abs, u_max, policy)
 
 
 def _tail_bound(rows, p_abs: float, q_abs: float, u_max: float) -> float:
@@ -309,7 +341,7 @@ def _direct(arr: np.ndarray, p: complex, q: complex, policy: TruncationPolicy,
             what: str | None):
     """The product of _poch without the memo."""
     u_max = _abs_max(arr)
-    rows, _ = _plan(abs(p), abs(q), u_max, policy)
+    rows, _ = _scaled_plan(abs(p), abs(q), u_max, policy)
     if what is not None:
         _pole_scan(np.atleast_1d(arr), u_max, p, q, rows, what)
     if arr.ndim == 0:
@@ -322,21 +354,19 @@ def _direct(arr: np.ndarray, p: complex, q: complex, policy: TruncationPolicy,
 _scalars = OrderedDict()
 
 
-def _memo_scalar(arr: np.ndarray, p: complex, q: complex, policy: TruncationPolicy,
+def _memo_scalar(z: complex, p: complex, q: complex, policy: TruncationPolicy,
                  what: str | None):
-    """_direct(arr, ...) for a 0-d arr, from the memo when held.
+    """_direct(np.asarray(z), ...) for a Python complex z, from the memo when held.
 
-    The product reads u only as complex(arr), so its bits are the key of u
-    (arr.item() is the same Python complex, without complex()'s 0.6 us);
+    The product reads u only as that complex, so its bits are the key of u;
     p and q enter Python arithmetic, so their types count as well (see
     _coefficient_column).  An error stores nothing and is raised again.
     """
-    z = arr.item()
     key = (struct.pack("6d", z.real, z.imag, p.real, p.imag, q.real, q.imag),
            type(p), type(q), policy, what)
     held = _scalars.get(key)
     if held is None:
-        held = _scalars[key] = _direct(arr, p, q, policy, what)
+        held = _scalars[key] = _direct(np.asarray(z), p, q, policy, what)
         if len(_scalars) > _SCALAR_ENTRIES:
             _scalars.popitem(last=False)
     else:
@@ -344,8 +374,18 @@ def _memo_scalar(arr: np.ndarray, p: complex, q: complex, policy: TruncationPoli
     return held
 
 
+def _operand(u):
+    """u as a complex array, or as a Python complex when it is 0-d.
+
+    A Python complex divides in under 0.1 us, a 0-d array in 0.9 us
+    (2-core Xeon, numpy 2.4).
+    """
+    arr = np.asarray(u, dtype=complex)
+    return arr.item() if arr.ndim == 0 else arr
+
+
 def _poch(u, p: complex, q: complex, policy: TruncationPolicy | None, what: str | None = None):
-    """(u; p, q)_inf under the plan of max|u|, the one path of every q-product.
+    """(u; p, q)_inf under the plan of _scale(max|u|), the path of every q-product.
 
     A scalar u gives a Python complex, an array an array of its shape.  With
     ``what`` (the caller's name, for the message) an argument within
@@ -353,10 +393,32 @@ def _poch(u, p: complex, q: complex, policy: TruncationPolicy | None, what: str 
     scalar product repeated within the last _SCALAR_ENTRIES distinct ones is
     the held value of the same path, so it has the same bits.
     """
-    arr = np.asarray(u, dtype=complex)
-    if arr.ndim == 0:
-        return _memo_scalar(arr, p, q, policy or DEFAULT_POLICY, what)
-    return _direct(arr, p, q, policy or DEFAULT_POLICY, what)
+    u = u if type(u) is complex else _operand(u)
+    if type(u) is complex:
+        return _memo_scalar(u, p, q, policy or DEFAULT_POLICY, what)
+    return _direct(u, p, q, policy or DEFAULT_POLICY, what)
+
+
+def _quotient(top, bottom, nomes: Nomes, policy: TruncationPolicy | None, what: str):
+    """(top; p, q)_inf / (bottom; p, q)_inf, scanning bottom for poles as ``what``.
+
+    Scalars take two _poch calls, bottom first.  Arrays of one shape take
+    one _prod_array call over both, under the plan of the scale of the
+    larger of their maxima; bottom is scanned at its own maximum.
+    """
+    p, q = nomes.p, nomes.q
+    if isinstance(bottom, complex):
+        den = _poch(bottom, p, q, policy, what)
+        return _poch(top, p, q, policy) / den
+    args = np.concatenate((top.reshape(-1), bottom.reshape(-1)))
+    mags = np.abs(args)
+    hi = float(mags.max()) if args.size else 0.0
+    rows, _ = _scaled_plan(abs(p), abs(q), hi, policy or DEFAULT_POLICY)
+    # below 1 - 1e-9 no factor can reach a pole, and the scan returns at once
+    bottom_max = float(mags[top.size:].max()) if hi >= 1.0 - 1e-9 else hi
+    _pole_scan(bottom, bottom_max, p, q, rows, what)
+    both = _prod_array(args, p, q, rows)
+    return (both[: top.size] / both[top.size:]).reshape(top.shape)
 
 
 def qpoch_inf(u, q: complex, policy: TruncationPolicy | None = None):
@@ -375,16 +437,16 @@ def double_poch_inf(u, nomes: Nomes, policy: TruncationPolicy | None = None):
     return _poch(u, nomes.p, nomes.q, policy)
 
 
-def _has_zero(arr: np.ndarray) -> bool:
-    """Whether an element of the complex array arr is 0.
+def _has_zero(u) -> bool:
+    """Whether u, a Python complex or a complex array, is or holds 0.
 
-    A 0-d array compares its Python complex (the same test: both parts
-    zero, either sign) in about 0.1 us, where np.any takes 4-8 us (2-core
-    Xeon, numpy 2.4).
+    A Python complex compares in about 0.1 us, and an array's all() takes
+    1.7 us at 256 points where np.any(u == 0) takes 4.9 us (2-core Xeon,
+    numpy 2.4).
     """
-    if arr.ndim == 0:
-        return arr.item() == 0
-    return bool(np.any(arr == 0))
+    if type(u) is complex:
+        return u == 0
+    return not u.all()
 
 
 def theta(u, p: complex, policy: TruncationPolicy | None = None):
@@ -392,10 +454,10 @@ def theta(u, p: complex, policy: TruncationPolicy | None = None):
 
     Degenerates to 1 - u at p = 0.  Requires u != 0.
     """
-    arr = np.asarray(u, dtype=complex)
-    if _has_zero(arr):
+    u = _operand(u)
+    if _has_zero(u):
         raise DomainError("theta(u; p) requires u != 0")
-    return qpoch_inf(arr, p, policy) * qpoch_inf(p / arr, p, policy)
+    return qpoch_inf(u, p, policy) * qpoch_inf(p / u, p, policy)
 
 
 def _pole_scan(arr: np.ndarray, hi: float, p: complex, q: complex, rows, what: str):
@@ -441,19 +503,20 @@ def elliptic_gamma(u, nomes: Nomes, policy: TruncationPolicy | None = None):
     (relative) of a pole raise PoleProximityError.  At p = 0 this degenerates
     to 1 / (u; q)_inf.
     """
-    arr = np.asarray(u, dtype=complex)
+    u = _operand(u)
     pq = nomes.pq
-    if _has_zero(arr):
-        if pq != 0:
-            raise DomainError("elliptic_gamma requires u != 0 unless p*q = 0")
+    if not _has_zero(u):
+        num_arg = pq / u
+    elif pq != 0:
+        raise DomainError("elliptic_gamma requires u != 0 unless p*q = 0")
+    elif type(u) is complex:
         # Gamma(0; p, q) with pq = 0 is 1/(0; .)_inf = 1; avoid 0/0 in pq/u.
-        num_arg = np.zeros_like(arr)
-        nz = arr != 0
-        num_arg[nz] = pq / arr[nz]
+        num_arg = 0j
     else:
-        num_arg = pq / arr
-    den = _poch(arr, nomes.p, nomes.q, policy, "elliptic_gamma")
-    return _poch(num_arg, nomes.p, nomes.q, policy) / den
+        num_arg = np.zeros_like(u)
+        nz = u != 0
+        num_arg[nz] = pq / u[nz]
+    return _quotient(num_arg, u, nomes, policy, "elliptic_gamma")
 
 
 def elliptic_gamma_recip(u, nomes: Nomes, policy: TruncationPolicy | None = None):
@@ -462,11 +525,10 @@ def elliptic_gamma_recip(u, nomes: Nomes, policy: TruncationPolicy | None = None
     Raises PoleProximityError only near the zeros of Gamma, i.e. near
     u = p^(mu+1) q^(nu+1), which are the poles of the reciprocal.
     """
-    arr = np.asarray(u, dtype=complex)
-    if _has_zero(arr):
+    u = _operand(u)
+    if _has_zero(u):
         raise DomainError("elliptic_gamma_recip requires u != 0")
-    num = _poch(nomes.pq / arr, nomes.p, nomes.q, policy, "elliptic_gamma_recip")
-    return _poch(arr, nomes.p, nomes.q, policy) / num
+    return _quotient(u, nomes.pq / u, nomes, policy, "elliptic_gamma_recip")
 
 
 def theta_pm(a: complex, z, p: complex, policy: TruncationPolicy | None = None):
@@ -483,8 +545,9 @@ def _gamma_product(args, nomes: Nomes, policy: TruncationPolicy | None = None,
                    recip: bool = False) -> complex:
     """prod Gamma(u) over the list args (1/Gamma(u) with ``recip``).
 
-    One array call with one truncation plan (that of max|u|, so every
-    factor's tail stays below tail_tol), multiplied in list order.
+    One array call, so one product under one truncation plan (that of the
+    power of two at or above the largest |u| and |pq/u|, so every factor's
+    tail stays below tail_tol), multiplied in list order.
     """
     values = (elliptic_gamma_recip if recip else elliptic_gamma)(
         np.array(args, dtype=complex), nomes, policy

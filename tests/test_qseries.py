@@ -498,17 +498,25 @@ def test_plan_raises_truncation_error_on_every_call():
 
 def test_pole_error_names_the_pole_on_both_paths():
     nm = Nomes(0.05, 0.12)
-    # Gamma's pole at p^-1 q^-2 and its reciprocal's at p^2 q^3 share (mu, nu)
-    cases = (
-        (elliptic_gamma, (1.0 + 1e-14) / (nm.p * nm.q**2)),
-        (elliptic_gamma_recip, nm.p**2 * nm.q**3 * (1.0 + 1e-14)),
-    )
-    for f, u in cases:
-        for arg in (u, np.array([0.3 + 0.2j, u])):
-            with pytest.raises(PoleProximityError) as info:
-                f(arg, nm)
-            assert (info.value.mu, info.value.nu) == (1, 2)
-            assert str(info.value).startswith(f.__name__)
+    # Gamma's pole at p^-mu q^-nu and its reciprocal's at p^(mu+1) q^(nu+1)
+    # share (mu, nu); each function scans only the side it divides by, so
+    # the other one has a value there, near its zero
+    for mu, nu in ((0, 0), (1, 2), (2, 0)):
+        pole = (1.0 + 1e-14) / (nm.p**mu * nm.q**nu)
+        zero = nm.p ** (mu + 1) * nm.q ** (nu + 1) * (1.0 + 1e-14)
+        cases = (
+            (elliptic_gamma, elliptic_gamma_recip, pole),
+            (elliptic_gamma_recip, elliptic_gamma, zero),
+        )
+        for f, other, u in cases:
+            for arg in (u, np.array([0.3 + 0.2j, u])):
+                with pytest.raises(PoleProximityError) as info:
+                    f(arg, nm)
+                assert (info.value.mu, info.value.nu) == (mu, nu)
+                assert str(info.value).startswith(f.__name__)
+                value = np.atleast_1d(other(arg, nm))
+                assert np.all(np.isfinite(value))
+                assert abs(value[-1]) < 1e-9 * abs(other(u * 1.01, nm))
 
 
 # Reference truncation plan (one row-length call per row) and pole scan (every
@@ -606,6 +614,127 @@ def test_plan_matches_the_reference_plan(policy):
                 raised += got[0] == "TruncationError"
     if policy.max_terms == 8:
         assert raised  # the sweep reaches the TruncationError cases
+
+
+@pytest.fixture
+def product_rows(monkeypatch):
+    """The rows of every _prod_array and _prod_scalar call, in call order."""
+    seen = []
+    prod_array, prod_scalar = qseries._prod_array, qseries._prod_scalar
+
+    def array(u, p, q, rows):
+        seen.append(rows)
+        return prod_array(u, p, q, rows)
+
+    def scalar(u, p, q, rows):
+        seen.append(rows)
+        return prod_scalar(u, p, q, rows)
+
+    monkeypatch.setattr(qseries, "_prod_array", array)
+    monkeypatch.setattr(qseries, "_prod_scalar", scalar)
+    return seen
+
+
+def test_scale_is_the_power_of_two_at_or_above():
+    for u_max, scale in ((3.0, 4.0), (4.0, 4.0), (4.000001, 8.0), (0.3, 0.5), (1e-20, 2.0**-66)):
+        assert qseries._scale(u_max) == scale
+    # kept as they are: zero, the smallest subnormal (a power of two), and
+    # values with no power of two above them in floats
+    for u_max in (0.0, 5e-324, 1.5e308, float("inf")):
+        assert qseries._scale(u_max) == u_max
+    assert math.isnan(qseries._scale(float("nan")))
+
+
+def test_scaled_plan_certifies_the_true_tail(product_rows):
+    # the rows certified at the power of two B >= max|u| bound the tail at max|u|
+    policy = TruncationPolicy()
+    rng = np.random.default_rng(20)
+    u_maxes = [0.0] + [2.0**k for k in range(-66, 8)] + list(10.0 ** rng.uniform(-20, math.log10(250), 300))
+    for u_max in u_maxes:
+        p_abs, q_abs = rng.uniform(0.0, 0.9, 2).tolist()
+        del product_rows[:]
+        for arr in (np.array([u_max, -0.5 * u_max]), np.array(u_max)):
+            qseries._direct(arr.astype(complex), p_abs, q_abs, policy, None)
+        rows, scalar_rows = product_rows
+        assert rows == scalar_rows
+        assert qseries._tail_bound(rows, p_abs, q_abs, u_max) < policy.tail_tol, (p_abs, q_abs, u_max)
+
+
+@pytest.mark.parametrize("scale", [2.0**-40, 0.5, 1.0, 4.0, 256.0])
+def test_one_plan_per_power_of_two(scale):
+    policy = TruncationPolicy()
+    qseries._plan.cache_clear()
+    inside = [math.nextafter(scale / 2, math.inf)] + [scale * f for f in (0.6, 0.75, 0.9, 0.999)] + [scale]
+    for u_max in inside:
+        qseries._scaled_plan(0.05, 0.12, u_max, policy)
+    info = qseries._plan.cache_info()
+    assert (info.misses, info.hits) == (1, len(inside) - 1)
+    # B / 2 is a power of two itself, with its own plan
+    qseries._scaled_plan(0.05, 0.12, scale / 2, policy)
+    assert qseries._plan.cache_info().misses == 2
+
+
+SMALL_POLICIES = (
+    TruncationPolicy(tail_tol=1e-15, max_terms=8),
+    TruncationPolicy(tail_tol=1e-13, max_terms=4),
+    TruncationPolicy(tail_tol=1e-6, max_terms=2),
+)
+
+
+def test_scaled_plan_raises_only_where_the_exact_plan_does():
+    # a plan at B that max_terms cannot certify falls back to the plan of
+    # max|u|, so TruncationError comes only where that plan raises too (the
+    # plan at B may certify where the plan of max|u| cannot: 4 of 15 000
+    # random draws at max_terms <= 30)
+    raised = fell_back = 0
+    for policy in SMALL_POLICIES:
+        for p_abs in (0.0, 1e-3, 0.05, 0.3, 0.7):
+            for q_abs in (0.0, 1e-3, 0.12, 0.5, 0.9):
+                for u_max in [0.0] + list(10.0 ** np.linspace(-10, 2.5, 40)):
+                    exact = plan_outcome(ref_plan, p_abs, q_abs, u_max, policy)
+                    scaled = plan_outcome(ref_plan, p_abs, q_abs, qseries._scale(u_max), policy)
+                    got = plan_outcome(qseries._scaled_plan, p_abs, q_abs, u_max, policy)
+                    if scaled[0] == "TruncationError":
+                        assert got == exact, (policy, p_abs, q_abs, u_max)
+                        fell_back += exact[0] != "TruncationError"
+                    else:
+                        assert got == scaled, (policy, p_abs, q_abs, u_max)
+                    raised += got[0] == "TruncationError"
+                    if got[0] != "TruncationError":
+                        assert qseries._tail_bound(got[0], p_abs, q_abs, u_max) < policy.tail_tol
+    assert raised and fell_back  # the sweep reaches both the error and the fallback
+
+
+GAMMA_SIDES = {
+    elliptic_gamma: lambda u, nm: (nm.pq / u, u),
+    elliptic_gamma_recip: lambda u, nm: (u, nm.pq / u),
+}
+
+
+@pytest.mark.parametrize("shape", [(2,), (3,), (64,), (700,), (24, 5)])
+@pytest.mark.parametrize("f", list(GAMMA_SIDES), ids=["gamma", "recip"])
+def test_array_gamma_is_one_quotient_under_shared_rows(f, shape, product_rows):
+    nm = Nomes(0.07 + 0.02j, 0.11)
+    u = random_points(shape, sum(shape)) * 2.0
+    got = f(u, nm)
+    (rows,) = product_rows  # one product for both sides
+    top, bottom = GAMMA_SIDES[f](u, nm)
+    hi = max(np.abs(top).max(), np.abs(bottom).max())
+    assert rows == qseries._scaled_plan(abs(nm.p), abs(nm.q), hi, TruncationPolicy())[0]
+    assert qseries._tail_bound(rows, abs(nm.p), abs(nm.q), hi) < TruncationPolicy().tail_tol
+    want = qseries._prod_array(top, nm.p, nm.q, rows) / qseries._prod_array(bottom, nm.p, nm.q, rows)
+    assert got.shape == shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("f", list(GAMMA_SIDES), ids=["gamma", "recip"])
+def test_one_element_gamma_array_has_the_bits_of_a_longer_one(f):
+    # two separate one-element products would each be a lone column, which
+    # numpy multiplies with other instructions; the paired product is not
+    nm = Nomes(0.07 + 0.02j, 0.11)
+    for u in random_points((20,), 3):
+        pair = np.array([u, u * 1j])  # |u i| = |u|: the same plan
+        assert f(pair[:1], nm).tobytes() == f(pair, nm)[:1].tobytes()
 
 
 def pole_outcome(scan, *args):
