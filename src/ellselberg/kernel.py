@@ -14,20 +14,32 @@ starting positive, the reads T[(d m) mod N] of the factors that share
 alpha' fold, in _fold's order, into one length-N table gathered at
 (alpha' . k) mod N per point.  Any other z is evaluated pointwise.
 
-A table's values at N <= MIN_POINTS, the first rung of every trapezoid
-ladder, or at odd N are evaluated on the whole circle; at any other N they
-are its values at N/2 (node 2m of the N circle is node m of the N/2 circle,
-bit for bit) with f evaluated on the odd nodes placed between them, so a
-ladder from 16 to 512 evaluates each table on 512 nodes, not 1008.
+A table is evaluated on its whole circle by one of two routes, chosen by
+|c|, the nomes and the policy alone.  Strictly inside the annulus where f
+has no zero or pole (|pq| < |c| < 1 for Gamma and 1/Gamma, |p| < |c| < 1
+for theta), log f(c w) is a Laurent series in w (Felder and Varchenko,
+Adv. Math. 156 (2000)):
 
-Those values come from a process-wide LRU of read-only arrays keyed on f,
-c, N, the nomes and the policy, every number by its exact bits
-(0.0 == -0.0), so the kernels of one family (the shifts of qde, Psi~ and
-the E_r terms of one recurrence, the Weyl factor of every kernel) and the
-rungs of later ladders and reports share them.  A table is a fixed function of its key,
-so what the cache holds changes the time a run takes, never a bit of its
-output.  It holds at most _TABLE_BYTES; a factor that raises stores
-nothing at the N it raised on.
+    log Gamma(u; p, q) = sum_{k>=1} (u^k - (pq/u)^k) / (k (1 - p^k)(1 - q^k)),
+    log theta(u; p)    = -sum_{k>=1} (u^k + (p/u)^k) / (k (1 - p^k)),
+
+and log 1/Gamma is minus the first.  The coefficients up to the K that
+certifies the tail (_series), folded exactly mod N, give the whole table as
+exp of one inverse FFT.  Every other circle (|c| >= 1, |c| <= |pq| or |p|,
+the Weyl factor's c = 1, a monomial, or a K above max_terms) is evaluated
+by the qseries products, pole scan included; f has no pole or zero a
+certified series can come near, so no scan is lost.
+
+Tables and series coefficients (which do not depend on N, so a ladder from
+16 to 512 computes them once) come from a process-wide LRU of read-only
+arrays keyed on f, c, N, the nomes and the policy, every number by its
+exact bits (0.0 == -0.0), so the kernels of one family (the shifts of qde,
+Psi~ and the E_r terms of one recurrence, the Weyl factor of every kernel)
+and the rungs of later ladders and reports share them.  A table is a fixed
+function of its key, so what the cache holds changes the time a run takes,
+never a bit of its output.  It holds at most _TABLE_BYTES; deciding a
+route stores nothing, and a factor that raises stores nothing at the N it
+raised on.
 """
 
 from __future__ import annotations
@@ -42,22 +54,19 @@ from .qseries import DEFAULT_POLICY, ByteLRU, _bits, elliptic_gamma, elliptic_ga
 
 GAMMA, RECIP, THETA, MONO = "gamma", "recip", "theta", "mono"
 
-# Points per circle of the first rung of every trapezoid ladder, and of the
-# largest circle whose tables are evaluated whole.
+# Points per circle of the first rung of every trapezoid ladder.
 MIN_POINTS = 16
 
-# Bytes of circle values the cache may hold.  A table is built from its N/2
-# table, so a half that was evicted is evaluated again: the default suite
-# evaluates 40 944 circle points at 96 KiB, 28 928 at 160 KiB and 23 744 at
-# 192 KiB (23 616 when nothing is evicted), E_r's theta tables included.
-# 192 KiB was chosen when a table held a factor and its mirror, as the
-# smallest of 96, 128, 160, 192 and 256 KiB at which the `suite` benchmark
-# ran faster than tables evaluated whole at 96 KiB unless their half was
-# held: wall_s 0.49-0.51 s against 0.56-0.58 s (160 KiB: 0.54-0.57 s) and
-# peak RSS +1.5 % (6 s runs, seeds 1-3, 2-core Xeon, numpy 2.4).  Kept
-# small otherwise: a benchmark
-# that re-imports the package keeps every old module copy, cache included,
-# until the cyclic collector runs.
+# Bytes of circle tables and series the cache may hold.  One evicted is
+# computed again: the default suite evaluates 63 936 circle points at 96
+# KiB, 51 840 at 160 KiB and 48 912 at 192 KiB, E_r's theta tables
+# included (41 696 from 121 series of 184 KB in all when nothing is
+# evicted).  192 KiB was chosen when tables were built from their halves.
+# With whole tables, 256 KiB ran the `suite` benchmark in 0.205-0.213 s
+# against 0.207-0.221 s, a gain within the spread of the seeds (6 s runs,
+# seeds 1-3, 2-core Xeon, numpy 2.4), so it was kept.  Kept small
+# otherwise: a benchmark that re-imports the package keeps every old
+# module copy, cache included, until the cyclic collector runs.
 _TABLE_BYTES = 192 * 1024
 
 
@@ -95,9 +104,9 @@ class Lattice(list):
         super().__init__(w[ki] for ki in self.k)
 
 
-def _circle(N: int, c, odd=False):
-    """The circle c * exp(2 pi i m/N), m = 0..N-1, or only its odd m."""
-    w = _roots(N)[1::2] if odd else _roots(N)
+def _circle(N: int, c):
+    """The circle c * exp(2 pi i m/N), m = 0..N-1."""
+    w = _roots(N)
     return w if c == 1 else c * w
 
 
@@ -145,22 +154,83 @@ _tables = ByteLRU(_TABLE_BYTES)
 
 def _on_circle(kind, c, N, nomes, policy):
     """f(c w) on w = _roots(N), read-only, from _tables when held."""
-    # c meets the circle only in numpy, which casts it to complex128; p and
-    # q also enter Python arithmetic, where a float and a complex of equal
-    # value can give a zero of another sign, so their types count too.
+    # c meets the circle only in numpy, which casts it to complex128, and
+    # the series as complex(c); p and q also enter Python arithmetic, where
+    # a float and a complex of equal value can give a zero of another sign,
+    # so their types count too.  The series of a circle is held under the
+    # key without N.
     p, q = nomes.p, nomes.q
-    key = (N, kind, _bits(c), type(p), _bits(p), type(q), _bits(q), policy or DEFAULT_POLICY)
-    table = _tables.get(key)
+    policy = policy or DEFAULT_POLICY
+    circle = (kind, _bits(c), type(p), _bits(p), type(q), _bits(q), policy)
+    table = _tables.get((N, circle))
     if table is None:
-        if N % 2 or N <= MIN_POINTS:
-            table = _apply(kind, _circle(N, c), nomes, policy)
-        else:
-            table = np.empty(N, dtype=complex)
-            table[0::2] = _on_circle(kind, c, N // 2, nomes, policy)
-            table[1::2] = _apply(kind, _circle(N, c, odd=True), nomes, policy)
+        series = _tables.get(circle)
+        if series is None:
+            series = _series(kind, complex(c), nomes, policy)
+            if series is not None:
+                series.flags.writeable = False
+                _tables.put(circle, series)
+        table = _apply(kind, _circle(N, c), nomes, policy) if series is None else _laurent(series, N)
         table.flags.writeable = False
-        _tables.put(key, table)
+        _tables.put((N, circle), table)
     return table
+
+
+# Signs of the w^k and w^-k coefficients of log f(c w).
+_SIGNS = {GAMMA: (1.0, -1.0), RECIP: (-1.0, 1.0), THETA: (-1.0, -1.0)}
+
+
+def _series(kind, c, nomes, policy):
+    """Laurent coefficients of log f(c w), those of w^-K..w^K in order, or None.
+
+    None where the products evaluate the table: unless |c| lies strictly
+    inside f's annulus and a K <= max_terms certifies the tail.  With
+    a = |c|, b = |pq/c| (|p/c| for theta) and |1 - p^k| >= 1 - |p|, the
+    coefficients beyond K sum to at most
+    (a^(K+1)/(1 - a) + b^(K+1)/(1 - b)) / ((K + 1) D), D = (1 - |p|)(1 - |q|)
+    (1 - |p| for theta), and K is the smallest with that below
+    tail_tol / max_terms.  The bound below tail_tol / K, the analogue of
+    _plan's tail_tol / count, certifies the same circles (the two agree at
+    K = max_terms, and K times the bound falls with K wherever it nears
+    tail_tol), but lets the truncation error reach 3e-14 at K = 3, where
+    this rule keeps it under 2e-16 at the default policy.
+    """
+    if kind == MONO or c == 0:
+        return None
+    p, q = nomes.p, nomes.q
+    inner = p if kind == THETA else nomes.pq
+    a, b = abs(c), abs(inner / c)
+    if not (a < 1.0 and b < 1.0):
+        return None
+    D = 1.0 - abs(p) if kind == THETA else (1.0 - abs(p)) * (1.0 - abs(q))
+
+    def tail(K):
+        return (a ** (K + 1) / (1.0 - a) + b ** (K + 1) / (1.0 - b)) / ((K + 1) * D)
+
+    tol, cap = policy.tail_tol / policy.max_terms, policy.max_terms
+    if tail(cap) >= tol:
+        return None
+    # the tail falls with K: bisect for the smallest K that certifies
+    lo, K = 0, cap
+    while K - lo > 1:
+        mid = (lo + K) // 2
+        lo, K = (lo, mid) if tail(mid) < tol else (mid, K)
+    k = np.arange(1, K + 1)
+    den = k * (1.0 - p**k) if kind == THETA else k * (1.0 - p**k) * (1.0 - q**k)
+    up, down = _SIGNS[kind]
+    out = np.zeros(2 * K + 1, dtype=complex)
+    out[K + 1 :] = up * c**k / den
+    out[K - 1 :: -1] = down * (inner / c) ** k / den
+    return out
+
+
+def _laurent(series, N):
+    """exp(sum_j F_j w^j) on w = _roots(N), F the series folded mod N: one inverse FFT."""
+    # entry i is the coefficient of w^(i - K), so it folds at (offset + i) mod N
+    offset = -(len(series) // 2) % N
+    folded = np.zeros(-(-(offset + len(series)) // N) * N, dtype=complex)
+    folded[offset : offset + len(series)] = series
+    return np.exp(np.fft.ifft(folded.reshape(-1, N).sum(axis=0), norm="forward"))
 
 
 def evaluate(factors, z, nomes, policy=None):

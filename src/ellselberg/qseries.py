@@ -68,10 +68,11 @@ POLE_TOL = 1e-12
 _BLOCK = 8192
 
 # Bytes of coefficient columns the memo may hold.  With plans per power of
-# two, one sweep_n1 pass (seed 1) forms 2206 array products from 11
-# distinct columns, 12.5 KB in all, and builds each once at this bound (the
-# default suite, one verify --scenario run per scenario: 600 products from
-# 19 columns, 18.6 KB, each built once).
+# two, one sweep_n1 pass (seed 1) forms 262 array products from 7 distinct
+# columns, 8.1 KB in all, and builds each once at this bound (the default
+# suite, one verify --scenario run per scenario: 95 products from 11
+# columns, 9.9 KB, each built once); circle tables inside their annulus
+# take no product (kernel).
 # A column under a large max_terms can take MBs and is then built on every
 # call.
 _COEFF_BYTES = 32 * 1024
@@ -165,8 +166,8 @@ def _plan(p_abs: float, q_abs: float, u_max: float, policy: TruncationPolicy):
     indices.  Raises TruncationError when the policy's max_terms cannot
     certify tail < tail_tol.  Memoised on the exact arguments, 64 of them.
     Callers ask for powers of two (_scaled_plan), so one pass at seed 1
-    asks for 31 distinct plans on sweep_n1 (2803 hits of 2834 calls), 55 on
-    the default suite (746 of 801) and 3382 on closed_forms (6832 of
+    asks for 26 distinct plans on sweep_n1 (864 hits of 890 calls), 45 on
+    the default suite (251 of 296) and 3382 on closed_forms (6832 of
     10 214): 64 entries keep every hit an unbounded cache gets.
     """
     if u_max == 0.0:

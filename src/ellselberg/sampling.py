@@ -5,7 +5,7 @@ given (seed, mode, box, predicate) always reproduces the same parameter
 lists.  The box keeps every solved entry within its mode's modulus
 constraint; candidates violating a constraint are rejected and counted.
 ``SafeBox.pole_clearance`` is parsed but nothing reads it yet: no draw is
-checked for integrand poles near the torus (ROADMAP item 4).
+checked for integrand poles near the torus (ROADMAP item 6).
 """
 
 from __future__ import annotations

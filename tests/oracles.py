@@ -36,16 +36,16 @@ def odouble(u, p, q, side=90):
     return out
 
 
-def otheta(u, p):
+def otheta(u, p, terms=2000):
     """theta(u; p) = (u; p)_inf (p/u; p)_inf."""
     u, p = mp.mpmathify(u), mp.mpmathify(p)
-    return opoch(u, p) * opoch(p / u, p)
+    return opoch(u, p, terms) * opoch(p / u, p, terms)
 
 
-def ogamma(u, p, q):
+def ogamma(u, p, q, side=90):
     """Gamma(u; p, q) = (pq/u; p, q)_inf / (u; p, q)_inf."""
     u, p, q = mp.mpmathify(u), mp.mpmathify(p), mp.mpmathify(q)
-    return odouble(p * q / u, p, q) / odouble(u, p, q)
+    return odouble(p * q / u, p, q, side) / odouble(u, p, q, side)
 
 
 def to_complex(x):

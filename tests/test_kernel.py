@@ -1,14 +1,18 @@
 """Kernel descriptions: lattice tables against the pointwise reference."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from ellselberg import (
+    DEFAULT_POLICY,
     BalancingMode,
     Nomes,
     ParameterSet,
     PoleProximityError,
     QuadratureGrid,
+    TruncationError,
+    TruncationPolicy,
     fundamental_invariant,
     psi,
     psi_tilde,
@@ -20,6 +24,7 @@ from ellselberg.integrand import _bc_kernel
 from ellselberg.kernel import GAMMA, MONO, RECIP, THETA, Factor, Lattice, evaluate, pm
 from ellselberg.quadrature import _nabla_pointwise, _nabla_term
 from ellselberg.report import to_json
+from oracles import ogamma, otheta
 from references import psi_tilde_alt
 
 NM = Nomes(0.05, 0.12)
@@ -142,17 +147,22 @@ def test_parameter_on_grid_phase_raises_on_both_paths(n, phase):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Points multiplied by the array product, one total per entry; the
-    circle cache starts empty."""
+    """Points evaluated by the array product or as series tables, one total
+    per entry; the circle cache starts empty."""
     kernel._tables.clear()
     counted = []
-    prod_array = qseries._prod_array
+    prod_array, laurent = qseries._prod_array, kernel._laurent
 
     def counting(u, p, q, rows):
         counted[-1] += u.size
         return prod_array(u, p, q, rows)
 
+    def counting_series(series, N):
+        counted[-1] += N
+        return laurent(series, N)
+
     monkeypatch.setattr(qseries, "_prod_array", counting)
+    monkeypatch.setattr(kernel, "_laurent", counting_series)
     return counted
 
 
@@ -231,8 +241,10 @@ def test_pole_error_is_raised_again_and_stores_nothing():
 
 
 # One factor of each kind; "pair" is a rank-2 group.  Each case runs with
-# its constants c multiplied by each of HALF_SCALES.
-HALF_FACTORS = {
+# its constants c multiplied by each of CIRCLE_SCALES: "1", "q" and
+# "turned" keep every Gamma, 1/Gamma and theta circle inside its annulus
+# (the series route), "out" and "in" put each outside (the products).
+CIRCLE_FACTORS = {
     "gamma": (1, [Factor(GAMMA, 0.61 * np.exp(0.4j), ((0, 1),))]),
     "recip": (1, [Factor(RECIP, 0.3 + 0.1j, ((0, -2),))]),
     "theta": (1, [pm(THETA, 0.7 * np.exp(0.5j))]),
@@ -240,13 +252,13 @@ HALF_FACTORS = {
     "pm": (1, [pm(GAMMA, 0.55 * np.exp(-0.9j))]),
     "pair": (2, [Factor(GAMMA, 0.45, ((0, 1), (1, -1)), True)]),
 }
-HALF_SCALES = {"1": 1, "q": NM.q, "turned": 0.7 * np.exp(0.3j)}
+CIRCLE_SCALES = {"1": 1, "q": NM.q, "turned": 0.7 * np.exp(0.3j), "out": 4.0, "in": 0.005}
+LADDER = (16, 32, 64, 128, 256, 512)
 
 
 @pytest.fixture
 def tables(monkeypatch):
-    """(kind, c, N, table) of every circle table evaluate asks for, the N/2
-    tables a table is built from included."""
+    """(kind, c, N, table) of every circle table evaluate asks for."""
     asked = []
     on_circle = kernel._on_circle
 
@@ -259,37 +271,59 @@ def tables(monkeypatch):
     return asked
 
 
-@pytest.mark.parametrize("scale", sorted(HALF_SCALES))
-@pytest.mark.parametrize("name", sorted(HALF_FACTORS))
-def test_table_from_its_half_is_the_direct_table_bitwise(tables, name, scale):
-    n, factors = HALF_FACTORS[name]
-    factors = [f._replace(c=f.c * HALF_SCALES[scale]) for f in factors]
-    for N in (32, 64, 128, 256, 512):
-        grid = QuadratureGrid(n, N).nodes()
-        half = QuadratureGrid(n, N // 2).nodes()
+def whole_circle(kind, c, N, nomes=NM, policy=None):
+    """f(c w) on the whole N circle by its route, with nothing cached."""
+    series = kernel._series(kind, complex(c), nomes, policy or DEFAULT_POLICY)
+    if series is None:
+        return kernel._apply(kind, kernel._circle(N, c), nomes, policy)
+    return kernel._laurent(series, N)
+
+
+@pytest.mark.parametrize("scale", sorted(CIRCLE_SCALES))
+@pytest.mark.parametrize("name", sorted(CIRCLE_FACTORS))
+def test_table_from_its_half_is_the_direct_table_bitwise(tables, monkeypatch, name, scale):
+    # no table is built from its half: whether the ladder's tables and
+    # series are held (warm, a second ladder), nothing is (cold) or the
+    # cache holds nothing, each table is its route's evaluation on the
+    # whole circle, bit for bit
+    n, factors = CIRCLE_FACTORS[name]
+    factors = [f._replace(c=f.c * CIRCLE_SCALES[scale]) for f in factors]
+    for cache in ("warm", "cold", "none"):
         kernel._tables.clear()
-        evaluate(factors, grid, NM)  # cold: every rung from 16 up is built
-        kernel._tables.clear()
-        evaluate(factors, half, NM)
-        evaluate(factors, grid, NM)  # the N/2 tables held
-        assert sum(at == N for _, _, at, _ in tables) >= 2 * len(factors)
+        if cache == "none":
+            monkeypatch.setattr(kernel, "_tables", qseries.ByteLRU(0))
+        for N in LADDER * (2 if cache == "warm" else 1):
+            if cache == "cold":
+                kernel._tables.clear()
+            evaluate(factors, QuadratureGrid(n, N).nodes(), NM)
+        assert sorted({at for _, _, at, _ in tables}) == list(LADDER)
         for kind, c, at, table in tables:
-            direct = kernel._apply(kind, kernel._circle(at, c), NM, None)
-            assert table.tobytes() == direct.tobytes()
+            assert table.tobytes() == whole_circle(kind, c, at).tobytes()
+        assert bool(kernel._tables.entries) == (cache != "none")
         tables.clear()
+
+
+@pytest.mark.parametrize("scale", sorted(CIRCLE_SCALES))
+def test_scales_put_every_circle_on_the_route_they_name(scale):
+    series = scale not in ("out", "in")
+    for name, (_, factors) in CIRCLE_FACTORS.items():
+        for f in factors:
+            c = complex(f.c * CIRCLE_SCALES[scale])
+            held = kernel._series(f.kind, c, NM, DEFAULT_POLICY)
+            assert (held is not None) == (series and f.kind != MONO), name
 
 
 LONE_KINDS = {GAMMA: 0.61 * np.exp(0.4j), RECIP: 0.3 + 0.1j, THETA: 0.7 * np.exp(0.5j), MONO: 0.8 - 0.2j}
 
 
-@pytest.mark.parametrize("scale", sorted(HALF_SCALES))
+@pytest.mark.parametrize("scale", sorted(CIRCLE_SCALES))
 @pytest.mark.parametrize("e", [1, -1, 2, -2])
 @pytest.mark.parametrize("kind", sorted(LONE_KINDS))
 def test_lone_factor_reads_its_circle_table_bitwise(tables, kind, e, scale):
     # f(c z^e) on the lattice is f(c w) read at (e k) mod N; its mirror
     # f(c z^-e) reads the same table, looked up once, at (-e k) mod N
-    c = LONE_KINDS[kind] * HALF_SCALES[scale]
-    for N in (16, 32, 64, 128, 256, 512):
+    c = LONE_KINDS[kind] * CIRCLE_SCALES[scale]
+    for N in LADDER:
         grid = QuadratureGrid(1, N).nodes()
         k = np.asarray(grid.k[0])
         table = kernel._on_circle(kind, c, N, NM, None)
@@ -317,31 +351,154 @@ def test_pole_on_an_odd_node_raises_and_stores_nothing():
     assert list(kernel._tables.entries) == held
 
 
-def test_rank1_ladder_evaluates_each_factor_on_the_new_nodes_only(counted):
-    # 16 + 16 + 32 + ... + 256 = 512 nodes per factor up to N = 512, where
-    # a ladder that evaluates every rung in full takes 16 + ... + 512 = 1008
+def test_rank1_ladder_builds_each_series_once_and_runs_no_product_for_it(monkeypatch):
+    # the series do not depend on N: a ladder from 16 to 512 computes each
+    # once, and the products evaluate only the circles off the series route
     ps = pq_set(1)
-    rungs = [QuadratureGrid(1, N).nodes() for N in (16, 32, 64, 128, 256, 512)]
-    counted.append(0)
-    for grid in rungs:
-        kernel._tables.clear()
-        psi_tilde(grid, ps, NM)
-    counted.append(0)
+    built, products = [], []
+    series, apply = kernel._series, kernel._apply
+
+    def building(kind, c, nomes, policy):
+        held = series(kind, c, nomes, policy)
+        if held is not None:
+            built.append((kind, c))
+        return held
+
+    def applying(kind, u, nomes, policy):
+        products.append((kind, complex(u[0]), len(u)))
+        return apply(kind, u, nomes, policy)
+
+    monkeypatch.setattr(kernel, "_series", building)
+    monkeypatch.setattr(kernel, "_apply", applying)
     kernel._tables.clear()
-    for grid in rungs:
-        psi_tilde(grid, ps, NM)
-    assert counted[1] <= 0.55 * counted[0]
+    for N in LADDER:
+        psi_tilde(QuadratureGrid(1, N).nodes(), ps, NM)
+    assert len(built) == len(set(built)) == 5  # Gamma(a_m w), m = 1..5
+    # |p a_6| = 0.0038 lies inside |pq| = 0.006, so Gamma(p a_6 w) takes
+    # the products, as does the Weyl factor's 1/Gamma(w)
+    off = {(RECIP, 1.0), (GAMMA, complex(NM.p * ps.a[5]))}
+    assert sorted(products) == sorted((kind, c, N) for kind, c in off for N in LADDER)
+    assert not off & set(built)
 
 
-def test_rank1_ladder_reads_each_mirror_from_its_factors_table(counted):
-    # the pointwise product at N = 512 evaluates Psi's 14 functions of z on
-    # every node, as much as a ladder to 512 with one table per function
-    # did; Gamma(a_m / z) and 1/Gamma(z^-2) read the tables of Gamma(a_m w)
-    # and 1/Gamma(w), so the ladder evaluates 7 tables
-    ps = pq_set(1)
-    counted.append(0)
-    psi(list(QuadratureGrid(1, 512).nodes()), ps, NM)
-    counted.append(0)
-    for N in (16, 32, 64, 128, 256, 512):
-        psi(QuadratureGrid(1, N).nodes(), ps, NM)
-    assert counted[1] <= 0.55 * counted[0]
+def test_rank1_ladder_reads_each_mirror_from_its_factors_table(counted, monkeypatch):
+    # pointwise, a Psi ladder from 16 to 512 evaluates its 14 functions of
+    # z on every node; Gamma(a_m / z) and 1/Gamma(z^-2) read the tables of
+    # Gamma(a_m w) and 1/Gamma(w), so the lattice ladder evaluates 7 tables,
+    # on the series route and on the products alike
+    ps, rungs = pq_set(1), [QuadratureGrid(1, N).nodes() for N in LADDER]
+    for route in ("series", "products"):
+        if route == "products":
+            monkeypatch.setattr(kernel, "_series", lambda *args: None)
+        kernel._tables.clear()
+        counted[:] = [0]
+        for grid in rungs:
+            psi(list(grid), ps, NM)
+        counted.append(0)
+        for grid in rungs:
+            psi(grid, ps, NM)
+        assert 0 < counted[1] <= 0.5 * counted[0]
+
+
+# nomes of the oracle checks: the suite's two pairs, a complex p and p = 0
+ORACLE_NOMES = {
+    "suite": Nomes(0.05, 0.12),
+    "one": Nomes(0.015, 0.12),
+    "complex": Nomes(0.05 + 0.02j, 0.12),
+    "p0": Nomes(0.0, 0.12),
+}
+
+
+def oracle(kind, u, nomes):
+    # at |p|, |q| <= 0.12 the omitted factors move the value by under 1e-22
+    if kind == THETA:
+        return otheta(u, nomes.p, terms=30)
+    value = ogamma(u, nomes.p, nomes.q, side=25)
+    return 1 / value if kind == RECIP else value
+
+
+@pytest.mark.parametrize("kind", [GAMMA, RECIP, THETA])
+@pytest.mark.parametrize("name", sorted(ORACLE_NOMES))
+def test_circle_tables_match_the_oracle(name, kind):
+    # random circles across the annulus, one deep in the series route, and
+    # circles within 1e-3 of each edge (at an inner edge 0, |c| = 1e-3).
+    # A series table is held to 1e-14; a product table to its certified
+    # tail, tail_tol = 1e-13, which theta near |c| = 0.999 reaches 1.0e-14 of.
+    nomes = ORACLE_NOMES[name]
+    inner = abs(nomes.p if kind == THETA else nomes.pq)
+    rng = np.random.default_rng(7)
+    radii = list(np.exp(rng.uniform(np.log(max(inner, 1e-3)), 0.0, 3))) + [0.93, 1 - 1e-3]
+    radii.append(inner * (1 + 1e-3) if inner else 1e-3)
+    routes = []
+    kernel._tables.clear()
+    for r in radii:
+        c = complex(r * np.exp(2j * np.pi * rng.uniform()))
+        routes.append(kernel._series(kind, c, nomes, DEFAULT_POLICY) is not None)
+        bound = 1e-14 if routes[-1] else DEFAULT_POLICY.tail_tol
+        for N in (16, 64, 512):
+            table = kernel._on_circle(kind, c, N, nomes, None)
+            for m in rng.choice(N, 2, replace=False):
+                want = oracle(kind, mp.mpc(c) * mp.expjpi(mp.mpf(2 * int(m)) / N), nomes)
+                assert abs(table[m] - want) <= bound * abs(want), (r, N, m)
+    assert routes[3] and not routes[4] and routes[5] == (inner == 0)
+
+
+@pytest.mark.parametrize("kind", [GAMMA, RECIP, THETA])
+def test_circles_max_terms_cannot_certify_take_the_products(kind):
+    c = (1 - 1e-6) * np.exp(0.3j)
+    assert kernel._series(kind, c, NM, DEFAULT_POLICY) is None
+    kernel._tables.clear()
+    table = kernel._on_circle(kind, c, 64, NM, None)
+    assert table.tobytes() == kernel._apply(kind, kernel._circle(64, c), NM, None).tobytes()
+    # max_terms = 8 certifies neither a series nor a product plan
+    tight = TruncationPolicy(max_terms=8)
+    c = 0.3 * np.exp(0.3j)
+    assert kernel._series(kind, c, NM, tight) is None
+    with pytest.raises(TruncationError) as direct:
+        kernel._apply(kind, kernel._circle(64, c), NM, tight)
+    kernel._tables.clear()
+    with pytest.raises(TruncationError) as err:
+        kernel._on_circle(kind, c, 64, NM, tight)
+    assert str(err.value) == str(direct.value)
+    assert not kernel._tables.entries
+
+
+@pytest.mark.parametrize("kind,c", [(GAMMA, 1 - 1e-13), (RECIP, NM.pq * (1 + 1e-13))])
+def test_pole_inside_the_annulus_takes_the_products_and_raises(kind, c):
+    # a node within POLE_TOL of a pole or zero on the annulus edge: no K can
+    # certify the series there, and the products' pole scan raises
+    node = np.exp(2j * np.pi * 3 / 16)
+    c = c / node
+    assert kernel._series(kind, c, NM, DEFAULT_POLICY) is None
+    with pytest.raises(PoleProximityError) as direct:
+        kernel._apply(kind, kernel._circle(16, c), NM, None)
+    kernel._tables.clear()
+    for _ in range(2):
+        with pytest.raises(PoleProximityError) as err:
+            kernel._on_circle(kind, c, 16, NM, None)
+        assert str(err.value) == str(direct.value)
+    assert not kernel._tables.entries
+
+
+OFF_SERIES = {
+    "outside": (GAMMA, 1.3 * np.exp(0.2j)),
+    "inside": (RECIP, 0.5 * NM.pq),
+    "weyl": (RECIP, 1.0),
+    "mono": (MONO, 0.4),
+    "edge": (THETA, (1 - 1e-6) * np.exp(1.0j)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OFF_SERIES))
+def test_deciding_the_route_stores_nothing(case):
+    # a circle off the series route leaves only its table in the cache, a
+    # circle on it its series and its table
+    kind, c = OFF_SERIES[case]
+    kernel._tables.clear()
+    for N in (16, 32):
+        kernel._on_circle(kind, c, N, NM, None)
+    assert [key[0] for key in kernel._tables.entries] == [16, 32]
+    kernel._tables.clear()
+    for N in (16, 32):
+        kernel._on_circle(GAMMA, 0.5, N, NM, None)
+    assert sorted(len(key) for key in kernel._tables.entries) == [2, 2, 7]
