@@ -29,14 +29,7 @@ from .invariants import (
     coefficient_c,
     fundamental_invariant,
 )
-from .integrand import (
-    PoleSets,
-    c_constant,
-    j_closed,
-    pole_sets,
-    psi,
-    psi_tilde,
-)
+from .integrand import c_constant, j_closed, psi, psi_tilde
 from .quadrature import (
     QuadratureGrid,
     QuadResult,

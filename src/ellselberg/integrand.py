@@ -1,4 +1,4 @@
-"""Torus integrand kernels, the closed-form products c_n and J, and pole sets.
+"""Torus integrand kernels and the closed-form products c_n and J.
 
 The central object is the n-variable kernel
 
@@ -19,14 +19,14 @@ rounds to -1 + 1.2e-16i, leaves |Psi| near 1e-32 to 1e-30.
 All kernels accept z as a length-n sequence of nonzero complex values or of
 equal-shape complex arrays (elementwise grids).
 Each kernel is one factor list (see :mod:`.kernel`): a quadrature node list
-(a Lattice) is read from circle tables of f(c w), any other input pointwise.
+(a Lattice) is read from circle tables of f(c w) by its index arrays alone,
+any other input pointwise.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,71 +166,3 @@ def c_constant(n: int, nomes: Nomes, t: complex,
     for i in range(1, n + 1):
         out *= elliptic_gamma(t**i, nomes, policy) / gt
     return out
-
-
-@dataclass(frozen=True)
-class PoleSets:
-    """Integrand pole locations in one z coordinate, clipped to a window.
-
-    ``s0`` collects the inward orbit p^mu q^nu a_m, ``s_inf`` the outward
-    orbit p^-mu q^-nu a_m^-1; each entry is (value, m, mu, nu).  The window
-    is the annulus [r, 1/r].
-    """
-
-    s0: tuple
-    s_inf: tuple
-    window: tuple[float, float]
-
-    def min_separation(self) -> float:
-        """Smallest distance between the two sets (inf when either is empty)."""
-        if not self.s0 or not self.s_inf:
-            return math.inf
-        return min(
-            abs(v - w) for v, _, _, _ in self.s0 for w, _, _, _ in self.s_inf
-        )
-
-
-def pole_sets(params: ParameterSet, nomes: Nomes, r: float) -> PoleSets:
-    """Enumerate single-coordinate integrand poles within the annulus [r, 1/r]."""
-    if not 0 < r <= 1:
-        raise DomainError("window parameter r must lie in (0, 1]")
-    r_hi = 1.0 / r
-    p, q = nomes.p, nomes.q
-    s0, s_inf = [], []
-    for m, am in enumerate(params.a, start=1):
-        if am == 0:
-            continue
-        pm_val = am
-        mu = 0
-        while abs(pm_val) >= r:
-            v = pm_val
-            nu = 0
-            while abs(v) >= r:
-                if abs(v) <= r_hi:
-                    s0.append((v, m, mu, nu))
-                if q == 0:
-                    break
-                v *= q
-                nu += 1
-            if p == 0:
-                break
-            pm_val *= p
-            mu += 1
-        inv = 1.0 / am
-        mu = 0
-        pm_val = inv
-        while abs(pm_val) <= r_hi:
-            v = pm_val
-            nu = 0
-            while abs(v) <= r_hi:
-                if abs(v) >= r:
-                    s_inf.append((v, m, mu, nu))
-                if q == 0:
-                    break
-                v /= q
-                nu += 1
-            if p == 0:
-                break
-            pm_val /= p
-            mu += 1
-    return PoleSets(s0=tuple(s0), s_inf=tuple(s_inf), window=(r, r_hi))

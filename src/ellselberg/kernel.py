@@ -32,14 +32,14 @@ certified series can come near, so no scan is lost.
 
 Tables and series coefficients (which do not depend on N, so a ladder from
 16 to 512 computes them once) come from a process-wide LRU of read-only
-arrays keyed on f, c, N, the nomes and the policy, every number by its
-exact bits (0.0 == -0.0), so the kernels of one family (the shifts of qde,
-Psi~ and the E_r terms of one recurrence, the Weyl factor of every kernel)
-and the rungs of later ladders and reports share them.  A table is a fixed
-function of its key, so what the cache holds changes the time a run takes,
-never a bit of its output.  It holds at most _TABLE_BYTES; deciding a
-route stores nothing, and a factor that raises stores nothing at the N it
-raised on.
+arrays keyed on f, c, N, the nomes and the policy's two numbers, every
+number by its exact bits (0.0 == -0.0), so the kernels of one family (the
+shifts of qde, Psi~ and the E_r terms of one recurrence, the Weyl factor of
+every kernel) and the rungs of later ladders and reports share them.  A
+table is a fixed function of its key, so what the cache holds changes the
+time a run takes, never a bit of its output.  It holds at most
+_TABLE_BYTES; deciding a route stores nothing, and a factor that raises
+stores nothing at the N it raised on.
 """
 
 from __future__ import annotations
@@ -90,18 +90,22 @@ def _roots(N: int) -> np.ndarray:
     return w
 
 
-class Lattice(list):
-    """Node list of a quadrature grid: entry i is w[k[i]].
+class Lattice:
+    """Node list of a quadrature grid: entry i is w[k[i]], gathered when read.
 
-    It carries N, the quadrature weight of each node and the index arrays
-    k, and w = _roots(N) holds the N-th roots of unity in order, so
-    z^alpha is w[(alpha . k) mod N].
+    It holds N, the index arrays k and the quadrature weight of each node,
+    and w = _roots(N) holds the N-th roots of unity in order, so z^alpha is
+    w[(alpha . k) mod N]; :func:`evaluate` reads only N and k.
     """
 
     def __init__(self, N: int, k, weights):
         self.N, self.k, self.weights = N, tuple(k), weights
-        w = _roots(N)
-        super().__init__(w[ki] for ki in self.k)
+
+    def __len__(self):
+        return len(self.k)
+
+    def __getitem__(self, i):
+        return _roots(self.N)[self.k[i]]
 
 
 def _circle(N: int, c):
@@ -157,11 +161,13 @@ def _on_circle(kind, c, N, nomes, policy):
     # c meets the circle only in numpy, which casts it to complex128, and
     # the series as complex(c); p and q also enter Python arithmetic, where
     # a float and a complex of equal value can give a zero of another sign,
-    # so their types count too.  The series of a circle is held under the
-    # key without N.
+    # so their types count too.  The policy enters as its two numbers, whose
+    # tuple hashes in C, not as the dataclass, whose __hash__ runs in Python
+    # on every lookup.  The series of a circle is held under the key without N.
     p, q = nomes.p, nomes.q
     policy = policy or DEFAULT_POLICY
-    circle = (kind, _bits(c), type(p), _bits(p), type(q), _bits(q), policy)
+    limits = (policy.tail_tol, policy.max_terms)
+    circle = (kind, _bits(c), type(p), _bits(p), type(q), _bits(q), limits)
     table = _tables.get((N, circle))
     if table is None:
         series = _tables.get(circle)

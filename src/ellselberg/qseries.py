@@ -406,6 +406,13 @@ def _quotient(top, bottom, nomes: Nomes, policy: TruncationPolicy | None, what: 
     Scalars take two _poch calls, bottom first.  Arrays of one shape take
     one _prod_array call over both, under the plan of the scale of the
     larger of their maxima; bottom is scanned at its own maximum.
+
+    The shared plan multiplies more factor x point products than a plan per
+    side (4.22 M against 3.57 M on one sweep_n1 pass) but is kept, because
+    each side truncated on its own loses accuracy in the quotient: planned
+    per side, 29 of the default suite's 30 reports moved, its median margin
+    against tol fell from 10^7.66 to 10^7.46, and the rank-1 nabla and rank-2
+    pinch_limit rel_err rose from 5.4e-16 and 8.5e-16 to 1.7e-14 and 1.1e-14.
     """
     p, q = nomes.p, nomes.q
     if isinstance(bottom, complex):

@@ -173,12 +173,15 @@ def torus_integrate(
 ) -> QuadResult:
     """Integrate f over the n-torus against the normalized measure.
 
-    f receives the grid as a list of n equal-length coordinate arrays and
-    must return the elementwise values.  ``fold`` names the coordinates in
-    which f is W(BC)-invariant (z_i -> 1/z_i and their permutations); the
-    grid is summed over orbit representatives there.  A ladder whose
-    err_est stays above tol up to the budget stops at the first rung within
-    50 tol instead (see _stop); NonConvergenceError is raised when none is.
+    f receives each rung's grid as a :class:`Lattice`: a sequence of n
+    equal-length coordinate arrays, z[i] gathered from the N-th roots of
+    unity when it is read, with the node weights and index arrays beside
+    them (the kernels read those alone); f must return the elementwise
+    values.  ``fold`` names the coordinates in which f is W(BC)-invariant
+    (z_i -> 1/z_i and their permutations); the grid is summed over orbit
+    representatives there.  A ladder whose err_est stays above tol up to the
+    budget stops at the first rung within 50 tol instead (see _stop);
+    NonConvergenceError is raised when none is.
     """
     return _stop(_rungs(f, n, budget, fold), tol)
 

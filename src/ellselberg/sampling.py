@@ -4,8 +4,8 @@ Samples are drawn with the stdlib Mersenne generator seeded explicitly, so a
 given (seed, mode, box, predicate) always reproduces the same parameter
 lists.  The box keeps every solved entry within its mode's modulus
 constraint; candidates violating a constraint are rejected and counted.
-``SafeBox.pole_clearance`` is parsed but nothing reads it yet: no draw is
-checked for integrand poles near the torus (ROADMAP item 6).
+The box bounds moduli only: no draw is checked for integrand poles near
+the torus (ROADMAP item 6).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ class SafeBox:
     t_max: float = 0.5
     a_min: float = 0.15
     a_max: float = 0.7
-    pole_clearance: float = 0.1
     solved_clearance: float = 0.25
     max_rejections: int = 20000
 

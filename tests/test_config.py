@@ -21,7 +21,6 @@ class TestDefaults:
         box = Config(box=SafeBox(a_min=0.4, a_max=0.6)).box
         assert box.a_min == 0.4
         assert box.a_max == 0.6
-        assert box.pole_clearance == 0.1
 
 
 class TestParse:
@@ -48,6 +47,13 @@ class TestParse:
         # the safe box no longer has a theta floor (coefficient_c has its own)
         with pytest.raises(ConfigurationError, match="unknown"):
             parse_config("theta_floor = 1e-10", Config())
+
+    def test_pole_clearance_is_an_unknown_key(self, tmp_path):
+        # no draw was ever checked against it, so the box no longer has it
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 3\npole_clearance = 0.1\n")
+        with pytest.raises(ConfigurationError, match="unknown config key 'pole_clearance'"):
+            load_config(str(path))
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -1,4 +1,4 @@
-"""Integrand kernels, closed-form products, and pole sets."""
+"""Integrand kernels and closed-form products."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from ellselberg import (
     ParameterSet,
     c_constant,
     j_closed,
-    pole_sets,
     psi,
     psi_tilde,
     qpoch_inf,
@@ -122,17 +121,6 @@ class TestVectorization:
     def test_zero_coordinate_rejected(self):
         with pytest.raises(DomainError):
             psi([0.0], pq_set(1), NM)
-
-
-class TestPoleSets:
-    def test_window_and_base_layer(self):
-        ps = ParameterSet.solved(1, T, [0.63, 0.58, -0.61, 0.64, 0.55], NM, BalancingMode.PQ)
-        sets = pole_sets(ps, NM, 0.2)
-        assert all(0.2 <= abs(v) <= 1 / 0.2 for v, *_ in sets.s0)
-        assert all(0.2 <= abs(v) <= 1 / 0.2 for v, *_ in sets.s_inf)
-        base = [v for v, m, mu, nu in sets.s0 if mu == 0 and nu == 0]
-        assert len(base) == sum(1 for v in ps.a if abs(v) >= 0.2)
-        assert sets.min_separation() > 0
 
 
 class TestTrigonometricLimit:

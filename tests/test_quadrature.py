@@ -1,5 +1,7 @@
 """Torus quadrature: grids, convergence contract, expectations, nabla."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from ellselberg import (
     QuadratureGrid,
     c_constant,
     default_budget,
+    fundamental_invariant,
     j_closed,
     nabla_quad,
     psi,
@@ -19,6 +22,7 @@ from ellselberg import (
     torus_integrate,
 )
 from ellselberg import quadrature
+from ellselberg.kernel import Lattice, _roots
 from ellselberg.quadrature import MIN_POINTS, RETRY_NOTE, _nabla_pointwise, _stop, _weighted
 from references import phi_test_function
 
@@ -44,6 +48,20 @@ class TestGrid:
     def test_minimum_size(self):
         with pytest.raises(DomainError):
             QuadratureGrid(1, 2)
+
+    @pytest.mark.parametrize(
+        "n,N,fold", [(1, 16, ()), (1, 32, (0,)), (2, 16, ()), (2, 32, (1,)), (3, 16, (0, 1, 2))]
+    )
+    def test_entries_are_gathered_when_read(self, n, N, fold):
+        # a grid holds N, the index arrays and the weights; z[i] is w[k[i]]
+        grid = QuadratureGrid(n, N, fold).nodes()
+        held = gc.get_referents(grid)
+        held += [v for d in held if isinstance(d, dict) for v in d.values()]
+        held += [a for t in held if isinstance(t, tuple) for a in t]
+        assert not [h for h in held if isinstance(h, np.ndarray) and h.dtype.kind == "c"]
+        assert len(grid) == n
+        for i in range(n):
+            assert grid[i].tobytes() == _roots(N)[grid.k[i]].tobytes()
 
     def test_default_budget_decreases_with_rank(self):
         assert default_budget(1) >= default_budget(2) >= default_budget(3)
@@ -254,3 +272,29 @@ class TestNabla:
         assert np.all(np.isfinite(psi_tilde(grid, ps, nm)))
         g, _ = _nabla_pointwise(1, 1, grid, ps, nm, None)
         assert np.all(np.isfinite(g))
+
+
+class TestLatticeReads:
+    """Every ladder's integrand reads a Lattice's N, k and weights only."""
+
+    @pytest.fixture
+    def no_entries(self, monkeypatch):
+        def refuse(self, i):
+            raise AssertionError(f"Lattice entry {i} was read")
+
+        monkeypatch.setattr(Lattice, "__getitem__", refuse)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_ladders_read_no_coordinate_values(self, n, no_entries):
+        tol = {1: 1e-10, 2: 1e-8}[n]
+        ps = ParameterSet.solved(n, T, A5, NM, BalancingMode.PQ)
+        fold = tuple(range(n))
+        value = torus_integrate(lambda z: psi(z, ps, NM), n, tol, fold=fold).value
+        assert rel(value, c_constant(n, NM, T) * j_closed(ps, NM)) < 1e3 * tol
+        assert np.isfinite(torus_integrate(lambda z: psi_tilde(z, ps, NM), n, tol, fold=fold).value)
+        e_1 = _weighted(lambda z: fundamental_invariant(1, ps.a[0], ps.a[5], z, T, NM.p), ps, NM, None)
+        assert np.isfinite(torus_integrate(e_1, n, tol, fold=fold).value)
+        ps_one, nm_one = one_set(n)
+        for r in range(1, n + 1):
+            res, ref = nabla_quad(r, 1, ps_one, nm_one, tol)
+            assert abs(res.value) < 10 * tol * ref

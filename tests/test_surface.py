@@ -15,11 +15,9 @@ PACKAGE = ROOT / "src" / "ellselberg"
 WORKLOADS = ROOT / "bench" / "workloads.py"
 
 # Exported without a caller in the program, each for a stated reason.
-# PoleSets needs no entry: pole_sets builds it.
 ALLOWED = {
     "double_poch_inf": "q-series primitive checked against the mpmath oracles",
     "gamma_pm": "q-series primitive checked against the mpmath oracles",
-    "pole_sets": "the sampler's torus clearance will call it (ROADMAP item 4)",
 }
 
 
