@@ -14,10 +14,8 @@ from .qseries import (
     DEFAULT_POLICY,
     Nomes,
     TruncationPolicy,
-    double_poch_inf,
     elliptic_gamma,
     elliptic_gamma_recip,
-    gamma_pm,
     qpoch_inf,
     theta,
     theta_pm,

@@ -18,7 +18,7 @@ from .config import Config, load_config
 from .errors import ConfigurationError, EllSelbergError
 from .integrand import c_constant, j_closed, psi
 from .invariants import BalancingMode, ParameterSet, coefficient_c, fundamental_invariant
-from .qseries import Nomes, elliptic_gamma, theta
+from .qseries import DEFAULT_POLICY, Nomes, elliptic_gamma, theta
 from .report import write_report
 from .sampling import DEFAULT_BOX, SafeBox
 from . import scenarios as scn
@@ -307,17 +307,9 @@ def _cmd_verify(args) -> int:
 
 
 def _eval_policy(args):
-    from .qseries import TruncationPolicy
-
-    tail = getattr(args, "tail_tol", None)
-    terms = getattr(args, "max_terms", None)
-    if tail is None and terms is None:
-        return None
-    base = TruncationPolicy()
-    return TruncationPolicy(
-        tail_tol=tail if tail is not None else base.tail_tol,
-        max_terms=terms if terms is not None else base.max_terms,
-    )
+    given = {key: v for key in ("tail_tol", "max_terms")
+             if (v := getattr(args, key, None)) is not None}
+    return replace(DEFAULT_POLICY, **given) if given else None
 
 
 def _cmd_eval(args) -> int:

@@ -46,11 +46,13 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
+from collections import OrderedDict
 from typing import NamedTuple
 
 import numpy as np
 
-from .qseries import DEFAULT_POLICY, ByteLRU, _bits, elliptic_gamma, elliptic_gamma_recip, theta
+from .qseries import DEFAULT_POLICY, elliptic_gamma, elliptic_gamma_recip, theta
 
 GAMMA, RECIP, THETA, MONO = "gamma", "recip", "theta", "mono"
 
@@ -151,6 +153,41 @@ def _fold(values):
     for v in values:
         out = out * v
     return out
+
+
+def _bits(x) -> bytes:
+    """x by its exact bits: == and hash take 0.0 and -0.0 as one number."""
+    return struct.pack("dd", x.real, x.imag)
+
+
+class ByteLRU:
+    """Values by key, least recently used first, at most ``limit`` bytes in all.
+
+    A value is a read-only array; one larger than the limit is not stored.
+    Not locked: the package evaluates on one thread.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.entries, self.nbytes = OrderedDict(), 0
+
+    def get(self, key):
+        v = self.entries.get(key)
+        if v is not None:
+            self.entries.move_to_end(key)
+        return v
+
+    def put(self, key, v):
+        if v.nbytes > self.limit:
+            return
+        self.entries[key] = v
+        self.nbytes += v.nbytes
+        while self.nbytes > self.limit:
+            self.nbytes -= self.entries.popitem(last=False)[1].nbytes
+
+    def clear(self):
+        self.entries.clear()
+        self.nbytes = 0
 
 
 _tables = ByteLRU(_TABLE_BYTES)

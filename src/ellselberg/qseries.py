@@ -19,21 +19,19 @@ sum |p^mu q^nu B| over the excluded indices, which bounds the tail at every
 |u| <= B, is certified below tail_tol before a product is formed.  Where
 max_terms cannot certify it at B, the plan is that of max|u| itself
 (TruncationError when that fails too).  So all products at one nome pair
-share a few plans, and their coefficient columns.  Products are evaluated
-in a fixed (mu outer, nu inner) order, so results are deterministic.  An
-array product takes its retained coefficients p^mu q^nu as one read-only
-column from a memo keyed on p and q (by type and exact bits) and the rows,
-bounded at _COEFF_BYTES, and multiplies the factors of each block of
-columns in one reduction over the factor axis; the reduction keeps the
-fixed (mu, nu) order, so every element gets the same bits as a
+share a few plans.  Products are evaluated in a fixed (mu outer, nu inner)
+order, so results are deterministic.  An array product takes its retained
+coefficients p^mu q^nu as one column and multiplies the factors of each
+block of columns in one reduction over the factor axis; the reduction
+keeps the fixed (mu, nu) order, so every element gets the same bits as a
 factor-by-factor loop.  An array Gamma or 1/Gamma forms its two products,
 (pq/u; p, q)_inf and (u; p, q)_inf, as one array product over both
 arguments under the plan of the larger of their maxima.
 
 A scalar product is held in a memo of at most _SCALAR_ENTRIES entries,
-keyed on the exact bits of u, p and q, the types of p and q, the policy and
-whether the pole scan runs.  A hit returns the value the direct path gave,
-so it has the same bits; an error stores nothing.
+keyed on the exact bits of u, p and q, the types of p and q, the policy's
+two numbers and whether the pole scan runs.  A hit returns the value the
+direct path gave, so it has the same bits; an error stores nothing.
 Closed sides repeat their products (c_n and c_(n-1) share all but one Gamma
 factor, C_r and the boundary ratio share their theta values), and the
 memo serves those repeats.  Scalar input is taken as a Python complex:
@@ -67,19 +65,10 @@ POLE_TOL = 1e-12
 # columns) temporary holds about 8192 complex values (128 KiB).
 _BLOCK = 8192
 
-# Bytes of coefficient columns the memo may hold.  With plans per power of
-# two, one sweep_n1 pass (seed 1) forms 262 array products from 7 distinct
-# columns, 8.1 KB in all, and builds each once at this bound (the default
-# suite, one verify --scenario run per scenario: 95 products from 11
-# columns, 9.9 KB, each built once); circle tables inside their annulus
-# take no product (kernel).
-# A column under a large max_terms can take MBs and is then built on every
-# call.
-_COEFF_BYTES = 32 * 1024
-
 # Scalar products the memo holds (about 400 B each).  One closed_forms pass
-# forms 23 640 scalar products from 9852 distinct arguments; all but 2 of the
-# 13 788 repeats come within 128 distinct products of their last use.
+# forms 28 680 scalar products from 9852 distinct arguments; 14 982 of the
+# 18 828 repeats come within 128 distinct products of their last use, and
+# 4096 entries would catch 6 more.
 _SCALAR_ENTRIES = 128
 
 
@@ -94,7 +83,8 @@ class Nomes:
     q: complex
 
     def __post_init__(self):
-        if abs(self.p) >= 1 or abs(self.q) >= 1:
+        # written so that nan fails it
+        if not (abs(self.p) < 1 and abs(self.q) < 1):
             raise DomainError(
                 f"nomes must satisfy |p| < 1 and |q| < 1, got |p|={abs(self.p)}, |q|={abs(self.q)}"
             )
@@ -126,18 +116,6 @@ class TruncationPolicy:
 DEFAULT_POLICY = TruncationPolicy()
 
 
-def _abs_max(arr: np.ndarray) -> float:
-    """max|arr|, 0 for an empty array; a 0-d array skips the reduction
-    (same np.abs, same bits).
-
-    np.max on a 0-d array costs about 4 us over np.abs alone (2-core Xeon,
-    numpy 2.4), and a scalar Gamma takes two of these maxima.
-    """
-    if arr.ndim == 0:
-        return float(np.abs(arr))
-    return float(np.abs(arr).max()) if arr.size else 0.0
-
-
 def _rows(u_max: float, p_abs: float, log_q: float | None, tau: float, cap: int) -> list:
     """Retained nu counts of the mu rows with u_max |p|^mu >= tau, at most cap + 1 rows.
 
@@ -158,38 +136,39 @@ def _rows(u_max: float, p_abs: float, log_q: float | None, tau: float, cap: int)
 
 
 @functools.lru_cache(maxsize=64)
-def _plan(p_abs: float, q_abs: float, u_max: float, policy: TruncationPolicy):
+def _plan(p_abs: float, q_abs: float, u_max: float, tail_tol: float, max_terms: int):
     """Retained index ranges for the double product, plus the tail bound.
 
     Returns (rows, tail) where rows[mu] is the retained nu count for that mu
     (a tuple) and tail bounds sum |p^mu q^nu| * u_max over all excluded
-    indices.  Raises TruncationError when the policy's max_terms cannot
-    certify tail < tail_tol.  Memoised on the exact arguments, 64 of them.
+    indices.  Raises TruncationError when max_terms cannot certify
+    tail < tail_tol.  Memoised on the exact arguments, 64 of them: the
+    policy enters as its two numbers, whose tuple hashes in C, not as the
+    dataclass, whose __hash__ runs in Python on every lookup.
     Callers ask for powers of two (_scaled_plan), so one pass at seed 1
-    asks for 26 distinct plans on sweep_n1 (864 hits of 890 calls), 45 on
-    the default suite (251 of 296) and 3382 on closed_forms (6832 of
-    10 214): 64 entries keep every hit an unbounded cache gets.
+    asks for 26 distinct plans on sweep_n1 (1024 hits of 1050 calls), 45
+    on the default suite (251 of 296) and 3382 on closed_forms (10 676 of
+    14 058): 64 entries keep every hit an unbounded cache gets.
     """
     if u_max == 0.0:
         return (), 0.0
-    cap = policy.max_terms
     log_q = math.log(q_abs) if q_abs != 0.0 else None
-    tau = policy.tail_tol
+    tau = tail_tol
     for _ in range(6):
         # Estimated retained count at this tau, then the final tau per the
         # tail_tol / count rule.
-        tau_eff = policy.tail_tol / max(sum(_rows(u_max, p_abs, log_q, tau, cap)), 1)
-        rows = _rows(u_max, p_abs, log_q, tau_eff, cap)
-        over = len(rows) > cap or (rows and rows[0] > cap)
+        tau_eff = tail_tol / max(sum(_rows(u_max, p_abs, log_q, tau, max_terms)), 1)
+        rows = _rows(u_max, p_abs, log_q, tau_eff, max_terms)
+        over = len(rows) > max_terms or (rows and rows[0] > max_terms)
         if over:
-            rows = [min(k, cap) for k in rows[:cap]]
+            rows = [min(k, max_terms) for k in rows[:max_terms]]
         tail = _tail_bound(rows, p_abs, q_abs, u_max)
         if over:
             raise TruncationError(
-                f"cannot certify tail < {policy.tail_tol} within max_terms={cap}",
+                f"cannot certify tail < {tail_tol} within max_terms={max_terms}",
                 achieved_bound=tail,
             )
-        if tail < policy.tail_tol:
+        if tail < tail_tol:
             return tuple(rows), tail
         tau = tau_eff / 16.0
     raise TruncationError(
@@ -212,12 +191,13 @@ def _scaled_plan(p_abs: float, q_abs: float, u_max: float, policy: TruncationPol
     comes only where the plan of u_max fails too.
     """
     scale = _scale(u_max)
+    limits = (policy.tail_tol, policy.max_terms)
     try:
-        return _plan(p_abs, q_abs, scale, policy)
+        return _plan(p_abs, q_abs, scale, *limits)
     except TruncationError:
         if scale == u_max:
             raise
-        return _plan(p_abs, q_abs, u_max, policy)
+        return _plan(p_abs, q_abs, u_max, *limits)
 
 
 def _tail_bound(rows, p_abs: float, q_abs: float, u_max: float) -> float:
@@ -237,48 +217,12 @@ def _tail_bound(rows, p_abs: float, q_abs: float, u_max: float) -> float:
     return tail
 
 
-def _bits(x) -> bytes:
-    """x by its exact bits: == and hash take 0.0 and -0.0 as one number."""
-    return struct.pack("dd", x.real, x.imag)
-
-
-class ByteLRU:
-    """Values by key, least recently used first, at most ``limit`` bytes in all.
-
-    A value is a read-only array; one larger than the limit is not stored.
-    Not locked: the package evaluates on one thread.
-    """
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.entries, self.nbytes = OrderedDict(), 0
-
-    def get(self, key):
-        v = self.entries.get(key)
-        if v is not None:
-            self.entries.move_to_end(key)
-        return v
-
-    def put(self, key, v):
-        if v.nbytes > self.limit:
-            return
-        self.entries[key] = v
-        self.nbytes += v.nbytes
-        while self.nbytes > self.limit:
-            self.nbytes -= self.entries.popitem(last=False)[1].nbytes
-
-    def clear(self):
-        self.entries.clear()
-        self.nbytes = 0
-
-
-# Kept beside _prod_array though slower with a warm column memo (a 104-factor product:
-# 27 us here, 13.6 us there; 2-core Xeon, numpy 2.4).  With 0-d input sent to _prod_array,
-# closed_forms (random nomes that miss the 32 KiB column memo) took wall_s 0.671/0.673 s
-# for 0.578/0.615 and setup_s 0.210/0.216 s for 0.163/0.179 (seeds 2/1, 6 s runs), and 425
+# Kept beside _prod_array: with 0-d input sent to _prod_array, closed_forms took wall_s
+# 0.671/0.673 s for 0.578/0.615 and setup_s 0.210/0.216 s for 0.163/0.179 (seeds 2/1, 6 s
+# runs, 2-core Xeon, numpy 2.4), even with the coefficient columns held in a memo, and 425
 # of 3000 random products moved in the last bit.  It is reached only on a miss of the
-# scalar memo (_memo_scalar): one closed_forms pass calls it 9854 times for 23 640 scalar
-# products.
+# scalar memo (_memo_scalar): one closed_forms pass calls it 13 698 times for 28 680
+# scalar products.
 def _prod_scalar(u: complex, p: complex, q: complex, rows) -> complex:
     acc = 1.0 + 0.0j
     pm = 1.0 + 0.0j
@@ -304,25 +248,8 @@ def _coefficients(p: complex, q: complex, rows) -> np.ndarray:
     return np.array(out, dtype=complex)
 
 
-_columns = ByteLRU(_COEFF_BYTES)
-
-
-def _coefficient_column(p: complex, q: complex, rows) -> np.ndarray:
-    """_coefficients(p, q, rows) as a read-only column, from the memo when held."""
-    # As in kernel: p and q enter Python arithmetic, where a float and a
-    # complex of equal value can give a zero of another sign, so types count.
-    key = (type(p), _bits(p), type(q), _bits(q), rows)
-    c = _columns.get(key)
-    if c is None:
-        c = _coefficients(p, q, rows)
-        c.flags.writeable = False
-        c = c[:, None]
-        _columns.put(key, c)
-    return c
-
-
 def _prod_array(u: np.ndarray, p: complex, q: complex, rows) -> np.ndarray:
-    c = _coefficient_column(p, q, rows)
+    c = _coefficients(p, q, rows)[:, None]
     if not len(c):
         return np.ones(u.shape, dtype=complex)
     flat = u.reshape(-1)
@@ -340,14 +267,26 @@ def _prod_array(u: np.ndarray, p: complex, q: complex, rows) -> np.ndarray:
 
 def _direct(arr: np.ndarray, p: complex, q: complex, policy: TruncationPolicy,
             what: str | None):
-    """The product of _poch without the memo."""
-    u_max = _abs_max(arr)
+    """The product of _poch for an array of at least one dimension."""
+    u_max = float(np.abs(arr).max()) if arr.size else 0.0
     rows, _ = _scaled_plan(abs(p), abs(q), u_max, policy)
     if what is not None:
-        _pole_scan(np.atleast_1d(arr), u_max, p, q, rows, what)
-    if arr.ndim == 0:
-        return _prod_scalar(complex(arr), p, q, rows)
+        _pole_scan(arr, u_max, p, q, rows, what)
     return _prod_array(arr, p, q, rows)
+
+
+def _direct_scalar(z: complex, p: complex, q: complex, policy: TruncationPolicy,
+                   what: str | None) -> complex:
+    """The product of _poch for a Python complex z, without the memo.
+
+    |z| is taken by np.abs, as for an array: Python's abs() can differ in
+    the last bit, and u_max selects the plan.
+    """
+    u_max = float(np.abs(z))
+    rows, _ = _scaled_plan(abs(p), abs(q), u_max, policy)
+    if what is not None:
+        _pole_scan(np.array([z]), u_max, p, q, rows, what)
+    return _prod_scalar(z, p, q, rows)
 
 
 # Scalar products by exact argument; most recently used last, at most
@@ -357,17 +296,19 @@ _scalars = OrderedDict()
 
 def _memo_scalar(z: complex, p: complex, q: complex, policy: TruncationPolicy,
                  what: str | None):
-    """_direct(np.asarray(z), ...) for a Python complex z, from the memo when held.
+    """_direct_scalar(z, ...), from the memo when held.
 
     The product reads u only as that complex, so its bits are the key of u;
-    p and q enter Python arithmetic, so their types count as well (see
-    _coefficient_column).  An error stores nothing and is raised again.
+    p and q enter Python arithmetic, where a float and a complex of equal
+    value can give a zero of another sign, so their types count as well.
+    The policy enters as its two numbers (see _plan).  An error stores
+    nothing and is raised again.
     """
     key = (struct.pack("6d", z.real, z.imag, p.real, p.imag, q.real, q.imag),
-           type(p), type(q), policy, what)
+           type(p), type(q), policy.tail_tol, policy.max_terms, what)
     held = _scalars.get(key)
     if held is None:
-        held = _scalars[key] = _direct(np.asarray(z), p, q, policy, what)
+        held = _scalars[key] = _direct_scalar(z, p, q, policy, what)
         if len(_scalars) > _SCALAR_ENTRIES:
             _scalars.popitem(last=False)
     else:
@@ -438,11 +379,6 @@ def qpoch_inf(u, q: complex, policy: TruncationPolicy | None = None):
     if abs(q) >= 1:
         raise DomainError(f"qpoch_inf requires |q| < 1, got {abs(q)}")
     return _poch(u, 0.0, q, policy)
-
-
-def double_poch_inf(u, nomes: Nomes, policy: TruncationPolicy | None = None):
-    """Double infinite product (u; p, q)_inf = prod_{mu,nu>=0} (1 - p^mu q^nu u)."""
-    return _poch(u, nomes.p, nomes.q, policy)
 
 
 def _has_zero(u) -> bool:
@@ -542,11 +478,6 @@ def elliptic_gamma_recip(u, nomes: Nomes, policy: TruncationPolicy | None = None
 def theta_pm(a: complex, z, p: complex, policy: TruncationPolicy | None = None):
     """Double-sign theta product theta(a z^{+-1}; p) = theta(az; p) theta(a/z; p)."""
     return theta(a * z, p, policy) * theta(a / z, p, policy)
-
-
-def gamma_pm(a: complex, z, nomes: Nomes, policy: TruncationPolicy | None = None):
-    """Double-sign gamma product Gamma(a z^{+-1}) = Gamma(az) Gamma(a/z)."""
-    return elliptic_gamma(a * z, nomes, policy) * elliptic_gamma(a / z, nomes, policy)
 
 
 def _gamma_product(args, nomes: Nomes, policy: TruncationPolicy | None = None,

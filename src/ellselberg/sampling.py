@@ -32,11 +32,20 @@ class SafeBox:
     max_rejections: int = 20000
 
     def __post_init__(self):
+        # every check here and below is written so that nan, which compares false, fails it
+        if not self.nome_max >= 0:
+            raise ConfigurationError(f"nome_max must be non-negative, got {self.nome_max}")
+        if not self.t_min <= self.t_max:
+            raise ConfigurationError(f"t_min = {self.t_min} must not exceed t_max = {self.t_max}")
         # the free moduli are drawn from [a_min, a_max] and must not vanish
         if not self.a_min > 0:
             raise ConfigurationError(f"a_min must be positive, got {self.a_min}")
-        if self.a_min > self.a_max:
-            raise ConfigurationError(f"a_min = {self.a_min} exceeds a_max = {self.a_max}")
+        if not self.a_min <= self.a_max:
+            raise ConfigurationError(f"a_min = {self.a_min} must not exceed a_max = {self.a_max}")
+        if not 0 <= self.solved_clearance < 1:
+            raise ConfigurationError(
+                f"solved_clearance must lie in [0, 1), got {self.solved_clearance}"
+            )
 
 
 DEFAULT_BOX = SafeBox()
@@ -56,7 +65,7 @@ class SampleStats:
 
 
 def _check_box(nomes: Nomes, box: SafeBox):
-    if abs(nomes.p) > box.nome_max or abs(nomes.q) > box.nome_max:
+    if not (abs(nomes.p) <= box.nome_max and abs(nomes.q) <= box.nome_max):
         raise ConfigurationError(
             f"|p|={abs(nomes.p):.3f}, |q|={abs(nomes.q):.3f} exceed the box bound {box.nome_max}"
         )
@@ -65,7 +74,7 @@ def _check_box(nomes: Nomes, box: SafeBox):
 def _clearance(a_last: complex, box: SafeBox) -> str | None:
     """Why a solved entry is rejected, or None: it must keep its clearance
     inside the unit disk."""
-    if abs(a_last) > 1 - box.solved_clearance:
+    if not abs(a_last) <= 1 - box.solved_clearance:
         return "solved entry too close to the torus"
     return None
 
@@ -78,7 +87,7 @@ def _mode_reason(ps: ParameterSet, nomes: Nomes, box: SafeBox) -> str | None:
         # a_6 and q a_6 must stay inside the disk
         return _clearance(ps.a[5], box)
     # only p a_6 enters Psi~; a_6 itself is large
-    if abs(nomes.p * ps.a[5]) > 1 - box.solved_clearance:
+    if not abs(nomes.p * ps.a[5]) <= 1 - box.solved_clearance:
         return "p times solved entry too close to the torus"
     try:
         for r in range(1, ps.n + 1):

@@ -17,7 +17,6 @@ from ellselberg import (
     SafeBox,
     elliptic_gamma,
     cn_recurrence_check,
-    gamma_pm,
     make_continued,
     make_pinched,
     psi,
@@ -33,7 +32,7 @@ from ellselberg import (
 )
 from ellselberg.quadrature import QuadratureGrid
 from ellselberg.report import to_json, write_report
-from references import residue_gamma_pm
+from references import gamma_pm, residue_gamma_pm
 
 EVAL_NOMES = Nomes(0.05, 0.12)
 

@@ -379,6 +379,26 @@ class TestScenarioTable:
         assert not path.exists()
 
     @pytest.mark.parametrize(
+        "text,key",
+        [("a_max = nan\n", "a_max"), ("solved_clearance = nan\n", "solved_clearance"),
+         ("nome_max = nan\n", "nome_max"), ("t_min = 0.6\nt_max = 0.2\n", "t_min")],
+        ids=["a_max=nan", "solved_clearance=nan", "nome_max=nan", "t_min>t_max"],
+    )
+    def test_box_bound_that_checks_nothing_exits_2(self, capsys, tmp_path, text, key):
+        # not a report failed on a nan tail bound, nor one drawn with a
+        # clearance or nome bound switched off
+        cfg = tmp_path / "box.cfg"
+        cfg.write_text(text)
+        path = tmp_path / "out.json"
+        code = main([
+            "verify", "--scenario", "eval_formula", "--p", "0.05", "--q", "0.12",
+            "--count", "1", "--config", str(cfg), "--report", str(path),
+        ])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
         "extra",
         [
             [],

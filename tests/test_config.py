@@ -125,6 +125,30 @@ class TestLoad:
     def test_grid_at_the_minimum_accepted(self):
         assert parse_config("grid = 32", Config()).grid == 32
 
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ("a_max = nan\n", "a_max"),
+            ("solved_clearance = nan\n", "solved_clearance"),
+            ("nome_max = nan\n", "nome_max"),
+            ("t_min = nan\n", "t_min"),
+            ("t_max = nan\n", "t_max"),
+            ("t_min = 0.6\nt_max = 0.2\n", "t_min"),
+            ("solved_clearance = -0.1\n", "solved_clearance"),
+            ("solved_clearance = 1\n", "solved_clearance"),
+        ],
+        ids=["a_max=nan", "solved_clearance=nan", "nome_max=nan", "t_min=nan", "t_max=nan",
+             "t_min>t_max", "solved_clearance<0", "solved_clearance=1"],
+    )
+    def test_box_bounds_refuse_nan_and_inverted_ranges(self, tmp_path, text, key):
+        # nan compares false, so a check written as x > bound let it through:
+        # a nan a_max failed every report, a nan clearance or nome_max
+        # switched its check off
+        path = tmp_path / "box.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match=key):
+            load_config(str(path), Config())
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
             load_config(str(tmp_path / "absent.cfg"), Config())

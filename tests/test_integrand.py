@@ -138,7 +138,8 @@ class TestTrigonometricLimit:
 
     def test_psi_tilde_drops_vanished_factor(self):
         # with p a_6 = 0 the modified kernel keeps only the five live gammas
-        from ellselberg import elliptic_gamma_recip, gamma_pm
+        from ellselberg import elliptic_gamma_recip
+        from references import gamma_pm
 
         ps = ParameterSet.solved(1, T, A5, self.NM0, BalancingMode.ONE)
         z = [complex(np.exp(0.83j))]

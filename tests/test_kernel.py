@@ -184,7 +184,7 @@ def test_suite_report_is_the_same_on_a_cold_and_a_warm_cache(monkeypatch):
     cold = to_json(run_suite())
     assert kernel._tables.entries
     assert to_json(run_suite()) == cold
-    monkeypatch.setattr(kernel, "_tables", qseries.ByteLRU(0))
+    monkeypatch.setattr(kernel, "_tables", kernel.ByteLRU(0))
     assert to_json(run_suite()) == cold
     assert not kernel._tables.entries
 
@@ -291,7 +291,7 @@ def test_table_from_its_half_is_the_direct_table_bitwise(tables, monkeypatch, na
     for cache in ("warm", "cold", "none"):
         kernel._tables.clear()
         if cache == "none":
-            monkeypatch.setattr(kernel, "_tables", qseries.ByteLRU(0))
+            monkeypatch.setattr(kernel, "_tables", kernel.ByteLRU(0))
         for N in LADDER * (2 if cache == "warm" else 1):
             if cache == "cold":
                 kernel._tables.clear()

@@ -2,6 +2,7 @@
 their functional equations."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from ellselberg import (
     PoleProximityError,
     TruncationError,
     TruncationPolicy,
-    double_poch_inf,
     elliptic_gamma,
     elliptic_gamma_recip,
     j_closed,
@@ -33,6 +33,7 @@ from ellselberg.residues import cn_recurrence_check
 from ellselberg.scenarios import _da_closed
 
 import oracles
+from references import double_poch_inf
 
 # Frozen from oracles.py at 40 digits (direct partial products).
 QPOCH_CASES = (
@@ -96,6 +97,16 @@ def test_nomes_reject_unit_modulus():
         Nomes(1.0, 0.1)
     with pytest.raises(DomainError):
         Nomes(0.1, -1.0)
+
+
+@pytest.mark.parametrize(
+    "p,q,name",
+    [(math.nan, 0.1, "p"), (0.1, math.nan, "q"), (complex(0.1, math.nan), 0.1, "p")],
+)
+def test_nomes_reject_nan(p, q, name):
+    # nan compares false, so a check written as |p| >= 1 let it through
+    with pytest.raises(DomainError, match=rf"\|{name}\|=nan"):
+        Nomes(p, q)
 
 
 moduli = st.floats(min_value=0.25, max_value=0.8)
@@ -310,62 +321,6 @@ def test_prod_array_single_row_and_empty_input():
     assert qseries._prod_array(u[:0], *PROD_NOMES, PROD_ROWS).shape == (0, 3)
 
 
-MEMO_KEYS = [
-    (0.05 + 0.02j, 0.12 - 0.03j, PROD_ROWS),
-    (0.05, 0.12, (30, 20, 8)),
-    (0.0, 0.3 + 0.1j, (25,)),
-    (-0.0, 0.12, (9, 3)),
-]
-
-
-@pytest.mark.parametrize("p,q,rows", MEMO_KEYS)
-def test_coefficient_memo_is_coefficients_bitwise(p, q, rows):
-    qseries._columns.clear()
-    cold = qseries._coefficient_column(p, q, rows)
-    warm = qseries._coefficient_column(p, q, rows)
-    assert warm is cold and cold.shape == (sum(rows), 1)
-    assert cold.tobytes() == qseries._coefficients(p, q, rows).tobytes()
-
-
-def test_coefficient_memo_is_read_only():
-    qseries._columns.clear()
-    column = qseries._coefficient_column(*PROD_NOMES, PROD_ROWS)
-    (held,) = qseries._columns.entries.values()
-    assert held is column and not column.flags.writeable
-    with pytest.raises(ValueError):
-        column[0, 0] = 0
-    with pytest.raises(ValueError):
-        column.base[0] = 0
-
-
-def test_coefficient_memo_holds_at_most_its_byte_bound():
-    qseries._columns.clear()
-    for m in range(1, 200):
-        qseries._coefficient_column(0.05, 0.12, (m, 3))
-        held = sum(c.nbytes for c in qseries._columns.entries.values())
-        assert held == qseries._columns.nbytes <= qseries._COEFF_BYTES
-    assert len(qseries._columns.entries) > 1
-    # a column over the bound is formed, not held
-    rows = (qseries._COEFF_BYTES // 16 + 1,)
-    qseries._columns.clear()
-    big = qseries._coefficient_column(0.0, 0.5, rows)
-    assert big.tobytes() == qseries._coefficients(0.0, 0.5, rows).tobytes()
-    assert not qseries._columns.entries
-
-
-def test_coefficient_memo_keeps_types_and_signed_zeros_apart():
-    # 0.0 == -0.0 == 0j, but the recurrence's products differ in the sign
-    # of their zeros, so each nome gets its own column
-    qseries._columns.clear()
-    rows = (4, 3)
-    nomes = [(0.0, 0.12), (-0.0, 0.12), (0j, 0.12), (0.0, 0.12 + 0j), (0.0, -0.0 + 0.12j)]
-    columns = [qseries._coefficient_column(p, q, rows) for p, q in nomes]
-    assert len(qseries._columns.entries) == len(nomes)
-    for (p, q), column in zip(nomes, columns):
-        assert column.tobytes() == qseries._coefficients(p, q, rows).tobytes()
-    assert columns[0].tobytes() != columns[1].tobytes()
-
-
 @pytest.fixture
 def scalar_memo():
     """The scalar product memo, emptied."""
@@ -379,8 +334,11 @@ def scalar_products(monkeypatch):
     seen = []
     prod_scalar = qseries._prod_scalar
 
+    def bits(x):
+        return struct.pack("dd", x.real, x.imag)
+
     def counting(u, p, q, rows):
-        seen.append((qseries._bits(u), type(p), qseries._bits(p), type(q), qseries._bits(q), rows))
+        seen.append((bits(u), type(p), bits(p), type(q), bits(q), rows))
         return prod_scalar(u, p, q, rows)
 
     monkeypatch.setattr(qseries, "_prod_scalar", counting)
@@ -389,7 +347,7 @@ def scalar_products(monkeypatch):
 
 def direct(u, p, q, policy=None, what=None):
     """The scalar product without the memo."""
-    return qseries._direct(np.asarray(u, dtype=complex), p, q, policy or TruncationPolicy(), what)
+    return qseries._direct_scalar(complex(u), p, q, policy or TruncationPolicy(), what)
 
 
 SCALAR_NOMES = Nomes(0.07 + 0.02j, 0.11)
@@ -412,11 +370,12 @@ def test_scalar_memo_hit_is_the_cold_value_bitwise(scalar_memo, scalar_products)
         assert type(warm) is type(cold) is complex
         assert np.array(warm).tobytes() == np.array(cold).tobytes()
     # each held value is that of the direct path
-    for (key, type_p, type_q, policy, what), value in scalar_memo.items():
+    for (key, type_p, type_q, tail_tol, max_terms, what), value in scalar_memo.items():
         u_re, u_im, p_re, p_im, q_re, q_im = np.frombuffer(key, dtype=float).tolist()
         p = complex(p_re, p_im) if type_p is complex else type_p(p_re)
         q = complex(q_re, q_im) if type_q is complex else type_q(q_re)
         z = complex(u_re, u_im)
+        policy = TruncationPolicy(tail_tol, max_terms)
         assert np.array(value).tobytes() == np.array(direct(z, p, q, policy, what)).tobytes()
 
 
@@ -477,8 +436,35 @@ def test_cn_recurrence_forms_each_scalar_product_once(scalar_memo, scalar_produc
     assert len(scalar_products) == len(set(scalar_products))
 
 
+# The default policy's two numbers, as _plan takes them.
+LIMITS = (TruncationPolicy().tail_tol, TruncationPolicy().max_terms)
+
+
+def test_no_lookup_hashes_the_policy(monkeypatch, scalar_memo):
+    # the scalar memo and the plan cache key on the policy's two numbers,
+    # whose tuple hashes in C; the frozen dataclass's __hash__ runs in Python
+    nm = Nomes(0.05, 0.12)
+    u = 0.37 - 0.21j
+    values = [
+        lambda: elliptic_gamma(u, nm),
+        lambda: theta(u * 1.3, nm.p),
+        lambda: elliptic_gamma(np.array([u, 0.5j, -0.8]), nm),
+        lambda: cn_recurrence_check(3, 0.42 + 0.05j, nm),
+    ]
+    want = [np.array(f()).tobytes() for f in values]
+
+    def refuse(self):
+        raise AssertionError("TruncationPolicy hashed")
+
+    monkeypatch.setattr(TruncationPolicy, "__hash__", refuse)
+    assert np.array(values[0]()).tobytes() == want[0]  # a warm scalar Gamma
+    scalar_memo.clear()
+    qseries._plan.cache_clear()
+    assert [np.array(f()).tobytes() for f in values] == want
+
+
 def test_plan_cold_and_warm_cache_agree():
-    args = (0.05, 0.12, 0.731, TruncationPolicy())
+    args = (0.05, 0.12, 0.731, *LIMITS)
     qseries._plan.cache_clear()
     cold = qseries._plan(*args)
     warm = qseries._plan(*args)
@@ -490,10 +476,9 @@ def test_plan_cold_and_warm_cache_agree():
 def test_plan_raises_truncation_error_on_every_call():
     # exceptions are not cached: a repeated plan that cannot certify its
     # tail raises again instead of returning a stale value
-    policy = TruncationPolicy(tail_tol=1e-14, max_terms=4)
     for _ in range(3):
         with pytest.raises(TruncationError):
-            qseries._plan(0.5, 0.5, 1.0, policy)
+            qseries._plan(0.5, 0.5, 1.0, 1e-14, 4)
 
 
 def test_pole_error_names_the_pole_on_both_paths():
@@ -605,12 +590,13 @@ PLAN_POLICIES = (
 @pytest.mark.parametrize("policy", PLAN_POLICIES, ids=["default", "loose", "tight_cap"])
 def test_plan_matches_the_reference_plan(policy):
     raised = 0
+    limits = (policy.tail_tol, policy.max_terms)
     for p_abs in (0.0, 1e-3, 0.05, 0.3, 0.7, 0.95):
         for q_abs in (0.0, 1e-3, 0.12, 0.5, 0.9):
             for u_max in (0.0, 1e-20, 1e-3, 0.6, 1.0, 3.7, 250.0):
-                args = (p_abs, q_abs, u_max, policy)
-                got = plan_outcome(qseries._plan.__wrapped__, *args)
-                assert got == plan_outcome(ref_plan, *args), args
+                args = (p_abs, q_abs, u_max)
+                got = plan_outcome(qseries._plan.__wrapped__, *args, *limits)
+                assert got == plan_outcome(ref_plan, *args, policy), args
                 raised += got[0] == "TruncationError"
     if policy.max_terms == 8:
         assert raised  # the sweep reaches the TruncationError cases
@@ -653,8 +639,8 @@ def test_scaled_plan_certifies_the_true_tail(product_rows):
     for u_max in u_maxes:
         p_abs, q_abs = rng.uniform(0.0, 0.9, 2).tolist()
         del product_rows[:]
-        for arr in (np.array([u_max, -0.5 * u_max]), np.array(u_max)):
-            qseries._direct(arr.astype(complex), p_abs, q_abs, policy, None)
+        qseries._direct(np.array([u_max, -0.5 * u_max], dtype=complex), p_abs, q_abs, policy, None)
+        qseries._direct_scalar(complex(u_max), p_abs, q_abs, policy, None)
         rows, scalar_rows = product_rows
         assert rows == scalar_rows
         assert qseries._tail_bound(rows, p_abs, q_abs, u_max) < policy.tail_tol, (p_abs, q_abs, u_max)
@@ -747,7 +733,7 @@ def pole_outcome(scan, *args):
 
 def scan_both(arr, p, q):
     hi = float(np.max(np.abs(arr)))
-    rows, _ = qseries._plan(abs(p), abs(q), hi, TruncationPolicy())
+    rows, _ = qseries._plan(abs(p), abs(q), hi, *LIMITS)
     got = pole_outcome(qseries._pole_scan, arr, hi, p, q, rows, "scan")
     assert got == pole_outcome(ref_pole_scan, arr, p, q, rows, "scan")
     return got

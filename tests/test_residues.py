@@ -11,7 +11,6 @@ from ellselberg import (
     c_constant,
     cn_recurrence_check,
     continued_integral_n1,
-    gamma_pm,
     j_closed,
     lim_pinch_J,
     psi,
@@ -19,7 +18,7 @@ from ellselberg import (
     torus_integrate,
 )
 from ellselberg.qseries import _euler_pair, elliptic_gamma
-from references import residue_gamma_pm, richardson_limit
+from references import gamma_pm, residue_gamma_pm, richardson_limit
 
 NM = Nomes(0.05, 0.12)
 T = 0.4

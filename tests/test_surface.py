@@ -14,13 +14,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ellselberg"
 WORKLOADS = ROOT / "bench" / "workloads.py"
 
-# Exported without a caller in the program, each for a stated reason.
-ALLOWED = {
-    "double_poch_inf": "q-series primitive checked against the mpmath oracles",
-    "gamma_pm": "q-series primitive checked against the mpmath oracles",
-}
-
-
 def exported_names() -> set:
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     return {
@@ -64,12 +57,5 @@ def used_names() -> set:
 
 
 def test_every_export_has_a_caller():
-    unused = exported_names() - used_names() - set(ALLOWED)
+    unused = exported_names() - used_names()
     assert not unused, f"exported but never used by the program: {sorted(unused)}"
-
-
-def test_allowlist_is_current():
-    # an entry whose name gained a caller, or left the exports, is stale
-    exported, used = exported_names(), used_names()
-    stale = {name for name in ALLOWED if name not in exported or name in used}
-    assert not stale, f"stale allowlist entries: {sorted(stale)}"
