@@ -30,16 +30,17 @@ the Weyl factor's c = 1, a monomial, or a K above max_terms) is evaluated
 by the qseries products, pole scan included; f has no pole or zero a
 certified series can come near, so no scan is lost.
 
-Tables and series coefficients (which do not depend on N, so a ladder from
-16 to 512 computes them once) come from a process-wide LRU of read-only
-arrays keyed on f, c, N, the nomes and the policy's two numbers, every
-number by its exact bits (0.0 == -0.0), so the kernels of one family (the
-shifts of qde, Psi~ and the E_r terms of one recurrence, the Weyl factor of
-every kernel) and the rungs of later ladders and reports share them.  A
-table is a fixed function of its key, so what the cache holds changes the
-time a run takes, never a bit of its output.  It holds at most
-_TABLE_BYTES; deciding a route stores nothing, and a factor that raises
-stores nothing at the N it raised on.
+Tables (at most _TABLES) and series coefficients (at most _SERIES; they do
+not depend on N, so a ladder from 16 to 512 computes them once) are held by
+functools.lru_cache as read-only arrays, keyed on f, N, the exact bits of
+c, p and q (== takes 0.0 and -0.0 as one number, their bits do not) and the
+policy's two numbers, so the kernels of one family (the shifts of qde, Psi~
+and the E_r terms of one recurrence, the Weyl factor of every kernel) and
+the rungs of later ladders and reports share them.  A circle's route is
+held with its series: a circle off the series route holds None there.  A
+table is a fixed function of its key, so what the caches hold changes the
+time a run takes, never a bit of its output; a factor that raises stores no
+table at the N it raised on.
 """
 
 from __future__ import annotations
@@ -47,29 +48,19 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from collections import OrderedDict
 from typing import NamedTuple
 
 import numpy as np
 
-from .qseries import DEFAULT_POLICY, elliptic_gamma, elliptic_gamma_recip, theta
+from .qseries import (DEFAULT_POLICY, Nomes, TruncationPolicy, _unpack, elliptic_gamma,
+                      elliptic_gamma_recip, theta)
 
 GAMMA, RECIP, THETA, MONO = "gamma", "recip", "theta", "mono"
 
-# Points per circle of the first rung of every trapezoid ladder.
-MIN_POINTS = 16
-
-# Bytes of circle tables and series the cache may hold.  One evicted is
-# computed again: the default suite evaluates 63 936 circle points at 96
-# KiB, 51 840 at 160 KiB and 48 912 at 192 KiB, E_r's theta tables
-# included (41 696 from 121 series of 184 KB in all when nothing is
-# evicted).  192 KiB was chosen when tables were built from their halves.
-# With whole tables, 256 KiB ran the `suite` benchmark in 0.205-0.213 s
-# against 0.207-0.221 s, a gain within the spread of the seeds (6 s runs,
-# seeds 1-3, 2-core Xeon, numpy 2.4), so it was kept.  Kept small
-# otherwise: a benchmark that re-imports the package keeps every old
-# module copy, cache included, until the cyclic collector runs.
-_TABLE_BYTES = 192 * 1024
+# Circle tables and series the caches hold.  A replay of one pass at seed 1
+# computes 734 tables and series on the default suite (703 unbounded, 823
+# under a 192 KiB byte bound) and 2658 on sweep_n1 (2452, 2650).
+_TABLES, _SERIES = 128, 64
 
 
 class Factor(NamedTuple):
@@ -155,67 +146,28 @@ def _fold(values):
     return out
 
 
-def _bits(x) -> bytes:
-    """x by its exact bits: == and hash take 0.0 and -0.0 as one number."""
-    return struct.pack("dd", x.real, x.imag)
-
-
-class ByteLRU:
-    """Values by key, least recently used first, at most ``limit`` bytes in all.
-
-    A value is a read-only array; one larger than the limit is not stored.
-    Not locked: the package evaluates on one thread.
-    """
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.entries, self.nbytes = OrderedDict(), 0
-
-    def get(self, key):
-        v = self.entries.get(key)
-        if v is not None:
-            self.entries.move_to_end(key)
-        return v
-
-    def put(self, key, v):
-        if v.nbytes > self.limit:
-            return
-        self.entries[key] = v
-        self.nbytes += v.nbytes
-        while self.nbytes > self.limit:
-            self.nbytes -= self.entries.popitem(last=False)[1].nbytes
-
-    def clear(self):
-        self.entries.clear()
-        self.nbytes = 0
-
-
-_tables = ByteLRU(_TABLE_BYTES)
-
-
 def _on_circle(kind, c, N, nomes, policy):
-    """f(c w) on w = _roots(N), read-only, from _tables when held."""
+    """f(c w) on w = _roots(N), read-only, from _table's cache when held."""
     # c meets the circle only in numpy, which casts it to complex128, and
-    # the series as complex(c); p and q also enter Python arithmetic, where
-    # a float and a complex of equal value can give a zero of another sign,
-    # so their types count too.  The policy enters as its two numbers, whose
-    # tuple hashes in C, not as the dataclass, whose __hash__ runs in Python
-    # on every lookup.  The series of a circle is held under the key without N.
-    p, q = nomes.p, nomes.q
+    # the series as complex(c); Nomes holds p and q as complex.  So their
+    # bits are the key, and the policy enters as its two numbers, whose
+    # tuple hashes in C, not as the dataclass, whose __hash__ runs in Python.
+    c, p, q = complex(c), nomes.p, nomes.q
     policy = policy or DEFAULT_POLICY
-    limits = (policy.tail_tol, policy.max_terms)
-    circle = (kind, _bits(c), type(p), _bits(p), type(q), _bits(q), limits)
-    table = _tables.get((N, circle))
-    if table is None:
-        series = _tables.get(circle)
-        if series is None:
-            series = _series(kind, complex(c), nomes, policy)
-            if series is not None:
-                series.flags.writeable = False
-                _tables.put(circle, series)
-        table = _apply(kind, _circle(N, c), nomes, policy) if series is None else _laurent(series, N)
-        table.flags.writeable = False
-        _tables.put((N, circle), table)
+    bits = struct.pack("6d", c.real, c.imag, p.real, p.imag, q.real, q.imag)
+    return _table(kind, N, bits, policy.tail_tol, policy.max_terms)
+
+
+@functools.lru_cache(maxsize=_TABLES)
+def _table(kind, N, bits, tail_tol, max_terms):
+    """f(c w) on w = _roots(N) by its route, read-only; c, p and q are _unpack(bits)."""
+    series = _series(kind, bits, tail_tol, max_terms)
+    if series is None:
+        c, p, q = _unpack(bits)
+        table = _apply(kind, _circle(N, c), Nomes(p, q), TruncationPolicy(tail_tol, max_terms))
+    else:
+        table = _laurent(series, N)
+    table.flags.writeable = False
     return table
 
 
@@ -223,7 +175,8 @@ def _on_circle(kind, c, N, nomes, policy):
 _SIGNS = {GAMMA: (1.0, -1.0), RECIP: (-1.0, 1.0), THETA: (-1.0, -1.0)}
 
 
-def _series(kind, c, nomes, policy):
+@functools.lru_cache(maxsize=_SERIES)
+def _series(kind, bits, tail_tol, max_terms):
     """Laurent coefficients of log f(c w), those of w^-K..w^K in order, or None.
 
     None where the products evaluate the table: unless |c| lies strictly
@@ -238,10 +191,10 @@ def _series(kind, c, nomes, policy):
     tail_tol), but lets the truncation error reach 3e-14 at K = 3, where
     this rule keeps it under 2e-16 at the default policy.
     """
+    c, p, q = _unpack(bits)
     if kind == MONO or c == 0:
         return None
-    p, q = nomes.p, nomes.q
-    inner = p if kind == THETA else nomes.pq
+    inner = p if kind == THETA else p * q
     a, b = abs(c), abs(inner / c)
     if not (a < 1.0 and b < 1.0):
         return None
@@ -250,7 +203,7 @@ def _series(kind, c, nomes, policy):
     def tail(K):
         return (a ** (K + 1) / (1.0 - a) + b ** (K + 1) / (1.0 - b)) / ((K + 1) * D)
 
-    tol, cap = policy.tail_tol / policy.max_terms, policy.max_terms
+    tol, cap = tail_tol / max_terms, max_terms
     if tail(cap) >= tol:
         return None
     # the tail falls with K: bisect for the smallest K that certifies
@@ -264,6 +217,7 @@ def _series(kind, c, nomes, policy):
     out = np.zeros(2 * K + 1, dtype=complex)
     out[K + 1 :] = up * c**k / den
     out[K - 1 :: -1] = down * (inner / c) ** k / den
+    out.flags.writeable = False
     return out
 
 

@@ -28,15 +28,17 @@ factor-by-factor loop.  An array Gamma or 1/Gamma forms its two products,
 (pq/u; p, q)_inf and (u; p, q)_inf, as one array product over both
 arguments under the plan of the larger of their maxima.
 
-A scalar product is held in a memo of at most _SCALAR_ENTRIES entries,
-keyed on the exact bits of u, p and q, the types of p and q, the policy's
-two numbers and whether the pole scan runs.  A hit returns the value the
-direct path gave, so it has the same bits; an error stores nothing.
-Closed sides repeat their products (c_n and c_(n-1) share all but one Gamma
-factor, C_r and the boundary ratio share their theta values), and the
-memo serves those repeats.  Scalar input is taken as a Python complex:
-zero checks compare it and pq/u and p/u divide it, instead of reducing
-with np.any and dividing a 0-d array.
+A scalar product is held in a functools.lru_cache of at most
+_SCALAR_ENTRIES entries, keyed on the exact bits of u, p and q, the
+policy's two numbers and whether the pole scan runs; a float nome meets
+the products' arithmetic only as complex(x, +0.0), so it shares the
+entry of that complex.  A hit returns the value the direct path gave, so
+it has the same bits; an error stores nothing.  Closed sides repeat
+their products (c_n and c_(n-1) share all but one Gamma factor, C_r and
+the boundary ratio share their theta values), and the memo serves those
+repeats.  Scalar input is taken as a Python complex: zero checks compare
+it and pq/u and p/u divide it, instead of reducing with np.any and
+dividing a 0-d array.
 
 Closed forms multiply many Gamma factors; :func:`_gamma_product` evaluates
 them as one array call under one plan, which keeps every factor's tail
@@ -51,7 +53,6 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,7 @@ _SCALAR_ENTRIES = 128
 
 @dataclass(frozen=True)
 class Nomes:
-    """The pair of elliptic nomes (p, q) with |p| < 1 and |q| < 1.
+    """The pair of elliptic nomes (p, q) with |p| < 1 and |q| < 1, held as complex.
 
     Either nome may be exactly zero (trigonometric/degenerate limits).
     """
@@ -88,6 +89,8 @@ class Nomes:
             raise DomainError(
                 f"nomes must satisfy |p| < 1 and |q| < 1, got |p|={abs(self.p)}, |q|={abs(self.q)}"
             )
+        object.__setattr__(self, "p", complex(self.p))
+        object.__setattr__(self, "q", complex(self.q))
 
     @property
     def pq(self) -> complex:
@@ -183,7 +186,7 @@ def _scale(u_max: float) -> float:
     return math.ldexp(1.0, e) if 0.5 < m < 1.0 and e <= 1023 else u_max
 
 
-def _scaled_plan(p_abs: float, q_abs: float, u_max: float, policy: TruncationPolicy):
+def _scaled_plan(p_abs: float, q_abs: float, u_max: float, tail_tol: float, max_terms: int):
     """_plan at _scale(u_max), or at u_max when max_terms cannot certify that one.
 
     The tail bound grows linearly in its u_max, so rows certified at the
@@ -191,13 +194,12 @@ def _scaled_plan(p_abs: float, q_abs: float, u_max: float, policy: TruncationPol
     comes only where the plan of u_max fails too.
     """
     scale = _scale(u_max)
-    limits = (policy.tail_tol, policy.max_terms)
     try:
-        return _plan(p_abs, q_abs, scale, *limits)
+        return _plan(p_abs, q_abs, scale, tail_tol, max_terms)
     except TruncationError:
         if scale == u_max:
             raise
-        return _plan(p_abs, q_abs, u_max, *limits)
+        return _plan(p_abs, q_abs, u_max, tail_tol, max_terms)
 
 
 def _tail_bound(rows, p_abs: float, q_abs: float, u_max: float) -> float:
@@ -269,13 +271,13 @@ def _direct(arr: np.ndarray, p: complex, q: complex, policy: TruncationPolicy,
             what: str | None):
     """The product of _poch for an array of at least one dimension."""
     u_max = float(np.abs(arr).max()) if arr.size else 0.0
-    rows, _ = _scaled_plan(abs(p), abs(q), u_max, policy)
+    rows, _ = _scaled_plan(abs(p), abs(q), u_max, policy.tail_tol, policy.max_terms)
     if what is not None:
         _pole_scan(arr, u_max, p, q, rows, what)
     return _prod_array(arr, p, q, rows)
 
 
-def _direct_scalar(z: complex, p: complex, q: complex, policy: TruncationPolicy,
+def _direct_scalar(z: complex, p: complex, q: complex, tail_tol: float, max_terms: int,
                    what: str | None) -> complex:
     """The product of _poch for a Python complex z, without the memo.
 
@@ -283,37 +285,36 @@ def _direct_scalar(z: complex, p: complex, q: complex, policy: TruncationPolicy,
     the last bit, and u_max selects the plan.
     """
     u_max = float(np.abs(z))
-    rows, _ = _scaled_plan(abs(p), abs(q), u_max, policy)
+    rows, _ = _scaled_plan(abs(p), abs(q), u_max, tail_tol, max_terms)
     if what is not None:
         _pole_scan(np.array([z]), u_max, p, q, rows, what)
     return _prod_scalar(z, p, q, rows)
 
 
-# Scalar products by exact argument; most recently used last, at most
-# _SCALAR_ENTRIES of them.
-_scalars = OrderedDict()
+def _unpack(bits: bytes):
+    """The three complex numbers struct.pack("6d", ...) packed into bits."""
+    x = struct.unpack("6d", bits)
+    return complex(x[0], x[1]), complex(x[2], x[3]), complex(x[4], x[5])
+
+
+@functools.lru_cache(maxsize=_SCALAR_ENTRIES)
+def _scalar(bits: bytes, tail_tol: float, max_terms: int, what: str | None) -> complex:
+    """_direct_scalar of the z, p and q that _memo_scalar packed into bits."""
+    return _direct_scalar(*_unpack(bits), tail_tol, max_terms, what)
 
 
 def _memo_scalar(z: complex, p: complex, q: complex, policy: TruncationPolicy,
                  what: str | None):
-    """_direct_scalar(z, ...), from the memo when held.
+    """_direct_scalar(z, ...), from _scalar's cache when held.
 
-    The product reads u only as that complex, so its bits are the key of u;
-    p and q enter Python arithmetic, where a float and a complex of equal
-    value can give a zero of another sign, so their types count as well.
-    The policy enters as its two numbers (see _plan).  An error stores
-    nothing and is raised again.
+    The product reads u only as that complex, so its bits are the key of u.
+    A float nome enters the products' arithmetic, Python's and numpy's
+    alike, only as complex(x, +0.0), so the bits of p and q are their key
+    and no type is.  The policy enters as its two numbers (see _plan).  An
+    error stores nothing and is raised again.
     """
-    key = (struct.pack("6d", z.real, z.imag, p.real, p.imag, q.real, q.imag),
-           type(p), type(q), policy.tail_tol, policy.max_terms, what)
-    held = _scalars.get(key)
-    if held is None:
-        held = _scalars[key] = _direct_scalar(z, p, q, policy, what)
-        if len(_scalars) > _SCALAR_ENTRIES:
-            _scalars.popitem(last=False)
-    else:
-        _scalars.move_to_end(key)
-    return held
+    bits = struct.pack("6d", z.real, z.imag, p.real, p.imag, q.real, q.imag)
+    return _scalar(bits, policy.tail_tol, policy.max_terms, what)
 
 
 def _operand(u):
@@ -362,7 +363,8 @@ def _quotient(top, bottom, nomes: Nomes, policy: TruncationPolicy | None, what: 
     args = np.concatenate((top.reshape(-1), bottom.reshape(-1)))
     mags = np.abs(args)
     hi = float(mags.max()) if args.size else 0.0
-    rows, _ = _scaled_plan(abs(p), abs(q), hi, policy or DEFAULT_POLICY)
+    policy = policy or DEFAULT_POLICY
+    rows, _ = _scaled_plan(abs(p), abs(q), hi, policy.tail_tol, policy.max_terms)
     # below 1 - 1e-9 no factor can reach a pole, and the scan returns at once
     bottom_max = float(mags[top.size:].max()) if hi >= 1.0 - 1e-9 else hi
     _pole_scan(bottom, bottom_max, p, q, rows, what)

@@ -36,8 +36,11 @@ import numpy as np
 from .errors import DomainError, NonConvergenceError
 from .integrand import _psi_kernel, _z_list, psi_tilde
 from .invariants import ParameterSet, fundamental_invariant
-from .kernel import GAMMA, MIN_POINTS, MONO, RECIP, Factor, Lattice, evaluate
+from .kernel import GAMMA, MONO, RECIP, Factor, Lattice, evaluate
 from .qseries import Nomes, TruncationPolicy
+
+# Points per circle of the first rung of every trapezoid ladder.
+MIN_POINTS = 16
 
 # The smallest usable budget: a ladder needs two rungs to take a difference.
 MIN_BUDGET = 2 * MIN_POINTS

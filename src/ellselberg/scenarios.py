@@ -165,6 +165,11 @@ def _qde_theta_ratio(params, nomes, k, shift_a6, policy):
     return ratio
 
 
+def _in_qde_window(params: ParameterSet, nomes: Nomes) -> bool:
+    """|a_6| < 0.95 |q|: the PQ q-shift moves a_6 to a_6 / q, which must stay inside the disk."""
+    return abs(params.a[5]) < 0.95 * abs(nomes.q)
+
+
 def scenario_qde(
     n: int,
     k: int,
@@ -191,7 +196,7 @@ def scenario_qde(
             raise SampleRejectionError(f"shift index k={k} outside 1..5")
         mode = params.balancing_mode
         if mode is BalancingMode.PQ:
-            if abs(params.a[5]) >= 0.95 * abs(nomes.q):
+            if not _in_qde_window(params, nomes):
                 raise SampleRejectionError(
                     f"|a_6|={abs(params.a[5]):.4f} not inside |q|={abs(nomes.q):.4f}"
                 )
@@ -583,8 +588,7 @@ def run_row(
     else:
         predicate = None
         if (row.scenario, mode) == ("qde", BalancingMode.PQ):
-            # the q-shift moves a_6 to a_6 / q, which must stay inside the disk
-            predicate = lambda ps: abs(ps.a[5]) < 0.95 * abs(row.nomes.q)
+            predicate = lambda ps: _in_qde_window(ps, row.nomes)
         draws = sample_parameters(
             mode, row.n, row.nomes, seed, count, t=row.t, box=row.box, predicate=predicate
         )

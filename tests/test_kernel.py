@@ -1,5 +1,8 @@
 """Kernel descriptions: lattice tables against the pointwise reference."""
 
+import hashlib
+import struct
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -31,6 +34,32 @@ NM = Nomes(0.05, 0.12)
 NM_ONE = Nomes(0.02, 0.12)
 A5 = [0.63, 0.58 * np.exp(0.7j), -0.61, 0.64 * np.exp(-1.1j), 0.55]
 A5_ONE = [0.66, 0.63 * np.exp(0.9j), -0.645, 0.67 * np.exp(-0.5j), 0.62]
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """Each test starts and ends with the circle caches empty."""
+    clear_caches()
+    yield
+    clear_caches()
+
+
+def clear_caches():
+    kernel._table.cache_clear()
+    kernel._series.cache_clear()
+
+
+def series_of(kind, c, nomes=NM, policy=DEFAULT_POLICY):
+    """kernel._series of f(c w), under the key _on_circle packs."""
+    c, p, q = complex(c), nomes.p, nomes.q
+    bits = struct.pack("6d", c.real, c.imag, p.real, p.imag, q.real, q.imag)
+    return kernel._series(kind, bits, policy.tail_tol, policy.max_terms)
+
+
+def without_caches(monkeypatch):
+    """Route every table through _table and _series with nothing held."""
+    monkeypatch.setattr(kernel, "_table", kernel._table.__wrapped__)
+    monkeypatch.setattr(kernel, "_series", kernel._series.__wrapped__)
 
 
 def pq_set(n, nomes=NM):
@@ -148,8 +177,7 @@ def test_parameter_on_grid_phase_raises_on_both_paths(n, phase):
 @pytest.fixture
 def counted(monkeypatch):
     """Points evaluated by the array product or as series tables, one total
-    per entry; the circle cache starts empty."""
-    kernel._tables.clear()
+    per entry."""
     counted = []
     prod_array, laurent = qseries._prod_array, kernel._laurent
 
@@ -179,25 +207,28 @@ def test_rank2_lattice_work_grows_linearly(counted):
 
 
 def test_suite_report_is_the_same_on_a_cold_and_a_warm_cache(monkeypatch):
-    # what the cache holds may change a run's time, never its reports
-    kernel._tables.clear()
+    # what the caches hold may change a run's time, never its reports
+    cached = kernel._table
     cold = to_json(run_suite())
-    assert kernel._tables.entries
+    assert cached.cache_info().currsize
     assert to_json(run_suite()) == cold
-    monkeypatch.setattr(kernel, "_tables", kernel.ByteLRU(0))
+    held = cached.cache_info()
+    without_caches(monkeypatch)
     assert to_json(run_suite()) == cold
-    assert not kernel._tables.entries
+    assert cached.cache_info() == held
 
 
-def test_cached_tables_are_read_only_and_reused(counted):
+def test_cached_tables_are_read_only_and_reused(counted, tables):
     grid = QuadratureGrid(2, 32).nodes()
     counted.append(0)
     first = psi_tilde(grid, pq_set(2), NM)
-    assert counted[0] > 0 and kernel._tables.entries
-    for table in kernel._tables.entries.values():
-        assert not table.flags.writeable
+    assert counted[0] > 0 and tables
+    series = [series_of(kind, c) for kind, c, _, _ in tables]
+    assert any(s is not None for s in series)
+    for held in [table for *_, table in tables] + [s for s in series if s is not None]:
+        assert not held.flags.writeable
         with pytest.raises(ValueError):
-            table[0] = 0
+            held[0] = 0
     counted.append(0)
     again = psi_tilde(grid, pq_set(2), NM)
     assert counted[1] == 0
@@ -215,19 +246,19 @@ def test_invariant_tables_are_cached(counted):
     assert np.array_equal(first, again)
 
 
-def test_cache_bytes_stay_within_the_bound():
-    kernel._tables.clear()
+def test_caches_stay_within_their_bounds():
+    # 160 tables of 80 circles
     for m in range(40):
         for N in (64, 512):
             factors = [pm(GAMMA, 0.5 * np.exp(0.1j * m)), Factor(GAMMA, 0.3 + 0.01 * m, ((0, 2),))]
             evaluate(factors, QuadratureGrid(1, N).nodes(), NM)
-            held = sum(t.nbytes for t in kernel._tables.entries.values())
-            assert held == kernel._tables.nbytes <= kernel._TABLE_BYTES
-    assert len(kernel._tables.entries) > 1
+            assert kernel._table.cache_info().currsize <= kernel._TABLES
+            assert kernel._series.cache_info().currsize <= kernel._SERIES
+    assert kernel._table.cache_info().currsize == kernel._TABLES
+    assert kernel._series.cache_info().currsize == kernel._SERIES
 
 
 def test_pole_error_is_raised_again_and_stores_nothing():
-    kernel._tables.clear()
     node = np.exp(2j * np.pi * 3 / 16)
     factors = [Factor(GAMMA, 1.0 / node, ((0, 1),))]
     grid = QuadratureGrid(1, 16).nodes()
@@ -237,7 +268,9 @@ def test_pole_error_is_raised_again_and_stores_nothing():
             evaluate(factors, grid, NM)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
-    assert not kernel._tables.entries
+    # no table; the circle's route (the products) is held with its series
+    assert kernel._table.cache_info().currsize == 0
+    assert kernel._series.cache_info()[:2] == (1, 1)  # hits, misses
 
 
 # One factor of each kind; "pair" is a rank-2 group.  Each case runs with
@@ -273,7 +306,7 @@ def tables(monkeypatch):
 
 def whole_circle(kind, c, N, nomes=NM, policy=None):
     """f(c w) on the whole N circle by its route, with nothing cached."""
-    series = kernel._series(kind, complex(c), nomes, policy or DEFAULT_POLICY)
+    series = series_of(kind, c, nomes, policy or DEFAULT_POLICY)
     if series is None:
         return kernel._apply(kind, kernel._circle(N, c), nomes, policy)
     return kernel._laurent(series, N)
@@ -288,18 +321,19 @@ def test_table_from_its_half_is_the_direct_table_bitwise(tables, monkeypatch, na
     # whole circle, bit for bit
     n, factors = CIRCLE_FACTORS[name]
     factors = [f._replace(c=f.c * CIRCLE_SCALES[scale]) for f in factors]
+    cached = kernel._table
     for cache in ("warm", "cold", "none"):
-        kernel._tables.clear()
+        clear_caches()
         if cache == "none":
-            monkeypatch.setattr(kernel, "_tables", kernel.ByteLRU(0))
+            without_caches(monkeypatch)
         for N in LADDER * (2 if cache == "warm" else 1):
             if cache == "cold":
-                kernel._tables.clear()
+                clear_caches()
             evaluate(factors, QuadratureGrid(n, N).nodes(), NM)
         assert sorted({at for _, _, at, _ in tables}) == list(LADDER)
         for kind, c, at, table in tables:
             assert table.tobytes() == whole_circle(kind, c, at).tobytes()
-        assert bool(kernel._tables.entries) == (cache != "none")
+        assert bool(cached.cache_info().currsize) == (cache != "none")
         tables.clear()
 
 
@@ -309,7 +343,7 @@ def test_scales_put_every_circle_on_the_route_they_name(scale):
     for name, (_, factors) in CIRCLE_FACTORS.items():
         for f in factors:
             c = complex(f.c * CIRCLE_SCALES[scale])
-            held = kernel._series(f.kind, c, NM, DEFAULT_POLICY)
+            held = series_of(f.kind, c)
             assert (held is not None) == (series and f.kind != MONO), name
 
 
@@ -339,46 +373,40 @@ def test_lone_factor_reads_its_circle_table_bitwise(tables, kind, e, scale):
 def test_pole_on_an_odd_node_raises_and_stores_nothing():
     N = 32
     factors = [Factor(GAMMA, 1.0 / np.exp(2j * np.pi * 3 / N), ((0, 1),))]
-    kernel._tables.clear()
     with pytest.raises(PoleProximityError) as direct:
         evaluate(factors, QuadratureGrid(1, N).nodes(), NM)
-    kernel._tables.clear()
+    clear_caches()
     evaluate(factors, QuadratureGrid(1, N // 2).nodes(), NM)  # no pole on the even nodes
-    held = list(kernel._tables.entries)
+    held = kernel._table.cache_info().currsize
     with pytest.raises(PoleProximityError) as err:
         evaluate(factors, QuadratureGrid(1, N).nodes(), NM)
     assert str(err.value) == str(direct.value)
-    assert list(kernel._tables.entries) == held
+    assert kernel._table.cache_info().currsize == held
 
 
 def test_rank1_ladder_builds_each_series_once_and_runs_no_product_for_it(monkeypatch):
     # the series do not depend on N: a ladder from 16 to 512 computes each
     # once, and the products evaluate only the circles off the series route
     ps = pq_set(1)
-    built, products = [], []
-    series, apply = kernel._series, kernel._apply
-
-    def building(kind, c, nomes, policy):
-        held = series(kind, c, nomes, policy)
-        if held is not None:
-            built.append((kind, c))
-        return held
+    products = []
+    apply = kernel._apply
 
     def applying(kind, u, nomes, policy):
         products.append((kind, complex(u[0]), len(u)))
         return apply(kind, u, nomes, policy)
 
-    monkeypatch.setattr(kernel, "_series", building)
     monkeypatch.setattr(kernel, "_apply", applying)
-    kernel._tables.clear()
     for N in LADDER:
         psi_tilde(QuadratureGrid(1, N).nodes(), ps, NM)
-    assert len(built) == len(set(built)) == 5  # Gamma(a_m w), m = 1..5
     # |p a_6| = 0.0038 lies inside |pq| = 0.006, so Gamma(p a_6 w) takes
     # the products, as does the Weyl factor's 1/Gamma(w)
     off = {(RECIP, 1.0), (GAMMA, complex(NM.p * ps.a[5]))}
     assert sorted(products) == sorted((kind, c, N) for kind, c in off for N in LADDER)
-    assert not off & set(built)
+    # seven circles, each route decided and each series built once
+    assert kernel._series.cache_info().misses == 7
+    assert all(series_of(GAMMA, a) is not None for a in ps.a[:5])  # Gamma(a_m w), m = 1..5
+    assert all(series_of(kind, c) is None for kind, c in off)
+    assert kernel._series.cache_info().misses == 7  # all seven read back from the cache
 
 
 def test_rank1_ladder_reads_each_mirror_from_its_factors_table(counted, monkeypatch):
@@ -390,7 +418,7 @@ def test_rank1_ladder_reads_each_mirror_from_its_factors_table(counted, monkeypa
     for route in ("series", "products"):
         if route == "products":
             monkeypatch.setattr(kernel, "_series", lambda *args: None)
-        kernel._tables.clear()
+        kernel._table.cache_clear()
         counted[:] = [0]
         for grid in rungs:
             psi(list(grid), ps, NM)
@@ -430,10 +458,9 @@ def test_circle_tables_match_the_oracle(name, kind):
     radii = list(np.exp(rng.uniform(np.log(max(inner, 1e-3)), 0.0, 3))) + [0.93, 1 - 1e-3]
     radii.append(inner * (1 + 1e-3) if inner else 1e-3)
     routes = []
-    kernel._tables.clear()
     for r in radii:
         c = complex(r * np.exp(2j * np.pi * rng.uniform()))
-        routes.append(kernel._series(kind, c, nomes, DEFAULT_POLICY) is not None)
+        routes.append(series_of(kind, c, nomes) is not None)
         bound = 1e-14 if routes[-1] else DEFAULT_POLICY.tail_tol
         for N in (16, 64, 512):
             table = kernel._on_circle(kind, c, N, nomes, None)
@@ -446,38 +473,37 @@ def test_circle_tables_match_the_oracle(name, kind):
 @pytest.mark.parametrize("kind", [GAMMA, RECIP, THETA])
 def test_circles_max_terms_cannot_certify_take_the_products(kind):
     c = (1 - 1e-6) * np.exp(0.3j)
-    assert kernel._series(kind, c, NM, DEFAULT_POLICY) is None
-    kernel._tables.clear()
+    assert series_of(kind, c) is None
     table = kernel._on_circle(kind, c, 64, NM, None)
     assert table.tobytes() == kernel._apply(kind, kernel._circle(64, c), NM, None).tobytes()
     # max_terms = 8 certifies neither a series nor a product plan
     tight = TruncationPolicy(max_terms=8)
     c = 0.3 * np.exp(0.3j)
-    assert kernel._series(kind, c, NM, tight) is None
+    assert series_of(kind, c, policy=tight) is None
     with pytest.raises(TruncationError) as direct:
         kernel._apply(kind, kernel._circle(64, c), NM, tight)
-    kernel._tables.clear()
+    clear_caches()
     with pytest.raises(TruncationError) as err:
         kernel._on_circle(kind, c, 64, NM, tight)
     assert str(err.value) == str(direct.value)
-    assert not kernel._tables.entries
+    assert kernel._table.cache_info().currsize == 0
 
 
-@pytest.mark.parametrize("kind,c", [(GAMMA, 1 - 1e-13), (RECIP, NM.pq * (1 + 1e-13))])
+@pytest.mark.parametrize("kind,c", [(GAMMA, 1 - 1e-13), (RECIP, NM.pq.real * (1 + 1e-13))])
 def test_pole_inside_the_annulus_takes_the_products_and_raises(kind, c):
     # a node within POLE_TOL of a pole or zero on the annulus edge: no K can
     # certify the series there, and the products' pole scan raises
     node = np.exp(2j * np.pi * 3 / 16)
     c = c / node
-    assert kernel._series(kind, c, NM, DEFAULT_POLICY) is None
+    assert series_of(kind, c) is None
     with pytest.raises(PoleProximityError) as direct:
         kernel._apply(kind, kernel._circle(16, c), NM, None)
-    kernel._tables.clear()
+    clear_caches()
     for _ in range(2):
         with pytest.raises(PoleProximityError) as err:
             kernel._on_circle(kind, c, 16, NM, None)
         assert str(err.value) == str(direct.value)
-    assert not kernel._tables.entries
+    assert kernel._table.cache_info().currsize == 0
 
 
 OFF_SERIES = {
@@ -490,15 +516,26 @@ OFF_SERIES = {
 
 
 @pytest.mark.parametrize("case", sorted(OFF_SERIES))
-def test_deciding_the_route_stores_nothing(case):
-    # a circle off the series route leaves only its table in the cache, a
-    # circle on it its series and its table
-    kind, c = OFF_SERIES[case]
-    kernel._tables.clear()
-    for N in (16, 32):
-        kernel._on_circle(kind, c, N, NM, None)
-    assert [key[0] for key in kernel._tables.entries] == [16, 32]
-    kernel._tables.clear()
-    for N in (16, 32):
-        kernel._on_circle(GAMMA, 0.5, N, NM, None)
-    assert sorted(len(key) for key in kernel._tables.entries) == [2, 2, 7]
+def test_a_circles_route_is_held_with_its_series(case):
+    # a circle read along a ladder decides its route once, off the series
+    # route as on it: _series holds None for it as it holds a series
+    for kind, c in (OFF_SERIES[case], (GAMMA, 0.5)):
+        clear_caches()
+        for N in (16, 32, 64):
+            kernel._on_circle(kind, c, N, NM, None)
+        assert kernel._series.cache_info()[:2] == (2, 1)  # hits, misses
+        assert kernel._table.cache_info().currsize == 3
+    assert series_of(GAMMA, 0.5) is not None
+
+
+def test_float_and_complex_nomes_give_one_lattice_psi():
+    # Nomes holds p and q as complex, so p**k in the series, and every
+    # table, has the same bits for a float nome as for the complex of its value
+    a = [0.3, 0.4, 0.5, -0.2, 0.25]
+    digests = []
+    for nomes in (Nomes(0.9, 0.3), Nomes(0.9 + 0j, 0.3 + 0j)):
+        assert type(nomes.p) is type(nomes.q) is complex
+        ps = ParameterSet.solved(1, 0.45, a, nomes, BalancingMode.PQ)
+        clear_caches()
+        digests.append(hashlib.sha1(psi(QuadratureGrid(1, 64).nodes(), ps, nomes).tobytes()).digest())
+    assert digests[0] == digests[1]

@@ -324,8 +324,8 @@ def test_prod_array_single_row_and_empty_input():
 @pytest.fixture
 def scalar_memo():
     """The scalar product memo, emptied."""
-    qseries._scalars.clear()
-    return qseries._scalars
+    qseries._scalar.cache_clear()
+    return qseries._scalar
 
 
 @pytest.fixture
@@ -334,26 +334,36 @@ def scalar_products(monkeypatch):
     seen = []
     prod_scalar = qseries._prod_scalar
 
-    def bits(x):
-        return struct.pack("dd", x.real, x.imag)
-
     def counting(u, p, q, rows):
-        seen.append((bits(u), type(p), bits(p), type(q), bits(q), rows))
+        seen.append((bits(u), bits(p), bits(q), rows))
         return prod_scalar(u, p, q, rows)
 
     monkeypatch.setattr(qseries, "_prod_scalar", counting)
     return seen
 
 
+def bits(x):
+    return struct.pack("dd", x.real, x.imag)
+
+
 def direct(u, p, q, policy=None, what=None):
     """The scalar product without the memo."""
-    return qseries._direct_scalar(complex(u), p, q, policy or TruncationPolicy(), what)
+    policy = policy or TruncationPolicy()
+    return qseries._direct_scalar(complex(u), p, q, policy.tail_tol, policy.max_terms, what)
 
 
 SCALAR_NOMES = Nomes(0.07 + 0.02j, 0.11)
 
 
-def test_scalar_memo_hit_is_the_cold_value_bitwise(scalar_memo, scalar_products):
+def test_scalar_memo_hit_is_the_cold_value_bitwise(scalar_memo, scalar_products, monkeypatch):
+    calls = []
+    memo_scalar = qseries._memo_scalar
+
+    def recording(z, p, q, policy, what):
+        calls.append((z, p, q, policy, what, memo_scalar(z, p, q, policy, what)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(qseries, "_memo_scalar", recording)
     u = 0.37 - 0.21j
     evaluators = (
         lambda: qpoch_inf(u, SCALAR_NOMES.q),
@@ -369,29 +379,33 @@ def test_scalar_memo_hit_is_the_cold_value_bitwise(scalar_memo, scalar_products)
         assert len(scalar_products) == formed  # every product came from the memo
         assert type(warm) is type(cold) is complex
         assert np.array(warm).tobytes() == np.array(cold).tobytes()
-    # each held value is that of the direct path
-    for (key, type_p, type_q, tail_tol, max_terms, what), value in scalar_memo.items():
-        u_re, u_im, p_re, p_im, q_re, q_im = np.frombuffer(key, dtype=float).tolist()
-        p = complex(p_re, p_im) if type_p is complex else type_p(p_re)
-        q = complex(q_re, q_im) if type_q is complex else type_q(q_re)
-        z = complex(u_re, u_im)
-        policy = TruncationPolicy(tail_tol, max_terms)
-        assert np.array(value).tobytes() == np.array(direct(z, p, q, policy, what)).tobytes()
+    # each value, held or cold, is that of the direct path at the caller's
+    # nomes, float (the p = 0.0 of a single product) or complex
+    assert {type(p) for _, p, *_ in calls} == {float, complex}
+    for z, p, q, policy, what, value in calls:
+        assert bits(value) == bits(direct(z, p, q, policy, what))
 
 
-def test_scalar_memo_keeps_types_and_signed_zeros_apart(scalar_memo):
-    # 0.0 == -0.0 == 0j, but a nome enters Python arithmetic by its type
-    # and sign, so each gets its own entry and its own direct value
+def test_scalar_memo_shares_nome_types_and_keeps_signed_zeros_apart(scalar_memo):
+    # a float nome enters the products' arithmetic only as complex(x, +0.0),
+    # so a float and a complex nome of one value share one entry, whose
+    # value is the direct one at either type; -0.0 gets its own entry
     u = 0.45 + 0.2j
-    nomes = [(0.0, 0.12), (-0.0, 0.12), (0j, 0.12), (0.0, 0.12 + 0j), (0.0, -0.0 + 0.12j)]
+    for q in (0.12, 0.12 + 0j, -0.0, complex(-0.0, 0.0)):
+        value = qpoch_inf(u, q)
+        assert bits(value) == bits(direct(u, 0.0, q))
+    assert scalar_memo.cache_info()[:2] == (2, 2)  # hits, misses
+    # so in pairs of nomes: (0.0, 0.12), 0j and 0.12 + 0j are the key of
+    # qpoch_inf(u, 0.12) above, and (-0.0, 0.12) and (0.0, 0.12j) two more
+    nomes = [(0.0, 0.12), (0j, 0.12), (0.0, 0.12 + 0j), (-0.0, 0.12), (0.0, 0.12j)]
     for p, q in nomes:
         value = double_poch_inf(u, Nomes(p, q))
-        assert np.array(value).tobytes() == np.array(direct(u, p, q)).tobytes()
-    assert len(scalar_memo) == len(nomes)
+        assert bits(value) == bits(direct(u, p, q))
+    assert scalar_memo.cache_info().currsize == 2 + 2
     # the argument by its bits as well: -0.0 is not 0.0
     qpoch_inf(0.0, 0.3)
     qpoch_inf(-0.0, 0.3)
-    assert len(scalar_memo) == len(nomes) + 2
+    assert scalar_memo.cache_info().currsize == 2 + 2 + 2
 
 
 def test_scalar_memo_stores_no_error(scalar_memo):
@@ -399,26 +413,26 @@ def test_scalar_memo_stores_no_error(scalar_memo):
     pole = (1.0 + 1e-14) / (nm.p * nm.q**2)
     # the product itself has a value there: held without the pole scan ...
     double_poch_inf(pole, nm)
-    held = dict(scalar_memo)
+    held = scalar_memo.cache_info().currsize
     for _ in range(3):
         # ... which does not stand in for the product that scans
         with pytest.raises(PoleProximityError) as info:
             elliptic_gamma(pole, nm)
         assert (info.value.mu, info.value.nu) == (1, 2)
-        assert dict(scalar_memo) == held
+        assert scalar_memo.cache_info().currsize == held
     tight = TruncationPolicy(tail_tol=1e-14, max_terms=4)
     for _ in range(3):
         with pytest.raises(TruncationError):
             double_poch_inf(0.9, Nomes(0.5, 0.5), tight)
-        assert dict(scalar_memo) == held
+        assert scalar_memo.cache_info().currsize == held
 
 
 def test_scalar_memo_holds_at_most_its_bound(scalar_memo, scalar_products):
     us = [0.3 + 0.001 * k for k in range(3 * qseries._SCALAR_ENTRIES)]
     for u in us:
         qpoch_inf(u, 0.2)
-        assert len(scalar_memo) <= qseries._SCALAR_ENTRIES
-    assert len(scalar_memo) == qseries._SCALAR_ENTRIES
+        assert scalar_memo.cache_info().currsize <= qseries._SCALAR_ENTRIES
+    assert scalar_memo.cache_info().currsize == qseries._SCALAR_ENTRIES
     # the most recent products are held, the oldest formed again
     formed = len(scalar_products)
     qpoch_inf(us[-1], 0.2)
@@ -458,7 +472,7 @@ def test_no_lookup_hashes_the_policy(monkeypatch, scalar_memo):
 
     monkeypatch.setattr(TruncationPolicy, "__hash__", refuse)
     assert np.array(values[0]()).tobytes() == want[0]  # a warm scalar Gamma
-    scalar_memo.clear()
+    scalar_memo.cache_clear()
     qseries._plan.cache_clear()
     assert [np.array(f()).tobytes() for f in values] == want
 
@@ -640,7 +654,7 @@ def test_scaled_plan_certifies_the_true_tail(product_rows):
         p_abs, q_abs = rng.uniform(0.0, 0.9, 2).tolist()
         del product_rows[:]
         qseries._direct(np.array([u_max, -0.5 * u_max], dtype=complex), p_abs, q_abs, policy, None)
-        qseries._direct_scalar(complex(u_max), p_abs, q_abs, policy, None)
+        qseries._direct_scalar(complex(u_max), p_abs, q_abs, *LIMITS, None)
         rows, scalar_rows = product_rows
         assert rows == scalar_rows
         assert qseries._tail_bound(rows, p_abs, q_abs, u_max) < policy.tail_tol, (p_abs, q_abs, u_max)
@@ -648,15 +662,14 @@ def test_scaled_plan_certifies_the_true_tail(product_rows):
 
 @pytest.mark.parametrize("scale", [2.0**-40, 0.5, 1.0, 4.0, 256.0])
 def test_one_plan_per_power_of_two(scale):
-    policy = TruncationPolicy()
     qseries._plan.cache_clear()
     inside = [math.nextafter(scale / 2, math.inf)] + [scale * f for f in (0.6, 0.75, 0.9, 0.999)] + [scale]
     for u_max in inside:
-        qseries._scaled_plan(0.05, 0.12, u_max, policy)
+        qseries._scaled_plan(0.05, 0.12, u_max, *LIMITS)
     info = qseries._plan.cache_info()
     assert (info.misses, info.hits) == (1, len(inside) - 1)
     # B / 2 is a power of two itself, with its own plan
-    qseries._scaled_plan(0.05, 0.12, scale / 2, policy)
+    qseries._scaled_plan(0.05, 0.12, scale / 2, *LIMITS)
     assert qseries._plan.cache_info().misses == 2
 
 
@@ -679,7 +692,9 @@ def test_scaled_plan_raises_only_where_the_exact_plan_does():
                 for u_max in [0.0] + list(10.0 ** np.linspace(-10, 2.5, 40)):
                     exact = plan_outcome(ref_plan, p_abs, q_abs, u_max, policy)
                     scaled = plan_outcome(ref_plan, p_abs, q_abs, qseries._scale(u_max), policy)
-                    got = plan_outcome(qseries._scaled_plan, p_abs, q_abs, u_max, policy)
+                    got = plan_outcome(
+                        qseries._scaled_plan, p_abs, q_abs, u_max, policy.tail_tol, policy.max_terms
+                    )
                     if scaled[0] == "TruncationError":
                         assert got == exact, (policy, p_abs, q_abs, u_max)
                         fell_back += exact[0] != "TruncationError"
@@ -706,7 +721,7 @@ def test_array_gamma_is_one_quotient_under_shared_rows(f, shape, product_rows):
     (rows,) = product_rows  # one product for both sides
     top, bottom = GAMMA_SIDES[f](u, nm)
     hi = max(np.abs(top).max(), np.abs(bottom).max())
-    assert rows == qseries._scaled_plan(abs(nm.p), abs(nm.q), hi, TruncationPolicy())[0]
+    assert rows == qseries._scaled_plan(abs(nm.p), abs(nm.q), hi, *LIMITS)[0]
     assert qseries._tail_bound(rows, abs(nm.p), abs(nm.q), hi) < TruncationPolicy().tail_tol
     want = qseries._prod_array(top, nm.p, nm.q, rows) / qseries._prod_array(bottom, nm.p, nm.q, rows)
     assert got.shape == shape
