@@ -10,6 +10,7 @@ configuration was unusable.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from dataclasses import fields, replace
@@ -87,7 +88,10 @@ class _Parser(argparse.ArgumentParser):
         self.register("action", None, _StoreOnce)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps its
+    state in the namespace (see _StoreOnce), so one parser serves every call."""
     top = _Parser(
         prog="ellselberg",
         description="Verify BC_n elliptic Selberg integral identities numerically.",

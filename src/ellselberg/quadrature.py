@@ -11,12 +11,14 @@ in those coordinates, each of weight
     2^#{j_i not in (0, N/2)} * m! / prod(multiplicities)! / N^n,
 
 C(N/2 + m, m) nodes in place of N^m; the other coordinates run over the
-whole circle.  N doubles from 16, each grid evaluated once when its rung is
+whole circle.  N doubles from 16, each grid evaluated when its rung is
 read, until |I_N - I_{N/2}| meets the tolerance or the per-circle budget is
 exhausted.  Every ladder ends in one stop rule, :func:`_stop`: a stalled
 ladder takes a 50x looser stop read off the differences it already holds,
 so no grid is evaluated twice within one integral, and says so through
-:data:`_NOTES`.
+:data:`_NOTES`.  A ladder whose caller names its integral by a key (see
+:func:`_key`) reads its rungs from :func:`_rung`'s process-wide cache, so
+each grid is evaluated once per process for each distinct integrand.
 
 A rung is sum(weights * values) with numpy's fixed pairwise reduction over
 a fixed node ordering (not BLAS dot, whose order depends on the build and
@@ -28,7 +30,8 @@ from __future__ import annotations
 import contextvars
 import functools
 import math
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -37,7 +40,7 @@ from .errors import DomainError, NonConvergenceError
 from .integrand import _psi_kernel, _z_list, psi_tilde
 from .invariants import ParameterSet, fundamental_invariant
 from .kernel import GAMMA, MONO, RECIP, Factor, Lattice, evaluate
-from .qseries import Nomes, TruncationPolicy
+from .qseries import DEFAULT_POLICY, Nomes, TruncationPolicy
 
 # Points per circle of the first rung of every trapezoid ladder.
 MIN_POINTS = 16
@@ -46,6 +49,12 @@ MIN_POINTS = 16
 MIN_BUDGET = 2 * MIN_POINTS
 
 RETRY_NOTE = "retried at 50x looser stop"
+
+# Rungs held by _rung's cache.  Replayed against one pass at seed 1 of the
+# benchmark's suite (164 rung requests) and sweep_n1 (678), an unbounded
+# cache computes 115 and 486 rungs; 32 entries lose no hit against it, 16
+# lose 12 of the suite's.
+_RUNGS = 32
 
 # Notes of the report being computed: _stop adds RETRY_NOTE when a ladder
 # stalls, and scenarios._run sets the list and puts its notes in the detail.
@@ -123,18 +132,70 @@ class QuadResult:
     history: tuple = ()
 
 
-def _rungs(f, n: int, budget: int | None = None, fold=()):
+def _key(tag: str, ints: tuple, numbers, policy) -> tuple:
+    """The key that names a ladder's integral: a family tag, its integers,
+    the exact bits of every complex number the integrand reads (== would take
+    0.0 and -0.0 as one number) and the truncation policy's two numbers."""
+    policy = policy or DEFAULT_POLICY
+    parts = [x for v in map(complex, numbers) for x in (v.real, v.imag)]
+    return (tag, *ints, struct.pack(f"{len(parts)}d", *parts), policy.tail_tol, policy.max_terms)
+
+
+def _params_key(tag: str, ints: tuple, params: ParameterSet, nomes: Nomes, policy) -> tuple:
+    """_key of an integrand that reads ints, n, a_1..a_6, t, p and q."""
+    return _key(tag, (*ints, params.n), (*params.a, params.t, nomes.p, nomes.q), policy)
+
+
+@dataclass(frozen=True)
+class _Ladder:
+    """A ladder's integrand f on the n-torus, folded in ``fold``.  It hashes
+    and compares by its key, n and the number of folded coordinates alone,
+    so ladders equal up to a relabelling of the coordinates share rungs."""
+
+    key: tuple
+    n: int
+    folded: int
+    fold: tuple = field(compare=False)
+    f: object = field(compare=False)
+
+
+def _mean(z, values):
+    """The trapezoid mean sum(weights * values) on the grid z, as a complex;
+    the tuple of them when f returns a tuple of arrays."""
+    if type(values) is tuple:
+        return tuple(_mean(z, v) for v in values)
+    return complex(np.sum(z.weights * np.asarray(values)))
+
+
+def _grid_mean(ladder: _Ladder, N: int):
+    """The rung of ``ladder`` at N: the mean of its f on the N-grid."""
+    z = QuadratureGrid(ladder.n, N, ladder.fold).nodes()
+    return _mean(z, ladder.f(z))
+
+
+# The rungs of keyed ladders, process-wide.  A rung's value depends on
+# neither tolerance nor budget, which stay out of the key; an error is not
+# cached.  What it holds changes the time a run takes, never a bit of its
+# output.
+_rung = functools.lru_cache(maxsize=_RUNGS)(_grid_mean)
+
+
+def _rungs(f, n: int, budget: int | None = None, fold=(), key=None):
     """(N, trapezoid mean of f on the N-grid) for N = 16, 32, ... up to the
     budget, each grid evaluated when its rung is asked for; the budget is
     checked first.  f must be W(BC)-invariant in the coordinates ``fold``,
-    which are summed over orbit representatives."""
+    which are summed over orbit representatives.  A ladder with a ``key``
+    (see _key) reads its rungs from _rung's cache: equal keys must give
+    bit-equal rungs.  A ladder without one is not cached."""
     if budget is None:
         budget = default_budget(n)
     if budget < MIN_BUDGET:
         raise DomainError(f"budget {budget} below the minimum {MIN_BUDGET}: a ladder needs two rungs")
     sizes = (MIN_POINTS << k for k in range((budget // MIN_POINTS).bit_length()))
-    grids = (QuadratureGrid(n, N, tuple(fold)).nodes() for N in sizes)
-    return ((z.N, complex(np.sum(z.weights * np.asarray(f(z))))) for z in grids)
+    fold = tuple(fold)
+    ladder = _Ladder(key, n, len(fold), fold, f)
+    rung = _grid_mean if key is None else _rung
+    return ((N, rung(ladder, N)) for N in sizes)
 
 
 def _stop(rungs, tol: float) -> QuadResult:
@@ -173,6 +234,7 @@ def torus_integrate(
     tol: float,
     budget: int | None = None,
     fold=(),
+    key=None,
 ) -> QuadResult:
     """Integrate f over the n-torus against the normalized measure.
 
@@ -184,9 +246,10 @@ def torus_integrate(
     (z_i -> 1/z_i and their permutations); the grid is summed over orbit
     representatives there.  A ladder whose err_est stays above tol up to the
     budget stops at the first rung within 50 tol instead (see _stop);
-    NonConvergenceError is raised when none is.
+    NonConvergenceError is raised when none is.  ``key`` names the integral
+    for the rung cache (see _rungs); without one nothing is cached.
     """
-    return _stop(_rungs(f, n, budget, fold), tol)
+    return _stop(_rungs(f, n, budget, fold, key), tol)
 
 
 def _weighted(phi, params, nomes, policy):
@@ -268,15 +331,22 @@ def nabla_quad(
     if nomes.p == 0:
         raise DomainError("the fused nabla image needs p != 0")
 
+    # G and |phi Psi~| are W(BC_{n-1})-invariant in the coordinates other
+    # than z_i, and the nabla image of each i is one integral up to a
+    # relabelling of those coordinates: i is not in the key
+    rungs = _rungs(
+        lambda z: _nabla_pointwise(r, i, z, params, nomes, policy),
+        n, budget, [j for j in range(n) if j != i - 1],
+        _params_key("nabla", (r,), params, nomes, policy),
+    )
     href = {}  # N -> mean of |phi Psi~| on the N-grid
 
-    def g(z):
-        values, h = _nabla_pointwise(r, i, z, params, nomes, policy)
-        href[z.N] = float(np.sum(z.weights * h))
-        return values
+    def values():
+        for N, (value, h) in rungs:
+            href[N] = h.real
+            yield N, value
 
-    # G and |phi Psi~| are W(BC_{n-1})-invariant in the coordinates other than z_i
-    ladder = _rungs(g, n, budget, fold=[j for j in range(n) if j != i - 1])
+    ladder = values()
     first = next(ladder)
     res = _stop(chain([first], ladder), tol * (href[MIN_POINTS] or 1.0))
     return res, href[res.N_used]

@@ -27,7 +27,7 @@ from .qseries import (
     _gamma_product,
     elliptic_gamma,
 )
-from .quadrature import torus_integrate
+from .quadrature import _params_key, torus_integrate
 
 # |a| closer to the unit circle than this leaves the quadrature no room.
 TORUS_CLEARANCE = 1e-3
@@ -69,7 +69,10 @@ def continued_integral_n1(
             )
         if nomes.pq == 0:
             raise DomainError("the residue pair is not implemented at p q = 0")
-    quad = torus_integrate(lambda z: psi(z, params, nomes, policy), 1, tol, budget, fold=(0,))
+    quad = torus_integrate(
+        lambda z: psi(z, params, nomes, policy), 1, tol, budget, fold=(0,),
+        key=_params_key("psi", (), params, nomes, policy),
+    )
     value = quad.value
     if outside:
         others = [v for m, v in enumerate(params.a) if m != outside[0]]

@@ -42,7 +42,16 @@ from .qseries import (
     _gamma_product,
     theta,
 )
-from .quadrature import _NOTES, _rungs, _stop, _weighted, nabla_quad, torus_integrate
+from .quadrature import (
+    _NOTES,
+    _key,
+    _params_key,
+    _rungs,
+    _stop,
+    _weighted,
+    nabla_quad,
+    torus_integrate,
+)
 from .report import ScenarioReport, relative_error
 from .residues import continued_integral_n1, lim_pinch_J
 from .sampling import DEFAULT_BOX, SafeBox, sample_da_parameters, sample_parameters
@@ -104,11 +113,12 @@ def _echo(params: ParameterSet, nomes: Nomes, seed_index: int, **indices) -> dic
     )
 
 
-def _probed(f, n, budget, floor):
+def _probed(f, n, budget, floor, key):
     """f's rungs, and max(|I_32|, floor) to scale their refinement by; the
     rungs yield the two the magnitude read before evaluating further grids.
-    f must be W(BC_n)-invariant: its rungs are orbit sums."""
-    ladder = _rungs(f, n, budget, fold=range(n))
+    f must be W(BC_n)-invariant: its rungs are orbit sums.  ``key`` names
+    the integral for the rung cache."""
+    ladder = _rungs(f, n, budget, range(n), key)
     head = [next(ladder), next(ladder)]
     return chain(head, ladder), max(abs(head[1][1]), floor)
 
@@ -143,7 +153,8 @@ def scenario_eval_formula(
             lhs, grid_N = continued_integral_n1(params, nomes, 0.1 * tol * scale, budget, policy)
             return lhs, rhs, grid_N, None, "continued contour (one parameter outside)"
         quad = torus_integrate(
-            lambda z: psi(z, params, nomes, policy), n, 0.1 * tol * scale, budget, fold=range(n)
+            lambda z: psi(z, params, nomes, policy), n, 0.1 * tol * scale, budget,
+            fold=range(n), key=_params_key("psi", (), params, nomes, policy),
         )
         return quad.value, rhs, quad.N_used
 
@@ -213,11 +224,15 @@ def scenario_qde(
             raise SampleRejectionError(
                 "q-difference scenarios need the PQ or P balancing"
             )
-        left_rungs, scale = _probed(lambda z: psi(z, left, nomes, policy), n, budget, 1.0)
+        left_rungs, scale = _probed(
+            lambda z: psi(z, left, nomes, policy), n, budget, 1.0,
+            _params_key("psi", (), left, nomes, policy),
+        )
         lhs_quad = _stop(left_rungs, 0.1 * tol * scale)
         rhs_quad = torus_integrate(
             lambda z: psi(z, right, nomes, policy),
             n, 0.1 * tol * (scale / max(abs(ratio), 1e-6)), budget, fold=range(n),
+            key=_params_key("psi", (), right, nomes, policy),
         )
         return lhs_quad.value, rhs_quad.value * ratio, max(lhs_quad.N_used, rhs_quad.N_used)
 
@@ -232,7 +247,8 @@ def _expect_invariant(r, params, nomes, tol, budget, policy):
     def phi(z):
         return fundamental_invariant(r, a1, a6, _z_list(z, n), t, nomes.p, policy)
 
-    rungs, scale = _probed(_weighted(phi, params, nomes, policy), n, budget, 1e-12)
+    key = _params_key("E", (r,), params, nomes, policy)
+    rungs, scale = _probed(_weighted(phi, params, nomes, policy), n, budget, 1e-12, key)
     return _stop(rungs, 0.1 * tol * scale)
 
 
@@ -344,6 +360,7 @@ def scenario_dixon_anderson(
         quad = torus_integrate(
             lambda z: evaluate(kernel, _z_list(z, n), nomes, policy),
             n, 0.1 * tol * scale, budget, fold=range(n),
+            key=_key("da", (n,), (*a, nomes.p, nomes.q), policy),
         )
         return quad.value, rhs, quad.N_used
 

@@ -131,6 +131,18 @@ class TestEvalTargets:
         assert f"argument {flag}: given more than once" in captured.err
         assert captured.out == ""
 
+    def test_parser_reused_across_calls_keeps_no_state(self, capsys):
+        # the parser is built once per process; a repeated option is refused
+        # on every call, and an option given once still parses after that
+        argv = ["eval", "gamma", "--u", "0.4", "--p", "0.05", "--q", "0.07"]
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv + ["--u", "0.5"])
+            assert exit_info.value.code == 2
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == format_complex(elliptic_gamma(0.4, Nomes(0.05, 0.07))) + "\n"
+
 
 class TestVerifyExplicit:
     def test_reference_evaluation(self, capsys):

@@ -186,10 +186,10 @@ def folded(monkeypatch):
     calls = []
     rungs = quadrature._rungs
 
-    def recording(f, n, budget=None, fold=()):
+    def recording(f, n, budget=None, fold=(), *args, **kwargs):
         if tuple(fold):
             calls.append((f, n, tuple(fold)))
-        return rungs(f, n, budget, fold)
+        return rungs(f, n, budget, fold, *args, **kwargs)
 
     monkeypatch.setattr(quadrature, "_rungs", recording)
     monkeypatch.setattr(scenarios, "_rungs", recording)

@@ -274,6 +274,35 @@ class TestNabla:
         assert np.all(np.isfinite(g))
 
 
+NM_ONE = Nomes(0.015, 0.12)
+# ONE-balanced sets whose nabla images the rank-2 and rank-3 tests relabel
+ONE_SETS = {
+    "a": ([0.8, 0.85, 0.9, 0.8 + 0.1j, 0.9 - 0.05j], 0.5),
+    "b": ([0.9, 0.95, 0.85j, 0.9, 0.92], 0.6),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", sorted(ONE_SETS))
+def test_nabla_rungs_of_every_index_are_bit_equal(n, name):
+    # the rung cache keys nabla without i: the means of G and of |phi Psi~|
+    # on the grid folded off z_i are one integral up to a relabelling of the
+    # coordinates, bit for bit, as long as the integrand lists the other
+    # coordinates in order
+    a5, t = ONE_SETS[name]
+    ps = ParameterSet.solved(n, t, a5, NM_ONE, BalancingMode.ONE)
+    for r in range(1, n + 1):
+        rungs = []
+        for i in range(1, n + 1):
+            rest = [j for j in range(n) if j != i - 1]
+            f = lambda z, i=i: _nabla_pointwise(r, i, z, ps, NM_ONE, None)
+            # no key: the cache is bypassed
+            ladder = list(quadrature._rungs(f, n, 32, rest))
+            assert [N for N, _ in ladder] == [16, 32]
+            rungs.append(np.array([m for _, pair in ladder for m in pair]).tobytes())
+        assert rungs == [rungs[0]] * n, r
+
+
 class TestLatticeReads:
     """Every ladder's integrand reads a Lattice's N, k and weights only."""
 

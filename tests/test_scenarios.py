@@ -388,3 +388,66 @@ class TestRungs:
         (rep,) = run_row(row, 42)
         assert rep.passed
         assert sizes == [16, 32, 64, 128]
+
+    @staticmethod
+    def row(scenario, n):
+        return next(r for r in SUITE_ROWS if r.scenario == scenario and r.n == n)
+
+    def test_qde_evaluates_the_left_ladder_once_for_every_shift(self, monkeypatch):
+        seen = []
+
+        def recording_psi(z, params, *args, **kwargs):
+            seen.append((params.a, len(z[0])))
+            return psi(z, params, *args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "psi", recording_psi)
+        reports = run_row(self.row("qde", 1), 42)
+        assert [rep.k for rep in reports] == [1, 2, 3, 4, 5]
+        assert all(rep.passed for rep in reports)
+        # one left ladder plus five right ones, no grid of any evaluated twice
+        assert len(set(seen)) == len(seen)
+        assert len({a for a, _ in seen}) == 6
+
+    def test_rank2_nabla_runs_one_ladder_for_both_indices(self, monkeypatch):
+        seen = []
+        pointwise = quadrature._nabla_pointwise
+
+        def recording(r, i, z, *args, **kwargs):
+            seen.append((r, i, z.N))
+            return pointwise(r, i, z, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "_nabla_pointwise", recording)
+        reports = run_row(self.row("nabla", 2), 42)
+        assert [(rep.r, rep.i) for rep in reports] == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        assert all(rep.passed for rep in reports)
+        # (r, 2) reads the rungs of (r, 1): two ladders, not four
+        assert {(r, i) for r, i, _ in seen} == {(1, 1), (2, 1)}
+        assert len(set(seen)) == len(seen)
+        assert to_json([replace(reports[0], i=2)]) == to_json([reports[1]])
+        assert to_json([replace(reports[2], i=2)]) == to_json([reports[3]])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_telescope_after_recurrence_evaluates_no_grid(self, monkeypatch, n):
+        run_row(self.row("recurrence", n), 42)
+        sizes = []
+        nodes = quadrature.QuadratureGrid.nodes
+
+        def recording(grid):
+            sizes.append(grid.N)
+            return nodes(grid)
+
+        monkeypatch.setattr(quadrature.QuadratureGrid, "nodes", recording)
+        (rep,) = run_row(self.row("recurrence_telescope", n), 42)
+        assert rep.passed
+        assert sizes == []
+
+    def test_reports_do_not_depend_on_the_cache(self, monkeypatch):
+        rows = [
+            self.row("qde", 1),
+            self.row("nabla", 2),
+            self.row("recurrence", 2),
+            self.row("recurrence_telescope", 2),
+        ]
+        cached = to_json([rep for row in rows for rep in run_row(row, 42)])
+        monkeypatch.setattr(quadrature, "_rung", quadrature._rung.__wrapped__)
+        assert to_json([rep for row in rows for rep in run_row(row, 42)]) == cached
