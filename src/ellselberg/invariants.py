@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
+import numpy as np
+
 from .errors import DegenerateParameterError, DomainError
 from .kernel import THETA, Factor, evaluate
 from .qseries import Nomes, TruncationPolicy, theta, theta_pm
@@ -217,32 +219,37 @@ def coefficient_c(
     if not 1 <= r <= params.n:
         raise DomainError(f"need 1 <= r <= n, got r={r}")
     n, t, p = params.n, params.t, nomes.p
-    a1, a6 = params.a[0], params.a[5]
-
-    def th_den(u, label):
-        return _theta_den(theta(u, p, policy), label, f"in C_{r}")
-
-    num = (
-        a1**2
-        * t ** (2 * r - 2)
-        * theta(t ** (n - r + 1), p, policy)
-        * theta(a6 / a1 * t ** (n - r + 1), p, policy)
-        * theta(a1 / a6 * t ** (2 * r - n), p, policy)
-    )
-    den = (
-        a6**2
-        * t ** (2 * n - 2 * r)
-        * th_den(t**r, "t^r")
-        * th_den(a6 / a1 * t ** (n - 2 * r + 2), "a6/a1 t^(n-2r+2)")
-        * th_den(a1 / a6 * t**r, "a1/a6 t^r")
-    )
-    out = -num / den
+    a, a1, a6 = params.a, params.a[0], params.a[5]
+    # (argument, label) of every theta of C_r; a labelled one is a denominator
+    factors = [
+        (t ** (n - r + 1), None),
+        (a6 / a1 * t ** (n - r + 1), None),
+        (a1 / a6 * t ** (2 * r - n), None),
+        (t**r, "t^r"),
+        (a6 / a1 * t ** (n - 2 * r + 2), "a6/a1 t^(n-2r+2)"),
+        (a1 / a6 * t**r, "a1/a6 t^r"),
+    ]
     for m in range(2, 6):
-        am = params.a[m - 1]
-        out *= theta(am * a6 * t ** (n - r), p, policy) / th_den(
-            am * a1 * t ** (r - 1), f"a_{m} a1 t^(r-1)"
-        )
+        factors += [(a[m - 1] * a6 * t ** (n - r), None),
+                    (a[m - 1] * a1 * t ** (r - 1), f"a_{m} a1 t^(r-1)")]
+    th = _thetas(factors, p, policy, f"in C_{r}")
+    num = a1**2 * t ** (2 * r - 2) * th[0] * th[1] * th[2]
+    den = a6**2 * t ** (2 * n - 2 * r) * th[3] * th[4] * th[5]
+    out = -num / den
+    for j in range(6, len(th), 2):
+        out *= th[j] / th[j + 1]
     return out
+
+
+def _thetas(factors, p, policy, where: str) -> list:
+    """theta(u; p) of each (u, label) of factors, in their order, by one array call.
+
+    A value with a label is a denominator, checked by _theta_den.  Each
+    value has the bits of its own scalar call.
+    """
+    values = theta(np.array([u for u, _ in factors], dtype=complex), p, policy).tolist()
+    return [v if label is None else _theta_den(v, label, where)
+            for v, (_, label) in zip(values, factors)]
 
 
 def boundary_expectation_ratio(
@@ -260,17 +267,18 @@ def boundary_expectation_ratio(
         raise DomainError("boundary ratio is stated under the ONE balancing")
     a, t, p = params.a, params.t, nomes.p
     a1, a6 = a[0], a[5]
-
-    def th_den(u, label):
-        return _theta_den(theta(u, p, policy), label, "in boundary ratio")
-
-    out = 1.0 + 0.0j
-    for i in range(1, params.n + 1):
-        ti = t ** (i - 1)
-        out *= (a1**3 * theta(a6 / a1 * ti, p, policy)) / (
-            a6**3 * th_den(a1 / a6 * ti, "a1/a6 t^(i-1)")
-        )
+    # (argument, label) of every theta, ten per i; a labelled one is a denominator
+    factors = []
+    for i in range(params.n):
+        ti = t**i
+        factors += [(a6 / a1 * ti, None), (a1 / a6 * ti, "a1/a6 t^(i-1)")]
         for m in range(2, 6):
-            out *= theta(a[m - 1] * a6 * ti, p, policy)
-            out /= th_den(a[m - 1] * a1 * ti, "a_m a1 t^(i-1)")
+            factors += [(a[m - 1] * a6 * ti, None), (a[m - 1] * a1 * ti, "a_m a1 t^(i-1)")]
+    th = _thetas(factors, p, policy, "in boundary ratio")
+    out = 1.0 + 0.0j
+    for i in range(0, len(th), 10):
+        out *= (a1**3 * th[i]) / (a6**3 * th[i + 1])
+        for j in range(i + 2, i + 10, 2):
+            out *= th[j]
+            out /= th[j + 1]
     return out

@@ -24,11 +24,12 @@ Adv. Math. 156 (2000)):
     log theta(u; p)    = -sum_{k>=1} (u^k + (p/u)^k) / (k (1 - p^k)),
 
 and log 1/Gamma is minus the first.  The coefficients up to the K that
-certifies the tail (_series), folded exactly mod N, give the whole table as
-exp of one inverse FFT.  Every other circle (|c| >= 1, |c| <= |pq| or |p|,
-the Weyl factor's c = 1, a monomial, or a K above max_terms) is evaluated
-by the qseries products, pole scan included; f has no pole or zero a
-certified series can come near, so no scan is lost.
+certifies the tail (_series, from the qseries._log_den that Gamma's own
+series takes its terms from), folded exactly mod N, give the whole table
+as exp of one inverse FFT.  Every other circle (|c| >= 1, |c| <= |pq| or
+|p|, the Weyl factor's c = 1, a monomial, or a K above max_terms) is
+evaluated pointwise by the qseries evaluators, pole scan included; f has
+no pole or zero a certified series can come near, so no scan is lost.
 
 Tables (at most _TABLES) and series coefficients (at most _SERIES; they do
 not depend on N, so a ladder from 16 to 512 computes them once) are held by
@@ -52,8 +53,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qseries import (DEFAULT_POLICY, Nomes, TruncationPolicy, _unpack, elliptic_gamma,
-                      elliptic_gamma_recip, theta)
+from .errors import TruncationError
+from .qseries import (DEFAULT_POLICY, Nomes, TruncationPolicy, _log_den, _unpack,
+                      elliptic_gamma, elliptic_gamma_recip, theta)
 
 GAMMA, RECIP, THETA, MONO = "gamma", "recip", "theta", "mono"
 
@@ -179,17 +181,11 @@ _SIGNS = {GAMMA: (1.0, -1.0), RECIP: (-1.0, 1.0), THETA: (-1.0, -1.0)}
 def _series(kind, bits, tail_tol, max_terms):
     """Laurent coefficients of log f(c w), those of w^-K..w^K in order, or None.
 
-    None where the products evaluate the table: unless |c| lies strictly
-    inside f's annulus and a K <= max_terms certifies the tail.  With
-    a = |c|, b = |pq/c| (|p/c| for theta) and |1 - p^k| >= 1 - |p|, the
-    coefficients beyond K sum to at most
-    (a^(K+1)/(1 - a) + b^(K+1)/(1 - b)) / ((K + 1) D), D = (1 - |p|)(1 - |q|)
-    (1 - |p| for theta), and K is the smallest with that below
-    tail_tol / max_terms.  The bound below tail_tol / K, the analogue of
-    _plan's tail_tol / count, certifies the same circles (the two agree at
-    K = max_terms, and K times the bound falls with K wherever it nears
-    tail_tol), but lets the truncation error reach 3e-14 at K = 3, where
-    this rule keeps it under 2e-16 at the default policy.
+    None where the qseries evaluators take the table: unless |c| lies
+    strictly inside f's annulus and a K <= max_terms certifies the tail.
+    The denominators and K are qseries._log_den's at the outer radius |c|
+    and the inner |pq/c| (|p/c| for theta, which is log Gamma's series at
+    q = 0 with the signs of _SIGNS).
     """
     c, p, q = _unpack(bits)
     if kind == MONO or c == 0:
@@ -198,21 +194,12 @@ def _series(kind, bits, tail_tol, max_terms):
     a, b = abs(c), abs(inner / c)
     if not (a < 1.0 and b < 1.0):
         return None
-    D = 1.0 - abs(p) if kind == THETA else (1.0 - abs(p)) * (1.0 - abs(q))
-
-    def tail(K):
-        return (a ** (K + 1) / (1.0 - a) + b ** (K + 1) / (1.0 - b)) / ((K + 1) * D)
-
-    tol, cap = tail_tol / max_terms, max_terms
-    if tail(cap) >= tol:
+    try:
+        den = _log_den(p, 0j if kind == THETA else q, a, b, tail_tol, max_terms)
+    except TruncationError:
         return None
-    # the tail falls with K: bisect for the smallest K that certifies
-    lo, K = 0, cap
-    while K - lo > 1:
-        mid = (lo + K) // 2
-        lo, K = (lo, mid) if tail(mid) < tol else (mid, K)
+    K = len(den)
     k = np.arange(1, K + 1)
-    den = k * (1.0 - p**k) if kind == THETA else k * (1.0 - p**k) * (1.0 - q**k)
     up, down = _SIGNS[kind]
     out = np.zeros(2 * K + 1, dtype=complex)
     out[K + 1 :] = up * c**k / den

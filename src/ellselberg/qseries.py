@@ -3,49 +3,43 @@
 Conventions (0 <= |p|, |q| < 1 throughout):
 
     (u; q)_inf        = prod_{k >= 0} (1 - q^k u)
-    (u; p, q)_inf     = prod_{mu, nu >= 0} (1 - p^mu q^nu u)
     theta(u; p)       = (u; p)_inf * (p/u; p)_inf
-    Gamma(u; p, q)    = (p q / u; p, q)_inf / (u; p, q)_inf
+    Gamma(u; p, q)    = prod_{mu, nu >= 0} (1 - p^(mu+1) q^(nu+1) / u) / (1 - p^mu q^nu u)
 
 All evaluators accept a complex scalar or a numpy array of complex values for
-``u`` (elementwise semantics) and form every product through one entry
-point, :func:`_poch`, or for an array Gamma and 1/Gamma :func:`_quotient`:
-the plan of the power of two at or above max|u|, the pole scan when the
-caller divides by the product, then the scalar or the array product.  They
-share one truncation rule: a factor (1 - p^mu q^nu u) is included iff
-|p^mu q^nu B| >= tau with B the smallest power of two >= max|u| and
-tau = tail_tol / (expected retained term count), and the analytic bound on
-sum |p^mu q^nu B| over the excluded indices, which bounds the tail at every
-|u| <= B, is certified below tail_tol before a product is formed.  Where
-max_terms cannot certify it at B, the plan is that of max|u| itself
-(TruncationError when that fails too).  So all products at one nome pair
-share a few plans.  Products are evaluated in a fixed (mu outer, nu inner)
-order, so results are deterministic.  An array product takes its retained
-coefficients p^mu q^nu as one column and multiplies the factors of each
-block of columns in one reduction over the factor axis; the reduction
-keeps the fixed (mu, nu) order, so every element gets the same bits as a
-factor-by-factor loop.  An array Gamma or 1/Gamma forms its two products,
-(pq/u; p, q)_inf and (u; p, q)_inf, as one array product over both
-arguments under the plan of the larger of their maxima.
+``u`` (elementwise semantics).  Every element's value depends on that
+element, the nomes and the policy alone, never on the rest of its array:
+the arithmetic runs along columns of one element each, which numpy
+evaluates with the same instructions at any array length (see _product).
+So an array is evaluated in blocks of elements, which bounds its
+temporaries, and a scalar as a one-element array: it has the bits its
+element has in any array.  Its value, a Python complex, is held in a memo
+of the last _SCALAR_ENTRIES scalar values.
 
-A scalar product is held in a functools.lru_cache of at most
-_SCALAR_ENTRIES entries, keyed on the exact bits of u, p and q, the
-policy's two numbers and whether the pole scan runs; a float nome meets
-the products' arithmetic only as complex(x, +0.0), so it shares the
-entry of that complex.  A hit returns the value the direct path gave, so
-it has the same bits; an error stores nothing.  Closed sides repeat
-their products (c_n and c_(n-1) share all but one Gamma factor, C_r and
-the boundary ratio share their theta values), and the memo serves those
-repeats.  Scalar input is taken as a Python complex: zero checks compare
-it and pq/u and p/u divide it, instead of reducing with np.any and
-dividing a 0-d array.
+Every truncated sum is certified below tail_tol / max_terms, and
+TruncationError raised where more than max_terms terms would be needed.
+A single product (x; c)_inf keeps the factors k with |c^k| |x| at least
+tail_tol / max_terms * (1 - |c|) (_base).
 
-Closed forms multiply many Gamma factors; :func:`_gamma_product` evaluates
-them as one array call under one plan, which keeps every factor's tail
-below tail_tol.  The pole scan visits only factors that can reach 1: none
-when max|u| < 1 - 1e-9, and within the retained (mu, nu) range it stops a
-row, and then the scan, at the first factor whose |p^mu q^nu| max|u| (the
-true maximum, not its power of two) falls below that.
+Gamma is evaluated one way, never as a double product.  Let a be the nome
+of larger modulus and b the other.  Gamma(a w) = theta(w; b) Gamma(w), so u
+is shifted by powers of a into the ring |a| beta <= |w| <= beta with
+beta = sqrt|b|, each shift multiplying or dividing by one theta(.; b).  In
+that ring |w| and |pq/w| are both at most beta, and
+
+    log Gamma(w; p, q) = sum_{k>=1} (w^k - (pq/w)^k) / (k (1 - p^k)(1 - q^k))
+
+(Felder and Varchenko, Adv. Math. 156 (2000)) is summed to the K that
+_log_den certifies at beta, so K depends on p, q and the policy alone; the
+circle tables of kernel take their series from _log_den too.  At pq = 0,
+Gamma = 1/(u; a)_inf.
+
+The poles of Gamma, u = p^-mu q^-nu, are zeros of the factors
+(1 - b^k a^j u) of the theta corrections Gamma divides by, and those of
+1/Gamma, the zeros u = p^(mu+1) q^(nu+1) of Gamma, zeros of the factors
+(1 - b^(k+1) a^(j+1) / u) of the corrections 1/Gamma divides by.  A factor
+of a divisor within POLE_TOL of 0 raises PoleProximityError naming
+(mu, nu); the ring holds no pole or zero.
 """
 
 from __future__ import annotations
@@ -62,15 +56,17 @@ from .errors import DomainError, PoleProximityError, TruncationError
 # Relative distance below which an argument counts as sitting on a pole.
 POLE_TOL = 1e-12
 
-# Column blocks of an array product are sized so that their (factors x
-# columns) temporary holds about 8192 complex values (128 KiB).
-_BLOCK = 8192
+# Scalar values the memo holds.  One pass of each benchmark workload at
+# seed 1, replayed against an unbounded memo, misses no more at 64 entries:
+# suite 71 misses in 231 calls, sweep_n1 234 in 712, closed_forms 2 885 in
+# 8 760 (it needs 8 entries; suite and sweep_n1 miss 75 and 250 at 16).
+_SCALAR_ENTRIES = 64
 
-# Scalar products the memo holds (about 400 B each).  One closed_forms pass
-# forms 28 680 scalar products from 9852 distinct arguments; 14 982 of the
-# 18 828 repeats come within 128 distinct products of their last use, and
-# 4096 entries would catch 6 more.
-_SCALAR_ENTRIES = 128
+# (row, column) entries of one block of an array's evaluation: a block of
+# _BLOCK_ENTRIES // max_terms elements keeps every temporary, at most
+# max_terms rows of two columns per element, within 2 * _BLOCK_ENTRIES
+# complex values (16 MiB).
+_BLOCK_ENTRIES = 2**19
 
 
 @dataclass(frozen=True)
@@ -99,10 +95,13 @@ class Nomes:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Controls how infinite products are truncated.
+    """Controls how infinite products and series are truncated.
 
-    ``tail_tol``: target bound for the neglected tail sum |p^mu q^nu u|.
-    ``max_terms``: cap on the retained index range per nome direction.
+    ``tail_tol``: tail_tol / max_terms bounds the neglected tail of every
+    truncated sum: the factors |c^k x| a single product (x; c)_inf leaves
+    out, and the terms a Laurent series of log Gamma or log theta leaves out.
+    ``max_terms``: cap on the factors of a single product and the terms K of
+    a series; TruncationError where the bound needs more.
     """
 
     tail_tol: float = 1e-13
@@ -119,176 +118,256 @@ class TruncationPolicy:
 DEFAULT_POLICY = TruncationPolicy()
 
 
-def _rows(u_max: float, p_abs: float, log_q: float | None, tau: float, cap: int) -> list:
-    """Retained nu counts of the mu rows with u_max |p|^mu >= tau, at most cap + 1 rows.
+def _log_den(p: complex, q: complex, outer: float, inner: float, tail_tol: float,
+             max_terms: int) -> np.ndarray:
+    """The denominators k (1 - p^k)(1 - q^k), k = 1..K, of the Laurent series
 
-    Row mu keeps the nu with u_max |p|^mu |q|^nu >= tau (log_q = log|q|, None at
-    q = 0), at most cap + 1 of them.  A kept row has base >= tau, so the
-    quotient of the two logarithms is >= 0 and the count is >= 1.
+        log Gamma(u; p, q) = sum_{k>=1} (u^k - (pq/u)^k) / (k (1 - p^k)(1 - q^k)),
+        log theta(u; p)    = -sum_{k>=1} (u^k + (p/u)^k) / (k (1 - p^k))  (q = 0),
+
+    at |u| <= outer < 1 and |pq/u| (|p/u|) <= inner < 1.  With |1 - p^k| >=
+    1 - |p|, the terms beyond K sum to at most
+    (outer^(K+1)/(1 - outer) + inner^(K+1)/(1 - inner)) / ((K + 1) D),
+    D = (1 - |p|)(1 - |q|), and K is the smallest with that below
+    tail_tol / max_terms; TruncationError where that K exceeds max_terms.
+    The bound below tail_tol / K certifies the same rings (the two agree at
+    K = max_terms), but lets the truncation error reach 3e-14 at K = 3,
+    where this rule keeps it under 2e-16 at the default policy.
     """
-    rows = []
-    base = u_max
-    top = cap + 1
-    while base >= tau and len(rows) < top:
-        k = 1 if log_q is None else math.floor(math.log(tau / base) / log_q) + 1
-        rows.append(k if k < top else top)
-        if p_abs == 0.0:
-            break
-        base *= p_abs
+    D = (1.0 - abs(p)) * (1.0 - abs(q))
+
+    def tail(K):
+        return (outer ** (K + 1) / (1.0 - outer) + inner ** (K + 1) / (1.0 - inner)) / ((K + 1) * D)
+
+    tol = tail_tol / max_terms
+    if tail(max_terms) >= tol:
+        raise TruncationError(
+            f"cannot certify the series tail < {tol} within max_terms={max_terms}",
+            achieved_bound=tail(max_terms),
+        )
+    # the tail falls with K: bisect for the smallest K that certifies
+    lo, K = 0, max_terms
+    while K - lo > 1:
+        mid = (lo + K) // 2
+        lo, K = (lo, mid) if tail(mid) < tol else (mid, K)
+    k = np.arange(1, K + 1)
+    den = k * (1.0 - p**k)
+    return den * (1.0 - q**k) if q else den
+
+
+# A miss forms max_terms powers (17 us on a 2-core Xeon); a hit takes
+# 0.7 us.  One pass of each benchmark workload at seed 1, replayed against
+# an unbounded cache, misses no more at 4 entries: suite 5 misses in 102
+# calls, sweep_n1 3 in 268, closed_forms 913 in 1 683 (915 at one entry).
+@functools.lru_cache(maxsize=4)
+def _base(bits: bytes, tail_tol: float, max_terms: int):
+    """(c, the column of c^k, that of -|c^k|, the factor threshold) of the c in bits.
+
+    The powers, k = 0..max_terms, are formed by repeated multiplication and
+    held read-only.  Factor k of (x; c)_inf is kept where |c^k| reaches
+    threshold / |x|, the threshold being tail_tol / max_terms * (1 - |c|),
+    so the tail past the last kept one is |x| |c|^L / (1 - |c|) <
+    tail_tol / max_terms.
+    """
+    c = complex(*struct.unpack("2d", bits))
+    powers = np.full((max_terms + 1, 1), c)
+    powers[0] = 1.0
+    powers = np.cumprod(powers, axis=0)
+    negated = -np.abs(powers)
+    powers.flags.writeable = negated.flags.writeable = False
+    return c, powers, negated, tail_tol / max_terms * (1.0 - abs(c))
+
+
+def _based(c: complex, limits):
+    """_base of c under limits = (tail_tol, max_terms), c by its bits."""
+    return _base(struct.pack("2d", c.real, c.imag), *limits)
+
+
+def _length(bound: float, base) -> int:
+    """The factors (x; c)_inf keeps at |x| = bound, by the _base rule.
+
+    TruncationError where it would keep more than max_terms.
+    """
+    _, _, negated, tol = base
+    # |c^k| falls with k: the kept factors are those before the first below tol / bound
+    length = int(np.searchsorted(negated[:, 0], -(tol / bound), side="right")) if bound else 0
+    if length == len(negated):
+        c_abs, last = -float(negated[1, 0]), -float(negated[-1, 0])
+        raise TruncationError(
+            f"cannot certify the tail of (x; c)_inf < {tol / (1.0 - c_abs)} "
+            f"within max_terms={len(negated) - 1}",
+            achieved_bound=bound * last / (1.0 - c_abs),
+        )
+    return length
+
+
+def _single(x: np.ndarray, base) -> np.ndarray:
+    """The factors 1 - c^k x of (x; c)_inf, row k, one column per element of x.
+
+    Column i keeps the factors its own |x_i| needs and is padded with exact
+    ones to the longest.  A lone element gets a second column, of x = 0
+    (see _product), which the caller drops.
+    """
+    _, powers, negated, tol = base
+    lone = len(x) == 1
+    if lone:
+        x = np.append(x, 0.0)
+    mags = np.abs(x)
+    rows = _rows(x, powers[: _length(float(mags.max()), base) if len(x) else 0])
+    if not lone:
+        with np.errstate(divide="ignore"):  # x = 0 keeps no factor: tol / 0 = inf
+            rows[negated[: len(rows)] > -(tol / mags)] = 1.0
     return rows
 
 
-@functools.lru_cache(maxsize=64)
-def _plan(p_abs: float, q_abs: float, u_max: float, tail_tol: float, max_terms: int):
-    """Retained index ranges for the double product, plus the tail bound.
+def _rows(x: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """1 - c^k x for the column of c^k in powers, row k, one column per element of x."""
+    rows = powers * x
+    return np.subtract(1.0, rows, out=rows)
 
-    Returns (rows, tail) where rows[mu] is the retained nu count for that mu
-    (a tuple) and tail bounds sum |p^mu q^nu| * u_max over all excluded
-    indices.  Raises TruncationError when max_terms cannot certify
-    tail < tail_tol.  Memoised on the exact arguments, 64 of them: the
-    policy enters as its two numbers, whose tuple hashes in C, not as the
-    dataclass, whose __hash__ runs in Python on every lookup.
-    Callers ask for powers of two (_scaled_plan), so one pass at seed 1
-    asks for 26 distinct plans on sweep_n1 (1024 hits of 1050 calls), 45
-    on the default suite (251 of 296) and 3382 on closed_forms (10 676 of
-    14 058): 64 entries keep every hit an unbounded cache gets.
+
+def _product(rows: np.ndarray) -> np.ndarray:
+    """The product of each column of the C-ordered rows, at least two of them.
+
+    numpy reduces two or more columns over the factor axis in factor order,
+    as a loop over the factors would, so each column gets the bits of its
+    own factors, whatever the others; one column it reduces, and multiplies
+    by a broadcast operand, with other instructions.
     """
-    if u_max == 0.0:
-        return (), 0.0
-    log_q = math.log(q_abs) if q_abs != 0.0 else None
-    tau = tail_tol
-    for _ in range(6):
-        # Estimated retained count at this tau, then the final tau per the
-        # tail_tol / count rule.
-        tau_eff = tail_tol / max(sum(_rows(u_max, p_abs, log_q, tau, max_terms)), 1)
-        rows = _rows(u_max, p_abs, log_q, tau_eff, max_terms)
-        over = len(rows) > max_terms or (rows and rows[0] > max_terms)
-        if over:
-            rows = [min(k, max_terms) for k in rows[:max_terms]]
-        tail = _tail_bound(rows, p_abs, q_abs, u_max)
-        if over:
-            raise TruncationError(
-                f"cannot certify tail < {tail_tol} within max_terms={max_terms}",
-                achieved_bound=tail,
-            )
-        if tail < tail_tol:
-            return tuple(rows), tail
-        tau = tau_eff / 16.0
-    raise TruncationError(
-        f"tail bound refinement did not converge (last bound {tail})",
-        achieved_bound=tail,
+    return np.multiply.reduce(rows, axis=0)
+
+
+def _powers(x: np.ndarray, K: int) -> np.ndarray:
+    """x^k in row k - 1, k = 1..K, one column per element of x (at least two).
+
+    Rows j..2j-1 are rows 0..j-1 times row j - 1 (x^j): log2 K products,
+    each column by its own elements alone.
+    """
+    out = np.empty((K, len(x)), dtype=complex)
+    out[0] = x
+    j = 1
+    while j < K:
+        h = min(j, K - j)
+        np.multiply(out[:h], out[j - 1], out=out[j : j + h])
+        j += h
+    return out
+
+
+def _pole(rows, args, fixed, base_is_p: bool, what: str):
+    """PoleProximityError for the factor of rows nearest 0, if within POLE_TOL.
+
+    Factor k of column i is that of the pole with index k along the single
+    product's base and fixed[i] along the other nome, at the argument args[i].
+    """
+    d = np.abs(rows)
+    if not d.size or d.min() >= POLE_TOL:
+        return
+    k, i = np.unravel_index(int(np.argmin(d)), d.shape)
+    bad = complex(args[i])
+    mu, nu = (int(k), int(fixed[i])) if base_is_p else (int(fixed[i]), int(k))
+    raise PoleProximityError(
+        f"{what}: argument {bad} within {POLE_TOL} (relative) of pole p^-{mu} q^-{nu}",
+        u=bad,
+        mu=mu,
+        nu=nu,
     )
 
 
-def _scale(u_max: float) -> float:
-    """The smallest power of two >= u_max; u_max itself at 0, inf, nan or above 2^1023."""
-    m, e = math.frexp(u_max)
-    return math.ldexp(1.0, e) if 0.5 < m < 1.0 and e <= 1023 else u_max
+# A miss bisects for K and takes _base of b (22 us on a 2-core Xeon); a hit
+# takes 0.4 us.  One pass of each benchmark workload at seed 1, replayed
+# against an unbounded cache, misses no more at 4 entries: suite 3 misses in
+# 62 calls (4 at two entries), sweep_n1 2 in 243, closed_forms 601 in 3 906.
+@functools.lru_cache(maxsize=4)
+def _ring(bits: bytes, tail_tol: float, max_terms: int):
+    """(a, _base of b, beta, log(1/|a|), whether b is p, the series' coefficients).
 
-
-def _scaled_plan(p_abs: float, q_abs: float, u_max: float, tail_tol: float, max_terms: int):
-    """_plan at _scale(u_max), or at u_max when max_terms cannot certify that one.
-
-    The tail bound grows linearly in its u_max, so rows certified at the
-    scale certify every |u| below it.  With the fallback, TruncationError
-    comes only where the plan of u_max fails too.
+    bits packs p and q (pq != 0) as four doubles: Nomes holds them as
+    complex, so their bits are the key, and the policy enters as its two
+    numbers, whose tuple hashes in C.  The coefficients 1/den_k of
+    _log_den are a read-only column.
     """
-    scale = _scale(u_max)
-    try:
-        return _plan(p_abs, q_abs, scale, tail_tol, max_terms)
-    except TruncationError:
-        if scale == u_max:
-            raise
-        return _plan(p_abs, q_abs, u_max, tail_tol, max_terms)
+    pr, pi, qr, qi = struct.unpack("4d", bits)
+    p, q = complex(pr, pi), complex(qr, qi)
+    b_is_p = abs(p) < abs(q)
+    a, b = (q, p) if b_is_p else (p, q)
+    beta = math.sqrt(abs(b))
+    inv = 1.0 / _log_den(p, q, beta, beta, tail_tol, max_terms)[:, None]
+    inv.flags.writeable = False
+    return a, _based(b, (tail_tol, max_terms)), beta, -math.log(abs(a)), b_is_p, inv
 
 
-def _tail_bound(rows, p_abs: float, q_abs: float, u_max: float) -> float:
-    """Analytic bound for sum |p^mu q^nu| * u_max over excluded (mu, nu)."""
-    geo_q = 1.0 / (1.0 - q_abs)
-    tail = 0.0
-    base = u_max
-    for k in rows:
-        if q_abs > 0.0:
-            tail += base * q_abs**k * geo_q
-        base *= p_abs
-    # Rows entirely excluded (mu >= len(rows)).
-    if p_abs > 0.0:
-        tail += u_max * p_abs ** len(rows) / (1.0 - p_abs) * geo_q
-    elif not rows:
-        tail += u_max * geo_q
-    return tail
+def _gamma(u: np.ndarray, p: complex, q: complex, limits, recip: bool = False) -> np.ndarray:
+    """Gamma(u; p, q), or 1/Gamma with ``recip``, for the 1-D array u."""
+    what = "elliptic_gamma_recip" if recip else "elliptic_gamma"
+    pq = p * q
+    if pq == 0:
+        if recip and not u.all():
+            raise DomainError("elliptic_gamma_recip requires u != 0")
+        rows = _single(u, _based(q if p == 0 else p, limits))
+        if not recip:
+            _pole(rows[:, : len(u)], u, np.zeros(len(u), dtype=int), p != 0, what)
+        value = _product(rows)[: len(u)]
+        return value if recip else 1.0 / value
+    if not u.all():
+        raise DomainError(f"{what} requires u != 0" + ("" if recip else " unless p*q = 0"))
+    bits = struct.pack("4d", p.real, p.imag, q.real, q.imag)
+    a, base, beta, log_a, b_is_p, coef = _ring(bits, *limits)
+    # w = a^m u lies in the ring |a| beta <= |w| <= beta, and so does v = pq/w
+    m = np.ceil(np.log(np.abs(u) / beta) / log_a)
+    shifts = np.abs(m)
+    top = float(shifts.max()) if len(u) else 0.0
+    if not math.isfinite(top):  # |u| is inf or nan: no shift reaches the ring
+        raise TruncationError(f"{what}: cannot certify the tail at a non-finite argument",
+                              achieved_bound=math.inf)
+    w = u * a**m
+    v = pq / w
+    # the series, of w and of v
+    n = len(u)
+    terms = _powers(np.concatenate((w, v)), len(coef))
+    terms *= coef
+    sums = terms.sum(axis=0)
+    value = np.exp(sums[n:] - sums[:n] if recip else sums[:n] - sums[n:])
+    if not top:
+        return value
+    # Gamma(u) = Gamma(w) prod_{d=1}^{-m} theta(v a^-d; b) / prod_{d=1}^{m} theta(w a^-d; b):
+    # (x; b)_inf of x = w a^-d vanishes at Gamma's poles, of x = v a^-d at its zeros
+    outer = np.where(m > 0, w, v)
+    divides = (m < 0) if recip else (m > 0)
+    b, powers = base[0], base[1]
+    # (x; b)_inf keeps the factors of |x| <= beta |a|^-d, (b/x; b)_inf those of |b/x| <= beta
+    small = _length(beta, base)
+    every = int(shifts.min())
+    thetas = np.ones(n, dtype=complex)
+    for d in range(1, int(top) + 1):
+        at = slice(None) if d <= every else shifts >= d
+        x = outer[at] * a**-d
+        rows = _rows(np.concatenate((x, b / x)), powers[: _length(beta * math.exp(d * log_a), base)])
+        rows[small:, len(x) :] = 1.0
+        hit = divides[at]
+        if hit.any():
+            near = rows[:, : len(x)] if hit.all() else rows[:, : len(x)][:, hit]
+            if np.abs(near).min() < POLE_TOL:
+                _pole(near, (pq / u if recip else u)[at][hit], (shifts - d)[at][hit], b_is_p, what)
+        values = _product(rows)
+        thetas[at] = thetas[at] * (values[: len(x)] * values[len(x) :])
+    return np.divide(value, thetas, out=value * thetas, where=divides)
 
 
-# Kept beside _prod_array: with 0-d input sent to _prod_array, closed_forms took wall_s
-# 0.671/0.673 s for 0.578/0.615 and setup_s 0.210/0.216 s for 0.163/0.179 (seeds 2/1, 6 s
-# runs, 2-core Xeon, numpy 2.4), even with the coefficient columns held in a memo, and 425
-# of 3000 random products moved in the last bit.  It is reached only on a miss of the
-# scalar memo (_memo_scalar): one closed_forms pass calls it 13 698 times for 28 680
-# scalar products.
-def _prod_scalar(u: complex, p: complex, q: complex, rows) -> complex:
-    acc = 1.0 + 0.0j
-    pm = 1.0 + 0.0j
-    for k in rows:
-        c = pm
-        for _ in range(k):
-            acc *= 1.0 - c * u
-            c *= q
-        pm *= p
-    return acc
+def _recip(u: np.ndarray, p: complex, q: complex, limits) -> np.ndarray:
+    return _gamma(u, p, q, limits, recip=True)
 
 
-def _coefficients(p: complex, q: complex, rows) -> np.ndarray:
-    """The retained p^mu q^nu in (mu, nu) order, by _prod_scalar's recurrence."""
-    out = []
-    pm = 1.0 + 0.0j
-    for k in rows:
-        c = pm
-        for _ in range(k):
-            out.append(c)
-            c *= q
-        pm *= p
-    return np.array(out, dtype=complex)
+def _theta(u: np.ndarray, p: complex, _, limits) -> np.ndarray:
+    """theta(u; p) for the 1-D array u (the third argument is unused)."""
+    if not u.all():
+        raise DomainError("theta(u; p) requires u != 0")
+    values = _product(_single(np.concatenate((u, p / u)), _based(p, limits)))
+    return values[: len(u)] * values[len(u) :]
 
 
-def _prod_array(u: np.ndarray, p: complex, q: complex, rows) -> np.ndarray:
-    c = _coefficients(p, q, rows)[:, None]
-    if not len(c):
-        return np.ones(u.shape, dtype=complex)
-    flat = u.reshape(-1)
-    acc = np.empty(flat.shape, dtype=complex)
-    # Equal blocks of at least two columns: numpy multiplies a lone column
-    # with other instructions than a longer run, which can change the last bit.
-    blocks = max(1, flat.size // max(2, _BLOCK // len(c)))
-    edges = [flat.size * b // blocks for b in range(blocks + 1)]
-    for lo, hi in zip(edges, edges[1:]):
-        factors = c * flat[lo:hi]
-        np.subtract(1.0, factors, out=factors)
-        np.multiply.reduce(factors, axis=0, out=acc[lo:hi])
-    return acc.reshape(u.shape)
-
-
-def _direct(arr: np.ndarray, p: complex, q: complex, policy: TruncationPolicy,
-            what: str | None):
-    """The product of _poch for an array of at least one dimension."""
-    u_max = float(np.abs(arr).max()) if arr.size else 0.0
-    rows, _ = _scaled_plan(abs(p), abs(q), u_max, policy.tail_tol, policy.max_terms)
-    if what is not None:
-        _pole_scan(arr, u_max, p, q, rows, what)
-    return _prod_array(arr, p, q, rows)
-
-
-def _direct_scalar(z: complex, p: complex, q: complex, tail_tol: float, max_terms: int,
-                   what: str | None) -> complex:
-    """The product of _poch for a Python complex z, without the memo.
-
-    |z| is taken by np.abs, as for an array: Python's abs() can differ in
-    the last bit, and u_max selects the plan.
-    """
-    u_max = float(np.abs(z))
-    rows, _ = _scaled_plan(abs(p), abs(q), u_max, tail_tol, max_terms)
-    if what is not None:
-        _pole_scan(np.array([z]), u_max, p, q, rows, what)
-    return _prod_scalar(z, p, q, rows)
+def _qpoch(u: np.ndarray, _, q: complex, limits) -> np.ndarray:
+    """(u; q)_inf for the 1-D array u (the second argument is unused)."""
+    return _product(_single(u, _based(q, limits)))[: len(u)]
 
 
 def _unpack(bits: bytes):
@@ -298,101 +377,45 @@ def _unpack(bits: bytes):
 
 
 @functools.lru_cache(maxsize=_SCALAR_ENTRIES)
-def _scalar(bits: bytes, tail_tol: float, max_terms: int, what: str | None) -> complex:
-    """_direct_scalar of the z, p and q that _memo_scalar packed into bits."""
-    return _direct_scalar(*_unpack(bits), tail_tol, max_terms, what)
+def _scalar(f, bits: bytes, tail_tol: float, max_terms: int) -> complex:
+    """f at the u, p and q packed in bits, as a one-element array, as a Python complex."""
+    u, p, q = _unpack(bits)
+    return f(np.array([u]), p, q, (tail_tol, max_terms)).item()
 
 
-def _memo_scalar(z: complex, p: complex, q: complex, policy: TruncationPolicy,
-                 what: str | None):
-    """_direct_scalar(z, ...), from _scalar's cache when held.
+def _evaluate(f, u, p, q, policy: TruncationPolicy | None):
+    """f(u, p, q, the policy's two numbers) in the shape of u, a scalar via _scalar's cache.
 
-    The product reads u only as that complex, so its bits are the key of u.
-    A float nome enters the products' arithmetic, Python's and numpy's
-    alike, only as complex(x, +0.0), so the bits of p and q are their key
-    and no type is.  The policy enters as its two numbers (see _plan).  An
-    error stores nothing and is raised again.
+    An array is evaluated in blocks of _BLOCK_ENTRIES // max_terms
+    elements.  f reads u, p and q only as complex numbers, so their bits
+    are the key (a float nome meets the arithmetic only as complex(x, +0.0)),
+    and the policy enters as its two numbers, whose tuple hashes in C, not
+    as the dataclass, whose __hash__ runs in Python.  An error stores
+    nothing and is raised again.
     """
-    bits = struct.pack("6d", z.real, z.imag, p.real, p.imag, q.real, q.imag)
-    return _scalar(bits, policy.tail_tol, policy.max_terms, what)
-
-
-def _operand(u):
-    """u as a complex array, or as a Python complex when it is 0-d.
-
-    A Python complex divides in under 0.1 us, a 0-d array in 0.9 us
-    (2-core Xeon, numpy 2.4).
-    """
-    arr = np.asarray(u, dtype=complex)
-    return arr.item() if arr.ndim == 0 else arr
-
-
-def _poch(u, p: complex, q: complex, policy: TruncationPolicy | None, what: str | None = None):
-    """(u; p, q)_inf under the plan of _scale(max|u|), the path of every q-product.
-
-    A scalar u gives a Python complex, an array an array of its shape.  With
-    ``what`` (the caller's name, for the message) an argument within
-    POLE_TOL of a zero of the product raises PoleProximityError first.  A
-    scalar product repeated within the last _SCALAR_ENTRIES distinct ones is
-    the held value of the same path, so it has the same bits.
-    """
-    u = u if type(u) is complex else _operand(u)
-    if type(u) is complex:
-        return _memo_scalar(u, p, q, policy or DEFAULT_POLICY, what)
-    return _direct(u, p, q, policy or DEFAULT_POLICY, what)
-
-
-def _quotient(top, bottom, nomes: Nomes, policy: TruncationPolicy | None, what: str):
-    """(top; p, q)_inf / (bottom; p, q)_inf, scanning bottom for poles as ``what``.
-
-    Scalars take two _poch calls, bottom first.  Arrays of one shape take
-    one _prod_array call over both, under the plan of the scale of the
-    larger of their maxima; bottom is scanned at its own maximum.
-
-    The shared plan multiplies more factor x point products than a plan per
-    side (4.22 M against 3.57 M on one sweep_n1 pass) but is kept, because
-    each side truncated on its own loses accuracy in the quotient: planned
-    per side, 29 of the default suite's 30 reports moved, its median margin
-    against tol fell from 10^7.66 to 10^7.46, and the rank-1 nabla and rank-2
-    pinch_limit rel_err rose from 5.4e-16 and 8.5e-16 to 1.7e-14 and 1.1e-14.
-    """
-    p, q = nomes.p, nomes.q
-    if isinstance(bottom, complex):
-        den = _poch(bottom, p, q, policy, what)
-        return _poch(top, p, q, policy) / den
-    args = np.concatenate((top.reshape(-1), bottom.reshape(-1)))
-    mags = np.abs(args)
-    hi = float(mags.max()) if args.size else 0.0
     policy = policy or DEFAULT_POLICY
-    rows, _ = _scaled_plan(abs(p), abs(q), hi, policy.tail_tol, policy.max_terms)
-    # below 1 - 1e-9 no factor can reach a pole, and the scan returns at once
-    bottom_max = float(mags[top.size:].max()) if hi >= 1.0 - 1e-9 else hi
-    _pole_scan(bottom, bottom_max, p, q, rows, what)
-    both = _prod_array(args, p, q, rows)
-    return (both[: top.size] / both[top.size:]).reshape(top.shape)
+    arr = np.asarray(u, dtype=complex)
+    if arr.ndim:
+        flat, limits = arr.reshape(-1), (policy.tail_tol, policy.max_terms)
+        step = max(1, _BLOCK_ENTRIES // policy.max_terms)
+        out = np.empty_like(flat)
+        for i in range(0, len(flat), step):
+            out[i : i + step] = f(flat[i : i + step], p, q, limits)
+        return out.reshape(arr.shape)
+    u = arr.item()
+    bits = struct.pack("6d", u.real, u.imag, p.real, p.imag, q.real, q.imag)
+    return _scalar(f, bits, policy.tail_tol, policy.max_terms)
 
 
 def qpoch_inf(u, q: complex, policy: TruncationPolicy | None = None):
     """Single infinite q-Pochhammer product (u; q)_inf.
 
-    Truncated so the certified bound on the neglected tail sum_{k>K} |q^k u|
-    stays below the policy's tail_tol.
+    Truncated so the certified bound on the neglected tail sum_{k>=L} |q^k u|
+    stays below the policy's tail_tol / max_terms.
     """
     if abs(q) >= 1:
         raise DomainError(f"qpoch_inf requires |q| < 1, got {abs(q)}")
-    return _poch(u, 0.0, q, policy)
-
-
-def _has_zero(u) -> bool:
-    """Whether u, a Python complex or a complex array, is or holds 0.
-
-    A Python complex compares in about 0.1 us, and an array's all() takes
-    1.7 us at 256 points where np.any(u == 0) takes 4.9 us (2-core Xeon,
-    numpy 2.4).
-    """
-    if type(u) is complex:
-        return u == 0
-    return not u.all()
+    return _evaluate(_qpoch, u, 0j, q, policy)
 
 
 def theta(u, p: complex, policy: TruncationPolicy | None = None):
@@ -400,81 +423,27 @@ def theta(u, p: complex, policy: TruncationPolicy | None = None):
 
     Degenerates to 1 - u at p = 0.  Requires u != 0.
     """
-    u = _operand(u)
-    if _has_zero(u):
-        raise DomainError("theta(u; p) requires u != 0")
-    return qpoch_inf(u, p, policy) * qpoch_inf(p / u, p, policy)
-
-
-def _pole_scan(arr: np.ndarray, hi: float, p: complex, q: complex, rows, what: str):
-    """Raise PoleProximityError if any element of arr has p^mu q^nu * arr near 1.
-
-    hi is max|arr|.  |p^mu q^nu| falls along a row and down the rows, so a
-    row ends at its first factor with |p^mu q^nu| hi < 1 - 1e-9 and the scan
-    at the first row whose nu = 0 factor does; below hi = 1 - 1e-9 no factor
-    can reach a pole.
-    """
-    if not arr.size or hi < 1.0 - 1e-9:
-        return
-    lo = float(np.min(np.abs(arr)))
-    pm = 1.0 + 0.0j
-    for mu, k in enumerate(rows):
-        if abs(pm) * hi < 1.0 - 1e-9:
-            return
-        c = pm
-        for nu in range(k):
-            ca = abs(c)
-            if ca * hi < 1.0 - 1e-9:
-                break
-            if lo == 0.0 or ca * lo <= 1.0 + 1e-9:
-                d = np.abs(1.0 - c * arr)
-                j = int(np.argmin(d))
-                if d.flat[j] < POLE_TOL:
-                    bad = complex(arr.flat[j])
-                    raise PoleProximityError(
-                        f"{what}: argument {bad} within {POLE_TOL} (relative) of pole "
-                        f"p^-{mu} q^-{nu}",
-                        u=bad,
-                        mu=mu,
-                        nu=nu,
-                    )
-            c *= q
-        pm *= p
+    return _evaluate(_theta, u, p, 0j, policy)
 
 
 def elliptic_gamma(u, nomes: Nomes, policy: TruncationPolicy | None = None):
-    """Elliptic gamma function Gamma(u; p, q) = (pq/u; p, q)_inf / (u; p, q)_inf.
+    """Elliptic gamma function Gamma(u; p, q).
 
     Poles sit at u = p^-mu q^-nu (mu, nu >= 0); arguments within POLE_TOL
     (relative) of a pole raise PoleProximityError.  At p = 0 this degenerates
     to 1 / (u; q)_inf.
     """
-    u = _operand(u)
-    pq = nomes.pq
-    if not _has_zero(u):
-        num_arg = pq / u
-    elif pq != 0:
-        raise DomainError("elliptic_gamma requires u != 0 unless p*q = 0")
-    elif type(u) is complex:
-        # Gamma(0; p, q) with pq = 0 is 1/(0; .)_inf = 1; avoid 0/0 in pq/u.
-        num_arg = 0j
-    else:
-        num_arg = np.zeros_like(u)
-        nz = u != 0
-        num_arg[nz] = pq / u[nz]
-    return _quotient(num_arg, u, nomes, policy, "elliptic_gamma")
+    return _evaluate(_gamma, u, nomes.p, nomes.q, policy)
 
 
 def elliptic_gamma_recip(u, nomes: Nomes, policy: TruncationPolicy | None = None):
     """1 / Gamma(u; p, q), safe at the poles of Gamma (where it is simply 0).
 
     Raises PoleProximityError only near the zeros of Gamma, i.e. near
-    u = p^(mu+1) q^(nu+1), which are the poles of the reciprocal.
+    u = p^(mu+1) q^(nu+1), which are the poles of the reciprocal; the
+    error names the argument pq/u, which sits at p^-mu q^-nu.
     """
-    u = _operand(u)
-    if _has_zero(u):
-        raise DomainError("elliptic_gamma_recip requires u != 0")
-    return _quotient(u, nomes.pq / u, nomes, policy, "elliptic_gamma_recip")
+    return _evaluate(_recip, u, nomes.p, nomes.q, policy)
 
 
 def theta_pm(a: complex, z, p: complex, policy: TruncationPolicy | None = None):
@@ -486,9 +455,9 @@ def _gamma_product(args, nomes: Nomes, policy: TruncationPolicy | None = None,
                    recip: bool = False) -> complex:
     """prod Gamma(u) over the list args (1/Gamma(u) with ``recip``).
 
-    One array call, so one product under one truncation plan (that of the
-    power of two at or above the largest |u| and |pq/u|, so every factor's
-    tail stays below tail_tol), multiplied in list order.
+    One array call, multiplied in list order.  Each value is that of its
+    argument alone: its series tail and the tails of its theta corrections
+    are each below tail_tol / max_terms.
     """
     values = (elliptic_gamma_recip if recip else elliptic_gamma)(
         np.array(args, dtype=complex), nomes, policy

@@ -4,8 +4,8 @@ Each formula here restates a quantity the package computes another way
 (the reflected kernel, the q-shift ratios in closed theta form, the closed
 E_0/E_n, the phi test functions of the nabla image, the Gamma residue, the
 pinch limits as numerical limits), so the tests can check the package
-against it; the double product (u; p, q)_inf and Gamma(a z^{+-1}), which
-the oracle tests check, are the package's own products.  Unlike
+against it; Gamma(a z^{+-1}), which the oracle tests check, is the
+package's own product.  Unlike
 :mod:`oracles`, these are built from the package's own theta/Gamma
 evaluators at double precision.
 """
@@ -16,12 +16,7 @@ from ellselberg import DomainError, Nomes, ParameterSet, TruncationPolicy
 from ellselberg.integrand import _bc_kernel, _z_list
 from ellselberg.invariants import _theta_den, fundamental_invariant
 from ellselberg.kernel import GAMMA, RECIP, evaluate, pm
-from ellselberg.qseries import _euler_pair, _poch, elliptic_gamma, theta, theta_pm
-
-
-def double_poch_inf(u, nomes: Nomes, policy: TruncationPolicy | None = None):
-    """Double infinite product (u; p, q)_inf = prod_{mu,nu>=0} (1 - p^mu q^nu u)."""
-    return _poch(u, nomes.p, nomes.q, policy)
+from ellselberg.qseries import _euler_pair, elliptic_gamma, theta, theta_pm
 
 
 def gamma_pm(a: complex, z, nomes: Nomes, policy: TruncationPolicy | None = None):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellselberg import Nomes, elliptic_gamma, theta
+from ellselberg import Nomes, TruncationError, TruncationPolicy, elliptic_gamma, theta
 from ellselberg.cli import format_complex, main, parse_complex
 from ellselberg.scenarios import SUITE_ROWS, run_row
 
@@ -65,6 +65,27 @@ class TestEvalTargets:
         assert parse_complex(out) == pytest.approx(
             elliptic_gamma(0.4 + 0.2j, Nomes(0.05, 0.07))
         )
+
+    # oracles.ogamma(0.4+0.2i, 0.9, 0.85, side=420) at 40 digits; the factors
+    # it leaves out move it by under 0.9^420 / 0.15, about 4e-19
+    LARGE_NOMES_GAMMA = 4.633704994954818e-34 - 1.7014382595609723e-32j
+
+    def test_gamma_at_large_nomes(self, capsys):
+        # the series keeps 461 terms at beta = sqrt(0.85), within max_terms
+        code, out = self.run(
+            ["eval", "gamma", "--u", "0.4+0.2i", "--p", "0.9", "--q", "0.85"], capsys
+        )
+        assert code == 0
+        want = self.LARGE_NOMES_GAMMA
+        assert abs(parse_complex(out) - want) <= 1e-12 * abs(want)
+
+    def test_gamma_at_large_nomes_past_max_terms(self, capsys):
+        with pytest.raises(TruncationError):
+            elliptic_gamma(0.4 + 0.2j, Nomes(0.9, 0.85), TruncationPolicy(max_terms=8))
+        code = main(["eval", "gamma", "--u", "0.4+0.2i", "--p", "0.9", "--q", "0.85",
+                     "--max-terms", "8"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_theta(self, capsys):
         code, out = self.run(["eval", "theta", "--u", "0.3-0.12i", "--p", "0.05"], capsys)

@@ -19,7 +19,6 @@ from ellselberg import (
     fundamental_invariant,
     psi,
     psi_tilde,
-    qseries,
     run_suite,
 )
 from ellselberg import kernel
@@ -176,27 +175,30 @@ def test_parameter_on_grid_phase_raises_on_both_paths(n, phase):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Points evaluated by the array product or as series tables, one total
-    per entry."""
+    """Points evaluated by the qseries evaluators or as series tables, one
+    total per entry."""
     counted = []
-    prod_array, laurent = qseries._prod_array, kernel._laurent
+    laurent = kernel._laurent
 
-    def counting(u, p, q, rows):
-        counted[-1] += u.size
-        return prod_array(u, p, q, rows)
+    def counting(f):
+        def wrapped(u, *args):
+            counted[-1] += np.size(u)
+            return f(u, *args)
+        return wrapped
 
     def counting_series(series, N):
         counted[-1] += N
         return laurent(series, N)
 
-    monkeypatch.setattr(qseries, "_prod_array", counting)
+    for name in ("elliptic_gamma", "elliptic_gamma_recip", "theta"):
+        monkeypatch.setattr(kernel, name, counting(getattr(kernel, name)))
     monkeypatch.setattr(kernel, "_laurent", counting_series)
     return counted
 
 
 def test_rank2_lattice_work_grows_linearly(counted):
     # a silent fallback to the pointwise path would pass every numeric test
-    # above; here it shows as O(N^2) product work
+    # above; here it shows as O(N^2) evaluation work
     ps = pq_set(2)
     for N in (64, 128):
         grid = QuadratureGrid(2, N).nodes()
@@ -268,7 +270,7 @@ def test_pole_error_is_raised_again_and_stores_nothing():
             evaluate(factors, grid, NM)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
-    # no table; the circle's route (the products) is held with its series
+    # no table; the circle's route (the qseries evaluators) is held with its series
     assert kernel._table.cache_info().currsize == 0
     assert kernel._series.cache_info()[:2] == (1, 1)  # hits, misses
 
@@ -276,7 +278,7 @@ def test_pole_error_is_raised_again_and_stores_nothing():
 # One factor of each kind; "pair" is a rank-2 group.  Each case runs with
 # its constants c multiplied by each of CIRCLE_SCALES: "1", "q" and
 # "turned" keep every Gamma, 1/Gamma and theta circle inside its annulus
-# (the series route), "out" and "in" put each outside (the products).
+# (the series route), "out" and "in" put each outside (the qseries evaluators).
 CIRCLE_FACTORS = {
     "gamma": (1, [Factor(GAMMA, 0.61 * np.exp(0.4j), ((0, 1),))]),
     "recip": (1, [Factor(RECIP, 0.3 + 0.1j, ((0, -2),))]),
@@ -386,7 +388,7 @@ def test_pole_on_an_odd_node_raises_and_stores_nothing():
 
 def test_rank1_ladder_builds_each_series_once_and_runs_no_product_for_it(monkeypatch):
     # the series do not depend on N: a ladder from 16 to 512 computes each
-    # once, and the products evaluate only the circles off the series route
+    # once, and the qseries evaluators take only the circles off the series route
     ps = pq_set(1)
     products = []
     apply = kernel._apply
@@ -399,7 +401,7 @@ def test_rank1_ladder_builds_each_series_once_and_runs_no_product_for_it(monkeyp
     for N in LADDER:
         psi_tilde(QuadratureGrid(1, N).nodes(), ps, NM)
     # |p a_6| = 0.0038 lies inside |pq| = 0.006, so Gamma(p a_6 w) takes
-    # the products, as does the Weyl factor's 1/Gamma(w)
+    # the qseries evaluators, as does the Weyl factor's 1/Gamma(w)
     off = {(RECIP, 1.0), (GAMMA, complex(NM.p * ps.a[5]))}
     assert sorted(products) == sorted((kind, c, N) for kind, c in off for N in LADDER)
     # seven circles, each route decided and each series built once
@@ -413,7 +415,7 @@ def test_rank1_ladder_reads_each_mirror_from_its_factors_table(counted, monkeypa
     # pointwise, a Psi ladder from 16 to 512 evaluates its 14 functions of
     # z on every node; Gamma(a_m / z) and 1/Gamma(z^-2) read the tables of
     # Gamma(a_m w) and 1/Gamma(w), so the lattice ladder evaluates 7 tables,
-    # on the series route and on the products alike
+    # on the series route and off it alike
     ps, rungs = pq_set(1), [QuadratureGrid(1, N).nodes() for N in LADDER]
     for route in ("series", "products"):
         if route == "products":
@@ -450,8 +452,7 @@ def oracle(kind, u, nomes):
 def test_circle_tables_match_the_oracle(name, kind):
     # random circles across the annulus, one deep in the series route, and
     # circles within 1e-3 of each edge (at an inner edge 0, |c| = 1e-3).
-    # A series table is held to 1e-14; a product table to its certified
-    # tail, tail_tol = 1e-13, which theta near |c| = 0.999 reaches 1.0e-14 of.
+    # Every table is held to 1e-14, on the series route and off it.
     nomes = ORACLE_NOMES[name]
     inner = abs(nomes.p if kind == THETA else nomes.pq)
     rng = np.random.default_rng(7)
@@ -461,12 +462,11 @@ def test_circle_tables_match_the_oracle(name, kind):
     for r in radii:
         c = complex(r * np.exp(2j * np.pi * rng.uniform()))
         routes.append(series_of(kind, c, nomes) is not None)
-        bound = 1e-14 if routes[-1] else DEFAULT_POLICY.tail_tol
         for N in (16, 64, 512):
             table = kernel._on_circle(kind, c, N, nomes, None)
             for m in rng.choice(N, 2, replace=False):
                 want = oracle(kind, mp.mpc(c) * mp.expjpi(mp.mpf(2 * int(m)) / N), nomes)
-                assert abs(table[m] - want) <= bound * abs(want), (r, N, m)
+                assert abs(table[m] - want) <= 1e-14 * abs(want), (r, N, m)
     assert routes[3] and not routes[4] and routes[5] == (inner == 0)
 
 
@@ -476,7 +476,7 @@ def test_circles_max_terms_cannot_certify_take_the_products(kind):
     assert series_of(kind, c) is None
     table = kernel._on_circle(kind, c, 64, NM, None)
     assert table.tobytes() == kernel._apply(kind, kernel._circle(64, c), NM, None).tobytes()
-    # max_terms = 8 certifies neither a series nor a product plan
+    # max_terms = 8 certifies neither the circle's series nor the evaluators'
     tight = TruncationPolicy(max_terms=8)
     c = 0.3 * np.exp(0.3j)
     assert series_of(kind, c, policy=tight) is None
@@ -492,7 +492,7 @@ def test_circles_max_terms_cannot_certify_take_the_products(kind):
 @pytest.mark.parametrize("kind,c", [(GAMMA, 1 - 1e-13), (RECIP, NM.pq.real * (1 + 1e-13))])
 def test_pole_inside_the_annulus_takes_the_products_and_raises(kind, c):
     # a node within POLE_TOL of a pole or zero on the annulus edge: no K can
-    # certify the series there, and the products' pole scan raises
+    # certify the series there, and the evaluators' pole scan raises
     node = np.exp(2j * np.pi * 3 / 16)
     c = c / node
     assert series_of(kind, c) is None

@@ -1,6 +1,7 @@
 """Scalar q-series building blocks against brute-force references and
 their functional equations."""
 
+import functools
 import math
 import struct
 
@@ -33,7 +34,6 @@ from ellselberg.residues import cn_recurrence_check
 from ellselberg.scenarios import _da_closed
 
 import oracles
-from references import double_poch_inf
 
 # Frozen from oracles.py at 40 digits (direct partial products).
 QPOCH_CASES = (
@@ -49,9 +49,6 @@ GAMMA_CASES = (
     ((0.4 + 0.2j), 0.05, 0.07, (1.5524866975167495 + 0.5714898619590463j)),
     ((-0.62 + 0.31j), (0.1 + 0.04j), (0.12 - 0.03j), (0.5065100254052423 + 0.1410098786443162j)),
     ((1.9 - 0.8j), 0.05, 0.12, (-1.0617422093886837 - 0.6307798777884326j)),
-)
-DOUBLE_CASES = (
-    ((0.55 + 0.3j), 0.08, (0.1 - 0.05j), (0.3860925941743006 - 0.2719728942527079j)),
 )
 
 
@@ -80,11 +77,6 @@ def test_theta_frozen(u, p, expected):
 @pytest.mark.parametrize("u,p,q,expected", GAMMA_CASES)
 def test_gamma_frozen(u, p, q, expected):
     assert rel(elliptic_gamma(u, Nomes(p, q)), expected) < 1e-13
-
-
-@pytest.mark.parametrize("u,p,q,expected", DOUBLE_CASES)
-def test_double_poch_frozen(u, p, q, expected):
-    assert rel(double_poch_inf(u, Nomes(p, q)), expected) < 1e-13
 
 
 def test_qpoch_zero_base():
@@ -215,7 +207,6 @@ def test_array_matches_scalar():
     nm = Nomes(0.07 + 0.02j, 0.11)
     evaluators = (
         lambda u: qpoch_inf(u, nm.q),
-        lambda u: double_poch_inf(u, nm),
         lambda u: elliptic_gamma(u, nm),
         lambda u: elliptic_gamma_recip(u, nm),
         lambda u: theta(u, nm.p),
@@ -232,7 +223,6 @@ def test_scalar_input_returns_python_complex():
     u = 0.37 - 0.21j
     values = (
         qpoch_inf(u, nm.q),
-        double_poch_inf(u, nm),
         elliptic_gamma(u, nm),
         elliptic_gamma_recip(u, nm),
         theta(u, nm.p),
@@ -257,6 +247,18 @@ def test_truncation_policy_guardrails():
         TruncationPolicy(max_terms=0)
 
 
+@pytest.mark.parametrize("u", [complex("nan"), complex("inf"), complex(1.0, float("nan"))])
+def test_non_finite_arguments_raise_truncation_error(u):
+    # no truncation certifies a tail at |u| = inf or nan: every evaluator
+    # raises the package's error, scalar or array, at nomes with pq = 0 too
+    for nm in (Nomes(0.05, 0.12), Nomes(0.0, 0.12)):
+        for f in (lambda x: qpoch_inf(x, nm.q), lambda x: theta(x, nm.q),
+                  lambda x: elliptic_gamma(x, nm), lambda x: elliptic_gamma_recip(x, nm)):
+            for arg in (u, np.array([0.5, u])):
+                with pytest.raises(TruncationError):
+                    f(arg)
+
+
 @settings(max_examples=25)
 @given(points(), nomes_pairs())
 def test_tighter_policy_refines(u, nomes):
@@ -265,23 +267,16 @@ def test_tighter_policy_refines(u, nomes):
     assert rel(loose, tight) < 1e-5
 
 
-def prod_loop(u, p, q, rows):
-    """The factor-by-factor array product: the reference _prod_array must
-    reproduce bit for bit."""
-    acc = np.ones(u.shape, dtype=complex)
-    pm = 1.0 + 0.0j
-    for k in rows:
-        c = pm
-        for _ in range(k):
-            acc *= 1.0 - c * u
-            c *= q
-        pm *= p
+def prod_loop(rows):
+    """The factor-by-factor product of each column: the reference _product
+    must reproduce bit for bit."""
+    acc = rows[0].copy()
+    for row in rows[1:]:
+        acc = acc * row
     return acc
 
 
-PROD_ROWS = (40, 30, 20, 10, 4)  # 104 factors
-PROD_WIDTH = qseries._BLOCK // sum(PROD_ROWS)  # columns of one block
-PROD_NOMES = (0.05 + 0.02j, 0.12 - 0.03j)
+PROD_BASE = 0.12 - 0.03j
 
 
 def random_points(shape, seed):
@@ -291,14 +286,17 @@ def random_points(shape, seed):
     return u.reshape(shape)
 
 
-@pytest.mark.parametrize(
-    "M",
-    [1, 2, 3, 17, PROD_WIDTH - 1, PROD_WIDTH, PROD_WIDTH + 1, 2 * PROD_WIDTH + 1, 4096, 32768],
-)
+def factor_rows(u):
+    return qseries._single(u, qseries._based(PROD_BASE, LIMITS))
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 17, 77, 78, 79, 157, 4096, 32768])
 def test_prod_array_is_the_factor_loop_bitwise(M):
-    u = random_points((M,), M)
-    got = qseries._prod_array(u, *PROD_NOMES, PROD_ROWS)
-    assert got.tobytes() == prod_loop(u, *PROD_NOMES, PROD_ROWS).tobytes()
+    # every column of the array product is the loop over its own factors,
+    # whatever the number of columns (a lone one is paired with x = 0)
+    rows = factor_rows(random_points((M,), M))
+    assert rows.shape[1] == max(M, 2)
+    assert qseries._product(rows).tobytes() == prod_loop(rows).tobytes()
 
 
 @pytest.mark.parametrize("transpose", [False, True], ids=["c_order", "transposed"])
@@ -306,39 +304,43 @@ def test_prod_array_keeps_the_shape_of_2d_input(transpose):
     u = random_points((48, 64), 7)
     if transpose:
         u = u.T
-    got = qseries._prod_array(u, *PROD_NOMES, PROD_ROWS)
-    assert got.shape == u.shape
-    assert got.tobytes() == prod_loop(u, *PROD_NOMES, PROD_ROWS).tobytes()
+    nm = Nomes(0.07 + 0.02j, 0.11)
+    for f in (lambda x: qpoch_inf(x, nm.q), lambda x: theta(x, nm.p),
+              lambda x: elliptic_gamma(x, nm), lambda x: elliptic_gamma_recip(x, nm)):
+        got = f(u)
+        assert got.shape == u.shape
+        assert got.tobytes() == f(np.ascontiguousarray(u).reshape(-1)).reshape(u.shape).tobytes()
 
 
 def test_prod_array_single_row_and_empty_input():
+    # at c = 0 each column is the single factor 1 - x, exactly
     u = random_points((5, 3), 11)
-    got = qseries._prod_array(u, 0.0, 0.3 + 0.1j, (25,))
-    assert got.tobytes() == prod_loop(u, 0.0, 0.3 + 0.1j, (25,)).tobytes()
-    empty = qseries._prod_array(u, *PROD_NOMES, ())
-    assert empty.shape == u.shape
-    assert np.all(empty == 1.0)
-    assert qseries._prod_array(u[:0], *PROD_NOMES, PROD_ROWS).shape == (0, 3)
+    assert np.array_equal(qpoch_inf(u, 0.0), 1.0 - u)
+    assert np.array_equal(theta(u, 0.0), 1.0 - u)
+    for f in (lambda x: qpoch_inf(x, 0.3), lambda x: theta(x, 0.3),
+              lambda x: elliptic_gamma(x, Nomes(0.05, 0.12))):
+        assert f(u[:0]).shape == (0, 3)
 
 
 @pytest.fixture
 def scalar_memo():
-    """The scalar product memo, emptied."""
+    """The scalar memo, emptied."""
     qseries._scalar.cache_clear()
     return qseries._scalar
 
 
 @pytest.fixture
 def scalar_products(monkeypatch):
-    """The arguments (u, p, q, rows) of every _prod_scalar call, in call order."""
+    """The arguments (f, u, p, q, limits) of every evaluation the scalar memo
+    asks of the array path, in call order."""
     seen = []
-    prod_scalar = qseries._prod_scalar
+    scalar = qseries._scalar.__wrapped__
 
-    def counting(u, p, q, rows):
-        seen.append((bits(u), bits(p), bits(q), rows))
-        return prod_scalar(u, p, q, rows)
+    def counting(f, bits, tail_tol, max_terms):
+        seen.append((f, bits, tail_tol, max_terms))
+        return scalar(f, bits, tail_tol, max_terms)
 
-    monkeypatch.setattr(qseries, "_prod_scalar", counting)
+    monkeypatch.setattr(qseries, "_scalar", functools.lru_cache(qseries._SCALAR_ENTRIES)(counting))
     return seen
 
 
@@ -346,76 +348,64 @@ def bits(x):
     return struct.pack("dd", x.real, x.imag)
 
 
-def direct(u, p, q, policy=None, what=None):
-    """The scalar product without the memo."""
-    policy = policy or TruncationPolicy()
-    return qseries._direct_scalar(complex(u), p, q, policy.tail_tol, policy.max_terms, what)
+def direct(f, u, policy=None):
+    """The value of the evaluator f at u as a one-element array, without the memo."""
+    return complex(f(np.array([u], dtype=complex), policy)[0])
 
 
 SCALAR_NOMES = Nomes(0.07 + 0.02j, 0.11)
+SCALAR_EVALUATORS = (
+    lambda u, policy=None: qpoch_inf(u, SCALAR_NOMES.q, policy),
+    lambda u, policy=None: elliptic_gamma(u, SCALAR_NOMES, policy),
+    lambda u, policy=None: elliptic_gamma_recip(u, SCALAR_NOMES, policy),
+    lambda u, policy=None: theta(u, SCALAR_NOMES.p, policy),
+)
 
 
-def test_scalar_memo_hit_is_the_cold_value_bitwise(scalar_memo, scalar_products, monkeypatch):
-    calls = []
-    memo_scalar = qseries._memo_scalar
-
-    def recording(z, p, q, policy, what):
-        calls.append((z, p, q, policy, what, memo_scalar(z, p, q, policy, what)))
-        return calls[-1][-1]
-
-    monkeypatch.setattr(qseries, "_memo_scalar", recording)
+def test_scalar_memo_hit_is_the_cold_value_bitwise(scalar_products):
     u = 0.37 - 0.21j
-    evaluators = (
-        lambda: qpoch_inf(u, SCALAR_NOMES.q),
-        lambda: double_poch_inf(u, SCALAR_NOMES),
-        lambda: elliptic_gamma(u, SCALAR_NOMES),
-        lambda: elliptic_gamma_recip(u, SCALAR_NOMES),
-        lambda: theta(u, SCALAR_NOMES.p),
-    )
-    for f in evaluators:
-        cold = f()
+    for f in SCALAR_EVALUATORS:
+        cold = f(u)
         formed = len(scalar_products)
-        warm = f()
-        assert len(scalar_products) == formed  # every product came from the memo
+        warm = f(u)
+        assert len(scalar_products) == formed  # the value came from the memo
         assert type(warm) is type(cold) is complex
-        assert np.array(warm).tobytes() == np.array(cold).tobytes()
-    # each value, held or cold, is that of the direct path at the caller's
-    # nomes, float (the p = 0.0 of a single product) or complex
-    assert {type(p) for _, p, *_ in calls} == {float, complex}
-    for z, p, q, policy, what, value in calls:
-        assert bits(value) == bits(direct(z, p, q, policy, what))
+        assert bits(warm) == bits(cold)
+        # held or cold, it is the value of the array path at one element
+        assert bits(cold) == bits(direct(f, u))
 
 
 def test_scalar_memo_shares_nome_types_and_keeps_signed_zeros_apart(scalar_memo):
-    # a float nome enters the products' arithmetic only as complex(x, +0.0),
-    # so a float and a complex nome of one value share one entry, whose
-    # value is the direct one at either type; -0.0 gets its own entry
+    # the array path reads a float nome only as complex(x, +0.0), so a float
+    # and a complex nome of one value share one entry, whose value is the
+    # array path's at either type; -0.0 gets its own entry
     u = 0.45 + 0.2j
     for q in (0.12, 0.12 + 0j, -0.0, complex(-0.0, 0.0)):
         value = qpoch_inf(u, q)
-        assert bits(value) == bits(direct(u, 0.0, q))
+        assert bits(value) == bits(direct(lambda x, policy: qpoch_inf(x, q, policy), u))
     assert scalar_memo.cache_info()[:2] == (2, 2)  # hits, misses
-    # so in pairs of nomes: (0.0, 0.12), 0j and 0.12 + 0j are the key of
-    # qpoch_inf(u, 0.12) above, and (-0.0, 0.12) and (0.0, 0.12j) two more
+    # so in pairs of nomes: (0.0, 0.12), 0j and 0.12 + 0j are one key, and
+    # (-0.0, 0.12) and (0.0, 0.12j) two more
     nomes = [(0.0, 0.12), (0j, 0.12), (0.0, 0.12 + 0j), (-0.0, 0.12), (0.0, 0.12j)]
     for p, q in nomes:
-        value = double_poch_inf(u, Nomes(p, q))
-        assert bits(value) == bits(direct(u, p, q))
-    assert scalar_memo.cache_info().currsize == 2 + 2
+        nm = Nomes(p, q)
+        value = elliptic_gamma(u, nm)
+        assert bits(value) == bits(direct(lambda x, policy: elliptic_gamma(x, nm, policy), u))
+    assert scalar_memo.cache_info().currsize == 2 + 3
     # the argument by its bits as well: -0.0 is not 0.0
     qpoch_inf(0.0, 0.3)
     qpoch_inf(-0.0, 0.3)
-    assert scalar_memo.cache_info().currsize == 2 + 2 + 2
+    assert scalar_memo.cache_info().currsize == 2 + 3 + 2
 
 
 def test_scalar_memo_stores_no_error(scalar_memo):
     nm = Nomes(0.05, 0.12)
     pole = (1.0 + 1e-14) / (nm.p * nm.q**2)
-    # the product itself has a value there: held without the pole scan ...
-    double_poch_inf(pole, nm)
+    # 1/Gamma has a value there, near its zero ...
+    elliptic_gamma_recip(pole, nm)
     held = scalar_memo.cache_info().currsize
     for _ in range(3):
-        # ... which does not stand in for the product that scans
+        # ... which does not stand in for Gamma, which raises every time
         with pytest.raises(PoleProximityError) as info:
             elliptic_gamma(pole, nm)
         assert (info.value.mu, info.value.nu) == (1, 2)
@@ -423,7 +413,7 @@ def test_scalar_memo_stores_no_error(scalar_memo):
     tight = TruncationPolicy(tail_tol=1e-14, max_terms=4)
     for _ in range(3):
         with pytest.raises(TruncationError):
-            double_poch_inf(0.9, Nomes(0.5, 0.5), tight)
+            elliptic_gamma(0.9, Nomes(0.5, 0.5), tight)
         assert scalar_memo.cache_info().currsize == held
 
 
@@ -431,32 +421,37 @@ def test_scalar_memo_holds_at_most_its_bound(scalar_memo, scalar_products):
     us = [0.3 + 0.001 * k for k in range(3 * qseries._SCALAR_ENTRIES)]
     for u in us:
         qpoch_inf(u, 0.2)
-        assert scalar_memo.cache_info().currsize <= qseries._SCALAR_ENTRIES
-    assert scalar_memo.cache_info().currsize == qseries._SCALAR_ENTRIES
-    # the most recent products are held, the oldest formed again
+    assert len(scalar_products) == len(us)
+    # the most recent values are held, the oldest evaluated again
     formed = len(scalar_products)
     qpoch_inf(us[-1], 0.2)
     assert len(scalar_products) == formed
     qpoch_inf(us[0], 0.2)
     assert len(scalar_products) == formed + 1
+    assert qseries._scalar.cache_info().currsize == qseries._SCALAR_ENTRIES
 
 
-def test_cn_recurrence_forms_each_scalar_product_once(scalar_memo, scalar_products):
+def test_cn_recurrence_forms_each_scalar_product_once(scalar_products):
     # a memo that is bypassed would pass every numeric test; here it shows
-    # as repeated products (c_n and c_(n-1) share all but one Gamma factor)
+    # as repeated evaluations (c_n and c_(n-1) share all but one Gamma factor)
     for n in range(1, 6):
         cn_recurrence_check(n, 0.42 + 0.05j, Nomes(0.05, 0.12))
     assert scalar_products
     assert len(scalar_products) == len(set(scalar_products))
 
 
-# The default policy's two numbers, as _plan takes them.
+# The default policy's two numbers, as the caches take them.
 LIMITS = (TruncationPolicy().tail_tol, TruncationPolicy().max_terms)
 
 
+def clear_qseries_caches():
+    for cache in (qseries._scalar, qseries._ring, qseries._base):
+        cache.cache_clear()
+
+
 def test_no_lookup_hashes_the_policy(monkeypatch, scalar_memo):
-    # the scalar memo and the plan cache key on the policy's two numbers,
-    # whose tuple hashes in C; the frozen dataclass's __hash__ runs in Python
+    # the caches key on the policy's two numbers, whose tuple hashes in C;
+    # the frozen dataclass's __hash__ runs in Python
     nm = Nomes(0.05, 0.12)
     u = 0.37 - 0.21j
     values = [
@@ -472,27 +467,117 @@ def test_no_lookup_hashes_the_policy(monkeypatch, scalar_memo):
 
     monkeypatch.setattr(TruncationPolicy, "__hash__", refuse)
     assert np.array(values[0]()).tobytes() == want[0]  # a warm scalar Gamma
-    scalar_memo.cache_clear()
-    qseries._plan.cache_clear()
+    clear_qseries_caches()
     assert [np.array(f()).tobytes() for f in values] == want
 
 
 def test_plan_cold_and_warm_cache_agree():
-    args = (0.05, 0.12, 0.731, *LIMITS)
-    qseries._plan.cache_clear()
-    cold = qseries._plan(*args)
-    warm = qseries._plan(*args)
-    assert qseries._plan.cache_info().hits == 1
-    assert cold == warm == qseries._plan.__wrapped__(*args)
-    assert type(cold[0]) is tuple
+    # the ring of a nome pair (its reduction and its series' coefficients)
+    # is held once computed; a held one is the one computed afresh
+    p, q = 0.05 + 0.02j, 0.12
+    key = (struct.pack("4d", p.real, p.imag, q, 0.0), *LIMITS)
+    qseries._ring.cache_clear()
+    cold = qseries._ring(*key)
+    warm = qseries._ring(*key)
+    assert qseries._ring.cache_info().hits == 1
+    again = qseries._ring.__wrapped__(*key)
+    assert cold[0] == again[0] and cold[2:5] == again[2:5]
+    assert cold[5].tobytes() == again[5].tobytes() and not cold[5].flags.writeable
+    assert warm is cold
 
 
 def test_plan_raises_truncation_error_on_every_call():
-    # exceptions are not cached: a repeated plan that cannot certify its
-    # tail raises again instead of returning a stale value
+    # exceptions are not cached: nomes whose series max_terms cannot
+    # certify raise again instead of returning a stale value
     for _ in range(3):
         with pytest.raises(TruncationError):
-            qseries._plan(0.5, 0.5, 1.0, 1e-14, 4)
+            elliptic_gamma(0.4 + 0.2j, Nomes(0.5, 0.5), TruncationPolicy(max_terms=4))
+
+
+# Reference truncation plans, counted up one term at a time: the single
+# products' factor counts (_length) and the series' K (_log_den), which
+# bisect or count against held powers, must match them exactly.
+
+
+def ref_length(bound, c_abs, policy):
+    tol = policy.tail_tol / policy.max_terms
+    length = 0
+    while bound * c_abs**length / (1.0 - c_abs) >= tol:
+        length += 1
+        if length > policy.max_terms:
+            raise TruncationError("over max_terms", achieved_bound=0.0)
+    return length
+
+
+def ref_terms(p, q, edge, policy):
+    tol = policy.tail_tol / policy.max_terms
+    D = (1.0 - abs(p)) * (1.0 - abs(q))
+    for K in range(1, policy.max_terms + 1):
+        if 2.0 * edge ** (K + 1) / (1.0 - edge) / ((K + 1) * D) < tol:
+            return K
+    raise TruncationError("over max_terms", achieved_bound=0.0)
+
+
+def plan_outcome(plan, *args):
+    try:
+        return plan(*args)
+    except TruncationError:
+        return "TruncationError"
+
+
+PLAN_POLICIES = (
+    TruncationPolicy(),
+    TruncationPolicy(tail_tol=1e-6),
+    TruncationPolicy(tail_tol=1e-15, max_terms=8),
+)
+
+
+@pytest.mark.parametrize("policy", PLAN_POLICIES, ids=["default", "loose", "tight_cap"])
+def test_plan_matches_the_reference_plan(policy):
+    raised = 0
+    limits = (policy.tail_tol, policy.max_terms)
+    for c_abs in (0.0, 1e-3, 0.05, 0.3, 0.7, 0.95):
+        base = qseries._based(c_abs * np.exp(0.3j), limits)
+        for bound in (0.0, 1e-20, 1e-3, 0.6, 1.0, 3.7, 250.0):
+            got = plan_outcome(qseries._length, bound, base)
+            if c_abs:
+                assert got == plan_outcome(ref_length, bound, c_abs, policy), (c_abs, bound)
+            else:  # (x; 0)_inf = 1 - x: one factor, none where |x| is below the tolerance
+                assert got == int(bound >= policy.tail_tol / policy.max_terms)
+            raised += got == "TruncationError"
+    for p_abs in (1e-3, 0.05, 0.3, 0.7, 0.95):
+        for q_abs in (1e-3, 0.12, 0.5, 0.9):
+            p, q = p_abs * np.exp(0.4j), q_abs * np.exp(-1.1j)
+            edge = min(p_abs, q_abs) ** 0.5
+            got = plan_outcome(lambda: len(qseries._log_den(p, q, edge, edge, *limits)))
+            assert got == plan_outcome(ref_terms, p, q, edge, policy), (p_abs, q_abs)
+            raised += got == "TruncationError"
+    if policy.max_terms == 8:
+        assert raised  # the sweep reaches the TruncationError cases
+
+
+def test_scaled_plan_certifies_the_true_tail():
+    # a theta correction d shifts from the ring has its argument within
+    # beta |a|^-d, and the factor count planned at that bound certifies the
+    # tail there: every argument of the level has its tail below the tolerance
+    rng = np.random.default_rng(20)
+    tol = LIMITS[0] / LIMITS[1]
+    for _ in range(40):
+        p, q = (complex(m * np.exp(2j * np.pi * rng.uniform())) for m in rng.uniform(0.01, 0.9, 2))
+        bits_pq = struct.pack("4d", p.real, p.imag, q.real, q.imag)
+        a, base, beta, log_a, _, _ = qseries._ring(bits_pq, *LIMITS)
+        b_abs = abs(base[0])
+        u = np.exp(rng.uniform(np.log(1e-3), np.log(50.0), 64)) * np.exp(2j * np.pi * rng.uniform(size=64))
+        m = np.ceil(np.log(np.abs(u) / beta) / log_a)
+        w = u * a**m
+        outer = np.where(m > 0, w, p * q / w)
+        for d in range(1, int(np.abs(m).max()) + 1):
+            bound = beta * np.exp(d * log_a)
+            x = outer[np.abs(m) >= d] * a**-d
+            assert np.all(np.abs(x) <= bound * (1 + 1e-12))
+            length = qseries._length(bound, base)
+            assert bound * b_abs**length / (1 - b_abs) < tol * (1 + 1e-12)
+            assert bound * b_abs ** (length - 1) / (1 - b_abs) >= tol * (1 - 1e-12)
 
 
 def test_pole_error_names_the_pole_on_both_paths():
@@ -518,239 +603,32 @@ def test_pole_error_names_the_pole_on_both_paths():
                 assert abs(value[-1]) < 1e-9 * abs(other(u * 1.01, nm))
 
 
-# Reference truncation plan (one row-length call per row) and pole scan (every
-# retained factor visited): _plan and _pole_scan, which stop early, must match
-# them exactly.
+# Reference pole scan: every (mu, nu) of a square visited, the first in
+# (mu, nu) order within POLE_TOL named; Gamma's scan, which meets a pole as
+# a zero of a theta correction's factor, must name the same.
 
 
-def ref_row_len(base, q_abs, tau, max_terms):
-    if base < tau:
-        return 0
-    if q_abs == 0.0:
-        return 1
-    n = int(np.floor(np.log(tau / base) / np.log(q_abs))) + 1
-    return min(max(n, 1), max_terms + 1)
+def ref_pole_scan(arr, p, q, side=12):
+    for mu in range(side):
+        for nu in range(side):
+            d = np.abs(1.0 - p**mu * q**nu * arr)
+            j = int(np.argmin(d))
+            if d[j] < qseries.POLE_TOL:
+                return (complex(arr[j]), mu, nu)
+    return None
 
 
-def ref_plan(p_abs, q_abs, u_max, policy):
-    if u_max == 0.0:
-        return (), 0.0
-    tau = policy.tail_tol
-    for _ in range(6):
-        est = 0
-        mu = 0
-        base = u_max
-        while base >= tau and mu <= policy.max_terms:
-            est += ref_row_len(base, q_abs, tau, policy.max_terms)
-            if p_abs == 0.0:
-                break
-            base *= p_abs
-            mu += 1
-        tau_eff = policy.tail_tol / max(est, 1)
-        rows = []
-        base = u_max
-        while base >= tau_eff:
-            rows.append(ref_row_len(base, q_abs, tau_eff, policy.max_terms))
-            if p_abs == 0.0:
-                break
-            base *= p_abs
-        over = len(rows) > policy.max_terms or (rows and rows[0] > policy.max_terms)
-        if over:
-            rows = [min(k, policy.max_terms) for k in rows[: policy.max_terms]]
-        tail = qseries._tail_bound(rows, p_abs, q_abs, u_max)
-        if over:
-            raise TruncationError("over max_terms", achieved_bound=tail)
-        if tail < policy.tail_tol:
-            return tuple(rows), tail
-        tau = tau_eff / 16.0
-    raise TruncationError("no convergence", achieved_bound=tail)
-
-
-def ref_pole_scan(arr, p, q, rows, what):
-    if not arr.size:
-        return
-    mags = np.abs(arr)
-    lo = float(np.min(mags))
-    hi = float(np.max(mags))
-    pm = 1.0 + 0.0j
-    for mu, k in enumerate(rows):
-        c = pm
-        for nu in range(k):
-            ca = abs(c)
-            if ca * hi >= 1.0 - 1e-9 and (lo == 0.0 or ca * lo <= 1.0 + 1e-9):
-                d = np.abs(1.0 - c * arr)
-                j = int(np.argmin(d))
-                if d.flat[j] < qseries.POLE_TOL:
-                    bad = complex(arr.flat[j])
-                    raise PoleProximityError(what, u=bad, mu=mu, nu=nu)
-            c *= q
-        pm *= p
-
-
-def plan_outcome(plan, *args):
+def pole_outcome(arr, p, q):
     try:
-        return plan(*args)
-    except TruncationError as exc:
-        return ("TruncationError", exc.achieved_bound)
-
-
-PLAN_POLICIES = (
-    TruncationPolicy(),
-    TruncationPolicy(tail_tol=1e-6),
-    TruncationPolicy(tail_tol=1e-15, max_terms=8),
-)
-
-
-@pytest.mark.parametrize("policy", PLAN_POLICIES, ids=["default", "loose", "tight_cap"])
-def test_plan_matches_the_reference_plan(policy):
-    raised = 0
-    limits = (policy.tail_tol, policy.max_terms)
-    for p_abs in (0.0, 1e-3, 0.05, 0.3, 0.7, 0.95):
-        for q_abs in (0.0, 1e-3, 0.12, 0.5, 0.9):
-            for u_max in (0.0, 1e-20, 1e-3, 0.6, 1.0, 3.7, 250.0):
-                args = (p_abs, q_abs, u_max)
-                got = plan_outcome(qseries._plan.__wrapped__, *args, *limits)
-                assert got == plan_outcome(ref_plan, *args, policy), args
-                raised += got[0] == "TruncationError"
-    if policy.max_terms == 8:
-        assert raised  # the sweep reaches the TruncationError cases
-
-
-@pytest.fixture
-def product_rows(monkeypatch):
-    """The rows of every _prod_array and _prod_scalar call, in call order."""
-    seen = []
-    prod_array, prod_scalar = qseries._prod_array, qseries._prod_scalar
-
-    def array(u, p, q, rows):
-        seen.append(rows)
-        return prod_array(u, p, q, rows)
-
-    def scalar(u, p, q, rows):
-        seen.append(rows)
-        return prod_scalar(u, p, q, rows)
-
-    monkeypatch.setattr(qseries, "_prod_array", array)
-    monkeypatch.setattr(qseries, "_prod_scalar", scalar)
-    return seen
-
-
-def test_scale_is_the_power_of_two_at_or_above():
-    for u_max, scale in ((3.0, 4.0), (4.0, 4.0), (4.000001, 8.0), (0.3, 0.5), (1e-20, 2.0**-66)):
-        assert qseries._scale(u_max) == scale
-    # kept as they are: zero, the smallest subnormal (a power of two), and
-    # values with no power of two above them in floats
-    for u_max in (0.0, 5e-324, 1.5e308, float("inf")):
-        assert qseries._scale(u_max) == u_max
-    assert math.isnan(qseries._scale(float("nan")))
-
-
-def test_scaled_plan_certifies_the_true_tail(product_rows):
-    # the rows certified at the power of two B >= max|u| bound the tail at max|u|
-    policy = TruncationPolicy()
-    rng = np.random.default_rng(20)
-    u_maxes = [0.0] + [2.0**k for k in range(-66, 8)] + list(10.0 ** rng.uniform(-20, math.log10(250), 300))
-    for u_max in u_maxes:
-        p_abs, q_abs = rng.uniform(0.0, 0.9, 2).tolist()
-        del product_rows[:]
-        qseries._direct(np.array([u_max, -0.5 * u_max], dtype=complex), p_abs, q_abs, policy, None)
-        qseries._direct_scalar(complex(u_max), p_abs, q_abs, *LIMITS, None)
-        rows, scalar_rows = product_rows
-        assert rows == scalar_rows
-        assert qseries._tail_bound(rows, p_abs, q_abs, u_max) < policy.tail_tol, (p_abs, q_abs, u_max)
-
-
-@pytest.mark.parametrize("scale", [2.0**-40, 0.5, 1.0, 4.0, 256.0])
-def test_one_plan_per_power_of_two(scale):
-    qseries._plan.cache_clear()
-    inside = [math.nextafter(scale / 2, math.inf)] + [scale * f for f in (0.6, 0.75, 0.9, 0.999)] + [scale]
-    for u_max in inside:
-        qseries._scaled_plan(0.05, 0.12, u_max, *LIMITS)
-    info = qseries._plan.cache_info()
-    assert (info.misses, info.hits) == (1, len(inside) - 1)
-    # B / 2 is a power of two itself, with its own plan
-    qseries._scaled_plan(0.05, 0.12, scale / 2, *LIMITS)
-    assert qseries._plan.cache_info().misses == 2
-
-
-SMALL_POLICIES = (
-    TruncationPolicy(tail_tol=1e-15, max_terms=8),
-    TruncationPolicy(tail_tol=1e-13, max_terms=4),
-    TruncationPolicy(tail_tol=1e-6, max_terms=2),
-)
-
-
-def test_scaled_plan_raises_only_where_the_exact_plan_does():
-    # a plan at B that max_terms cannot certify falls back to the plan of
-    # max|u|, so TruncationError comes only where that plan raises too (the
-    # plan at B may certify where the plan of max|u| cannot: 4 of 15 000
-    # random draws at max_terms <= 30)
-    raised = fell_back = 0
-    for policy in SMALL_POLICIES:
-        for p_abs in (0.0, 1e-3, 0.05, 0.3, 0.7):
-            for q_abs in (0.0, 1e-3, 0.12, 0.5, 0.9):
-                for u_max in [0.0] + list(10.0 ** np.linspace(-10, 2.5, 40)):
-                    exact = plan_outcome(ref_plan, p_abs, q_abs, u_max, policy)
-                    scaled = plan_outcome(ref_plan, p_abs, q_abs, qseries._scale(u_max), policy)
-                    got = plan_outcome(
-                        qseries._scaled_plan, p_abs, q_abs, u_max, policy.tail_tol, policy.max_terms
-                    )
-                    if scaled[0] == "TruncationError":
-                        assert got == exact, (policy, p_abs, q_abs, u_max)
-                        fell_back += exact[0] != "TruncationError"
-                    else:
-                        assert got == scaled, (policy, p_abs, q_abs, u_max)
-                    raised += got[0] == "TruncationError"
-                    if got[0] != "TruncationError":
-                        assert qseries._tail_bound(got[0], p_abs, q_abs, u_max) < policy.tail_tol
-    assert raised and fell_back  # the sweep reaches both the error and the fallback
-
-
-GAMMA_SIDES = {
-    elliptic_gamma: lambda u, nm: (nm.pq / u, u),
-    elliptic_gamma_recip: lambda u, nm: (u, nm.pq / u),
-}
-
-
-@pytest.mark.parametrize("shape", [(2,), (3,), (64,), (700,), (24, 5)])
-@pytest.mark.parametrize("f", list(GAMMA_SIDES), ids=["gamma", "recip"])
-def test_array_gamma_is_one_quotient_under_shared_rows(f, shape, product_rows):
-    nm = Nomes(0.07 + 0.02j, 0.11)
-    u = random_points(shape, sum(shape)) * 2.0
-    got = f(u, nm)
-    (rows,) = product_rows  # one product for both sides
-    top, bottom = GAMMA_SIDES[f](u, nm)
-    hi = max(np.abs(top).max(), np.abs(bottom).max())
-    assert rows == qseries._scaled_plan(abs(nm.p), abs(nm.q), hi, *LIMITS)[0]
-    assert qseries._tail_bound(rows, abs(nm.p), abs(nm.q), hi) < TruncationPolicy().tail_tol
-    want = qseries._prod_array(top, nm.p, nm.q, rows) / qseries._prod_array(bottom, nm.p, nm.q, rows)
-    assert got.shape == shape
-    assert got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("f", list(GAMMA_SIDES), ids=["gamma", "recip"])
-def test_one_element_gamma_array_has_the_bits_of_a_longer_one(f):
-    # two separate one-element products would each be a lone column, which
-    # numpy multiplies with other instructions; the paired product is not
-    nm = Nomes(0.07 + 0.02j, 0.11)
-    for u in random_points((20,), 3):
-        pair = np.array([u, u * 1j])  # |u i| = |u|: the same plan
-        assert f(pair[:1], nm).tobytes() == f(pair, nm)[:1].tobytes()
-
-
-def pole_outcome(scan, *args):
-    try:
-        scan(*args)
+        elliptic_gamma(arr, Nomes(p, q))
     except PoleProximityError as exc:
         return (exc.u, exc.mu, exc.nu)
     return None
 
 
 def scan_both(arr, p, q):
-    hi = float(np.max(np.abs(arr)))
-    rows, _ = qseries._plan(abs(p), abs(q), hi, *LIMITS)
-    got = pole_outcome(qseries._pole_scan, arr, hi, p, q, rows, "scan")
-    assert got == pole_outcome(ref_pole_scan, arr, p, q, rows, "scan")
+    got = pole_outcome(arr, p, q)
+    assert got == ref_pole_scan(arr, p, q)
     return got
 
 
@@ -765,10 +643,12 @@ def test_pole_scan_names_the_same_pole_as_the_reference(mu, nu):
     for arr in (
         np.array([pole]),
         np.array([0.3 + 0.2j, pole, 2.0 - 1.0j]),
-        np.array([0.0, pole]),  # lo = 0
+        np.array([1e-4, pole]),
         np.array([pole, 1e4 + 0j]),
     ):
-        assert scan_both(arr, p, q) == (pole, mu, nu)
+        assert scan_both(arr, *SCAN_NOMES) == (pole, mu, nu)
+        # the nomes swapped: the other nome leads the reduction, and (mu, nu) swap
+        assert scan_both(arr, q, p) == (pole, nu, mu)
 
 
 def test_pole_scan_is_silent_below_the_unit_circle():
@@ -778,7 +658,7 @@ def test_pole_scan_is_silent_below_the_unit_circle():
         arr = top * rng.uniform(0, 1, 64) * np.exp(2j * np.pi * rng.uniform(size=64))
         arr[0] = top
         assert scan_both(arr, p, q) is None
-        assert scan_both(np.append(arr, 0.0), p, q) is None
+        assert scan_both(np.append(arr, 1e-9), p, q) is None
 
 
 def test_pole_scan_matches_the_reference_on_random_arrays():
@@ -791,16 +671,136 @@ def test_pole_scan_matches_the_reference_on_random_arrays():
         if trial % 2:
             arr[int(rng.integers(size))] = poles[trial % len(poles)] * (1 + 1e-14)
         if trial % 7 == 0:
-            arr[0] = 0.0
+            arr[0] = 1e-3
         scan_both(arr, p, q)
 
 
+@pytest.mark.parametrize("f", [elliptic_gamma, elliptic_gamma_recip], ids=["gamma", "recip"])
+def test_one_element_gamma_array_has_the_bits_of_a_longer_one(f):
+    # two separate one-element products would each be a lone column, which
+    # numpy multiplies with other instructions; the paired product is not
+    nm = Nomes(0.07 + 0.02j, 0.11)
+    for u in random_points((20,), 3):
+        pair = np.array([u, u * 1j])  # |u i| = |u|: the same plan
+        assert f(pair[:1], nm).tobytes() == f(pair, nm)[:1].tobytes()
+
+
+# nomes of the element checks, each with the range of |u| drawn: small and
+# large moduli, complex phases, |p| < |q| and |p| > |q|, one nome zero, and
+# nomes whose series keep one or two terms; at (0.9, 0.85) Gamma leaves the
+# floats within a few dozen shifts
+ELEMENT_NOMES = (
+    (Nomes(0.05, 0.12), 1e-4, 40.0),
+    (Nomes(0.2 - 0.1j, 0.03 + 0.01j), 1e-4, 40.0),
+    (Nomes(0.9, 0.85), 0.2, 3.0),
+    (Nomes(0.0, 0.3 - 0.2j), 1e-4, 40.0),
+    (Nomes(1e-9, 2e-9), 1e-4, 40.0),
+    (Nomes(1e-17, 0.5), 1e-4, 40.0),
+)
+
+
+@pytest.mark.parametrize("nm,lo,hi", ELEMENT_NOMES, ids=lambda x: str(x))
+def test_every_element_has_the_bits_it_has_alone(nm, lo, hi):
+    # the value of an element never depends on the rest of its array: not on
+    # the other elements' shift counts, nor their truncation, nor the length
+    rng = np.random.default_rng(17)
+    u = np.exp(rng.uniform(np.log(lo), np.log(hi), 300)) * np.exp(2j * np.pi * rng.uniform(size=300))
+    evaluators = (
+        lambda x: qpoch_inf(x, nm.q),
+        lambda x: theta(x, nm.p),
+        lambda x: elliptic_gamma(x, nm),
+        lambda x: elliptic_gamma_recip(x, nm),
+    )
+    for f in evaluators:
+        whole = f(u)
+        assert np.all(np.isfinite(whole))
+        for start, stop in ((0, 1), (5, 7), (10, 13), (20, 37), (100, 164)):
+            assert f(u[start:stop]).tobytes() == whole[start:stop].tobytes(), (start, stop)
+        for i in range(0, 300, 7):
+            assert f(u[i : i + 1]).tobytes() == whole[i : i + 1].tobytes()
+            assert bits(f(complex(u[i]))) == bits(whole[i])
+
+
+def test_blocks_keep_the_bits_and_the_shape(monkeypatch):
+    # an array is evaluated in blocks of _BLOCK_ENTRIES // max_terms
+    # elements: three here, so 3 x 7 elements make blocks of 3 and a lone last one
+    nm = Nomes(0.07 + 0.02j, 0.11)
+    u = random_points((3, 7), 13)
+    evaluators = (lambda x: qpoch_inf(x, nm.q), lambda x: theta(x, nm.p),
+                  lambda x: elliptic_gamma(x, nm), lambda x: elliptic_gamma_recip(x, nm))
+    whole = [f(u) for f in evaluators]
+    monkeypatch.setattr(qseries, "_BLOCK_ENTRIES", 3 * TruncationPolicy().max_terms)
+    for f, want in zip(evaluators, whole):
+        got = f(u)
+        assert got.shape == u.shape and got.tobytes() == want.tobytes()
+
+
+def ring(nm):
+    """(|a|, beta) of the reduction: a the nome of larger modulus."""
+    a, b = sorted((abs(nm.p), abs(nm.q)), reverse=True)
+    return a, b**0.5
+
+
+def oracle_points(nm, rng):
+    """|u| in [0.3, 1.5], and u at each ring edge x (1 +- 1e-9) for shift counts -2..2."""
+    radii = list(rng.uniform(0.3, 1.5, 6))
+    a, beta = ring(nm)
+    for m in range(-2, 3):
+        outer = beta * a**-m  # the ring of shift count m is [a outer, outer]
+        radii += [outer * (1 - 1e-9), a * outer * (1 + 1e-9)]
+    return [complex(r * np.exp(2j * np.pi * rng.uniform())) for r in radii]
+
+
+def oracle_gamma(u, nm, side):
+    return complex(oracles.ogamma(u, nm.p, nm.q, side=side))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_evaluators_match_the_oracle(seed):
+    # random complex nomes and points, and points just inside each edge of
+    # the rings of shift counts -2..2, scalar and array, against the mpmath
+    # oracle: the independent certificate of the reduction (Gamma(q u) =
+    # theta(u; p) Gamma(u) restates it when a = q)
+    rng = np.random.default_rng(100 + seed)
+    nm = Nomes(*(complex(rng.uniform(0.02, 0.25) * np.exp(2j * np.pi * rng.uniform())) for _ in range(2)))
+    us = oracle_points(nm, rng)
+    a, beta = ring(nm)
+    for m in range(-2, 3):  # the edge points take every shift count
+        outer = beta * a**-m
+        assert any(a * outer < abs(u) < outer for u in us)
+    arr = np.array(us)
+    gammas, recips, thetas = elliptic_gamma(arr, nm), elliptic_gamma_recip(arr, nm), theta(arr, nm.p)
+    for i, u in enumerate(us):
+        # the oracle's square leaves out factors below |u| 0.25^side or |pq/u| 0.25^side
+        side = 40 + int(abs(np.log(abs(u))) / np.log(4.0))
+        want = oracle_gamma(u, nm, side)
+        want_theta = complex(oracles.otheta(u, nm.p, terms=side))
+        for got in (gammas[i], elliptic_gamma(u, nm)):
+            assert abs(got - want) <= 1e-14 * abs(want), (u, got, want)
+        for got in (recips[i], elliptic_gamma_recip(u, nm)):
+            assert abs(got * want - 1) <= 1e-14, (u, got, want)
+        for got in (thetas[i], theta(u, nm.p)):
+            assert abs(got - want_theta) <= 1e-14 * abs(want_theta), (u, got, want_theta)
+
+
+def test_kernel_series_and_gamma_share_one_formula():
+    # the circle tables' series and Gamma's own take their denominators and
+    # K from qseries._log_den: the reduced series at a point of its ring is
+    # the circle series of that point's circle
+    nm = Nomes(0.05 + 0.01j, 0.12)
+    a, beta = ring(nm)
+    u = 0.9 * beta * np.exp(0.7j)
+    coef = qseries._ring(struct.pack("4d", nm.p.real, nm.p.imag, nm.q.real, nm.q.imag), *LIMITS)[5]
+    k = np.arange(1, len(coef) + 1)
+    direct = np.exp(np.sum((u**k - (nm.pq / u) ** k) * coef[:, 0]))
+    assert abs(elliptic_gamma(u, nm) - direct) <= 1e-15 * abs(direct)
+    den = qseries._log_den(nm.p, nm.q, beta, beta, *LIMITS)
+    assert np.array_equal(1.0 / den, coef[:, 0])
+
+
 # Closed forms evaluate their Gamma products as one array call; these are the
-# products they replaced, one scalar Gamma per factor.  They are evaluated with
-# a 1e-20 tail: at the default tail each scalar factor carries its own
-# truncation error, and the product of 38 of them (lim_pinch_J at n = 3)
-# strays 1.7e-13 from the converged value while the batched product, planned
-# for the largest argument, strays 5.8e-14.
+# products they replaced, one scalar Gamma per factor, evaluated with a 1e-20
+# tail so that the reference carries no truncation error of its own.
 TIGHT = TruncationPolicy(tail_tol=1e-20)
 
 
