@@ -11,9 +11,7 @@ from .errors import (
     TruncationError,
 )
 from .qseries import (
-    DEFAULT_POLICY,
     Nomes,
-    TruncationPolicy,
     elliptic_gamma,
     elliptic_gamma_recip,
     qpoch_inf,

@@ -19,7 +19,7 @@ from .config import Config, load_config
 from .errors import ConfigurationError, EllSelbergError
 from .integrand import c_constant, j_closed, psi
 from .invariants import BalancingMode, ParameterSet, coefficient_c, fundamental_invariant
-from .qseries import DEFAULT_POLICY, Nomes, elliptic_gamma, theta
+from .qseries import Nomes, elliptic_gamma, theta
 from .report import write_report
 from .sampling import DEFAULT_BOX, SafeBox
 from . import scenarios as scn
@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="evaluate a single quantity")
     target = ev.add_subparsers(dest="target", required=True)
 
-    def common(p, nomes=True, params=False, policy=True):
+    def common(p, nomes=True, params=False):
         if nomes:
             p.add_argument("--p", type=_complex_arg, required=True)
             p.add_argument("--q", type=_complex_arg, required=True)
@@ -131,9 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--a", type=_complex_list, required=True, metavar="C,C,...")
             p.add_argument("--a6", type=_complex_arg)
             p.add_argument("--balancing", choices=sorted(_MODES), default="pq")
-        if policy:
-            p.add_argument("--tail-tol", type=float, default=None)
-            p.add_argument("--max-terms", type=int, default=None)
 
     g = target.add_parser("gamma", help="elliptic gamma Gamma(u; p, q)")
     g.add_argument("--u", type=_complex_arg, required=True)
@@ -221,9 +218,7 @@ def _explicit_reports(args, cfg: Config) -> list:
         mode = _MODES[args.balancing] if args.balancing else scn.DEFAULT_MODE[name]
         ps = _parameter_set(args, nomes, mode)
     tol = cfg.tol if cfg.tol is not None else scn.default_tol(name, args.n)
-    return scn.cases(
-        name, args.n, ps, nomes, tol, budget=cfg.grid, policy=cfg.policy, timing=cfg.timing
-    )
+    return scn.cases(name, args.n, ps, nomes, tol, budget=cfg.grid, timing=cfg.timing)
 
 
 def _sampled_reports(args, cfg: Config) -> list:
@@ -236,9 +231,7 @@ def _sampled_reports(args, cfg: Config) -> list:
         box=cfg.box,
         t=args.t,
     )
-    return scn.run_row(
-        row, cfg.seed, cfg.count, cfg.tol, budget=cfg.grid, policy=cfg.policy, timing=cfg.timing
-    )
+    return scn.run_row(row, cfg.seed, cfg.count, cfg.tol, budget=cfg.grid, timing=cfg.timing)
 
 
 def _check_box_unused(cfg: Config) -> None:
@@ -301,7 +294,6 @@ def _cmd_verify(args) -> int:
             tol=cfg.tol,
             grid=cfg.grid,
             timing=cfg.timing,
-            policy=cfg.policy,
         )
     _print_reports(reports)
     if args.report:
@@ -310,35 +302,26 @@ def _cmd_verify(args) -> int:
     return 0 if all(rep.passed for rep in reports) else 1
 
 
-def _eval_policy(args):
-    given = {key: v for key in ("tail_tol", "max_terms")
-             if (v := getattr(args, key, None)) is not None}
-    return replace(DEFAULT_POLICY, **given) if given else None
-
-
 def _cmd_eval(args) -> int:
-    policy = _eval_policy(args)
     if args.target == "gamma":
-        value = elliptic_gamma(args.u, Nomes(args.p, args.q), policy)
+        value = elliptic_gamma(args.u, Nomes(args.p, args.q))
     elif args.target == "theta":
-        value = theta(args.u, args.p, policy)
+        value = theta(args.u, args.p)
     elif args.target == "E":
-        value = fundamental_invariant(
-            args.r, args.a, args.b, list(args.z), args.t, args.p, policy
-        )
+        value = fundamental_invariant(args.r, args.a, args.b, list(args.z), args.t, args.p)
     elif args.target == "c_n":
-        value = c_constant(args.n, Nomes(args.p, args.q), args.t, policy)
+        value = c_constant(args.n, Nomes(args.p, args.q), args.t)
     else:
         nomes = Nomes(args.p, args.q)
         ps = _parameter_set(args, nomes, _MODES[args.balancing])
         if args.target == "psi":
             if len(args.z) != ps.n:
                 raise EllSelbergError(f"psi needs n={ps.n} z-values, got {len(args.z)}")
-            value = psi(list(args.z), ps, nomes, policy)
+            value = psi(list(args.z), ps, nomes)
         elif args.target == "C":
-            value = coefficient_c(args.r, ps, nomes, policy)
+            value = coefficient_c(args.r, ps, nomes)
         elif args.target == "J":
-            value = j_closed(ps, nomes, policy)
+            value = j_closed(ps, nomes)
         else:
             raise EllSelbergError(f"unknown eval target {args.target!r}")
     print(format_complex(complex(value)))

@@ -10,23 +10,16 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigurationError
-from .qseries import DEFAULT_POLICY, TruncationPolicy
 from .quadrature import MIN_BUDGET
 from .sampling import DEFAULT_BOX, SafeBox
-from .scenarios import _SUITE_TOL
-
-# A run's truncation must be tighter than every verdict it can give: at
-# tail_tol = 0.9 (every factor dropped), 1e-7 and 1e-8 the default suite
-# passes 20, 25 and 29 of its 30 reports.
-_TAIL_TOL_BELOW = min(_SUITE_TOL.values())
 
 
 @dataclass(frozen=True)
 class Config:
     """Suite-level knobs; None means "use the per-scenario default".
 
-    ``policy`` holds the truncation keys and ``box`` the sampling safe-box
-    keys; the file names their fields directly (``tail_tol``, ``a_min``, ...).
+    ``box`` holds the sampling safe-box keys; the file names its fields
+    directly (``a_min``, ...).
     """
 
     seed: int = 42
@@ -34,7 +27,6 @@ class Config:
     tol: float | None = None
     grid: int | None = None
     timing: bool = False
-    policy: TruncationPolicy = DEFAULT_POLICY
     box: SafeBox = DEFAULT_BOX
 
     def __post_init__(self):
@@ -45,17 +37,11 @@ class Config:
         # inf passes every report; 0, a negative or nan fails every one
         if self.tol is not None and not 0 < self.tol < float("inf"):
             raise ConfigurationError(f"tol must be finite and positive, got {self.tol}")
-        if not self.policy.tail_tol < _TAIL_TOL_BELOW:
-            raise ConfigurationError(
-                f"tail_tol must lie below {_TAIL_TOL_BELOW}, the tightest suite "
-                f"tolerance, got {self.policy.tail_tol}"
-            )
 
 
 # The record each file key belongs to: None for Config's own fields.
 _SECTION = {
-    **{f.name: None for f in fields(Config) if f.name not in ("policy", "box")},
-    **{f.name: "policy" for f in fields(TruncationPolicy)},
+    **{f.name: None for f in fields(Config) if f.name != "box"},
     **{f.name: "box" for f in fields(SafeBox)},
 }
 _OPTIONAL_INT = ("count", "grid")
@@ -73,7 +59,7 @@ def _parse_value(key: str, raw: str):
         if raw.lower() in ("off", "false", "0", "no"):
             return False
         raise ConfigurationError(f"timing must be on/off, got {raw!r}")
-    if key in ("seed", "max_terms", "max_rejections") + _OPTIONAL_INT:
+    if key in ("seed", "max_rejections") + _OPTIONAL_INT:
         try:
             return int(raw)
         except ValueError as exc:
@@ -87,7 +73,7 @@ def _parse_value(key: str, raw: str):
 def parse_config(text: str, base: Config | None = None) -> Config:
     """Apply ``key = value`` lines from ``text`` on top of ``base``."""
     cfg = base if base is not None else Config()
-    updates = {None: {}, "policy": {}, "box": {}}
+    updates = {None: {}, "box": {}}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -99,12 +85,7 @@ def parse_config(text: str, base: Config | None = None) -> Config:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         value = _parse_value(key, raw)
         updates[_SECTION[key]][key] = value
-    return replace(
-        cfg,
-        policy=replace(cfg.policy, **updates["policy"]),
-        box=replace(cfg.box, **updates["box"]),
-        **updates[None],
-    )
+    return replace(cfg, box=replace(cfg.box, **updates["box"]), **updates[None])
 
 
 def load_config(path: str, base: Config | None = None) -> Config:

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DomainError
 from .invariants import ParameterSet
 from .kernel import GAMMA, RECIP, Factor, Lattice, evaluate, pm
-from .qseries import Nomes, TruncationPolicy, _euler_pair, _gamma_product, elliptic_gamma
+from .qseries import Nomes, _euler_pair, _gamma_product, elliptic_gamma
 
 
 def _z_list(z, n: int) -> list:
@@ -110,7 +110,7 @@ def _psi_kernel(params, nomes, tilde=False, coords=None):
     return _bc_kernel(per, params.t, range(params.n) if coords is None else coords)
 
 
-def psi(z, params: ParameterSet, nomes: Nomes, policy: TruncationPolicy | None = None):
+def psi(z, params: ParameterSet, nomes: Nomes):
     """The BC_n kernel Psi(z) for the given parameter set.
 
     A vanishing entry (possible only when p q = 0, e.g. the solved a_6 of a
@@ -118,20 +118,19 @@ def psi(z, params: ParameterSet, nomes: Nomes, policy: TruncationPolicy | None =
     factors become single Pochhammer factors in the dual parameter
     t^(2n-2) prod of the remaining entries.
     """
-    return evaluate(_psi_kernel(params, nomes), _z_list(z, params.n), nomes, policy)
+    return evaluate(_psi_kernel(params, nomes), _z_list(z, params.n), nomes)
 
 
-def psi_tilde(z, params: ParameterSet, nomes: Nomes, policy: TruncationPolicy | None = None):
+def psi_tilde(z, params: ParameterSet, nomes: Nomes):
     """Psi~(z) = Psi(z) with a_6 replaced by p a_6 (the expectation kernel).
 
     At p = 0 the sixth factor is Gamma(0 * z^{+-1}) = 1 and simply drops;
     unlike :func:`psi` no dual-parameter limit is implied.
     """
-    return evaluate(_psi_kernel(params, nomes, tilde=True), _z_list(z, params.n), nomes, policy)
+    return evaluate(_psi_kernel(params, nomes, tilde=True), _z_list(z, params.n), nomes)
 
 
-def j_closed(params: ParameterSet, nomes: Nomes,
-              policy: TruncationPolicy | None = None) -> complex:
+def j_closed(params: ParameterSet, nomes: Nomes) -> complex:
     """J(a_1..a_6) = prod_{i=1}^n prod_{1<=j<k<=6} Gamma(a_j a_k t^(i-1)).
 
     Under the PQ balancing, c_n * J is the closed evaluation of the torus
@@ -150,19 +149,18 @@ def j_closed(params: ParameterSet, nomes: Nomes,
                     duals.append(zero[1] / (other * ti))
                 else:
                     pairs.append(params.a[j] * params.a[k] * ti)
-    out = _gamma_product(pairs, nomes, policy)
+    out = _gamma_product(pairs, nomes)
     if duals:
-        out *= _gamma_product(duals, nomes, policy, recip=True)
+        out *= _gamma_product(duals, nomes, recip=True)
     return out
 
 
-def c_constant(n: int, nomes: Nomes, t: complex,
-               policy: TruncationPolicy | None = None) -> complex:
+def c_constant(n: int, nomes: Nomes, t: complex) -> complex:
     """c_n = 2^n n! / ((p;p)_inf (q;q)_inf)^n * prod_{i=1}^n Gamma(t^i)/Gamma(t)."""
     if n < 0:
         raise DomainError("n must be nonnegative")
-    out = 2.0**n * math.factorial(n) / _euler_pair(nomes, policy) ** n
-    gt = elliptic_gamma(t, nomes, policy)
+    out = 2.0**n * math.factorial(n) / _euler_pair(nomes) ** n
+    gt = elliptic_gamma(t, nomes)
     for i in range(1, n + 1):
-        out *= elliptic_gamma(t**i, nomes, policy) / gt
+        out *= elliptic_gamma(t**i, nomes) / gt
     return out

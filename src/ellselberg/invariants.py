@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DegenerateParameterError, DomainError
 from .kernel import THETA, Factor, evaluate
-from .qseries import Nomes, TruncationPolicy, theta, theta_pm
+from .qseries import Nomes, theta, theta_pm
 
 # Below this magnitude a denominator theta counts as degenerate.
 THETA_FLOOR = 1e-14
@@ -175,7 +175,6 @@ def fundamental_invariant(
     z,
     t: complex,
     p: complex,
-    policy: TruncationPolicy | None = None,
     coords=None,
 ):
     """E_r(a, b; z): the r-th fundamental invariant in the coordinates
@@ -193,23 +192,18 @@ def fundamental_invariant(
         factors, den = [], 1.0 + 0.0j
         for k, ik in enumerate(idx_i, start=1):
             c = b * t ** (ik - k)
-            den = den * _theta_den(theta_pm(c, a * t ** (k - 1), p, policy), f"b t^{ik - k} (a t^{k - 1})^(+-1)")
+            den = den * _theta_den(theta_pm(c, a * t ** (k - 1), p), f"b t^{ik - k} (a t^{k - 1})^(+-1)")
             factors.append(Factor(THETA, c, ((coords[ik - 1], 1),), True))
         for l, jl in enumerate(idx_j, start=1):
             c = a * t ** (jl - l)
-            den = den * _theta_den(theta_pm(c, b * t ** (l - 1), p, policy), f"a t^{jl - l} (b t^{l - 1})^(+-1)")
+            den = den * _theta_den(theta_pm(c, b * t ** (l - 1), p), f"a t^{jl - l} (b t^{l - 1})^(+-1)")
             factors.append(Factor(THETA, c, ((coords[jl - 1], 1),), True))
-        term = evaluate(factors, z, nomes, policy) / den
+        term = evaluate(factors, z, nomes) / den
         total = term if total is None else total + term
     return total
 
 
-def coefficient_c(
-    r: int,
-    params: ParameterSet,
-    nomes: Nomes,
-    policy: TruncationPolicy | None = None,
-) -> complex:
+def coefficient_c(r: int, params: ParameterSet, nomes: Nomes) -> complex:
     """Proportionality coefficient C_r in <E_r> = C_r <E_(r-1)>, 1 <= r <= n.
 
     Only defined under the ONE balancing (a_1 ... a_6 t^(2n-2) = 1).
@@ -232,7 +226,7 @@ def coefficient_c(
     for m in range(2, 6):
         factors += [(a[m - 1] * a6 * t ** (n - r), None),
                     (a[m - 1] * a1 * t ** (r - 1), f"a_{m} a1 t^(r-1)")]
-    th = _thetas(factors, p, policy, f"in C_{r}")
+    th = _thetas(factors, p, where=f"in C_{r}")
     num = a1**2 * t ** (2 * r - 2) * th[0] * th[1] * th[2]
     den = a6**2 * t ** (2 * n - 2 * r) * th[3] * th[4] * th[5]
     out = -num / den
@@ -241,20 +235,18 @@ def coefficient_c(
     return out
 
 
-def _thetas(factors, p, policy, where: str) -> list:
+def _thetas(factors, p, where: str) -> list:
     """theta(u; p) of each (u, label) of factors, in their order, by one array call.
 
     A value with a label is a denominator, checked by _theta_den.  Each
     value has the bits of its own scalar call.
     """
-    values = theta(np.array([u for u, _ in factors], dtype=complex), p, policy).tolist()
+    values = theta(np.array([u for u, _ in factors], dtype=complex), p).tolist()
     return [v if label is None else _theta_den(v, label, where)
             for v, (_, label) in zip(values, factors)]
 
 
-def boundary_expectation_ratio(
-    params: ParameterSet, nomes: Nomes, policy: TruncationPolicy | None = None
-) -> complex:
+def boundary_expectation_ratio(params: ParameterSet, nomes: Nomes) -> complex:
     """Closed form of <E_n>/<E_0> under the ONE balancing:
 
     prod_{i=1}^n [ a_1^3 theta(a_6 a_1^-1 t^(i-1); p)
@@ -274,7 +266,7 @@ def boundary_expectation_ratio(
         factors += [(a6 / a1 * ti, None), (a1 / a6 * ti, "a1/a6 t^(i-1)")]
         for m in range(2, 6):
             factors += [(a[m - 1] * a6 * ti, None), (a[m - 1] * a1 * ti, "a_m a1 t^(i-1)")]
-    th = _thetas(factors, p, policy, "in boundary ratio")
+    th = _thetas(factors, p, where="in boundary ratio")
     out = 1.0 + 0.0j
     for i in range(0, len(th), 10):
         out *= (a1**3 * th[i]) / (a6**3 * th[i + 1])

@@ -15,10 +15,10 @@ alpha' fold, in _fold's order, into one length-N table gathered at
 (alpha' . k) mod N per point.  Any other z is evaluated pointwise.
 
 A table is evaluated on its whole circle by one of two routes, chosen by
-|c|, the nomes and the policy alone.  Strictly inside the annulus where f
-has no zero or pole (|pq| < |c| < 1 for Gamma and 1/Gamma, |p| < |c| < 1
-for theta), log f(c w) is a Laurent series in w (Felder and Varchenko,
-Adv. Math. 156 (2000)):
+|c| and the nomes alone.  Strictly inside the annulus where f has no zero
+or pole (|pq| < |c| < 1 for Gamma and 1/Gamma, |p| < |c| < 1 for theta),
+log f(c w) is a Laurent series in w (Felder and Varchenko, Adv. Math. 156
+(2000)):
 
     log Gamma(u; p, q) = sum_{k>=1} (u^k - (pq/u)^k) / (k (1 - p^k)(1 - q^k)),
     log theta(u; p)    = -sum_{k>=1} (u^k + (p/u)^k) / (k (1 - p^k)),
@@ -27,21 +27,21 @@ and log 1/Gamma is minus the first.  The coefficients up to the K that
 certifies the tail (_series, from the qseries._log_den that Gamma's own
 series takes its terms from), folded exactly mod N, give the whole table
 as exp of one inverse FFT.  Every other circle (|c| >= 1, |c| <= |pq| or
-|p|, the Weyl factor's c = 1, a monomial, or a K above max_terms) is
+|p|, the Weyl factor's c = 1, a monomial, or a K above MAX_TERMS) is
 evaluated pointwise by the qseries evaluators, pole scan included; f has
 no pole or zero a certified series can come near, so no scan is lost.
 
 Tables (at most _TABLES) and series coefficients (at most _SERIES; they do
 not depend on N, so a ladder from 16 to 512 computes them once) are held by
-functools.lru_cache as read-only arrays, keyed on f, N, the exact bits of
-c, p and q (== takes 0.0 and -0.0 as one number, their bits do not) and the
-policy's two numbers, so the kernels of one family (the shifts of qde, Psi~
-and the E_r terms of one recurrence, the Weyl factor of every kernel) and
-the rungs of later ladders and reports share them.  A circle's route is
-held with its series: a circle off the series route holds None there.  A
-table is a fixed function of its key, so what the caches hold changes the
-time a run takes, never a bit of its output; a factor that raises stores no
-table at the N it raised on.
+functools.lru_cache as read-only arrays, keyed on f, N and the exact bits
+of c, p and q (== takes 0.0 and -0.0 as one number, their bits do not), so
+the kernels of one family (the shifts of qde, Psi~ and the E_r terms of one
+recurrence, the Weyl factor of every kernel) and the rungs of later ladders
+and reports share them.  A circle's route is held with its series: a
+circle off the series route holds None there.  A table is a fixed function
+of its key, so what the caches hold changes the time a run takes, never a
+bit of its output; a factor that raises stores no table at the N it raised
+on.
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import TruncationError
-from .qseries import (DEFAULT_POLICY, Nomes, TruncationPolicy, _log_den, _unpack,
-                      elliptic_gamma, elliptic_gamma_recip, theta)
+from .qseries import Nomes, _log_den, _unpack, elliptic_gamma, elliptic_gamma_recip, theta
 
 GAMMA, RECIP, THETA, MONO = "gamma", "recip", "theta", "mono"
 
@@ -120,13 +119,13 @@ def _arg(c, alpha, zs):
     return u
 
 
-def _apply(kind, u, nomes, policy):
+def _apply(kind, u, nomes):
     if kind == GAMMA:
-        return elliptic_gamma(u, nomes, policy)
+        return elliptic_gamma(u, nomes)
     if kind == RECIP:
-        return elliptic_gamma_recip(u, nomes, policy)
+        return elliptic_gamma_recip(u, nomes)
     if kind == THETA:
-        return theta(u, nomes.p, policy)
+        return theta(u, nomes.p)
     return u
 
 
@@ -134,10 +133,10 @@ def _mirror(alpha):
     return tuple((i, -e) for i, e in alpha)
 
 
-def _value(f, zs, nomes, policy):
-    v = _apply(f.kind, _arg(f.c, f.alpha, zs), nomes, policy)
+def _value(f, zs, nomes):
+    v = _apply(f.kind, _arg(f.c, f.alpha, zs), nomes)
     if f.pm:
-        v = v * _apply(f.kind, _arg(f.c, _mirror(f.alpha), zs), nomes, policy)
+        v = v * _apply(f.kind, _arg(f.c, _mirror(f.alpha), zs), nomes)
     return v
 
 
@@ -148,25 +147,22 @@ def _fold(values):
     return out
 
 
-def _on_circle(kind, c, N, nomes, policy):
+def _on_circle(kind, c, N, nomes):
     """f(c w) on w = _roots(N), read-only, from _table's cache when held."""
     # c meets the circle only in numpy, which casts it to complex128, and
     # the series as complex(c); Nomes holds p and q as complex.  So their
-    # bits are the key, and the policy enters as its two numbers, whose
-    # tuple hashes in C, not as the dataclass, whose __hash__ runs in Python.
+    # bits are the key.
     c, p, q = complex(c), nomes.p, nomes.q
-    policy = policy or DEFAULT_POLICY
-    bits = struct.pack("6d", c.real, c.imag, p.real, p.imag, q.real, q.imag)
-    return _table(kind, N, bits, policy.tail_tol, policy.max_terms)
+    return _table(kind, N, struct.pack("6d", c.real, c.imag, p.real, p.imag, q.real, q.imag))
 
 
 @functools.lru_cache(maxsize=_TABLES)
-def _table(kind, N, bits, tail_tol, max_terms):
+def _table(kind, N, bits):
     """f(c w) on w = _roots(N) by its route, read-only; c, p and q are _unpack(bits)."""
-    series = _series(kind, bits, tail_tol, max_terms)
+    series = _series(kind, bits)
     if series is None:
         c, p, q = _unpack(bits)
-        table = _apply(kind, _circle(N, c), Nomes(p, q), TruncationPolicy(tail_tol, max_terms))
+        table = _apply(kind, _circle(N, c), Nomes(p, q))
     else:
         table = _laurent(series, N)
     table.flags.writeable = False
@@ -178,11 +174,11 @@ _SIGNS = {GAMMA: (1.0, -1.0), RECIP: (-1.0, 1.0), THETA: (-1.0, -1.0)}
 
 
 @functools.lru_cache(maxsize=_SERIES)
-def _series(kind, bits, tail_tol, max_terms):
+def _series(kind, bits):
     """Laurent coefficients of log f(c w), those of w^-K..w^K in order, or None.
 
     None where the qseries evaluators take the table: unless |c| lies
-    strictly inside f's annulus and a K <= max_terms certifies the tail.
+    strictly inside f's annulus and a K <= MAX_TERMS certifies the tail.
     The denominators and K are qseries._log_den's at the outer radius |c|
     and the inner |pq/c| (|p/c| for theta, which is log Gamma's series at
     q = 0 with the signs of _SIGNS).
@@ -195,7 +191,7 @@ def _series(kind, bits, tail_tol, max_terms):
     if not (a < 1.0 and b < 1.0):
         return None
     try:
-        den = _log_den(p, 0j if kind == THETA else q, a, b, tail_tol, max_terms)
+        den = _log_den(p, 0j if kind == THETA else q, a, b)
     except TruncationError:
         return None
     K = len(den)
@@ -217,10 +213,10 @@ def _laurent(series, N):
     return np.exp(np.fft.ifft(folded.reshape(-1, N).sum(axis=0), norm="forward"))
 
 
-def evaluate(factors, z, nomes, policy=None):
+def evaluate(factors, z, nomes):
     """Product of the factors at z: one value, or one per grid point."""
     if not isinstance(z, Lattice):
-        return _fold(_value(f, z, nomes, policy) for f in factors)
+        return _fold(_value(f, z, nomes) for f in factors)
     # alpha' -> reads (kind, c, d, pm) of f(c w) at (d m) mod N, and of a pm
     # factor's mirror at (-d m) mod N
     N, groups, at = z.N, {}, {1: slice(None)}
@@ -235,14 +231,14 @@ def evaluate(factors, z, nomes, policy=None):
     for key, reads in groups.items():
         reads = tuple(reads)
         if reads not in tables:
-            tables[reads] = _fold(_gathered(reads, N, at, nomes, policy))
+            tables[reads] = _fold(_gathered(reads, N, at, nomes))
         out = out * tables[reads][sum(e * z.k[i] for i, e in key) % N]
     return out
 
 
-def _gathered(reads, N, at, nomes, policy):
+def _gathered(reads, N, at, nomes):
     """Each read's table, looked up once, at at[d] and for a pm read then at at[-d]."""
     for kind, c, d, both in reads:
-        table = _on_circle(kind, c, N, nomes, policy)
+        table = _on_circle(kind, c, N, nomes)
         for sign in (1, -1)[: 1 + both]:
             yield table[at[sign * d]]

@@ -8,7 +8,7 @@ Conventions (0 <= |p|, |q| < 1 throughout):
 
 All evaluators accept a complex scalar or a numpy array of complex values for
 ``u`` (elementwise semantics).  Every element's value depends on that
-element, the nomes and the policy alone, never on the rest of its array:
+element and the nomes alone, never on the rest of its array:
 the arithmetic runs along columns of one element each, which numpy
 evaluates with the same instructions at any array length (see _product).
 So an array is evaluated in blocks of elements, which bounds its
@@ -16,10 +16,11 @@ temporaries, and a scalar as a one-element array: it has the bits its
 element has in any array.  Its value, a Python complex, is held in a memo
 of the last _SCALAR_ENTRIES scalar values.
 
-Every truncated sum is certified below tail_tol / max_terms, and
-TruncationError raised where more than max_terms terms would be needed.
-A single product (x; c)_inf keeps the factors k with |c^k| |x| at least
-tail_tol / max_terms * (1 - |c|) (_base).
+There is one truncation rule, with no knob: every truncated sum is
+certified below TAIL_TOL / MAX_TERMS (about 2e-16, the double precision the
+harness computes in), and TruncationError raised where more than MAX_TERMS
+terms would be needed.  A single product (x; c)_inf keeps the factors k
+with |c^k| |x| at least TAIL_TOL / MAX_TERMS * (1 - |c|) (_base).
 
 Gamma is evaluated one way, never as a double product.  Let a be the nome
 of larger modulus and b the other.  Gamma(a w) = theta(w; b) Gamma(w), so u
@@ -30,7 +31,7 @@ that ring |w| and |pq/w| are both at most beta, and
     log Gamma(w; p, q) = sum_{k>=1} (w^k - (pq/w)^k) / (k (1 - p^k)(1 - q^k))
 
 (Felder and Varchenko, Adv. Math. 156 (2000)) is summed to the K that
-_log_den certifies at beta, so K depends on p, q and the policy alone; the
+_log_den certifies at beta, so K depends on p and q alone; the
 circle tables of kernel take their series from _log_den too.  At pq = 0,
 Gamma = 1/(u; a)_inf.
 
@@ -39,7 +40,9 @@ The poles of Gamma, u = p^-mu q^-nu, are zeros of the factors
 1/Gamma, the zeros u = p^(mu+1) q^(nu+1) of Gamma, zeros of the factors
 (1 - b^(k+1) a^(j+1) / u) of the corrections 1/Gamma divides by.  A factor
 of a divisor within POLE_TOL of 0 raises PoleProximityError naming
-(mu, nu); the ring holds no pole or zero.
+(mu, nu); the ring holds no pole or zero.  Far from the ring the corrections
+leave the double range (|Gamma(1e-4 e^i; 0.9, 0.85)| is about 1e3011), and
+DomainError names the argument.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +60,14 @@ from .errors import DomainError, PoleProximityError, TruncationError
 # Relative distance below which an argument counts as sitting on a pole.
 POLE_TOL = 1e-12
 
+# The truncation rule: TAIL_TOL / MAX_TERMS bounds the neglected tail of
+# every truncated sum (the factors |c^k x| a single product (x; c)_inf
+# leaves out, and the terms a Laurent series of log Gamma or log theta
+# leaves out), and MAX_TERMS caps the factors of a single product and the
+# terms K of a series; TruncationError where the bound needs more.
+TAIL_TOL = 1e-13
+MAX_TERMS = 512
+
 # Scalar values the memo holds.  One pass of each benchmark workload at
 # seed 1, replayed against an unbounded memo, misses no more at 64 entries:
 # suite 71 misses in 231 calls, sweep_n1 234 in 712, closed_forms 2 885 in
@@ -63,8 +75,8 @@ POLE_TOL = 1e-12
 _SCALAR_ENTRIES = 64
 
 # (row, column) entries of one block of an array's evaluation: a block of
-# _BLOCK_ENTRIES // max_terms elements keeps every temporary, at most
-# max_terms rows of two columns per element, within 2 * _BLOCK_ENTRIES
+# _BLOCK_ENTRIES // MAX_TERMS elements keeps every temporary, at most
+# MAX_TERMS rows of two columns per element, within 2 * _BLOCK_ENTRIES
 # complex values (16 MiB).
 _BLOCK_ENTRIES = 2**19
 
@@ -93,33 +105,7 @@ class Nomes:
         return self.p * self.q
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Controls how infinite products and series are truncated.
-
-    ``tail_tol``: tail_tol / max_terms bounds the neglected tail of every
-    truncated sum: the factors |c^k x| a single product (x; c)_inf leaves
-    out, and the terms a Laurent series of log Gamma or log theta leaves out.
-    ``max_terms``: cap on the factors of a single product and the terms K of
-    a series; TruncationError where the bound needs more.
-    """
-
-    tail_tol: float = 1e-13
-    max_terms: int = 512
-
-    def __post_init__(self):
-        # a tail bound of 1 or more certifies nothing (at inf every product reads 1)
-        if not 0 < self.tail_tol < 1:
-            raise DomainError(f"tail_tol must lie in (0, 1), got {self.tail_tol}")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be at least 1")
-
-
-DEFAULT_POLICY = TruncationPolicy()
-
-
-def _log_den(p: complex, q: complex, outer: float, inner: float, tail_tol: float,
-             max_terms: int) -> np.ndarray:
+def _log_den(p: complex, q: complex, outer: float, inner: float) -> np.ndarray:
     """The denominators k (1 - p^k)(1 - q^k), k = 1..K, of the Laurent series
 
         log Gamma(u; p, q) = sum_{k>=1} (u^k - (pq/u)^k) / (k (1 - p^k)(1 - q^k)),
@@ -129,24 +115,24 @@ def _log_den(p: complex, q: complex, outer: float, inner: float, tail_tol: float
     1 - |p|, the terms beyond K sum to at most
     (outer^(K+1)/(1 - outer) + inner^(K+1)/(1 - inner)) / ((K + 1) D),
     D = (1 - |p|)(1 - |q|), and K is the smallest with that below
-    tail_tol / max_terms; TruncationError where that K exceeds max_terms.
-    The bound below tail_tol / K certifies the same rings (the two agree at
-    K = max_terms), but lets the truncation error reach 3e-14 at K = 3,
-    where this rule keeps it under 2e-16 at the default policy.
+    TAIL_TOL / MAX_TERMS; TruncationError where that K exceeds MAX_TERMS.
+    The bound below TAIL_TOL / K certifies the same rings (the two agree at
+    K = MAX_TERMS), but lets the truncation error reach 3e-14 at K = 3,
+    where this rule keeps it under 2e-16.
     """
     D = (1.0 - abs(p)) * (1.0 - abs(q))
 
     def tail(K):
         return (outer ** (K + 1) / (1.0 - outer) + inner ** (K + 1) / (1.0 - inner)) / ((K + 1) * D)
 
-    tol = tail_tol / max_terms
-    if tail(max_terms) >= tol:
+    tol = TAIL_TOL / MAX_TERMS
+    if tail(MAX_TERMS) >= tol:
         raise TruncationError(
-            f"cannot certify the series tail < {tol} within max_terms={max_terms}",
-            achieved_bound=tail(max_terms),
+            f"cannot certify the series tail < {tol} within max_terms={MAX_TERMS}",
+            achieved_bound=tail(MAX_TERMS),
         )
     # the tail falls with K: bisect for the smallest K that certifies
-    lo, K = 0, max_terms
+    lo, K = 0, MAX_TERMS
     while K - lo > 1:
         mid = (lo + K) // 2
         lo, K = (lo, mid) if tail(mid) < tol else (mid, K)
@@ -155,38 +141,38 @@ def _log_den(p: complex, q: complex, outer: float, inner: float, tail_tol: float
     return den * (1.0 - q**k) if q else den
 
 
-# A miss forms max_terms powers (17 us on a 2-core Xeon); a hit takes
+# A miss forms MAX_TERMS powers (17 us on a 2-core Xeon); a hit takes
 # 0.7 us.  One pass of each benchmark workload at seed 1, replayed against
 # an unbounded cache, misses no more at 4 entries: suite 5 misses in 102
 # calls, sweep_n1 3 in 268, closed_forms 913 in 1 683 (915 at one entry).
 @functools.lru_cache(maxsize=4)
-def _base(bits: bytes, tail_tol: float, max_terms: int):
+def _base(bits: bytes):
     """(c, the column of c^k, that of -|c^k|, the factor threshold) of the c in bits.
 
-    The powers, k = 0..max_terms, are formed by repeated multiplication and
+    The powers, k = 0..MAX_TERMS, are formed by repeated multiplication and
     held read-only.  Factor k of (x; c)_inf is kept where |c^k| reaches
-    threshold / |x|, the threshold being tail_tol / max_terms * (1 - |c|),
+    threshold / |x|, the threshold being TAIL_TOL / MAX_TERMS * (1 - |c|),
     so the tail past the last kept one is |x| |c|^L / (1 - |c|) <
-    tail_tol / max_terms.
+    TAIL_TOL / MAX_TERMS.
     """
     c = complex(*struct.unpack("2d", bits))
-    powers = np.full((max_terms + 1, 1), c)
+    powers = np.full((MAX_TERMS + 1, 1), c)
     powers[0] = 1.0
     powers = np.cumprod(powers, axis=0)
     negated = -np.abs(powers)
     powers.flags.writeable = negated.flags.writeable = False
-    return c, powers, negated, tail_tol / max_terms * (1.0 - abs(c))
+    return c, powers, negated, TAIL_TOL / MAX_TERMS * (1.0 - abs(c))
 
 
-def _based(c: complex, limits):
-    """_base of c under limits = (tail_tol, max_terms), c by its bits."""
-    return _base(struct.pack("2d", c.real, c.imag), *limits)
+def _based(c: complex):
+    """_base of c, c by its bits."""
+    return _base(struct.pack("2d", c.real, c.imag))
 
 
 def _length(bound: float, base) -> int:
     """The factors (x; c)_inf keeps at |x| = bound, by the _base rule.
 
-    TruncationError where it would keep more than max_terms.
+    TruncationError where it would keep more than MAX_TERMS.
     """
     _, _, negated, tol = base
     # |c^k| falls with k: the kept factors are those before the first below tol / bound
@@ -278,12 +264,11 @@ def _pole(rows, args, fixed, base_is_p: bool, what: str):
 # against an unbounded cache, misses no more at 4 entries: suite 3 misses in
 # 62 calls (4 at two entries), sweep_n1 2 in 243, closed_forms 601 in 3 906.
 @functools.lru_cache(maxsize=4)
-def _ring(bits: bytes, tail_tol: float, max_terms: int):
+def _ring(bits: bytes):
     """(a, _base of b, beta, log(1/|a|), whether b is p, the series' coefficients).
 
     bits packs p and q (pq != 0) as four doubles: Nomes holds them as
-    complex, so their bits are the key, and the policy enters as its two
-    numbers, whose tuple hashes in C.  The coefficients 1/den_k of
+    complex, so their bits are the key.  The coefficients 1/den_k of
     _log_den are a read-only column.
     """
     pr, pi, qr, qi = struct.unpack("4d", bits)
@@ -291,19 +276,19 @@ def _ring(bits: bytes, tail_tol: float, max_terms: int):
     b_is_p = abs(p) < abs(q)
     a, b = (q, p) if b_is_p else (p, q)
     beta = math.sqrt(abs(b))
-    inv = 1.0 / _log_den(p, q, beta, beta, tail_tol, max_terms)[:, None]
+    inv = 1.0 / _log_den(p, q, beta, beta)[:, None]
     inv.flags.writeable = False
-    return a, _based(b, (tail_tol, max_terms)), beta, -math.log(abs(a)), b_is_p, inv
+    return a, _based(b), beta, -math.log(abs(a)), b_is_p, inv
 
 
-def _gamma(u: np.ndarray, p: complex, q: complex, limits, recip: bool = False) -> np.ndarray:
+def _gamma(u: np.ndarray, p: complex, q: complex, recip: bool = False) -> np.ndarray:
     """Gamma(u; p, q), or 1/Gamma with ``recip``, for the 1-D array u."""
     what = "elliptic_gamma_recip" if recip else "elliptic_gamma"
     pq = p * q
     if pq == 0:
         if recip and not u.all():
             raise DomainError("elliptic_gamma_recip requires u != 0")
-        rows = _single(u, _based(q if p == 0 else p, limits))
+        rows = _single(u, _based(q if p == 0 else p))
         if not recip:
             _pole(rows[:, : len(u)], u, np.zeros(len(u), dtype=int), p != 0, what)
         value = _product(rows)[: len(u)]
@@ -311,7 +296,7 @@ def _gamma(u: np.ndarray, p: complex, q: complex, limits, recip: bool = False) -
     if not u.all():
         raise DomainError(f"{what} requires u != 0" + ("" if recip else " unless p*q = 0"))
     bits = struct.pack("4d", p.real, p.imag, q.real, q.imag)
-    a, base, beta, log_a, b_is_p, coef = _ring(bits, *limits)
+    a, base, beta, log_a, b_is_p, coef = _ring(bits)
     # w = a^m u lies in the ring |a| beta <= |w| <= beta, and so does v = pq/w
     m = np.ceil(np.log(np.abs(u) / beta) / log_a)
     shifts = np.abs(m)
@@ -338,36 +323,45 @@ def _gamma(u: np.ndarray, p: complex, q: complex, limits, recip: bool = False) -
     small = _length(beta, base)
     every = int(shifts.min())
     thetas = np.ones(n, dtype=complex)
-    for d in range(1, int(top) + 1):
-        at = slice(None) if d <= every else shifts >= d
-        x = outer[at] * a**-d
-        rows = _rows(np.concatenate((x, b / x)), powers[: _length(beta * math.exp(d * log_a), base)])
-        rows[small:, len(x) :] = 1.0
-        hit = divides[at]
-        if hit.any():
-            near = rows[:, : len(x)] if hit.all() else rows[:, : len(x)][:, hit]
-            if np.abs(near).min() < POLE_TOL:
-                _pole(near, (pq / u if recip else u)[at][hit], (shifts - d)[at][hit], b_is_p, what)
-        values = _product(rows)
-        thetas[at] = thetas[at] * (values[: len(x)] * values[len(x) :])
-    return np.divide(value, thetas, out=value * thetas, where=divides)
+    # far from the ring the corrections overflow: checked below, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in range(1, int(top) + 1):
+            at = slice(None) if d <= every else shifts >= d
+            x = outer[at] * a**-d
+            rows = _rows(np.concatenate((x, b / x)), powers[: _length(beta * math.exp(d * log_a), base)])
+            rows[small:, len(x) :] = 1.0
+            hit = divides[at]
+            if hit.any():
+                near = rows[:, : len(x)] if hit.all() else rows[:, : len(x)][:, hit]
+                if np.abs(near).min() < POLE_TOL:
+                    _pole(near, (pq / u if recip else u)[at][hit], (shifts - d)[at][hit], b_is_p, what)
+            values = _product(rows)
+            thetas[at] = thetas[at] * (values[: len(x)] * values[len(x) :])
+        out = np.divide(value, thetas, out=value * thetas, where=divides)
+    if not (np.isfinite(thetas).all() and np.isfinite(out).all()):
+        bad = complex(u[np.argmin(np.isfinite(thetas) & np.isfinite(out))])
+        raise DomainError(
+            f"{what}: argument {bad} is outside the double range: its theta "
+            f"corrections or its value pass {sys.float_info.max:.4g}"
+        )
+    return out
 
 
-def _recip(u: np.ndarray, p: complex, q: complex, limits) -> np.ndarray:
-    return _gamma(u, p, q, limits, recip=True)
+def _recip(u: np.ndarray, p: complex, q: complex) -> np.ndarray:
+    return _gamma(u, p, q, recip=True)
 
 
-def _theta(u: np.ndarray, p: complex, _, limits) -> np.ndarray:
+def _theta(u: np.ndarray, p: complex, _) -> np.ndarray:
     """theta(u; p) for the 1-D array u (the third argument is unused)."""
     if not u.all():
         raise DomainError("theta(u; p) requires u != 0")
-    values = _product(_single(np.concatenate((u, p / u)), _based(p, limits)))
+    values = _product(_single(np.concatenate((u, p / u)), _based(p)))
     return values[: len(u)] * values[len(u) :]
 
 
-def _qpoch(u: np.ndarray, _, q: complex, limits) -> np.ndarray:
+def _qpoch(u: np.ndarray, _, q: complex) -> np.ndarray:
     """(u; q)_inf for the 1-D array u (the second argument is unused)."""
-    return _product(_single(u, _based(q, limits)))[: len(u)]
+    return _product(_single(u, _based(q)))[: len(u)]
 
 
 def _unpack(bits: bytes):
@@ -377,97 +371,90 @@ def _unpack(bits: bytes):
 
 
 @functools.lru_cache(maxsize=_SCALAR_ENTRIES)
-def _scalar(f, bits: bytes, tail_tol: float, max_terms: int) -> complex:
+def _scalar(f, bits: bytes) -> complex:
     """f at the u, p and q packed in bits, as a one-element array, as a Python complex."""
     u, p, q = _unpack(bits)
-    return f(np.array([u]), p, q, (tail_tol, max_terms)).item()
+    return f(np.array([u]), p, q).item()
 
 
-def _evaluate(f, u, p, q, policy: TruncationPolicy | None):
-    """f(u, p, q, the policy's two numbers) in the shape of u, a scalar via _scalar's cache.
+def _evaluate(f, u, p, q):
+    """f(u, p, q) in the shape of u, a scalar via _scalar's cache.
 
-    An array is evaluated in blocks of _BLOCK_ENTRIES // max_terms
+    An array is evaluated in blocks of _BLOCK_ENTRIES // MAX_TERMS
     elements.  f reads u, p and q only as complex numbers, so their bits
-    are the key (a float nome meets the arithmetic only as complex(x, +0.0)),
-    and the policy enters as its two numbers, whose tuple hashes in C, not
-    as the dataclass, whose __hash__ runs in Python.  An error stores
-    nothing and is raised again.
+    are the key (a float nome meets the arithmetic only as complex(x, +0.0)).
+    An error stores nothing and is raised again.
     """
-    policy = policy or DEFAULT_POLICY
     arr = np.asarray(u, dtype=complex)
     if arr.ndim:
-        flat, limits = arr.reshape(-1), (policy.tail_tol, policy.max_terms)
-        step = max(1, _BLOCK_ENTRIES // policy.max_terms)
+        flat = arr.reshape(-1)
+        step = max(1, _BLOCK_ENTRIES // MAX_TERMS)
         out = np.empty_like(flat)
         for i in range(0, len(flat), step):
-            out[i : i + step] = f(flat[i : i + step], p, q, limits)
+            out[i : i + step] = f(flat[i : i + step], p, q)
         return out.reshape(arr.shape)
     u = arr.item()
-    bits = struct.pack("6d", u.real, u.imag, p.real, p.imag, q.real, q.imag)
-    return _scalar(f, bits, policy.tail_tol, policy.max_terms)
+    return _scalar(f, struct.pack("6d", u.real, u.imag, p.real, p.imag, q.real, q.imag))
 
 
-def qpoch_inf(u, q: complex, policy: TruncationPolicy | None = None):
+def qpoch_inf(u, q: complex):
     """Single infinite q-Pochhammer product (u; q)_inf.
 
     Truncated so the certified bound on the neglected tail sum_{k>=L} |q^k u|
-    stays below the policy's tail_tol / max_terms.
+    stays below TAIL_TOL / MAX_TERMS.
     """
     if abs(q) >= 1:
         raise DomainError(f"qpoch_inf requires |q| < 1, got {abs(q)}")
-    return _evaluate(_qpoch, u, 0j, q, policy)
+    return _evaluate(_qpoch, u, 0j, q)
 
 
-def theta(u, p: complex, policy: TruncationPolicy | None = None):
+def theta(u, p: complex):
     """Multiplicative theta function theta(u; p) = (u; p)_inf (p/u; p)_inf.
 
     Degenerates to 1 - u at p = 0.  Requires u != 0.
     """
-    return _evaluate(_theta, u, p, 0j, policy)
+    return _evaluate(_theta, u, p, 0j)
 
 
-def elliptic_gamma(u, nomes: Nomes, policy: TruncationPolicy | None = None):
+def elliptic_gamma(u, nomes: Nomes):
     """Elliptic gamma function Gamma(u; p, q).
 
     Poles sit at u = p^-mu q^-nu (mu, nu >= 0); arguments within POLE_TOL
     (relative) of a pole raise PoleProximityError.  At p = 0 this degenerates
     to 1 / (u; q)_inf.
     """
-    return _evaluate(_gamma, u, nomes.p, nomes.q, policy)
+    return _evaluate(_gamma, u, nomes.p, nomes.q)
 
 
-def elliptic_gamma_recip(u, nomes: Nomes, policy: TruncationPolicy | None = None):
+def elliptic_gamma_recip(u, nomes: Nomes):
     """1 / Gamma(u; p, q), safe at the poles of Gamma (where it is simply 0).
 
     Raises PoleProximityError only near the zeros of Gamma, i.e. near
     u = p^(mu+1) q^(nu+1), which are the poles of the reciprocal; the
     error names the argument pq/u, which sits at p^-mu q^-nu.
     """
-    return _evaluate(_recip, u, nomes.p, nomes.q, policy)
+    return _evaluate(_recip, u, nomes.p, nomes.q)
 
 
-def theta_pm(a: complex, z, p: complex, policy: TruncationPolicy | None = None):
+def theta_pm(a: complex, z, p: complex):
     """Double-sign theta product theta(a z^{+-1}; p) = theta(az; p) theta(a/z; p)."""
-    return theta(a * z, p, policy) * theta(a / z, p, policy)
+    return theta(a * z, p) * theta(a / z, p)
 
 
-def _gamma_product(args, nomes: Nomes, policy: TruncationPolicy | None = None,
-                   recip: bool = False) -> complex:
+def _gamma_product(args, nomes: Nomes, recip: bool = False) -> complex:
     """prod Gamma(u) over the list args (1/Gamma(u) with ``recip``).
 
     One array call, multiplied in list order.  Each value is that of its
     argument alone: its series tail and the tails of its theta corrections
-    are each below tail_tol / max_terms.
+    are each below TAIL_TOL / MAX_TERMS.
     """
-    values = (elliptic_gamma_recip if recip else elliptic_gamma)(
-        np.array(args, dtype=complex), nomes, policy
-    )
+    values = (elliptic_gamma_recip if recip else elliptic_gamma)(np.array(args, dtype=complex), nomes)
     out = 1.0 + 0.0j
     for v in values.tolist():
         out *= v
     return out
 
 
-def _euler_pair(nomes: Nomes, policy: TruncationPolicy | None = None) -> complex:
+def _euler_pair(nomes: Nomes) -> complex:
     """(p; p)_inf (q; q)_inf."""
-    return qpoch_inf(nomes.p, nomes.p, policy) * qpoch_inf(nomes.q, nomes.q, policy)
+    return qpoch_inf(nomes.p, nomes.p) * qpoch_inf(nomes.q, nomes.q)

@@ -40,7 +40,7 @@ from .errors import DomainError, NonConvergenceError
 from .integrand import _psi_kernel, _z_list, psi_tilde
 from .invariants import ParameterSet, fundamental_invariant
 from .kernel import GAMMA, MONO, RECIP, Factor, Lattice, evaluate
-from .qseries import DEFAULT_POLICY, Nomes, TruncationPolicy
+from .qseries import Nomes
 
 # Points per circle of the first rung of every trapezoid ladder.
 MIN_POINTS = 16
@@ -132,18 +132,17 @@ class QuadResult:
     history: tuple = ()
 
 
-def _key(tag: str, ints: tuple, numbers, policy) -> tuple:
-    """The key that names a ladder's integral: a family tag, its integers,
-    the exact bits of every complex number the integrand reads (== would take
-    0.0 and -0.0 as one number) and the truncation policy's two numbers."""
-    policy = policy or DEFAULT_POLICY
+def _key(tag: str, ints: tuple, numbers) -> tuple:
+    """The key that names a ladder's integral: a family tag, its integers
+    and the exact bits of every complex number the integrand reads (== would
+    take 0.0 and -0.0 as one number)."""
     parts = [x for v in map(complex, numbers) for x in (v.real, v.imag)]
-    return (tag, *ints, struct.pack(f"{len(parts)}d", *parts), policy.tail_tol, policy.max_terms)
+    return (tag, *ints, struct.pack(f"{len(parts)}d", *parts))
 
 
-def _params_key(tag: str, ints: tuple, params: ParameterSet, nomes: Nomes, policy) -> tuple:
+def _params_key(tag: str, ints: tuple, params: ParameterSet, nomes: Nomes) -> tuple:
     """_key of an integrand that reads ints, n, a_1..a_6, t, p and q."""
-    return _key(tag, (*ints, params.n), (*params.a, params.t, nomes.p, nomes.q), policy)
+    return _key(tag, (*ints, params.n), (*params.a, params.t, nomes.p, nomes.q))
 
 
 @dataclass(frozen=True)
@@ -252,7 +251,7 @@ def torus_integrate(
     return _stop(_rungs(f, n, budget, fold, key), tol)
 
 
-def _weighted(phi, params, nomes, policy):
+def _weighted(phi, params, nomes):
     """The integrand z -> phi(z) Psi~(z) of <phi> = integral of phi Psi~
     over the torus, for a quadrature ladder.
 
@@ -261,7 +260,7 @@ def _weighted(phi, params, nomes, policy):
     """
 
     def f(z):
-        w = psi_tilde(z, params, nomes, policy)
+        w = psi_tilde(z, params, nomes)
         return phi(z) * w
 
     return f
@@ -297,14 +296,14 @@ def _nabla_term(i, rest, params, nomes, shifted=False):
     return out
 
 
-def _nabla_pointwise(r, i, z, params, nomes, policy):
+def _nabla_pointwise(r, i, z, params, nomes):
     """(G, |H|) for H = phi_{r,i} Psi~ and G(z) = H(z) - H(z | z_i -> q z_i), fused form."""
     zs = _z_list(z, params.n)
     rest = [j for j in range(params.n) if j != i - 1]
-    common = fundamental_invariant(r - 1, params.a[0], params.a[5], zs, params.t, nomes.p, policy, rest)
-    common = common * evaluate(_psi_kernel(params, nomes, True, rest), zs, nomes, policy)
-    t_plain = evaluate(_nabla_term(i - 1, rest, params, nomes), zs, nomes, policy)
-    t_shift = evaluate(_nabla_term(i - 1, rest, params, nomes, shifted=True), zs, nomes, policy)
+    common = fundamental_invariant(r - 1, params.a[0], params.a[5], zs, params.t, nomes.p, coords=rest)
+    common = common * evaluate(_psi_kernel(params, nomes, True, rest), zs, nomes)
+    t_plain = evaluate(_nabla_term(i - 1, rest, params, nomes), zs, nomes)
+    t_shift = evaluate(_nabla_term(i - 1, rest, params, nomes, shifted=True), zs, nomes)
     return common * (t_plain - t_shift), np.abs(common * t_plain)
 
 
@@ -315,7 +314,6 @@ def nabla_quad(
     nomes: Nomes,
     tol: float,
     budget: int | None = None,
-    policy: TruncationPolicy | None = None,
 ) -> tuple[QuadResult, float]:
     """Quadrature of the nabla image of phi_{r,i} plus a magnitude reference.
 
@@ -335,9 +333,9 @@ def nabla_quad(
     # than z_i, and the nabla image of each i is one integral up to a
     # relabelling of those coordinates: i is not in the key
     rungs = _rungs(
-        lambda z: _nabla_pointwise(r, i, z, params, nomes, policy),
+        lambda z: _nabla_pointwise(r, i, z, params, nomes),
         n, budget, [j for j in range(n) if j != i - 1],
-        _params_key("nabla", (r,), params, nomes, policy),
+        _params_key("nabla", (r,), params, nomes),
     )
     href = {}  # N -> mean of |phi Psi~| on the N-grid
 

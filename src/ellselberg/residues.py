@@ -20,13 +20,7 @@ from __future__ import annotations
 from .errors import DomainError
 from .integrand import c_constant, psi
 from .invariants import ParameterSet
-from .qseries import (
-    Nomes,
-    TruncationPolicy,
-    _euler_pair,
-    _gamma_product,
-    elliptic_gamma,
-)
+from .qseries import Nomes, _euler_pair, _gamma_product, elliptic_gamma
 from .quadrature import _params_key, torus_integrate
 
 # |a| closer to the unit circle than this leaves the quadrature no room.
@@ -38,7 +32,6 @@ def continued_integral_n1(
     nomes: Nomes,
     tol: float,
     budget: int | None = None,
-    policy: TruncationPolicy | None = None,
 ) -> tuple[complex, int]:
     """Holomorphic continuation of the n=1 torus integral of Psi, and the
     grid N its quadrature ladder stopped at.
@@ -70,21 +63,19 @@ def continued_integral_n1(
         if nomes.pq == 0:
             raise DomainError("the residue pair is not implemented at p q = 0")
     quad = torus_integrate(
-        lambda z: psi(z, params, nomes, policy), 1, tol, budget, fold=(0,),
-        key=_params_key("psi", (), params, nomes, policy),
+        lambda z: psi(z, params, nomes), 1, tol, budget, fold=(0,),
+        key=_params_key("psi", (), params, nomes),
     )
     value = quad.value
     if outside:
         others = [v for m, v in enumerate(params.a) if m != outside[0]]
-        corr = 2.0 * _gamma_product([x for v in others for x in (v * a, v / a)], nomes, policy)
-        corr /= _euler_pair(nomes, policy) * elliptic_gamma(a**-2, nomes, policy)
+        corr = 2.0 * _gamma_product([x for v in others for x in (v * a, v / a)], nomes)
+        corr /= _euler_pair(nomes) * elliptic_gamma(a**-2, nomes)
         value += corr
     return value, quad.N_used
 
 
-def lim_pinch_J(
-    params: ParameterSet, nomes: Nomes, policy: TruncationPolicy | None = None
-) -> complex:
+def lim_pinch_J(params: ParameterSet, nomes: Nomes) -> complex:
     """lim (1 - a_1 a_2) J_n as a_2 -> 1/a_1, in closed form.
 
     Requires a_2 = a_1^(-1) exactly and the residual balancing
@@ -113,22 +104,20 @@ def lim_pinch_J(
         for j in range(2, 6):
             for k in range(j + 1, 6):
                 args.append(a[j] * a[k] * ti)
-    return 1.0 / _euler_pair(nomes, policy) * _gamma_product(args, nomes, policy)
+    return 1.0 / _euler_pair(nomes) * _gamma_product(args, nomes)
 
 
-def cn_recurrence_check(
-    n: int, t, nomes: Nomes, policy: TruncationPolicy | None = None
-) -> float:
+def cn_recurrence_check(n: int, t, nomes: Nomes) -> float:
     """Relative defect of c_n = c_{n-1} 2n Gamma(t^n) / (Gamma(t) (p;p)(q;q))."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    cn = c_constant(n, nomes, t, policy)
-    prev = c_constant(n - 1, nomes, t, policy)
+    cn = c_constant(n, nomes, t)
+    prev = c_constant(n - 1, nomes, t)
     step = (
         prev
         * 2
         * n
-        * elliptic_gamma(t**n, nomes, policy)
-        / (elliptic_gamma(t, nomes, policy) * _euler_pair(nomes, policy))
+        * elliptic_gamma(t**n, nomes)
+        / (elliptic_gamma(t, nomes) * _euler_pair(nomes))
     )
     return abs(cn - step) / abs(cn)

@@ -5,7 +5,8 @@ given (seed, mode, box, predicate) always reproduces the same parameter
 lists.  The box keeps every solved entry within its mode's modulus
 constraint; candidates violating a constraint are rejected and counted.
 The box bounds moduli only: no draw is checked for integrand poles near
-the torus (ROADMAP item 6).
+the torus (see the ROADMAP item on one pole-gap rule and boxes checked
+before drawing).
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ class SafeBox:
         if not 0 <= self.solved_clearance < 1:
             raise ConfigurationError(
                 f"solved_clearance must lie in [0, 1), got {self.solved_clearance}"
+            )
+        if not self.max_rejections >= 0:
+            raise ConfigurationError(
+                f"max_rejections must be non-negative, got {self.max_rejections}"
             )
 
 

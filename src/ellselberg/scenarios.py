@@ -34,14 +34,7 @@ from .invariants import (
     fundamental_invariant,
 )
 from .kernel import GAMMA, evaluate, pm
-from .qseries import (
-    DEFAULT_POLICY,
-    Nomes,
-    TruncationPolicy,
-    _euler_pair,
-    _gamma_product,
-    theta,
-)
+from .qseries import MAX_TERMS, TAIL_TOL, Nomes, _euler_pair, _gamma_product, theta
 from .quadrature import (
     _NOTES,
     _key,
@@ -57,7 +50,7 @@ from .residues import continued_integral_n1, lim_pinch_J
 from .sampling import DEFAULT_BOX, SafeBox, sample_da_parameters, sample_parameters
 
 
-def _run(scenario: str, echo: dict, tol: float, policy, timing: bool, compute) -> ScenarioReport:
+def _run(scenario: str, echo: dict, tol: float, timing: bool, compute) -> ScenarioReport:
     """Report compute()'s (lhs, rhs, grid_N[, scale[, detail]]) against tol.
 
     An EllSelbergError raised by compute becomes a failed report that gives
@@ -80,7 +73,6 @@ def _run(scenario: str, echo: dict, tol: float, policy, timing: bool, compute) -
             rel_err = abs_err / scale if scale > 0 else abs_err
     finally:
         _NOTES.reset(token)
-    pol = policy if policy is not None else DEFAULT_POLICY
     return ScenarioReport(
         scenario=scenario,
         **{"k": None, "r": None, "i": None, **echo},
@@ -92,8 +84,8 @@ def _run(scenario: str, echo: dict, tol: float, policy, timing: bool, compute) -
         tol=float(tol),
         passed=bool(rel_err <= tol),
         runtime_ms=None if started is None else int(round((time.monotonic() - started) * 1000)),
-        tail_tol=pol.tail_tol,
-        max_terms=pol.max_terms,
+        tail_tol=TAIL_TOL,
+        max_terms=MAX_TERMS,
         detail="; ".join(filter(None, [detail, *notes])),
     )
 
@@ -129,7 +121,6 @@ def scenario_eval_formula(
     nomes: Nomes,
     tol: float,
     budget: int | None = None,
-    policy: TruncationPolicy | None = None,
     timing: bool = False,
     seed_index: int = 0,
 ) -> ScenarioReport:
@@ -142,7 +133,7 @@ def scenario_eval_formula(
     """
 
     def compute():
-        rhs = c_constant(n, nomes, params.t, policy) * j_closed(params, nomes, policy)
+        rhs = c_constant(n, nomes, params.t) * j_closed(params, nomes)
         scale = max(abs(rhs), 1.0)
         outside = any(abs(v) > 1 for v in params.a)
         if outside and n != 1:
@@ -150,19 +141,19 @@ def scenario_eval_formula(
                 "n >= 2 needs every parameter inside the unit circle"
             )
         if outside:
-            lhs, grid_N = continued_integral_n1(params, nomes, 0.1 * tol * scale, budget, policy)
+            lhs, grid_N = continued_integral_n1(params, nomes, 0.1 * tol * scale, budget)
             return lhs, rhs, grid_N, None, "continued contour (one parameter outside)"
         quad = torus_integrate(
-            lambda z: psi(z, params, nomes, policy), n, 0.1 * tol * scale, budget,
-            fold=range(n), key=_params_key("psi", (), params, nomes, policy),
+            lambda z: psi(z, params, nomes), n, 0.1 * tol * scale, budget,
+            fold=range(n), key=_params_key("psi", (), params, nomes),
         )
         return quad.value, rhs, quad.N_used
 
     echo = _echo(params, nomes, seed_index=seed_index)
-    return _run("eval_formula", echo, tol, policy, timing, compute)
+    return _run("eval_formula", echo, tol, timing=timing, compute=compute)
 
 
-def _qde_theta_ratio(params, nomes, k, shift_a6, policy):
+def _qde_theta_ratio(params, nomes, k, shift_a6):
     """prod_{i, m<=5, m!=k} theta(a_m a_6' t^(i-1); p) / theta(a_m a_k t^(i-1); p)."""
     ratio = 1.0 + 0.0j
     a6s = params.a[5] * shift_a6
@@ -171,8 +162,8 @@ def _qde_theta_ratio(params, nomes, k, shift_a6, policy):
         for m in range(1, 6):
             if m == k:
                 continue
-            ratio *= theta(params.a[m - 1] * a6s * ti, nomes.p, policy)
-            ratio /= theta(params.a[m - 1] * params.a[k - 1] * ti, nomes.p, policy)
+            ratio *= theta(params.a[m - 1] * a6s * ti, nomes.p)
+            ratio /= theta(params.a[m - 1] * params.a[k - 1] * ti, nomes.p)
     return ratio
 
 
@@ -188,7 +179,6 @@ def scenario_qde(
     nomes: Nomes,
     tol: float,
     budget: int | None = None,
-    policy: TruncationPolicy | None = None,
     timing: bool = False,
     seed_index: int = 0,
 ) -> ScenarioReport:
@@ -213,42 +203,42 @@ def scenario_qde(
                 )
             left = params
             right = params.shifted_pair(k, nomes.q)
-            ratio = _qde_theta_ratio(params, nomes, k, 1.0 / nomes.q, policy)
+            ratio = _qde_theta_ratio(params, nomes, k, 1.0 / nomes.q)
         elif mode is BalancingMode.P:
             if abs(nomes.q * params.a[5]) >= 0.9:
                 raise SampleRejectionError("q a_6 leaves the safe disk")
             left = params.with_entry(6, nomes.q * params.a[5])
             right = params.with_entry(k, nomes.q * params.a[k - 1])
-            ratio = _qde_theta_ratio(params, nomes, k, 1.0, policy)
+            ratio = _qde_theta_ratio(params, nomes, k, 1.0)
         else:
             raise SampleRejectionError(
                 "q-difference scenarios need the PQ or P balancing"
             )
         left_rungs, scale = _probed(
-            lambda z: psi(z, left, nomes, policy), n, budget, 1.0,
-            _params_key("psi", (), left, nomes, policy),
+            lambda z: psi(z, left, nomes), n, budget, 1.0,
+            _params_key("psi", (), left, nomes),
         )
         lhs_quad = _stop(left_rungs, 0.1 * tol * scale)
         rhs_quad = torus_integrate(
-            lambda z: psi(z, right, nomes, policy),
+            lambda z: psi(z, right, nomes),
             n, 0.1 * tol * (scale / max(abs(ratio), 1e-6)), budget, fold=range(n),
-            key=_params_key("psi", (), right, nomes, policy),
+            key=_params_key("psi", (), right, nomes),
         )
         return lhs_quad.value, rhs_quad.value * ratio, max(lhs_quad.N_used, rhs_quad.N_used)
 
     echo = _echo(params, nomes, seed_index=seed_index, k=k)
-    return _run("qde", echo, tol, policy, timing, compute)
+    return _run("qde", echo, tol, timing=timing, compute=compute)
 
 
-def _expect_invariant(r, params, nomes, tol, budget, policy):
+def _expect_invariant(r, params, nomes, tol, budget):
     """<E_r> = integral of E_r Psi~, refined against its own coarse magnitude."""
     a1, a6, t, n = params.a[0], params.a[5], params.t, params.n
 
     def phi(z):
-        return fundamental_invariant(r, a1, a6, _z_list(z, n), t, nomes.p, policy)
+        return fundamental_invariant(r, a1, a6, _z_list(z, n), t, nomes.p)
 
-    key = _params_key("E", (r,), params, nomes, policy)
-    rungs, scale = _probed(_weighted(phi, params, nomes, policy), n, budget, 1e-12, key)
+    key = _params_key("E", (r,), params, nomes)
+    rungs, scale = _probed(_weighted(phi, params, nomes), n, budget, 1e-12, key)
     return _stop(rungs, 0.1 * tol * scale)
 
 
@@ -259,20 +249,19 @@ def scenario_recurrence(
     nomes: Nomes,
     tol: float,
     budget: int | None = None,
-    policy: TruncationPolicy | None = None,
     timing: bool = False,
     seed_index: int = 0,
 ) -> ScenarioReport:
     """<E_r> against C_r <E_(r-1)> under the ONE balancing."""
 
     def compute():
-        c_r = coefficient_c(r, params, nomes, policy)
-        lhs = _expect_invariant(r, params, nomes, tol, budget, policy)
-        prev = _expect_invariant(r - 1, params, nomes, tol, budget, policy)
+        c_r = coefficient_c(r, params, nomes)
+        lhs = _expect_invariant(r, params, nomes, tol, budget)
+        prev = _expect_invariant(r - 1, params, nomes, tol, budget)
         return lhs.value, c_r * prev.value, max(lhs.N_used, prev.N_used)
 
     echo = _echo(params, nomes, seed_index=seed_index, r=r)
-    return _run("recurrence", echo, tol, policy, timing, compute)
+    return _run("recurrence", echo, tol, timing=timing, compute=compute)
 
 
 def scenario_recurrence_telescope(
@@ -281,20 +270,19 @@ def scenario_recurrence_telescope(
     nomes: Nomes,
     tol: float,
     budget: int | None = None,
-    policy: TruncationPolicy | None = None,
     timing: bool = False,
     seed_index: int = 0,
 ) -> ScenarioReport:
     """<E_n>/<E_0> against the closed boundary ratio (the telescoped system)."""
 
     def compute():
-        rhs = boundary_expectation_ratio(params, nomes, policy)
-        top = _expect_invariant(n, params, nomes, tol, budget, policy)
-        bot = _expect_invariant(0, params, nomes, tol, budget, policy)
+        rhs = boundary_expectation_ratio(params, nomes)
+        top = _expect_invariant(n, params, nomes, tol, budget)
+        bot = _expect_invariant(0, params, nomes, tol, budget)
         return top.value / bot.value, rhs, max(top.N_used, bot.N_used)
 
     echo = _echo(params, nomes, seed_index=seed_index)
-    return _run("recurrence_telescope", echo, tol, policy, timing, compute)
+    return _run("recurrence_telescope", echo, tol, timing=timing, compute=compute)
 
 
 def scenario_nabla(
@@ -305,25 +293,24 @@ def scenario_nabla(
     nomes: Nomes,
     tol: float,
     budget: int | None = None,
-    policy: TruncationPolicy | None = None,
     timing: bool = False,
     seed_index: int = 0,
 ) -> ScenarioReport:
     """|<nabla phi_(r,i)>| against 0, scaled by the magnitude <|phi Psi~|>."""
 
     def compute():
-        res, reference = nabla_quad(r, i, params, nomes, 0.01 * tol, budget, policy=policy)
+        res, reference = nabla_quad(r, i, params, nomes, 0.01 * tol, budget)
         return res.value, 0j, res.N_used, reference, f"reference={reference!r}"
 
     echo = _echo(params, nomes, seed_index=seed_index, r=r, i=i)
-    return _run("nabla", echo, tol, policy, timing, compute)
+    return _run("nabla", echo, tol, timing=timing, compute=compute)
 
 
-def _da_closed(a, n, nomes, policy):
+def _da_closed(a, n, nomes):
     """2^n n! / ((p;p)(q;q))^n * prod_{j<k} Gamma(a_j a_k)."""
     pairs = [a[j] * a[k] for j in range(len(a)) for k in range(j + 1, len(a))]
-    out = 2.0**n * math.factorial(n) / _euler_pair(nomes, policy) ** n
-    return out * _gamma_product(pairs, nomes, policy)
+    out = 2.0**n * math.factorial(n) / _euler_pair(nomes) ** n
+    return out * _gamma_product(pairs, nomes)
 
 
 def scenario_dixon_anderson(
@@ -332,7 +319,6 @@ def scenario_dixon_anderson(
     nomes: Nomes,
     tol: float,
     budget: int | None = None,
-    policy: TruncationPolicy | None = None,
     timing: bool = False,
     seed_index: int = 0,
 ) -> ScenarioReport:
@@ -354,13 +340,13 @@ def scenario_dixon_anderson(
         target = nomes.pq
         if abs(prod - target) > 1e-10 * max(abs(target), 1.0):
             raise SampleRejectionError(f"prod a_m = {prod!r} violates p q = {target!r}")
-        rhs = _da_closed(a, n, nomes, policy)
+        rhs = _da_closed(a, n, nomes)
         scale = max(abs(rhs), 1.0)
         kernel = _bc_kernel([pm(GAMMA, am) for am in a], None, range(n))
         quad = torus_integrate(
-            lambda z: evaluate(kernel, _z_list(z, n), nomes, policy),
+            lambda z: evaluate(kernel, _z_list(z, n), nomes),
             n, 0.1 * tol * scale, budget, fold=range(n),
-            key=_key("da", (n,), (*a, nomes.p, nomes.q), policy),
+            key=_key("da", (n,), (*a, nomes.p, nomes.q)),
         )
         return quad.value, rhs, quad.N_used
 
@@ -374,7 +360,7 @@ def scenario_dixon_anderson(
         balancing=None,
         constraint_exponent=1,
     )
-    return _run("dixon_anderson", echo, tol, policy, timing, compute)
+    return _run("dixon_anderson", echo, tol, timing=timing, compute=compute)
 
 
 def make_pinched(params: ParameterSet, nomes: Nomes) -> ParameterSet:
@@ -393,7 +379,6 @@ def scenario_pinch(
     tol: float,
     check: str = "limit",
     budget: int | None = None,
-    policy: TruncationPolicy | None = None,
     timing: bool = False,
     seed_index: int = 0,
 ) -> ScenarioReport:
@@ -415,7 +400,7 @@ def scenario_pinch(
     def compute():
         a, t, n = params.a, params.t, params.n
         if check == "limit":
-            rhs = lim_pinch_J(params, nomes, policy)
+            rhs = lim_pinch_J(params, nomes)
             pairs = [
                 a[j] * a[k] * t ** (i - 1)
                 for i in range(1, n + 1)
@@ -423,25 +408,25 @@ def scenario_pinch(
                 for k in range(j + 1, 6)
                 if (i, j, k) != (1, 0, 1)
             ]
-            return _gamma_product(pairs, nomes, policy) / _euler_pair(nomes, policy), rhs, 0
+            return _gamma_product(pairs, nomes) / _euler_pair(nomes), rhs, 0
         if check == "integral":
             if n != 1:
                 raise DomainError("the pinched integral check is n = 1 only")
-            rhs = c_constant(1, nomes, t, policy) * lim_pinch_J(params, nomes, policy)
-            lhs = 2.0 / _euler_pair(nomes, policy) ** 2 * _gamma_product(
-                [x for m in range(2, 6) for x in (a[m] * a[0], a[m] / a[0])], nomes, policy
+            rhs = c_constant(1, nomes, t) * lim_pinch_J(params, nomes)
+            lhs = 2.0 / _euler_pair(nomes) ** 2 * _gamma_product(
+                [x for m in range(2, 6) for x in (a[m] * a[0], a[m] / a[0])], nomes
             )
             return lhs, rhs, 0
         if check == "continued":
-            rhs = c_constant(1, nomes, t, policy) * j_closed(params, nomes, policy)
+            rhs = c_constant(1, nomes, t) * j_closed(params, nomes)
             lhs, grid_N = continued_integral_n1(
-                params, nomes, 5e-5 * max(abs(rhs), 1.0), budget, policy=policy
+                params, nomes, 5e-5 * max(abs(rhs), 1.0), budget
             )
             return lhs, rhs, grid_N
         raise SampleRejectionError(f"unknown pinch check {check!r}")
 
     echo = _echo(params, nomes, seed_index=seed_index)
-    return _run(f"pinch_{check}", echo, tol, policy, timing, compute)
+    return _run(f"pinch_{check}", echo, tol, timing=timing, compute=compute)
 
 
 # |a_1| of the continued-integral check's companion: just outside the unit
@@ -594,7 +579,7 @@ def run_row(
     """Sample ``row``'s draws at ``seed`` and run every case of each.
 
     ``count`` and ``tol`` override the row's draw count and the suite
-    tolerance; ``kw`` (budget, policy, timing) goes to every runner.
+    tolerance; ``kw`` (budget, timing) goes to every runner.
     """
     count = row.count if count is None else count
     tol = default_tol(row.scenario, row.n) if tol is None else tol
@@ -625,7 +610,6 @@ def run_suite(
     tol: float | None = None,
     grid: int | None = None,
     timing: bool = False,
-    policy: TruncationPolicy | None = None,
 ) -> list[ScenarioReport]:
     """Run the default verification suite: every row of SUITE_ROWS.
 
@@ -641,7 +625,7 @@ def run_suite(
         rep
         for row in SUITE_ROWS
         if scenario in (None, row.scenario)
-        for rep in run_row(row, seed, count, tol, budget=grid, policy=policy, timing=timing)
+        for rep in run_row(row, seed, count, tol, budget=grid, timing=timing)
     ]
 
     def sort_key(rep: ScenarioReport):

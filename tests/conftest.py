@@ -2,7 +2,7 @@
 
 import pytest
 
-from ellselberg import quadrature
+from ellselberg import kernel, qseries, quadrature
 
 
 @pytest.fixture(autouse=True)
@@ -12,3 +12,23 @@ def cold_rungs():
     quadrature._rung.cache_clear()
     yield
     quadrature._rung.cache_clear()
+
+
+def _clear_truncated():
+    for cache in (qseries._scalar, qseries._ring, qseries._base, kernel._table, kernel._series):
+        cache.cache_clear()
+
+
+@pytest.fixture
+def truncation_rule(monkeypatch):
+    """set_rule(tail_tol, max_terms) sets qseries.TAIL_TOL and MAX_TERMS for
+    one test; the caches, which are keyed without them, are emptied then and
+    at the end of the test."""
+
+    def set_rule(tail_tol=qseries.TAIL_TOL, max_terms=qseries.MAX_TERMS):
+        monkeypatch.setattr(qseries, "TAIL_TOL", tail_tol)
+        monkeypatch.setattr(qseries, "MAX_TERMS", max_terms)
+        _clear_truncated()
+
+    yield set_rule
+    _clear_truncated()

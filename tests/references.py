@@ -12,20 +12,19 @@ evaluators at double precision.
 
 import numpy as np
 
-from ellselberg import DomainError, Nomes, ParameterSet, TruncationPolicy
+from ellselberg import DomainError, Nomes, ParameterSet
 from ellselberg.integrand import _bc_kernel, _z_list
 from ellselberg.invariants import _theta_den, fundamental_invariant
 from ellselberg.kernel import GAMMA, RECIP, evaluate, pm
 from ellselberg.qseries import _euler_pair, elliptic_gamma, theta, theta_pm
 
 
-def gamma_pm(a: complex, z, nomes: Nomes, policy: TruncationPolicy | None = None):
+def gamma_pm(a: complex, z, nomes: Nomes):
     """Double-sign gamma product Gamma(a z^{+-1}) = Gamma(az) Gamma(a/z)."""
-    return elliptic_gamma(a * z, nomes, policy) * elliptic_gamma(a / z, nomes, policy)
+    return elliptic_gamma(a * z, nomes) * elliptic_gamma(a / z, nomes)
 
 
-def psi_tilde_alt(z, params: ParameterSet, nomes: Nomes,
-                  policy: TruncationPolicy | None = None):
+def psi_tilde_alt(z, params: ParameterSet, nomes: Nomes):
     """Psi~ written with Gamma(q a_6^-1 z_i^{+-1}) in the denominator.
 
     Equal to ``psi_tilde`` by the reflection Gamma(u) Gamma(pq/u) = 1;
@@ -36,7 +35,7 @@ def psi_tilde_alt(z, params: ParameterSet, nomes: Nomes,
         raise DomainError("the reflected kernel form needs p != 0")
     per = [pm(GAMMA, am) for am in params.a[:5]] + [pm(RECIP, nomes.q / params.a[5])]
     kernel = _bc_kernel(per, params.t, range(params.n))
-    return evaluate(kernel, _z_list(z, params.n), nomes, policy)
+    return evaluate(kernel, _z_list(z, params.n), nomes)
 
 
 def qshift_ratio_z(
@@ -44,7 +43,6 @@ def qshift_ratio_z(
     z,
     params: ParameterSet,
     nomes: Nomes,
-    policy: TruncationPolicy | None = None,
 ):
     """Closed theta form of T_{q,z_i} Psi~ / Psi~ (z_i multiplied by q).
 
@@ -63,21 +61,21 @@ def qshift_ratio_z(
     zs = _z_list(z, params.n)
     p, q, t = nomes.p, nomes.q, params.t
     zi = zs[i - 1]
-    out = -((q * zi) ** -2) * theta(q**-2 * zi**-2, p, policy) / (
-        zi**2 * theta(zi**2, p, policy)
+    out = -((q * zi) ** -2) * theta(q**-2 * zi**-2, p) / (
+        zi**2 * theta(zi**2, p)
     )
     for am in params.a:
-        out = out * theta(am * zi, p, policy) / theta(am / (q * zi), p, policy)
+        out = out * theta(am * zi, p) / theta(am / (q * zi), p)
     for k in range(1, params.n + 1):
         if k == i:
             continue
         zk = zs[k - 1]
         out = (
             out
-            * theta_pm(t * zi, zk, p, policy)
-            * theta_pm(1.0 / (q * zi), zk, p, policy)
-            / theta_pm(t / (q * zi), zk, p, policy)
-            / theta_pm(zi, zk, p, policy)
+            * theta_pm(t * zi, zk, p)
+            * theta_pm(1.0 / (q * zi), zk, p)
+            / theta_pm(t / (q * zi), zk, p)
+            / theta_pm(zi, zk, p)
         )
     return out
 
@@ -87,7 +85,6 @@ def qshift_ratio_a(
     z,
     params: ParameterSet,
     nomes: Nomes,
-    policy: TruncationPolicy | None = None,
 ):
     """Closed theta form of T_{q,a_m} Psi~ / Psi~ (a_m multiplied by q).
 
@@ -101,29 +98,27 @@ def qshift_ratio_a(
     am = params.a[m - 1]
     out = 1.0 + 0.0j
     for zi in zs:
-        out = out * theta_pm(am, zi, p, policy)
+        out = out * theta_pm(am, zi, p)
     if m == 6:
         out = out * am ** (-2 * params.n)
     return out
 
 
-def e0_closed(a: complex, b: complex, z, t: complex, p: complex,
-              policy: TruncationPolicy | None = None):
+def e0_closed(a: complex, b: complex, z, t: complex, p: complex):
     """Closed form E_0(a, b; z) = prod_i theta(a z_i^{+-1}) / theta(a (b t^(i-1))^{+-1})."""
     out = 1.0 + 0.0j
     for i, w in enumerate(z, start=1):
-        den = _theta_den(theta_pm(a, b * t ** (i - 1), p, policy), f"a (b t^{i - 1})^(+-1)")
-        out = out * theta_pm(a, w if np.isscalar(w) else np.asarray(w, dtype=complex), p, policy) / den
+        den = _theta_den(theta_pm(a, b * t ** (i - 1), p), f"a (b t^{i - 1})^(+-1)")
+        out = out * theta_pm(a, w if np.isscalar(w) else np.asarray(w, dtype=complex), p) / den
     return out
 
 
-def en_closed(a: complex, b: complex, z, t: complex, p: complex,
-              policy: TruncationPolicy | None = None):
+def en_closed(a: complex, b: complex, z, t: complex, p: complex):
     """Closed form E_n(a, b; z) = prod_i theta(b z_i^{+-1}) / theta(b (a t^(i-1))^{+-1})."""
-    return e0_closed(b, a, z, t, p, policy)
+    return e0_closed(b, a, z, t, p)
 
 
-def _f_minus(i: int, params: ParameterSet, nomes: Nomes, z, policy=None):
+def _f_minus(i: int, params: ParameterSet, nomes: Nomes, z):
     """F_i^-(z): the single-sign theta kernel used by the phi test functions.
 
     F_i^-(z) = [prod_m theta(a_m z_i^-1; p)] / (z_i^-2 theta(z_i^-2; p))
@@ -138,14 +133,14 @@ def _f_minus(i: int, params: ParameterSet, nomes: Nomes, z, policy=None):
     inv = 1.0 / zi
     out = 1.0 + 0.0j
     for am in params.a:
-        out = out * theta(am * inv, p, policy)
-    out = out / (inv**2 * theta(inv**2, p, policy))
+        out = out * theta(am * inv, p)
+    out = out / (inv**2 * theta(inv**2, p))
     for j in range(1, params.n + 1):
         if j == i:
             continue
         zj = z[j - 1]
         zj = complex(zj) if np.isscalar(zj) else np.asarray(zj, dtype=complex)
-        out = out * theta_pm(t * inv, zj, p, policy) / theta_pm(inv, zj, p, policy)
+        out = out * theta_pm(t * inv, zj, p) / theta_pm(inv, zj, p)
     return out
 
 
@@ -155,7 +150,6 @@ def phi_test_function(
     params: ParameterSet,
     nomes: Nomes,
     z,
-    policy: TruncationPolicy | None = None,
 ):
     """phi_(r,i)(z) = F_i^-(z) * E_(r-1)^(n-1)(a_1, a_6; z with z_i omitted).
 
@@ -165,21 +159,21 @@ def phi_test_function(
         raise DomainError(f"need 1 <= r <= n, got r={r}")
     if not 1 <= i <= params.n:
         raise DomainError(f"need 1 <= i <= n, got i={i}")
-    out = _f_minus(i, params, nomes, z, policy)
+    out = _f_minus(i, params, nomes, z)
     if params.n > 1:
         rest = [z[j] for j in range(params.n) if j != i - 1]
         out = out * fundamental_invariant(
-            r - 1, params.a[0], params.a[5], rest, params.t, nomes.p, policy
+            r - 1, params.a[0], params.a[5], rest, params.t, nomes.p
         )
     return out
 
 
-def residue_gamma_pm(a, nomes: Nomes, policy: TruncationPolicy | None = None) -> complex:
+def residue_gamma_pm(a, nomes: Nomes) -> complex:
     """Residue of Gamma(a z^{+-1}) dz/z at z = a: Gamma(a^2)/((p;p)(q;q)).
 
     The companion residue at z = a^{-1} is the negation of this value.
     """
-    return elliptic_gamma(a * a, nomes, policy) / _euler_pair(nomes, policy)
+    return elliptic_gamma(a * a, nomes) / _euler_pair(nomes)
 
 
 def richardson_limit(f, eps_coarse: float = 1e-3, eps_fine: float = 1e-4) -> complex:

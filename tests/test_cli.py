@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellselberg import Nomes, TruncationError, TruncationPolicy, elliptic_gamma, theta
+from ellselberg import Nomes, TruncationError, elliptic_gamma, theta
 from ellselberg.cli import format_complex, main, parse_complex
 from ellselberg.scenarios import SUITE_ROWS, run_row
 
@@ -80,12 +80,24 @@ class TestEvalTargets:
         assert abs(parse_complex(out) - want) <= 1e-12 * abs(want)
 
     def test_gamma_at_large_nomes_past_max_terms(self, capsys):
+        # at beta = sqrt(0.9) the series would need more than 512 terms
         with pytest.raises(TruncationError):
-            elliptic_gamma(0.4 + 0.2j, Nomes(0.9, 0.85), TruncationPolicy(max_terms=8))
-        code = main(["eval", "gamma", "--u", "0.4+0.2i", "--p", "0.9", "--q", "0.85",
-                     "--max-terms", "8"])
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error:")
+            elliptic_gamma(0.4 + 0.2j, Nomes(0.93, 0.9))
+        code = main(["eval", "gamma", "--u", "0.4+0.2i", "--p", "0.93", "--q", "0.9"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: cannot certify")
+        assert "within max_terms=512" in captured.err
+
+    def test_gamma_outside_the_double_range(self, capsys):
+        # Gamma(38 e^2i; 0.9, 0.85) is about 2e-322 by the oracle, a subnormal,
+        # and its theta corrections overflow: a usage error naming the argument
+        code = main(["eval", "gamma", "--u=-15.813579788791412+34.55330221937591i",
+                     "--p", "0.9", "--q", "0.85"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: elliptic_gamma: argument (-15.81")
+        assert "outside the double range" in captured.err
 
     def test_theta(self, capsys):
         code, out = self.run(["eval", "theta", "--u", "0.3-0.12i", "--p", "0.05"], capsys)
@@ -187,30 +199,35 @@ class TestVerifyExplicit:
         assert "FAIL" in out
 
     @pytest.mark.parametrize(
-        "argv,config,key",
-        [pytest.param(["verify", "--count", c], "", "count", id=c) for c in ("0", "-2")]
-        + [pytest.param(["verify", "--tol", v], "", "tol", id=f"tol={v}")
+        "argv,config,error",
+        [pytest.param(["verify", "--count", c], "", "error: count must", id=c) for c in ("0", "-2")]
+        + [pytest.param(["verify", "--tol", v], "", "error: tol must", id=f"tol={v}")
            for v in ("inf", "nan", "0", "-1")]
-        # nan, and truncation as loose as a suite verdict (20, 25 and 29 of 30
-        # PASS at the default tolerances), whatever --tol says
-        + [pytest.param(["verify", "--tol", "1e-3"], f"tail_tol = {v}\n", "tail_tol",
-                        id=f"config-tail_tol={v}") for v in ("nan", "0.9", "1e-7", "1e-8")]
-        + [
-            pytest.param(["eval", "gamma", "--u", "0.4+0.2i", "--p", "0.05", "--q", "0.07",
-                          "--tail-tol", "inf"], "", "tail_tol", id="eval-tail-tol=inf"),
-        ],
+        # truncation has no knob: neither a loose one (3 of 30 PASS at
+        # tail_tol = 0.9) nor a tighter one, which buys nothing in double
+        # precision
+        + [pytest.param(["verify", "--tol", "1e-3"], f"{key} = {v}\n",
+                        f"error: unknown config key {key!r}", id=f"config-{key}={v}")
+           for key, v in (("tail_tol", "nan"), ("tail_tol", "0.9"), ("tail_tol", "1e-7"),
+                          ("tail_tol", "1e-8"), ("tail_tol", "1e-12"), ("max_terms", "1024"))]
+        + [pytest.param(["eval", "gamma", "--u", "0.4+0.2i", "--p", "0.05", "--q", "0.07",
+                         flag, v], "", f"error: unrecognized arguments: {flag}", id=f"eval{flag[1:]}={v}")
+           for flag, v in (("--tail-tol", "inf"), ("--tail-tol", "1e-12"), ("--max-terms", "1024"))],
     )
-    def test_count_below_one_is_a_usage_error(self, capsys, tmp_path, argv, config, key):
+    def test_count_below_one_is_a_usage_error(self, capsys, tmp_path, argv, config, error):
         # not "0 reports, 0 passed, 0 failed" and exit 0; nor 30 of 30 PASS
-        # at tol = inf; nor Gamma(u) = 1.0 with every factor dropped
+        # at tol = inf; nor a run under another truncation; each before any work
         if config:
             path = tmp_path / "verify.cfg"
             path.write_text(config)
             argv = argv + ["--config", str(path)]
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses an unknown flag itself
+            code = exc.code
         captured = capsys.readouterr()
         assert code == 2
-        assert f"error: {key} must" in captured.err and captured.out == ""
+        assert error in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("via_file", [False, True], ids=["option", "config_file"])
     def test_grid_below_the_minimum_is_a_usage_error(self, capsys, tmp_path, via_file):

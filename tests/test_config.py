@@ -1,4 +1,4 @@
-"""Configuration parsing and its policy/box projections."""
+"""Configuration parsing and its box projection."""
 
 import pytest
 
@@ -11,11 +11,6 @@ class TestDefaults:
         assert cfg.seed == 42
         assert cfg.count is None and cfg.tol is None and cfg.grid is None
         assert cfg.timing is False
-
-    def test_policy_projection(self):
-        pol = Config().policy
-        assert pol.tail_tol == 1e-13
-        assert pol.max_terms == 512
 
     def test_box_projection(self):
         box = Config(box=SafeBox(a_min=0.4, a_max=0.6)).box
@@ -82,10 +77,10 @@ class TestParse:
             parse_config("seed = 1.5", Config())
 
     def test_float_keys(self):
-        cfg = parse_config("a_min = 0.45\nnome_max = 0.15\ntail_tol = 1e-12", Config())
+        cfg = parse_config("a_min = 0.45\nnome_max = 0.15\ntol = 1e-9", Config())
         assert cfg.box.a_min == 0.45
         assert cfg.box.nome_max == 0.15
-        assert cfg.policy.tail_tol == 1e-12
+        assert cfg.tol == 1e-9
 
     def test_base_is_untouched(self):
         base = Config()
@@ -136,14 +131,16 @@ class TestLoad:
             ("t_min = 0.6\nt_max = 0.2\n", "t_min"),
             ("solved_clearance = -0.1\n", "solved_clearance"),
             ("solved_clearance = 1\n", "solved_clearance"),
+            ("max_rejections = -1\n", "max_rejections"),
         ],
         ids=["a_max=nan", "solved_clearance=nan", "nome_max=nan", "t_min=nan", "t_max=nan",
-             "t_min>t_max", "solved_clearance<0", "solved_clearance=1"],
+             "t_min>t_max", "solved_clearance<0", "solved_clearance=1", "max_rejections<0"],
     )
     def test_box_bounds_refuse_nan_and_inverted_ranges(self, tmp_path, text, key):
         # nan compares false, so a check written as x > bound let it through:
         # a nan a_max failed every report, a nan clearance or nome_max
-        # switched its check off
+        # switched its check off; a negative max_rejections exited 2 before
+        # the first draw, as "sampler exceeded -1 rejections"
         path = tmp_path / "box.cfg"
         path.write_text(text)
         with pytest.raises(ConfigurationError, match=key):

@@ -59,7 +59,7 @@ def expect_f(n, r):
     """E_r Psi~, the integrand of <E_r> in recurrence and recurrence_telescope."""
     ps = one_set(n)
     phi = lambda z: fundamental_invariant(r, ps.a[0], ps.a[5], z, ps.t, NM_ONE.p)
-    return _weighted(phi, ps, NM_ONE, None)
+    return _weighted(phi, ps, NM_ONE)
 
 
 def da_f(n):
@@ -70,7 +70,7 @@ def da_f(n):
 
 def nabla_f(n, r, i, part):
     ps = one_set(n)
-    return lambda z: _nabla_pointwise(r, i, z, ps, NM_ONE, None)[part]
+    return lambda z: _nabla_pointwise(r, i, z, ps, NM_ONE)[part]
 
 
 def assert_orbit_sum_is_mean(f, n, fold):

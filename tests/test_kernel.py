@@ -8,14 +8,12 @@ import numpy as np
 import pytest
 
 from ellselberg import (
-    DEFAULT_POLICY,
     BalancingMode,
     Nomes,
     ParameterSet,
     PoleProximityError,
     QuadratureGrid,
     TruncationError,
-    TruncationPolicy,
     fundamental_invariant,
     psi,
     psi_tilde,
@@ -48,11 +46,10 @@ def clear_caches():
     kernel._series.cache_clear()
 
 
-def series_of(kind, c, nomes=NM, policy=DEFAULT_POLICY):
+def series_of(kind, c, nomes=NM):
     """kernel._series of f(c w), under the key _on_circle packs."""
     c, p, q = complex(c), nomes.p, nomes.q
-    bits = struct.pack("6d", c.real, c.imag, p.real, p.imag, q.real, q.imag)
-    return kernel._series(kind, bits, policy.tail_tol, policy.max_terms)
+    return kernel._series(kind, struct.pack("6d", c.real, c.imag, p.real, p.imag, q.real, q.imag))
 
 
 def without_caches(monkeypatch):
@@ -82,7 +79,7 @@ def e_r_psi_tilde(z, n):
 
 
 def nabla(z, n):
-    g, _ = _nabla_pointwise(n, 1, z, one_set(n), NM_ONE, None)
+    g, _ = _nabla_pointwise(n, 1, z, one_set(n), NM_ONE)
     return g
 
 
@@ -297,8 +294,8 @@ def tables(monkeypatch):
     asked = []
     on_circle = kernel._on_circle
 
-    def recording(kind, c, N, nomes, policy):
-        table = on_circle(kind, c, N, nomes, policy)
+    def recording(kind, c, N, nomes):
+        table = on_circle(kind, c, N, nomes)
         asked.append((kind, c, N, table))
         return table
 
@@ -306,11 +303,11 @@ def tables(monkeypatch):
     return asked
 
 
-def whole_circle(kind, c, N, nomes=NM, policy=None):
+def whole_circle(kind, c, N, nomes=NM):
     """f(c w) on the whole N circle by its route, with nothing cached."""
-    series = series_of(kind, c, nomes, policy or DEFAULT_POLICY)
+    series = series_of(kind, c, nomes)
     if series is None:
-        return kernel._apply(kind, kernel._circle(N, c), nomes, policy)
+        return kernel._apply(kind, kernel._circle(N, c), nomes)
     return kernel._laurent(series, N)
 
 
@@ -362,7 +359,7 @@ def test_lone_factor_reads_its_circle_table_bitwise(tables, kind, e, scale):
     for N in LADDER:
         grid = QuadratureGrid(1, N).nodes()
         k = np.asarray(grid.k[0])
-        table = kernel._on_circle(kind, c, N, NM, None)
+        table = kernel._on_circle(kind, c, N, NM)
         plain = evaluate([Factor(kind, c, ((0, e),))], grid, NM)
         assert np.array_equal(plain, table[e * k % N])
         tables.clear()
@@ -393,9 +390,9 @@ def test_rank1_ladder_builds_each_series_once_and_runs_no_product_for_it(monkeyp
     products = []
     apply = kernel._apply
 
-    def applying(kind, u, nomes, policy):
+    def applying(kind, u, nomes):
         products.append((kind, complex(u[0]), len(u)))
-        return apply(kind, u, nomes, policy)
+        return apply(kind, u, nomes)
 
     monkeypatch.setattr(kernel, "_apply", applying)
     for N in LADDER:
@@ -463,7 +460,7 @@ def test_circle_tables_match_the_oracle(name, kind):
         c = complex(r * np.exp(2j * np.pi * rng.uniform()))
         routes.append(series_of(kind, c, nomes) is not None)
         for N in (16, 64, 512):
-            table = kernel._on_circle(kind, c, N, nomes, None)
+            table = kernel._on_circle(kind, c, N, nomes)
             for m in rng.choice(N, 2, replace=False):
                 want = oracle(kind, mp.mpc(c) * mp.expjpi(mp.mpf(2 * int(m)) / N), nomes)
                 assert abs(table[m] - want) <= 1e-14 * abs(want), (r, N, m)
@@ -471,20 +468,20 @@ def test_circle_tables_match_the_oracle(name, kind):
 
 
 @pytest.mark.parametrize("kind", [GAMMA, RECIP, THETA])
-def test_circles_max_terms_cannot_certify_take_the_products(kind):
+def test_circles_max_terms_cannot_certify_take_the_products(kind, truncation_rule):
     c = (1 - 1e-6) * np.exp(0.3j)
     assert series_of(kind, c) is None
-    table = kernel._on_circle(kind, c, 64, NM, None)
-    assert table.tobytes() == kernel._apply(kind, kernel._circle(64, c), NM, None).tobytes()
-    # max_terms = 8 certifies neither the circle's series nor the evaluators'
-    tight = TruncationPolicy(max_terms=8)
+    table = kernel._on_circle(kind, c, 64, NM)
+    assert table.tobytes() == kernel._apply(kind, kernel._circle(64, c), NM).tobytes()
+    # a cap of 8 terms certifies neither the circle's series nor the evaluators'
+    truncation_rule(max_terms=8)
     c = 0.3 * np.exp(0.3j)
-    assert series_of(kind, c, policy=tight) is None
+    assert series_of(kind, c) is None
     with pytest.raises(TruncationError) as direct:
-        kernel._apply(kind, kernel._circle(64, c), NM, tight)
+        kernel._apply(kind, kernel._circle(64, c), NM)
     clear_caches()
     with pytest.raises(TruncationError) as err:
-        kernel._on_circle(kind, c, 64, NM, tight)
+        kernel._on_circle(kind, c, 64, NM)
     assert str(err.value) == str(direct.value)
     assert kernel._table.cache_info().currsize == 0
 
@@ -497,11 +494,11 @@ def test_pole_inside_the_annulus_takes_the_products_and_raises(kind, c):
     c = c / node
     assert series_of(kind, c) is None
     with pytest.raises(PoleProximityError) as direct:
-        kernel._apply(kind, kernel._circle(16, c), NM, None)
+        kernel._apply(kind, kernel._circle(16, c), NM)
     clear_caches()
     for _ in range(2):
         with pytest.raises(PoleProximityError) as err:
-            kernel._on_circle(kind, c, 16, NM, None)
+            kernel._on_circle(kind, c, 16, NM)
         assert str(err.value) == str(direct.value)
     assert kernel._table.cache_info().currsize == 0
 
@@ -522,7 +519,7 @@ def test_a_circles_route_is_held_with_its_series(case):
     for kind, c in (OFF_SERIES[case], (GAMMA, 0.5)):
         clear_caches()
         for N in (16, 32, 64):
-            kernel._on_circle(kind, c, N, NM, None)
+            kernel._on_circle(kind, c, N, NM)
         assert kernel._series.cache_info()[:2] == (2, 1)  # hits, misses
         assert kernel._table.cache_info().currsize == 3
     assert series_of(GAMMA, 0.5) is not None

@@ -1,9 +1,11 @@
 """Scalar q-series building blocks against brute-force references and
 their functional equations."""
 
+import cmath
 import functools
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from ellselberg import (
     ParameterSet,
     PoleProximityError,
     TruncationError,
-    TruncationPolicy,
     elliptic_gamma,
     elliptic_gamma_recip,
     j_closed,
@@ -50,6 +51,9 @@ GAMMA_CASES = (
     ((-0.62 + 0.31j), (0.1 + 0.04j), (0.12 - 0.03j), (0.5065100254052423 + 0.1410098786443162j)),
     ((1.9 - 0.8j), 0.05, 0.12, (-1.0617422093886837 - 0.6307798777884326j)),
 )
+
+# Nomes whose Gamma series no K <= MAX_TERMS = 512 certifies at beta = sqrt(0.9).
+UNCERTIFIED = Nomes(0.93, 0.9)
 
 
 def rel(a, b):
@@ -236,17 +240,6 @@ def test_theta_pm_pair():
     assert rel(theta_pm(a, z, p), theta(a * z, p) * theta(a / z, p)) < 1e-15
 
 
-def test_truncation_policy_guardrails():
-    with pytest.raises(DomainError):
-        TruncationPolicy(tail_tol=0.0)
-    # a tail bound of 1 or more certifies nothing: at inf Gamma(u) read 1.0
-    for tail_tol in (1.0, 2.0, float("inf"), float("nan"), -float("inf")):
-        with pytest.raises(DomainError, match="tail_tol"):
-            TruncationPolicy(tail_tol=tail_tol)
-    with pytest.raises(DomainError):
-        TruncationPolicy(max_terms=0)
-
-
 @pytest.mark.parametrize("u", [complex("nan"), complex("inf"), complex(1.0, float("nan"))])
 def test_non_finite_arguments_raise_truncation_error(u):
     # no truncation certifies a tail at |u| = inf or nan: every evaluator
@@ -259,12 +252,32 @@ def test_non_finite_arguments_raise_truncation_error(u):
                     f(arg)
 
 
-@settings(max_examples=25)
-@given(points(), nomes_pairs())
-def test_tighter_policy_refines(u, nomes):
-    loose = elliptic_gamma(u, nomes, TruncationPolicy(tail_tol=1e-6, max_terms=64))
-    tight = elliptic_gamma(u, nomes, TruncationPolicy(tail_tol=1e-14, max_terms=512))
-    assert rel(loose, tight) < 1e-5
+# At nomes (0.9, 0.85) the mpmath oracle (tests/oracles.py, side 450) reads
+# Gamma(1e-4 e^i) = -1.28e3011 + 7.24e3010 i and Gamma(38 e^2i) =
+# -1.83e-322 - 1.31e-322 i: beyond the doubles, and among the subnormals.
+# Their theta corrections overflow, and both functions raise.
+@pytest.mark.parametrize("u", [1e-4 * cmath.exp(1j), 38 * cmath.exp(2j)], ids=["small", "large"])
+def test_gamma_outside_the_double_range_names_the_argument(u):
+    nm = Nomes(0.9, 0.85)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for f in (elliptic_gamma, elliptic_gamma_recip):
+            for arg in (u, np.array([0.5, u, 2.0])):
+                with pytest.raises(DomainError, match="outside the double range") as info:
+                    f(arg, nm)
+                assert str(info.value).startswith(f"{f.__name__}: argument {u}")
+
+
+def test_gamma_near_the_double_range_keeps_its_bits():
+    # Gamma(35 e^i) = 3.3813378e-152 - 8.1507072e-153 i by the oracle; the
+    # range check reads the value and moves no bit of it
+    nm, u = Nomes(0.9, 0.85), 35 * cmath.exp(1j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value, recip = elliptic_gamma(u, nm), elliptic_gamma_recip(u, nm)
+    assert value == 3.3813378218710095e-152 - 8.150707225260057e-153j
+    assert recip == 2.7950055425113905e151 + 6.737354582744364e150j
+    assert rel(value, 3.3813378e-152 - 8.1507072e-153j) < 1e-7
 
 
 def prod_loop(rows):
@@ -287,7 +300,7 @@ def random_points(shape, seed):
 
 
 def factor_rows(u):
-    return qseries._single(u, qseries._based(PROD_BASE, LIMITS))
+    return qseries._single(u, qseries._based(PROD_BASE))
 
 
 @pytest.mark.parametrize("M", [1, 2, 3, 17, 77, 78, 79, 157, 4096, 32768])
@@ -331,14 +344,14 @@ def scalar_memo():
 
 @pytest.fixture
 def scalar_products(monkeypatch):
-    """The arguments (f, u, p, q, limits) of every evaluation the scalar memo
-    asks of the array path, in call order."""
+    """The arguments (f, the bits of u, p and q) of every evaluation the
+    scalar memo asks of the array path, in call order."""
     seen = []
     scalar = qseries._scalar.__wrapped__
 
-    def counting(f, bits, tail_tol, max_terms):
-        seen.append((f, bits, tail_tol, max_terms))
-        return scalar(f, bits, tail_tol, max_terms)
+    def counting(f, bits):
+        seen.append((f, bits))
+        return scalar(f, bits)
 
     monkeypatch.setattr(qseries, "_scalar", functools.lru_cache(qseries._SCALAR_ENTRIES)(counting))
     return seen
@@ -348,17 +361,17 @@ def bits(x):
     return struct.pack("dd", x.real, x.imag)
 
 
-def direct(f, u, policy=None):
+def direct(f, u):
     """The value of the evaluator f at u as a one-element array, without the memo."""
-    return complex(f(np.array([u], dtype=complex), policy)[0])
+    return complex(f(np.array([u], dtype=complex))[0])
 
 
 SCALAR_NOMES = Nomes(0.07 + 0.02j, 0.11)
 SCALAR_EVALUATORS = (
-    lambda u, policy=None: qpoch_inf(u, SCALAR_NOMES.q, policy),
-    lambda u, policy=None: elliptic_gamma(u, SCALAR_NOMES, policy),
-    lambda u, policy=None: elliptic_gamma_recip(u, SCALAR_NOMES, policy),
-    lambda u, policy=None: theta(u, SCALAR_NOMES.p, policy),
+    lambda u: qpoch_inf(u, SCALAR_NOMES.q),
+    lambda u: elliptic_gamma(u, SCALAR_NOMES),
+    lambda u: elliptic_gamma_recip(u, SCALAR_NOMES),
+    lambda u: theta(u, SCALAR_NOMES.p),
 )
 
 
@@ -382,7 +395,7 @@ def test_scalar_memo_shares_nome_types_and_keeps_signed_zeros_apart(scalar_memo)
     u = 0.45 + 0.2j
     for q in (0.12, 0.12 + 0j, -0.0, complex(-0.0, 0.0)):
         value = qpoch_inf(u, q)
-        assert bits(value) == bits(direct(lambda x, policy: qpoch_inf(x, q, policy), u))
+        assert bits(value) == bits(direct(lambda x: qpoch_inf(x, q), u))
     assert scalar_memo.cache_info()[:2] == (2, 2)  # hits, misses
     # so in pairs of nomes: (0.0, 0.12), 0j and 0.12 + 0j are one key, and
     # (-0.0, 0.12) and (0.0, 0.12j) two more
@@ -390,7 +403,7 @@ def test_scalar_memo_shares_nome_types_and_keeps_signed_zeros_apart(scalar_memo)
     for p, q in nomes:
         nm = Nomes(p, q)
         value = elliptic_gamma(u, nm)
-        assert bits(value) == bits(direct(lambda x, policy: elliptic_gamma(x, nm, policy), u))
+        assert bits(value) == bits(direct(lambda x: elliptic_gamma(x, nm), u))
     assert scalar_memo.cache_info().currsize == 2 + 3
     # the argument by its bits as well: -0.0 is not 0.0
     qpoch_inf(0.0, 0.3)
@@ -410,10 +423,10 @@ def test_scalar_memo_stores_no_error(scalar_memo):
             elliptic_gamma(pole, nm)
         assert (info.value.mu, info.value.nu) == (1, 2)
         assert scalar_memo.cache_info().currsize == held
-    tight = TruncationPolicy(tail_tol=1e-14, max_terms=4)
+    # nor does a series past the cap: at beta = sqrt(0.9) K exceeds 512
     for _ in range(3):
         with pytest.raises(TruncationError):
-            elliptic_gamma(0.9, Nomes(0.5, 0.5), tight)
+            elliptic_gamma(0.9, UNCERTIFIED)
         assert scalar_memo.cache_info().currsize == held
 
 
@@ -440,42 +453,11 @@ def test_cn_recurrence_forms_each_scalar_product_once(scalar_products):
     assert len(scalar_products) == len(set(scalar_products))
 
 
-# The default policy's two numbers, as the caches take them.
-LIMITS = (TruncationPolicy().tail_tol, TruncationPolicy().max_terms)
-
-
-def clear_qseries_caches():
-    for cache in (qseries._scalar, qseries._ring, qseries._base):
-        cache.cache_clear()
-
-
-def test_no_lookup_hashes_the_policy(monkeypatch, scalar_memo):
-    # the caches key on the policy's two numbers, whose tuple hashes in C;
-    # the frozen dataclass's __hash__ runs in Python
-    nm = Nomes(0.05, 0.12)
-    u = 0.37 - 0.21j
-    values = [
-        lambda: elliptic_gamma(u, nm),
-        lambda: theta(u * 1.3, nm.p),
-        lambda: elliptic_gamma(np.array([u, 0.5j, -0.8]), nm),
-        lambda: cn_recurrence_check(3, 0.42 + 0.05j, nm),
-    ]
-    want = [np.array(f()).tobytes() for f in values]
-
-    def refuse(self):
-        raise AssertionError("TruncationPolicy hashed")
-
-    monkeypatch.setattr(TruncationPolicy, "__hash__", refuse)
-    assert np.array(values[0]()).tobytes() == want[0]  # a warm scalar Gamma
-    clear_qseries_caches()
-    assert [np.array(f()).tobytes() for f in values] == want
-
-
 def test_plan_cold_and_warm_cache_agree():
     # the ring of a nome pair (its reduction and its series' coefficients)
     # is held once computed; a held one is the one computed afresh
     p, q = 0.05 + 0.02j, 0.12
-    key = (struct.pack("4d", p.real, p.imag, q, 0.0), *LIMITS)
+    key = (struct.pack("4d", p.real, p.imag, q, 0.0),)
     qseries._ring.cache_clear()
     cold = qseries._ring(*key)
     warm = qseries._ring(*key)
@@ -487,11 +469,11 @@ def test_plan_cold_and_warm_cache_agree():
 
 
 def test_plan_raises_truncation_error_on_every_call():
-    # exceptions are not cached: nomes whose series max_terms cannot
+    # exceptions are not cached: nomes whose series MAX_TERMS cannot
     # certify raise again instead of returning a stale value
     for _ in range(3):
-        with pytest.raises(TruncationError):
-            elliptic_gamma(0.4 + 0.2j, Nomes(0.5, 0.5), TruncationPolicy(max_terms=4))
+        with pytest.raises(TruncationError, match="within max_terms=512"):
+            elliptic_gamma(0.4 + 0.2j, UNCERTIFIED)
 
 
 # Reference truncation plans, counted up one term at a time: the single
@@ -499,20 +481,20 @@ def test_plan_raises_truncation_error_on_every_call():
 # bisect or count against held powers, must match them exactly.
 
 
-def ref_length(bound, c_abs, policy):
-    tol = policy.tail_tol / policy.max_terms
+def ref_length(bound, c_abs, tail_tol, max_terms):
+    tol = tail_tol / max_terms
     length = 0
     while bound * c_abs**length / (1.0 - c_abs) >= tol:
         length += 1
-        if length > policy.max_terms:
+        if length > max_terms:
             raise TruncationError("over max_terms", achieved_bound=0.0)
     return length
 
 
-def ref_terms(p, q, edge, policy):
-    tol = policy.tail_tol / policy.max_terms
+def ref_terms(p, q, edge, tail_tol, max_terms):
+    tol = tail_tol / max_terms
     D = (1.0 - abs(p)) * (1.0 - abs(q))
-    for K in range(1, policy.max_terms + 1):
+    for K in range(1, max_terms + 1):
         if 2.0 * edge ** (K + 1) / (1.0 - edge) / ((K + 1) * D) < tol:
             return K
     raise TruncationError("over max_terms", achieved_bound=0.0)
@@ -525,34 +507,33 @@ def plan_outcome(plan, *args):
         return "TruncationError"
 
 
-PLAN_POLICIES = (
-    TruncationPolicy(),
-    TruncationPolicy(tail_tol=1e-6),
-    TruncationPolicy(tail_tol=1e-15, max_terms=8),
-)
+# (TAIL_TOL, MAX_TERMS): the rule, a looser tail and a cap of 8 terms, so
+# that the counts are checked away from the one rule's numbers too
+PLAN_RULES = ((1e-13, 512), (1e-6, 512), (1e-15, 8))
 
 
-@pytest.mark.parametrize("policy", PLAN_POLICIES, ids=["default", "loose", "tight_cap"])
-def test_plan_matches_the_reference_plan(policy):
+@pytest.mark.parametrize("rule", PLAN_RULES, ids=["default", "loose", "tight_cap"])
+def test_plan_matches_the_reference_plan(rule, truncation_rule):
+    assert PLAN_RULES[0] == (qseries.TAIL_TOL, qseries.MAX_TERMS)
+    truncation_rule(*rule)
     raised = 0
-    limits = (policy.tail_tol, policy.max_terms)
     for c_abs in (0.0, 1e-3, 0.05, 0.3, 0.7, 0.95):
-        base = qseries._based(c_abs * np.exp(0.3j), limits)
+        base = qseries._based(c_abs * np.exp(0.3j))
         for bound in (0.0, 1e-20, 1e-3, 0.6, 1.0, 3.7, 250.0):
             got = plan_outcome(qseries._length, bound, base)
             if c_abs:
-                assert got == plan_outcome(ref_length, bound, c_abs, policy), (c_abs, bound)
+                assert got == plan_outcome(ref_length, bound, c_abs, *rule), (c_abs, bound)
             else:  # (x; 0)_inf = 1 - x: one factor, none where |x| is below the tolerance
-                assert got == int(bound >= policy.tail_tol / policy.max_terms)
+                assert got == int(bound >= rule[0] / rule[1])
             raised += got == "TruncationError"
     for p_abs in (1e-3, 0.05, 0.3, 0.7, 0.95):
         for q_abs in (1e-3, 0.12, 0.5, 0.9):
             p, q = p_abs * np.exp(0.4j), q_abs * np.exp(-1.1j)
             edge = min(p_abs, q_abs) ** 0.5
-            got = plan_outcome(lambda: len(qseries._log_den(p, q, edge, edge, *limits)))
-            assert got == plan_outcome(ref_terms, p, q, edge, policy), (p_abs, q_abs)
+            got = plan_outcome(lambda: len(qseries._log_den(p, q, edge, edge)))
+            assert got == plan_outcome(ref_terms, p, q, edge, *rule), (p_abs, q_abs)
             raised += got == "TruncationError"
-    if policy.max_terms == 8:
+    if rule[1] == 8:
         assert raised  # the sweep reaches the TruncationError cases
 
 
@@ -561,11 +542,11 @@ def test_scaled_plan_certifies_the_true_tail():
     # beta |a|^-d, and the factor count planned at that bound certifies the
     # tail there: every argument of the level has its tail below the tolerance
     rng = np.random.default_rng(20)
-    tol = LIMITS[0] / LIMITS[1]
+    tol = qseries.TAIL_TOL / qseries.MAX_TERMS
     for _ in range(40):
         p, q = (complex(m * np.exp(2j * np.pi * rng.uniform())) for m in rng.uniform(0.01, 0.9, 2))
         bits_pq = struct.pack("4d", p.real, p.imag, q.real, q.imag)
-        a, base, beta, log_a, _, _ = qseries._ring(bits_pq, *LIMITS)
+        a, base, beta, log_a, _, _ = qseries._ring(bits_pq)
         b_abs = abs(base[0])
         u = np.exp(rng.uniform(np.log(1e-3), np.log(50.0), 64)) * np.exp(2j * np.pi * rng.uniform(size=64))
         m = np.ceil(np.log(np.abs(u) / beta) / log_a)
@@ -722,14 +703,14 @@ def test_every_element_has_the_bits_it_has_alone(nm, lo, hi):
 
 
 def test_blocks_keep_the_bits_and_the_shape(monkeypatch):
-    # an array is evaluated in blocks of _BLOCK_ENTRIES // max_terms
+    # an array is evaluated in blocks of _BLOCK_ENTRIES // MAX_TERMS
     # elements: three here, so 3 x 7 elements make blocks of 3 and a lone last one
     nm = Nomes(0.07 + 0.02j, 0.11)
     u = random_points((3, 7), 13)
     evaluators = (lambda x: qpoch_inf(x, nm.q), lambda x: theta(x, nm.p),
                   lambda x: elliptic_gamma(x, nm), lambda x: elliptic_gamma_recip(x, nm))
     whole = [f(u) for f in evaluators]
-    monkeypatch.setattr(qseries, "_BLOCK_ENTRIES", 3 * TruncationPolicy().max_terms)
+    monkeypatch.setattr(qseries, "_BLOCK_ENTRIES", 3 * qseries.MAX_TERMS)
     for f, want in zip(evaluators, whole):
         got = f(u)
         assert got.shape == u.shape and got.tobytes() == want.tobytes()
@@ -790,21 +771,17 @@ def test_kernel_series_and_gamma_share_one_formula():
     nm = Nomes(0.05 + 0.01j, 0.12)
     a, beta = ring(nm)
     u = 0.9 * beta * np.exp(0.7j)
-    coef = qseries._ring(struct.pack("4d", nm.p.real, nm.p.imag, nm.q.real, nm.q.imag), *LIMITS)[5]
+    coef = qseries._ring(struct.pack("4d", nm.p.real, nm.p.imag, nm.q.real, nm.q.imag))[5]
     k = np.arange(1, len(coef) + 1)
     direct = np.exp(np.sum((u**k - (nm.pq / u) ** k) * coef[:, 0]))
     assert abs(elliptic_gamma(u, nm) - direct) <= 1e-15 * abs(direct)
-    den = qseries._log_den(nm.p, nm.q, beta, beta, *LIMITS)
+    den = qseries._log_den(nm.p, nm.q, beta, beta)
     assert np.array_equal(1.0 / den, coef[:, 0])
 
 
 # Closed forms evaluate their Gamma products as one array call; these are the
-# products they replaced, one scalar Gamma per factor, evaluated with a 1e-20
-# tail so that the reference carries no truncation error of its own.
-TIGHT = TruncationPolicy(tail_tol=1e-20)
-
-
-def scalar_j(params, nomes, policy=TIGHT):
+# products they replaced, one scalar Gamma per factor.
+def scalar_j(params, nomes):
     zero = _dual_of_zero(params.a, params.t, params.n, nomes)
     out = 1.0 + 0.0j
     for i in range(1, params.n + 1):
@@ -813,36 +790,36 @@ def scalar_j(params, nomes, policy=TIGHT):
             for k in range(j + 1, 6):
                 if zero is not None and zero[0] in (j, k):
                     other = params.a[k if zero[0] == j else j]
-                    out *= elliptic_gamma_recip(zero[1] / (other * ti), nomes, policy)
+                    out *= elliptic_gamma_recip(zero[1] / (other * ti), nomes)
                 else:
-                    out *= elliptic_gamma(params.a[j] * params.a[k] * ti, nomes, policy)
+                    out *= elliptic_gamma(params.a[j] * params.a[k] * ti, nomes)
     return out
 
 
-def scalar_pinch_j(params, nomes, policy=TIGHT):
+def scalar_pinch_j(params, nomes):
     a, t, n = params.a, params.t, params.n
-    out = 1.0 / (qpoch_inf(nomes.p, nomes.p, policy) * qpoch_inf(nomes.q, nomes.q, policy))
+    out = 1.0 / (qpoch_inf(nomes.p, nomes.p) * qpoch_inf(nomes.q, nomes.q))
     for i in range(1, n):
-        out *= elliptic_gamma(t**i, nomes, policy)
+        out *= elliptic_gamma(t**i, nomes)
     for i in range(1, n + 1):
         ti = t ** (i - 1)
         for m in range(2, 6):
-            out *= elliptic_gamma(a[m] * ti * a[0], nomes, policy)
-            out *= elliptic_gamma(a[m] * ti / a[0], nomes, policy)
+            out *= elliptic_gamma(a[m] * ti * a[0], nomes)
+            out *= elliptic_gamma(a[m] * ti / a[0], nomes)
     for i in range(1, n):
         ti = t ** (i - 1)
         for j in range(2, 6):
             for k in range(j + 1, 6):
-                out *= elliptic_gamma(a[j] * a[k] * ti, nomes, policy)
+                out *= elliptic_gamma(a[j] * a[k] * ti, nomes)
     return out
 
 
-def scalar_da(a, n, nomes, policy=TIGHT):
-    euler = qpoch_inf(nomes.p, nomes.p, policy) * qpoch_inf(nomes.q, nomes.q, policy)
+def scalar_da(a, n, nomes):
+    euler = qpoch_inf(nomes.p, nomes.p) * qpoch_inf(nomes.q, nomes.q)
     out = 2.0**n * math.factorial(n) / euler**n
     for j in range(len(a)):
         for k in range(j + 1, len(a)):
-            out *= elliptic_gamma(a[j] * a[k], nomes, policy)
+            out *= elliptic_gamma(a[j] * a[k], nomes)
     return out
 
 
@@ -883,7 +860,7 @@ def test_lim_pinch_j_is_the_scalar_product(n):
 def test_da_closed_is_the_scalar_product(n):
     for a in sample_da_parameters(n, CLOSED_NOMES, 3, 4):
         a = tuple(complex(v) for v in a)
-        got = _da_closed(a, n, CLOSED_NOMES, None)
+        got = _da_closed(a, n, CLOSED_NOMES)
         assert rel(got, scalar_da(a, n, CLOSED_NOMES)) <= 1e-13
 
 

@@ -206,7 +206,7 @@ class TestExpectation:
     def test_unit_phi_alias(self):
         ps = ParameterSet.solved(1, T, A5, NM, BalancingMode.PQ)
         sub = ps.with_entry(6, NM.p * ps.a[5])
-        lhs = torus_integrate(_weighted(lambda z: 1.0, ps, NM, None), 1, 1e-10).value
+        lhs = torus_integrate(_weighted(lambda z: 1.0, ps, NM), 1, 1e-10).value
         rhs = torus_integrate(lambda z: psi(z, sub, NM), 1, 1e-10).value
         assert rel(lhs, rhs) < 1e-12
 
@@ -222,7 +222,7 @@ class TestNabla:
     def test_fused_matches_literal_n1(self):
         ps, nm = one_set(1)
         z = [complex(np.exp(0.91j))]
-        g, href = _nabla_pointwise(1, 1, z, ps, nm, None)
+        g, href = _nabla_pointwise(1, 1, z, ps, nm)
         h = phi_test_function(1, 1, ps, nm, z) * psi_tilde(z, ps, nm)
         zq = [nm.q * z[0]]
         hq = phi_test_function(1, 1, ps, nm, zq) * psi_tilde(zq, ps, nm)
@@ -234,7 +234,7 @@ class TestNabla:
         ps, nm = one_set(2)
         rng = np.random.default_rng(3)
         z = [complex(np.exp(2j * np.pi * rng.random())) for _ in range(2)]
-        g, _ = _nabla_pointwise(r, i, z, ps, nm, None)
+        g, _ = _nabla_pointwise(r, i, z, ps, nm)
         h = phi_test_function(r, i, ps, nm, z) * psi_tilde(z, ps, nm)
         zq = list(z)
         zq[i - 1] = nm.q * zq[i - 1]
@@ -270,7 +270,7 @@ class TestNabla:
         ps, nm = one_set(2)
         grid = QuadratureGrid(2, 16).nodes()
         assert np.all(np.isfinite(psi_tilde(grid, ps, nm)))
-        g, _ = _nabla_pointwise(1, 1, grid, ps, nm, None)
+        g, _ = _nabla_pointwise(1, 1, grid, ps, nm)
         assert np.all(np.isfinite(g))
 
 
@@ -295,7 +295,7 @@ def test_nabla_rungs_of_every_index_are_bit_equal(n, name):
         rungs = []
         for i in range(1, n + 1):
             rest = [j for j in range(n) if j != i - 1]
-            f = lambda z, i=i: _nabla_pointwise(r, i, z, ps, NM_ONE, None)
+            f = lambda z, i=i: _nabla_pointwise(r, i, z, ps, NM_ONE)
             # no key: the cache is bypassed
             ladder = list(quadrature._rungs(f, n, 32, rest))
             assert [N for N, _ in ladder] == [16, 32]
@@ -321,7 +321,7 @@ class TestLatticeReads:
         value = torus_integrate(lambda z: psi(z, ps, NM), n, tol, fold=fold).value
         assert rel(value, c_constant(n, NM, T) * j_closed(ps, NM)) < 1e3 * tol
         assert np.isfinite(torus_integrate(lambda z: psi_tilde(z, ps, NM), n, tol, fold=fold).value)
-        e_1 = _weighted(lambda z: fundamental_invariant(1, ps.a[0], ps.a[5], z, T, NM.p), ps, NM, None)
+        e_1 = _weighted(lambda z: fundamental_invariant(1, ps.a[0], ps.a[5], z, T, NM.p), ps, NM)
         assert np.isfinite(torus_integrate(e_1, n, tol, fold=fold).value)
         ps_one, nm_one = one_set(n)
         for r in range(1, n + 1):
