@@ -58,9 +58,9 @@ from .qseries import Nomes, _log_den, _unpack, elliptic_gamma, elliptic_gamma_re
 
 GAMMA, RECIP, THETA, MONO = "gamma", "recip", "theta", "mono"
 
-# Circle tables and series the caches hold.  A replay of one pass at seed 1
-# computes 734 tables and series on the default suite (703 unbounded, 823
-# under a 192 KiB byte bound) and 2658 on sweep_n1 (2452, 2650).
+# Circle tables and series the caches hold.  One pass at seed 1, with the
+# rung cache, computes 614 tables and 137 series on the default suite (582
+# and 136 unbounded) and 2 222 and 485 on sweep_n1 (2 022 and 467).
 _TABLES, _SERIES = 128, 64
 
 

@@ -40,9 +40,11 @@ The poles of Gamma, u = p^-mu q^-nu, are zeros of the factors
 1/Gamma, the zeros u = p^(mu+1) q^(nu+1) of Gamma, zeros of the factors
 (1 - b^(k+1) a^(j+1) / u) of the corrections 1/Gamma divides by.  A factor
 of a divisor within POLE_TOL of 0 raises PoleProximityError naming
-(mu, nu); the ring holds no pole or zero.  Far from the ring the corrections
-leave the double range (|Gamma(1e-4 e^i; 0.9, 0.85)| is about 1e3011), and
-DomainError names the argument.
+(mu, nu); the ring holds no pole or zero.  Every product is formed with
+numpy's overflow warnings off and checked: one that leaves the double range,
+as Gamma's corrections far from the ring (|Gamma(1e-4 e^i; 0.9, 0.85)| is
+about 1e3011) and single products far from the unit circle do, raises
+DomainError naming the argument.
 """
 
 from __future__ import annotations
@@ -239,6 +241,17 @@ def _powers(x: np.ndarray, K: int) -> np.ndarray:
     return out
 
 
+def _in_range(values, args, what: str, parts: str = "its value passes"):
+    """values, or DomainError naming the first of args whose column of
+    values (one row, or one per row) is not finite: it left the double range."""
+    ok = np.isfinite(values)
+    if not ok.all():
+        bad = complex(args[np.argmin(ok.reshape(-1, len(args)).all(axis=0))])
+        raise DomainError(f"{what}: argument {bad} is outside the double range: "
+                          f"{parts} {sys.float_info.max:.4g}")
+    return values
+
+
 def _pole(rows, args, fixed, base_is_p: bool, what: str):
     """PoleProximityError for the factor of rows nearest 0, if within POLE_TOL.
 
@@ -291,7 +304,8 @@ def _gamma(u: np.ndarray, p: complex, q: complex, recip: bool = False) -> np.nda
         rows = _single(u, _based(q if p == 0 else p))
         if not recip:
             _pole(rows[:, : len(u)], u, np.zeros(len(u), dtype=int), p != 0, what)
-        value = _product(rows)[: len(u)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = _in_range(_product(rows)[: len(u)], u, what, "its single product passes")
         return value if recip else 1.0 / value
     if not u.all():
         raise DomainError(f"{what} requires u != 0" + ("" if recip else " unless p*q = 0"))
@@ -323,7 +337,6 @@ def _gamma(u: np.ndarray, p: complex, q: complex, recip: bool = False) -> np.nda
     small = _length(beta, base)
     every = int(shifts.min())
     thetas = np.ones(n, dtype=complex)
-    # far from the ring the corrections overflow: checked below, not warned
     with np.errstate(over="ignore", invalid="ignore"):
         for d in range(1, int(top) + 1):
             at = slice(None) if d <= every else shifts >= d
@@ -338,12 +351,8 @@ def _gamma(u: np.ndarray, p: complex, q: complex, recip: bool = False) -> np.nda
             values = _product(rows)
             thetas[at] = thetas[at] * (values[: len(x)] * values[len(x) :])
         out = np.divide(value, thetas, out=value * thetas, where=divides)
-    if not (np.isfinite(thetas).all() and np.isfinite(out).all()):
-        bad = complex(u[np.argmin(np.isfinite(thetas) & np.isfinite(out))])
-        raise DomainError(
-            f"{what}: argument {bad} is outside the double range: its theta "
-            f"corrections or its value pass {sys.float_info.max:.4g}"
-        )
+    # thetas too: past the range they can divide the value down to a finite 0
+    _in_range((thetas, out), u, what, "its theta corrections or its value pass")
     return out
 
 
@@ -351,17 +360,19 @@ def _recip(u: np.ndarray, p: complex, q: complex) -> np.ndarray:
     return _gamma(u, p, q, recip=True)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _theta(u: np.ndarray, p: complex, _) -> np.ndarray:
     """theta(u; p) for the 1-D array u (the third argument is unused)."""
     if not u.all():
         raise DomainError("theta(u; p) requires u != 0")
     values = _product(_single(np.concatenate((u, p / u)), _based(p)))
-    return values[: len(u)] * values[len(u) :]
+    return _in_range(values[: len(u)] * values[len(u) :], u, "theta")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _qpoch(u: np.ndarray, _, q: complex) -> np.ndarray:
     """(u; q)_inf for the 1-D array u (the second argument is unused)."""
-    return _product(_single(u, _based(q)))[: len(u)]
+    return _in_range(_product(_single(u, _based(q)))[: len(u)], u, "qpoch_inf")
 
 
 def _unpack(bits: bytes):

@@ -15,8 +15,8 @@ whole circle.  N doubles from 16, each grid evaluated when its rung is
 read, until |I_N - I_{N/2}| meets the tolerance or the per-circle budget is
 exhausted.  Every ladder ends in one stop rule, :func:`_stop`: a stalled
 ladder takes a 50x looser stop read off the differences it already holds,
-so no grid is evaluated twice within one integral, and says so through
-:data:`_NOTES`.  A ladder whose caller names its integral by a key (see
+so no grid is evaluated twice within one integral, and its QuadResult says
+so in ``retried``.  A ladder whose caller names its integral by a key (see
 :func:`_key`) reads its rungs from :func:`_rung`'s process-wide cache, so
 each grid is evaluated once per process for each distinct integrand.
 
@@ -27,7 +27,6 @@ thread count), so a given (N, parameters) always reproduces the same bytes.
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import math
 import struct
@@ -51,14 +50,10 @@ MIN_BUDGET = 2 * MIN_POINTS
 RETRY_NOTE = "retried at 50x looser stop"
 
 # Rungs held by _rung's cache.  Replayed against one pass at seed 1 of the
-# benchmark's suite (164 rung requests) and sweep_n1 (678), an unbounded
+# benchmark's suite (200 rung requests) and sweep_n1 (838), an unbounded
 # cache computes 115 and 486 rungs; 32 entries lose no hit against it, 16
 # lose 12 of the suite's.
 _RUNGS = 32
-
-# Notes of the report being computed: _stop adds RETRY_NOTE when a ladder
-# stalls, and scenarios._run sets the list and puts its notes in the detail.
-_NOTES: contextvars.ContextVar[list] = contextvars.ContextVar("notes")
 
 
 def default_budget(n: int) -> int:
@@ -123,13 +118,15 @@ def _representatives(m: int, N: int):
 class QuadResult:
     """Outcome of a converged refinement ladder.
 
-    ``history`` records (N, |I_N - I_{N/2}|) for every completed doubling.
+    ``history`` records (N, |I_N - I_{N/2}|) for every completed doubling;
+    ``retried``, whether the ladder took the 50x looser stop (see _stop).
     """
 
     value: complex
     err_est: float
     N_used: int
     history: tuple = ()
+    retried: bool = False
 
 
 def _key(tag: str, ints: tuple, numbers) -> tuple:
@@ -200,10 +197,10 @@ def _rungs(f, n: int, budget: int | None = None, fold=(), key=None):
 def _stop(rungs, tol: float) -> QuadResult:
     """The first rung whose mean moved by at most tol since the rung before.
 
-    When no rung does, the first within 50 tol, with RETRY_NOTE among the
-    notes: |I_N - I_{N/2}| lags the error of I_N by one doubling, and the
-    looser stop reads the differences already taken, so no grid is
-    evaluated again.  Raises NonConvergenceError when that stalls too.
+    When no rung does, the first within 50 tol, marked ``retried``:
+    |I_N - I_{N/2}| lags the error of I_N by one doubling, and the looser
+    stop reads the differences already taken, so no grid is evaluated
+    again.  Raises NonConvergenceError when that stalls too, and only then.
     """
     values, history = [], []
     for N, value in rungs:
@@ -213,13 +210,10 @@ def _stop(rungs, tol: float) -> QuadResult:
             if err <= tol:
                 return QuadResult(value, err, N, tuple(history))
         values.append(value)
-    notes = _NOTES.get([])
-    if RETRY_NOTE not in notes:
-        notes.append(RETRY_NOTE)
     loose = 50 * tol
     for j, (N, err) in enumerate(history):
         if err <= loose:
-            return QuadResult(values[j + 1], err, N, tuple(history[: j + 1]))
+            return QuadResult(values[j + 1], err, N, tuple(history[: j + 1]), retried=True)
     coarse = history[-2][1] if len(history) >= 2 else np.inf
     raise NonConvergenceError(
         f"quadrature stalled at N={N}: err_est={err:.3e} > tol={loose:.3e}",
@@ -244,9 +238,9 @@ def torus_integrate(
     values.  ``fold`` names the coordinates in which f is W(BC)-invariant
     (z_i -> 1/z_i and their permutations); the grid is summed over orbit
     representatives there.  A ladder whose err_est stays above tol up to the
-    budget stops at the first rung within 50 tol instead (see _stop);
-    NonConvergenceError is raised when none is.  ``key`` names the integral
-    for the rung cache (see _rungs); without one nothing is cached.
+    budget stops at the first rung within 50 tol instead, ``retried`` (see
+    _stop); NonConvergenceError is raised when none is.  ``key`` names the
+    integral for the rung cache (see _rungs); without one nothing is cached.
     """
     return _stop(_rungs(f, n, budget, fold, key), tol)
 

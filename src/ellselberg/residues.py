@@ -21,7 +21,7 @@ from .errors import DomainError
 from .integrand import c_constant, psi
 from .invariants import ParameterSet
 from .qseries import Nomes, _euler_pair, _gamma_product, elliptic_gamma
-from .quadrature import _params_key, torus_integrate
+from .quadrature import QuadResult, _params_key, torus_integrate
 
 # |a| closer to the unit circle than this leaves the quadrature no room.
 TORUS_CLEARANCE = 1e-3
@@ -32,9 +32,9 @@ def continued_integral_n1(
     nomes: Nomes,
     tol: float,
     budget: int | None = None,
-) -> tuple[complex, int]:
+) -> tuple[complex, QuadResult]:
     """Holomorphic continuation of the n=1 torus integral of Psi, and the
-    grid N its quadrature ladder stopped at.
+    QuadResult of its quadrature ladder.
 
     With every parameter inside the unit disk this is the plain integral.
     When exactly one parameter a sits in 1 < |a| < |q|^(-1/2), the contour
@@ -72,7 +72,7 @@ def continued_integral_n1(
         corr = 2.0 * _gamma_product([x for v in others for x in (v * a, v / a)], nomes)
         corr /= _euler_pair(nomes) * elliptic_gamma(a**-2, nomes)
         value += corr
-    return value, quad.N_used
+    return value, quad
 
 
 def lim_pinch_J(params: ParameterSet, nomes: Nomes) -> complex:

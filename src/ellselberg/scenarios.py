@@ -8,8 +8,8 @@ produce one report per requested case.
 Quadrature stopping tolerances are scaled by a coarse magnitude estimate of
 the closed side; each runner states its stop where it calls the ladder.
 A stalled ladder takes quadrature's 50x looser stop before being declared
-non-convergent (the verdict always uses the measured error), and a report
-whose ladder stalled says so in ``detail``.
+non-convergent (the verdict always uses the measured error); :func:`_run`
+reads a report's ``grid_N`` and retry note off the QuadResults it is given.
 
 One row table drives every sweep: :data:`SUITE_ROWS` is the default suite,
 :func:`run_row` samples one row and :func:`cases` expands one parameter set
@@ -22,9 +22,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import chain
 
-from .errors import ConfigurationError, DomainError, EllSelbergError, SampleRejectionError
+from .errors import (
+    ConfigurationError, DomainError, EllSelbergError, NonConvergenceError, SampleRejectionError,
+)
 from .integrand import _bc_kernel, _z_list, c_constant, j_closed, psi
 from .invariants import (
     BalancingMode,
@@ -36,11 +37,10 @@ from .invariants import (
 from .kernel import GAMMA, evaluate, pm
 from .qseries import MAX_TERMS, TAIL_TOL, Nomes, _euler_pair, _gamma_product, theta
 from .quadrature import (
-    _NOTES,
+    MIN_BUDGET,
+    RETRY_NOTE,
     _key,
     _params_key,
-    _rungs,
-    _stop,
     _weighted,
     nabla_quad,
     torus_integrate,
@@ -51,32 +51,31 @@ from .sampling import DEFAULT_BOX, SafeBox, sample_da_parameters, sample_paramet
 
 
 def _run(scenario: str, echo: dict, tol: float, timing: bool, compute) -> ScenarioReport:
-    """Report compute()'s (lhs, rhs, grid_N[, scale[, detail]]) against tol.
+    """Report compute()'s (lhs, rhs, quads[, scale[, detail]]) against tol.
 
     An EllSelbergError raised by compute becomes a failed report that gives
-    the reason.  Notes made while computing (a ladder's looser stop) follow
-    the detail.
+    the reason.  grid_N is the largest N_used of quads (0 if none), and
+    RETRY_NOTE follows the detail when one of them retried or compute raised
+    NonConvergenceError, which a ladder raises only after retrying.
     """
     started = time.monotonic() if timing else None
-    notes = []
-    token = _NOTES.set(notes)
     try:
         outcome = compute()
     except EllSelbergError as exc:
-        lhs, rhs, grid_N = 0j, 0j, 0
+        lhs, rhs, quads = 0j, 0j, ()
         abs_err = rel_err = math.inf
         detail = f"{type(exc).__name__}: {exc}"
+        retried = isinstance(exc, NonConvergenceError)
     else:
-        lhs, rhs, grid_N, scale, detail = (*outcome, None, "")[:5]
+        lhs, rhs, quads, scale, detail = (*outcome, None, "")[:5]
         abs_err, rel_err = relative_error(lhs, rhs)
         if scale is not None:
             rel_err = abs_err / scale if scale > 0 else abs_err
-    finally:
-        _NOTES.reset(token)
+        retried = any(quad.retried for quad in quads)
     return ScenarioReport(
         scenario=scenario,
         **{"k": None, "r": None, "i": None, **echo},
-        grid_N=grid_N,
+        grid_N=max((quad.N_used for quad in quads), default=0),
         lhs=complex(lhs),
         rhs=complex(rhs),
         abs_err=float(abs_err),
@@ -86,7 +85,7 @@ def _run(scenario: str, echo: dict, tol: float, timing: bool, compute) -> Scenar
         runtime_ms=None if started is None else int(round((time.monotonic() - started) * 1000)),
         tail_tol=TAIL_TOL,
         max_terms=MAX_TERMS,
-        detail="; ".join(filter(None, [detail, *notes])),
+        detail="; ".join(filter(None, [detail, retried and RETRY_NOTE])),
     )
 
 
@@ -105,14 +104,13 @@ def _echo(params: ParameterSet, nomes: Nomes, seed_index: int, **indices) -> dic
     )
 
 
-def _probed(f, n, budget, floor, key):
-    """f's rungs, and max(|I_32|, floor) to scale their refinement by; the
-    rungs yield the two the magnitude read before evaluating further grids.
-    f must be W(BC_n)-invariant: its rungs are orbit sums.  ``key`` names
-    the integral for the rung cache."""
-    ladder = _rungs(f, n, budget, range(n), key)
-    head = [next(ladder), next(ladder)]
-    return chain(head, ladder), max(abs(head[1][1]), floor)
+def _scaled(f, n, tol, budget, floor, key):
+    """f's ladder stopped at tol * scale, and scale = max(|I_32|, floor), read
+    off a two-rung ladder with no stop whose rungs the full one reads back
+    from the rung cache.  f must be W(BC_n)-invariant: its rungs are orbit
+    sums.  ``key`` names the integral for the rung cache."""
+    scale = max(abs(torus_integrate(f, n, math.inf, MIN_BUDGET, range(n), key).value), floor)
+    return torus_integrate(f, n, tol * scale, budget, range(n), key), scale
 
 
 def scenario_eval_formula(
@@ -141,13 +139,13 @@ def scenario_eval_formula(
                 "n >= 2 needs every parameter inside the unit circle"
             )
         if outside:
-            lhs, grid_N = continued_integral_n1(params, nomes, 0.1 * tol * scale, budget)
-            return lhs, rhs, grid_N, None, "continued contour (one parameter outside)"
+            lhs, quad = continued_integral_n1(params, nomes, 0.1 * tol * scale, budget)
+            return lhs, rhs, (quad,), None, "continued contour (one parameter outside)"
         quad = torus_integrate(
             lambda z: psi(z, params, nomes), n, 0.1 * tol * scale, budget,
             fold=range(n), key=_params_key("psi", (), params, nomes),
         )
-        return quad.value, rhs, quad.N_used
+        return quad.value, rhs, (quad,)
 
     echo = _echo(params, nomes, seed_index=seed_index)
     return _run("eval_formula", echo, tol, timing=timing, compute=compute)
@@ -214,17 +212,13 @@ def scenario_qde(
             raise SampleRejectionError(
                 "q-difference scenarios need the PQ or P balancing"
             )
-        left_rungs, scale = _probed(
-            lambda z: psi(z, left, nomes), n, budget, 1.0,
-            _params_key("psi", (), left, nomes),
-        )
-        lhs_quad = _stop(left_rungs, 0.1 * tol * scale)
+        lhs_quad, scale = _scaled(lambda z: psi(z, left, nomes), n, 0.1 * tol, budget, 1.0,
+                                  _params_key("psi", (), left, nomes))
         rhs_quad = torus_integrate(
-            lambda z: psi(z, right, nomes),
-            n, 0.1 * tol * (scale / max(abs(ratio), 1e-6)), budget, fold=range(n),
-            key=_params_key("psi", (), right, nomes),
+            lambda z: psi(z, right, nomes), n, 0.1 * tol * (scale / max(abs(ratio), 1e-6)),
+            budget, fold=range(n), key=_params_key("psi", (), right, nomes),
         )
-        return lhs_quad.value, rhs_quad.value * ratio, max(lhs_quad.N_used, rhs_quad.N_used)
+        return lhs_quad.value, rhs_quad.value * ratio, (lhs_quad, rhs_quad)
 
     echo = _echo(params, nomes, seed_index=seed_index, k=k)
     return _run("qde", echo, tol, timing=timing, compute=compute)
@@ -238,8 +232,7 @@ def _expect_invariant(r, params, nomes, tol, budget):
         return fundamental_invariant(r, a1, a6, _z_list(z, n), t, nomes.p)
 
     key = _params_key("E", (r,), params, nomes)
-    rungs, scale = _probed(_weighted(phi, params, nomes), n, budget, 1e-12, key)
-    return _stop(rungs, 0.1 * tol * scale)
+    return _scaled(_weighted(phi, params, nomes), n, 0.1 * tol, budget, 1e-12, key)[0]
 
 
 def scenario_recurrence(
@@ -258,7 +251,7 @@ def scenario_recurrence(
         c_r = coefficient_c(r, params, nomes)
         lhs = _expect_invariant(r, params, nomes, tol, budget)
         prev = _expect_invariant(r - 1, params, nomes, tol, budget)
-        return lhs.value, c_r * prev.value, max(lhs.N_used, prev.N_used)
+        return lhs.value, c_r * prev.value, (lhs, prev)
 
     echo = _echo(params, nomes, seed_index=seed_index, r=r)
     return _run("recurrence", echo, tol, timing=timing, compute=compute)
@@ -279,7 +272,7 @@ def scenario_recurrence_telescope(
         rhs = boundary_expectation_ratio(params, nomes)
         top = _expect_invariant(n, params, nomes, tol, budget)
         bot = _expect_invariant(0, params, nomes, tol, budget)
-        return top.value / bot.value, rhs, max(top.N_used, bot.N_used)
+        return top.value / bot.value, rhs, (top, bot)
 
     echo = _echo(params, nomes, seed_index=seed_index)
     return _run("recurrence_telescope", echo, tol, timing=timing, compute=compute)
@@ -300,7 +293,7 @@ def scenario_nabla(
 
     def compute():
         res, reference = nabla_quad(r, i, params, nomes, 0.01 * tol, budget)
-        return res.value, 0j, res.N_used, reference, f"reference={reference!r}"
+        return res.value, 0j, (res,), reference, f"reference={reference!r}"
 
     echo = _echo(params, nomes, seed_index=seed_index, r=r, i=i)
     return _run("nabla", echo, tol, timing=timing, compute=compute)
@@ -348,7 +341,7 @@ def scenario_dixon_anderson(
             n, 0.1 * tol * scale, budget, fold=range(n),
             key=_key("da", (n,), (*a, nomes.p, nomes.q)),
         )
-        return quad.value, rhs, quad.N_used
+        return quad.value, rhs, (quad,)
 
     echo = dict(
         seed_index=seed_index,
@@ -408,7 +401,7 @@ def scenario_pinch(
                 for k in range(j + 1, 6)
                 if (i, j, k) != (1, 0, 1)
             ]
-            return _gamma_product(pairs, nomes) / _euler_pair(nomes), rhs, 0
+            return _gamma_product(pairs, nomes) / _euler_pair(nomes), rhs, ()
         if check == "integral":
             if n != 1:
                 raise DomainError("the pinched integral check is n = 1 only")
@@ -416,13 +409,11 @@ def scenario_pinch(
             lhs = 2.0 / _euler_pair(nomes) ** 2 * _gamma_product(
                 [x for m in range(2, 6) for x in (a[m] * a[0], a[m] / a[0])], nomes
             )
-            return lhs, rhs, 0
+            return lhs, rhs, ()
         if check == "continued":
             rhs = c_constant(1, nomes, t) * j_closed(params, nomes)
-            lhs, grid_N = continued_integral_n1(
-                params, nomes, 5e-5 * max(abs(rhs), 1.0), budget
-            )
-            return lhs, rhs, grid_N
+            lhs, quad = continued_integral_n1(params, nomes, 5e-5 * max(abs(rhs), 1.0), budget)
+            return lhs, rhs, (quad,)
         raise SampleRejectionError(f"unknown pinch check {check!r}")
 
     echo = _echo(params, nomes, seed_index=seed_index)

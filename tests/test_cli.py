@@ -99,6 +99,19 @@ class TestEvalTargets:
         assert captured.err.startswith("error: elliptic_gamma: argument (-15.81")
         assert "outside the double range" in captured.err
 
+    @pytest.mark.parametrize("argv", [["theta", "--p", "0.9"], ["gamma", "--p", "0", "--q", "0.9"]],
+                             ids=["theta", "gamma_p0"])
+    def test_single_product_outside_the_double_range(self, capsys, argv):
+        # at u = 1e6 e^i the single product (u; 0.9)_inf passes 1e308: a
+        # usage error naming the argument, not nan
+        u = "540302.3058681398+841470.9848078965i"
+        code = main(["eval", argv[0], "--u", u, *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "argument (540302.3058681398+841470.9848078965j)" in captured.err
+        assert "outside the double range" in captured.err
+
     def test_theta(self, capsys):
         code, out = self.run(["eval", "theta", "--u", "0.3-0.12i", "--p", "0.05"], capsys)
         assert code == 0

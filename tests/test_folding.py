@@ -27,7 +27,6 @@ from ellselberg import (
     scenario_qde,
     scenario_recurrence,
     scenario_recurrence_telescope,
-    scenarios,
     torus_integrate,
 )
 from ellselberg.integrand import _bc_kernel
@@ -192,7 +191,6 @@ def folded(monkeypatch):
         return rungs(f, n, budget, fold, *args, **kwargs)
 
     monkeypatch.setattr(quadrature, "_rungs", recording)
-    monkeypatch.setattr(scenarios, "_rungs", recording)
     return calls
 
 
@@ -214,7 +212,9 @@ def test_every_folded_integrand_is_invariant(folded):
     scenario_eval_formula(1, continued, NM, 1.0, **kw)
     scenario_pinch(continued, NM, 1.0, "continued", **kw)
     folds = [(n, fold) for _, n, fold in folded]
-    assert folds.count((1, (0,))) == 1 + 1 + 2 + 2 + 2 + 2  # eval, da, qde, <E_r> x 2 x 2, continued x 2
+    # eval, da, qde (its magnitude ladder and two more), <E_r> x 2 x 2 with
+    # a magnitude ladder each, continued x 2
+    assert folds.count((1, (0,))) == 1 + 1 + 3 + 4 + 4 + 2
     assert {(2, (1,)), (2, (0,)), (3, (1, 2)), (3, (0, 2)), (3, (0, 1))} <= set(folds)
     rng = np.random.default_rng(11)
     for f, n, fold in folded:

@@ -280,6 +280,48 @@ def test_gamma_near_the_double_range_keeps_its_bits():
     assert rel(value, 3.3813378e-152 - 8.1507072e-153j) < 1e-7
 
 
+# |(1e6 e^i; 0.9)_inf| passes 1e308, and so do theta(1e6 e^i; 0.9) and, by
+# its (p/u; p)_inf, theta(1e-6 e^i; 0.9); Gamma and 1/Gamma at p q = 0 are
+# 1/(u; q)_inf and (u; p)_inf, whose product leaves the range at 1e6 e^i too
+FAR, NEAR = 1e6 * cmath.exp(1j), 1e-6 * cmath.exp(1j)
+SINGLE_PRODUCTS = {
+    "theta": lambda x: theta(x, 0.9),
+    "qpoch_inf": lambda x: qpoch_inf(x, 0.9),
+    "elliptic_gamma": lambda x: elliptic_gamma(x, Nomes(0.0, 0.9)),
+    "elliptic_gamma_recip": lambda x: elliptic_gamma_recip(x, Nomes(0.9, 0.0)),
+}
+
+
+@pytest.mark.parametrize(
+    "name,u", [("theta", FAR), ("theta", NEAR), ("qpoch_inf", FAR), ("elliptic_gamma", FAR),
+               ("elliptic_gamma_recip", FAR)],
+    ids=["theta_large", "theta_small", "qpoch", "gamma_p0", "recip_q0"],
+)
+def test_single_product_outside_the_double_range_names_the_argument(name, u):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for arg in (u, np.array([0.5, u, 2.0])):
+            with pytest.raises(DomainError, match="outside the double range") as info:
+                SINGLE_PRODUCTS[name](arg)
+            assert str(info.value).startswith(f"{name}: argument {u}")
+
+
+@pytest.mark.parametrize("name,expected", [
+    ("theta", 8.0702904173282e76 - 6.369657359011318e77j),
+    ("qpoch_inf", 7.664660532397794e76 - 6.460835876361835e77j),
+    ("elliptic_gamma", 1.810697848626991e-79 + 1.5263065562018683e-78j),
+    ("elliptic_gamma_recip", 7.664660532397794e76 - 6.460835876361835e77j),
+])
+def test_single_product_near_the_double_range_keeps_its_bits(name, expected):
+    # at 500 + 300i the products reach 1e77 and keep the bits they had
+    # before the range check, as a scalar and inside an array
+    f, u = SINGLE_PRODUCTS[name], 500 + 300j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert f(u) == expected
+        assert f(np.array([0.5, u]))[1] == expected
+
+
 def prod_loop(rows):
     """The factor-by-factor product of each column: the reference _product
     must reproduce bit for bit."""
@@ -303,8 +345,15 @@ def factor_rows(u):
     return qseries._single(u, qseries._based(PROD_BASE))
 
 
-@pytest.mark.parametrize("M", [1, 2, 3, 17, 77, 78, 79, 157, 4096, 32768])
-def test_prod_array_is_the_factor_loop_bitwise(M):
+# Widths: a lone column (paired with x = 0); 2, and one past 2, 4, 8 and 16
+# complex lanes of a vector loop (3, 5, 9, 17); one block of _evaluate's
+# (1024 elements) and theta's two halves of one (2048); one past numpy's
+# ufunc buffer (8193); and 32768.
+@pytest.mark.parametrize(
+    "M", [1, 2, 3, 5, 9, 17, qseries._BLOCK_ENTRIES // qseries.MAX_TERMS,
+          2 * qseries._BLOCK_ENTRIES // qseries.MAX_TERMS, np.getbufsize() + 1, 32768]
+)
+def test_product_is_the_factor_loop_bitwise(M):
     # every column of the array product is the loop over its own factors,
     # whatever the number of columns (a lone one is paired with x = 0)
     rows = factor_rows(random_points((M,), M))
@@ -313,7 +362,7 @@ def test_prod_array_is_the_factor_loop_bitwise(M):
 
 
 @pytest.mark.parametrize("transpose", [False, True], ids=["c_order", "transposed"])
-def test_prod_array_keeps_the_shape_of_2d_input(transpose):
+def test_evaluators_keep_the_shape_of_2d_input(transpose):
     u = random_points((48, 64), 7)
     if transpose:
         u = u.T
@@ -325,7 +374,7 @@ def test_prod_array_keeps_the_shape_of_2d_input(transpose):
         assert got.tobytes() == f(np.ascontiguousarray(u).reshape(-1)).reshape(u.shape).tobytes()
 
 
-def test_prod_array_single_row_and_empty_input():
+def test_zero_nome_is_one_factor_and_empty_input_keeps_its_shape():
     # at c = 0 each column is the single factor 1 - x, exactly
     u = random_points((5, 3), 11)
     assert np.array_equal(qpoch_inf(u, 0.0), 1.0 - u)
@@ -453,7 +502,7 @@ def test_cn_recurrence_forms_each_scalar_product_once(scalar_products):
     assert len(scalar_products) == len(set(scalar_products))
 
 
-def test_plan_cold_and_warm_cache_agree():
+def test_ring_cache_hit_is_the_cold_ring():
     # the ring of a nome pair (its reduction and its series' coefficients)
     # is held once computed; a held one is the one computed afresh
     p, q = 0.05 + 0.02j, 0.12
@@ -468,7 +517,7 @@ def test_plan_cold_and_warm_cache_agree():
     assert warm is cold
 
 
-def test_plan_raises_truncation_error_on_every_call():
+def test_uncertified_nomes_raise_truncation_error_on_every_call():
     # exceptions are not cached: nomes whose series MAX_TERMS cannot
     # certify raise again instead of returning a stale value
     for _ in range(3):
@@ -476,7 +525,7 @@ def test_plan_raises_truncation_error_on_every_call():
             elliptic_gamma(0.4 + 0.2j, UNCERTIFIED)
 
 
-# Reference truncation plans, counted up one term at a time: the single
+# Reference truncation counts, counted up one term at a time: the single
 # products' factor counts (_length) and the series' K (_log_den), which
 # bisect or count against held powers, must match them exactly.
 
@@ -500,29 +549,29 @@ def ref_terms(p, q, edge, tail_tol, max_terms):
     raise TruncationError("over max_terms", achieved_bound=0.0)
 
 
-def plan_outcome(plan, *args):
+def count_outcome(count, *args):
     try:
-        return plan(*args)
+        return count(*args)
     except TruncationError:
         return "TruncationError"
 
 
 # (TAIL_TOL, MAX_TERMS): the rule, a looser tail and a cap of 8 terms, so
 # that the counts are checked away from the one rule's numbers too
-PLAN_RULES = ((1e-13, 512), (1e-6, 512), (1e-15, 8))
+TRUNCATION_RULES = ((1e-13, 512), (1e-6, 512), (1e-15, 8))
 
 
-@pytest.mark.parametrize("rule", PLAN_RULES, ids=["default", "loose", "tight_cap"])
-def test_plan_matches_the_reference_plan(rule, truncation_rule):
-    assert PLAN_RULES[0] == (qseries.TAIL_TOL, qseries.MAX_TERMS)
+@pytest.mark.parametrize("rule", TRUNCATION_RULES, ids=["default", "loose", "tight_cap"])
+def test_truncation_counts_match_the_reference_counts(rule, truncation_rule):
+    assert TRUNCATION_RULES[0] == (qseries.TAIL_TOL, qseries.MAX_TERMS)
     truncation_rule(*rule)
     raised = 0
     for c_abs in (0.0, 1e-3, 0.05, 0.3, 0.7, 0.95):
         base = qseries._based(c_abs * np.exp(0.3j))
         for bound in (0.0, 1e-20, 1e-3, 0.6, 1.0, 3.7, 250.0):
-            got = plan_outcome(qseries._length, bound, base)
+            got = count_outcome(qseries._length, bound, base)
             if c_abs:
-                assert got == plan_outcome(ref_length, bound, c_abs, *rule), (c_abs, bound)
+                assert got == count_outcome(ref_length, bound, c_abs, *rule), (c_abs, bound)
             else:  # (x; 0)_inf = 1 - x: one factor, none where |x| is below the tolerance
                 assert got == int(bound >= rule[0] / rule[1])
             raised += got == "TruncationError"
@@ -530,14 +579,14 @@ def test_plan_matches_the_reference_plan(rule, truncation_rule):
         for q_abs in (1e-3, 0.12, 0.5, 0.9):
             p, q = p_abs * np.exp(0.4j), q_abs * np.exp(-1.1j)
             edge = min(p_abs, q_abs) ** 0.5
-            got = plan_outcome(lambda: len(qseries._log_den(p, q, edge, edge)))
-            assert got == plan_outcome(ref_terms, p, q, edge, *rule), (p_abs, q_abs)
+            got = count_outcome(lambda: len(qseries._log_den(p, q, edge, edge)))
+            assert got == count_outcome(ref_terms, p, q, edge, *rule), (p_abs, q_abs)
             raised += got == "TruncationError"
     if rule[1] == 8:
         assert raised  # the sweep reaches the TruncationError cases
 
 
-def test_scaled_plan_certifies_the_true_tail():
+def test_theta_correction_factor_count_certifies_its_tail():
     # a theta correction d shifts from the ring has its argument within
     # beta |a|^-d, and the factor count planned at that bound certifies the
     # tail there: every argument of the level has its tail below the tolerance
@@ -618,7 +667,7 @@ SCAN_NOMES = (0.05 + 0.02j, 0.12 - 0.03j)
 
 @pytest.mark.parametrize("mu", [0, 1, 2])
 @pytest.mark.parametrize("nu", [0, 1, 3])
-def test_pole_scan_names_the_same_pole_as_the_reference(mu, nu):
+def test_pole_error_names_the_pole_of_the_reference_scan(mu, nu):
     p, q = SCAN_NOMES
     pole = (1.0 + 1e-14) / (p**mu * q**nu)
     for arr in (
@@ -632,7 +681,7 @@ def test_pole_scan_names_the_same_pole_as_the_reference(mu, nu):
         assert scan_both(arr, q, p) == (pole, nu, mu)
 
 
-def test_pole_scan_is_silent_below_the_unit_circle():
+def test_no_pole_error_inside_the_unit_circle():
     p, q = SCAN_NOMES
     rng = np.random.default_rng(5)
     for top in (0.5, 0.9, 1.0 - 2e-9):
@@ -642,7 +691,7 @@ def test_pole_scan_is_silent_below_the_unit_circle():
         assert scan_both(np.append(arr, 1e-9), p, q) is None
 
 
-def test_pole_scan_matches_the_reference_on_random_arrays():
+def test_pole_errors_match_the_reference_scan_on_random_arrays():
     p, q = SCAN_NOMES
     rng = np.random.default_rng(9)
     poles = [1.0 / (p**mu * q**nu) for mu in range(3) for nu in range(5)]
@@ -662,7 +711,7 @@ def test_one_element_gamma_array_has_the_bits_of_a_longer_one(f):
     # numpy multiplies with other instructions; the paired product is not
     nm = Nomes(0.07 + 0.02j, 0.11)
     for u in random_points((20,), 3):
-        pair = np.array([u, u * 1j])  # |u i| = |u|: the same plan
+        pair = np.array([u, u * 1j])  # |u i| = |u|: the same factor counts
         assert f(pair[:1], nm).tobytes() == f(pair, nm)[:1].tobytes()
 
 

@@ -1,6 +1,7 @@
 """Torus quadrature: grids, convergence contract, expectations, nabla."""
 
 import gc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from ellselberg import (
     psi_tilde,
     torus_integrate,
 )
-from ellselberg import quadrature
+from ellselberg import quadrature, scenarios
 from ellselberg.kernel import Lattice, _roots
 from ellselberg.quadrature import MIN_POINTS, RETRY_NOTE, _nabla_pointwise, _stop, _weighted
 from references import phi_test_function
@@ -121,11 +122,24 @@ class TestTorusIntegrate:
             assert str(exc) == f"quadrature stalled at N=64: err_est={d64:.3e} > tol={loose:.3e}"
             assert exc.estimates == (d32, d64)
         else:
-            # a strict reading at loose: no rung of these stalls there
+            # a strict reading at loose, which no rung of these stalls, but
+            # marked as the looser stop
             fresh = _stop(rungs, loose)
-            assert repr(looser) == repr(fresh)
-            assert looser == fresh
+            assert looser.retried and not fresh.retried
+            assert repr(looser) == repr(replace(fresh, retried=True))
+            assert looser == replace(fresh, retried=True)
         assert sizes == [16, 32, 64]
+
+    def test_public_ladder_says_whether_it_took_the_looser_stop(self):
+        # the differences are 0.16 at N = 32 and 4.4e-3 at N = 64: a stop
+        # of 1e-2 is met, one of 1e-4 only at 50x (5e-3), where it stops
+        f = lambda z: 1.0 / ((1 - 0.8 * z[0]) * (1 - 0.8 / z[0]))
+        strict = torus_integrate(f, 1, 1e-2, budget=64)
+        looser = torus_integrate(f, 1, 1e-4, budget=64)
+        assert not strict.retried
+        assert looser.retried
+        assert strict.N_used == looser.N_used == 64
+        assert looser.value == strict.value
 
     def test_budget_floor(self):
         # below 32 a ladder has one rung and no difference to stop on
@@ -158,48 +172,41 @@ class TestTorusIntegrate:
         assert e64 >= 10 * e128 or e128 <= floor
 
 
-@pytest.fixture
-def notes():
-    """The notes list of one report, as scenarios' runner sets it."""
-    out = []
-    token = quadrature._NOTES.set(out)
-    yield out
-    quadrature._NOTES.reset(token)
-
-
 class TestStop:
     """The one stop rule on synthetic (N, mean) ladders."""
 
     # differences 0.5, 4e-6 and 1e-6 (to rounding)
     LADDER = [(16, 1.0), (32, 1.5), (64, 1.5 + 4e-6), (128, 1.5 + 5e-6)]
 
-    def test_rung_within_tol_takes_no_note(self, notes):
+    def test_rung_within_tol_takes_no_note(self):
         res = _stop(self.LADDER, 1e-5)
         assert (res.N_used, res.value) == (64, 1.5 + 4e-6)
-        assert notes == []
+        assert not res.retried
 
-    def test_stall_takes_the_first_rung_within_50_tol(self, notes):
+    def test_stall_takes_the_first_rung_within_50_tol(self):
         # nothing within 1e-7; within 5e-6 both 64 and 128, and 64 comes first
         res = _stop(self.LADDER, 1e-7)
-        assert notes == [RETRY_NOTE]
         strict = _stop(self.LADDER, 50 * 1e-7)
-        assert notes == [RETRY_NOTE]
-        assert res == strict
+        assert res.retried and not strict.retried
+        assert res == replace(strict, retried=True)
         assert res.N_used == 64
         assert res.history == ((32, 0.5), (64, abs(self.LADDER[2][1] - 1.5)))
 
-    def test_double_stall_names_the_looser_stop(self, notes):
+    def test_double_stall_names_the_looser_stop(self):
         with pytest.raises(NonConvergenceError, match=r"stalled at N=128: .* > tol=5\.000e-09") as exc:
             _stop(self.LADDER, 1e-10)
         fine = abs(self.LADDER[3][1] - self.LADDER[2][1])
         assert exc.value.estimates == (abs(self.LADDER[2][1] - 1.5), fine)
-        assert notes == [RETRY_NOTE]
 
-    def test_two_stalls_leave_one_note(self, notes):
-        _stop(self.LADDER, 1e-7)
-        with pytest.raises(NonConvergenceError):
-            _stop(self.LADDER, 1e-10)
-        assert notes == [RETRY_NOTE]
+    def test_two_stalls_leave_one_note(self):
+        # a report reads its note off the results its runner returns: two
+        # stalled ladders leave one, and a later ladder that meets its stop
+        # is not marked (the stop rule keeps no state between ladders)
+        stalls = (_stop(self.LADDER, 1e-7), _stop(self.LADDER, 1e-7))
+        echo = dict(seed_index=0, n=1, p=0j, q=0j, t=None, a=(), balancing=None)
+        rep = scenarios._run("synthetic", echo, 1.0, False, lambda: (1.0, 1.0, stalls))
+        assert (rep.detail, rep.grid_N) == (RETRY_NOTE, 64)
+        assert not _stop(self.LADDER, 1e-5).retried
 
 
 class TestExpectation:
