@@ -9,18 +9,19 @@ and its companion Psi~ obtained by replacing a_6 with p a_6.  Every
 denominator Gamma is evaluated through the reciprocal path, so the kernel
 stays finite (instead of 0/0) on the measure-zero sets z_i = +-1 and
 z_i = z_j^{+-1} that product grids necessarily contain.  It is exactly 0
-there only where the denominator's argument rounds to exactly 1: at z_i = 1
-on every path, and at z_i = -1 and z_i = z_j^{+-1} on a Lattice (the table
-1/Gamma(w) is read at w = 1, index 2 (N/2) = 0 and (k_i -+ k_j) = 0 mod N).
+there only where the denominator's zero is exact: at z_i = 1 on every path,
+and at z_i = -1 and z_i = z_j^{+-1} on a Lattice.  There 1/Gamma(u) carries
+its zero as the factor 1 - u, and u = w[2 (N/2) mod N] = w[(k_i -+ k_j) mod N]
+is read from the roots by index as w[0] = 1 (see :mod:`.kernel`).
 Pointwise, z_i = z_j^{-1} gives an exact zero only where z_i z_j rounds to
 1 (2 of 16 such nodes on a rank-2, N = 16 grid), and z_i = exp(i pi), which
 rounds to -1 + 1.2e-16i, leaves |Psi| near 1e-32 to 1e-30.
 
 All kernels accept z as a length-n sequence of nonzero complex values or of
 equal-shape complex arrays (elementwise grids).
-Each kernel is one factor list (see :mod:`.kernel`): a quadrature node list
-(a Lattice) is read from circle tables of f(c w) by its index arrays alone,
-any other input pointwise.
+Each kernel is one factor list (see :mod:`.kernel`): on a quadrature node
+list (a Lattice) it is summed in log space, one group of factors at a time,
+and read by its index arrays alone; any other input is evaluated pointwise.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def _bc_kernel(per_variable, t, coords):
     * prod_{j<k} Gamma(t z_j^{+-1} z_k^{+-1}) / Gamma(z_j^{+-1} z_k^{+-1});
     per_variable is written in coordinate 0, t=None drops the Gamma(t ..) factors.
     """
-    out = [f._replace(alpha=((i, f.alpha[0][1]),)) for i in coords for f in per_variable + _WEYL]
+    out = [Factor(f.kind, f.c, ((i, f.alpha[0][1]),), f.pm) for i in coords for f in per_variable + _WEYL]
     pairs = [(RECIP, 1.0)] if t is None else [(GAMMA, t), (RECIP, 1.0)]
     for j, k in itertools.combinations(coords, 2):
         out += [Factor(kind, c, ((j, 1), (k, s)), True) for kind, c in pairs for s in (1, -1)]

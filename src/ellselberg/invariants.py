@@ -181,9 +181,9 @@ def fundamental_invariant(
     ``coords`` of z (all of them by default), n = len(coords) variables.
 
     ``z`` is a sequence of values, of equal-shape arrays (elementwise
-    evaluation) or a Lattice, on which each term reads circle tables of
-    theta(c w; p) like any kernel.  The sum runs over the binomial(n, r)
-    complementary index pairs.
+    evaluation) or a Lattice, on which each term, a list of factors
+    theta(c z_i^{+-1}; p), is summed in log space like any kernel.  The sum
+    runs over the binomial(n, r) complementary index pairs.
     """
     coords = range(len(z)) if coords is None else coords
     nomes = Nomes(p, 0.0)

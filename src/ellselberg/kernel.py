@@ -1,47 +1,67 @@
-"""Torus kernels as data, evaluated pointwise or by lattice tables.
+"""Torus kernels as data, evaluated pointwise or as sums of log series.
 
 A kernel is a list of factors f(c z^alpha): f is Gamma, 1/Gamma, theta(.; p)
 or the identity (a monomial prefactor), alpha a sparse exponent vector
 ((i, e), ...) with one or two entries; a ``pm`` factor also multiplies in
-f(c z^-alpha).
+f(c z^-alpha).  Any z but a :class:`Lattice` is evaluated pointwise.
 
-On a :class:`Lattice` (z_i = w[k_i], w = _roots(N)) z^alpha is
-w[(alpha . k) mod N], so every factor f(c z^alpha) reads the table
-T = f(c w) at (alpha . k) mod N, and its mirror f(c z^-alpha) reads the
-same T at -(alpha . k) mod N (rank-1 Psi reads its 14 functions of z from 7
-tables).  With alpha = d alpha', d = +-gcd of its entries and alpha'
-starting positive, the reads T[(d m) mod N] of the factors that share
-alpha' fold, in _fold's order, into one length-N table gathered at
-(alpha' . k) mod N per point.  Any other z is evaluated pointwise.
+On a Lattice (z_i = w[k_i], w = _roots(N)) write alpha = d alpha', d = +-gcd
+of its entries.  The factors that share alpha' up to sign form one group,
+a function of u = z^alpha' alone (_layout): it is tabulated on the circle
+u = w[m], m = 0..N-1, and read at (alpha' . k) mod N per point.  All of
+rank-1 Psi, the Weyl factor 1/Gamma(z^{+-2}) and the mirrors included, is
+one group.
 
-A table is evaluated on its whole circle by one of two routes, chosen by
-|c| and the nomes alone.  Strictly inside the annulus where f has no zero
-or pole (|pq| < |c| < 1 for Gamma and 1/Gamma, |p| < |c| < 1 for theta),
-log f(c w) is a Laurent series in w (Felder and Varchenko, Adv. Math. 156
-(2000)):
+Strictly inside the annulus where f has no zero or pole (|pq| < |c| < 1 for
+Gamma, |p| < |c| < 1 for theta), log f(c u) is a Laurent series in u
+(Felder and Varchenko, Adv. Math. 156 (2000)):
 
     log Gamma(u; p, q) = sum_{k>=1} (u^k - (pq/u)^k) / (k (1 - p^k)(1 - q^k)),
     log theta(u; p)    = -sum_{k>=1} (u^k + (p/u)^k) / (k (1 - p^k)),
 
-and log 1/Gamma is minus the first.  The coefficients up to the K that
-certifies the tail (_series, from the qseries._log_den that Gamma's own
-series takes its terms from), folded exactly mod N, give the whole table
-as exp of one inverse FFT.  Every other circle (|c| >= 1, |c| <= |pq| or
-|p|, the Weyl factor's c = 1, a monomial, or a K above MAX_TERMS) is
-evaluated pointwise by the qseries evaluators, pole scan included; f has
-no pole or zero a certified series can come near, so no scan is lost.
+summed to the K that qseries._log_den certifies (_series).  Every other
+circle is first reduced (_reduced), with a the nome of larger modulus and
+b the other, by
 
-Tables (at most _TABLES) and series coefficients (at most _SERIES; they do
-not depend on N, so a ladder from 16 to 512 computes them once) are held by
-functools.lru_cache as read-only arrays, keyed on f, N and the exact bits
-of c, p and q (== takes 0.0 and -0.0 as one number, their bits do not), so
-the kernels of one family (the shifts of qde, Psi~ and the E_r terms of one
-recurrence, the Weyl factor of every kernel) and the rungs of later ladders
-and reports share them.  A circle's route is held with its series: a
-circle off the series route holds None there.  A table is a fixed function
-of its key, so what the caches hold changes the time a run takes, never a
-bit of its output; a factor that raises stores no table at the N it raised
-on.
+    Gamma(a x) = theta(x; b) Gamma(x),    theta(b x; b) = -x^-1 theta(x; b),
+    theta(x; 0) = 1 - x = -x theta(1/x; 0),
+
+to a constant, a power of u and series inside their annuli.  Where the
+reduction lands at an edge of an annulus, so that no K <= MAX_TERMS
+certifies the series there, it takes one step across the edge, and the
+theta that lands near |x| = 1 splits off its factor nearest the circle:
+
+    theta(x u; b) = (1 - x u) (b x u; b)_inf (b / (x u); b)_inf,
+
+a line factor and a series.  So the Weyl factor's 1/Gamma(u) is
+(1 - u) (b u; b)_inf (b/u; b)_inf / Gamma(a u), and Gamma(1.05 u) divides
+by 1 - u^-1 / 1.05.
+
+A factor f(c z^(d alpha')) contributes its coefficients at u^(d j), its
+mirror at u^(-d j).  They are summed once per group (_group); each rung
+folds the sum mod N, takes one inverse FFT (Trefethen and Weideman, SIAM
+Rev. 56 (2014) 3) and one exp, and multiplies in the constant, the power
+of u read from the roots by index, and each line factor 1 - x w[(e m) mod N]
+(or divides by it).  At x = 1 it is exactly 0 where w[(e m) mod N] = w[0] = 1,
+so the zeros on the nodes (1/Gamma(z_i^{+-2}) at z_i = +-1,
+1/Gamma(z_j^{+-1} z_k^{+-1}) at z_j = z_k^{+-1}) are exact.
+
+A circle no certified series reaches is evaluated pointwise on the N
+circle by the qseries evaluators, pole scan included, and multiplied in
+after the exp: one inside its annulus whose own series no K certifies
+(|c| = 0.95 for Gamma, say), one whose split series is not certified
+either, or one whose line factor would divide by a pole within POLE_TOL
+of the circle.  So a node within POLE_TOL of a pole raises
+PoleProximityError on both paths.
+
+Series (at most _SERIES), the summed coefficients of a group (at most
+_GROUPS) and the layout of a kernel's factors into groups (at most
+_LAYOUTS) do not depend on N, so a ladder from 16 to 512 computes them
+once.  functools.lru_cache holds them, arrays read-only, keyed on the exact
+bits of every c, p and q (== takes 0.0 and -0.0 as one number, their bits
+do not).  What they hold changes the time a run takes, never a bit of its
+output.  No value on a circle is held (quadrature's rung cache holds each
+rung), so a factor that raised raises again.
 """
 
 from __future__ import annotations
@@ -53,15 +73,22 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import qseries
 from .errors import TruncationError
-from .qseries import Nomes, _log_den, _unpack, elliptic_gamma, elliptic_gamma_recip, theta
+from .qseries import POLE_TOL, _log_den, _unpack, elliptic_gamma, elliptic_gamma_recip, theta
 
 GAMMA, RECIP, THETA, MONO = "gamma", "recip", "theta", "mono"
 
-# Circle tables and series the caches hold.  One pass at seed 1, with the
-# rung cache, computes 614 tables and 137 series on the default suite (582
-# and 136 unbounded) and 2 222 and 485 on sweep_n1 (2 022 and 467).
-_TABLES, _SERIES = 128, 64
+# theta(c u; p) / (1 - c u), the series of a theta at an edge of its annulus.
+QUOTIENT = "quotient"
+
+# Series, groups and layouts the caches hold.  One pass at seed 1, replayed
+# against unbounded caches (the rung cache in place), builds 143 series, 41
+# groups and 12 layouts on the default suite and 472, 128 and 4 on
+# sweep_n1; neither misses more at 72 series, 12 groups and 12 layouts
+# (sweep_n1 builds 535 series at 64, the suite 42 groups at 8 and 13
+# layouts at 8).
+_SERIES, _GROUPS, _LAYOUTS = 80, 16, 16
 
 
 class Factor(NamedTuple):
@@ -100,12 +127,6 @@ class Lattice:
 
     def __getitem__(self, i):
         return _roots(self.N)[self.k[i]]
-
-
-def _circle(N: int, c):
-    """The circle c * exp(2 pi i m/N), m = 0..N-1."""
-    w = _roots(N)
-    return w if c == 1 else c * w
 
 
 def _arg(c, alpha, zs):
@@ -147,98 +168,233 @@ def _fold(values):
     return out
 
 
-def _on_circle(kind, c, N, nomes):
-    """f(c w) on w = _roots(N), read-only, from _table's cache when held."""
-    # c meets the circle only in numpy, which casts it to complex128, and
-    # the series as complex(c); Nomes holds p and q as complex.  So their
-    # bits are the key.
-    c, p, q = complex(c), nomes.p, nomes.q
-    return _table(kind, N, struct.pack("6d", c.real, c.imag, p.real, p.imag, q.real, q.imag))
+def _pack(*numbers):
+    """The exact bits of the complex numbers, as a cache key."""
+    return struct.pack(f"{2 * len(numbers)}d", *[x for v in map(complex, numbers) for x in (v.real, v.imag)])
 
 
-@functools.lru_cache(maxsize=_TABLES)
-def _table(kind, N, bits):
-    """f(c w) on w = _roots(N) by its route, read-only; c, p and q are _unpack(bits)."""
-    series = _series(kind, bits)
-    if series is None:
-        c, p, q = _unpack(bits)
-        table = _apply(kind, _circle(N, c), Nomes(p, q))
-    else:
-        table = _laurent(series, N)
-    table.flags.writeable = False
-    return table
+def _reduced(kind, c, p, q):
+    """f(c u) as (const, shift, lines, terms):
+
+        f(c u) = const u^shift prod (1 - x u^e)^sign exp(sum sign S(u^e))
+
+    over the (x, e, sign) of lines and the (S, sign, e) of terms, S a
+    _series.  None where it needs the pointwise route: c zero or not
+    finite, a circle inside its annulus whose series no K <= MAX_TERMS
+    certifies, a series no K certifies after the split at an edge, a pole
+    within POLE_TOL of the circle, or more than MAX_TERMS steps.  Only a
+    circle reduced from outside its annulus is split at an edge."""
+    if not (c and math.isfinite(abs(c))):
+        return None
+    const, shift, steps, lines, terms = 1.0 + 0.0j, 0, 0, [], []
+    split = not abs(p if kind == THETA else p * q) < abs(c) < 1
+
+    def mono(x, e, sign):
+        # (x u^e)^sign
+        nonlocal const, shift, steps
+        const, shift, steps = const * x if sign > 0 else const / x, shift + sign * e, steps + 1
+        if steps > qseries.MAX_TERMS:
+            raise TruncationError(f"more than {qseries.MAX_TERMS} steps reduce the circle", achieved_bound=math.inf)
+
+    def add(kind, bits, e, sign):
+        # the series of kind at the c, p and q in bits, in u^e, if certified
+        series = _series(kind, bits)
+        if series is not None:
+            terms.append((series, sign, e))
+        return series is not None
+
+    def theta(x, b, e, sign):
+        # theta(x u^e; b)^sign
+        if b == 0 and abs(x) > 1:  # theta(y; 0) = 1 - y = -y theta(1/y; 0)
+            mono(-x, e, sign)
+            x, e = 1 / x, -e
+        while abs(x) > 1:  # theta(y; b) = -y theta(b y; b)
+            mono(-x, e, sign)
+            x *= b
+        while abs(x) <= abs(b):  # theta(y; b) = -(b/y) theta(y/b; b)
+            mono(-b / x, -e, sign)
+            x /= b
+        if add(THETA, _pack(x, b, 0j), e, sign):
+            return True
+        if not split:
+            return False
+        # at an edge of the annulus: theta(y; b) = theta(b/y; b) puts it at
+        # the outer one, and theta(y; b) = (1 - y) (by; b)_inf (b/y; b)_inf
+        if abs(x * x) < abs(b):
+            x, e = b / x, -e
+        if sign < 0 and abs(abs(x) - 1) <= POLE_TOL:
+            return False
+        lines.append((x, e, sign))
+        return add(QUOTIENT, _pack(x, b, 0j), e, sign)
+
+    def gamma(c, sign):
+        # Gamma(c u)^sign
+        a, b = (q, p) if abs(p) < abs(q) else (p, q)
+        if a == 0:  # Gamma(u; 0, 0) = 1 / (1 - u)
+            return abs(c) < 1 and add(GAMMA, _pack(c, p, q), 1, sign)
+
+        def outward(c):  # Gamma(x) = Gamma(a x) / theta(x; b)
+            return c * a if theta(c, b, 1, -sign) else None
+
+        def inward(c):  # Gamma(x) = theta(x/a; b) Gamma(x/a)
+            return c / a if theta(c / a, b, 1, sign) else None
+
+        while c is not None and abs(c) >= 1:
+            c = outward(c)
+        while c is not None and abs(c) <= abs(a * b):
+            c = inward(c)
+        if c is None:
+            return False
+        if add(GAMMA, _pack(c, p, q), 1, sign):
+            return True
+        if not split:
+            return False
+        # at an edge of the annulus: one step more, across it
+        c = outward(c) if abs(c * c) >= abs(a * b) else inward(c)
+        return c is not None and add(GAMMA, _pack(c, p, q), 1, sign)
+
+    try:
+        if kind == MONO:
+            mono(c, 1, 1)
+        elif not (theta(c, p, 1, 1) if kind == THETA else gamma(c, -1 if kind == RECIP else 1)):
+            return None
+    except TruncationError:
+        return None
+    return const, shift, lines, terms
 
 
-# Signs of the w^k and w^-k coefficients of log f(c w).
-_SIGNS = {GAMMA: (1.0, -1.0), RECIP: (-1.0, 1.0), THETA: (-1.0, -1.0)}
+# Signs of the u^k and u^-k coefficients of each series.
+_SIGNS = {GAMMA: (1.0, -1.0), THETA: (-1.0, -1.0), QUOTIENT: (-1.0, -1.0)}
 
 
 @functools.lru_cache(maxsize=_SERIES)
 def _series(kind, bits):
-    """Laurent coefficients of log f(c w), those of w^-K..w^K in order, or None.
+    """Laurent coefficients, those of u^-K..u^K in order, of log Gamma(c u; p, q),
+    log theta(c u; p) or (QUOTIENT) log theta(c u; p) / (1 - c u); c, p, q = _unpack(bits).
 
-    None where the qseries evaluators take the table: unless |c| lies
-    strictly inside f's annulus and a K <= MAX_TERMS certifies the tail.
-    The denominators and K are qseries._log_den's at the outer radius |c|
-    and the inner |pq/c| (|p/c| for theta, which is log Gamma's series at
-    q = 0 with the signs of _SIGNS).
+    None unless a K <= MAX_TERMS certifies the tail.  The denominators and
+    K are qseries._log_den's at the outer radius |c| and the inner |pq/c|
+    (|p/c| for theta, which is log Gamma's series at q = 0 with the signs of
+    _SIGNS; |pc| and |p/c| for QUOTIENT).
     """
     c, p, q = _unpack(bits)
-    if kind == MONO or c == 0:
-        return None
-    inner = p if kind == THETA else p * q
-    a, b = abs(c), abs(inner / c)
+    q = q if kind == GAMMA else 0j
+    up, down = (c, (p * q if kind == GAMMA else p) / c) if kind != QUOTIENT else (p * c, p / c)
+    a, b = abs(up), abs(down)
     if not (a < 1.0 and b < 1.0):
         return None
     try:
-        den = _log_den(p, 0j if kind == THETA else q, a, b)
+        den = _log_den(p, q, a, b)
     except TruncationError:
         return None
     K = len(den)
     k = np.arange(1, K + 1)
-    up, down = _SIGNS[kind]
+    sign_up, sign_down = _SIGNS[kind]
     out = np.zeros(2 * K + 1, dtype=complex)
-    out[K + 1 :] = up * c**k / den
-    out[K - 1 :: -1] = down * (inner / c) ** k / den
+    out[K + 1 :] = sign_up * up**k / den
+    out[K - 1 :: -1] = sign_down * down**k / den
     out.flags.writeable = False
     return out
 
 
-def _laurent(series, N):
-    """exp(sum_j F_j w^j) on w = _roots(N), F the series folded mod N: one inverse FFT."""
-    # entry i is the coefficient of w^(i - K), so it folds at (offset + i) mod N
-    offset = -(len(series) // 2) % N
-    folded = np.zeros(-(-(offset + len(series)) // N) * N, dtype=complex)
-    folded[offset : offset + len(series)] = series
-    return np.exp(np.fft.ifft(folded.reshape(-1, N).sum(axis=0), norm="forward"))
+class _Group(NamedTuple):
+    """A group's product on u: exp of the Laurent series coef (u^-J..u^J),
+    times const u^shift, each (1 - x u^e)^sign of lines and each pointwise read."""
+
+    coef: np.ndarray
+    const: complex
+    shift: int
+    lines: tuple
+    pointwise: tuple
+
+
+@functools.lru_cache(maxsize=_GROUPS)
+def _group(reads, bits):
+    """The _Group of the factors f(c u^d), and f(c u^-d) for a pm one, of
+    each (kind, d, pm) of reads; bits packs each c, then p and q."""
+    values = struct.unpack(f"{len(bits) // 8}d", bits)
+    *cs, p, q = (complex(values[j], values[j + 1]) for j in range(0, len(values), 2))
+    const, shift, lines, terms, pointwise = 1.0 + 0.0j, 0, [], [], []
+    for (kind, d, both), c in zip(reads, cs):
+        reduced = _reduced(kind, c, p, q)
+        if reduced is None:
+            pointwise.append((kind, c, d, both))
+            continue
+        its_const, its_shift, its_lines, its_terms = reduced
+        for side in (d, -d)[: 1 + both]:
+            const *= its_const
+            shift += side * its_shift
+            lines += [(x, side * e, sign) for x, e, sign in its_lines]
+            terms += [(series, sign, side * e) for series, sign, e in its_terms]
+    J = max((len(series) // 2 * abs(e) for series, _, e in terms), default=0)
+    coef = np.zeros(2 * J + 1, dtype=complex)
+    for series, sign, e in terms:
+        # u^(e j), j = -K..K, at J + e j
+        K, step = len(series) // 2, abs(e)
+        at = coef[J - step * K : J + step * K + 1 : step]
+        series = series if e > 0 else series[::-1]
+        if sign > 0:
+            at += series
+        else:
+            at -= series
+    coef.flags.writeable = False
+    return _Group(coef, const, shift, tuple(lines), tuple(pointwise))
+
+
+def _on_circle(group, N, nomes):
+    """The _Group's product at u = w[m], m = 0..N-1: one inverse FFT of its
+    series folded mod N (u^j at j mod N) and one exp, times the product of
+    the constant, the power and the line factors, then each pointwise read."""
+    coef, const, shift, lines, pointwise = group
+    w, m = _roots(N), np.arange(N)
+    # entry i is the coefficient of u^(i - J), so it folds at (offset + i) mod N
+    offset = -(len(coef) // 2) % N
+    folded = np.zeros(-(-(offset + len(coef)) // N) * N, dtype=complex)
+    folded[offset : offset + len(coef)] = coef
+    # const u^shift prod (1 - x u^e)^sign, then one product with the exp
+    rest = const * w[shift * m % N] if shift else np.full(N, const)
+    for x, e, sign in lines:
+        # x = 1 is an exact zero where e m = 0 mod N: w[0] = 1
+        line = 1.0 - x * w[e * m % N]
+        if sign > 0:
+            rest *= line
+        else:
+            rest /= line
+    out = np.exp(np.fft.ifft(folded.reshape(-1, N).sum(axis=0), norm="forward")) * rest
+    for kind, c, d, both in pointwise:
+        values = _apply(kind, c * w, nomes)
+        for e in (d, -d)[: 1 + both]:
+            out *= values[e * m % N]
+    return out
+
+
+@functools.lru_cache(maxsize=_LAYOUTS)
+def _layout(shapes):
+    """The groups of factors of the (alpha, kind, pm) shapes, as (alpha',
+    the (kind, d, pm) of each factor f(c z^(d alpha')), their indices).
+
+    A group takes the orientation alpha' of its first factor's first entry,
+    so relabelling the coordinates of a kernel changes no bit of its values.
+    """
+    groups = {}
+    for j, (alpha, kind, both) in enumerate(shapes):
+        g = math.gcd(*(e for _, e in alpha)) * (1 if alpha[0][1] > 0 else -1)
+        unit = tuple(sorted((i, e // g) for i, e in alpha))
+        base, reads, at = groups.setdefault(unit if unit[0][1] > 0 else _mirror(unit), (unit, [], []))
+        reads.append((kind, g if unit == base else -g, both))
+        at.append(j)
+    return tuple((base, tuple(reads), tuple(at)) for base, reads, at in groups.values())
 
 
 def evaluate(factors, z, nomes):
     """Product of the factors at z: one value, or one per grid point."""
     if not isinstance(z, Lattice):
         return _fold(_value(f, z, nomes) for f in factors)
-    # alpha' -> reads (kind, c, d, pm) of f(c w) at (d m) mod N, and of a pm
-    # factor's mirror at (-d m) mod N
-    N, groups, at = z.N, {}, {1: slice(None)}
-    for f in factors:
-        alpha = sorted(f.alpha)
-        g = math.gcd(*(e for _, e in alpha)) * (1 if alpha[0][1] > 0 else -1)
-        groups.setdefault(tuple((i, e // g) for i, e in alpha), []).append((f.kind, f.c, g, f.pm))
-        for d in (g, -g)[: 1 + f.pm]:
-            if d not in at:
-                at[d] = d * np.arange(N) % N
-    tables, out = {}, 1.0 + 0.0j
-    for key, reads in groups.items():
-        reads = tuple(reads)
-        if reads not in tables:
-            tables[reads] = _fold(_gathered(reads, N, at, nomes))
-        out = out * tables[reads][sum(e * z.k[i] for i, e in key) % N]
-    return out
-
-
-def _gathered(reads, N, at, nomes):
-    """Each read's table, looked up once, at at[d] and for a pm read then at at[-d]."""
-    for kind, c, d, both in reads:
-        table = _on_circle(kind, c, N, nomes)
-        for sign in (1, -1)[: 1 + both]:
-            yield table[at[sign * d]]
+    N, tables, out = z.N, {}, None
+    for base, reads, at in _layout(tuple((f.alpha, f.kind, f.pm) for f in factors)):
+        group = (reads, _pack(*(factors[j].c for j in at), nomes.p, nomes.q))
+        if group not in tables:
+            tables[group] = _on_circle(_group(*group), N, nomes)
+        values = tables[group][sum(e * z.k[i] for i, e in base) % N]
+        out = values if out is None else out * values
+    return 1.0 + 0.0j if out is None else out

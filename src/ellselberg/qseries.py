@@ -32,7 +32,7 @@ that ring |w| and |pq/w| are both at most beta, and
 
 (Felder and Varchenko, Adv. Math. 156 (2000)) is summed to the K that
 _log_den certifies at beta, so K depends on p and q alone; the
-circle tables of kernel take their series from _log_den too.  At pq = 0,
+lattice kernels take their series from _log_den too.  At pq = 0,
 Gamma = 1/(u; a)_inf.
 
 The poles of Gamma, u = p^-mu q^-nu, are zeros of the factors

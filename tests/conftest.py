@@ -15,7 +15,7 @@ def cold_rungs():
 
 
 def _clear_truncated():
-    for cache in (qseries._scalar, qseries._ring, qseries._base, kernel._table, kernel._series):
+    for cache in (qseries._scalar, qseries._ring, qseries._base, kernel._series, kernel._group):
         cache.cache_clear()
 
 

@@ -1,4 +1,4 @@
-"""Kernel descriptions: lattice tables against the pointwise reference."""
+"""Kernel descriptions: lattice group sums against the pointwise reference and the oracle."""
 
 import hashlib
 import struct
@@ -20,7 +20,7 @@ from ellselberg import (
     run_suite,
 )
 from ellselberg import kernel
-from ellselberg.integrand import _bc_kernel
+from ellselberg.integrand import _bc_kernel, _psi_kernel
 from ellselberg.kernel import GAMMA, MONO, RECIP, THETA, Factor, Lattice, evaluate, pm
 from ellselberg.quadrature import _nabla_pointwise, _nabla_term
 from ellselberg.report import to_json
@@ -35,27 +35,45 @@ A5_ONE = [0.66, 0.63 * np.exp(0.9j), -0.645, 0.67 * np.exp(-0.5j), 0.62]
 
 @pytest.fixture(autouse=True)
 def cold_caches():
-    """Each test starts and ends with the circle caches empty."""
+    """Each test starts and ends with the kernel caches empty."""
     clear_caches()
     yield
     clear_caches()
 
 
 def clear_caches():
-    kernel._table.cache_clear()
-    kernel._series.cache_clear()
+    for cache in (kernel._series, kernel._group, kernel._layout):
+        cache.cache_clear()
 
 
 def series_of(kind, c, nomes=NM):
-    """kernel._series of f(c w), under the key _on_circle packs."""
+    """kernel._series of f(c w) (1/Gamma's is minus Gamma's): its own
+    Laurent series, None where no K <= MAX_TERMS certifies it."""
     c, p, q = complex(c), nomes.p, nomes.q
+    kind = GAMMA if kind == RECIP else kind
     return kernel._series(kind, struct.pack("6d", c.real, c.imag, p.real, p.imag, q.real, q.imag))
 
 
 def without_caches(monkeypatch):
-    """Route every table through _table and _series with nothing held."""
-    monkeypatch.setattr(kernel, "_table", kernel._table.__wrapped__)
-    monkeypatch.setattr(kernel, "_series", kernel._series.__wrapped__)
+    """Build every group, series and layout with nothing held."""
+    for name in ("_series", "_group", "_layout"):
+        monkeypatch.setattr(kernel, name, getattr(kernel, name).__wrapped__)
+
+
+def on_circle(kind, c, N, nomes=NM):
+    """f(c w) on the N circle w = exp(2 pi i m/N), m = 0..N-1, by the lattice."""
+    return evaluate([Factor(kind, c, ((0, 1),))], QuadratureGrid(1, N).nodes(), nomes)
+
+
+def products(kind, c, N, nomes=NM):
+    """f(c w) on the N circle by the qseries evaluators."""
+    return kernel._apply(kind, c * kernel._roots(N), nomes)
+
+
+def close(values, want, tol=1e-13):
+    """values within tol of want, relative to the largest |want|."""
+    scale = np.max(np.abs(want))
+    return scale > 0 and np.max(np.abs(values - want)) <= tol * scale
 
 
 def pq_set(n, nomes=NM):
@@ -172,24 +190,19 @@ def test_parameter_on_grid_phase_raises_on_both_paths(n, phase):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Points evaluated by the qseries evaluators or as series tables, one
+    """Points evaluated by the qseries evaluators or by inverse FFTs, one
     total per entry."""
     counted = []
-    laurent = kernel._laurent
 
     def counting(f):
-        def wrapped(u, *args):
+        def wrapped(u, *args, **kwargs):
             counted[-1] += np.size(u)
-            return f(u, *args)
+            return f(u, *args, **kwargs)
         return wrapped
-
-    def counting_series(series, N):
-        counted[-1] += N
-        return laurent(series, N)
 
     for name in ("elliptic_gamma", "elliptic_gamma_recip", "theta"):
         monkeypatch.setattr(kernel, name, counting(getattr(kernel, name)))
-    monkeypatch.setattr(kernel, "_laurent", counting_series)
+    monkeypatch.setattr(np.fft, "ifft", counting(np.fft.ifft))
     return counted
 
 
@@ -205,9 +218,24 @@ def test_rank2_lattice_work_grows_linearly(counted):
     assert counted[1] / counted[0] <= 2.1
 
 
+LADDER = (16, 32, 64, 128, 256, 512)
+
+
+@pytest.mark.parametrize("name", ["psi", "psi_tilde", "dixon_anderson"])
+def test_rank1_rung_runs_one_inverse_fft(counted, name):
+    # every factor of a rank-1 kernel, the mirrors and the Weyl factor's
+    # 1/Gamma(z^{+-2}) included, is a function of u = z: their log series
+    # sum into one group, and a rung takes one inverse FFT of length N and
+    # no qseries evaluation
+    for N in LADDER:
+        counted.append(0)
+        KERNELS[name](QuadratureGrid(1, N, (0,)).nodes(), 1)
+        assert counted[-1] == N
+
+
 def test_suite_report_is_the_same_on_a_cold_and_a_warm_cache(monkeypatch):
     # what the caches hold may change a run's time, never its reports
-    cached = kernel._table
+    cached = kernel._group
     cold = to_json(run_suite())
     assert cached.cache_info().currsize
     assert to_json(run_suite()) == cold
@@ -217,43 +245,54 @@ def test_suite_report_is_the_same_on_a_cold_and_a_warm_cache(monkeypatch):
     assert cached.cache_info() == held
 
 
-def test_cached_tables_are_read_only_and_reused(counted, tables):
+def test_cached_tables_are_read_only_and_reused(monkeypatch):
+    # the summed coefficients of each group and the series they sum do not
+    # depend on N; they are held read-only, and a second evaluation reads
+    # them back and builds none
+    caches, held = (kernel._group, kernel._series), []
+
+    def recording(cache):
+        def wrapped(*args):
+            value = cache(*args)
+            if value is not None:
+                held.append(value.coef if isinstance(value, kernel._Group) else value)
+            return value
+        return wrapped
+
+    for cache in caches:
+        monkeypatch.setattr(kernel, cache.__name__, recording(cache))
     grid = QuadratureGrid(2, 32).nodes()
-    counted.append(0)
     first = psi_tilde(grid, pq_set(2), NM)
-    assert counted[0] > 0 and tables
-    series = [series_of(kind, c) for kind, c, _, _ in tables]
-    assert any(s is not None for s in series)
-    for held in [table for *_, table in tables] + [s for s in series if s is not None]:
-        assert not held.flags.writeable
+    assert all(cache.cache_info().misses for cache in caches)
+    for array in held:
+        assert not array.flags.writeable
         with pytest.raises(ValueError):
-            held[0] = 0
-    counted.append(0)
+            array[0] = 0
+    misses = [cache.cache_info().misses for cache in caches]
     again = psi_tilde(grid, pq_set(2), NM)
-    assert counted[1] == 0
+    assert [cache.cache_info().misses for cache in caches] == misses
     assert np.array_equal(first, again)
 
 
-def test_invariant_tables_are_cached(counted):
-    # E_r's theta(c w; p) tables are held like every kernel table
+def test_invariant_tables_are_cached():
+    # E_r's theta(c z_i^{+-1}; p) groups are held like every kernel's
     ps, grid = one_set(2), QuadratureGrid(2, 32).nodes()
-    counted.append(0)
     first = fundamental_invariant(1, ps.a[0], ps.a[5], grid, ps.t, NM_ONE.p)
-    counted.append(0)
+    misses = kernel._group.cache_info().misses
     again = fundamental_invariant(1, ps.a[0], ps.a[5], grid, ps.t, NM_ONE.p)
-    assert counted[0] > 0 and counted[1] == 0
+    assert misses > 0 and kernel._group.cache_info().misses == misses
     assert np.array_equal(first, again)
 
 
 def test_caches_stay_within_their_bounds():
-    # 160 tables of 80 circles
-    for m in range(40):
+    # one group and two series for each m
+    for m in range(max(kernel._GROUPS, kernel._SERIES) + 1):
+        factors = [pm(GAMMA, 0.5 * np.exp(0.01j * m)), Factor(GAMMA, 0.3 + 0.001 * m, ((0, 2),))]
         for N in (64, 512):
-            factors = [pm(GAMMA, 0.5 * np.exp(0.1j * m)), Factor(GAMMA, 0.3 + 0.01 * m, ((0, 2),))]
             evaluate(factors, QuadratureGrid(1, N).nodes(), NM)
-            assert kernel._table.cache_info().currsize <= kernel._TABLES
+            assert kernel._group.cache_info().currsize <= kernel._GROUPS
             assert kernel._series.cache_info().currsize <= kernel._SERIES
-    assert kernel._table.cache_info().currsize == kernel._TABLES
+    assert kernel._group.cache_info().currsize == kernel._GROUPS
     assert kernel._series.cache_info().currsize == kernel._SERIES
 
 
@@ -267,15 +306,15 @@ def test_pole_error_is_raised_again_and_stores_nothing():
             evaluate(factors, grid, NM)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
-    # no table; the circle's route (the qseries evaluators) is held with its series
-    assert kernel._table.cache_info().currsize == 0
-    assert kernel._series.cache_info()[:2] == (1, 1)  # hits, misses
+    # the group, which sends the circle to the qseries evaluators, is
+    # built once; no value is held
+    assert kernel._group.cache_info()[:2] == (1, 1)  # hits, misses
 
 
 # One factor of each kind; "pair" is a rank-2 group.  Each case runs with
 # its constants c multiplied by each of CIRCLE_SCALES: "1", "q" and
-# "turned" keep every Gamma, 1/Gamma and theta circle inside its annulus
-# (the series route), "out" and "in" put each outside (the qseries evaluators).
+# "turned" keep every Gamma, 1/Gamma and theta circle inside its annulus,
+# "out" and "in" put each outside, where _reduced brings it back.
 CIRCLE_FACTORS = {
     "gamma": (1, [Factor(GAMMA, 0.61 * np.exp(0.4j), ((0, 1),))]),
     "recip": (1, [Factor(RECIP, 0.3 + 0.1j, ((0, -2),))]),
@@ -285,65 +324,51 @@ CIRCLE_FACTORS = {
     "pair": (2, [Factor(GAMMA, 0.45, ((0, 1), (1, -1)), True)]),
 }
 CIRCLE_SCALES = {"1": 1, "q": NM.q, "turned": 0.7 * np.exp(0.3j), "out": 4.0, "in": 0.005}
-LADDER = (16, 32, 64, 128, 256, 512)
 
 
-@pytest.fixture
-def tables(monkeypatch):
-    """(kind, c, N, table) of every circle table evaluate asks for."""
-    asked = []
-    on_circle = kernel._on_circle
-
-    def recording(kind, c, N, nomes):
-        table = on_circle(kind, c, N, nomes)
-        asked.append((kind, c, N, table))
-        return table
-
-    monkeypatch.setattr(kernel, "_on_circle", recording)
-    return asked
-
-
-def whole_circle(kind, c, N, nomes=NM):
-    """f(c w) on the whole N circle by its route, with nothing cached."""
-    series = series_of(kind, c, nomes)
-    if series is None:
-        return kernel._apply(kind, kernel._circle(N, c), nomes)
-    return kernel._laurent(series, N)
+def scaled(name, scale):
+    n, factors = CIRCLE_FACTORS[name]
+    return n, [f._replace(c=f.c * CIRCLE_SCALES[scale]) for f in factors]
 
 
 @pytest.mark.parametrize("scale", sorted(CIRCLE_SCALES))
 @pytest.mark.parametrize("name", sorted(CIRCLE_FACTORS))
-def test_table_from_its_half_is_the_direct_table_bitwise(tables, monkeypatch, name, scale):
-    # no table is built from its half: whether the ladder's tables and
-    # series are held (warm, a second ladder), nothing is (cold) or the
-    # cache holds nothing, each table is its route's evaluation on the
-    # whole circle, bit for bit
-    n, factors = CIRCLE_FACTORS[name]
-    factors = [f._replace(c=f.c * CIRCLE_SCALES[scale]) for f in factors]
-    cached = kernel._table
+def test_table_from_its_half_is_the_direct_table_bitwise(monkeypatch, name, scale):
+    # no rung is built from another: whether the ladder's groups and series
+    # are held (warm, a second ladder), nothing is (cold) or the caches hold
+    # nothing, each rung has the same bits, and those are the pointwise
+    # values to 1e-13
+    n, factors = scaled(name, scale)
+    rungs = {}
     for cache in ("warm", "cold", "none"):
         clear_caches()
         if cache == "none":
             without_caches(monkeypatch)
+        values = []
         for N in LADDER * (2 if cache == "warm" else 1):
             if cache == "cold":
                 clear_caches()
-            evaluate(factors, QuadratureGrid(n, N).nodes(), NM)
-        assert sorted({at for _, _, at, _ in tables}) == list(LADDER)
-        for kind, c, at, table in tables:
-            assert table.tobytes() == whole_circle(kind, c, at).tobytes()
-        assert bool(cached.cache_info().currsize) == (cache != "none")
-        tables.clear()
+            values.append(evaluate(factors, QuadratureGrid(n, N).nodes(), NM))
+        rungs[cache] = [v.tobytes() for v in values[-len(LADDER) :]]
+    assert rungs["warm"] == rungs["cold"] == rungs["none"]
+    for N, value in zip(LADDER, values):
+        if N <= 64:
+            assert close(value, evaluate(factors, list(QuadratureGrid(n, N).nodes()), NM))
 
 
 @pytest.mark.parametrize("scale", sorted(CIRCLE_SCALES))
-def test_scales_put_every_circle_on_the_route_they_name(scale):
-    series = scale not in ("out", "in")
-    for name, (_, factors) in CIRCLE_FACTORS.items():
+def test_scales_put_every_circle_on_the_route_they_name(monkeypatch, scale):
+    # every scale puts every circle on the log-series route: "out" and
+    # "in" through the functional equations, and no qseries evaluator runs
+    def refuse(*args):
+        raise AssertionError("a circle took the qseries evaluators")
+
+    monkeypatch.setattr(kernel, "_apply", refuse)
+    for name in CIRCLE_FACTORS:
+        n, factors = scaled(name, scale)
         for f in factors:
-            c = complex(f.c * CIRCLE_SCALES[scale])
-            held = series_of(f.kind, c)
-            assert (held is not None) == (series and f.kind != MONO), name
+            assert kernel._reduced(f.kind, complex(f.c), NM.p, NM.q) is not None, name
+        assert np.all(np.isfinite(evaluate(factors, QuadratureGrid(n, 64).nodes(), NM)))
 
 
 LONE_KINDS = {GAMMA: 0.61 * np.exp(0.4j), RECIP: 0.3 + 0.1j, THETA: 0.7 * np.exp(0.5j), MONO: 0.8 - 0.2j}
@@ -352,21 +377,20 @@ LONE_KINDS = {GAMMA: 0.61 * np.exp(0.4j), RECIP: 0.3 + 0.1j, THETA: 0.7 * np.exp
 @pytest.mark.parametrize("scale", sorted(CIRCLE_SCALES))
 @pytest.mark.parametrize("e", [1, -1, 2, -2])
 @pytest.mark.parametrize("kind", sorted(LONE_KINDS))
-def test_lone_factor_reads_its_circle_table_bitwise(tables, kind, e, scale):
-    # f(c z^e) on the lattice is f(c w) read at (e k) mod N; its mirror
-    # f(c z^-e) reads the same table, looked up once, at (-e k) mod N
+def test_lone_factor_reads_its_circle_table_bitwise(kind, e, scale):
+    # f(c z^e) on the lattice is the circle f(c w) read at (e k) mod N (to
+    # 1e-13: its series is spread to u^(e j) before the FFT), and a pm
+    # factor is bit for bit its two halves listed as two factors
     c = LONE_KINDS[kind] * CIRCLE_SCALES[scale]
     for N in LADDER:
         grid = QuadratureGrid(1, N).nodes()
         k = np.asarray(grid.k[0])
-        table = kernel._on_circle(kind, c, N, NM)
-        plain = evaluate([Factor(kind, c, ((0, e),))], grid, NM)
-        assert np.array_equal(plain, table[e * k % N])
-        tables.clear()
+        circle = products(kind, c, N)
+        assert close(evaluate([Factor(kind, c, ((0, e),))], grid, NM), circle[e * k % N])
         both = evaluate([Factor(kind, c, ((0, e),), True)], grid, NM)
-        ((_, _, _, mirror),) = tables
-        assert mirror is table
-        assert np.array_equal(both, table[e * k % N] * table[-e * k % N])
+        halves = evaluate([Factor(kind, c, ((0, e),)), Factor(kind, c, ((0, -e),))], grid, NM)
+        assert both.tobytes() == halves.tobytes()
+        assert close(both, circle[e * k % N] * circle[-e * k % N])
 
 
 def test_pole_on_an_odd_node_raises_and_stores_nothing():
@@ -376,58 +400,125 @@ def test_pole_on_an_odd_node_raises_and_stores_nothing():
         evaluate(factors, QuadratureGrid(1, N).nodes(), NM)
     clear_caches()
     evaluate(factors, QuadratureGrid(1, N // 2).nodes(), NM)  # no pole on the even nodes
-    held = kernel._table.cache_info().currsize
+    held = kernel._group.cache_info().currsize
     with pytest.raises(PoleProximityError) as err:
         evaluate(factors, QuadratureGrid(1, N).nodes(), NM)
     assert str(err.value) == str(direct.value)
-    assert kernel._table.cache_info().currsize == held
+    assert kernel._group.cache_info().currsize == held
 
 
 def test_rank1_ladder_builds_each_series_once_and_runs_no_product_for_it(monkeypatch):
-    # the series do not depend on N: a ladder from 16 to 512 computes each
-    # once, and the qseries evaluators take only the circles off the series route
+    # the series do not depend on N: a ladder from 16 to 512 builds its one
+    # group and each series once, and no circle takes the qseries
+    # evaluators, not even Gamma(p a_6 w), |p a_6| = 0.0038 inside
+    # |pq| = 0.006, or the Weyl factor's 1/Gamma(w)
     ps = pq_set(1)
+    assert abs(NM.p * ps.a[5]) < abs(NM.pq)
     products = []
     apply = kernel._apply
 
     def applying(kind, u, nomes):
-        products.append((kind, complex(u[0]), len(u)))
+        products.append(kind)
         return apply(kind, u, nomes)
 
     monkeypatch.setattr(kernel, "_apply", applying)
     for N in LADDER:
         psi_tilde(QuadratureGrid(1, N).nodes(), ps, NM)
-    # |p a_6| = 0.0038 lies inside |pq| = 0.006, so Gamma(p a_6 w) takes
-    # the qseries evaluators, as does the Weyl factor's 1/Gamma(w)
-    off = {(RECIP, 1.0), (GAMMA, complex(NM.p * ps.a[5]))}
-    assert sorted(products) == sorted((kind, c, N) for kind, c in off for N in LADDER)
-    # seven circles, each route decided and each series built once
-    assert kernel._series.cache_info().misses == 7
-    assert all(series_of(GAMMA, a) is not None for a in ps.a[:5])  # Gamma(a_m w), m = 1..5
-    assert all(series_of(kind, c) is None for kind, c in off)
-    assert kernel._series.cache_info().misses == 7  # all seven read back from the cache
+    assert not products
+    assert kernel._group.cache_info()[:2] == (len(LADDER) - 1, 1)  # hits, misses
+    series = kernel._series.cache_info()
+    assert series.misses == series.currsize > 6
 
 
-def test_rank1_ladder_reads_each_mirror_from_its_factors_table(counted, monkeypatch):
-    # pointwise, a Psi ladder from 16 to 512 evaluates its 14 functions of
-    # z on every node; Gamma(a_m / z) and 1/Gamma(z^-2) read the tables of
-    # Gamma(a_m w) and 1/Gamma(w), so the lattice ladder evaluates 7 tables,
-    # on the series route and off it alike
-    ps, rungs = pq_set(1), [QuadratureGrid(1, N).nodes() for N in LADDER]
-    for route in ("series", "products"):
-        if route == "products":
-            monkeypatch.setattr(kernel, "_series", lambda *args: None)
-        kernel._table.cache_clear()
-        counted[:] = [0]
-        for grid in rungs:
-            psi(list(grid), ps, NM)
-        counted.append(0)
-        for grid in rungs:
-            psi(grid, ps, NM)
-        assert 0 < counted[1] <= 0.5 * counted[0]
+def test_rank1_ladder_reads_each_mirror_from_its_factors_table():
+    # a mirror f(c z^-1) reads its factor's series reversed: the ladder of
+    # rank-1 Psi builds no series that the kernel without its mirrors
+    # (f(c z) alone, 1/Gamma(z^2) alone) does not
+    factors = _psi_kernel(pq_set(1), NM)
+    plain = [f._replace(pm=False) for f in factors if f.alpha[0][1] > 0]
+    built = []
+    for kernel_ in (factors, plain):
+        clear_caches()
+        for N in LADDER:
+            evaluate(kernel_, QuadratureGrid(1, N).nodes(), NM)
+        built.append(kernel._series.cache_info().misses)
+    assert built[0] == built[1] > 0
 
 
-# nomes of the oracle checks: the suite's two pairs, a complex p and p = 0
+# Whole kernels at rank n, with their nomes: the continued contour
+# (PQ-balanced with |a_6| > 1), Psi and Psi~ at a complex nome, both nabla
+# terms, E_r's theta factors at c = b t^j and a t^j and moved outside
+# |p| < |c| < 1 either way, the p = 0 dual factors, and Psi with a factor
+# at |a| = 0.95 (no K certifies Gamma(0.95 w)) or one with a pole on the
+# circle between nodes: the qseries evaluators take either.
+NM_CONT, NM_CPLX, NM_P0 = Nomes(0.05, 0.07), Nomes(0.05 + 0.02j, 0.12), Nomes(0.0, 0.12)
+
+
+def continued_set(n):
+    ps = ParameterSet.solved(n, 0.45, [0.3, 0.4, 0.5, -0.2, 0.25], NM_CONT, BalancingMode.PQ)
+    assert abs(ps.a[5]) > 1
+    return ps
+
+
+def thetas(n):
+    ps = one_set(n)
+    cs = [ps.a[5] * ps.t**j for j in (-1, 0, 1)] + [ps.a[0] * ps.t**j for j in (-1, 0, 1)]
+    cs += [3.0 * cs[0], 0.01 * cs[3] * np.exp(1j)]
+    return [Factor(THETA, c, ((i, 1),), True) for i in range(n) for c in cs]
+
+
+def psi_with(n, c):
+    return _psi_kernel(pq_set(n), NM) + [Factor(GAMMA, c, ((i, 1),), True) for i in range(n)]
+
+
+WHOLE = {
+    "continued": (NM_CONT, lambda n: _psi_kernel(continued_set(n), NM_CONT)),
+    "complex": (NM_CPLX, lambda n: _psi_kernel(pq_set(n, NM_CPLX), NM_CPLX)
+                + _psi_kernel(pq_set(n, NM_CPLX), NM_CPLX, tilde=True)),
+    "nabla": (NM_ONE, lambda n: _nabla_term(0, list(range(1, n)), one_set(n), NM_ONE)),
+    "nabla_shifted": (NM_ONE, lambda n: _nabla_term(0, list(range(1, n)), one_set(n), NM_ONE, shifted=True)),
+    "e_r_thetas": (Nomes(NM_ONE.p, 0.0), thetas),
+    "p0_dual": (NM_P0, lambda n: _psi_kernel(pq_set(n, NM_P0), NM_P0)),
+    "edge": (NM, lambda n: psi_with(n, 0.95 * np.exp(0.4j))),
+    "pole_between_nodes": (NM, lambda n: psi_with(n, np.exp(0.3j))),
+}
+
+
+def oracle_kernel(factors, zs, nomes):
+    """The factor list at the mpmath point zs, factor by factor by the oracle."""
+    out = mp.mpc(1)
+    for f in factors:
+        for sign in (1, -1)[: 1 + f.pm]:
+            u = mp.mpc(f.c)
+            for i, e in f.alpha:
+                u *= zs[i] ** (sign * e)
+            out *= u if f.kind == MONO else oracle(f.kind, u, nomes, side=20)
+    return complex(out)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", sorted(WHOLE))
+def test_whole_kernels_match_pointwise_and_the_oracle(name, n):
+    nomes, make = WHOLE[name]
+    factors = make(n)
+    if name in ("edge", "pole_between_nodes"):
+        f = factors[-1]
+        assert kernel._reduced(f.kind, complex(f.c), nomes.p, nomes.q) is None
+    for N in (16, 32):
+        grid = QuadratureGrid(n, N).nodes()
+        lattice = evaluate(factors, grid, nomes)
+        assert np.all(np.isfinite(lattice))
+        assert close(lattice, evaluate(factors, list(grid), nomes))
+    # two nodes of the N = 32 grid off every zero of the kernel
+    rng = np.random.default_rng(3)
+    ks = np.asarray(grid.k)
+    scale = np.max(np.abs(lattice))
+    for j in rng.choice(np.flatnonzero(np.abs(lattice) > 1e-3 * scale), 2, replace=False):
+        zs = [mp.expjpi(mp.mpf(2 * int(k)) / 32) for k in ks[:, j]]
+        want = oracle_kernel(factors, zs, nomes)
+        assert abs(lattice[j] - want) <= 1e-13 * abs(want), (name, n, j)
+
+
 ORACLE_NOMES = {
     "suite": Nomes(0.05, 0.12),
     "one": Nomes(0.015, 0.12),
@@ -436,20 +527,22 @@ ORACLE_NOMES = {
 }
 
 
-def oracle(kind, u, nomes):
+def oracle(kind, u, nomes, side=25):
     # at |p|, |q| <= 0.12 the omitted factors move the value by under 1e-22
+    # (side=20: 1e-18)
     if kind == THETA:
         return otheta(u, nomes.p, terms=30)
-    value = ogamma(u, nomes.p, nomes.q, side=25)
+    value = ogamma(u, nomes.p, nomes.q, side=side)
     return 1 / value if kind == RECIP else value
 
 
 @pytest.mark.parametrize("kind", [GAMMA, RECIP, THETA])
 @pytest.mark.parametrize("name", sorted(ORACLE_NOMES))
 def test_circle_tables_match_the_oracle(name, kind):
-    # random circles across the annulus, one deep in the series route, and
-    # circles within 1e-3 of each edge (at an inner edge 0, |c| = 1e-3).
-    # Every table is held to 1e-14, on the series route and off it.
+    # random circles across the annulus, one deep in its own series, and
+    # circles within 1e-3 of each edge (at an inner edge 0, |c| = 1e-3),
+    # which no K certifies: the qseries evaluators take those.  Every value
+    # is held to 1e-14.
     nomes = ORACLE_NOMES[name]
     inner = abs(nomes.p if kind == THETA else nomes.pq)
     rng = np.random.default_rng(7)
@@ -460,30 +553,45 @@ def test_circle_tables_match_the_oracle(name, kind):
         c = complex(r * np.exp(2j * np.pi * rng.uniform()))
         routes.append(series_of(kind, c, nomes) is not None)
         for N in (16, 64, 512):
-            table = kernel._on_circle(kind, c, N, nomes)
+            table = on_circle(kind, c, N, nomes)
             for m in rng.choice(N, 2, replace=False):
                 want = oracle(kind, mp.mpc(c) * mp.expjpi(mp.mpf(2 * int(m)) / N), nomes)
                 assert abs(table[m] - want) <= 1e-14 * abs(want), (r, N, m)
     assert routes[3] and not routes[4] and routes[5] == (inner == 0)
 
 
+
 @pytest.mark.parametrize("kind", [GAMMA, RECIP, THETA])
 def test_circles_max_terms_cannot_certify_take_the_products(kind, truncation_rule):
     c = (1 - 1e-6) * np.exp(0.3j)
     assert series_of(kind, c) is None
-    table = kernel._on_circle(kind, c, 64, NM)
-    assert table.tobytes() == kernel._apply(kind, kernel._circle(64, c), NM).tobytes()
+    table = on_circle(kind, c, 64)
+    assert table.tobytes() == products(kind, c, 64).tobytes()
     # a cap of 8 terms certifies neither the circle's series nor the evaluators'
     truncation_rule(max_terms=8)
     c = 0.3 * np.exp(0.3j)
     assert series_of(kind, c) is None
     with pytest.raises(TruncationError) as direct:
-        kernel._apply(kind, kernel._circle(64, c), NM)
+        products(kind, c, 64)
     clear_caches()
     with pytest.raises(TruncationError) as err:
-        kernel._on_circle(kind, c, 64, NM)
+        on_circle(kind, c, 64)
     assert str(err.value) == str(direct.value)
-    assert kernel._table.cache_info().currsize == 0
+
+
+def test_theta_series_reads_no_q():
+    # theta(c u; p) has no q: its series is the same whatever q is packed with c
+    c = 0.5 * np.exp(0.3j)
+    assert series_of(THETA, c).tobytes() == series_of(THETA, c, Nomes(NM.p, 0.0)).tobytes()
+
+
+@pytest.mark.parametrize("kind", [GAMMA, RECIP])
+def test_a_circle_more_than_max_terms_steps_away_takes_the_products(kind):
+    # |c| = 1e300 is about 330 steps of |q| = 0.12 from the annulus, each
+    # with up to 230 steps of its theta(.; p): the reduction stops after
+    # MAX_TERMS and leaves the circle to the qseries evaluators
+    assert kernel._reduced(kind, 1e300, NM.p, NM.q) is None
+    assert kernel._reduced(kind, 1e30, NM.p, NM.q) is not None
 
 
 @pytest.mark.parametrize("kind,c", [(GAMMA, 1 - 1e-13), (RECIP, NM.pq.real * (1 + 1e-13))])
@@ -494,13 +602,13 @@ def test_pole_inside_the_annulus_takes_the_products_and_raises(kind, c):
     c = c / node
     assert series_of(kind, c) is None
     with pytest.raises(PoleProximityError) as direct:
-        kernel._apply(kind, kernel._circle(16, c), NM)
+        products(kind, c, 16)
     clear_caches()
     for _ in range(2):
         with pytest.raises(PoleProximityError) as err:
-            kernel._on_circle(kind, c, 16, NM)
+            on_circle(kind, c, 16)
         assert str(err.value) == str(direct.value)
-    assert kernel._table.cache_info().currsize == 0
+    assert kernel._group.cache_info()[:2] == (1, 1)  # hits, misses
 
 
 OFF_SERIES = {
@@ -508,26 +616,32 @@ OFF_SERIES = {
     "inside": (RECIP, 0.5 * NM.pq),
     "weyl": (RECIP, 1.0),
     "mono": (MONO, 0.4),
-    "edge": (THETA, (1 - 1e-6) * np.exp(1.0j)),
+    "edge": (GAMMA, 1.05 * np.exp(1.0j)),
+    "uncertified": (THETA, (1 - 1e-6) * np.exp(1.0j)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(OFF_SERIES))
 def test_a_circles_route_is_held_with_its_series(case):
-    # a circle read along a ladder decides its route once, off the series
-    # route as on it: _series holds None for it as it holds a series
+    # a circle off its own series is reduced once along a ladder, onto the
+    # series route (Gamma(1.05 w) lands at an edge and splits off a line
+    # factor), as one on it is: its group is built at the first rung and
+    # read back at the others.  A circle inside its annulus that no K
+    # certifies is not reduced: its group holds it for the qseries evaluators
     for kind, c in (OFF_SERIES[case], (GAMMA, 0.5)):
         clear_caches()
         for N in (16, 32, 64):
-            kernel._on_circle(kind, c, N, NM)
-        assert kernel._series.cache_info()[:2] == (2, 1)  # hits, misses
-        assert kernel._table.cache_info().currsize == 3
+            on_circle(kind, c, N)
+        assert kernel._group.cache_info()[:2] == (2, 1)  # hits, misses
+        assert (kernel._reduced(kind, c, NM.p, NM.q) is None) == (c != 0.5 and case == "uncertified")
     assert series_of(GAMMA, 0.5) is not None
+    kind, c = OFF_SERIES[case]
+    assert kind == MONO or series_of(kind, c) is None
 
 
 def test_float_and_complex_nomes_give_one_lattice_psi():
     # Nomes holds p and q as complex, so p**k in the series, and every
-    # table, has the same bits for a float nome as for the complex of its value
+    # lattice value, has the same bits for a float nome as for the complex of its value
     a = [0.3, 0.4, 0.5, -0.2, 0.25]
     digests = []
     for nomes in (Nomes(0.9, 0.3), Nomes(0.9 + 0j, 0.3 + 0j)):
