@@ -31,10 +31,11 @@ class PoleProximityError(DomainError):
 
 
 class TruncationError(EllSelbergError):
-    """A truncated product could not reach the requested tail tolerance.
+    """A truncated product or series, or a reduction, needs more than MAX_TERMS terms or steps.
 
     ``achieved_bound`` is the analytic bound on the neglected tail that the
-    maximal admissible term count could certify.
+    maximal admissible term count could certify; inf where no term count
+    bounds it (a lattice circle's reduction, a non-finite argument).
     """
 
     def __init__(self, message: str, achieved_bound: float):

@@ -9,6 +9,7 @@ import pytest
 
 from ellselberg import (
     BalancingMode,
+    DomainError,
     Nomes,
     ParameterSet,
     PoleProximityError,
@@ -68,6 +69,11 @@ def on_circle(kind, c, N, nomes=NM):
 def products(kind, c, N, nomes=NM):
     """f(c w) on the N circle by the qseries evaluators."""
     return kernel._apply(kind, c * kernel._roots(N), nomes)
+
+
+def refuse(*args):
+    """Stands in for kernel._apply where no circle may take the qseries evaluators."""
+    raise AssertionError("a lattice circle took the qseries evaluators")
 
 
 def close(values, want, tol=1e-13):
@@ -306,8 +312,8 @@ def test_pole_error_is_raised_again_and_stores_nothing():
             evaluate(factors, grid, NM)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
-    # the group, which sends the circle to the qseries evaluators, is
-    # built once; no value is held
+    # the group is built once and held; its line factor, zero at the node,
+    # sends that node alone to the qseries evaluator; no value is held
     assert kernel._group.cache_info()[:2] == (1, 1)  # hits, misses
 
 
@@ -325,9 +331,20 @@ CIRCLE_FACTORS = {
 }
 CIRCLE_SCALES = {"1": 1, "q": NM.q, "turned": 0.7 * np.exp(0.3j), "out": 4.0, "in": 0.005}
 
+# At scale "1" these circles sit where no K <= MAX_TERMS certifies their own
+# series: 1e-6 inside |c| = 1, at |c| = 0.95, and on |c| = 1 with the pole
+# between nodes.  Each is split at the edge of its annulus.
+EDGE_CIRCLES = {
+    "gamma_edge": (1, [Factor(GAMMA, (1 - 1e-6) * np.exp(0.3j), ((0, 1),))]),
+    "recip_edge": (1, [Factor(RECIP, (1 - 1e-6) * np.exp(0.3j), ((0, 1),))]),
+    "theta_edge": (1, [pm(THETA, (1 - 1e-6) * np.exp(1.0j))]),
+    "gamma_095": (1, [pm(GAMMA, 0.95 * np.exp(0.4j))]),
+    "pole_between_nodes": (1, [pm(GAMMA, np.exp(0.3j))]),
+}
+
 
 def scaled(name, scale):
-    n, factors = CIRCLE_FACTORS[name]
+    n, factors = (CIRCLE_FACTORS | EDGE_CIRCLES)[name]
     return n, [f._replace(c=f.c * CIRCLE_SCALES[scale]) for f in factors]
 
 
@@ -359,16 +376,12 @@ def test_table_from_its_half_is_the_direct_table_bitwise(monkeypatch, name, scal
 @pytest.mark.parametrize("scale", sorted(CIRCLE_SCALES))
 def test_scales_put_every_circle_on_the_route_they_name(monkeypatch, scale):
     # every scale puts every circle on the log-series route: "out" and
-    # "in" through the functional equations, and no qseries evaluator runs
-    def refuse(*args):
-        raise AssertionError("a circle took the qseries evaluators")
-
+    # "in" through the functional equations, the edge circles through the
+    # split, and no qseries evaluator runs
     monkeypatch.setattr(kernel, "_apply", refuse)
-    for name in CIRCLE_FACTORS:
+    for name in CIRCLE_FACTORS | EDGE_CIRCLES:
         n, factors = scaled(name, scale)
-        for f in factors:
-            assert kernel._reduced(f.kind, complex(f.c), NM.p, NM.q) is not None, name
-        assert np.all(np.isfinite(evaluate(factors, QuadratureGrid(n, 64).nodes(), NM)))
+        assert np.all(np.isfinite(evaluate(factors, QuadratureGrid(n, 64).nodes(), NM))), name
 
 
 LONE_KINDS = {GAMMA: 0.61 * np.exp(0.4j), RECIP: 0.3 + 0.1j, THETA: 0.7 * np.exp(0.5j), MONO: 0.8 - 0.2j}
@@ -450,7 +463,7 @@ def test_rank1_ladder_reads_each_mirror_from_its_factors_table():
 # terms, E_r's theta factors at c = b t^j and a t^j and moved outside
 # |p| < |c| < 1 either way, the p = 0 dual factors, and Psi with a factor
 # at |a| = 0.95 (no K certifies Gamma(0.95 w)) or one with a pole on the
-# circle between nodes: the qseries evaluators take either.
+# circle between nodes: either is split at the edge of its annulus.
 NM_CONT, NM_CPLX, NM_P0 = Nomes(0.05, 0.07), Nomes(0.05 + 0.02j, 0.12), Nomes(0.0, 0.12)
 
 
@@ -498,15 +511,18 @@ def oracle_kernel(factors, zs, nomes):
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("name", sorted(WHOLE))
-def test_whole_kernels_match_pointwise_and_the_oracle(name, n):
+def test_whole_kernels_match_pointwise_and_the_oracle(monkeypatch, name, n):
     nomes, make = WHOLE[name]
     factors = make(n)
     if name in ("edge", "pole_between_nodes"):
         f = factors[-1]
-        assert kernel._reduced(f.kind, complex(f.c), nomes.p, nomes.q) is None
+        _, _, lines, _ = kernel._reduced(f.kind, complex(f.c), nomes.p, nomes.q)
+        assert lines
     for N in (16, 32):
         grid = QuadratureGrid(n, N).nodes()
-        lattice = evaluate(factors, grid, nomes)
+        with monkeypatch.context() as patched:
+            patched.setattr(kernel, "_apply", refuse)
+            lattice = evaluate(factors, grid, nomes)
         assert np.all(np.isfinite(lattice))
         assert close(lattice, evaluate(factors, list(grid), nomes))
     # two nodes of the N = 32 grid off every zero of the kernel
@@ -541,8 +557,8 @@ def oracle(kind, u, nomes, side=25):
 def test_circle_tables_match_the_oracle(name, kind):
     # random circles across the annulus, one deep in its own series, and
     # circles within 1e-3 of each edge (at an inner edge 0, |c| = 1e-3),
-    # which no K certifies: the qseries evaluators take those.  Every value
-    # is held to 1e-14.
+    # which no K certifies: those are split at the edge.  Every value is
+    # held to 1e-14.
     nomes = ORACLE_NOMES[name]
     inner = abs(nomes.p if kind == THETA else nomes.pq)
     rng = np.random.default_rng(7)
@@ -562,21 +578,29 @@ def test_circle_tables_match_the_oracle(name, kind):
 
 
 @pytest.mark.parametrize("kind", [GAMMA, RECIP, THETA])
-def test_circles_max_terms_cannot_certify_take_the_products(kind, truncation_rule):
+def test_circles_max_terms_cannot_certify_take_the_products(monkeypatch, kind, truncation_rule):
+    # the products of the split theta(x u; b) = (1 - x u) (b x u; b)_inf
+    # (b/(x u); b)_inf: the circle 1e-6 inside |c| = 1, which no K
+    # certifies, splits off its line factor and reads its q-products as a
+    # series, with no qseries evaluator, to 1e-14 of the oracle
     c = (1 - 1e-6) * np.exp(0.3j)
     assert series_of(kind, c) is None
-    table = on_circle(kind, c, 64)
-    assert table.tobytes() == products(kind, c, 64).tobytes()
-    # a cap of 8 terms certifies neither the circle's series nor the evaluators'
+    with monkeypatch.context() as patched:
+        patched.setattr(kernel, "_apply", refuse)
+        table = on_circle(kind, c, 64)
+    for m in range(0, 64, 3):
+        want = oracle(kind, mp.mpc(c) * mp.expjpi(mp.mpf(2 * m) / 64), NM)
+        assert abs(table[m] - want) <= 1e-14 * abs(want), m
+    # a cap of 8 terms certifies neither the circle's series, before or
+    # after the split, nor the evaluators'
     truncation_rule(max_terms=8)
     c = 0.3 * np.exp(0.3j)
     assert series_of(kind, c) is None
-    with pytest.raises(TruncationError) as direct:
+    with pytest.raises(TruncationError):
         products(kind, c, 64)
     clear_caches()
-    with pytest.raises(TruncationError) as err:
+    with pytest.raises(TruncationError, match="across the edge"):
         on_circle(kind, c, 64)
-    assert str(err.value) == str(direct.value)
 
 
 def test_theta_series_reads_no_q():
@@ -585,22 +609,57 @@ def test_theta_series_reads_no_q():
     assert series_of(THETA, c).tobytes() == series_of(THETA, c, Nomes(NM.p, 0.0)).tobytes()
 
 
+@pytest.mark.parametrize("c", [0.5, 0.97, 1.3])
 @pytest.mark.parametrize("kind", [GAMMA, RECIP])
-def test_a_circle_more_than_max_terms_steps_away_takes_the_products(kind):
+def test_gamma_at_zero_nomes_is_one_line_factor(monkeypatch, kind, c):
+    # Gamma(u; 0, 0) = 1 / (1 - u): inside the disc, where no K certifies
+    # the series of log Gamma (|c| = 0.97) and outside it, the circle is the
+    # line factor alone, read with no qseries evaluator, and matches pointwise
+    nomes, factors = Nomes(0.0, 0.0), [pm(kind, c)]
+    for N in (16, 64):
+        grid = QuadratureGrid(1, N).nodes()
+        with monkeypatch.context() as patched:
+            patched.setattr(kernel, "_apply", refuse)
+            lattice = evaluate(factors, grid, nomes)
+        assert close(lattice, evaluate(factors, list(grid), nomes))
+    assert kernel._reduced(kind, c, nomes.p, nomes.q) == (1, 0, [(c, 1, -1 if kind == GAMMA else 1)], [])
+
+
+@pytest.mark.parametrize("kind", [GAMMA, RECIP])
+def test_a_circle_more_than_max_terms_steps_away_raises(kind):
     # |c| = 1e300 is about 330 steps of |q| = 0.12 from the annulus, each
     # with up to 230 steps of its theta(.; p): the reduction stops after
-    # MAX_TERMS and leaves the circle to the qseries evaluators
-    assert kernel._reduced(kind, 1e300, NM.p, NM.q) is None
-    assert kernel._reduced(kind, 1e30, NM.p, NM.q) is not None
+    # MAX_TERMS with TruncationError, again on the next call, and no group
+    # is held; 1e30 is reduced
+    with pytest.raises(TruncationError):
+        kernel._reduced(kind, 1e300, NM.p, NM.q)
+    for _ in range(2):
+        with pytest.raises(TruncationError):
+            on_circle(kind, 1e300, 16)
+    assert kernel._group.cache_info().currsize == 0
+    _, _, _, terms = kernel._reduced(kind, 1e30, NM.p, NM.q)
+    assert terms
+
+
+@pytest.mark.parametrize("c", [0.0, np.inf, np.nan])
+@pytest.mark.parametrize("kind", [GAMMA, THETA, MONO])
+def test_a_zero_or_non_finite_constant_raises(kind, c):
+    # no functional equation brings f(c u) at such a c onto a series
+    with pytest.raises(DomainError, match="finite c != 0"):
+        on_circle(kind, c, 16)
 
 
 @pytest.mark.parametrize("kind,c", [(GAMMA, 1 - 1e-13), (RECIP, NM.pq.real * (1 + 1e-13))])
-def test_pole_inside_the_annulus_takes_the_products_and_raises(kind, c):
+def test_pole_on_the_annulus_edge_splits_and_raises(kind, c):
     # a node within POLE_TOL of a pole or zero on the annulus edge: no K can
-    # certify the series there, and the evaluators' pole scan raises
+    # certify the series there, the split leaves a line factor that
+    # vanishes at the node, and the evaluator's pole scan there raises the
+    # error the evaluators raise on the whole circle
     node = np.exp(2j * np.pi * 3 / 16)
     c = c / node
     assert series_of(kind, c) is None
+    _, _, lines, _ = kernel._reduced(kind, c, NM.p, NM.q)
+    assert [sign for _, _, sign in lines] == [-1]  # divided by
     with pytest.raises(PoleProximityError) as direct:
         products(kind, c, 16)
     clear_caches()
@@ -622,18 +681,21 @@ OFF_SERIES = {
 
 
 @pytest.mark.parametrize("case", sorted(OFF_SERIES))
-def test_a_circles_route_is_held_with_its_series(case):
+def test_a_circles_route_is_held_with_its_series(monkeypatch, case):
     # a circle off its own series is reduced once along a ladder, onto the
-    # series route (Gamma(1.05 w) lands at an edge and splits off a line
-    # factor), as one on it is: its group is built at the first rung and
-    # read back at the others.  A circle inside its annulus that no K
-    # certifies is not reduced: its group holds it for the qseries evaluators
+    # series route, as one on it is: its group is built at the first rung
+    # and read back at the others, and no circle takes the qseries
+    # evaluators.  Gamma(1.05 w) lands at an edge, the Weyl circle starts
+    # on one and theta 1e-6 inside |c| = 1 next to one: each splits off a
+    # line factor
+    monkeypatch.setattr(kernel, "_apply", refuse)
     for kind, c in (OFF_SERIES[case], (GAMMA, 0.5)):
         clear_caches()
         for N in (16, 32, 64):
             on_circle(kind, c, N)
         assert kernel._group.cache_info()[:2] == (2, 1)  # hits, misses
-        assert (kernel._reduced(kind, c, NM.p, NM.q) is None) == (c != 0.5 and case == "uncertified")
+        _, _, lines, _ = kernel._reduced(kind, c, NM.p, NM.q)
+        assert bool(lines) == (c != 0.5 and case in ("edge", "uncertified", "weyl"))
     assert series_of(GAMMA, 0.5) is not None
     kind, c = OFF_SERIES[case]
     assert kind == MONO or series_of(kind, c) is None
