@@ -246,6 +246,15 @@ def _check_box_unused(cfg: Config) -> None:
         )
 
 
+def _unread(args, flags) -> str | None:
+    """The usage error for the first of flags given to a run that does not read it."""
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            runs = "explicit runs (--a)" if flag == "a6" else "sampled (--p/--q) and explicit (--a) runs"
+            return f"--{flag} is read only by {runs}"
+    return None
+
+
 def _print_reports(reports) -> None:
     for rep in reports:
         verdict = "PASS" if rep.passed else "FAIL"
@@ -284,12 +293,19 @@ def _cmd_verify(args) -> int:
         if args.scenario is None or args.p is None or args.q is None:
             print("sampled runs require --scenario, --p and --q", file=sys.stderr)
             return 2
+        if error := _unread(args, ("a6",)):
+            print(error, file=sys.stderr)
+            return 2
         reports = _sampled_reports(args, cfg)
     else:
+        if error := _unread(args, ("t", "balancing", "a6")):
+            print(error, file=sys.stderr)
+            return 2
         _check_box_unused(cfg)
         reports = scn.run_suite(
             seed=cfg.seed,
             scenario=args.scenario,
+            n=args.n,
             count=cfg.count,
             tol=cfg.tol,
             grid=cfg.grid,

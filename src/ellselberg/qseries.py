@@ -12,7 +12,13 @@ element and the nomes alone, never on the rest of its array:
 the arithmetic runs along columns of one element each, which numpy
 evaluates with the same instructions at any array length (see _product).
 So an array is evaluated in blocks of elements, which bounds its
-temporaries, and a scalar as a one-element array: it has the bits its
+temporaries.  A scalar of Gamma, 1/Gamma or theta takes a lone route: the
+numpy calls the array route makes on a one-element array, on the same one-
+and two-element operands (an operand formed in Python arithmetic would move
+the last bit), with the shift count, the branches, the factor counts and
+the finiteness test in Python.  (u; q)_inf, and the scalars whose errors
+the array route raises (u = 0, a non-finite u, pq = 0 for Gamma), are
+evaluated as a one-element array.  Either way a scalar has the bits its
 element has in any array.  Its value, a Python complex, is held in a memo
 of the last _SCALAR_ENTRIES scalar values.
 
@@ -49,6 +55,7 @@ DomainError naming the argument.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import struct
@@ -145,8 +152,8 @@ def _log_den(p: complex, q: complex, outer: float, inner: float) -> np.ndarray:
 
 # A miss forms MAX_TERMS powers (17 us on a 2-core Xeon); a hit takes
 # 0.7 us.  One pass of each benchmark workload at seed 1, replayed against
-# an unbounded cache, misses no more at 4 entries: suite 5 misses in 102
-# calls, sweep_n1 3 in 268, closed_forms 913 in 1 683 (915 at one entry).
+# an unbounded cache, misses no more at 4 entries: suite 5 misses in 79
+# calls, sweep_n1 3 in 227, closed_forms 913 in 1 503 (914 at one entry).
 @functools.lru_cache(maxsize=4)
 def _base(bits: bytes):
     """(c, the column of c^k, that of -|c^k|, the factor threshold) of the c in bits.
@@ -178,7 +185,7 @@ def _length(bound: float, base) -> int:
     """
     _, _, negated, tol = base
     # |c^k| falls with k: the kept factors are those before the first below tol / bound
-    length = int(np.searchsorted(negated[:, 0], -(tol / bound), side="right")) if bound else 0
+    length = int(negated[:, 0].searchsorted(-(tol / bound), side="right")) if bound else 0
     if length == len(negated):
         c_abs, last = -float(negated[1, 0]), -float(negated[-1, 0])
         raise TruncationError(
@@ -274,8 +281,9 @@ def _pole(rows, args, fixed, base_is_p: bool, what: str):
 
 # A miss bisects for K and takes _base of b (22 us on a 2-core Xeon); a hit
 # takes 0.4 us.  One pass of each benchmark workload at seed 1, replayed
-# against an unbounded cache, misses no more at 4 entries: suite 3 misses in
-# 62 calls (4 at two entries), sweep_n1 2 in 243, closed_forms 601 in 3 906.
+# against an unbounded cache, misses no more at 4 entries: suite 1 miss in
+# 26 calls, sweep_n1 1 in 90, closed_forms 601 in 3 906 (1 263 of those
+# calls are _shift_length misses).
 @functools.lru_cache(maxsize=4)
 def _ring(bits: bytes):
     """(a, _base of b, beta, log(1/|a|), whether b is p, the series' coefficients).
@@ -292,6 +300,39 @@ def _ring(bits: bytes):
     inv = 1.0 / _log_den(p, q, beta, beta)[:, None]
     inv.flags.writeable = False
     return a, _based(b), beta, -math.log(abs(a)), b_is_p, inv
+
+
+# A miss reads _ring and searches _base's column of b (1.0 us on a 2-core
+# Xeon); a hit takes 0.1 us.  One pass of each benchmark workload at seed 1,
+# replayed against an unbounded cache, misses no more at 4 entries: suite 2
+# misses in 46 calls, sweep_n1 2 in 176, closed_forms 1 263 in 3 994 (1 460
+# at two entries).
+@functools.lru_cache(maxsize=4)
+def _shift_length(bits: bytes, d: int) -> int:
+    """The factors a theta correction d shifts from the ring keeps, at the
+    nomes in bits (as _ring's): those of (x; b)_inf at |x| = beta |a|^-d,
+    by the _base rule; at d = 0, those of (b/x; b)_inf at |b/x| <= beta."""
+    _, base, beta, log_a, _, _ = _ring(bits)
+    return _length(beta * math.exp(d * log_a), base)
+
+
+def _reduced(u: np.ndarray, m: np.ndarray, a: complex, pq: complex, coef: np.ndarray, recip: bool):
+    """(w = a^m u, v = pq/w, the series' Gamma(w), or 1/Gamma(w) with ``recip``)."""
+    w = u * a**m
+    v = pq / w
+    n = len(u)
+    terms = _powers(np.concatenate((w, v)), len(coef))
+    terms *= coef
+    sums = terms.sum(axis=0)
+    return w, v, np.exp(sums[n:] - sums[:n] if recip else sums[:n] - sums[n:])
+
+
+def _correction(x: np.ndarray, b: complex, powers: np.ndarray, small: int) -> np.ndarray:
+    """The factors of (x; b)_inf and of (b/x; b)_inf, columns x then b/x;
+    those of b/x past row ``small`` are exact ones."""
+    rows = _rows(np.concatenate((x, b / x)), powers)
+    rows[small:, len(x) :] = 1.0
+    return rows
 
 
 def _gamma(u: np.ndarray, p: complex, q: complex, recip: bool = False) -> np.ndarray:
@@ -318,14 +359,7 @@ def _gamma(u: np.ndarray, p: complex, q: complex, recip: bool = False) -> np.nda
     if not math.isfinite(top):  # |u| is inf or nan: no shift reaches the ring
         raise TruncationError(f"{what}: cannot certify the tail at a non-finite argument",
                               achieved_bound=math.inf)
-    w = u * a**m
-    v = pq / w
-    # the series, of w and of v
-    n = len(u)
-    terms = _powers(np.concatenate((w, v)), len(coef))
-    terms *= coef
-    sums = terms.sum(axis=0)
-    value = np.exp(sums[n:] - sums[:n] if recip else sums[:n] - sums[n:])
+    w, v, value = _reduced(u, m, a, pq, coef, recip)
     if not top:
         return value
     # Gamma(u) = Gamma(w) prod_{d=1}^{-m} theta(v a^-d; b) / prod_{d=1}^{m} theta(w a^-d; b):
@@ -333,16 +367,14 @@ def _gamma(u: np.ndarray, p: complex, q: complex, recip: bool = False) -> np.nda
     outer = np.where(m > 0, w, v)
     divides = (m < 0) if recip else (m > 0)
     b, powers = base[0], base[1]
-    # (x; b)_inf keeps the factors of |x| <= beta |a|^-d, (b/x; b)_inf those of |b/x| <= beta
-    small = _length(beta, base)
+    small = _shift_length(bits, 0)
     every = int(shifts.min())
-    thetas = np.ones(n, dtype=complex)
+    thetas = np.ones(len(u), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for d in range(1, int(top) + 1):
             at = slice(None) if d <= every else shifts >= d
             x = outer[at] * a**-d
-            rows = _rows(np.concatenate((x, b / x)), powers[: _length(beta * math.exp(d * log_a), base)])
-            rows[small:, len(x) :] = 1.0
+            rows = _correction(x, b, powers[: _shift_length(bits, d)], small)
             hit = divides[at]
             if hit.any():
                 near = rows[:, : len(x)] if hit.all() else rows[:, : len(x)][:, hit]
@@ -354,6 +386,50 @@ def _gamma(u: np.ndarray, p: complex, q: complex, recip: bool = False) -> np.nda
     # thetas too: past the range they can divide the value down to a finite 0
     _in_range((thetas, out), u, what, "its theta corrections or its value pass")
     return out
+
+
+# The lone route's thetas before the first correction, as _gamma's: 1 * t
+# is formed, not skipped, because it need not have t's bits (signed zeros).
+_ONE = np.ones(1, dtype=complex)
+_ONE.flags.writeable = False
+
+
+def _lone_gamma(u: complex, p: complex, q: complex, recip: bool) -> complex:
+    """_gamma at the one finite u != 0 (pq != 0), as a Python complex.
+
+    Every value is formed by the numpy calls _gamma makes on a one-element
+    array, on the same one- and two-element operands, so it has their bits;
+    the shift count, the branches, the factor counts and the finiteness
+    test are Python's.
+    """
+    what = "elliptic_gamma_recip" if recip else "elliptic_gamma"
+    bits = struct.pack("4d", p.real, p.imag, q.real, q.imag)
+    a, base, beta, log_a, b_is_p, coef = _ring(bits)
+    arg = np.array([u])
+    m = np.ceil(np.log(np.abs(arg) / beta) / log_a)
+    k = m.item()
+    if not math.isfinite(k):  # |u| / beta overflows: _gamma raises its error
+        return _gamma(arg, p, q, recip).item()
+    pq = p * q
+    w, v, value = _reduced(arg, m, a, pq, coef, recip)
+    if not k:
+        return value.item()
+    outer = w if k > 0 else v
+    divides = k < 0 if recip else k > 0
+    b, powers = base[0], base[1]
+    small = _shift_length(bits, 0)
+    thetas = _ONE
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in range(1, int(abs(k)) + 1):
+            rows = _correction(outer * a**-d, b, powers[: _shift_length(bits, d)], small)
+            if divides and np.abs(rows[:, :1]).min() < POLE_TOL:
+                _pole(rows[:, :1], pq / arg if recip else arg, (abs(k) - d,), b_is_p, what)
+            values = _product(rows)
+            thetas = thetas * (values[:1] * values[1:])
+        out = value / thetas if divides else value * thetas
+    if not (cmath.isfinite(thetas.item()) and cmath.isfinite(out.item())):
+        _in_range((thetas, out), arg, what, "its theta corrections or its value pass")
+    return out.item()
 
 
 def _recip(u: np.ndarray, p: complex, q: complex) -> np.ndarray:
@@ -370,6 +446,25 @@ def _theta(u: np.ndarray, p: complex, _) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
+def _lone_theta(u: complex, p: complex) -> complex:
+    """_theta at the one finite u != 0 (p finite), as a Python complex, by
+    _theta's numpy calls on the same operands, so with its bits: the column
+    of the smaller of |u| and |p/u| keeps its own factors, as _single keeps
+    them, counted by _length instead of masked."""
+    base = _based(p)
+    arg = np.array([u])
+    x = np.concatenate((arg, p / arg))
+    near, far = np.abs(x).tolist()
+    rows = _rows(x, base[1][: _length(max(near, far), base)])
+    rows[_length(min(near, far), base) :, int(far < near)] = 1.0
+    values = _product(rows)
+    value = values[:1] * values[1:]
+    if not cmath.isfinite(value.item()):
+        _in_range(value, arg, "theta")
+    return value.item()
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _qpoch(u: np.ndarray, _, q: complex) -> np.ndarray:
     """(u; q)_inf for the 1-D array u (the second argument is unused)."""
     return _in_range(_product(_single(u, _based(q)))[: len(u)], u, "qpoch_inf")
@@ -383,8 +478,18 @@ def _unpack(bits: bytes):
 
 @functools.lru_cache(maxsize=_SCALAR_ENTRIES)
 def _scalar(f, bits: bytes) -> complex:
-    """f at the u, p and q packed in bits, as a one-element array, as a Python complex."""
+    """f at the u, p and q packed in bits, as a Python complex.
+
+    Gamma and 1/Gamma at pq != 0 and theta take their lone route at a
+    finite u != 0 (and finite p); every other case, and so every error of
+    u = 0, a non-finite u or pq = 0, is f's at a one-element array.
+    """
     u, p, q = _unpack(bits)
+    if u and cmath.isfinite(u) and cmath.isfinite(p):
+        if f is _theta:
+            return _lone_theta(u, p)
+        if f is not _qpoch and p * q:
+            return _lone_gamma(u, p, q, f is _recip)
     return f(np.array([u]), p, q).item()
 
 

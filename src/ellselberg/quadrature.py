@@ -322,6 +322,8 @@ def nabla_quad(
         raise DomainError(f"need 1 <= i <= n, got i={i}")
     if nomes.p == 0:
         raise DomainError("the fused nabla image needs p != 0")
+    if nomes.q == 0:
+        raise DomainError("the fused nabla image needs q != 0")
 
     # G and |phi Psi~| are W(BC_{n-1})-invariant in the coordinates other
     # than z_i, and the nabla image of each i is one integral up to a

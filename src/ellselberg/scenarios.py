@@ -601,10 +601,12 @@ def run_suite(
     tol: float | None = None,
     grid: int | None = None,
     timing: bool = False,
+    n: int | None = None,
 ) -> list[ScenarioReport]:
     """Run the default verification suite: every row of SUITE_ROWS.
 
-    ``scenario`` restricts to one scenario name; ``count``/``tol``/``grid``
+    ``scenario`` restricts to one scenario name and ``n`` to one rank
+    (ConfigurationError where no row has it); ``count``/``tol``/``grid``
     override the per-row defaults.  Reports are sorted by
     (scenario, n, seed_index, k, r, i) regardless of execution order.
     """
@@ -612,12 +614,12 @@ def run_suite(
         raise ConfigurationError(
             f"unknown scenario {scenario!r}; expected one of {', '.join(SCENARIO_NAMES)}"
         )
-    reports = [
-        rep
-        for row in SUITE_ROWS
-        if scenario in (None, row.scenario)
-        for rep in run_row(row, seed, count, tol, budget=grid, timing=timing)
-    ]
+    rows = [row for row in SUITE_ROWS if scenario in (None, row.scenario) and n in (None, row.n)]
+    if not rows:
+        raise ConfigurationError(
+            f"no suite row has rank n={n}" + (f" in scenario {scenario!r}" if scenario else "")
+        )
+    reports = [rep for row in rows for rep in run_row(row, seed, count, tol, budget=grid, timing=timing)]
 
     def sort_key(rep: ScenarioReport):
         return (

@@ -15,7 +15,8 @@ def cold_rungs():
 
 
 def _clear_truncated():
-    for cache in (qseries._scalar, qseries._ring, qseries._base, kernel._series, kernel._group):
+    for cache in (qseries._scalar, qseries._ring, qseries._base, qseries._shift_length,
+                  kernel._series, kernel._group):
         cache.cache_clear()
 
 

@@ -477,3 +477,36 @@ class TestScenarioTable:
         assert code == 2
         err = capsys.readouterr().err
         assert "a_min" in err and "seed" not in err
+
+    def test_suite_rank_selects_its_rows(self, capsys, tmp_path):
+        path = tmp_path / "pinch.json"
+        assert main(["verify", "--scenario", "pinch", "--n", "2", "--report", str(path)]) == 0
+        (rep,) = json.loads(path.read_text())
+        (row,) = [r for r in SUITE_ROWS if r.scenario == "pinch" and r.n == 2]
+        (want,) = run_row(row, 42)
+        assert (rep["scenario"], rep["n"], rep["seed_index"]) == (want.scenario, 2, want.seed_index)
+
+    @pytest.mark.parametrize("extra", [["--scenario", "dixon_anderson"], []], ids=["scenario", "suite"])
+    def test_suite_rank_without_a_row_exits_2(self, capsys, extra):
+        code = main(["verify", "--n", "7"] + extra)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "n=7" in captured.err and "reports" not in captured.out
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["--scenario", "dixon_anderson", "--n", "7", "--t", "5", "--balancing", "one",
+              "--a6", "0.3"], "--t"),
+            (["--scenario", "dixon_anderson", "--n", "1", "--balancing", "one"], "--balancing"),
+            (["--n", "1", "--a6", "0.3"], "--a6"),
+            (["--scenario", "dixon_anderson", "--p", "0.05", "--q", "0.12", "--a6", "0.3"], "--a6"),
+        ],
+        ids=["suite-t", "suite-balancing", "suite-a6", "sampled-a6"],
+    )
+    def test_flag_the_run_does_not_read_exits_2(self, capsys, argv, flag):
+        # not the reports of a run that ignored it
+        code = main(["verify"] + argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"{flag} is read only by") and "reports" not in captured.out

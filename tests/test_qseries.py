@@ -751,6 +751,41 @@ def test_every_element_has_the_bits_it_has_alone(nm, lo, hi):
             assert bits(f(complex(u[i]))) == bits(whole[i])
 
 
+def outcome(f, u):
+    """f(u) as the bits of element 0 of its value, or its error's type and message."""
+    try:
+        value = f(u)
+    except (DomainError, PoleProximityError, TruncationError) as exc:
+        return type(exc), str(exc)
+    return bits(np.atleast_1d(value)[0])
+
+
+def test_scalar_has_the_bits_of_its_element_at_random_nomes(scalar_memo):
+    # a scalar takes the lone route, an array the array route: at random
+    # complex nomes, u reduced by 0 to 3 shifts either way or next to a pole
+    # of Gamma or of 1/Gamma, the scalar is element 0 of [u, u i] (|u i| = |u|:
+    # the same shift and factor counts), or raises what that array raises
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        p, q = (complex(m * np.exp(2j * np.pi * rng.uniform())) for m in rng.uniform(0.02, 0.25, 2))
+        nm = Nomes(p, q)
+        a, beta = ring(nm)
+        mu, nu = (int(x) for x in rng.integers(0, 3, 2))
+        phases = np.exp(2j * np.pi * rng.uniform(size=7))
+        # m shifts: log(|u| / beta) / log(1/|a|) lies in (m - 1, m]
+        args = [complex(beta * a ** (rng.uniform(0.05, 0.95) - m) * z) for m, z in zip(range(-3, 4), phases)]
+        args += [(1.0 + 1e-14) / (p**mu * q**nu), p ** (mu + 1) * q ** (nu + 1) * (1.0 + 1e-14)]
+        evaluators = (
+            lambda x: qpoch_inf(x, q),
+            lambda x: theta(x, p),
+            lambda x: elliptic_gamma(x, nm),
+            lambda x: elliptic_gamma_recip(x, nm),
+        )
+        for f in evaluators:
+            for u in args:
+                assert outcome(f, u) == outcome(f, np.array([u, u * 1j])), (p, q, u)
+
+
 def test_blocks_keep_the_bits_and_the_shape(monkeypatch):
     # an array is evaluated in blocks of _BLOCK_ENTRIES // MAX_TERMS
     # elements: three here, so 3 x 7 elements make blocks of 3 and a lone last one

@@ -265,11 +265,14 @@ class TestNabla:
         with pytest.raises(DomainError):
             nabla_quad(1, 2, ps, nm, 1e-8)
 
-    def test_requires_nonzero_p(self):
-        nm0 = Nomes(0.0, 0.12)
-        ps = ParameterSet.solved(1, T, A5, nm0, BalancingMode.ONE)
-        with pytest.raises(DomainError):
-            nabla_quad(1, 1, ps, nm0, 1e-8)
+    @pytest.mark.parametrize("p,q,zero", [(0.0, 0.12, "p"), (0.05, 0.0, "q")], ids=["p", "q"])
+    def test_zero_nome_is_named(self, p, q, zero):
+        # constants of the nabla kernel are multiples of p and of q: a zero
+        # nome is refused by name, not by the kernel factor it empties
+        nm = Nomes(p, q)
+        ps = ParameterSet.solved(1, T, A5, nm, BalancingMode.ONE)
+        with pytest.raises(DomainError, match=rf"^the fused nabla image needs {zero} != 0$"):
+            nabla_quad(1, 1, ps, nm, 1e-8)
 
     def test_collision_grid_is_finite(self):
         # the grid holds z = 1 (and z_i = z_j); the kernels carry
