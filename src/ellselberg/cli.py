@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="evaluate a single quantity")
     target = ev.add_subparsers(dest="target", required=True)
 
-    def common(p, nomes=True, params=False):
+    def common(p, nomes=True, params=False, balancing="pq"):
         if nomes:
             p.add_argument("--p", type=_complex_arg, required=True)
             p.add_argument("--q", type=_complex_arg, required=True)
@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--t", type=_complex_arg, required=True)
             p.add_argument("--a", type=_complex_list, required=True, metavar="C,C,...")
             p.add_argument("--a6", type=_complex_arg)
-            p.add_argument("--balancing", choices=sorted(_MODES), default="pq")
+            p.add_argument("--balancing", choices=sorted(_MODES), default=balancing)
 
     g = target.add_parser("gamma", help="elliptic gamma Gamma(u; p, q)")
     g.add_argument("--u", type=_complex_arg, required=True)
@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ci = target.add_parser("C", help="recurrence coefficient C_r (ONE balancing)")
     ci.add_argument("--r", type=int, required=True)
-    common(ci, params=True)
+    common(ci, params=True, balancing="one")
 
     jj = target.add_parser("J", help="closed-form product J")
     common(jj, params=True)
@@ -212,13 +212,12 @@ def _da_parameters(args, nomes: Nomes) -> tuple:
 def _explicit_reports(args, cfg: Config) -> list:
     """One explicit parameter set through the scenario's index sweep."""
     name, nomes = args.scenario, Nomes(args.p, args.q)
-    if name == "dixon_anderson":
+    spec = scn.SCENARIOS[name]
+    if spec.balancing is None:
         ps = _da_parameters(args, nomes)
     else:
-        mode = _MODES[args.balancing] if args.balancing else scn.DEFAULT_MODE[name]
-        ps = _parameter_set(args, nomes, mode)
-    tol = cfg.tol if cfg.tol is not None else scn.default_tol(name, args.n)
-    return scn.cases(name, args.n, ps, nomes, tol, budget=cfg.grid, timing=cfg.timing)
+        ps = _parameter_set(args, nomes, _MODES[args.balancing] if args.balancing else spec.balancing)
+    return scn.cases(name, args.n, ps, nomes, cfg.tol, budget=cfg.grid, timing=cfg.timing)
 
 
 def _sampled_reports(args, cfg: Config) -> list:
@@ -246,12 +245,31 @@ def _check_box_unused(cfg: Config) -> None:
         )
 
 
-def _unread(args, flags) -> str | None:
-    """The usage error for the first of flags given to a run that does not read it."""
-    for flag in flags:
-        if getattr(args, flag) is not None:
-            runs = "explicit runs (--a)" if flag == "a6" else "sampled (--p/--q) and explicit (--a) runs"
-            return f"--{flag} is read only by {runs}"
+# The kinds of verify run: explicit runs are given --a, sampled ones --p or
+# --q, and suite runs neither.  Each kind requires the flags in _REQUIRES and
+# reads every flag but those in _UNREAD.  A scenario without a balancing
+# reads neither --t nor --balancing, and --format and --timing act only on
+# a --report.
+_SUITE, _SAMPLED, _EXPLICIT = "suite", "sampled (--p/--q)", "explicit (--a)"
+_REQUIRES = {_SUITE: (), _SAMPLED: ("scenario", "p", "q"), _EXPLICIT: ("scenario", "n", "p", "q", "t")}
+_UNREAD = {_SUITE: ("t", "balancing", "a6"), _SAMPLED: ("a6",), _EXPLICIT: ("seed", "count")}
+
+
+def _usage_error(args, kind: str) -> str | None:
+    """The usage error of a verify run of this kind: the first flag it
+    requires that is missing, else the first flag given that it does not read."""
+    uncoupled = args.scenario is not None and scn.SCENARIOS[args.scenario].balancing is None
+    for flag in _REQUIRES[kind]:
+        if getattr(args, flag) is None and not (uncoupled and flag == "t"):
+            return f"{kind} runs require --{flag}"
+    for flag in [dest for dest in vars(args) if dest in getattr(args, "_given", ())]:
+        if flag in _UNREAD[kind]:
+            readers = [other for other in _UNREAD if flag not in _UNREAD[other]]
+            return f"--{flag} is read only by {' and '.join(readers)} runs"
+        if uncoupled and flag in ("t", "balancing"):
+            return f"--{flag} is read only by scenarios with a balancing, which {args.scenario} has not"
+        if flag in ("format", "timing") and args.report is None:
+            return f"--{flag} is read only by runs that write a --report"
     return None
 
 
@@ -276,32 +294,17 @@ def _print_reports(reports) -> None:
 
 def _cmd_verify(args) -> int:
     cfg = _build_config(args)
-    if args.a is not None:
-        if args.scenario is None:
-            print("--a requires --scenario", file=sys.stderr)
-            return 2
-        for flag in ("n", "p", "q"):
-            if getattr(args, flag) is None:
-                print(f"explicit runs require --{flag}", file=sys.stderr)
-                return 2
-        if args.t is None and args.scenario != "dixon_anderson":
-            print("explicit runs require --t", file=sys.stderr)
-            return 2
+    kind = _EXPLICIT if args.a is not None else _SUITE if args.p is None and args.q is None else _SAMPLED
+    if error := _usage_error(args, kind):
+        print(error, file=sys.stderr)
+        return 2
+    if kind != _SAMPLED:
         _check_box_unused(cfg)
+    if kind == _EXPLICIT:
         reports = _explicit_reports(args, cfg)
-    elif args.p is not None or args.q is not None:
-        if args.scenario is None or args.p is None or args.q is None:
-            print("sampled runs require --scenario, --p and --q", file=sys.stderr)
-            return 2
-        if error := _unread(args, ("a6",)):
-            print(error, file=sys.stderr)
-            return 2
+    elif kind == _SAMPLED:
         reports = _sampled_reports(args, cfg)
     else:
-        if error := _unread(args, ("t", "balancing", "a6")):
-            print(error, file=sys.stderr)
-            return 2
-        _check_box_unused(cfg)
         reports = scn.run_suite(
             seed=cfg.seed,
             scenario=args.scenario,

@@ -519,16 +519,18 @@ def qpoch_inf(u, q: complex):
     Truncated so the certified bound on the neglected tail sum_{k>=L} |q^k u|
     stays below TAIL_TOL / MAX_TERMS.
     """
-    if abs(q) >= 1:
-        raise DomainError(f"qpoch_inf requires |q| < 1, got {abs(q)}")
+    if not abs(q) < 1:  # nan fails it too
+        raise DomainError(f"qpoch_inf requires |q| < 1, got |q|={abs(q)}")
     return _evaluate(_qpoch, u, 0j, q)
 
 
 def theta(u, p: complex):
     """Multiplicative theta function theta(u; p) = (u; p)_inf (p/u; p)_inf.
 
-    Degenerates to 1 - u at p = 0.  Requires u != 0.
+    Degenerates to 1 - u at p = 0.  Requires u != 0 and |p| < 1.
     """
+    if not abs(p) < 1:  # nan fails it too
+        raise DomainError(f"theta requires |p| < 1, got |p|={abs(p)}")
     return _evaluate(_theta, u, p, 0j)
 
 

@@ -11,17 +11,20 @@ A stalled ladder takes quadrature's 50x looser stop before being declared
 non-convergent (the verdict always uses the measured error); :func:`_run`
 reads a report's ``grid_N`` and retry note off the QuadResults it is given.
 
-One row table drives every sweep: :data:`SUITE_ROWS` is the default suite,
-:func:`run_row` samples one row and :func:`cases` expands one parameter set
-into its index sweep.  Sampled and explicit command-line runs go through
-the same two functions.
+Each scenario name has one :class:`Scenario` record in :data:`SCENARIOS`.
+:data:`SUITE_ROWS` is the default suite, :func:`run_row` samples one row
+and :func:`cases` runs one parameter set's runs, numbering and timing each
+report, so the runners only compute.  Sampled and explicit command-line
+runs go through the same two functions.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
+from functools import partial
 
 from .errors import (
     ConfigurationError, DomainError, EllSelbergError, NonConvergenceError, SampleRejectionError,
@@ -50,15 +53,15 @@ from .residues import continued_integral_n1, lim_pinch_J
 from .sampling import DEFAULT_BOX, SafeBox, sample_da_parameters, sample_parameters
 
 
-def _run(scenario: str, echo: dict, tol: float, timing: bool, compute) -> ScenarioReport:
+def _run(scenario: str, echo: dict, tol: float, compute) -> ScenarioReport:
     """Report compute()'s (lhs, rhs, quads[, scale[, detail]]) against tol.
 
     An EllSelbergError raised by compute becomes a failed report that gives
     the reason.  grid_N is the largest N_used of quads (0 if none), and
     RETRY_NOTE follows the detail when one of them retried or compute raised
-    NonConvergenceError, which a ladder raises only after retrying.
+    NonConvergenceError, which a ladder raises only after retrying.  The
+    report has seed_index 0 and no runtime_ms; :func:`cases` stamps both.
     """
-    started = time.monotonic() if timing else None
     try:
         outcome = compute()
     except EllSelbergError as exc:
@@ -74,7 +77,7 @@ def _run(scenario: str, echo: dict, tol: float, timing: bool, compute) -> Scenar
         retried = any(quad.retried for quad in quads)
     return ScenarioReport(
         scenario=scenario,
-        **{"k": None, "r": None, "i": None, **echo},
+        **{"seed_index": 0, "k": None, "r": None, "i": None, **echo},
         grid_N=max((quad.N_used for quad in quads), default=0),
         lhs=complex(lhs),
         rhs=complex(rhs),
@@ -82,18 +85,17 @@ def _run(scenario: str, echo: dict, tol: float, timing: bool, compute) -> Scenar
         rel_err=float(rel_err),
         tol=float(tol),
         passed=bool(rel_err <= tol),
-        runtime_ms=None if started is None else int(round((time.monotonic() - started) * 1000)),
+        runtime_ms=None,
         tail_tol=TAIL_TOL,
         max_terms=MAX_TERMS,
         detail="; ".join(filter(None, [detail, retried and RETRY_NOTE])),
     )
 
 
-def _echo(params: ParameterSet, nomes: Nomes, seed_index: int, **indices) -> dict:
+def _echo(params: ParameterSet, nomes: Nomes, **indices) -> dict:
     """The report fields that identify a case: its parameters and indices."""
     mode = params.balancing_mode
     return dict(
-        seed_index=seed_index,
         n=params.n,
         p=nomes.p,
         q=nomes.q,
@@ -119,8 +121,6 @@ def scenario_eval_formula(
     nomes: Nomes,
     tol: float,
     budget: int | None = None,
-    timing: bool = False,
-    seed_index: int = 0,
 ) -> ScenarioReport:
     """Torus integral of Psi against c_n J under the PQ balancing.
 
@@ -147,8 +147,7 @@ def scenario_eval_formula(
         )
         return quad.value, rhs, (quad,)
 
-    echo = _echo(params, nomes, seed_index=seed_index)
-    return _run("eval_formula", echo, tol, timing=timing, compute=compute)
+    return _run("eval_formula", _echo(params, nomes), tol, compute)
 
 
 def _qde_theta_ratio(params, nomes, k, shift_a6):
@@ -177,8 +176,6 @@ def scenario_qde(
     nomes: Nomes,
     tol: float,
     budget: int | None = None,
-    timing: bool = False,
-    seed_index: int = 0,
 ) -> ScenarioReport:
     """One equation of the q-difference system, chosen by the balancing mode.
 
@@ -220,8 +217,7 @@ def scenario_qde(
         )
         return lhs_quad.value, rhs_quad.value * ratio, (lhs_quad, rhs_quad)
 
-    echo = _echo(params, nomes, seed_index=seed_index, k=k)
-    return _run("qde", echo, tol, timing=timing, compute=compute)
+    return _run("qde", _echo(params, nomes, k=k), tol, compute)
 
 
 def _expect_invariant(r, params, nomes, tol, budget):
@@ -242,8 +238,6 @@ def scenario_recurrence(
     nomes: Nomes,
     tol: float,
     budget: int | None = None,
-    timing: bool = False,
-    seed_index: int = 0,
 ) -> ScenarioReport:
     """<E_r> against C_r <E_(r-1)> under the ONE balancing."""
 
@@ -253,8 +247,7 @@ def scenario_recurrence(
         prev = _expect_invariant(r - 1, params, nomes, tol, budget)
         return lhs.value, c_r * prev.value, (lhs, prev)
 
-    echo = _echo(params, nomes, seed_index=seed_index, r=r)
-    return _run("recurrence", echo, tol, timing=timing, compute=compute)
+    return _run("recurrence", _echo(params, nomes, r=r), tol, compute)
 
 
 def scenario_recurrence_telescope(
@@ -263,8 +256,6 @@ def scenario_recurrence_telescope(
     nomes: Nomes,
     tol: float,
     budget: int | None = None,
-    timing: bool = False,
-    seed_index: int = 0,
 ) -> ScenarioReport:
     """<E_n>/<E_0> against the closed boundary ratio (the telescoped system)."""
 
@@ -274,8 +265,7 @@ def scenario_recurrence_telescope(
         bot = _expect_invariant(0, params, nomes, tol, budget)
         return top.value / bot.value, rhs, (top, bot)
 
-    echo = _echo(params, nomes, seed_index=seed_index)
-    return _run("recurrence_telescope", echo, tol, timing=timing, compute=compute)
+    return _run("recurrence_telescope", _echo(params, nomes), tol, compute)
 
 
 def scenario_nabla(
@@ -286,8 +276,6 @@ def scenario_nabla(
     nomes: Nomes,
     tol: float,
     budget: int | None = None,
-    timing: bool = False,
-    seed_index: int = 0,
 ) -> ScenarioReport:
     """|<nabla phi_(r,i)>| against 0, scaled by the magnitude <|phi Psi~|>."""
 
@@ -295,8 +283,7 @@ def scenario_nabla(
         res, reference = nabla_quad(r, i, params, nomes, 0.01 * tol, budget)
         return res.value, 0j, (res,), reference, f"reference={reference!r}"
 
-    echo = _echo(params, nomes, seed_index=seed_index, r=r, i=i)
-    return _run("nabla", echo, tol, timing=timing, compute=compute)
+    return _run("nabla", _echo(params, nomes, r=r, i=i), tol, compute)
 
 
 def _da_closed(a, n, nomes):
@@ -312,8 +299,6 @@ def scenario_dixon_anderson(
     nomes: Nomes,
     tol: float,
     budget: int | None = None,
-    timing: bool = False,
-    seed_index: int = 0,
 ) -> ScenarioReport:
     """The coupling-free 2n+4 parameter integral against its Gamma product.
 
@@ -343,17 +328,8 @@ def scenario_dixon_anderson(
         )
         return quad.value, rhs, (quad,)
 
-    echo = dict(
-        seed_index=seed_index,
-        n=n,
-        p=nomes.p,
-        q=nomes.q,
-        t=None,
-        a=a,
-        balancing=None,
-        constraint_exponent=1,
-    )
-    return _run("dixon_anderson", echo, tol, timing=timing, compute=compute)
+    echo = dict(n=n, p=nomes.p, q=nomes.q, t=None, a=a, balancing=None, constraint_exponent=1)
+    return _run("dixon_anderson", echo, tol, compute)
 
 
 def make_pinched(params: ParameterSet, nomes: Nomes) -> ParameterSet:
@@ -372,8 +348,6 @@ def scenario_pinch(
     tol: float,
     check: str = "limit",
     budget: int | None = None,
-    timing: bool = False,
-    seed_index: int = 0,
 ) -> ScenarioReport:
     """Residue and pinch checks; ``check`` selects which statement.
 
@@ -416,8 +390,7 @@ def scenario_pinch(
             return lhs, rhs, (quad,)
         raise SampleRejectionError(f"unknown pinch check {check!r}")
 
-    echo = _echo(params, nomes, seed_index=seed_index)
-    return _run(f"pinch_{check}", echo, tol, timing=timing, compute=compute)
+    return _run(f"pinch_{check}", _echo(params, nomes), tol, compute)
 
 
 # |a_1| of the continued-integral check's companion: just outside the unit
@@ -433,42 +406,82 @@ def make_continued(params: ParameterSet, nomes: Nomes) -> ParameterSet:
     return ParameterSet.solved(params.n, params.t, a, nomes, BalancingMode.PQ)
 
 
-# The balancing each scenario samples under unless a row says otherwise
-# (dixon_anderson is coupling-free and has none); its keys are the names.
-DEFAULT_MODE = {
-    "eval_formula": BalancingMode.PQ,
-    "qde": BalancingMode.PQ,
-    "recurrence": BalancingMode.ONE,
-    "recurrence_telescope": BalancingMode.ONE,
-    "nabla": BalancingMode.ONE,
-    "dixon_anderson": None,
-    "pinch": BalancingMode.PQ,
+@dataclass(frozen=True)
+class Scenario:
+    """What a scenario name means.
+
+    ``balancing`` is the mode its draws take unless a row says otherwise;
+    None marks the coupling-free Dixon-Anderson integral, which draws 2n+4
+    entries and reads no t.  ``tols`` are the suite tolerances of ranks
+    1, 2, ... (a higher rank takes the last).  A draw under ``balancing``
+    is kept only where ``window(ps, nomes)`` holds.  ``runs(n, ps, nomes,
+    ks)`` lists one draw's runs, each a runner short of (tol, budget).
+    """
+
+    balancing: BalancingMode | None
+    tols: tuple
+    runs: Callable
+    window: Callable | None = None
+
+    def tol(self, n: int) -> float:
+        """The suite tolerance at rank n."""
+        return self.tols[min(max(n, 1), len(self.tols)) - 1]
+
+
+def _pinch_runs(n, ps, nomes, ks):
+    """The pinch limit, and at n = 1 the pinched integral and the continued contour."""
+    pinched = make_pinched(ps, nomes)
+    checks = [(pinched, "limit")]
+    if n == 1:
+        checks += [(pinched, "integral"), (make_continued(ps, nomes), "continued")]
+    return [partial(scenario_pinch, at, nomes, check=check) for at, check in checks]
+
+
+# The runs look their runners up when called, so a runner replaced in this
+# module (as the benchmark's tracer does) is the one that runs.
+SCENARIOS = {
+    "eval_formula": Scenario(
+        BalancingMode.PQ, (1e-8, 1e-6),
+        lambda n, ps, nomes, ks: [partial(scenario_eval_formula, n, ps, nomes)],
+    ),
+    "qde": Scenario(
+        BalancingMode.PQ, (1e-7, 1e-6),
+        lambda n, ps, nomes, ks: [partial(scenario_qde, n, k, ps, nomes) for k in ks],
+        window=_in_qde_window,
+    ),
+    "recurrence": Scenario(
+        BalancingMode.ONE, (1e-7, 1e-6),
+        lambda n, ps, nomes, ks: [partial(scenario_recurrence, n, r, ps, nomes) for r in range(1, n + 1)],
+    ),
+    "recurrence_telescope": Scenario(
+        BalancingMode.ONE, (1e-7, 1e-6),
+        lambda n, ps, nomes, ks: [partial(scenario_recurrence_telescope, n, ps, nomes)],
+    ),
+    "nabla": Scenario(
+        BalancingMode.ONE, (1e-7,),
+        lambda n, ps, nomes, ks: [
+            partial(scenario_nabla, n, r, i, ps, nomes) for r in range(1, n + 1) for i in range(1, n + 1)
+        ],
+    ),
+    "dixon_anderson": Scenario(
+        None, (1e-8, 1e-6),
+        lambda n, ps, nomes, ks: [partial(scenario_dixon_anderson, n, ps, nomes)],
+    ),
+    "pinch": Scenario(BalancingMode.PQ, (1e-6,), _pinch_runs),
 }
 
-SCENARIO_NAMES = tuple(DEFAULT_MODE)
+SCENARIO_NAMES = tuple(SCENARIOS)
 
 QDE_SHIFTS = (1, 2, 3, 4, 5)  # every shift index k of the q-difference system
 
-_SUITE_TOL = {
-    ("eval_formula", 1): 1e-8,
-    ("eval_formula", 2): 1e-6,
-    ("qde", 1): 1e-7,
-    ("qde", 2): 1e-6,
-    ("recurrence", 1): 1e-7,
-    ("recurrence", 2): 1e-6,
-    ("recurrence_telescope", 1): 1e-7,
-    ("recurrence_telescope", 2): 1e-6,
-    ("nabla", 1): 1e-7,
-    ("nabla", 2): 1e-7,
-    ("dixon_anderson", 1): 1e-8,
-    ("dixon_anderson", 2): 1e-6,
-    ("pinch", 1): 1e-6,
-}
 
-
-def default_tol(name: str, n: int) -> float:
-    """The suite tolerance of a scenario at rank n (rank 2's above, rank 1's if absent)."""
-    return _SUITE_TOL.get((name, min(n, 2)), _SUITE_TOL[(name, 1)])
+def _scenario(name: str) -> Scenario:
+    """The record of a scenario name (ConfigurationError for an unknown one)."""
+    if name not in SCENARIOS:
+        raise ConfigurationError(
+            f"unknown scenario {name!r}; expected one of {', '.join(SCENARIO_NAMES)}"
+        )
+    return SCENARIOS[name]
 
 
 @dataclass(frozen=True)
@@ -476,7 +489,7 @@ class Row:
     """One row of the scenario table: what to sample and which sweep to run.
 
     Draws are sampled at seed + ``seed_offset``; ``mode`` None means the
-    scenario's default balancing; the draws' reports are numbered from
+    scenario's balancing; the draws' reports are numbered from
     ``seed_index``; ``ks`` are the qde shift indices.
     """
 
@@ -526,42 +539,24 @@ SUITE_ROWS = (
 
 
 def cases(
-    name: str, n: int, ps, nomes: Nomes, tol: float, ks=QDE_SHIFTS, **kw
+    name: str, n: int, ps, nomes: Nomes, tol: float | None = None, ks=QDE_SHIFTS,
+    budget: int | None = None, timing: bool = False, seed_index: int = 0,
 ) -> list[ScenarioReport]:
-    """Every report of one parameter set: the scenario's index sweep.
+    """Every report of one parameter set: the scenario's runs (see Scenario).
 
-    qde runs each shift index in ``ks``, recurrence each r <= n, nabla each
-    (r, i), pinch the limit and at n = 1 also the integral and continued
-    checks; the other scenarios run once.  ``ps`` is a ParameterSet, or the
-    2n+4 tuple for dixon_anderson; ``kw`` goes to every runner.
+    ``ps`` is a ParameterSet, or the 2n+4 tuple for dixon_anderson; ``tol``
+    None is the suite tolerance at rank n.  Each report is numbered
+    ``seed_index`` and, with ``timing``, gives its run's time in runtime_ms.
     """
-    if name == "eval_formula":
-        return [scenario_eval_formula(n, ps, nomes, tol, **kw)]
-    if name == "qde":
-        return [scenario_qde(n, k, ps, nomes, tol, **kw) for k in ks]
-    if name == "recurrence":
-        return [scenario_recurrence(n, r, ps, nomes, tol, **kw) for r in range(1, n + 1)]
-    if name == "recurrence_telescope":
-        return [scenario_recurrence_telescope(n, ps, nomes, tol, **kw)]
-    if name == "nabla":
-        return [
-            scenario_nabla(n, r, i, ps, nomes, tol, **kw)
-            for r in range(1, n + 1)
-            for i in range(1, n + 1)
-        ]
-    if name == "dixon_anderson":
-        return [scenario_dixon_anderson(n, ps, nomes, tol, **kw)]
-    if name == "pinch":
-        pinched = make_pinched(ps, nomes)
-        reports = [scenario_pinch(pinched, nomes, tol, check="limit", **kw)]
-        if n == 1:
-            reports.append(scenario_pinch(pinched, nomes, tol, check="integral", **kw))
-            continued = make_continued(ps, nomes)
-            reports.append(scenario_pinch(continued, nomes, tol, check="continued", **kw))
-        return reports
-    raise ConfigurationError(
-        f"unknown scenario {name!r}; expected one of {', '.join(SCENARIO_NAMES)}"
-    )
+    spec = _scenario(name)
+    tol = spec.tol(n) if tol is None else tol
+    reports = []
+    for run in spec.runs(n, ps, nomes, ks):
+        started = time.monotonic()
+        rep = run(tol, budget=budget)
+        ms = int(round((time.monotonic() - started) * 1000)) if timing else None
+        reports.append(replace(rep, seed_index=seed_index, runtime_ms=ms))
+    return reports
 
 
 def run_row(
@@ -570,18 +565,17 @@ def run_row(
     """Sample ``row``'s draws at ``seed`` and run every case of each.
 
     ``count`` and ``tol`` override the row's draw count and the suite
-    tolerance; ``kw`` (budget, timing) goes to every runner.
+    tolerance; ``kw`` (budget, timing) goes to :func:`cases`.
     """
+    spec = _scenario(row.scenario)
     count = row.count if count is None else count
-    tol = default_tol(row.scenario, row.n) if tol is None else tol
     seed = seed + row.seed_offset
-    mode = DEFAULT_MODE[row.scenario] if row.mode is None else row.mode
-    if row.scenario == "dixon_anderson":
+    if spec.balancing is None:
         draws = sample_da_parameters(row.n, row.nomes, seed, count, box=row.box)
     else:
-        predicate = None
-        if (row.scenario, mode) == ("qde", BalancingMode.PQ):
-            predicate = lambda ps: _in_qde_window(ps, row.nomes)
+        mode = spec.balancing if row.mode is None else row.mode
+        in_window = spec.window is not None and mode is spec.balancing
+        predicate = partial(spec.window, nomes=row.nomes) if in_window else None
         draws = sample_parameters(
             mode, row.n, row.nomes, seed, count, t=row.t, box=row.box, predicate=predicate
         )
@@ -610,10 +604,8 @@ def run_suite(
     override the per-row defaults.  Reports are sorted by
     (scenario, n, seed_index, k, r, i) regardless of execution order.
     """
-    if scenario is not None and scenario not in SCENARIO_NAMES:
-        raise ConfigurationError(
-            f"unknown scenario {scenario!r}; expected one of {', '.join(SCENARIO_NAMES)}"
-        )
+    if scenario is not None:
+        _scenario(scenario)
     rows = [row for row in SUITE_ROWS if scenario in (None, row.scenario) and n in (None, row.n)]
     if not rows:
         raise ConfigurationError(

@@ -79,28 +79,24 @@ def test_scalar_functional_equations():
 def test_evaluation_formula_sampled(eval_sets_n1):
     worst = 0.0
     started = time.monotonic()
-    for idx, ps in enumerate(eval_sets_n1):
-        rep = scenario_eval_formula(1, ps, EVAL_NOMES, 1e-8, seed_index=idx)
+    for ps in eval_sets_n1:
+        rep = scenario_eval_formula(1, ps, EVAL_NOMES, 1e-8)
         assert rep.passed, rep.detail
         worst = max(worst, rep.rel_err)
     elapsed_n1 = time.monotonic() - started
     assert elapsed_n1 < 30.0
 
     started = time.monotonic()
-    for idx, ps in enumerate(
-        sample_parameters(BalancingMode.PQ, 2, EVAL_NOMES, seed=42 + 22, count=5)
-    ):
-        rep = scenario_eval_formula(2, ps, EVAL_NOMES, 1e-6, seed_index=idx)
+    for ps in sample_parameters(BalancingMode.PQ, 2, EVAL_NOMES, seed=42 + 22, count=5):
+        rep = scenario_eval_formula(2, ps, EVAL_NOMES, 1e-6)
         assert rep.passed, rep.detail
         worst = max(worst, rep.rel_err)
     elapsed_n2 = time.monotonic() - started
     assert elapsed_n2 < 300.0
 
     nm0 = Nomes(0.0, 0.12)
-    for idx, ps in enumerate(
-        sample_parameters(BalancingMode.PQ, 1, nm0, seed=42 + 13, count=2)
-    ):
-        rep = scenario_eval_formula(1, ps, nm0, 1e-8, seed_index=idx)
+    for ps in sample_parameters(BalancingMode.PQ, 1, nm0, seed=42 + 13, count=2):
+        rep = scenario_eval_formula(1, ps, nm0, 1e-8)
         assert rep.passed, rep.detail
         worst = max(worst, rep.rel_err)
     verdict(

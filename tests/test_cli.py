@@ -1,12 +1,16 @@
 """Command-line interface: literal grammar, eval targets, verify paths."""
 
+import inspect
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellselberg import Nomes, TruncationError, elliptic_gamma, theta
+from ellselberg import (
+    SCENARIO_NAMES, BalancingMode, Nomes, ParameterSet, TruncationError, elliptic_gamma, scenarios,
+    theta,
+)
 from ellselberg.cli import format_complex, main, parse_complex
 from ellselberg.scenarios import SUITE_ROWS, run_row
 
@@ -116,6 +120,23 @@ class TestEvalTargets:
         code, out = self.run(["eval", "theta", "--u", "0.3-0.12i", "--p", "0.05"], capsys)
         assert code == 0
         assert parse_complex(out) == pytest.approx(theta(0.3 - 0.12j, 0.05))
+
+    @pytest.mark.parametrize("p", ["1", "2", "0.9+0.5i"])
+    def test_theta_nome_outside_the_unit_disk_exits_2(self, capsys, p):
+        # not a ZeroDivisionError traceback at |p| = 1, nor a truncation
+        # message past it
+        code = main(["eval", "theta", "--u", "0.5", "--p", p])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: theta requires |p| < 1, got |p|=")
+
+    def test_C_reads_the_one_balancing_by_default(self, capsys):
+        # C_r is defined under the ONE balancing only, which --balancing one names
+        argv = ["eval", "C", "--r", "1", "--n", "2", "--t", "0.5",
+                "--a", "0.6,0.6+0.1i,0.65,-0.6,0.62", "--p", "0.015", "--q", "0.12"]
+        code, out = self.run(argv, capsys)
+        assert code == 0
+        assert (code, out) == self.run(argv + ["--balancing", "one"], capsys)
 
     def test_c_n(self, capsys):
         code, out = self.run(
@@ -510,3 +531,93 @@ class TestScenarioTable:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith(f"{flag} is read only by") and "reports" not in captured.out
+
+
+# What each kind of verify run reads, stated independently of the command
+# line's own table: a flag named here for a kind is read, every other one is
+# refused.  "format" and "timing" act only with --report; dixon_anderson has
+# no coupling and no balancing.
+_KINDS = {
+    "suite": [],
+    "sampled": ["--p", "0.05", "--q", "0.12"],
+    "explicit": ["--p", "0.05", "--q", "0.07", "--n", "1", "--a", "0.3,0.4,0.5,-0.2,0.25"],
+}
+_READ = {
+    "suite": {"n", "seed", "count", "grid", "tol", "format+report", "timing+report"},
+    "sampled": {"n", "t", "balancing", "seed", "count", "grid", "tol", "format+report",
+                "timing+report"},
+    "explicit": {"n", "t", "balancing", "a6", "grid", "tol", "format+report", "timing+report"},
+}
+# each flag's argv and how its value shows in the work the run hands on
+_FLAGS = {
+    "n": (["--n", "2"], lambda call, path: call["n"] == 2),
+    "t": (["--t", "0.3"], lambda call, path: call["t"] == 0.3),
+    "balancing": (["--balancing", "p"], lambda call, path: call["mode"] is BalancingMode.P),
+    "a6": (["--a6", "0.25"], lambda call, path: call["a"][4] == 0.25),
+    "seed": (["--seed", "9"], lambda call, path: call["seed"] == 9),
+    "count": (["--count", "5"], lambda call, path: call["count"] == 5),
+    "grid": (["--grid", "64"], lambda call, path: call["grid"] == 64),
+    "tol": (["--tol", "0.5"], lambda call, path: call["tol"] == 0.5),
+    "format": (["--format", "csv"], None),
+    "timing": (["--timing", "on"], None),
+    "format+report": (["--format", "csv", "--report"],
+                      lambda call, path: path.read_text().startswith("scenario,")),
+    "timing+report": (["--timing", "on", "--report"], lambda call, path: call["timing"] is True),
+}
+
+
+def _work_seen(monkeypatch):
+    """Replace the work verify hands on by recorders of what reaches it."""
+    seen = []
+
+    def recorder(fn):
+        signature = inspect.signature(fn)
+
+        def record(*args, **kwargs):
+            call = dict(signature.bind(*args, **kwargs).arguments)
+            call.update(call.pop("kw", {}))
+            call.setdefault("grid", call.get("budget"))
+            if (row := call.pop("row", None)) is not None:
+                call.update(n=row.n, t=row.t, mode=row.mode)
+            if isinstance(ps := call.get("ps"), ParameterSet):
+                call.update(t=ps.t, mode=ps.balancing_mode, a=ps.a)
+            elif ps is not None:
+                call.update(a=ps)
+            seen.append(call)
+            return []
+
+        return record
+
+    for name in ("run_suite", "run_row", "cases"):
+        monkeypatch.setattr(scenarios, name, recorder(getattr(scenarios, name)))
+    return seen
+
+
+class TestEveryFlagIsReadOrRefused:
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    @pytest.mark.parametrize("flag", _FLAGS)
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_flag(self, capsys, monkeypatch, tmp_path, kind, flag, name):
+        seen = _work_seen(monkeypatch)
+        coupled = name != "dixon_anderson"
+        argv = ["verify", "--scenario", name, *_KINDS[kind]]
+        if kind == "explicit" and coupled and flag != "t":
+            argv += ["--t", "0.45"]
+        if flag == "n" and "--n" in argv:
+            del argv[argv.index("--n") : argv.index("--n") + 2]
+        if flag == "a6" and "--a" in argv:
+            argv[argv.index("--a") + 1] = "0.3,0.4,0.5,-0.2"
+        flag_argv, read = _FLAGS[flag]
+        path = tmp_path / "out"
+        argv += flag_argv + ([str(path)] if flag.endswith("+report") else [])
+        expected = flag in _READ[kind] and (coupled or flag not in ("t", "balancing"))
+        code = main(argv)
+        captured = capsys.readouterr()
+        if expected:
+            assert code == 0, captured.err
+            (call,) = seen
+            assert read(call, path)
+        else:
+            assert code == 2
+            assert f"--{flag_argv[0][2:]} is read only by" in captured.err
+            assert seen == []

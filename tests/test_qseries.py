@@ -105,6 +105,15 @@ def test_nomes_reject_nan(p, q, name):
         Nomes(p, q)
 
 
+@pytest.mark.parametrize("f,name", [(theta, "p"), (qpoch_inf, "q")], ids=["theta", "qpoch_inf"])
+@pytest.mark.parametrize("nome", [1.0, -1.0, 2.0, 1j, math.nan, complex(0.1, math.nan)])
+def test_single_nome_outside_the_unit_disk_is_named(f, name, nome):
+    # not a ZeroDivisionError at |p| = 1, a truncation message past it, or
+    # a truncation message with nan
+    with pytest.raises(DomainError, match=rf"requires \|{name}\| < 1, got \|{name}\|="):
+        f(0.5, nome)
+
+
 moduli = st.floats(min_value=0.25, max_value=0.8)
 phases = st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True)
 nome_moduli = st.floats(min_value=0.01, max_value=0.3)

@@ -204,7 +204,7 @@ class TestStop:
         # is not marked (the stop rule keeps no state between ladders)
         stalls = (_stop(self.LADDER, 1e-7), _stop(self.LADDER, 1e-7))
         echo = dict(seed_index=0, n=1, p=0j, q=0j, t=None, a=(), balancing=None)
-        rep = scenarios._run("synthetic", echo, 1.0, False, lambda: (1.0, 1.0, stalls))
+        rep = scenarios._run("synthetic", echo, 1.0, lambda: (1.0, 1.0, stalls))
         assert (rep.detail, rep.grid_N) == (RETRY_NOTE, 64)
         assert not _stop(self.LADDER, 1e-5).retried
 

@@ -74,7 +74,7 @@ class TestEvalFormula:
         assert "inside the unit circle" in rep.detail
 
     def test_timing_flag_fills_runtime(self):
-        rep = scenario_eval_formula(1, pq_set(), NM, 1e-8, timing=True)
+        (rep,) = scenarios.cases("eval_formula", 1, pq_set(), NM, 1e-8, timing=True)
         assert isinstance(rep.runtime_ms, int)
 
 
@@ -321,6 +321,32 @@ class TestRetryNote:
         rep = scenario_eval_formula(1, pq_set(), NM, 1e-8)
         assert rep.passed
         assert rep.detail == ""
+
+
+class TestCases:
+    def test_stamps_seed_index_and_runtime_on_every_report(self):
+        ps = pq_set()
+        timed = scenarios.cases("qde", 1, ps, NM, 1e-7, ks=(1, 2), timing=True, seed_index=7)
+        assert [(rep.k, rep.seed_index) for rep in timed] == [(1, 7), (2, 7)]
+        assert all(isinstance(rep.runtime_ms, int) for rep in timed)
+        # the runners leave both to cases, and the rest of the report is theirs
+        plain = [scenario_qde(1, k, ps, NM, 1e-7) for k in (1, 2)]
+        assert {(rep.seed_index, rep.runtime_ms) for rep in plain} == {(0, None)}
+        assert to_json([replace(rep, seed_index=0, runtime_ms=None) for rep in timed]) == to_json(plain)
+        (untimed,) = scenarios.cases("eval_formula", 1, ps, NM, seed_index=3)
+        assert (untimed.seed_index, untimed.runtime_ms) == (3, None)
+
+    def test_unknown_scenario_name(self):
+        with pytest.raises(ConfigurationError, match="unknown scenario"):
+            scenarios.cases("evaluation", 1, pq_set(), NM)
+
+    @pytest.mark.parametrize(
+        "name,n,tol",
+        [("eval_formula", 1, 1e-8), ("eval_formula", 3, 1e-6), ("nabla", 2, 1e-7),
+         ("pinch", 2, 1e-6), ("dixon_anderson", 0, 1e-8)],
+    )
+    def test_a_rank_past_the_tolerances_takes_the_last(self, name, n, tol):
+        assert scenarios.SCENARIOS[name].tol(n) == tol
 
 
 class TestRunSuite:
