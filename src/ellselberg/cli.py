@@ -15,7 +15,7 @@ import re
 import sys
 from dataclasses import fields, replace
 
-from .config import Config, load_config
+from .config import Config, _keys, load_config
 from .errors import ConfigurationError, EllSelbergError
 from .integrand import c_constant, j_closed, psi
 from .invariants import BalancingMode, ParameterSet, coefficient_c, fundamental_invariant
@@ -169,10 +169,12 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _build_config(args) -> Config:
-    cfg = Config()
+def _build_config(args) -> tuple[Config, list]:
+    """The run's Config, the flags over its config file, and the keys the
+    file assigns."""
+    cfg, keys = Config(), []
     if getattr(args, "config", None):
-        cfg = load_config(args.config, cfg)
+        cfg, keys = load_config(args.config, cfg), _keys(args.config)
     overrides = {}
     for key in ("seed", "count", "tol", "grid"):
         val = getattr(args, key, None)
@@ -180,7 +182,7 @@ def _build_config(args) -> Config:
             overrides[key] = val
     if getattr(args, "timing", None) is not None:
         overrides["timing"] = args.timing == "on"
-    return replace(cfg, **overrides)
+    return replace(cfg, **overrides), keys
 
 
 def _parameter_set(args, nomes: Nomes, mode: BalancingMode) -> ParameterSet:
@@ -247,9 +249,9 @@ def _check_box_unused(cfg: Config) -> None:
 
 # The kinds of verify run: explicit runs are given --a, sampled ones --p or
 # --q, and suite runs neither.  Each kind requires the flags in _REQUIRES and
-# reads every flag but those in _UNREAD.  A scenario without a balancing
-# reads neither --t nor --balancing, and --format and --timing act only on
-# a --report.
+# reads every flag and config key but those in _UNREAD.  A scenario without
+# a balancing reads neither --t nor --balancing, and --format and --timing
+# (the key timing too) act only on a --report.
 _SUITE, _SAMPLED, _EXPLICIT = "suite", "sampled (--p/--q)", "explicit (--a)"
 _REQUIRES = {_SUITE: (), _SAMPLED: ("scenario", "p", "q"), _EXPLICIT: ("scenario", "n", "p", "q", "t")}
 _UNREAD = {_SUITE: ("t", "balancing", "a6"), _SAMPLED: ("a6",), _EXPLICIT: ("seed", "count")}
@@ -257,19 +259,31 @@ _UNREAD = {_SUITE: ("t", "balancing", "a6"), _SAMPLED: ("a6",), _EXPLICIT: ("see
 
 def _usage_error(args, kind: str) -> str | None:
     """The usage error of a verify run of this kind: the first flag it
-    requires that is missing, else the first flag given that it does not read."""
+    requires that is missing, a rank below 1, else the first flag given
+    that it does not read."""
     uncoupled = args.scenario is not None and scn.SCENARIOS[args.scenario].balancing is None
     for flag in _REQUIRES[kind]:
         if getattr(args, flag) is None and not (uncoupled and flag == "t"):
             return f"{kind} runs require --{flag}"
+    if args.n is not None and args.n < 1:
+        return f"--n must be at least 1, got {args.n}"
     for flag in [dest for dest in vars(args) if dest in getattr(args, "_given", ())]:
-        if flag in _UNREAD[kind]:
-            readers = [other for other in _UNREAD if flag not in _UNREAD[other]]
-            return f"--{flag} is read only by {' and '.join(readers)} runs"
-        if uncoupled and flag in ("t", "balancing"):
-            return f"--{flag} is read only by scenarios with a balancing, which {args.scenario} has not"
-        if flag in ("format", "timing") and args.report is None:
-            return f"--{flag} is read only by runs that write a --report"
+        if error := _unread(args, kind, flag, f"--{flag}"):
+            return error
+    return None
+
+
+def _unread(args, kind: str, name: str, label: str) -> str | None:
+    """The usage error of the flag or config key ``name``, shown as label,
+    given to a verify run of this kind that does not read it."""
+    uncoupled = args.scenario is not None and scn.SCENARIOS[args.scenario].balancing is None
+    if name in _UNREAD[kind]:
+        readers = [other for other in _UNREAD if name not in _UNREAD[other]]
+        return f"{label} is read only by {' and '.join(readers)} runs"
+    if uncoupled and name in ("t", "balancing"):
+        return f"{label} is read only by scenarios with a balancing, which {args.scenario} has not"
+    if name in ("format", "timing") and args.report is None:
+        return f"{label} is read only by runs that write a --report"
     return None
 
 
@@ -293,13 +307,17 @@ def _print_reports(reports) -> None:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _build_config(args)
+    cfg, keys = _build_config(args)
     kind = _EXPLICIT if args.a is not None else _SUITE if args.p is None and args.q is None else _SAMPLED
     if error := _usage_error(args, kind):
         print(error, file=sys.stderr)
         return 2
     if kind != _SAMPLED:
         _check_box_unused(cfg)
+    for key in keys:
+        if error := _unread(args, kind, key, f"config key {key}"):
+            print(error, file=sys.stderr)
+            return 2
     if kind == _EXPLICIT:
         reports = _explicit_reports(args, cfg)
     elif kind == _SAMPLED:

@@ -70,10 +70,8 @@ def _parse_value(key: str, raw: str):
         raise ConfigurationError(f"{key} expects a number, got {raw!r}") from exc
 
 
-def parse_config(text: str, base: Config | None = None) -> Config:
-    """Apply ``key = value`` lines from ``text`` on top of ``base``."""
-    cfg = base if base is not None else Config()
-    updates = {None: {}, "box": {}}
+def _assignments(text: str):
+    """The (key, raw value) of each assignment line of text, in order."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -83,15 +81,32 @@ def parse_config(text: str, base: Config | None = None) -> Config:
                 f"line {lineno}: expected 'key = value', got {line.rstrip()!r}"
             )
         key, raw = (part.strip() for part in stripped.split("=", 1))
+        yield key, raw
+
+
+def parse_config(text: str, base: Config | None = None) -> Config:
+    """Apply ``key = value`` lines from ``text`` on top of ``base``."""
+    cfg = base if base is not None else Config()
+    updates = {None: {}, "box": {}}
+    for key, raw in _assignments(text):
         value = _parse_value(key, raw)
         updates[_SECTION[key]][key] = value
     return replace(cfg, box=replace(cfg.box, **updates["box"]), **updates[None])
 
 
-def load_config(path: str, base: Config | None = None) -> Config:
+def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config(text, base)
+
+
+def load_config(path: str, base: Config | None = None) -> Config:
+    return parse_config(_read(path), base)
+
+
+def _keys(path: str) -> list:
+    """The keys the config file at path assigns, in order (a file that
+    load_config read)."""
+    return [key for key, _ in _assignments(_read(path))]

@@ -22,6 +22,8 @@ equal-shape complex arrays (elementwise grids).
 Each kernel is one factor list (see :mod:`.kernel`): on a quadrature node
 list (a Lattice) it is summed in log space, one group of factors at a time,
 and read by its index arrays alone; any other input is evaluated pointwise.
+A kernel is resolved once per parameter set (:func:`_held`): the ladder
+that holds the set reads its groups back on every rung.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError
 from .invariants import ParameterSet
-from .kernel import GAMMA, RECIP, Factor, Lattice, evaluate, pm
+from .kernel import GAMMA, RECIP, Factor, Kernel, Lattice, pm
 from .qseries import Nomes, _euler_pair, _gamma_product, elliptic_gamma
 
 
@@ -111,6 +113,21 @@ def _psi_kernel(params, nomes, tilde=False, coords=None):
     return _bc_kernel(per, params.t, range(params.n) if coords is None else coords)
 
 
+def _held(params: ParameterSet, key, nomes: Nomes, make):
+    """make(), held on params under key while it is asked for with the same
+    nomes object: a kernel resolved from the set is resolved once.  An error
+    in make holds nothing."""
+    held = params._held.get(key)
+    if held is None or held[0] is not nomes:
+        held = params._held[key] = (nomes, make())
+    return held[1]
+
+
+def _psi(params: ParameterSet, nomes: Nomes, tilde: bool = False) -> Kernel:
+    """The Kernel of Psi (Psi~ with ``tilde``), held on params."""
+    return _held(params, ("psi", tilde), nomes, lambda: Kernel(_psi_kernel(params, nomes, tilde), nomes))
+
+
 def psi(z, params: ParameterSet, nomes: Nomes):
     """The BC_n kernel Psi(z) for the given parameter set.
 
@@ -119,7 +136,7 @@ def psi(z, params: ParameterSet, nomes: Nomes):
     factors become single Pochhammer factors in the dual parameter
     t^(2n-2) prod of the remaining entries.
     """
-    return evaluate(_psi_kernel(params, nomes), _z_list(z, params.n), nomes)
+    return _psi(params, nomes)(_z_list(z, params.n))
 
 
 def psi_tilde(z, params: ParameterSet, nomes: Nomes):
@@ -128,7 +145,7 @@ def psi_tilde(z, params: ParameterSet, nomes: Nomes):
     At p = 0 the sixth factor is Gamma(0 * z^{+-1}) = 1 and simply drops;
     unlike :func:`psi` no dual-parameter limit is implied.
     """
-    return evaluate(_psi_kernel(params, nomes, tilde=True), _z_list(z, params.n), nomes)
+    return _psi(params, nomes, tilde=True)(_z_list(z, params.n))
 
 
 def j_closed(params: ParameterSet, nomes: Nomes) -> complex:

@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateParameterError, DomainError
-from .kernel import THETA, Factor, evaluate
+from .kernel import THETA, Factor, Kernel
 from .qseries import Nomes, theta, theta_pm
 
 # Below this magnitude a denominator theta counts as degenerate.
@@ -57,6 +57,8 @@ class ParameterSet:
     set, :meth:`validate` enforces the product constraint to 1e-14 relative.
     The solved entry may be exactly 0 only in the PQ mode with p q = 0
     (trigonometric degeneration, where the solved parameter's limit is 0).
+    A set is immutable, so what the kernels resolve from it is held with
+    it, in ``_held`` (see integrand._held).
     """
 
     n: int
@@ -73,6 +75,7 @@ class ParameterSet:
             raise DomainError("exactly six parameters a_1..a_6 are required")
         object.__setattr__(self, "a", tuple(complex(v) for v in self.a))
         object.__setattr__(self, "t", complex(self.t))
+        object.__setattr__(self, "_held", {})
 
     def balancing_product(self) -> complex:
         prod = 1.0 + 0.0j
@@ -185,22 +188,42 @@ def fundamental_invariant(
     theta(c z_i^{+-1}; p), is summed in log space like any kernel.  The sum
     runs over the binomial(n, r) complementary index pairs.
     """
-    coords = range(len(z)) if coords is None else coords
+    return _invariant(r, a, b, t, p, range(len(z)) if coords is None else coords)(z)
+
+
+def _invariant(r, a, b, t, p, coords):
+    """E_r(a, b; .) in the coordinates ``coords`` as a function of z, its
+    terms resolved once: each a Kernel of theta(c z_i^{+-1}; p) factors,
+    divided by the product of its constant denominators, which the first
+    call computes and checks term by term, as it evaluates them."""
     nomes = Nomes(p, 0.0)
-    total = None
+    terms = []
     for idx_i, idx_j in complementary_index_pairs(len(coords), r):
-        factors, den = [], 1.0 + 0.0j
+        factors, dens = [], []
         for k, ik in enumerate(idx_i, start=1):
             c = b * t ** (ik - k)
-            den = den * _theta_den(theta_pm(c, a * t ** (k - 1), p), f"b t^{ik - k} (a t^{k - 1})^(+-1)")
+            dens.append((c, a * t ** (k - 1), f"b t^{ik - k} (a t^{k - 1})^(+-1)"))
             factors.append(Factor(THETA, c, ((coords[ik - 1], 1),), True))
         for l, jl in enumerate(idx_j, start=1):
             c = a * t ** (jl - l)
-            den = den * _theta_den(theta_pm(c, b * t ** (l - 1), p), f"a t^{jl - l} (b t^{l - 1})^(+-1)")
+            dens.append((c, b * t ** (l - 1), f"a t^{jl - l} (b t^{l - 1})^(+-1)"))
             factors.append(Factor(THETA, c, ((coords[jl - 1], 1),), True))
-        term = evaluate(factors, z, nomes) / den
-        total = term if total is None else total + term
-    return total
+        terms.append((Kernel(factors, nomes), dens))
+    products = [None] * len(terms)
+
+    def e_r(z):
+        total = None
+        for j, (kernel, dens) in enumerate(terms):
+            if products[j] is None:
+                den = 1.0 + 0.0j
+                for c, x, label in dens:
+                    den = den * _theta_den(theta_pm(c, x, p), label)
+                products[j] = den
+            term = kernel(z) / products[j]
+            total = term if total is None else total + term
+        return total
+
+    return e_r
 
 
 def coefficient_c(r: int, params: ParameterSet, nomes: Nomes) -> complex:

@@ -51,14 +51,26 @@ divided by within POLE_TOL of 0 at a node is a pole of its factor there:
 the factor's qseries evaluator, at that node alone, raises the
 PoleProximityError that names it, as the pointwise path does.
 
-Series (at most _SERIES), the summed coefficients of a group (at most
-_GROUPS) and the layout of a kernel's factors into groups (at most
-_LAYOUTS) do not depend on N, so a ladder from 16 to 512 computes them
-once.  functools.lru_cache holds them, arrays read-only, keyed on the exact
-bits of every c, p and q (== takes 0.0 and -0.0 as one number, their bits
-do not).  What they hold changes the time a run takes, never a bit of its
-output.  No value on a circle is held (quadrature's rung cache holds each
-rung), so a factor that raised raises again.
+A Kernel (evaluate builds one per call) holds a factor list at its nomes.
+Its first Lattice resolves, group by group as it evaluates them, its
+layout, the keys of its groups (the exact bits of every c, p and q: ==
+takes 0.0 and -0.0 as one number, their bits do not) and their _Groups,
+and the Kernel holds them: every later rung runs _on_circle per distinct
+group, the gather at (alpha' . k) mod N and the product, and nothing else.
+An error leaves it unresolved, so a factor that raised raises again.  The
+integrands hold their Kernels per parameter set (integrand._held), so a
+ladder resolves each once.
+
+Process-wide functools.lru_caches hold, by exact bits, each factor's
+reduction with its series' coefficients (_factor, at most _FACTORS), the
+layouts (_layout, at most _LAYOUTS) and u^e on each circle (_root_powers,
+at most _POWERS, per N and e); qseries holds the series' denominators and
+quadrature the small lattices with their index arrays.  Arrays held are
+read-only.  What is held changes the time a run takes, never a bit of its
+output; no value on a circle is held (quadrature's rung cache holds each
+rung).  The sizes are the smallest that lose nothing, or little, on one
+pass of each benchmark workload at seed 1 replayed against unbounded
+caches (see the README).
 """
 
 from __future__ import annotations
@@ -79,13 +91,12 @@ GAMMA, RECIP, THETA, MONO = "gamma", "recip", "theta", "mono"
 # theta(c u; p) / (1 - c u), the series of a theta at an edge of its annulus.
 QUOTIENT = "quotient"
 
-# Series, groups and layouts the caches hold.  One pass at seed 1, replayed
-# against unbounded caches (the rung cache in place), builds 143 series, 41
-# groups and 12 layouts on the default suite and 472, 128 and 4 on
-# sweep_n1; neither misses more at 72 series, 12 groups and 12 layouts
-# (sweep_n1 builds 535 series at 64, the suite 42 groups at 8 and 13
-# layouts at 8).
-_SERIES, _GROUPS, _LAYOUTS = 80, 16, 16
+# Factors, layouts and root powers the caches hold.  One pass at seed 1,
+# replayed against unbounded caches, reduces 136 distinct factors (in 346
+# reads) on the default suite and 467 (in 1 040) on sweep_n1, 137 and 509
+# at 48 entries (494 at 64, 467 at 96, which hold a third more bytes);
+# neither builds more layouts at 16 (12 and 4) nor root powers at 32 (18).
+_FACTORS, _LAYOUTS, _POWERS = 48, 16, 32
 
 
 class Factor(NamedTuple):
@@ -108,22 +119,48 @@ def _roots(N: int) -> np.ndarray:
     return w
 
 
+@functools.lru_cache(maxsize=_POWERS)
+def _root_powers(N: int, e: int) -> np.ndarray:
+    """u^e on the circle u = w[m]: w[(e m) mod N], m = 0..N-1, read-only
+    (the roots themselves at e = 1)."""
+    if e == 1:
+        return _roots(N)
+    out = _roots(N)[e * np.arange(N) % N]
+    out.flags.writeable = False
+    return out
+
+
 class Lattice:
     """Node list of a quadrature grid: entry i is w[k[i]], gathered when read.
 
-    It holds N, the index arrays k and the quadrature weight of each node,
-    and w = _roots(N) holds the N-th roots of unity in order, so z^alpha is
-    w[(alpha . k) mod N]; :func:`evaluate` reads only N and k.
+    It holds N, the index arrays k (entries in 0..N-1) and the quadrature
+    weight of each node, and w = _roots(N) holds the N-th roots of unity in
+    order, so z^alpha is w[(alpha . k) mod N]; :func:`evaluate` reads only N
+    and :meth:`at`.  A lattice made with ``held`` (one that outlives its
+    rung) keeps each index array it computes.
     """
 
-    def __init__(self, N: int, k, weights):
+    def __init__(self, N: int, k, weights, held: bool = False):
         self.N, self.k, self.weights = N, tuple(k), weights
+        self._at = {} if held else None
 
     def __len__(self):
         return len(self.k)
 
     def __getitem__(self, i):
         return _roots(self.N)[self.k[i]]
+
+    def at(self, alpha):
+        """(alpha . k) mod N, the index of z^alpha in _roots(N) at each node:
+        k_i itself for alpha = ((i, 1),)."""
+        if len(alpha) == 1 and alpha[0][1] == 1:
+            return self.k[alpha[0][0]]
+        index = None if self._at is None else self._at.get(alpha)
+        if index is None:
+            index = sum(e * self.k[i] for i, e in alpha) % self.N
+            if self._at is not None:
+                self._at[alpha] = index
+        return index
 
 
 def _arg(c, alpha, zs):
@@ -193,16 +230,16 @@ def _reduced(kind, c, p, q):
         if steps > qseries.MAX_TERMS:
             raise TruncationError(f"more than {qseries.MAX_TERMS} steps reduce the circle", achieved_bound=math.inf)
 
-    def add(kind, bits, e, sign):
-        # the series of kind at the c, p and q in bits, in u^e, if certified
-        series = _series(kind, bits)
+    def add(kind, c, b, q, e, sign):
+        # the series of kind at c and the nomes (b, q), in u^e, if certified
+        series = _series(kind, c, b, q)
         if series is not None:
             terms.append((series, sign, e))
         return series is not None
 
-    def split(kind, bits, e, sign):
+    def split(kind, c, b, q, e, sign):
         # the series across an edge: certified, or no K is
-        if not add(kind, bits, e, sign):
+        if not add(kind, c, b, q, e, sign):
             raise TruncationError(f"no K <= {qseries.MAX_TERMS} certifies the circle's series across "
                                   "the edge of its annulus", achieved_bound=math.inf)
 
@@ -217,14 +254,14 @@ def _reduced(kind, c, p, q):
         while abs(x) <= abs(b):  # theta(y; b) = -(b/y) theta(y/b; b)
             mono(-b / x, -e, sign)
             x /= b
-        if add(THETA, _pack(x, b, 0j), e, sign):
+        if add(THETA, x, b, 0j, e, sign):
             return
         # at an edge of the annulus: theta(y; b) = theta(b/y; b) puts it at
         # the outer one, and theta(y; b) = (1 - y) (by; b)_inf (b/y; b)_inf
         if abs(x * x) < abs(b):
             x, e = b / x, -e
         lines.append((x, e, sign))
-        split(QUOTIENT, _pack(x, b, 0j), e, sign)
+        split(QUOTIENT, x, b, 0j, e, sign)
 
     def gamma(c, sign):
         # Gamma(c u)^sign
@@ -245,9 +282,9 @@ def _reduced(kind, c, p, q):
             c = outward(c)
         while abs(c) <= abs(a * b):
             c = inward(c)
-        if not add(GAMMA, _pack(c, p, q), 1, sign):
+        if not add(GAMMA, c, p, q, 1, sign):
             # at an edge of the annulus: one step more, across it
-            split(GAMMA, _pack(outward(c) if abs(c * c) >= abs(a * b) else inward(c), p, q), 1, sign)
+            split(GAMMA, outward(c) if abs(c * c) >= abs(a * b) else inward(c), p, q, 1, sign)
 
     if kind == MONO:
         mono(c, 1, 1)
@@ -258,21 +295,22 @@ def _reduced(kind, c, p, q):
     return const, shift, lines, terms
 
 
-# Signs of the u^k and u^-k coefficients of each series.
-_SIGNS = {GAMMA: (1.0, -1.0), THETA: (-1.0, -1.0), QUOTIENT: (-1.0, -1.0)}
+# Signs of the u^k and u^-k coefficients of each series, as a column.
+_SIGNS = {kind: np.array([[up], [down]]) for kind, (up, down) in
+          {GAMMA: (1.0, -1.0), THETA: (-1.0, -1.0), QUOTIENT: (-1.0, -1.0)}.items()}
 
 
-@functools.lru_cache(maxsize=_SERIES)
-def _series(kind, bits):
-    """Laurent coefficients, those of u^-K..u^K in order, of log Gamma(c u; p, q),
-    log theta(c u; p) or (QUOTIENT) log theta(c u; p) / (1 - c u); c, p, q = _unpack(bits).
+def _series(kind, c, p, q):
+    """The series of log Gamma(c u; p, q), log theta(c u; p) or (QUOTIENT)
+    log theta(c u; p) / (1 - c u) as (up, down, signs, den), or None unless
+    a K <= MAX_TERMS certifies its tail: signs[0] up^k / den[k-1] is its
+    coefficient of u^k and signs[1] down^k / den[k-1] that of u^-k,
+    k = 1..K = len(den).
 
-    None unless a K <= MAX_TERMS certifies the tail.  The denominators and
-    K are qseries._log_den's at the outer radius |c| and the inner |pq/c|
-    (|p/c| for theta, which is log Gamma's series at q = 0 with the signs of
-    _SIGNS; |pc| and |p/c| for QUOTIENT).
+    The denominators and K are qseries._log_den's at the outer radius |c|
+    and the inner |pq/c| (|p/c| for theta, which is log Gamma's series at
+    q = 0 with the signs of _SIGNS; |pc| and |p/c| for QUOTIENT).
     """
-    c, p, q = _unpack(bits)
     q = q if kind == GAMMA else 0j
     up, down = (c, (p * q if kind == GAMMA else p) / c) if kind != QUOTIENT else (p * c, p / c)
     a, b = abs(up), abs(down)
@@ -282,14 +320,30 @@ def _series(kind, bits):
         den = _log_den(p, q, a, b)
     except TruncationError:
         return None
+    return up, down, _SIGNS[kind], den
+
+
+def _coefficients(series):
+    """The coefficients of u^-K..u^K of a _series, read-only: the powers of
+    up and down in one numpy call, times their signs and over the
+    denominators in one each, so each has the bits of sign * x**k / den."""
+    up, down, signs, den = series
     K = len(den)
-    k = np.arange(1, K + 1)
-    sign_up, sign_down = _SIGNS[kind]
+    terms = signs * np.array([[up], [down]]) ** np.arange(1, K + 1) / den
     out = np.zeros(2 * K + 1, dtype=complex)
-    out[K + 1 :] = sign_up * up**k / den
-    out[K - 1 :: -1] = sign_down * down**k / den
+    out[K + 1 :] = terms[0]
+    out[K - 1 :: -1] = terms[1]
     out.flags.writeable = False
     return out
+
+
+@functools.lru_cache(maxsize=_FACTORS)
+def _factor(kind, bits):
+    """f(c u) at the c, p and q in bits as _reduced gives it, each series
+    as its coefficients: (const, shift, lines, ((coef, sign, e), ...))."""
+    c, p, q = _unpack(bits)
+    const, shift, lines, terms = _reduced(kind, c, p, q)
+    return const, shift, tuple(lines), tuple((_coefficients(series), sign, e) for series, sign, e in terms)
 
 
 class _Group(NamedTuple):
@@ -303,31 +357,31 @@ class _Group(NamedTuple):
     lines: tuple
 
 
-@functools.lru_cache(maxsize=_GROUPS)
 def _group(reads, bits):
     """The _Group of the factors f(c u^d), and f(c u^-d) for a pm one, of
     each (kind, d, pm) of reads; bits packs each c, then p and q."""
-    values = struct.unpack(f"{len(bits) // 8}d", bits)
-    *cs, p, q = (complex(values[j], values[j + 1]) for j in range(0, len(values), 2))
+    nomes = bits[-32:]
     const, shift, lines, terms = 1.0 + 0.0j, 0, [], []
-    for (kind, d, both), c in zip(reads, cs):
-        its_const, its_shift, its_lines, its_terms = _reduced(kind, c, p, q)
+    for j, (kind, d, both) in enumerate(reads):
+        its = bits[16 * j : 16 * j + 16] + nomes
+        its_const, its_shift, its_lines, its_terms = _factor(kind, its)
+        c = complex(*struct.unpack("2d", its[:16]))
         for side in (d, -d)[: 1 + both]:
             const *= its_const
             shift += side * its_shift
             lines += [(x, side * e, sign, (kind, c, side)) for x, e, sign in its_lines]
-            terms += [(series, sign, side * e) for series, sign, e in its_terms]
-    J = max((len(series) // 2 * abs(e) for series, _, e in terms), default=0)
+            terms += [(coef, sign, side * e) for coef, sign, e in its_terms]
+    J = max((len(coef) // 2 * abs(e) for coef, _, e in terms), default=0)
     coef = np.zeros(2 * J + 1, dtype=complex)
-    for series, sign, e in terms:
+    for row, sign, e in terms:
         # u^(e j), j = -K..K, at J + e j
-        K, step = len(series) // 2, abs(e)
+        K, step = len(row) // 2, abs(e)
         at = coef[J - step * K : J + step * K + 1 : step]
-        series = series if e > 0 else series[::-1]
+        row = row if e > 0 else row[::-1]
         if sign > 0:
-            at += series
+            at += row
         else:
-            at -= series
+            at -= row
     coef.flags.writeable = False
     return _Group(coef, const, shift, tuple(lines))
 
@@ -338,30 +392,27 @@ def _on_circle(group, N, nomes):
     the constant, the power and the line factors.  A line divided by within
     POLE_TOL of 0 has its factor's qseries evaluator raise the pole error."""
     coef, const, shift, lines = group
-    w, m = _roots(N), np.arange(N)
     # entry i is the coefficient of u^(i - J), so it folds at (offset + i) mod N
     offset = -(len(coef) // 2) % N
     folded = np.zeros(-(-(offset + len(coef)) // N) * N, dtype=complex)
     folded[offset : offset + len(coef)] = coef
     # const u^shift prod (1 - x u^e)^sign, then one product with the exp
-    rest = const * w[shift * m % N] if shift else np.full(N, const)
+    rest = const * _root_powers(N, shift) if shift else np.full(N, const)
     for x, e, sign, (kind, c, side) in lines:
         # x = 1 is an exact zero where e m = 0 mod N: w[0] = 1
-        line = 1.0 - x * w[e * m % N]
+        line = 1.0 - x * _root_powers(N, e)
         if sign > 0:
             rest *= line
             continue
         near = np.abs(line) < POLE_TOL
         if near.any():
-            _apply(kind, c * w[side * m[near] % N], nomes)
+            _apply(kind, c * _roots(N)[side * np.flatnonzero(near) % N], nomes)
         rest /= line
     return np.exp(np.fft.ifft(folded.reshape(-1, N).sum(axis=0), norm="forward")) * rest
 
 
-# Held, a kernel's layout is not rebuilt per call: without the cache,
-# sweep_n1 (seed 1) took 0.219 s against 0.201 s and the default suite
-# 0.114 s against 0.106 s (medians of 10 alternating pairs, 2-core Xeon;
-# the cache faster in 10 and 8 of them, beyond either's interquartile range).
+# Held, a layout serves every parameter set of a kernel's shape: sweep_n1
+# resolves 144 kernels of 4 shapes per pass.
 @functools.lru_cache(maxsize=_LAYOUTS)
 def _layout(shapes):
     """The groups of factors of the (alpha, kind, pm) shapes, as (alpha',
@@ -380,15 +431,46 @@ def _layout(shapes):
     return tuple((base, tuple(reads), tuple(at)) for base, reads, at in groups.values())
 
 
+class Kernel:
+    """A factor list at its nomes; called on z, the product of the factors
+    there: one value, or one per grid point.
+
+    Any z but a Lattice is evaluated pointwise.  The first Lattice resolves
+    the kernel's layout, the keys of its groups and their _Groups, group by
+    group as it evaluates them; the resolution is held when that call
+    returns, so each later rung runs _on_circle per distinct group, the
+    gather and the product alone.
+    """
+
+    __slots__ = ("factors", "nomes", "_groups", "_reads")
+
+    def __init__(self, factors, nomes):
+        self.factors, self.nomes = factors, nomes
+        self._groups = self._reads = None
+
+    def __call__(self, z):
+        if not isinstance(z, Lattice):
+            return _fold(_value(f, z, self.nomes) for f in self.factors)
+        N, nomes = z.N, self.nomes
+        if self._reads is None:
+            groups, reads, tables, index = [], [], [], {}
+            for base, kinds, at in _layout(tuple((f.alpha, f.kind, f.pm) for f in self.factors)):
+                key = (kinds, _pack(*(self.factors[j].c for j in at), nomes.p, nomes.q))
+                if key not in index:
+                    index[key] = len(groups)
+                    groups.append(_group(*key))
+                    tables.append(_on_circle(groups[-1], N, nomes))
+                reads.append((base, index[key]))
+            self._groups, self._reads = tuple(groups), tuple(reads)
+        else:
+            tables = [_on_circle(group, N, nomes) for group in self._groups]
+        out = None
+        for base, j in self._reads:
+            values = tables[j][z.at(base)]
+            out = values if out is None else out * values
+        return 1.0 + 0.0j if out is None else out
+
+
 def evaluate(factors, z, nomes):
     """Product of the factors at z: one value, or one per grid point."""
-    if not isinstance(z, Lattice):
-        return _fold(_value(f, z, nomes) for f in factors)
-    N, tables, out = z.N, {}, None
-    for base, reads, at in _layout(tuple((f.alpha, f.kind, f.pm) for f in factors)):
-        group = (reads, _pack(*(factors[j].c for j in at), nomes.p, nomes.q))
-        if group not in tables:
-            tables[group] = _on_circle(_group(*group), N, nomes)
-        values = tables[group][sum(e * z.k[i] for i, e in base) % N]
-        out = values if out is None else out * values
-    return 1.0 + 0.0j if out is None else out
+    return Kernel(factors, nomes)(z)

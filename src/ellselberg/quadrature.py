@@ -36,9 +36,9 @@ from itertools import chain
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError
-from .integrand import _psi_kernel, _z_list, psi_tilde
-from .invariants import ParameterSet, fundamental_invariant
-from .kernel import GAMMA, MONO, RECIP, Factor, Lattice, evaluate
+from .integrand import _held, _psi_kernel, _z_list, psi_tilde
+from .invariants import ParameterSet, _invariant
+from .kernel import GAMMA, MONO, RECIP, Factor, Kernel, Lattice
 from .qseries import Nomes
 
 # Points per circle of the first rung of every trapezoid ladder.
@@ -54,6 +54,14 @@ RETRY_NOTE = "retried at 50x looser stop"
 # cache computes 115 and 486 rungs; 32 entries lose no hit against it, 16
 # lose 12 of the suite's.
 _RUNGS = 32
+
+# Lattices _nodes holds, and the most nodes a held one has.  One pass at
+# seed 1, replayed against an unbounded cache, builds no more at 16: suite
+# 13 lattices in 90 held reads, sweep_n1 10 in 486.  Larger grids (rank 2
+# from N = 32 half folded, from N = 64 folded) are built per rung: held with
+# their index arrays, they took what a suite pass leaves held to 3.3 MB
+# (tracemalloc), where every cache of the parent commit held 0.55 MB.
+_NODES, _HELD_NODES = 16, 512
 
 
 def default_budget(n: int) -> int:
@@ -79,16 +87,34 @@ class QuadratureGrid:
             raise DomainError(f"fold {self.fold} is not an increasing list of coordinates of {self.n}")
 
     def nodes(self) -> Lattice:
-        """The grid's nodes as a Lattice with the weight of each node."""
-        reps, weights = _representatives(len(self.fold), self.N)
-        free = [i for i in range(self.n) if i not in self.fold]
-        if not free:
-            return Lattice(self.N, reps, weights)
-        idx = np.indices((reps.shape[1],) + (self.N,) * len(free)).reshape(1 + len(free), -1)
-        k = np.empty((self.n, idx.shape[1]), dtype=np.intp)
-        k[list(self.fold)] = reps[:, idx[0]]
-        k[free] = idx[1:]
-        return Lattice(self.N, k, weights[idx[0]] / float(self.N) ** len(free))
+        """The grid's nodes as a Lattice with the weight of each node.
+
+        A grid of at most _HELD_NODES nodes is held (_nodes), with the
+        index arrays its kernels read; a larger one is built afresh."""
+        fold = tuple(self.fold)
+        size = math.comb(self.N // 2 + len(fold), len(fold)) * self.N ** (self.n - len(fold))
+        return _nodes(self.n, self.N, fold) if size <= _HELD_NODES else _lattice(self.n, self.N, fold)
+
+
+def _lattice(n: int, N: int, fold: tuple, held: bool = False) -> Lattice:
+    """The nodes of QuadratureGrid(n, N, fold), its arrays read-only."""
+    reps, weights = _representatives(len(fold), N)
+    free = [i for i in range(n) if i not in fold]
+    if not free:
+        return Lattice(N, reps, weights, held)
+    idx = np.indices((reps.shape[1],) + (N,) * len(free)).reshape(1 + len(free), -1)
+    k = np.empty((n, idx.shape[1]), dtype=np.intp)
+    k[list(fold)] = reps[:, idx[0]]
+    k[free] = idx[1:]
+    weights = weights[idx[0]] / float(N) ** len(free)
+    k.flags.writeable = weights.flags.writeable = False
+    return Lattice(N, k, weights, held)
+
+
+@functools.lru_cache(maxsize=_NODES)
+def _nodes(n: int, N: int, fold: tuple) -> Lattice:
+    """_lattice, held."""
+    return _lattice(n, N, fold, held=True)
 
 
 @functools.lru_cache(maxsize=32)
@@ -293,12 +319,27 @@ def _nabla_term(i, rest, params, nomes, shifted=False):
 def _nabla_pointwise(r, i, z, params, nomes):
     """(G, |H|) for H = phi_{r,i} Psi~ and G(z) = H(z) - H(z | z_i -> q z_i), fused form."""
     zs = _z_list(z, params.n)
+    return _held(params, ("nabla", r, i), nomes, lambda: _nabla(r, i, params, nomes))(zs)
+
+
+def _nabla(r, i, params, nomes):
+    """_nabla_pointwise's function of z, its four kernels resolved once: the
+    common factor E_{r-1} Psi~ in the coordinates other than z_i and the
+    plain and shifted terms."""
     rest = [j for j in range(params.n) if j != i - 1]
-    common = fundamental_invariant(r - 1, params.a[0], params.a[5], zs, params.t, nomes.p, coords=rest)
-    common = common * evaluate(_psi_kernel(params, nomes, True, rest), zs, nomes)
-    t_plain = evaluate(_nabla_term(i - 1, rest, params, nomes), zs, nomes)
-    t_shift = evaluate(_nabla_term(i - 1, rest, params, nomes, shifted=True), zs, nomes)
-    return common * (t_plain - t_shift), np.abs(common * t_plain)
+    e_r = _invariant(r - 1, params.a[0], params.a[5], params.t, nomes.p, rest)
+    weight = Kernel(_psi_kernel(params, nomes, True, rest), nomes)
+    plain = Kernel(_nabla_term(i - 1, rest, params, nomes), nomes)
+    shifted = Kernel(_nabla_term(i - 1, rest, params, nomes, shifted=True), nomes)
+
+    def f(zs):
+        common = e_r(zs)
+        common = common * weight(zs)
+        t_plain = plain(zs)
+        t_shift = shifted(zs)
+        return common * (t_plain - t_shift), np.abs(common * t_plain)
+
+    return f
 
 
 def nabla_quad(

@@ -34,10 +34,10 @@ from .invariants import (
     BalancingMode,
     ParameterSet,
     boundary_expectation_ratio,
+    _invariant,
     coefficient_c,
-    fundamental_invariant,
 )
-from .kernel import GAMMA, evaluate, pm
+from .kernel import GAMMA, Kernel, pm
 from .qseries import MAX_TERMS, TAIL_TOL, Nomes, _euler_pair, _gamma_product, theta
 from .quadrature import (
     MIN_BUDGET,
@@ -222,10 +222,11 @@ def scenario_qde(
 
 def _expect_invariant(r, params, nomes, tol, budget):
     """<E_r> = integral of E_r Psi~, refined against its own coarse magnitude."""
-    a1, a6, t, n = params.a[0], params.a[5], params.t, params.n
+    n = params.n
+    e_r = _invariant(r, params.a[0], params.a[5], params.t, nomes.p, range(n))
 
     def phi(z):
-        return fundamental_invariant(r, a1, a6, _z_list(z, n), t, nomes.p)
+        return e_r(_z_list(z, n))
 
     key = _params_key("E", (r,), params, nomes)
     return _scaled(_weighted(phi, params, nomes), n, 0.1 * tol, budget, 1e-12, key)[0]
@@ -320,9 +321,9 @@ def scenario_dixon_anderson(
             raise SampleRejectionError(f"prod a_m = {prod!r} violates p q = {target!r}")
         rhs = _da_closed(a, n, nomes)
         scale = max(abs(rhs), 1.0)
-        kernel = _bc_kernel([pm(GAMMA, am) for am in a], None, range(n))
+        kernel = Kernel(_bc_kernel([pm(GAMMA, am) for am in a], None, range(n)), nomes)
         quad = torus_integrate(
-            lambda z: evaluate(kernel, _z_list(z, n), nomes),
+            lambda z: kernel(_z_list(z, n)),
             n, 0.1 * tol * scale, budget, fold=range(n),
             key=_key("da", (n,), (*a, nomes.p, nomes.q)),
         )

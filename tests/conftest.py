@@ -15,8 +15,8 @@ def cold_rungs():
 
 
 def _clear_truncated():
-    for cache in (qseries._scalar, qseries._ring, qseries._base, qseries._shift_length,
-                  kernel._series, kernel._group):
+    for cache in (qseries._scalar, qseries._ring, qseries._base, qseries._shift_length, qseries._den,
+                  kernel._factor, kernel._layout, kernel._root_powers, quadrature._nodes):
         cache.cache_clear()
 
 

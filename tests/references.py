@@ -12,7 +12,7 @@ evaluators at double precision.
 
 import numpy as np
 
-from ellselberg import DomainError, Nomes, ParameterSet
+from ellselberg import DomainError, Nomes, ParameterSet, TruncationError
 from ellselberg.integrand import _bc_kernel, _z_list
 from ellselberg.invariants import _theta_den, fundamental_invariant
 from ellselberg.kernel import GAMMA, RECIP, evaluate, pm
@@ -181,3 +181,26 @@ def richardson_limit(f, eps_coarse: float = 1e-3, eps_fine: float = 1e-4) -> com
     extrapolation; the leftover error is O(eps_coarse eps_fine)."""
     f_coarse, f_fine = complex(f(eps_coarse)), complex(f(eps_fine))
     return (eps_coarse * f_fine - eps_fine * f_coarse) / (eps_coarse - eps_fine)
+
+
+def series_terms_by_bisection(p, q, outer: float, inner: float, tail_tol: float, max_terms: int) -> int:
+    """The smallest K in 1..max_terms whose tail bound of the log series,
+
+        (outer^(K+1)/(1 - outer) + inner^(K+1)/(1 - inner)) / ((K + 1) D),
+
+    D = (1 - |p|)(1 - |q|), is below tail_tol / max_terms, found by
+    bisection, as qseries._log_den once found it; TruncationError where
+    max_terms does not certify it."""
+    D = (1.0 - abs(p)) * (1.0 - abs(q))
+
+    def tail(K):
+        return (outer ** (K + 1) / (1.0 - outer) + inner ** (K + 1) / (1.0 - inner)) / ((K + 1) * D)
+
+    tol = tail_tol / max_terms
+    if tail(max_terms) >= tol:
+        raise TruncationError("over max_terms", achieved_bound=tail(max_terms))
+    lo, K = 0, max_terms
+    while K - lo > 1:
+        mid = (lo + K) // 2
+        lo, K = (lo, mid) if tail(mid) < tol else (mid, K)
+    return K

@@ -621,3 +621,61 @@ class TestEveryFlagIsReadOrRefused:
             assert code == 2
             assert f"--{flag_argv[0][2:]} is read only by" in captured.err
             assert seen == []
+
+
+class TestRankAndConfigKeys:
+    """A rank below 1 is refused on every kind of run, and a config key
+    follows its flag's rule: each refusal exits 2, names what it refuses
+    and runs no work."""
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    @pytest.mark.parametrize("name", ["dixon_anderson", "eval_formula"])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_rank_below_one_exits_2(self, capsys, monkeypatch, kind, name, n):
+        seen = _work_seen(monkeypatch)
+        argv = ["verify", "--scenario", name, *_KINDS[kind]]
+        if "--n" in argv:
+            del argv[argv.index("--n") : argv.index("--n") + 2]
+        if kind == "explicit" and name != "dixon_anderson":
+            argv += ["--t", "0.45"]
+        code = main(argv + ["--n", n])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"--n must be at least 1, got {n}" in captured.err and "Traceback" not in captured.err
+        assert seen == []
+
+    @pytest.mark.parametrize(
+        "kind,text,report,refused",
+        [
+            ("explicit", "count = 5\n", False, "count"),
+            ("explicit", "seed = 3\n", False, "seed"),
+            ("explicit", "tol = 1e-3\ncount = 5\nseed = 3\n", False, "count"),
+            ("suite", "timing = on\n", False, "timing"),
+            ("sampled", "timing = off\n", False, "timing"),
+            ("suite", "seed = 3\ncount = 2\n", False, None),
+            ("sampled", "seed = 3\ncount = 2\ntiming = on\n", True, None),
+            ("explicit", "tol = 1e-3\ngrid = 64\ntiming = on\n", True, None),
+        ],
+    )
+    def test_config_key_follows_its_flags_rule(self, capsys, monkeypatch, tmp_path, kind, text, report, refused):
+        seen = _work_seen(monkeypatch)
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text(text)
+        argv = ["verify", "--scenario", "eval_formula", *_KINDS[kind], "--config", str(cfg)]
+        if kind == "explicit":
+            argv += ["--t", "0.45"]
+        if report:
+            argv += ["--report", str(tmp_path / "out.json")]
+        code = main(argv)
+        captured = capsys.readouterr()
+        if refused is None:
+            assert code == 0, captured.err
+            (call,) = seen
+            for line in text.splitlines():
+                key, value = (part.strip() for part in line.split("="))
+                want = {"on": True, "off": False}.get(value, value)
+                assert str(call[key]) == str(want) or call[key] == float(want), (key, call[key])
+        else:
+            assert code == 2
+            assert f"config key {refused} is read only by" in captured.err
+            assert seen == []

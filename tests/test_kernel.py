@@ -1,7 +1,7 @@
 """Kernel descriptions: lattice group sums against the pointwise reference and the oracle."""
 
+import dataclasses
 import hashlib
-import struct
 
 import mpmath as mp
 import numpy as np
@@ -20,9 +20,9 @@ from ellselberg import (
     psi_tilde,
     run_suite,
 )
-from ellselberg import kernel
+from ellselberg import invariants, kernel, qseries, quadrature
 from ellselberg.integrand import _bc_kernel, _psi_kernel
-from ellselberg.kernel import GAMMA, MONO, RECIP, THETA, Factor, Lattice, evaluate, pm
+from ellselberg.kernel import GAMMA, MONO, RECIP, THETA, Factor, Kernel, Lattice, evaluate, pm
 from ellselberg.quadrature import _nabla_pointwise, _nabla_term
 from ellselberg.report import to_json
 from oracles import ogamma, otheta
@@ -43,22 +43,24 @@ def cold_caches():
 
 
 def clear_caches():
-    for cache in (kernel._series, kernel._group, kernel._layout):
+    for cache in (kernel._factor, kernel._layout, kernel._root_powers, qseries._den, quadrature._nodes):
         cache.cache_clear()
 
 
 def series_of(kind, c, nomes=NM):
-    """kernel._series of f(c w) (1/Gamma's is minus Gamma's): its own
-    Laurent series, None where no K <= MAX_TERMS certifies it."""
-    c, p, q = complex(c), nomes.p, nomes.q
-    kind = GAMMA if kind == RECIP else kind
-    return kernel._series(kind, struct.pack("6d", c.real, c.imag, p.real, p.imag, q.real, q.imag))
+    """The coefficients of kernel._series of f(c w) (1/Gamma's is minus
+    Gamma's): its own Laurent series, None where no K <= MAX_TERMS
+    certifies it."""
+    series = kernel._series(GAMMA if kind == RECIP else kind, complex(c), nomes.p, nomes.q)
+    return None if series is None else kernel._coefficients(series)
 
 
 def without_caches(monkeypatch):
-    """Build every group, series and layout with nothing held."""
-    for name in ("_series", "_group", "_layout"):
-        monkeypatch.setattr(kernel, name, getattr(kernel, name).__wrapped__)
+    """Build every factor, layout, power of the roots, denominator and
+    lattice with nothing held."""
+    for module, name in ((kernel, "_factor"), (kernel, "_layout"), (kernel, "_root_powers"),
+                         (qseries, "_den"), (quadrature, "_nodes")):
+        monkeypatch.setattr(module, name, getattr(module, name).__wrapped__)
 
 
 def on_circle(kind, c, N, nomes=NM):
@@ -241,7 +243,7 @@ def test_rank1_rung_runs_one_inverse_fft(counted, name):
 
 def test_suite_report_is_the_same_on_a_cold_and_a_warm_cache(monkeypatch):
     # what the caches hold may change a run's time, never its reports
-    cached = kernel._group
+    cached = kernel._factor
     cold = to_json(run_suite())
     assert cached.cache_info().currsize
     assert to_json(run_suite()) == cold
@@ -251,55 +253,74 @@ def test_suite_report_is_the_same_on_a_cold_and_a_warm_cache(monkeypatch):
     assert cached.cache_info() == held
 
 
-def test_cached_tables_are_read_only_and_reused(monkeypatch):
-    # the summed coefficients of each group and the series they sum do not
-    # depend on N; they are held read-only, and a second evaluation reads
-    # them back and builds none
-    caches, held = (kernel._group, kernel._series), []
+def recorded(monkeypatch, *names):
+    """The calls of each kernel function named, recorded as (name, value)
+    while the function still runs."""
+    calls = []
 
-    def recording(cache):
+    def recording(name, function):
         def wrapped(*args):
-            value = cache(*args)
-            if value is not None:
-                held.append(value.coef if isinstance(value, kernel._Group) else value)
+            value = function(*args)
+            calls.append((name, value))
             return value
+        wrapped.cache_info = getattr(function, "cache_info", None)
         return wrapped
 
-    for cache in caches:
-        monkeypatch.setattr(kernel, cache.__name__, recording(cache))
-    grid = QuadratureGrid(2, 32).nodes()
-    first = psi_tilde(grid, pq_set(2), NM)
-    assert all(cache.cache_info().misses for cache in caches)
+    for name in names:
+        monkeypatch.setattr(kernel, name, recording(name, getattr(kernel, name)))
+    return calls
+
+
+def test_cached_tables_are_read_only_and_reused(monkeypatch):
+    # the summed coefficients of each group and the series of each factor
+    # do not depend on N; they are held read-only, and a second evaluation
+    # with the parameter set reads its resolved kernel: it builds no group
+    # and looks up no factor or layout
+    calls = recorded(monkeypatch, "_group", "_factor", "_layout")
+    grid, ps = QuadratureGrid(2, 32).nodes(), pq_set(2)
+    first = psi_tilde(grid, ps, NM)
+    assert kernel._factor.cache_info().misses
+    held = [value.coef for name, value in calls if name == "_group"]
+    held += [coef for name, value in calls if name == "_factor" for coef, _, _ in value[3]]
+    assert held
     for array in held:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
-    misses = [cache.cache_info().misses for cache in caches]
-    again = psi_tilde(grid, pq_set(2), NM)
-    assert [cache.cache_info().misses for cache in caches] == misses
+    calls.clear()
+    again = psi_tilde(grid, ps, NM)
+    assert calls == []
     assert np.array_equal(first, again)
 
 
-def test_invariant_tables_are_cached():
-    # E_r's theta(c z_i^{+-1}; p) groups are held like every kernel's
+def test_invariant_tables_are_cached(monkeypatch):
+    # E_r's theta(c z_i^{+-1}; p) factors are held like every kernel's, and
+    # E_r resolved once builds its groups at its first lattice alone
     ps, grid = one_set(2), QuadratureGrid(2, 32).nodes()
     first = fundamental_invariant(1, ps.a[0], ps.a[5], grid, ps.t, NM_ONE.p)
-    misses = kernel._group.cache_info().misses
+    misses = kernel._factor.cache_info().misses
     again = fundamental_invariant(1, ps.a[0], ps.a[5], grid, ps.t, NM_ONE.p)
-    assert misses > 0 and kernel._group.cache_info().misses == misses
+    assert misses > 0 and kernel._factor.cache_info().misses == misses
     assert np.array_equal(first, again)
+    calls = recorded(monkeypatch, "_group", "_factor")
+    e_1 = invariants._invariant(1, ps.a[0], ps.a[5], ps.t, NM_ONE.p, range(2))
+    resolved = e_1(grid)
+    assert calls and all(name == "_factor" or name == "_group" for name, _ in calls)
+    calls.clear()
+    assert e_1(grid).tobytes() == resolved.tobytes() == first.tobytes()
+    assert calls == []
 
 
 def test_caches_stay_within_their_bounds():
-    # one group and two series for each m
-    for m in range(max(kernel._GROUPS, kernel._SERIES) + 1):
+    # two factors for each m
+    for m in range(kernel._FACTORS // 2 + 1):
         factors = [pm(GAMMA, 0.5 * np.exp(0.01j * m)), Factor(GAMMA, 0.3 + 0.001 * m, ((0, 2),))]
         for N in (64, 512):
             evaluate(factors, QuadratureGrid(1, N).nodes(), NM)
-            assert kernel._group.cache_info().currsize <= kernel._GROUPS
-            assert kernel._series.cache_info().currsize <= kernel._SERIES
-    assert kernel._group.cache_info().currsize == kernel._GROUPS
-    assert kernel._series.cache_info().currsize == kernel._SERIES
+            assert kernel._factor.cache_info().currsize <= kernel._FACTORS
+    assert kernel._factor.cache_info().currsize == kernel._FACTORS
+    for cache in (kernel._layout, kernel._root_powers, qseries._den, quadrature._nodes):
+        assert cache.cache_info().currsize <= cache.cache_info().maxsize
 
 
 def test_pole_error_is_raised_again_and_stores_nothing():
@@ -312,9 +333,15 @@ def test_pole_error_is_raised_again_and_stores_nothing():
             evaluate(factors, grid, NM)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
-    # the group is built once and held; its line factor, zero at the node,
-    # sends that node alone to the qseries evaluator; no value is held
-    assert kernel._group.cache_info()[:2] == (1, 1)  # hits, misses
+    # the factor is reduced once and held; its line factor, zero at the
+    # node, sends that node alone to the qseries evaluator; no value is
+    # held, and a kernel whose first lattice raised holds no resolution
+    assert kernel._factor.cache_info()[:2] == (1, 1)  # hits, misses
+    resolved = Kernel(factors, NM)
+    for _ in range(2):
+        with pytest.raises(PoleProximityError, match=messages[0].split(":")[0]):
+            resolved(grid)
+        assert resolved._reads is None
 
 
 # One factor of each kind; "pair" is a rank-2 group.  Each case runs with
@@ -412,19 +439,21 @@ def test_pole_on_an_odd_node_raises_and_stores_nothing():
     with pytest.raises(PoleProximityError) as direct:
         evaluate(factors, QuadratureGrid(1, N).nodes(), NM)
     clear_caches()
-    evaluate(factors, QuadratureGrid(1, N // 2).nodes(), NM)  # no pole on the even nodes
-    held = kernel._group.cache_info().currsize
+    resolved = Kernel(factors, NM)
+    resolved(QuadratureGrid(1, N // 2).nodes())  # no pole on the even nodes
+    held, groups = kernel._factor.cache_info().currsize, resolved._groups
     with pytest.raises(PoleProximityError) as err:
-        evaluate(factors, QuadratureGrid(1, N).nodes(), NM)
+        resolved(QuadratureGrid(1, N).nodes())
     assert str(err.value) == str(direct.value)
-    assert kernel._group.cache_info().currsize == held
+    assert kernel._factor.cache_info().currsize == held and resolved._groups is groups
 
 
 def test_rank1_ladder_builds_each_series_once_and_runs_no_product_for_it(monkeypatch):
     # the series do not depend on N: a ladder from 16 to 512 builds its one
-    # group and each series once, and no circle takes the qseries
-    # evaluators, not even Gamma(p a_6 w), |p a_6| = 0.0038 inside
-    # |pq| = 0.006, or the Weyl factor's 1/Gamma(w)
+    # group and each factor's series once, at its first rung, and its later
+    # rungs look nothing up; no circle takes the qseries evaluators, not
+    # even Gamma(p a_6 w), |p a_6| = 0.0038 inside |pq| = 0.006, or the
+    # Weyl factor's 1/Gamma(w)
     ps = pq_set(1)
     assert abs(NM.p * ps.a[5]) < abs(NM.pq)
     products = []
@@ -435,12 +464,17 @@ def test_rank1_ladder_builds_each_series_once_and_runs_no_product_for_it(monkeyp
         return apply(kind, u, nomes)
 
     monkeypatch.setattr(kernel, "_apply", applying)
+    calls = recorded(monkeypatch, "_group", "_factor", "_layout")
+    looked_up = []
     for N in LADDER:
         psi_tilde(QuadratureGrid(1, N).nodes(), ps, NM)
+        looked_up.append([name for name, _ in calls])
+        calls.clear()
     assert not products
-    assert kernel._group.cache_info()[:2] == (len(LADDER) - 1, 1)  # hits, misses
-    series = kernel._series.cache_info()
-    assert series.misses == series.currsize > 6
+    assert looked_up[0].count("_group") == looked_up[0].count("_layout") == 1
+    assert looked_up[1:] == [[]] * (len(LADDER) - 1)
+    factors = kernel._factor.cache_info()
+    assert factors.misses == factors.currsize > 6
 
 
 def test_rank1_ladder_reads_each_mirror_from_its_factors_table():
@@ -454,7 +488,7 @@ def test_rank1_ladder_reads_each_mirror_from_its_factors_table():
         clear_caches()
         for N in LADDER:
             evaluate(kernel_, QuadratureGrid(1, N).nodes(), NM)
-        built.append(kernel._series.cache_info().misses)
+        built.append(kernel._factor.cache_info().misses)
     assert built[0] == built[1] > 0
 
 
@@ -495,6 +529,88 @@ WHOLE = {
     "edge": (NM, lambda n: psi_with(n, 0.95 * np.exp(0.4j))),
     "pole_between_nodes": (NM, lambda n: psi_with(n, np.exp(0.3j))),
 }
+
+
+def da_factors(n):
+    a = [(0.4 + 0.03 * m) * np.exp(1j * (1.1 * m + 0.2)) for m in range(2 * n + 4)]
+    return _bc_kernel([pm(GAMMA, am) for am in a], None, range(n))
+
+
+# Kernels a ladder resolves once: Psi, Psi~, both nabla terms, E_r's theta
+# factors, the Dixon-Anderson kernel, the continued contour and the p = 0
+# duals, with their nomes.
+RESOLVED = {
+    "psi": (NM, lambda n: _psi_kernel(pq_set(n), NM)),
+    "psi_tilde": (NM, lambda n: _psi_kernel(pq_set(n), NM, tilde=True)),
+    "nabla": WHOLE["nabla"],
+    "nabla_shifted": WHOLE["nabla_shifted"],
+    "e_r_thetas": WHOLE["e_r_thetas"],
+    "dixon_anderson": (NM, da_factors),
+    "continued": WHOLE["continued"],
+    "p0_dual": WHOLE["p0_dual"],
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", sorted(RESOLVED))
+def test_resolved_kernel_rungs_are_evaluate_bitwise(monkeypatch, name, n):
+    # a kernel resolved at its first lattice reads its held groups on every
+    # later rung, folded or not, and each rung has the bits of a kernel
+    # resolved afresh for it; the later rungs build and look up nothing
+    nomes, make = RESOLVED[name]
+    factors = make(n)
+    resolved = Kernel(factors, nomes)
+    calls = recorded(monkeypatch, "_group", "_factor", "_layout")
+    for j, (N, fold) in enumerate([(16, ()), (32, ()), (64, tuple(range(n))), (32, (0,))]):
+        grid = QuadratureGrid(n, N, fold).nodes()
+        values = resolved(grid)
+        assert calls if j == 0 else not calls
+        calls.clear()
+        assert values.tobytes() == evaluate(factors, grid, nomes).tobytes(), (N, fold)
+        calls.clear()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_integrands_resolve_once_per_parameter_set(monkeypatch, n):
+    # Psi, Psi~ and the nabla integrand are resolved once per parameter set
+    # and nomes, E_r once per ladder: each rung has the bits it has from a
+    # set that holds nothing yet (an equal copy), and a rung of a set that
+    # holds its kernels builds and looks up nothing
+    ps, one = pq_set(n), one_set(n)
+    e_r = invariants._invariant(1, one.a[0], one.a[5], one.t, NM_ONE.p, range(n))
+    integrands = {
+        "psi": lambda z, ps: psi(z, ps, NM),
+        "psi_tilde": lambda z, ps: psi_tilde(z, ps, NM),
+        "nabla": lambda z, ps: _nabla_pointwise(n, 1, z, ps, NM_ONE)[0],
+        "e_r_psi_tilde": lambda z, ps: e_r(z) * psi_tilde(z, ps, NM_ONE),
+    }
+    calls = recorded(monkeypatch, "_group", "_factor", "_layout")
+    for name, f in integrands.items():
+        held = one if name in ("nabla", "e_r_psi_tilde") else ps
+        for N in (16, 32, 64):
+            grid = QuadratureGrid(n, N, tuple(range(n)) if name != "nabla" else tuple(range(1, n))).nodes()
+            calls.clear()
+            values = f(grid, held)
+            assert bool(calls) == (N == 16), (name, N)
+            fresh = dataclasses.replace(held)
+            assert fresh == held and not fresh._held
+            assert values.tobytes() == f(grid, fresh).tobytes(), (name, N)
+
+
+def test_a_pole_leaves_the_parameter_set_unresolved():
+    # a pole on the lattice raises at every rung, and the kernel held on the
+    # set stays unresolved: nothing of it is held but its factors
+    node = np.exp(2j * np.pi * 3 / 16)
+    ps = pq_set(1).with_entry(2, 1.0 / node)
+    grid = QuadratureGrid(1, 16).nodes()
+    messages = []
+    for _ in range(2):
+        with pytest.raises(PoleProximityError) as err:
+            psi(grid, ps, NM)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    (held,) = ps._held.values()
+    assert held[0] is NM and held[1]._reads is None and held[1]._groups is None
 
 
 def oracle_kernel(factors, zs, nomes):
@@ -636,7 +752,7 @@ def test_a_circle_more_than_max_terms_steps_away_raises(kind):
     for _ in range(2):
         with pytest.raises(TruncationError):
             on_circle(kind, 1e300, 16)
-    assert kernel._group.cache_info().currsize == 0
+    assert kernel._factor.cache_info().currsize == 0
     _, _, _, terms = kernel._reduced(kind, 1e30, NM.p, NM.q)
     assert terms
 
@@ -667,7 +783,7 @@ def test_pole_on_the_annulus_edge_splits_and_raises(kind, c):
         with pytest.raises(PoleProximityError) as err:
             on_circle(kind, c, 16)
         assert str(err.value) == str(direct.value)
-    assert kernel._group.cache_info()[:2] == (1, 1)  # hits, misses
+    assert kernel._factor.cache_info()[:2] == (1, 1)  # hits, misses
 
 
 OFF_SERIES = {
@@ -693,7 +809,7 @@ def test_a_circles_route_is_held_with_its_series(monkeypatch, case):
         clear_caches()
         for N in (16, 32, 64):
             on_circle(kind, c, N)
-        assert kernel._group.cache_info()[:2] == (2, 1)  # hits, misses
+        assert kernel._factor.cache_info()[:2] == (2, 1)  # hits, misses
         _, _, lines, _ = kernel._reduced(kind, c, NM.p, NM.q)
         assert bool(lines) == (c != 0.5 and case in ("edge", "uncertified", "weyl"))
     assert series_of(GAMMA, 0.5) is not None

@@ -35,6 +35,7 @@ from ellselberg.residues import cn_recurrence_check
 from ellselberg.scenarios import _da_closed
 
 import oracles
+import references
 
 # Frozen from oracles.py at 40 digits (direct partial products).
 QPOCH_CASES = (
@@ -593,6 +594,67 @@ def test_truncation_counts_match_the_reference_counts(rule, truncation_rule):
             raised += got == "TruncationError"
     if rule[1] == 8:
         assert raised  # the sweep reaches the TruncationError cases
+
+
+def edge_radius(p, q, inner_share, tail_tol, max_terms):
+    """The radius r at which max_terms terms just certify the series at outer
+    radius r and inner radius inner_share * r: tail(max_terms) = tol there."""
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        try:
+            references.series_terms_by_bisection(p, q, mid, inner_share * mid, tail_tol, max_terms)
+            lo = mid
+        except TruncationError:
+            hi = mid
+    return lo, hi
+
+
+@pytest.mark.parametrize("rule", TRUNCATION_RULES, ids=["default", "loose", "tight_cap"])
+def test_series_terms_are_the_bisection_count(rule, truncation_rule):
+    # _log_den steps from an estimate to the K a bisection over the tail
+    # bound finds: at random radii and nomes, and on both sides of the radius
+    # where MAX_TERMS terms stop certifying the series
+    truncation_rule(*rule)
+    rng = np.random.default_rng(17)
+    cases = []
+    for _ in range(300):
+        p, q = rng.uniform(0, 0.95) * np.exp(1j * rng.uniform(0, 6.3)), rng.uniform(0, 0.95)
+        outer, inner = rng.uniform(0, 1, 2) ** rng.choice([0.05, 1.0, 8.0])
+        cases.append((p, q, float(outer), float(inner)))
+    for share in (0.0, 0.3, 1.0):
+        lo, hi = edge_radius(0.05, 0.12, share, *rule)
+        for r in (lo, hi, lo * (1 - 1e-9), hi * (1 + 1e-9)):
+            cases.append((0.05, 0.12, r, share * r))
+    cases += [(0.05, 0.12, 1e-300, 0.0), (0.05, 0.0, 0.5, 0.0), (0.0, 0.0, 0.2, 0.1)]
+    outcomes = set()
+    for p, q, outer, inner in cases:
+        got = count_outcome(lambda: len(qseries._log_den(p, q, outer, inner)))
+        assert got == count_outcome(references.series_terms_by_bisection, p, q, outer, inner, *rule), \
+            (p, q, outer, inner)
+        outcomes.add(got if got in ("TruncationError", 1, rule[1]) else "between")
+    assert outcomes == {"TruncationError", 1, rule[1], "between"}
+
+
+def test_held_denominators_are_the_direct_formula_bitwise():
+    # the denominators are held per nome pair, by their exact bits, at the
+    # power of two at or above K; the first K entries of a held array have
+    # the bits of the formula formed afresh at K, for every K
+    for p, q in ((0.05, 0.12), (0.05 + 0.02j, 0.12), (0.9, 0.85), (0.015, 0.0), (-0.0, 0.3j)):
+        p, q = complex(p), complex(q)
+        bits = struct.pack("4d", p.real, p.imag, q.real, q.imag)
+        for K in range(1, qseries.MAX_TERMS + 1):
+            k = np.arange(1, K + 1)
+            direct = k * (1.0 - p**k)
+            direct = direct * (1.0 - q**k) if q else direct
+            length = 1 << (K - 1).bit_length()
+            held = qseries._den(bits, length)
+            assert held[:K].tobytes() == direct.tobytes(), (p, q, K)
+            assert qseries._den(bits, length) is held and not held.flags.writeable
+    # _log_den reads its K entries of the held array
+    den = qseries._log_den(0.05 + 0j, 0.12 + 0j, 0.6, 0.01)
+    assert den.base is qseries._den(struct.pack("4d", 0.05, 0.0, 0.12, 0.0), 1 << (len(den) - 1).bit_length())
+    assert not den.flags.writeable
 
 
 def test_theta_correction_factor_count_certifies_its_tail():
