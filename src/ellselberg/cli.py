@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
-from dataclasses import fields, replace
 
 from .config import Config, _keys, load_config
 from .errors import ConfigurationError, EllSelbergError
@@ -21,7 +21,7 @@ from .integrand import c_constant, j_closed, psi
 from .invariants import BalancingMode, ParameterSet, coefficient_c, fundamental_invariant
 from .qseries import Nomes, elliptic_gamma, theta
 from .report import write_report
-from .sampling import DEFAULT_BOX, SafeBox
+from .sampling import DEFAULT_BOX
 from . import scenarios as scn
 
 _FLOAT = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
@@ -182,7 +182,7 @@ def _build_config(args) -> tuple[Config, list]:
             overrides[key] = val
     if getattr(args, "timing", None) is not None:
         overrides["timing"] = args.timing == "on"
-    return replace(cfg, **overrides), keys
+    return cfg.replace(**overrides), keys
 
 
 def _parameter_set(args, nomes: Nomes, mode: BalancingMode) -> ParameterSet:
@@ -237,9 +237,7 @@ def _sampled_reports(args, cfg: Config) -> list:
 
 def _check_box_unused(cfg: Config) -> None:
     """Only sampled --p/--q runs read the box: a box key set elsewhere is an error."""
-    keys = [
-        f.name for f in fields(SafeBox) if getattr(cfg.box, f.name) != getattr(DEFAULT_BOX, f.name)
-    ]
+    keys = [name for name in cfg.box.field_names if getattr(cfg.box, name) != getattr(DEFAULT_BOX, name)]
     if keys:
         raise ConfigurationError(
             f"config key(s) {', '.join(keys)} set the sampling box, "
@@ -306,6 +304,21 @@ def _print_reports(reports) -> None:
     print(f"{len(reports)} reports, {passed} passed, {len(reports) - passed} failed")
 
 
+def _report_to(path: str, reports=None, fmt: str = "json") -> None:
+    """Write reports to path in fmt; with reports None, only check that path
+    can be written, leaving it as it was.  ConfigurationError where it cannot."""
+    try:
+        if reports is not None:
+            write_report(reports, path, fmt)
+        elif os.path.exists(path):
+            open(path, "a").close()
+        else:
+            open(path, "w").close()
+            os.remove(path)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write report {path}: {exc.strerror or exc}") from exc
+
+
 def _cmd_verify(args) -> int:
     cfg, keys = _build_config(args)
     kind = _EXPLICIT if args.a is not None else _SUITE if args.p is None and args.q is None else _SAMPLED
@@ -318,6 +331,8 @@ def _cmd_verify(args) -> int:
         if error := _unread(args, kind, key, f"config key {key}"):
             print(error, file=sys.stderr)
             return 2
+    if args.report is not None:
+        _report_to(args.report)
     if kind == _EXPLICIT:
         reports = _explicit_reports(args, cfg)
     elif kind == _SAMPLED:
@@ -333,8 +348,8 @@ def _cmd_verify(args) -> int:
             timing=cfg.timing,
         )
     _print_reports(reports)
-    if args.report:
-        write_report(reports, args.report, args.format)
+    if args.report is not None:
+        _report_to(args.report, reports, args.format)
         print(f"wrote {args.format} report to {args.report}")
     return 0 if all(rep.passed for rep in reports) else 1
 

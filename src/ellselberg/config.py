@@ -7,42 +7,44 @@ silently ignored, since a typo in a tolerance would otherwise weaken a run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-
 from .errors import ConfigurationError
 from .quadrature import MIN_BUDGET
+from .record import Record, _set
 from .sampling import DEFAULT_BOX, SafeBox
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(Record):
     """Suite-level knobs; None means "use the per-scenario default".
 
     ``box`` holds the sampling safe-box keys; the file names its fields
     directly (``a_min``, ...).
     """
 
-    seed: int = 42
-    count: int | None = None
-    tol: float | None = None
-    grid: int | None = None
-    timing: bool = False
-    box: SafeBox = DEFAULT_BOX
+    __slots__ = ("seed", "count", "tol", "grid", "timing", "box")
 
-    def __post_init__(self):
-        if self.count is not None and self.count < 1:
-            raise ConfigurationError(f"count must be at least 1, got {self.count}")
-        if self.grid is not None and self.grid < MIN_BUDGET:
-            raise ConfigurationError(f"grid must be at least {MIN_BUDGET}, got {self.grid}")
+    def __init__(
+        self, seed: int = 42, count: int | None = None, tol: float | None = None,
+        grid: int | None = None, timing: bool = False, box: SafeBox = DEFAULT_BOX,
+    ):
+        if count is not None and count < 1:
+            raise ConfigurationError(f"count must be at least 1, got {count}")
+        if grid is not None and grid < MIN_BUDGET:
+            raise ConfigurationError(f"grid must be at least {MIN_BUDGET}, got {grid}")
         # inf passes every report; 0, a negative or nan fails every one
-        if self.tol is not None and not 0 < self.tol < float("inf"):
-            raise ConfigurationError(f"tol must be finite and positive, got {self.tol}")
+        if tol is not None and not 0 < tol < float("inf"):
+            raise ConfigurationError(f"tol must be finite and positive, got {tol}")
+        _set(self, "seed", seed)
+        _set(self, "count", count)
+        _set(self, "tol", tol)
+        _set(self, "grid", grid)
+        _set(self, "timing", timing)
+        _set(self, "box", box)
 
 
 # The record each file key belongs to: None for Config's own fields.
 _SECTION = {
-    **{f.name: None for f in fields(Config) if f.name != "box"},
-    **{f.name: "box" for f in fields(SafeBox)},
+    **{name: None for name in Config.field_names if name != "box"},
+    **dict.fromkeys(SafeBox.field_names, "box"),
 }
 _OPTIONAL_INT = ("count", "grid")
 _OPTIONAL_FLOAT = ("tol",)
@@ -91,14 +93,14 @@ def parse_config(text: str, base: Config | None = None) -> Config:
     for key, raw in _assignments(text):
         value = _parse_value(key, raw)
         updates[_SECTION[key]][key] = value
-    return replace(cfg, box=replace(cfg.box, **updates["box"]), **updates[None])
+    return cfg.replace(box=cfg.box.replace(**updates["box"]), **updates[None])
 
 
 def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
 
 

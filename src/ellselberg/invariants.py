@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -33,6 +32,7 @@ import numpy as np
 from .errors import DegenerateParameterError, DomainError
 from .kernel import THETA, Factor, Kernel
 from .qseries import Nomes, theta, theta_pm
+from .record import Record, _set
 
 # Below this magnitude a denominator theta counts as degenerate.
 THETA_FLOOR = 1e-14
@@ -48,8 +48,7 @@ class BalancingMode(Enum):
     ONE = "one"
 
 
-@dataclass(frozen=True)
-class ParameterSet:
+class ParameterSet(Record):
     """Six coupled parameters with their coupling t and balancing convention.
 
     ``balancing_mode`` may be None for off-shell intermediates (e.g. a single
@@ -61,21 +60,20 @@ class ParameterSet:
     it, in ``_held`` (see integrand._held).
     """
 
-    n: int
-    t: complex
-    a: tuple[complex, complex, complex, complex, complex, complex]
-    balancing_mode: BalancingMode | None = None
+    __slots__ = ("n", "t", "a", "balancing_mode", "_held")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, t: complex, a: tuple, balancing_mode: BalancingMode | None = None):
+        if n < 1:
             raise DomainError("n must be a positive integer")
-        if not (0 < abs(self.t) < 1):
-            raise DomainError(f"|t| must lie in (0, 1), got {abs(self.t)}")
-        if len(self.a) != 6:
+        if not (0 < abs(t) < 1):
+            raise DomainError(f"|t| must lie in (0, 1), got {abs(t)}")
+        if len(a) != 6:
             raise DomainError("exactly six parameters a_1..a_6 are required")
-        object.__setattr__(self, "a", tuple(complex(v) for v in self.a))
-        object.__setattr__(self, "t", complex(self.t))
-        object.__setattr__(self, "_held", {})
+        _set(self, "n", n)
+        _set(self, "t", complex(t))
+        _set(self, "a", tuple(map(complex, a)))
+        _set(self, "balancing_mode", balancing_mode)
+        _set(self, "_held", {})
 
     def balancing_product(self) -> complex:
         prod = 1.0 + 0.0j
@@ -129,13 +127,13 @@ class ParameterSet:
         a = list(self.a)
         a[k - 1] *= factor
         a[5] /= factor
-        return replace(self, a=tuple(a))
+        return self.replace(a=tuple(a))
 
     def with_entry(self, m: int, value: complex) -> "ParameterSet":
         """Replace a_m, dropping the balancing mode (off-shell variant)."""
         a = list(self.a)
         a[m - 1] = complex(value)
-        return replace(self, a=tuple(a), balancing_mode=None)
+        return self.replace(a=tuple(a), balancing_mode=None)
 
 
 def _target(mode: BalancingMode | None, nomes: Nomes) -> complex:

@@ -60,11 +60,11 @@ import functools
 import math
 import struct
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, PoleProximityError, TruncationError
+from .record import Record, _set
 
 # Relative distance below which an argument counts as sitting on a pole.
 POLE_TOL = 1e-12
@@ -90,24 +90,20 @@ _SCALAR_ENTRIES = 64
 _BLOCK_ENTRIES = 2**19
 
 
-@dataclass(frozen=True)
-class Nomes:
+class Nomes(Record):
     """The pair of elliptic nomes (p, q) with |p| < 1 and |q| < 1, held as complex.
 
     Either nome may be exactly zero (trigonometric/degenerate limits).
     """
 
-    p: complex
-    q: complex
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
+    def __init__(self, p: complex, q: complex):
         # written so that nan fails it
-        if not (abs(self.p) < 1 and abs(self.q) < 1):
-            raise DomainError(
-                f"nomes must satisfy |p| < 1 and |q| < 1, got |p|={abs(self.p)}, |q|={abs(self.q)}"
-            )
-        object.__setattr__(self, "p", complex(self.p))
-        object.__setattr__(self, "q", complex(self.q))
+        if not (abs(p) < 1 and abs(q) < 1):
+            raise DomainError(f"nomes must satisfy |p| < 1 and |q| < 1, got |p|={abs(p)}, |q|={abs(q)}")
+        _set(self, "p", complex(p))
+        _set(self, "q", complex(q))
 
     @property
     def pq(self) -> complex:

@@ -30,7 +30,6 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -40,6 +39,7 @@ from .integrand import _held, _psi_kernel, _z_list, psi_tilde
 from .invariants import ParameterSet, _invariant
 from .kernel import GAMMA, MONO, RECIP, Factor, Kernel, Lattice
 from .qseries import Nomes
+from .record import Record, _set
 
 # Points per circle of the first rung of every trapezoid ladder.
 MIN_POINTS = 16
@@ -69,22 +69,22 @@ def default_budget(n: int) -> int:
     return {1: 512, 2: 256}.get(n, 128)
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
+class QuadratureGrid(Record):
     """Grid on the n-torus with N points per circle, folded to its W(BC)
     orbit representatives in the coordinates ``fold`` (none by default)."""
 
-    n: int
-    N: int
-    fold: tuple = ()
+    __slots__ = ("n", "N", "fold")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, N: int, fold: tuple = ()):
+        if n < 1:
             raise DomainError("grid dimension must be >= 1")
-        if self.N < 4:
+        if N < 4:
             raise DomainError("need at least 4 points per circle")
-        if list(self.fold) != sorted(set(self.fold) & set(range(self.n))):
-            raise DomainError(f"fold {self.fold} is not an increasing list of coordinates of {self.n}")
+        if list(fold) != sorted(set(fold) & set(range(n))):
+            raise DomainError(f"fold {fold} is not an increasing list of coordinates of {n}")
+        _set(self, "n", n)
+        _set(self, "N", N)
+        _set(self, "fold", fold)
 
     def nodes(self) -> Lattice:
         """The grid's nodes as a Lattice with the weight of each node.
@@ -140,19 +140,23 @@ def _representatives(m: int, N: int):
     return reps, weights
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(Record):
     """Outcome of a converged refinement ladder.
 
     ``history`` records (N, |I_N - I_{N/2}|) for every completed doubling;
     ``retried``, whether the ladder took the 50x looser stop (see _stop).
     """
 
-    value: complex
-    err_est: float
-    N_used: int
-    history: tuple = ()
-    retried: bool = False
+    __slots__ = ("value", "err_est", "N_used", "history", "retried")
+
+    def __init__(
+        self, value: complex, err_est: float, N_used: int, history: tuple = (), retried: bool = False
+    ):
+        _set(self, "value", value)
+        _set(self, "err_est", err_est)
+        _set(self, "N_used", N_used)
+        _set(self, "history", history)
+        _set(self, "retried", retried)
 
 
 def _key(tag: str, ints: tuple, numbers) -> tuple:
@@ -168,17 +172,27 @@ def _params_key(tag: str, ints: tuple, params: ParameterSet, nomes: Nomes) -> tu
     return _key(tag, (*ints, params.n), (*params.a, params.t, nomes.p, nomes.q))
 
 
-@dataclass(frozen=True)
-class _Ladder:
+class _Ladder(Record):
     """A ladder's integrand f on the n-torus, folded in ``fold``.  It hashes
     and compares by its key, n and the number of folded coordinates alone,
     so ladders equal up to a relabelling of the coordinates share rungs."""
 
-    key: tuple
-    n: int
-    folded: int
-    fold: tuple = field(compare=False)
-    f: object = field(compare=False)
+    __slots__ = ("key", "n", "folded", "fold", "f")
+
+    def __init__(self, key: tuple, n: int, folded: int, fold: tuple, f):
+        _set(self, "key", key)
+        _set(self, "n", n)
+        _set(self, "folded", folded)
+        _set(self, "fold", fold)
+        _set(self, "f", f)
+
+    def __eq__(self, other):
+        if other.__class__ is not _Ladder:
+            return NotImplemented
+        return (self.key, self.n, self.folded) == (other.key, other.n, other.folded)
+
+    def __hash__(self):
+        return hash((self.key, self.n, self.folded))
 
 
 def _mean(z, values):

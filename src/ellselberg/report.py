@@ -10,12 +10,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, fields
+
+from .record import Record, _set
 
 ABS_FALLBACK = 1e-12
 
-@dataclass(frozen=True)
-class ScenarioReport:
+
+class ScenarioReport(Record):
     """One verdict: an identity's two sides, their distance, and pass/fail.
 
     rel_err is |lhs-rhs| / max(|lhs|, |rhs|), falling back to the absolute
@@ -25,33 +26,47 @@ class ScenarioReport:
     when timing is disabled (the byte-reproducible default).
     """
 
-    scenario: str
-    seed_index: int
-    n: int
-    p: complex
-    q: complex
-    t: complex | None
-    a: tuple
-    balancing: str | None
-    k: int | None
-    r: int | None
-    i: int | None
-    grid_N: int
-    lhs: complex
-    rhs: complex
-    abs_err: float
-    rel_err: float
-    tol: float
-    passed: bool
-    runtime_ms: int | None
-    tail_tol: float
-    max_terms: int
-    constraint_exponent: int | None = None
-    detail: str = ""
+    __slots__ = (
+        "scenario", "seed_index", "n", "p", "q", "t", "a", "balancing", "k", "r", "i", "grid_N",
+        "lhs", "rhs", "abs_err", "rel_err", "tol", "passed", "runtime_ms", "tail_tol", "max_terms",
+        "constraint_exponent", "detail",
+    )
+
+    def __init__(
+        self, scenario: str, seed_index: int, n: int, p: complex, q: complex,
+        t: complex | None, a: tuple, balancing: str | None,
+        k: int | None, r: int | None, i: int | None, grid_N: int,
+        lhs: complex, rhs: complex, abs_err: float, rel_err: float, tol: float, passed: bool,
+        runtime_ms: int | None, tail_tol: float, max_terms: int,
+        constraint_exponent: int | None = None, detail: str = "",
+    ):
+        _set(self, "scenario", scenario)
+        _set(self, "seed_index", seed_index)
+        _set(self, "n", n)
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "t", t)
+        _set(self, "a", a)
+        _set(self, "balancing", balancing)
+        _set(self, "k", k)
+        _set(self, "r", r)
+        _set(self, "i", i)
+        _set(self, "grid_N", grid_N)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "abs_err", abs_err)
+        _set(self, "rel_err", rel_err)
+        _set(self, "tol", tol)
+        _set(self, "passed", passed)
+        _set(self, "runtime_ms", runtime_ms)
+        _set(self, "tail_tol", tail_tol)
+        _set(self, "max_terms", max_terms)
+        _set(self, "constraint_exponent", constraint_exponent)
+        _set(self, "detail", detail)
 
 
 # The documented field order for both JSON objects and CSV columns.
-FIELD_ORDER = tuple(f.name for f in fields(ScenarioReport))
+FIELD_ORDER = ScenarioReport.field_names
 
 
 def relative_error(lhs: complex, rhs: complex) -> tuple[float, float]:

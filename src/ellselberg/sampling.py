@@ -13,56 +13,61 @@ from __future__ import annotations
 
 import cmath
 import random
-from dataclasses import dataclass, field
 
 from .errors import ConfigurationError, DegenerateParameterError
 from .invariants import BalancingMode, ParameterSet, coefficient_c
 from .qseries import Nomes
+from .record import Record, _set
 
 
-@dataclass(frozen=True)
-class SafeBox:
+class SafeBox(Record):
     """Modulus bounds within which quadrature converges comfortably."""
 
-    nome_max: float = 0.2
-    t_min: float = 0.3
-    t_max: float = 0.5
-    a_min: float = 0.15
-    a_max: float = 0.7
-    solved_clearance: float = 0.25
-    max_rejections: int = 20000
+    __slots__ = ("nome_max", "t_min", "t_max", "a_min", "a_max", "solved_clearance", "max_rejections")
 
-    def __post_init__(self):
+    def __init__(
+        self, nome_max: float = 0.2, t_min: float = 0.3, t_max: float = 0.5, a_min: float = 0.15,
+        a_max: float = 0.7, solved_clearance: float = 0.25, max_rejections: int = 20000,
+    ):
         # every check here and below is written so that nan, which compares false, fails it
-        if not self.nome_max >= 0:
-            raise ConfigurationError(f"nome_max must be non-negative, got {self.nome_max}")
-        if not self.t_min <= self.t_max:
-            raise ConfigurationError(f"t_min = {self.t_min} must not exceed t_max = {self.t_max}")
+        if not nome_max >= 0:
+            raise ConfigurationError(f"nome_max must be non-negative, got {nome_max}")
+        if not t_min <= t_max:
+            raise ConfigurationError(f"t_min = {t_min} must not exceed t_max = {t_max}")
         # the free moduli are drawn from [a_min, a_max] and must not vanish
-        if not self.a_min > 0:
-            raise ConfigurationError(f"a_min must be positive, got {self.a_min}")
-        if not self.a_min <= self.a_max:
-            raise ConfigurationError(f"a_min = {self.a_min} must not exceed a_max = {self.a_max}")
-        if not 0 <= self.solved_clearance < 1:
-            raise ConfigurationError(
-                f"solved_clearance must lie in [0, 1), got {self.solved_clearance}"
-            )
-        if not self.max_rejections >= 0:
-            raise ConfigurationError(
-                f"max_rejections must be non-negative, got {self.max_rejections}"
-            )
+        if not a_min > 0:
+            raise ConfigurationError(f"a_min must be positive, got {a_min}")
+        if not a_min <= a_max:
+            raise ConfigurationError(f"a_min = {a_min} must not exceed a_max = {a_max}")
+        if not 0 <= solved_clearance < 1:
+            raise ConfigurationError(f"solved_clearance must lie in [0, 1), got {solved_clearance}")
+        if not max_rejections >= 0:
+            raise ConfigurationError(f"max_rejections must be non-negative, got {max_rejections}")
+        _set(self, "nome_max", nome_max)
+        _set(self, "t_min", t_min)
+        _set(self, "t_max", t_max)
+        _set(self, "a_min", a_min)
+        _set(self, "a_max", a_max)
+        _set(self, "solved_clearance", solved_clearance)
+        _set(self, "max_rejections", max_rejections)
 
 
 DEFAULT_BOX = SafeBox()
 
 
-@dataclass
-class SampleStats:
-    """Rejection diagnostics for one sampling run."""
+class SampleStats(Record):
+    """Rejection diagnostics for one sampling run; unlike the other
+    records, it is updated in place and so has no hash."""
 
-    accepted: int = 0
-    rejected: int = 0
-    reasons: dict = field(default_factory=dict)
+    __slots__ = ("accepted", "rejected", "reasons")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, accepted: int = 0, rejected: int = 0, reasons: dict | None = None):
+        self.accepted = accepted
+        self.rejected = rejected
+        self.reasons = {} if reasons is None else reasons
 
     def reject(self, reason: str):
         self.rejected += 1

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, replace
 from functools import partial
 
 from .errors import (
@@ -48,6 +47,7 @@ from .quadrature import (
     nabla_quad,
     torus_integrate,
 )
+from .record import Record, _set
 from .report import ScenarioReport, relative_error
 from .residues import continued_integral_n1, lim_pinch_J
 from .sampling import DEFAULT_BOX, SafeBox, sample_da_parameters, sample_parameters
@@ -407,8 +407,7 @@ def make_continued(params: ParameterSet, nomes: Nomes) -> ParameterSet:
     return ParameterSet.solved(params.n, params.t, a, nomes, BalancingMode.PQ)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """What a scenario name means.
 
     ``balancing`` is the mode its draws take unless a row says otherwise;
@@ -419,10 +418,15 @@ class Scenario:
     ks)`` lists one draw's runs, each a runner short of (tol, budget).
     """
 
-    balancing: BalancingMode | None
-    tols: tuple
-    runs: Callable
-    window: Callable | None = None
+    __slots__ = ("balancing", "tols", "runs", "window")
+
+    def __init__(
+        self, balancing: BalancingMode | None, tols: tuple, runs: Callable, window: Callable | None = None
+    ):
+        _set(self, "balancing", balancing)
+        _set(self, "tols", tols)
+        _set(self, "runs", runs)
+        _set(self, "window", window)
 
     def tol(self, n: int) -> float:
         """The suite tolerance at rank n."""
@@ -485,8 +489,7 @@ def _scenario(name: str) -> Scenario:
     return SCENARIOS[name]
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(Record):
     """One row of the scenario table: what to sample and which sweep to run.
 
     Draws are sampled at seed + ``seed_offset``; ``mode`` None means the
@@ -494,16 +497,23 @@ class Row:
     ``seed_index``; ``ks`` are the qde shift indices.
     """
 
-    scenario: str
-    n: int
-    nomes: Nomes
-    seed_offset: int = 0
-    mode: BalancingMode | None = None
-    box: SafeBox = DEFAULT_BOX
-    t: complex | None = None
-    count: int = 1
-    seed_index: int = 0
-    ks: tuple = QDE_SHIFTS
+    __slots__ = ("scenario", "n", "nomes", "seed_offset", "mode", "box", "t", "count", "seed_index", "ks")
+
+    def __init__(
+        self, scenario: str, n: int, nomes: Nomes, seed_offset: int = 0,
+        mode: BalancingMode | None = None, box: SafeBox = DEFAULT_BOX, t: complex | None = None,
+        count: int = 1, seed_index: int = 0, ks: tuple = QDE_SHIFTS,
+    ):
+        _set(self, "scenario", scenario)
+        _set(self, "n", n)
+        _set(self, "nomes", nomes)
+        _set(self, "seed_offset", seed_offset)
+        _set(self, "mode", mode)
+        _set(self, "box", box)
+        _set(self, "t", t)
+        _set(self, "count", count)
+        _set(self, "seed_index", seed_index)
+        _set(self, "ks", ks)
 
 
 # Default suite rows.  Nomes and boxes are chosen so the solved entry lands
@@ -556,7 +566,7 @@ def cases(
         started = time.monotonic()
         rep = run(tol, budget=budget)
         ms = int(round((time.monotonic() - started) * 1000)) if timing else None
-        reports.append(replace(rep, seed_index=seed_index, runtime_ms=ms))
+        reports.append(rep.replace(seed_index=seed_index, runtime_ms=ms))
     return reports
 
 

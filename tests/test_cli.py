@@ -1,5 +1,6 @@
 """Command-line interface: literal grammar, eval targets, verify paths."""
 
+import errno
 import inspect
 import json
 
@@ -11,6 +12,7 @@ from ellselberg import (
     SCENARIO_NAMES, BalancingMode, Nomes, ParameterSet, TruncationError, elliptic_gamma, scenarios,
     theta,
 )
+from ellselberg import cli
 from ellselberg.cli import format_complex, main, parse_complex
 from ellselberg.scenarios import SUITE_ROWS, run_row
 
@@ -679,3 +681,57 @@ class TestRankAndConfigKeys:
             assert code == 2
             assert f"config key {refused} is read only by" in captured.err
             assert seen == []
+
+
+class TestUnusableFiles:
+    """A report path that cannot be written, or a config file that cannot be
+    read, exits 2 with one line naming it, and runs no work."""
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize("where", ["missing-directory", "directory", "empty"])
+    def test_unwritable_report_exits_2_before_any_work(self, capsys, monkeypatch, tmp_path, kind, where):
+        # an empty path was taken as no --report: nothing written, exit 0
+        seen = _work_seen(monkeypatch)
+        path = {"missing-directory": tmp_path / "absent" / "out.json", "directory": tmp_path, "empty": ""}[where]
+        argv = ["verify", "--scenario", "eval_formula", *_KINDS[kind], "--report", str(path)]
+        if kind == "explicit":
+            argv += ["--t", "0.45"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and seen == []
+        assert captured.err.startswith(f"error: cannot write report {path}: ")
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_report_check_leaves_the_path_as_it_was(self, capsys, tmp_path):
+        # this explicit run is refused after the check (four free
+        # parameters), so the check must leave no file and touch none
+        path = tmp_path / "out.json"
+        argv = ["verify", "--scenario", "eval_formula", "--p", "0.05", "--q", "0.07", "--n", "1",
+                "--t", "0.45", "--a", "0.3,0.4,0.5,-0.2", "--report", str(path)]
+        assert main(argv) == 2 and "expected 5 free parameters" in capsys.readouterr().err
+        assert not path.exists()
+        path.write_text("kept")
+        assert main(argv) == 2 and path.read_text() == "kept"
+
+    def test_write_failure_exits_2(self, capsys, monkeypatch, tmp_path):
+        seen = _work_seen(monkeypatch)
+
+        def full(reports, path, fmt):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_report", full)
+        path = tmp_path / "out.json"
+        code = main(["verify", "--report", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and len(seen) == 1
+        assert captured.err == f"error: cannot write report {path}: No space left on device\n"
+
+    def test_config_that_is_not_utf8_exits_2(self, capsys, monkeypatch, tmp_path):
+        seen = _work_seen(monkeypatch)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfe")
+        code = main(["verify", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2 and seen == []
+        assert captured.err.startswith(f"error: cannot read config file {cfg}: ")
+        assert "Traceback" not in captured.err

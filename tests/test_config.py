@@ -149,3 +149,9 @@ class TestLoad:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
             load_config(str(tmp_path / "absent.cfg"), Config())
+
+    def test_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(ConfigurationError, match="cannot read config file"):
+            load_config(str(path), Config())

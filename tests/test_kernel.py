@@ -1,6 +1,5 @@
 """Kernel descriptions: lattice group sums against the pointwise reference and the oracle."""
 
-import dataclasses
 import hashlib
 
 import mpmath as mp
@@ -592,7 +591,7 @@ def test_integrands_resolve_once_per_parameter_set(monkeypatch, n):
             calls.clear()
             values = f(grid, held)
             assert bool(calls) == (N == 16), (name, N)
-            fresh = dataclasses.replace(held)
+            fresh = held.replace()
             assert fresh == held and not fresh._held
             assert values.tobytes() == f(grid, fresh).tobytes(), (name, N)
 

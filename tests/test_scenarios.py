@@ -1,7 +1,6 @@
 """Scenario runners: verdicts on happy paths, failed reports on bad input."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -332,7 +331,7 @@ class TestCases:
         # the runners leave both to cases, and the rest of the report is theirs
         plain = [scenario_qde(1, k, ps, NM, 1e-7) for k in (1, 2)]
         assert {(rep.seed_index, rep.runtime_ms) for rep in plain} == {(0, None)}
-        assert to_json([replace(rep, seed_index=0, runtime_ms=None) for rep in timed]) == to_json(plain)
+        assert to_json([rep.replace(seed_index=0, runtime_ms=None) for rep in timed]) == to_json(plain)
         (untimed,) = scenarios.cases("eval_formula", 1, ps, NM, seed_index=3)
         assert (untimed.seed_index, untimed.runtime_ms) == (3, None)
 
@@ -395,7 +394,7 @@ class TestRungs:
 
         monkeypatch.setattr(scenarios, "psi", recording_psi)
         row = next(r for r in SUITE_ROWS if r.scenario == "qde" and r.n == 1)
-        (rep,) = run_row(replace(row, ks=(1,)), 42)
+        (rep,) = run_row(row.replace(ks=(1,)), 42)
         assert rep.passed
         # left side: probe (16, 32) then the ladder from 64; right side: a plain
         # ladder; each rung on the N/2 + 1 orbit representatives of its grid
@@ -449,8 +448,8 @@ class TestRungs:
         # (r, 2) reads the rungs of (r, 1): two ladders, not four
         assert {(r, i) for r, i, _ in seen} == {(1, 1), (2, 1)}
         assert len(set(seen)) == len(seen)
-        assert to_json([replace(reports[0], i=2)]) == to_json([reports[1]])
-        assert to_json([replace(reports[2], i=2)]) == to_json([reports[3]])
+        assert to_json([reports[0].replace(i=2)]) == to_json([reports[1]])
+        assert to_json([reports[2].replace(i=2)]) == to_json([reports[3]])
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_telescope_after_recurrence_evaluates_no_grid(self, monkeypatch, n):
