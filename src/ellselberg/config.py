@@ -97,8 +97,9 @@ def parse_config(text: str, base: Config | None = None) -> Config:
 
 
 def _read(path: str) -> str:
+    """The text of the config file at path, UTF-8 with or without a byte-order mark."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc

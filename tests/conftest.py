@@ -15,7 +15,9 @@ def cold_rungs():
 
 
 def _clear_truncated():
-    for cache in (qseries._scalar, qseries._ring, qseries._base, qseries._shift_length, qseries._den,
+    # a _Ring and a _Base hold their levels, shifts and powers: emptying
+    # _ring and _base drops them
+    for cache in (qseries._scalar, qseries._ring, qseries._base, qseries._den,
                   kernel._factor, kernel._layout, kernel._root_powers, quadrature._nodes):
         cache.cache_clear()
 

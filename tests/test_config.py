@@ -95,6 +95,12 @@ class TestLoad:
         cfg = load_config(str(path), Config())
         assert cfg.seed == 5 and cfg.tol == 1e-7
 
+    def test_file_with_a_byte_order_mark(self, tmp_path):
+        # editors may save UTF-8 with a leading BOM; it is not part of the first key
+        path = tmp_path / "verify.cfg"
+        path.write_bytes(b"\xef\xbb\xbfseed = 3\n")
+        assert load_config(str(path), Config()).seed == 3
+
     @pytest.mark.parametrize(
         "key,value",
         [pytest.param("count", c, id=c) for c in ("0", "-2")]

@@ -522,8 +522,8 @@ def test_ring_cache_hit_is_the_cold_ring():
     warm = qseries._ring(*key)
     assert qseries._ring.cache_info().hits == 1
     again = qseries._ring.__wrapped__(*key)
-    assert cold[0] == again[0] and cold[2:5] == again[2:5]
-    assert cold[5].tobytes() == again[5].tobytes() and not cold[5].flags.writeable
+    assert (cold.a, cold.beta, cold.log_a, cold.b_is_p) == (again.a, again.beta, again.log_a, again.b_is_p)
+    assert cold.coef.tobytes() == again.coef.tobytes() and not cold.coef.flags.writeable
     assert warm is cold
 
 
@@ -666,8 +666,9 @@ def test_theta_correction_factor_count_certifies_its_tail():
     for _ in range(40):
         p, q = (complex(m * np.exp(2j * np.pi * rng.uniform())) for m in rng.uniform(0.01, 0.9, 2))
         bits_pq = struct.pack("4d", p.real, p.imag, q.real, q.imag)
-        a, base, beta, log_a, _, _ = qseries._ring(bits_pq)
-        b_abs = abs(base[0])
+        ring = qseries._ring(bits_pq)
+        a, base, beta, log_a = ring.a, ring.base, ring.beta, ring.log_a
+        b_abs = abs(base.c)
         u = np.exp(rng.uniform(np.log(1e-3), np.log(50.0), 64)) * np.exp(2j * np.pi * rng.uniform(size=64))
         m = np.ceil(np.log(np.abs(u) / beta) / log_a)
         w = u * a**m
@@ -857,6 +858,156 @@ def test_scalar_has_the_bits_of_its_element_at_random_nomes(scalar_memo):
                 assert outcome(f, u) == outcome(f, np.array([u, u * 1j])), (p, q, u)
 
 
+# Nomes of the range guard's tests: near the unit circle, where Gamma's theta
+# corrections leave the double range within a few dozen shifts; complex;
+# tiny, where one shift spans nine decades; and the suite's.
+RANGE_NOMES = (Nomes(0.9, 0.85), Nomes(0.2 - 0.1j, 0.03 + 0.01j), Nomes(1e-9, 2e-9), Nomes(0.05, 0.12))
+
+
+@pytest.mark.parametrize("nm", RANGE_NOMES, ids=str)
+def test_range_guard_lets_no_warning_through(nm, scalar_memo):
+    # a scalar enters numpy's overflow guard only where a bound says a
+    # product can leave the double range: u reduced by 0 to 6 shifts either
+    # way, and |u| scaled by 1e-6 and 1e6 past those, gives element 0 of
+    # [u, u i] or raises what that array raises, and no numpy warning;
+    # (u; p)_inf's single product takes the same guard
+    a, beta = ring(nm)
+    rng = np.random.default_rng(41)
+    args = [complex(beta * a ** (rng.uniform(0.05, 0.95) - m) * np.exp(2j * np.pi * rng.uniform()))
+            for m in range(-6, 7)]
+    args += [u * scale for u in args[::4] for scale in (1e-6, 1e6)]
+    evaluators = (
+        lambda x: qpoch_inf(x, nm.p),
+        lambda x: theta(x, nm.p),
+        lambda x: elliptic_gamma(x, nm),
+        lambda x: elliptic_gamma_recip(x, nm),
+    )
+    outcomes = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in evaluators:
+            for u in args:
+                got = outcome(f, u)
+                assert got == outcome(f, np.array([u, u * 1j])), (nm, u)
+                outcomes.add(type(got))
+        # theta's p/u passes the range at a subnormal u
+        for u in (1e-310 * np.exp(1j), 5e-324 + 0j):
+            assert outcome(evaluators[1], u) == outcome(evaluators[1], np.array([u, u * 1j]))
+    if nm.p == 0.9:  # past the range a value is an error naming its argument
+        assert outcomes == {bytes, tuple}
+
+
+@pytest.mark.parametrize("name,u", [
+    # Gamma next to its pole q^-334: 335 shifts, whose a^-d and factor
+    # bound pass the double range at the last levels; the pole is raised at d = 1
+    ("gamma", 0.12**-334),
+    ("gamma", 0.12**-334 * (1 + 1e-12)),
+    ("theta", 0.12**-334),
+    ("qpoch", 0.12**-334),
+    # finite parts, but |u| past the double range
+    *[(name, 1.5e308 + 1.5e308j) for name in ("gamma", "recip", "theta", "qpoch")],
+])
+def test_cold_scalar_at_the_range_edge_is_its_element(truncation_rule, name, u):
+    # each evaluation starts with every cache empty, so the scalar grows the
+    # powers its _Base holds and forms its _Ring's levels itself; it gives
+    # element 0 of [u, u i] or raises what that array raises, and no warning
+    nm = Nomes(0.05, 0.12)
+    f = {
+        "gamma": lambda x: elliptic_gamma(x, nm),
+        "recip": lambda x: elliptic_gamma_recip(x, nm),
+        "theta": lambda x: theta(x, nm.p),
+        "qpoch": lambda x: qpoch_inf(x, nm.q),
+    }[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        truncation_rule()
+        scalar = outcome(f, u)
+        truncation_rule()
+        assert scalar == outcome(f, np.array([u, u * 1j]))
+    if name == "gamma" and not u.imag:  # next to the pole
+        assert scalar[0] is PoleProximityError
+
+
+def test_python_shift_count_is_numpys():
+    # the lone route counts shifts in Python, and takes numpy's count where
+    # the two could differ: at random points, and on either side of the ring
+    # edges |u| = beta |a|^-j, one unit of the last place away
+    rng = np.random.default_rng(43)
+    pairs = [(nm.p, nm.q) for nm in RANGE_NOMES]
+    pairs += [tuple(complex(m * np.exp(2j * np.pi * rng.uniform())) for m in rng.uniform(0.01, 0.9, 2))
+              for _ in range(20)]
+    for p, q in pairs:
+        r = qseries._ring(struct.pack("4d", p.real, p.imag, q.real, q.imag))
+        radii = [r.beta * abs(r.a) ** -j * e for j in range(-3, 4) for e in (1 - 2**-52, 1.0, 1 + 2**-52)]
+        radii += list(np.exp(rng.uniform(np.log(1e-6), np.log(1e6), 50)))
+        for radius in radii:
+            u = complex(radius * np.exp(2j * np.pi * rng.uniform()))
+            arg = np.array([u])
+            want = np.ceil(np.log(np.abs(arg) / r.beta) / r.log_a).item()
+            assert qseries._shift_count(u, arg, r) == want, (p, q, u)
+
+
+def test_grown_base_has_the_bits_of_a_cold_full_base():
+    # a base holds its powers to the counts asked so far and grows them on
+    # demand; np.cumprod multiplies in order, so every prefix, and the grown
+    # column, has the bits of the MAX_TERMS + 1 powers formed at once
+    for c in (0.12 - 0.03j, 0.9 + 0j, 0.5j, 1e-3 + 0j, -0.7 + 0.1j):
+        full = np.full((qseries.MAX_TERMS + 1, 1), c)
+        full[0] = 1.0
+        full = np.cumprod(full, axis=0)
+        base = qseries._Base(c)
+        lengths = []
+        for bound in (1e-12, 1e-3, 0.5, 30.0):
+            length = qseries._length(bound, base)
+            lengths.append(len(base.powers))
+            assert length < len(base.powers) <= qseries.MAX_TERMS + 1
+            assert base.powers.tobytes() == full[: len(base.powers)].tobytes()
+            assert base.negated.tobytes() == (-np.abs(full[: len(base.powers), 0])).tobytes()
+        assert lengths[0] < qseries.MAX_TERMS + 1  # it started short of MAX_TERMS
+        with pytest.raises(TruncationError):
+            qseries._length(math.inf, base)
+        assert base.powers.tobytes() == full.tobytes()
+
+
+def test_lone_scalars_in_a_row_keep_each_others_values(scalar_memo):
+    # the lone route forms its series in a buffer its _Ring holds: scalars
+    # one after another at one nome pair each keep the bits of their element
+    nm = Nomes(0.05 + 0.02j, 0.12)
+    us = [0.4 + 0.2j, 30 + 5j, 0.01 + 0.002j, 0.9 - 0.3j, 0.4 + 0.2j]
+    for f in (elliptic_gamma, elliptic_gamma_recip):
+        whole = f(np.array(us), nm)
+        scalars = [f(u, nm) for u in us]
+        qseries._scalar.cache_clear()
+        again = [f(u, nm) for u in reversed(us)][::-1]
+        assert [bits(v) for v in scalars] == [bits(v) for v in again] == [bits(v) for v in whole]
+    # the returned value is never the held buffer
+    r = qseries._ring(struct.pack("4d", nm.p.real, nm.p.imag, nm.q.real, nm.q.imag))
+    w = np.array([0.3 + 0.1j])
+    one = r.series(w, nm.pq / w, False)
+    held = one.tobytes()
+    r.series(2 * w, nm.pq / (2 * w), True)
+    assert one.tobytes() == held
+
+
+def test_new_truncation_rule_after_warm_calls_gives_the_cold_values(truncation_rule):
+    # the truncation_rule fixture empties every cache keyed without the
+    # rule, the _Ring and _Base records and what they hold among them
+    nm = Nomes(0.05 + 0.02j, 0.12)
+    us = (0.4 + 0.2j, 30 + 5j, 0.01 + 0.002j)
+
+    def values():
+        return [bits(f(u)) for u in us for f in (lambda x: elliptic_gamma(x, nm),
+                                                 lambda x: elliptic_gamma_recip(x, nm),
+                                                 lambda x: theta(x, nm.p), lambda x: qpoch_inf(x, nm.q))]
+
+    truncation_rule(1e-6, 512)
+    cold = values()
+    truncation_rule()
+    assert values() != cold  # the rule moves the values
+    truncation_rule(1e-6, 512)
+    assert values() == cold
+
+
 def test_blocks_keep_the_bits_and_the_shape(monkeypatch):
     # an array is evaluated in blocks of _BLOCK_ENTRIES // MAX_TERMS
     # elements: three here, so 3 x 7 elements make blocks of 3 and a lone last one
@@ -926,7 +1077,7 @@ def test_kernel_series_and_gamma_share_one_formula():
     nm = Nomes(0.05 + 0.01j, 0.12)
     a, beta = ring(nm)
     u = 0.9 * beta * np.exp(0.7j)
-    coef = qseries._ring(struct.pack("4d", nm.p.real, nm.p.imag, nm.q.real, nm.q.imag))[5]
+    coef = qseries._ring(struct.pack("4d", nm.p.real, nm.p.imag, nm.q.real, nm.q.imag)).coef
     k = np.arange(1, len(coef) + 1)
     direct = np.exp(np.sum((u**k - (nm.pq / u) ** k) * coef[:, 0]))
     assert abs(elliptic_gamma(u, nm) - direct) <= 1e-15 * abs(direct)
