@@ -133,16 +133,19 @@ def _root_powers(N: int, e: int) -> np.ndarray:
 class Lattice:
     """Node list of a quadrature grid: entry i is w[k[i]], gathered when read.
 
-    It holds N, the index arrays k (entries in 0..N-1) and the quadrature
-    weight of each node, and w = _roots(N) holds the N-th roots of unity in
-    order, so z^alpha is w[(alpha . k) mod N]; :func:`evaluate` reads only N
-    and :meth:`at`.  A lattice made with ``held`` (one that outlives its
-    rung) keeps each index array it computes.
+    It holds N, a power of two, the index arrays k (entries in 0..N-1) and
+    the quadrature weight of each node, and w = _roots(N) holds the N-th
+    roots of unity in order, so z^alpha is w[(alpha . k) mod N];
+    :func:`evaluate` reads only N and :meth:`at`.  Each index array it
+    computes is held for the lattice's life, so the kernels of one rung
+    (the plain and shifted nabla terms, say) share it.
     """
 
-    def __init__(self, N: int, k, weights, held: bool = False):
+    def __init__(self, N: int, k, weights):
+        if N < 1 or N & (N - 1):
+            raise DomainError(f"a lattice needs a power-of-two N, got N = {N}")
         self.N, self.k, self.weights = N, tuple(k), weights
-        self._at = {} if held else None
+        self._at = {}
 
     def __len__(self):
         return len(self.k)
@@ -152,14 +155,25 @@ class Lattice:
 
     def at(self, alpha):
         """(alpha . k) mod N, the index of z^alpha in _roots(N) at each node:
-        k_i itself for alpha = ((i, 1),)."""
+        k_i itself for alpha = ((i, 1),).  The sum is formed in place and
+        reduced by the mask N - 1, which on two's-complement integers is the
+        non-negative remainder % N gives."""
         if len(alpha) == 1 and alpha[0][1] == 1:
             return self.k[alpha[0][0]]
-        index = None if self._at is None else self._at.get(alpha)
+        index = self._at.get(alpha)
         if index is None:
-            index = sum(e * self.k[i] for i, e in alpha) % self.N
-            if self._at is not None:
-                self._at[alpha] = index
+            (i, e), *rest = alpha
+            index = self.k[i] * e
+            for i, e in rest:
+                if e == 1:
+                    index += self.k[i]
+                elif e == -1:
+                    index -= self.k[i]
+                else:
+                    index += e * self.k[i]
+            index &= self.N - 1
+            index.flags.writeable = False
+            self._at[alpha] = index
         return index
 
 

@@ -54,7 +54,8 @@ a bound from the magnitudes and factor counts lets it pass 1e300:
 _range_guard): one that leaves the double range, as Gamma's corrections
 far from the ring (|Gamma(1e-4 e^i; 0.9, 0.85)| is about 1e3011) and
 single products far from the unit circle do, raises DomainError naming
-the argument.
+the argument.  So does a u hundreds of shifts from the ring, whose shift
+a^m, or a correction's a^-d, would leave it (_shift_fits, _Ring.level).
 """
 
 from __future__ import annotations
@@ -322,14 +323,18 @@ def _series(terms: np.ndarray, views: list, coef: np.ndarray, recip: bool) -> np
     return np.exp(sums[n:] - sums[:n] if recip else sums[:n] - sums[n:])
 
 
+def _out_of_range(what: str, arg, parts: str) -> DomainError:
+    """The DomainError naming arg, whose ``parts`` left the double range."""
+    return DomainError(f"{what}: argument {complex(arg)} is outside the double range: "
+                       f"{parts} {sys.float_info.max:.4g}")
+
+
 def _in_range(values, args, what: str, parts: str = "its value passes"):
     """values, or DomainError naming the first of args whose column of
     values (one row, or one per row) is not finite: it left the double range."""
     ok = np.isfinite(values)
     if not ok.all():
-        bad = complex(args[np.argmin(ok.reshape(-1, len(args)).all(axis=0))])
-        raise DomainError(f"{what}: argument {bad} is outside the double range: "
-                          f"{parts} {sys.float_info.max:.4g}")
+        raise _out_of_range(what, args[np.argmin(ok.reshape(-1, len(args)).all(axis=0))], parts)
     return values
 
 
@@ -385,7 +390,9 @@ class _Ring:
         the _Base rule; at d = 0, those of (b/x; b)_inf at |b/x| <= beta.
         Correction d multiplies at most L_d factors of magnitude at most
         1 + X_d by L_0 of at most 1 + beta, so the bound adds
-        L_d log(1 + X_d) + L_0 log(1 + beta) per level.
+        L_d log(1 + X_d) + L_0 log(1 + beta) per level.  An ArithmeticError
+        (OverflowError, or ZeroDivisionError where a^d underflows) where
+        a^-d passes the double range: the caller names its argument.
         """
         levels = self._levels
         while len(levels) <= d:
@@ -399,11 +406,17 @@ class _Ring:
             levels.append((self.base.powers[:count], shift, grows))
         return levels[d]
 
-    def shift(self, k: int) -> np.ndarray:
-        """a^k, as _gamma forms it from its array of shift counts."""
+    def shift(self, k: int) -> np.ndarray | None:
+        """a^k, as _gamma forms it from its array of shift counts, or None
+        where it leaves the double range (_shift_fits)."""
         held = self._shifts.get(k)
         if held is None:
-            held = self._shifts[k] = self.a ** np.array([float(k)])
+            fits = abs(k) * self.log_a < _LOG_RANGE
+            with _range_guard(fits):
+                held = self.a ** np.array([float(k)])
+            if not (fits or _shift_fits(held)[0]):
+                return None
+            self._shifts[k] = held
         return held
 
     def series(self, w: np.ndarray, v: np.ndarray, recip: bool) -> np.ndarray:
@@ -429,9 +442,16 @@ def _ring(bits: bytes) -> _Ring:
     return _Ring(complex(pr, pi), complex(qr, qi))
 
 
-def _reduced(u: np.ndarray, m: np.ndarray, a: complex, pq: complex, coef: np.ndarray, recip: bool):
-    """(w = a^m u, v = pq/w, the series' Gamma(w), or 1/Gamma(w) with ``recip``)."""
-    w = u * a**m
+def _shift_fits(shift: np.ndarray) -> np.ndarray:
+    """Where a^m lies within the double range: finite and not 0 (a^m
+    underflows to 0, or passes DBL_MAX, only at |m| log(1/|a|) past 700)."""
+    return np.isfinite(shift) & (shift != 0)
+
+
+def _reduced(u: np.ndarray, shift: np.ndarray, pq: complex, coef: np.ndarray, recip: bool):
+    """(w = a^m u for shift = a^m, v = pq/w, the series' Gamma(w), or
+    1/Gamma(w) with ``recip``)."""
+    w = u * shift
     v = pq / w
     terms = np.empty((len(coef), 2 * len(u)), dtype=complex)
     np.concatenate((w, v), out=terms[0])
@@ -464,13 +484,21 @@ def _gamma(u: np.ndarray, p: complex, q: complex, recip: bool = False) -> np.nda
     ring = _ring(struct.pack("4d", p.real, p.imag, q.real, q.imag))
     a = ring.a
     # w = a^m u lies in the ring |a| beta <= |w| <= beta, and so does v = pq/w
-    m = np.ceil(np.log(np.abs(u) / ring.beta) / ring.log_a)
+    with np.errstate(over="ignore"):  # |u| / beta past the double range: m is inf
+        m = np.ceil(np.log(np.abs(u) / ring.beta) / ring.log_a)
     shifts = np.abs(m)
     top = float(shifts.max()) if len(u) else 0.0
-    if not math.isfinite(top):  # |u| is inf or nan: no shift reaches the ring
+    if not (math.isfinite(top) or np.isfinite(u).all()):  # no shift reaches the ring
         raise TruncationError(f"{what}: cannot certify the tail at a non-finite argument",
                               achieved_bound=math.inf)
-    w, v, value = _reduced(u, m, a, pq, ring.coef, recip)
+    fits = top * ring.log_a < _LOG_RANGE
+    with _range_guard(fits):
+        shift = a**m
+    if not fits:
+        ok = _shift_fits(shift)
+        if not ok.all():
+            raise _out_of_range(what, u[np.argmin(ok)], "its shift into the ring passes")
+    w, v, value = _reduced(u, shift, pq, ring.coef, recip)
     if not top:
         return value
     # Gamma(u) = Gamma(w) prod_{d=1}^{-m} theta(v a^-d; b) / prod_{d=1}^{m} theta(w a^-d; b):
@@ -483,7 +511,10 @@ def _gamma(u: np.ndarray, p: complex, q: complex, recip: bool = False) -> np.nda
     with np.errstate(over="ignore", invalid="ignore"):
         for d in range(1, int(top) + 1):
             at = slice(None) if d <= every else shifts >= d
-            powers, a_d, _ = ring.level(d)
+            try:
+                powers, a_d, _ = ring.level(d)
+            except ArithmeticError:  # a^-d passes the double range
+                raise _out_of_range(what, u[at][0], "its theta corrections pass") from None
             x = outer[at] * a_d
             rows = _correction(x, b, powers, small)
             hit = divides[at]
@@ -541,16 +572,18 @@ def _shift_count(u: complex, arg: np.ndarray, ring: _Ring):
     Python's abs and log may differ from numpy's in the last bit, which
     moves the quotient t by a few units of its last place, scaled by
     max(|t|, 1 / log_a); numpy's count is taken where t lies within 1e-9 of
-    an integer, on that scale, or is not finite.
+    an integer, on that scale.  Where t is not finite (|u| / beta passes
+    the double range), neither is numpy's count.
     """
     try:
         t = math.log(abs(u) / ring.beta) / ring.log_a
     except OverflowError:  # |u| passes the double range
-        t = math.inf
-    if math.isfinite(t) and abs(t - round(t)) > 1e-9 * max(1.0, abs(t), 1.0 / ring.log_a):
+        return None
+    if not math.isfinite(t):
+        return None
+    if abs(t - round(t)) > 1e-9 * max(1.0, abs(t), 1.0 / ring.log_a):
         return math.ceil(t)
-    m = np.ceil(np.log(np.abs(arg) / ring.beta) / ring.log_a).item()
-    return int(m) if math.isfinite(m) else None
+    return int(np.ceil(np.log(np.abs(arg) / ring.beta) / ring.log_a).item())
 
 
 def _lone_gamma(u: complex, p: complex, q: complex, recip: bool, bits: bytes) -> complex:
@@ -570,7 +603,10 @@ def _lone_gamma(u: complex, p: complex, q: complex, recip: bool, bits: bytes) ->
     if k is None:  # |u| / beta overflows: _gamma raises its error
         return _gamma(arg, p, q, recip).item()
     pq = p * q
-    w = arg * ring.shift(k)
+    shift = ring.shift(k)
+    if shift is None:
+        raise _out_of_range(what, u, "its shift into the ring passes")
+    w = arg * shift
     v = pq / w
     value = ring.series(w, v, recip)
     if not k:
@@ -581,12 +617,15 @@ def _lone_gamma(u: complex, p: complex, q: complex, recip: bool, bits: bytes) ->
     b, small = ring.base.c, len(ring.level(0)[0])
     try:
         fits = ring.level(n)[2] < _LOG_RANGE
-    except (TruncationError, OverflowError):  # raised by the loop, after the corrections before it
+    except (TruncationError, ArithmeticError):  # raised by the loop, after the corrections before it
         fits = False
     thetas = _ONE
     with _range_guard(fits):
         for d in range(1, n + 1):
-            powers, a_d, _ = ring.level(d)
+            try:
+                powers, a_d, _ = ring.level(d)
+            except ArithmeticError:  # a^-d passes the double range
+                raise _out_of_range(what, u, "its theta corrections pass") from None
             rows = _correction(outer * a_d, b, powers, small)
             if divides and np.abs(rows[:, :1]).min() < POLE_TOL:
                 with np.errstate(over="ignore", invalid="ignore"):

@@ -58,9 +58,10 @@ _RUNGS = 32
 # Lattices _nodes holds, and the most nodes a held one has.  One pass at
 # seed 1, replayed against an unbounded cache, builds no more at 16: suite
 # 13 lattices in 90 held reads, sweep_n1 10 in 486.  Larger grids (rank 2
-# from N = 32 half folded, from N = 64 folded) are built per rung: held with
-# their index arrays, they took what a suite pass leaves held to 3.3 MB
-# (tracemalloc), where every cache of the parent commit held 0.55 MB.
+# from N = 32 half folded, from N = 64 folded) are built per rung, and hold
+# the index arrays their kernels compute for that rung alone: held across
+# rungs, they took what a suite pass leaves held to 3.3 MB (tracemalloc),
+# where every other cache held 0.55 MB when the bound was set.
 _NODES, _HELD_NODES = 16, 512
 
 
@@ -80,6 +81,8 @@ class QuadratureGrid(Record):
             raise DomainError("grid dimension must be >= 1")
         if N < 4:
             raise DomainError("need at least 4 points per circle")
+        if N & (N - 1):
+            raise DomainError(f"points per circle must be a power of two, got {N}")
         if list(fold) != sorted(set(fold) & set(range(n))):
             raise DomainError(f"fold {fold} is not an increasing list of coordinates of {n}")
         _set(self, "n", n)
@@ -96,25 +99,31 @@ class QuadratureGrid(Record):
         return _nodes(self.n, self.N, fold) if size <= _HELD_NODES else _lattice(self.n, self.N, fold)
 
 
-def _lattice(n: int, N: int, fold: tuple, held: bool = False) -> Lattice:
-    """The nodes of QuadratureGrid(n, N, fold), its arrays read-only."""
+def _lattice(n: int, N: int, fold: tuple) -> Lattice:
+    """The nodes of QuadratureGrid(n, N, fold), its arrays read-only: each
+    orbit representative of the folded coordinates (_representatives, in
+    order) over the whole circle in the free ones, the last fastest."""
     reps, weights = _representatives(len(fold), N)
     free = [i for i in range(n) if i not in fold]
     if not free:
-        return Lattice(N, reps, weights, held)
-    idx = np.indices((reps.shape[1],) + (N,) * len(free)).reshape(1 + len(free), -1)
-    k = np.empty((n, idx.shape[1]), dtype=np.intp)
-    k[list(fold)] = reps[:, idx[0]]
-    k[free] = idx[1:]
-    weights = weights[idx[0]] / float(N) ** len(free)
+        return Lattice(N, reps, weights)
+    size = N ** len(free)
+    k = np.empty((n, reps.shape[1], size), dtype=np.intp)
+    for row, i in enumerate(fold):
+        k[i] = reps[row, :, None]
+    circle = np.arange(N, dtype=np.intp)[:, None]
+    for j, i in enumerate(free):
+        k[i].reshape(-1, N, size // N ** (j + 1))[...] = circle
+    k = k.reshape(n, -1)
+    weights = np.repeat(weights / float(N) ** len(free), size)
     k.flags.writeable = weights.flags.writeable = False
-    return Lattice(N, k, weights, held)
+    return Lattice(N, k, weights)
 
 
 @functools.lru_cache(maxsize=_NODES)
 def _nodes(n: int, N: int, fold: tuple) -> Lattice:
-    """_lattice, held."""
-    return _lattice(n, N, fold, held=True)
+    """_lattice, held with the index arrays its kernels compute."""
+    return _lattice(n, N, fold)
 
 
 @functools.lru_cache(maxsize=32)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
-import json
+from json.encoder import encode_basestring_ascii
 
 from .record import Record, _set
 
@@ -92,9 +92,63 @@ def report_to_dict(rep: ScenarioReport) -> dict:
     return {name: _encode(name, getattr(rep, name)) for name in FIELD_ORDER}
 
 
+# The text json.dumps writes for each key, and for the floats repr does not
+# write as JSON does.
+_KEYS = {name: encode_basestring_ascii(name) + ": " for name in FIELD_ORDER}
+_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float(x: float) -> str:
+    text = float.__repr__(x)
+    return _SPECIAL.get(text, text)
+
+
+def _scalar(value) -> str:
+    """json.dumps(value) of a string, None, bool, int or float, as its
+    encoder writes it: strings escaped to ASCII, int and float subclasses
+    as the plain int or float."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _pair(v, indent: str) -> str:
+    """The [re, im] array of v as json.dumps(..., indent=2) writes it at indent."""
+    v = complex(v)
+    return f"[\n{indent}  {_float(v.real)},\n{indent}  {_float(v.imag)}\n{indent}]"
+
+
+def _value(name: str, value) -> str:
+    """The JSON text of a report field, as to_json nests it."""
+    if name == "a":
+        return "[\n      " + ",\n      ".join([_pair(v, "      ") for v in value]) + "\n    ]" if value else "[]"
+    if name in COMPLEX_FIELDS and value is not None:
+        return _pair(value, "    ")
+    return _scalar(value)
+
+
 def to_json(reports: list[ScenarioReport]) -> str:
-    """A bare JSON array of report objects in fixed field order."""
-    return json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n"
+    """A bare JSON array of report objects in fixed field order: the text
+    json.dumps([report_to_dict(r) for r in reports], indent=2) writes, and
+    a newline, formed directly (json's indenting encoder is pure Python)."""
+    if not reports:
+        return "[]\n"
+    objects = [
+        "  {\n    " + ",\n    ".join([_KEYS[name] + _value(name, value)
+                                      for name, value in zip(FIELD_ORDER, rep._values(rep))]) + "\n  }"
+        for rep in reports
+    ]
+    return "[\n" + ",\n".join(objects) + "\n]\n"
 
 
 def _columns(name, a_width):

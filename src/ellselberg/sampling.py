@@ -15,7 +15,7 @@ import cmath
 import random
 
 from .errors import ConfigurationError, DegenerateParameterError
-from .invariants import BalancingMode, ParameterSet, coefficient_c
+from .invariants import BalancingMode, ParameterSet, _target, coefficient_c
 from .qseries import Nomes
 from .record import Record, _set
 
@@ -89,16 +89,22 @@ def _clearance(a_last: complex, box: SafeBox) -> str | None:
     return None
 
 
-def _mode_reason(ps: ParameterSet, nomes: Nomes, box: SafeBox) -> str | None:
-    """Why ps is rejected, or None: the constraints on the solved entry,
-    depending on how the kernel sees it."""
-    if ps.balancing_mode is not BalancingMode.ONE:
+def _solved_reason(mode: BalancingMode, a_last: complex, nomes: Nomes, box: SafeBox) -> str | None:
+    """Why a draw whose solved entry is a_last is rejected, or None: the
+    constraint on that entry, depending on how the kernel sees it."""
+    if mode is not BalancingMode.ONE:
         # PQ: a_6 enters Psi directly (it may vanish when p q = 0); P: both
         # a_6 and q a_6 must stay inside the disk
-        return _clearance(ps.a[5], box)
+        return _clearance(a_last, box)
     # only p a_6 enters Psi~; a_6 itself is large
-    if not abs(nomes.p * ps.a[5]) <= 1 - box.solved_clearance:
+    if not abs(nomes.p * a_last) <= 1 - box.solved_clearance:
         return "p times solved entry too close to the torus"
+    return None
+
+
+def _recurrence_reason(ps: ParameterSet, nomes: Nomes) -> str | None:
+    """Why ps, under the ONE balancing, is rejected, or None: a theta its
+    recurrence coefficients divide by vanishes."""
     try:
         for r in range(1, ps.n + 1):
             coefficient_c(r, ps, nomes)
@@ -171,10 +177,18 @@ def sample_parameters(
         tt = rng.uniform(box.t_min, box.t_max) if t is None else t
         free = _free(rng, box, 5)
         # ParameterSet.solved divides by this product and refuses a zero one
-        if _product(free, complex(tt) ** (2 * n - 2)) == 0:
+        denom = _product(free, complex(tt) ** (2 * n - 2))
+        if denom == 0:
             return "degenerate free product"
+        # the solved entry as ParameterSet.solved forms it, so a draw that
+        # misses its clearance is rejected before the set is built; a bad
+        # rank or |t| is refused by building it, as at every draw
+        reason = _solved_reason(mode, _target(mode, nomes) / denom, nomes, box)
+        if reason is not None and n >= 1 and 0 < abs(tt) < 1:
+            return reason
         ps = ParameterSet.solved(n, tt, free, nomes, mode)
-        reason = _mode_reason(ps, nomes, box)
+        if mode is BalancingMode.ONE:
+            reason = _recurrence_reason(ps, nomes)
         if reason is None and predicate is not None and not predicate(ps):
             reason = "scenario predicate"
         return reason or ps

@@ -25,6 +25,8 @@ import time
 from collections.abc import Callable
 from functools import partial
 
+import numpy as np
+
 from .errors import (
     ConfigurationError, DomainError, EllSelbergError, NonConvergenceError, SampleRejectionError,
 )
@@ -151,16 +153,22 @@ def scenario_eval_formula(
 
 
 def _qde_theta_ratio(params, nomes, k, shift_a6):
-    """prod_{i, m<=5, m!=k} theta(a_m a_6' t^(i-1); p) / theta(a_m a_k t^(i-1); p)."""
-    ratio = 1.0 + 0.0j
+    """prod_{i, m<=5, m!=k} theta(a_m a_6' t^(i-1); p) / theta(a_m a_k t^(i-1); p).
+
+    The thetas are one array call, multiplied and divided in turn, each
+    value with the bits of its own scalar call (as invariants._thetas)."""
     a6s = params.a[5] * shift_a6
+    args = []
     for i in range(1, params.n + 1):
         ti = params.t ** (i - 1)
         for m in range(1, 6):
-            if m == k:
-                continue
-            ratio *= theta(params.a[m - 1] * a6s * ti, nomes.p)
-            ratio /= theta(params.a[m - 1] * params.a[k - 1] * ti, nomes.p)
+            if m != k:
+                args += [params.a[m - 1] * a6s * ti, params.a[m - 1] * params.a[k - 1] * ti]
+    values = theta(np.array(args, dtype=complex), nomes.p).tolist()
+    ratio = 1.0 + 0.0j
+    for num, den in zip(values[::2], values[1::2]):
+        ratio *= num
+        ratio /= den
     return ratio
 
 

@@ -105,6 +105,14 @@ class TestEvalTargets:
         assert captured.err.startswith("error: elliptic_gamma: argument (-15.81")
         assert "outside the double range" in captured.err
 
+    def test_gamma_hundreds_of_shifts_from_the_ring(self, capsys):
+        # 335 shifts from the ring at (0.05, 0.12): a^-335 passes 1e308
+        code = main(["eval", "gamma", "--u", "1e-310+1e-310i", "--p", "0.05", "--q", "0.12"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: elliptic_gamma: argument (1e-310+1e-310j)")
+        assert "outside the double range" in captured.err
+
     @pytest.mark.parametrize("argv", [["theta", "--p", "0.9"], ["gamma", "--p", "0", "--q", "0.9"]],
                              ids=["theta", "gamma_p0"])
     def test_single_product_outside_the_double_range(self, capsys, argv):

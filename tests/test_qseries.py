@@ -928,6 +928,35 @@ def test_cold_scalar_at_the_range_edge_is_its_element(truncation_rule, name, u):
         assert scalar[0] is PoleProximityError
 
 
+# Hundreds of shifts from the ring, a^m (|u| small) or a^-d (|u| large)
+# passes the double range, and so would the value, which has an essential
+# singularity at 0 and at infinity; at (0.9, 0.85) the corrections need more
+# than MAX_TERMS factors first, except where the shift itself overflows
+FAR = (1e-310 + 1e-310j, 1e-300j, 1e300, 1.7e308, 5e-324 + 0j, 1e-320j)
+
+
+@pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
+@pytest.mark.parametrize("nm", RANGE_NOMES, ids=str)
+def test_gamma_hundreds_of_shifts_from_the_ring_names_the_argument(truncation_rule, nm, cold):
+    # a scalar and the array [u, u i] raise one DomainError naming u, and no
+    # numpy warning, with every cache emptied before each evaluation or not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (elliptic_gamma, elliptic_gamma_recip):
+            for u in FAR:
+                got = []
+                for arg in (u, np.array([u, u * 1j])):
+                    if cold:
+                        truncation_rule()
+                    got.append(outcome(lambda x: f(x, nm), arg))
+                assert got[0] == got[1], (nm, u)
+                if got[0][0] is TruncationError:
+                    assert nm.p == 0.9 and u in (1e-300j, 1e300), u
+                    continue
+                assert got[0][0] is DomainError, (nm, u, got[0])
+                assert got[0][1].startswith(f"{f.__name__}: argument {complex(u)} is outside the double range")
+
+
 def test_python_shift_count_is_numpys():
     # the lone route counts shifts in Python, and takes numpy's count where
     # the two could differ: at random points, and on either side of the ring

@@ -1,6 +1,7 @@
 """Torus quadrature: grids, convergence contract, expectations, nabla."""
 
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -37,6 +38,20 @@ def rel(a, b):
     return abs(a - b) / d if d > 1e-12 else abs(a - b)
 
 
+def indices_lattice(n, N, fold):
+    """The index arrays and weights of QuadratureGrid(n, N, fold), gathered
+    from np.indices over (representative, free coordinates)."""
+    reps, weights = quadrature._representatives(len(fold), N)
+    free = [i for i in range(n) if i not in fold]
+    if not free:
+        return reps, weights
+    idx = np.indices((reps.shape[1],) + (N,) * len(free)).reshape(1 + len(free), -1)
+    k = np.empty((n, idx.shape[1]), dtype=np.intp)
+    k[list(fold)] = reps[:, idx[0]]
+    k[free] = idx[1:]
+    return k, weights[idx[0]] / float(N) ** len(free)
+
+
 class TestGrid:
     def test_nodes_on_unit_circle(self):
         grid = QuadratureGrid(2, 8).nodes()
@@ -65,6 +80,55 @@ class TestGrid:
 
     def test_default_budget_decreases_with_rank(self):
         assert default_budget(1) >= default_budget(2) >= default_budget(3)
+
+    @pytest.mark.parametrize("N", [12, 24, 48, 100, 6])
+    def test_points_per_circle_must_be_a_power_of_two(self, N):
+        # every ladder's N is 16 * 2^k, and Lattice.at reduces by the mask N - 1
+        with pytest.raises(DomainError, match="power of two"):
+            QuadratureGrid(2, N)
+        with pytest.raises(DomainError, match="power-of-two"):
+            Lattice(N, np.zeros((1, 4), dtype=np.intp), np.ones(4))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_lattice_has_the_bits_of_the_indices_construction(self, n):
+        # the nodes, broadcast from the orbit representatives and the circle,
+        # are those gathered by np.indices, in the same order, for every
+        # fold and N = 16..256 (grids of at most 2^21 nodes)
+        folds = [tuple(c for c in range(n) if mask >> c & 1) for mask in range(2**n)]
+        for N in (16, 32, 64, 128, 256):
+            for fold in folds:
+                size = math.comb(N // 2 + len(fold), len(fold)) * N ** (n - len(fold))
+                if size > 2**21:
+                    continue
+                got = quadrature._lattice(n, N, fold)
+                k, weights = indices_lattice(n, N, fold)
+                assert len(got.k) == n and got.weights.tobytes() == weights.tobytes(), (N, fold)
+                for i in range(n):
+                    assert got.k[i].dtype == np.intp and got.k[i].tobytes() == k[i].tobytes(), (N, fold, i)
+                    assert not got.k[i].flags.writeable
+                assert not got.weights.flags.writeable
+
+    def test_lattice_index_is_the_remainder(self):
+        # alpha . k reduced by the mask N - 1 is (alpha . k) % N, for
+        # exponents of modulus 1 and 2 whose sums are negative too
+        rng = np.random.default_rng(7)
+        alphas = [((0, -1),), ((0, 2),), ((1, -2),), ((0, 1), (1, -1)), ((0, -1), (2, -1)),
+                  ((0, 2), (1, -1)), ((1, -2), (2, 1)), ((0, -2), (2, -2)), ((0, 1), (1, 1), (2, -2))]
+        for N in (4, 16, 64, 512):
+            k = rng.integers(0, N, size=(3, 500))
+            grid = Lattice(N, k, np.ones(500))
+            for alpha in alphas:
+                want = sum(e * k[i] for i, e in alpha) % N
+                assert grid.at(alpha).tobytes() == want.tobytes(), (N, alpha)
+
+    def test_lattice_holds_its_index_arrays(self):
+        # a lattice above _HELD_NODES is built per rung; the kernels of that
+        # rung (the plain and shifted nabla terms) read each index array once
+        grid = QuadratureGrid(2, 64).nodes()
+        assert len(grid.weights) > quadrature._HELD_NODES
+        alpha = ((0, 1), (1, -1))
+        assert grid.at(alpha) is grid.at(alpha)
+        assert grid.at(((0, 1),)) is grid.k[0]
 
 
 class TestTorusIntegrate:

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from ellselberg import ScenarioReport, relative_error, write_report
@@ -144,3 +145,43 @@ class TestWriteReport:
     def test_dict_covers_every_field(self):
         d = report_to_dict(make_report())
         assert set(d.keys()) == set(FIELD_ORDER)
+
+
+def dumped(reports):
+    """The text json.dumps writes for the reports, to_json's contract."""
+    return json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n"
+
+
+class TestJsonIsJsonDumps:
+    # to_json writes its text directly; it must be json.dumps' byte for byte
+
+    def test_default_suite(self):
+        from ellselberg.scenarios import run_suite
+
+        reports = run_suite()
+        assert to_json(reports) == dumped(reports)
+
+    @pytest.mark.parametrize("reports", [
+        [],
+        [make_report()],
+        # a failed report: no finite error, or none at all
+        [make_report(passed=False, rel_err=float("inf"), abs_err=float("nan"), lhs=complex("nan"),
+                     rhs=complex(float("-inf"), 0.0), grid_N=0, detail="NonConvergenceError: stalled")],
+        # every optional field None, and no parameters
+        [make_report(t=None, balancing=None, k=None, r=None, i=None, runtime_ms=None,
+                     constraint_exponent=None, a=(), p=None)],
+        # non-ASCII, quotes, backslashes and control characters in the detail
+        [make_report(detail='é ∇ \U0001F600 "q" \\ \x00\x01\x1f\x7f\t\n\r\x08\x0c ')],
+        # ints and floats of numpy's subclasses, and signed zeros
+        [make_report(k=2, r=1, i=1, runtime_ms=12, constraint_exponent=-3, tol=np.float64(1e-7),
+                     abs_err=-0.0, lhs=complex(-0.0, 0.0), rhs=complex(0.0, -0.0), a=(1e-310, -5e-324j))],
+        [make_report(seed_index=s, rel_err=10.0 ** -s) for s in range(4)],
+    ], ids=["empty", "one", "failed", "none_fields", "detail", "subclasses", "several"])
+    def test_reports(self, reports):
+        assert to_json(reports) == dumped(reports)
+
+    def test_unserializable_field_raises_type_error(self):
+        with pytest.raises(TypeError):
+            json.dumps(report_to_dict(make_report(detail=object())))
+        with pytest.raises(TypeError):
+            to_json([make_report(detail=object())])

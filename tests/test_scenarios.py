@@ -29,6 +29,7 @@ from ellselberg import (
     scenario_recurrence,
     scenario_recurrence_telescope,
     scenarios,
+    theta,
 )
 from ellselberg.report import to_json
 from ellselberg.scenarios import SUITE_ROWS, run_row
@@ -95,6 +96,32 @@ class TestQde:
         rep = scenario_qde(1, 6, pq_set(), NM, 1e-7)
         assert not rep.passed
         assert "shift index" in rep.detail
+
+    def test_theta_ratio_is_the_scalar_loop(self):
+        # the ratio takes its thetas from one array call; it must have the
+        # bits of the scalar calls multiplied and divided in turn, on the
+        # suite's qde draws and the P-balanced variant, at every k
+        def loop(params, nomes, k, shift_a6):
+            ratio = 1.0 + 0.0j
+            a6s = params.a[5] * shift_a6
+            for i in range(1, params.n + 1):
+                ti = params.t ** (i - 1)
+                for m in range(1, 6):
+                    if m != k:
+                        ratio *= theta(params.a[m - 1] * a6s * ti, nomes.p)
+                        ratio /= theta(params.a[m - 1] * params.a[k - 1] * ti, nomes.p)
+            return ratio
+
+        rows = [row for row in SUITE_ROWS if row.scenario == "qde"]
+        for row in rows:
+            mode = row.mode or BalancingMode.PQ
+            shift = 1.0 / row.nomes.q if mode is BalancingMode.PQ else 1.0
+            for seed in (1, 42):
+                for ps in sample_parameters(mode, row.n, row.nomes, seed + row.seed_offset, 2, box=row.box):
+                    for k in range(1, 6):
+                        got = scenarios._qde_theta_ratio(ps, row.nomes, k, shift)
+                        want = loop(ps, row.nomes, k, shift)
+                        assert np.array([got]).tobytes() == np.array([want]).tobytes(), (row.n, seed, k)
 
     def test_solved_entry_outside_window(self):
         # PQ form needs |a_6| < |q|; this set has |a_6| ~ 0.2
